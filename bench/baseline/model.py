@@ -1,0 +1,410 @@
+"""Model construction: site tensors, noise channels, dilation, serialization.
+
+The built-in family is the spin-1 AKLT chain decohered by a bond-algebra
+preserving channel with Kraus operators
+
+    K_0 = sqrt(1-p) * 1,   K_1 = sqrt(p) * Sx Sy,
+    K_2 = sqrt(p) * Sy Sz, K_3 = sqrt(p) * Sz Sx,
+
+purified by the Stinespring dilation A[i, a] = sum_j K_a[i, j] A0[j] into a
+locally purified tensor with a four-dimensional ancilla leg for every p.
+"""
+
+import json
+import os
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import (
+    CovarianceError,
+    DimensionMismatchError,
+    ValidationError,
+)
+from .numerics import _as_square
+from .symmetry import GroupTable, SymmetryAction, unitarity_defect
+
+_SQ2 = np.sqrt(2.0)
+
+
+def spin1_operators():
+    """Spin-1 operators in the basis (m=-1, m=0, m=+1).
+
+    Returns a dict with the spin matrices S_x, S_y, S_z, the identity S_0,
+    and the pi-rotations R_alpha = exp(i pi S_alpha). For spin 1 the
+    rotations close to R_alpha = 1 - 2 S_alpha^2, so R_z = diag(-1, 1, -1)
+    exactly.
+    """
+    sx = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / _SQ2
+    sy = -np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=complex) / _SQ2
+    sz = np.diag([-1.0, 0.0, 1.0]).astype(complex)
+    eye = np.eye(3, dtype=complex)
+    ops = {"S_0": eye, "S_x": sx, "S_y": sy, "S_z": sz}
+    for alpha in "xyz":
+        s = ops[f"S_{alpha}"]
+        ops[f"R_{alpha}"] = eye - 2.0 * (s @ s)
+    return ops
+
+
+@dataclass
+class PureMpsTensor:
+    """Pure MPS site tensor, indexed [physical, left virtual, right virtual]."""
+
+    tensor: np.ndarray
+
+    def __post_init__(self):
+        t = np.asarray(self.tensor, dtype=complex)
+        if t.ndim != 3 or t.shape[1] != t.shape[2]:
+            raise DimensionMismatchError(f"pure tensor must be (d, D, D), got {t.shape}")
+        if not np.all(np.isfinite(t)):
+            raise ValidationError("tensor: entries must be finite")
+        self.tensor = t
+
+    @property
+    def d(self):
+        return self.tensor.shape[0]
+
+    @property
+    def bond_dim(self):
+        return self.tensor.shape[1]
+
+
+@dataclass
+class LpdoTensor:
+    """Locally purified site tensor, indexed [physical, ancilla, left, right]."""
+
+    tensor: np.ndarray
+
+    def __post_init__(self):
+        t = np.asarray(self.tensor, dtype=complex)
+        if t.ndim != 4 or t.shape[2] != t.shape[3]:
+            raise DimensionMismatchError(f"purified tensor must be (d, da, D, D), got {t.shape}")
+        if not np.all(np.isfinite(t)):
+            raise ValidationError("tensor: entries must be finite")
+        self.tensor = t
+
+    @property
+    def d(self):
+        return self.tensor.shape[0]
+
+    @property
+    def da(self):
+        return self.tensor.shape[1]
+
+    @property
+    def bond_dim(self):
+        return self.tensor.shape[2]
+
+
+@dataclass
+class KrausChannel:
+    """Quantum channel as a stack of Kraus operators, indexed [a, i, j]."""
+
+    kraus: np.ndarray
+    p: float | None = None
+
+    def __post_init__(self):
+        k = np.asarray(self.kraus, dtype=complex)
+        if k.ndim != 3 or k.shape[1] != k.shape[2]:
+            raise DimensionMismatchError(f"kraus must be (n, d, d), got {k.shape}")
+        self.kraus = k
+
+    @property
+    def n_kraus(self):
+        return self.kraus.shape[0]
+
+    @property
+    def d(self):
+        return self.kraus.shape[1]
+
+    def completeness_defect(self):
+        """Frobenius norm of sum_a K_a^dag K_a - 1."""
+        s = np.einsum("aji,ajk->ik", self.kraus.conj(), self.kraus)
+        return float(np.linalg.norm(s - np.eye(self.d)))
+
+    def validate(self, tol=1e-12, path="channel"):
+        defect = self.completeness_defect()
+        if defect > tol:
+            raise ValidationError(f"{path}.kraus: not trace preserving (defect {defect:.3e})")
+        if self.p is not None and not 0.0 <= self.p <= 1.0:
+            raise ValidationError(f"{path}.p: expected 0 <= p <= 1, got {self.p}")
+
+
+def aklt_tensor():
+    """Bond-dimension-2 AKLT site tensor (left-canonical normalization)."""
+    a = np.zeros((3, 2, 2), dtype=complex)
+    a[0] = np.sqrt(2.0 / 3.0) * np.array([[0, 1], [0, 0]])   # m = -1
+    a[1] = -np.sqrt(1.0 / 3.0) * np.array([[1, 0], [0, -1]])  # m = 0
+    a[2] = -np.sqrt(2.0 / 3.0) * np.array([[0, 0], [1, 0]])   # m = +1
+    return PureMpsTensor(a)
+
+
+def aklt_channel(p):
+    """Decoherence channel of the AKLT family at noise rate p in [0, 1]."""
+    p = float(p)
+    if not 0.0 <= p <= 1.0:
+        raise ValidationError(f"channel.p: expected 0 <= p <= 1, got {p}")
+    ops = spin1_operators()
+    sx, sy, sz = ops["S_x"], ops["S_y"], ops["S_z"]
+    kraus = np.stack(
+        [
+            np.sqrt(1.0 - p) * ops["S_0"],
+            np.sqrt(p) * (sx @ sy),
+            np.sqrt(p) * (sy @ sz),
+            np.sqrt(p) * (sz @ sx),
+        ]
+    )
+    ch = KrausChannel(kraus, p=p)
+    ch.validate()
+    return ch
+
+
+def dilate(pure, channel):
+    """Stinespring dilation of a channel applied to every site of a pure MPS.
+
+    A[i, a] = sum_j K_a[i, j] A0[j]; the ancilla dimension equals the
+    number of Kraus operators (zero operators keep their slot, so the
+    ancilla dimension does not jump across parameter values where some
+    Kraus operators vanish).
+    """
+    if channel.d != pure.d:
+        raise DimensionMismatchError(
+            f"channel acts on d={channel.d}, tensor has d={pure.d}"
+        )
+    a4 = np.einsum("aij,jxy->iaxy", channel.kraus, pure.tensor)
+    return LpdoTensor(a4)
+
+
+def solve_ancilla_rep(channel, u, tol=1e-10):
+    """Ancilla-leg unitary induced by a channel-covariant physical unitary.
+
+    Solves u K_a u^dag = sum_b c[a, b] K_b for the covariance coefficients,
+    verifies that c is unitary, and returns its inverse (the unitary the
+    Stinespring environment picks up), with the overall phase fixed by
+    making the first nonzero diagonal entry real positive. Kraus operators
+    that are identically zero are given a trivial action.
+
+    Raises :class:`CovarianceError` if the channel is not covariant or the
+    nonzero Kraus operators are linearly dependent, and
+    :class:`ValidationError` if the coefficient matrix is not unitary.
+    """
+    u = _as_square(u, "u")
+    k = channel.kraus
+    if channel.d != u.shape[0]:
+        raise DimensionMismatchError(f"u is {u.shape[0]}x{u.shape[0]}, channel has d={channel.d}")
+    n = channel.n_kraus
+    norms = np.linalg.norm(k.reshape(n, -1), axis=1)
+    scale = norms.max()
+    if not scale > 0:
+        raise CovarianceError("channel has no nonzero Kraus operators")
+    live = np.flatnonzero(norms > 1e-12 * scale)
+
+    kmat = k[live].reshape(len(live), -1)  # rows vec(K_a)
+    if np.linalg.matrix_rank(kmat, tol=1e-10 * scale) < len(live):
+        raise CovarianceError("nonzero Kraus operators are linearly dependent")
+    target = np.einsum("ij,ajk,lk->ail", u, k[live], u.conj()).reshape(len(live), -1)
+
+    # c_live @ kmat = target, least squares row by row
+    c_live, *_ = np.linalg.lstsq(kmat.T, target.T, rcond=None)
+    c_live = c_live.T
+    residual = np.linalg.norm(c_live @ kmat - target) / np.linalg.norm(target)
+    if residual > tol:
+        raise CovarianceError(f"channel is not covariant under u (residual {residual:.3e})")
+
+    c = np.eye(n, dtype=complex)
+    c[np.ix_(live, live)] = c_live
+    defect = unitarity_defect(c)
+    if defect > 1e-10:
+        raise ValidationError(f"covariance coefficients not unitary (defect {defect:.3e})")
+
+    ua = c.conj().T
+    diag = np.diag(ua)
+    first = int(np.argmax(np.abs(diag) > 1e-12))
+    z = diag[first]
+    ua = ua * (z.conjugate() / abs(z))
+    return ua
+
+
+def aklt_group():
+    """Z2 x Z2 rotation group {1, R_x, R_y, R_z} of the AKLT family."""
+    labels = ("1", "R_x", "R_y", "R_z")
+    prod = {
+        ("1", "1"): "1",
+        ("R_x", "R_x"): "1",
+        ("R_y", "R_y"): "1",
+        ("R_z", "R_z"): "1",
+        ("R_x", "R_y"): "R_z",
+        ("R_y", "R_x"): "R_z",
+        ("R_y", "R_z"): "R_x",
+        ("R_z", "R_y"): "R_x",
+        ("R_z", "R_x"): "R_y",
+        ("R_x", "R_z"): "R_y",
+    }
+    table = [
+        [prod.get((g, h), h if g == "1" else g) for h in labels]
+        for g in labels
+    ]
+    return GroupTable.from_table(labels, table)
+
+
+@dataclass
+class Model:
+    """A purified site tensor bundled with its symmetry data.
+
+    ``actions`` maps each group element label to its on-site
+    :class:`SymmetryAction`. ``channel`` and ``pure`` record the dilation
+    provenance when known (the built-in family keeps both; models loaded
+    from files may carry only the channel, or neither).
+    """
+
+    lpdo: LpdoTensor
+    group: GroupTable
+    actions: dict
+    channel: KrausChannel | None = None
+    pure: PureMpsTensor | None = None
+
+    def action(self, g):
+        try:
+            return self.actions[g]
+        except KeyError:
+            raise KeyError(f"no symmetry action for group element {g!r}") from None
+
+
+def build_aklt_model(p):
+    """Decohered AKLT chain at noise rate p, with its Z2 x Z2 action."""
+    pure = aklt_tensor()
+    channel = aklt_channel(p)
+    lpdo = dilate(pure, channel)
+    group = aklt_group()
+    ops = spin1_operators()
+    actions = {}
+    for g in group.labels:
+        u = ops["S_0"] if g == "1" else ops[g]
+        ua = solve_ancilla_rep(channel, u)
+        actions[g] = SymmetryAction(element=g, u=u, ua=ua)
+    return Model(lpdo=lpdo, group=group, actions=actions, channel=channel, pure=pure)
+
+
+# --- serialization ---------------------------------------------------------
+
+def _encode_array(m):
+    """Nested lists of [re, im] pairs, one per entry."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim == 1:
+        return [[float(z.real), float(z.imag)] for z in m]
+    return [_encode_array(row) for row in m]
+
+
+def _decode_array(data, shape, path):
+    try:
+        arr = np.asarray(data, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{path}: expected nested [re, im] pairs") from None
+    if arr.shape != shape + (2,):
+        raise ValidationError(f"{path}: expected shape {shape + (2,)}, got {arr.shape}")
+    return arr[..., 0] + 1j * arr[..., 1]
+
+
+def save_model(model, path):
+    """Write a model to the JSON interchange format (see README)."""
+    lpdo = model.lpdo
+    doc = {
+        "d": lpdo.d,
+        "da": lpdo.da,
+        "D": lpdo.bond_dim,
+        "tensor": _encode_array(lpdo.tensor),
+        "group": {
+            "elements": list(model.group.labels),
+            "table": [list(row) for row in model.group.table],
+        },
+        "actions": [
+            {
+                "element": g,
+                "u": _encode_array(model.actions[g].u),
+                "ua": _encode_array(model.actions[g].ua),
+            }
+            for g in model.group.labels
+        ],
+    }
+    if model.channel is not None:
+        doc["channel"] = {
+            "p": model.channel.p,
+            "kraus": _encode_array(model.channel.kraus),
+        }
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+
+
+def load_model(path):
+    """Load and validate a model from the JSON interchange format.
+
+    Every structural invariant is checked on load: dimension consistency,
+    group axioms, unitarity of all symmetry actions (tolerance 1e-10), and
+    trace preservation of the optional channel block (tolerance 1e-9).
+    Violations raise :class:`ValidationError` naming the offending field.
+    """
+    if not os.path.exists(path):
+        raise FileNotFoundError(f"model file not found: {path}")
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"file: not valid JSON ({exc})") from None
+
+    for field in ("d", "da", "D", "tensor", "group", "actions"):
+        if field not in doc:
+            raise ValidationError(f"{field}: missing required field")
+    try:
+        d, da, dv = int(doc["d"]), int(doc["da"]), int(doc["D"])
+    except (TypeError, ValueError):
+        raise ValidationError("d/da/D: expected integers") from None
+    if min(d, da, dv) < 1:
+        raise ValidationError("d/da/D: dimensions must be positive")
+
+    tensor = _decode_array(doc["tensor"], (d, da, dv, dv), "tensor")
+    if not np.all(np.isfinite(tensor)):
+        raise ValidationError("tensor: entries must be finite")
+    lpdo = LpdoTensor(tensor)
+
+    grp = doc["group"]
+    if not isinstance(grp, dict) or "elements" not in grp or "table" not in grp:
+        raise ValidationError("group: expected an object with elements and table")
+    group = GroupTable(tuple(grp["elements"]), tuple(tuple(r) for r in grp["table"]))
+    group.validate(path="group")
+
+    actions = {}
+    if not isinstance(doc["actions"], list):
+        raise ValidationError("actions: expected a list")
+    for idx, entry in enumerate(doc["actions"]):
+        where = f"actions[{idx}]"
+        if not isinstance(entry, dict) or "element" not in entry:
+            raise ValidationError(f"{where}: expected an object with an element label")
+        g = entry["element"]
+        if g not in group.labels:
+            raise ValidationError(f"{where}.element: unknown group element {g!r}")
+        u = _decode_array(entry.get("u"), (d, d), f"{where}.u")
+        ua = _decode_array(entry.get("ua"), (da, da), f"{where}.ua")
+        act = SymmetryAction(element=g, u=u, ua=ua)
+        try:
+            act.validate(path=where)
+        except ValidationError:
+            raise
+        actions[g] = act
+    missing = [g for g in group.labels if g not in actions]
+    if missing:
+        raise ValidationError(f"actions: missing entries for {missing}")
+
+    channel = None
+    if "channel" in doc:
+        ch = doc["channel"]
+        if not isinstance(ch, dict) or "kraus" not in ch:
+            raise ValidationError("channel: expected an object with a kraus list")
+        kraus_raw = np.asarray(ch["kraus"], dtype=float)
+        if kraus_raw.ndim != 4 or kraus_raw.shape[1:] != (d, d, 2):
+            raise ValidationError(f"channel.kraus: expected shape (n, {d}, {d}, 2)")
+        kraus = kraus_raw[..., 0] + 1j * kraus_raw[..., 1]
+        channel = KrausChannel(kraus, p=ch.get("p"))
+        channel.validate(tol=1e-9, path="channel")
+
+    return Model(lpdo=lpdo, group=group, actions=actions, channel=channel)
