@@ -49,8 +49,6 @@ from .model import (
     spin1_operators,
 )
 from .transfer import (
-    TransferMatrix,
-    build_ancilla_transfer,
     build_transfer,
     commutant_residual,
     flux_operator,
@@ -58,10 +56,8 @@ from .transfer import (
     twisted_spectrum,
 )
 from .response import (
-    FluxConfig,
     ResponseResult,
     ancilla_response,
-    charge_without_flux,
     conservation_check,
     finite_response,
     flux_response,

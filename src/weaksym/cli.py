@@ -30,7 +30,7 @@ from .errors import (
 )
 from .model import _decode_array, build_aklt_model, load_model, spin1_operators
 from .response import finite_response, thermo_response
-from .stringorder import decay_exponent, normalized_string, string_order_series
+from .stringorder import EARLY_WINDOW, decay_exponent, normalized_string, string_order_series
 from .transfer import symmetry_gap, twisted_spectrum
 from . import verify as _verify
 
@@ -40,11 +40,6 @@ EXIT_IO = 2
 EXIT_UNDEFINED = 3
 
 CSV_HEADER = "p,reQxz,imQxz,reQyz,imQyz,gap_z,abs_sn_x,abs_sn_y,xi_x,xi_y,flags"
-
-# Exponents in the sweep are fitted on an early window: the series are
-# exactly geometric from l=0, and late windows drown fast-decaying
-# channels in 1e-16 cross-talk from slower ones.
-SWEEP_XI_WINDOW = (4, 16)
 
 _CHI_BUILTIN = {"s0": "S_0", "sx": "S_x", "sy": "S_y", "sz": "S_z"}
 
@@ -97,12 +92,10 @@ def _write_text(path, text):
             fh.write(text)
 
 
-def _resolve_model(args, need_p=True):
+def _resolve_model(args):
     if args.model == "aklt":
         if args.p is None:
-            if need_p:
-                raise ValidationError("--p is required with the built-in aklt family")
-            return build_aklt_model(0.0)
+            raise ValidationError("--p is required with the built-in aklt family")
         return build_aklt_model(args.p)
     if args.p is not None:
         raise ValidationError("--p only applies to the built-in aklt family, not model files")
@@ -159,9 +152,9 @@ def _sweep_row(p, n_sites, length, gap_tol):
             flags.append(f"sn_{tag}_undefined")
         try:
             thermo = string_order_series(
-                model, "R_z", chi, chi, range(SWEEP_XI_WINDOW[0], SWEEP_XI_WINDOW[1] + 1)
+                model, "R_z", chi, chi, range(EARLY_WINDOW[0], EARLY_WINDOW[1] + 1)
             )
-            fit = decay_exponent(thermo, window=SWEEP_XI_WINDOW)
+            fit = decay_exponent(thermo, window=EARLY_WINDOW)
             xi[tag] = fit.xi
         except UndefinedExponentError:
             xi[tag] = nan

@@ -19,25 +19,11 @@ import numpy as np
 from .errors import GaplessTransferError, NearDefectiveError, NonCommutingError
 from .numerics import spectral_decompose
 from .symmetry import cocycle_commutator, extract_virtual_rep
-from .transfer import (
-    build_ancilla_transfer,
-    build_transfer,
-    flux_operator,
-    symmetry_gap,
-    twisted_spectrum,
-)
+from .transfer import build_transfer, flux_operator, symmetry_gap, twisted_spectrum
 
 SNAP_TOL = 1e-6
 GAP_TOL = 1e-8
 DENOMINATOR_FLOOR = 1e-300
-
-
-@dataclass(frozen=True)
-class FluxConfig:
-    """A boundary (seam) matrix inserted on the virtual legs."""
-
-    matrix: np.ndarray
-    label: str = "X"
 
 
 @dataclass
@@ -79,20 +65,6 @@ def _require_commuting(model, g1, g2):
         raise NonCommutingError(f"group elements {g1!r} and {g2!r} do not commute")
 
 
-def charge_without_flux(model, g2, n_sites):
-    """(Tr[rho U_g2], Theta) on a ring of n_sites.
-
-    The trace decays like e^{-Theta N} with Theta = -ln|lambda_0(T(g2))|;
-    Theta is returned so callers can tell a genuinely vanishing charge from
-    plain exponential smallness.
-    """
-    t = build_transfer(model.lpdo, model.action(g2).u, label=g2)
-    value = np.trace(np.linalg.matrix_power(t.matrix, int(n_sites)))
-    lead = np.abs(spectral_decompose(t.matrix).eigenvalues[0])
-    theta = float("inf") if lead == 0.0 else float(-np.log(lead))
-    return complex(value), theta
-
-
 def finite_response(model, g1, g2, n_sites):
     """Flux response on a finite ring, both traces by repeated squaring.
 
@@ -102,11 +74,11 @@ def finite_response(model, g1, g2, n_sites):
     """
     _require_commuting(model, g1, g2)
     rep1, _ = extract_virtual_rep(model.lpdo, model.action(g1))
-    t = build_transfer(model.lpdo, model.action(g2).u, label=g2)
-    power = np.linalg.matrix_power(t.matrix, int(n_sites))
+    t = build_transfer(model.lpdo, model.action(g2).u)
+    power = np.linalg.matrix_power(t, int(n_sites))
     denominator = complex(np.trace(power))
     numerator = complex(np.trace(flux_operator(rep1.v) @ power))
-    gap = symmetry_gap(spectral_decompose(t.matrix))
+    gap = symmetry_gap(spectral_decompose(t))
     if abs(denominator) < DENOMINATOR_FLOOR:
         return ResponseResult(
             value=complex(np.nan, np.nan),
@@ -127,25 +99,60 @@ def finite_response(model, g1, g2, n_sites):
     )
 
 
-def flux_response(model, flux, g2, gap_tol=GAP_TOL):
-    """Thermodynamic response of an arbitrary seam matrix.
+def _leading_pair(spectrum, xs, gap_tol, what, ends=None):
+    """Leading-pair contractions (L0·X·R0)/(L0·R0) of a gapped spectrum.
 
-    (L0| kron(conj(X), X) |R0) on the leading biorthonormal eigenvector
-    pair of T(g2). Raises :class:`GaplessTransferError` when the symmetry
-    gap of T(g2) is at or below ``gap_tol`` (the value is undefined at a
-    transition) and :class:`NearDefectiveError` for untrustworthy spectra.
+    Returns the list of values, one per X in ``xs``, and the symmetry gap.
+    ``ends = (X_L, X_R)`` stands for X_L·X·X_R with each end contracted
+    onto its eigenvector once. Raises :class:`NearDefectiveError` for an
+    untrustworthy spectrum and :class:`GaplessTransferError` when the gap
+    is at or below ``gap_tol``; ``what`` ("for 'R_z'") names the map in both.
     """
-    spectrum = twisted_spectrum(model, g2)
     if spectrum.near_defective:
-        raise NearDefectiveError(f"transfer spectrum for {g2!r} is near-defective")
+        raise NearDefectiveError(f"transfer spectrum {what} is near-defective")
     gap = symmetry_gap(spectrum)
     if gap <= gap_tol:
-        raise GaplessTransferError(
-            f"symmetry gap for {g2!r} is {gap:.3e}; thermodynamic response undefined"
-        )
-    lam0, left0, right0 = spectrum.leading
-    value = complex((left0 @ flux_operator(flux.matrix) @ right0) / (left0 @ right0))
+        raise GaplessTransferError(f"symmetry gap {what} is {gap:.3e}; thermodynamic limit undefined")
+    _, left, right = spectrum.leading
+    norm = left @ right
+    if ends is not None:
+        left, right = left @ ends[0], ends[1] @ right
+    return [complex((left @ x @ right) / norm) for x in xs], gap
+
+
+def flux_response(model, flux, g2, gap_tol=GAP_TOL):
+    """Thermodynamic response of an arbitrary seam matrix ``flux``.
+
+    (L0| kron(conj(X), X) |R0) on the leading biorthonormal eigenvector
+    pair of T(g2). Returns ``(value, gap)``. Raises
+    :class:`GaplessTransferError` when the symmetry gap of T(g2) is at or
+    below ``gap_tol`` (the value is undefined at a transition) and
+    :class:`NearDefectiveError` for untrustworthy spectra.
+    """
+    spectrum = twisted_spectrum(model, g2)
+    [value], gap = _leading_pair(spectrum, [flux_operator(flux)], gap_tol, f"for {g2!r}")
     return value, gap
+
+
+def _ancilla_flux_response(model, flux, g2, gap_tol):
+    """:func:`flux_response` on T(1, ua_g2): the insertion sits on the ancilla leg."""
+    t = build_transfer(model.lpdo, np.eye(model.lpdo.d), model.action(g2).ua)
+    [value], gap = _leading_pair(
+        spectral_decompose(t), [flux_operator(flux)], gap_tol, f"for {g2!r} on the ancilla"
+    )
+    return value, gap
+
+
+def _thermo_result(model, g1, value, gap):
+    valid = bool(abs(abs(value) - 1.0) <= 1e-8)
+    return ResponseResult(
+        value=value,
+        snapped=snap_root_of_unity(value, model.group.order(g1)) if valid else None,
+        gap=gap,
+        mode="thermo",
+        n_sites=None,
+        valid=valid,
+    )
 
 
 def thermo_response(model, g1, g2, gap_tol=GAP_TOL):
@@ -157,47 +164,19 @@ def thermo_response(model, g1, g2, gap_tol=GAP_TOL):
     """
     _require_commuting(model, g1, g2)
     rep1, _ = extract_virtual_rep(model.lpdo, model.action(g1))
-    value, gap = flux_response(model, FluxConfig(rep1.v, label=g1), g2, gap_tol=gap_tol)
-    valid = bool(abs(abs(value) - 1.0) <= 1e-8)
-    return ResponseResult(
-        value=value,
-        snapped=snap_root_of_unity(value, model.group.order(g1)) if valid else None,
-        gap=gap,
-        mode="thermo",
-        n_sites=None,
-        valid=valid,
-    )
+    return _thermo_result(model, g1, *flux_response(model, rep1.v, g2, gap_tol=gap_tol))
 
 
 def ancilla_response(model, g1, g2, gap_tol=GAP_TOL):
-    """Ancilla share of the response: u_g2 inserted on the ancilla leg.
+    """Ancilla share of the response: ua_g2 inserted on the ancilla leg.
 
-    Same flux and eigenvector machinery as :func:`thermo_response`, but on
-    the transfer matrix twisted by ua_g2 with the physical leg traced
-    through. A trivial ancilla action gives 1 identically.
+    Same flux and eigenvector pair as :func:`thermo_response`, but on the
+    transfer map T(1, ua_g2) with the physical leg traced through. A
+    trivial ancilla action gives 1 identically.
     """
     _require_commuting(model, g1, g2)
     rep1, _ = extract_virtual_rep(model.lpdo, model.action(g1))
-    t = build_ancilla_transfer(model.lpdo, model.action(g2).ua, label=g2)
-    spectrum = spectral_decompose(t.matrix)
-    if spectrum.near_defective:
-        raise NearDefectiveError(f"ancilla transfer spectrum for {g2!r} is near-defective")
-    gap = symmetry_gap(spectrum)
-    if gap <= gap_tol:
-        raise GaplessTransferError(
-            f"ancilla symmetry gap for {g2!r} is {gap:.3e}; response undefined"
-        )
-    lam0, left0, right0 = spectrum.leading
-    value = complex((left0 @ flux_operator(rep1.v) @ right0) / (left0 @ right0))
-    valid = bool(abs(abs(value) - 1.0) <= 1e-8)
-    return ResponseResult(
-        value=value,
-        snapped=snap_root_of_unity(value, model.group.order(g1)) if valid else None,
-        gap=gap,
-        mode="thermo",
-        n_sites=None,
-        valid=valid,
-    )
+    return _thermo_result(model, g1, *_ancilla_flux_response(model, rep1.v, g2, gap_tol))
 
 
 def conservation_check(model, g1, g2):
@@ -208,10 +187,11 @@ def conservation_check(model, g1, g2):
     ``(residual, total, physical, ancilla)`` where ``total`` is the
     commutator phase of the extracted virtual representations.
     """
+    _require_commuting(model, g1, g2)
     rep1, _ = extract_virtual_rep(model.lpdo, model.action(g1))
     rep2, _ = extract_virtual_rep(model.lpdo, model.action(g2))
     total = cocycle_commutator(rep1, rep2)
-    physical = thermo_response(model, g1, g2)
-    ancilla = ancilla_response(model, g1, g2)
+    physical = _thermo_result(model, g1, *flux_response(model, rep1.v, g2))
+    ancilla = _thermo_result(model, g1, *_ancilla_flux_response(model, rep1.v, g2, GAP_TOL))
     residual = abs(total - physical.value * ancilla.value)
     return float(residual), total, physical, ancilla

@@ -24,6 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .numerics import _as_square, spectral_decompose
+from .transfer import build_transfer
 
 
 def unitarity_defect(m):
@@ -130,10 +131,15 @@ class SymmetryAction:
 @dataclass(frozen=True)
 class VirtualRep:
     """Unitary acting on the virtual leg, gauge-fixed so its largest-modulus
-    entry (first in row-major order on ties) is real positive."""
+    entry (first in row-major order on ties) is real positive.
+
+    ``residual`` is the push-through residual measured when the
+    representation was extracted (None for one built by hand).
+    """
 
     element: str
     v: np.ndarray
+    residual: float | None = None
 
 
 def verify_transformation_law(lpdo, act, rep, theta=None):
@@ -164,35 +170,25 @@ def verify_transformation_law(lpdo, act, rep, theta=None):
     return float(np.linalg.norm(lhs - rhs))
 
 
-def _mixed_transfer_map(a4, u, ua):
-    """Matrix of X -> sum u[i,i'] ua[a,a'] A[i',a'] X A[i,a]^dag on vec(X).
-
-    Row-major vectorization: vec(B X C^dag) = (B kron conj(C)) vec(X).
-    """
-    d, da, dv, _ = a4.shape
-    m = np.einsum("ij,ab,jbxy,iapq->xpyq", u, ua, a4, a4.conj())
-    return m.reshape(dv * dv, dv * dv)
-
-
 def extract_virtual_rep(lpdo, act, tol=1e-8):
     """Recover the virtual representation V_g and phase theta_g of a symmetry.
 
-    The leading right eigenvector of the mixed transfer map (the identity
-    channel twisted by u_g and ua_g) is V_g times the channel fixed point;
-    a polar decomposition strips the fixed point off. The phase theta_g is
-    the leading eigenvalue's phase relative to the untwisted map.
+    The leading right eigenvector of T(u_g, ua_g), reshaped to a D x D
+    matrix and transposed (the map acts on the conjugate layer first), is
+    V_g times the fixed point of the untwisted map; a polar decomposition
+    strips the fixed point off. The phase theta_g is the leading
+    eigenvalue's phase relative to the untwisted map T(1, 1).
 
-    Returns ``(VirtualRep, theta)``. Raises
+    Returns ``(VirtualRep, theta)``; the representation carries the
+    push-through residual it was checked against. Raises
     :class:`DegenerateSpectrumError` if the untwisted leading eigenvalue is
     degenerate in modulus (non-injective tensor), and
     :class:`NotSymmetricError` if the twisted leading modulus deviates from
     the untwisted one (tensor not symmetric under this action) or the
     recovered pair fails the transformation law.
     """
-    a4 = lpdo.tensor
-    d, da, dv, _ = a4.shape
-    eye_map = _mixed_transfer_map(a4, np.eye(d), np.eye(da))
-    ref = spectral_decompose(eye_map)
+    dv = lpdo.bond_dim
+    ref = spectral_decompose(build_transfer(lpdo, np.eye(lpdo.d)))
     if ref.near_defective:
         raise NearDefectiveError("untwisted transfer map is near-defective")
     mods = np.abs(ref.eigenvalues)
@@ -202,7 +198,7 @@ def extract_virtual_rep(lpdo, act, tol=1e-8):
         )
     lam_ref = ref.eigenvalues[0]
 
-    twisted = spectral_decompose(_mixed_transfer_map(a4, act.u, act.ua))
+    twisted = spectral_decompose(build_transfer(lpdo, act.u, act.ua))
     lam = twisted.eigenvalues[0]
     if abs(abs(lam) - abs(lam_ref)) > tol * max(1.0, abs(lam_ref)):
         raise NotSymmetricError(
@@ -210,7 +206,7 @@ def extract_virtual_rep(lpdo, act, tol=1e-8):
             f"{abs(lam):.12f} vs {abs(lam_ref):.12f}"
         )
 
-    x = twisted.right_vectors[:, 0].reshape(dv, dv)
+    x = twisted.right_vectors[:, 0].reshape(dv, dv).T
     w, _, vh = np.linalg.svd(x)
     v = w @ vh  # nearest unitary (polar factor)
 
@@ -228,7 +224,7 @@ def extract_virtual_rep(lpdo, act, tol=1e-8):
             f"extracted representation for {act.element!r} fails the transformation "
             f"law (residual {residual:.3e})"
         )
-    return rep, theta
+    return replace(rep, residual=residual), theta
 
 
 def cocycle_commutator(rep1, rep2, tol=1e-8):

@@ -1,15 +1,20 @@
-"""Symmetry-twisted transfer matrices of locally purified tensors.
+"""Symmetry-twisted transfer maps of locally purified tensors.
+
+A weak symmetry g acts on one purified site as u_g (x) ua_g, and every
+quantity in this package is read off one object: the transfer map with a
+physical insertion O and an ancilla insertion O_a,
+
+    T(O, O_a)[(m p), (n q)] = sum_{i,j,a,b} O[j, i] O_a[b, a] conj(A[j, b])[m, n] A[i, a][p, q].
 
 The doubled virtual space is ordered (conjugate-layer index slow, ket-layer
 index fast), i.e. a vectorized boundary matrix M[conj, ket] flattens in row
-major order. With that convention the operator threading a symmetry flux
-V through the doubled space is kron(conj(V), V), and the transfer matrix
-with a physical insertion O is
-
-    T(O)[(m p), (n q)] = sum_{a,i,i'} O[i', i] conj(A[i', a])[m, n] A[i, a][p, q].
+major order, and the operator threading a symmetry flux V through it is
+kron(conj(V), V). T(1, 1) is the ordinary mixed-state transfer map; T(u, 1)
+carries the flux responses and symmetry gaps; T(1, ua) the ancilla share of
+the conservation law. The leading right eigenvector of T(u, ua), reshaped
+to M[conj, ket] and transposed, is V_g times the fixed point of T(1, 1),
+which is how :func:`weaksym.symmetry.extract_virtual_rep` reads V_g off.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,45 +22,31 @@ from .errors import DimensionMismatchError
 from .numerics import _as_square, kron, spectral_decompose
 
 
-@dataclass
-class TransferMatrix:
-    """Dense D^2 x D^2 transfer matrix with a label for the insertion."""
-
-    matrix: np.ndarray
-    insertion: str
-    bond_dim: int
+def _insertion(m, name, leg, dim):
+    m = _as_square(m, name)
+    if m.shape[0] != dim:
+        raise DimensionMismatchError(f"{name} is {m.shape[0]}x{m.shape[0]}, tensor has {leg}={dim}")
+    return m
 
 
-def build_transfer(lpdo, op, label="op"):
-    """Transfer matrix with a physical-leg operator insertion.
+def build_transfer(lpdo, op, op_a=None):
+    """The D^2 x D^2 transfer map T(op, op_a) as a dense array.
 
     ``op`` is a d x d matrix sandwiched between the bra and ket physical
-    legs; the ancilla legs are traced through directly. ``op = 1`` gives
-    the ordinary mixed-state transfer matrix.
+    legs, ``op_a`` a da x da matrix between the ancilla legs; ``op_a=None``
+    traces the ancilla through directly. ``op = 1`` and ``op_a=None`` give
+    the ordinary mixed-state transfer map.
     """
     a4 = lpdo.tensor
-    op = _as_square(op, "op")
     d, da, dv, _ = a4.shape
-    if op.shape[0] != d:
-        raise DimensionMismatchError(f"op is {op.shape[0]}x{op.shape[0]}, tensor has d={d}")
-    # j: bra physical, i: ket physical, a: shared ancilla
-    t = np.einsum("ji,jamn,iapq->mpnq", op, a4.conj(), a4)
-    return TransferMatrix(t.reshape(dv * dv, dv * dv), label, dv)
-
-
-def build_ancilla_transfer(lpdo, op_a, label="op_a"):
-    """Transfer matrix with the insertion on the ancilla leg instead.
-
-    The physical legs are traced through directly; ``op_a`` is da x da.
-    Used for the ancilla share of the response conservation law.
-    """
-    a4 = lpdo.tensor
-    op_a = _as_square(op_a, "op_a")
-    d, da, dv, _ = a4.shape
-    if op_a.shape[0] != da:
-        raise DimensionMismatchError(f"op_a is {op_a.shape[0]}x{op_a.shape[0]}, tensor has da={da}")
-    t = np.einsum("ba,ibmn,iapq->mpnq", op_a, a4.conj(), a4)
-    return TransferMatrix(t.reshape(dv * dv, dv * dv), label, dv)
+    op = _insertion(op, "op", "d", d)
+    # j, b: bra physical and ancilla; i, a: ket physical and ancilla (b = a
+    # when the ancilla is traced through)
+    if op_a is None:
+        t = np.einsum("ji,jamn,iapq->mpnq", op, a4.conj(), a4)
+    else:
+        t = np.einsum("ji,ba,jbmn,iapq->mpnq", op, _insertion(op_a, "op_a", "da", da), a4.conj(), a4)
+    return t.reshape(dv * dv, dv * dv)
 
 
 def flux_operator(v):
@@ -65,9 +56,7 @@ def flux_operator(v):
 
 def twisted_spectrum(model, g, tol=1e-10):
     """Spectrum of the transfer matrix twisted by u_g on the physical leg."""
-    act = model.action(g)
-    t = build_transfer(model.lpdo, act.u, label=g)
-    return spectral_decompose(t.matrix, tol=tol)
+    return spectral_decompose(build_transfer(model.lpdo, model.action(g).u), tol=tol)
 
 
 def symmetry_gap(spectrum):
@@ -83,13 +72,12 @@ def symmetry_gap(spectrum):
 
 
 def commutant_residual(transfer, rep):
-    """Frobenius norm of [kron(conj(V), V), T].
+    """Frobenius norm of [kron(conj(V), V), T] for a transfer map T.
 
     Vanishes whenever the state is weakly symmetric under the element that
     V represents and the inserted operator commutes with that element.
     """
-    t = transfer.matrix
     f = flux_operator(rep.v)
-    if f.shape != t.shape:
-        raise DimensionMismatchError(f"flux is {f.shape}, transfer is {t.shape}")
-    return float(np.linalg.norm(f @ t - t @ f))
+    if f.shape != transfer.shape:
+        raise DimensionMismatchError(f"flux is {f.shape}, transfer is {transfer.shape}")
+    return float(np.linalg.norm(f @ transfer - transfer @ f))

@@ -63,7 +63,7 @@ def test_norm_equals_transfer_trace():
         for n in (2, 3, 4):
             state = contract_full(model.lpdo, np.eye(2), n)
             norm = np.vdot(state, state).real
-            t1 = build_transfer(model.lpdo, np.eye(3), "1").matrix
+            t1 = build_transfer(model.lpdo, np.eye(3))
             assert abs(norm - np.trace(np.linalg.matrix_power(t1, n)).real) < 1e-12
 
 
@@ -113,7 +113,7 @@ def test_uniform_charge_matches_transfer():
     model = build_aklt_model(0.2)
     rho = density_from_state(contract_full(model.lpdo, np.eye(2), 5), 5)
     uz = model.action("R_z").u
-    tz = build_transfer(model.lpdo, uz, "R_z").matrix
+    tz = build_transfer(model.lpdo, uz)
     dense = expectation(rho, [uz] * 5)
     assert abs(dense - np.trace(np.linalg.matrix_power(tz, 5))) < 1e-10
 
@@ -124,7 +124,7 @@ def test_flux_inserted_numerator_matches_transfer():
     state = contract_full(model.lpdo, rep.v, 4)
     rho = density_from_state(state, 4)
     uz = model.action("R_z").u
-    tz = build_transfer(model.lpdo, uz, "R_z").matrix
+    tz = build_transfer(model.lpdo, uz)
     dense = expectation(rho, [uz] * 4)
     twisted = np.trace(flux_operator(rep.v) @ np.linalg.matrix_power(tz, 4))
     assert abs(dense - twisted) < 1e-11

@@ -7,9 +7,7 @@ import pytest
 from weaksym.errors import GaplessTransferError, NonCommutingError
 from weaksym.model import build_aklt_model
 from weaksym.response import (
-    FluxConfig,
     ancilla_response,
-    charge_without_flux,
     conservation_check,
     finite_response,
     flux_response,
@@ -29,30 +27,6 @@ def test_snap_tolerance():
     assert snap_root_of_unity(-1.0 + 1e-9, 2) == Fraction(1, 2)
     assert snap_root_of_unity(-0.99, 2) is None
     assert snap_root_of_unity(np.exp(2j * np.pi / 3), 4) is None
-
-
-def test_charge_without_flux_identity_closed_form():
-    """Tr[rho] on a ring of N sites is exactly 1 + 3(-1/3)^N for this family."""
-    model = build_aklt_model(0.3)
-    for n in (1, 2, 3, 10, 51):
-        value, theta = charge_without_flux(model, "1", n)
-        assert abs(value - (1 + 3 * (-1 / 3) ** n)) < 1e-12
-        assert abs(theta) < 1e-12  # leading eigenvalue 1 for the untwisted matrix
-
-
-def test_charge_without_flux_single_site_is_transfer_trace():
-    model = build_aklt_model(0.45)
-    value, _ = charge_without_flux(model, "R_z", 1)
-    # tr T(R_z) = 4(1-2p)/3 - 2p/3 ... just compare against the closed-form sum
-    p = 0.45
-    expected = (3 - 4 * p) / 3 + (-1 + 4 * p) / 3 + 2 * (-1 / 3)
-    assert abs(value - expected) < 1e-13
-
-
-def test_charge_decay_rate():
-    model = build_aklt_model(0.3)
-    _, theta = charge_without_flux(model, "R_z", 10)
-    assert abs(theta - (-np.log(0.6))) < 1e-12
 
 
 def test_finite_response_low_noise():
@@ -113,7 +87,7 @@ def test_flux_response_matches_element_route():
 
     model = build_aklt_model(0.3)
     rep, _ = extract_virtual_rep(model.lpdo, model.action("R_x"))
-    value, gap = flux_response(model, FluxConfig(rep.v, "R_x"), "R_z")
+    value, gap = flux_response(model, rep.v, "R_z")
     assert abs(value - thermo_response(model, "R_x", "R_z").value) < 1e-14
     assert abs(gap - (2 - 4 * 0.3) / 3) < 1e-12
 

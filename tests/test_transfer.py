@@ -3,10 +3,10 @@ import pytest
 
 from weaksym.errors import DimensionMismatchError
 from weaksym.model import build_aklt_model
+from weaksym.numerics import matrix_power_trace
 from weaksym.oracle import contract_full, density_from_state, expectation
 from weaksym.symmetry import VirtualRep, extract_virtual_rep
 from weaksym.transfer import (
-    build_ancilla_transfer,
     build_transfer,
     commutant_residual,
     flux_operator,
@@ -35,22 +35,22 @@ def tz_expected(p):
 def test_untwisted_matrix_entrywise():
     for p in (0.0, 0.3, 0.7, 1.0):
         model = build_aklt_model(p)
-        t = build_transfer(model.lpdo, np.eye(3), "1")
-        np.testing.assert_allclose(t.matrix, t1_expected(), atol=1e-14)
-        assert t.bond_dim == 2
+        t = build_transfer(model.lpdo, np.eye(3))
+        np.testing.assert_allclose(t, t1_expected(), atol=1e-14)
+        assert t.shape == (4, 4)
 
 
 def test_twisted_matrix_entrywise():
     for p in (0.0, 0.25, 0.5, 0.8, 1.0):
         model = build_aklt_model(p)
-        t = build_transfer(model.lpdo, model.action("R_z").u, "R_z")
-        np.testing.assert_allclose(t.matrix, tz_expected(p), atol=1e-14)
+        t = build_transfer(model.lpdo, model.action("R_z").u)
+        np.testing.assert_allclose(t, tz_expected(p), atol=1e-14)
 
 
 def test_zero_insertion_gives_zero_matrix():
     model = build_aklt_model(0.3)
-    t = build_transfer(model.lpdo, np.zeros((3, 3)), "0")
-    assert np.all(t.matrix == 0)
+    t = build_transfer(model.lpdo, np.zeros((3, 3)))
+    assert np.all(t == 0)
 
 
 def test_transfer_linear_in_insertion():
@@ -59,8 +59,8 @@ def test_transfer_linear_in_insertion():
     o1 = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     o2 = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     a, b = 0.7, -1.3 + 0.2j
-    lhs = build_transfer(model.lpdo, a * o1 + b * o2, "lin").matrix
-    rhs = a * build_transfer(model.lpdo, o1, "o1").matrix + b * build_transfer(model.lpdo, o2, "o2").matrix
+    lhs = build_transfer(model.lpdo, a * o1 + b * o2)
+    rhs = a * build_transfer(model.lpdo, o1) + b * build_transfer(model.lpdo, o2)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
@@ -71,7 +71,7 @@ def test_single_site_trace_matches_oracle():
     rho = density_from_state(contract_full(model.lpdo, np.eye(2), 1), 1)
     for _ in range(5):
         o = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        lhs = np.trace(build_transfer(model.lpdo, o, "o").matrix)
+        lhs = np.trace(build_transfer(model.lpdo, o))
         rhs = expectation(rho, [o])
         assert abs(lhs - rhs) < 1e-12
 
@@ -105,6 +105,30 @@ def test_gap_closed_form():
         assert abs(symmetry_gap(twisted_spectrum(model, "1")) - 2 / 3) < 1e-12
 
 
+def test_uniform_charge_identity_closed_form():
+    """Tr[rho] on a ring of N sites is exactly 1 + 3(-1/3)^N for this family."""
+    model = build_aklt_model(0.3)
+    t1 = build_transfer(model.lpdo, np.eye(3))
+    for n in (1, 2, 3, 10, 51):
+        assert abs(matrix_power_trace(t1, n) - (1 + 3 * (-1 / 3) ** n)) < 1e-12
+    # leading eigenvalue 1 for the untwisted matrix: the charge does not decay
+    assert abs(-np.log(abs(twisted_spectrum(model, "1").eigenvalues[0]))) < 1e-12
+
+
+def test_uniform_charge_single_site_is_transfer_trace():
+    p = 0.45
+    model = build_aklt_model(p)
+    value = matrix_power_trace(build_transfer(model.lpdo, model.action("R_z").u), 1)
+    expected = (3 - 4 * p) / 3 + (-1 + 4 * p) / 3 + 2 * (-1 / 3)
+    assert abs(value - expected) < 1e-13
+
+
+def test_uniform_charge_decay_rate():
+    """Tr[rho U_z] decays like e^{-Theta N} with Theta = -ln|lambda_0(T(R_z))|."""
+    theta = -np.log(abs(twisted_spectrum(build_aklt_model(0.3), "R_z").eigenvalues[0]))
+    assert abs(theta - (-np.log(0.6))) < 1e-12
+
+
 def test_flux_operator_structure():
     v = np.diag([1.0 + 0j, -1.0])
     np.testing.assert_allclose(flux_operator(v), np.diag([1, -1, -1, 1]), atol=1e-15)
@@ -115,20 +139,20 @@ def test_commutant_residual_symmetry_flux():
     sx = VirtualRep("R_x", np.array([[0.0, 1.0], [1.0, 0.0]]))
     for p in P_GRID:
         model = build_aklt_model(p)
-        t = build_transfer(model.lpdo, model.action("R_z").u, "R_z")
+        t = build_transfer(model.lpdo, model.action("R_z").u)
         assert commutant_residual(t, sx) < 1e-12
 
 
 def test_commutant_residual_identity_flux_exact():
     model = build_aklt_model(0.6)
-    t = build_transfer(model.lpdo, model.action("R_z").u, "R_z")
+    t = build_transfer(model.lpdo, model.action("R_z").u)
     assert commutant_residual(t, VirtualRep("1", np.eye(2))) == 0.0
 
 
 def test_commutant_residual_random_flux_large():
     rng = np.random.default_rng(41)
     model = build_aklt_model(0.3)
-    t = build_transfer(model.lpdo, model.action("R_z").u, "R_z")
+    t = build_transfer(model.lpdo, model.action("R_z").u)
     for _ in range(5):
         q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
         assert commutant_residual(t, VirtualRep("rand", q)) > 1e-3
@@ -136,20 +160,22 @@ def test_commutant_residual_random_flux_large():
 
 def test_ancilla_transfer_identity_matches_untwisted():
     model = build_aklt_model(0.7)
-    ta = build_ancilla_transfer(model.lpdo, np.eye(4), "1")
-    np.testing.assert_allclose(ta.matrix, t1_expected(), atol=1e-14)
+    ta = build_transfer(model.lpdo, np.eye(3), np.eye(4))
+    np.testing.assert_allclose(ta, t1_expected(), atol=1e-14)
 
 
 def test_build_transfer_rejects_wrong_insertion_shape():
     model = build_aklt_model(0.3)
     with pytest.raises(DimensionMismatchError):
-        build_transfer(model.lpdo, np.eye(2), "bad")
+        build_transfer(model.lpdo, np.eye(2))
+    with pytest.raises(DimensionMismatchError):
+        build_transfer(model.lpdo, np.eye(3), np.eye(2))
 
 
 def test_extracted_flux_commutes_for_all_elements():
     model = build_aklt_model(0.8)
     for g2 in model.group.labels:
-        t = build_transfer(model.lpdo, model.action(g2).u, g2)
+        t = build_transfer(model.lpdo, model.action(g2).u)
         for g1 in model.group.labels:
             rep, _ = extract_virtual_rep(model.lpdo, model.action(g1))
             assert commutant_residual(t, rep) < 1e-12
