@@ -43,7 +43,7 @@ class UndefinedExponentError(WeaksymError, RuntimeError):
 
 
 class SizeGuardError(WeaksymError, ValueError):
-    """Dense contraction refused: the full state vector would be too large."""
+    """Dense oracle refused: one of its arrays would exceed ``MAX_AMPLITUDES`` entries."""
 
 
 class IndefiniteChargeError(WeaksymError, ValueError):

@@ -1,14 +1,24 @@
 """Dense brute-force oracle for small rings.
 
 Contracts the purified tensor into the full state vector, reduces to the
-physical density matrix, and evaluates observables by explicit operator
-products. Exponentially expensive on purpose: every quantity here is an
-independent cross-check for the transfer-matrix formulas, computed without
-any of their machinery.
+physical density matrix, and evaluates observables against explicit
+Kronecker-product operators. Exponentially expensive on purpose: every
+quantity here is an independent cross-check for the transfer-matrix
+formulas, and the oracle still shares no code with the transfer layer.
+
+The ring is contracted as a chain of matrix products. The running block is
+one matrix whose rows are (left bond, accumulated site indices) and whose
+columns are the right bond; the seam is the first factor, and each site
+multiplies the block by the site matrix A[b, (i a c)] = A[i, a, b, c], whose
+columns again end in the right bond, so the product reshapes into the next
+block without a copy. The open left and right bonds are traced at the end.
+Every dense array is bounded by ``MAX_AMPLITUDES`` entries and refused with
+:class:`SizeGuardError` before it is allocated.
 """
 
 from dataclasses import dataclass
 from functools import reduce
+from math import prod
 
 import numpy as np
 
@@ -34,31 +44,35 @@ class DenseDensity:
         return herm, low
 
 
+def _guard(entries, what):
+    """Refuse a dense array of more than MAX_AMPLITUDES entries before allocating it."""
+    if entries > MAX_AMPLITUDES:
+        raise SizeGuardError(f"{what} = {entries} entries exceeds the guard of {MAX_AMPLITUDES}")
+
+
 def contract_full(lpdo, seam, n_sites):
     """Full purified state vector of a ring with a seam matrix inserted.
 
     coefficient(i1 a1 ... iN aN) = tr[seam A[i1, a1] ... A[iN, aN]].
     Returns an array of shape (d, da) * n_sites, site-major. Refuses
-    contractions beyond 2^24 amplitudes.
+    rings whose open-bond block, (d*da)^N * D^2 entries, exceeds
+    ``MAX_AMPLITUDES``.
     """
     a4 = lpdo.tensor
     d, da, dv, _ = a4.shape
     n_sites = int(n_sites)
     if n_sites < 1:
         raise ValueError(f"need at least one site, got {n_sites}")
-    if (d * da) ** n_sites > MAX_AMPLITUDES:
-        raise SizeGuardError(
-            f"(d*da)^N = {(d * da) ** n_sites} amplitudes exceeds the 2^24 guard"
-        )
+    _guard((d * da) ** n_sites * dv * dv, "open-bond block (d*da)^N * D^2")
     seam = _as_square(seam, "seam")
     if seam.shape[0] != dv:
         raise DimensionMismatchError(f"seam is {seam.shape[0]}x{seam.shape[0]}, bond is {dv}")
 
-    # running open-legs block: (accumulated site indices, left bond, right bond)
-    block = np.einsum("ab,pqbc->pqac", seam, a4).reshape(d * da, dv, dv)
-    for _ in range(n_sites - 1):
-        block = np.einsum("sab,pqbc->spqac", block, a4).reshape(-1, dv, dv)
-    state = np.einsum("saa->s", block)
+    site = a4.transpose(2, 0, 1, 3).reshape(dv, d * da * dv)
+    block = seam
+    for _ in range(n_sites):
+        block = (block @ site).reshape(-1, dv)
+    state = np.einsum("asa->s", block.reshape(dv, -1, dv))
     return state.reshape((d, da) * n_sites)
 
 
@@ -73,6 +87,7 @@ def density_from_state(state, n_sites):
             f"state has {state.ndim} legs, expected {2 * n_sites} for {n_sites} sites"
         )
     d, da = state.shape[0], state.shape[1]
+    _guard(d ** (2 * n_sites), "density matrix d^N x d^N")
     perm = list(range(0, 2 * n_sites, 2)) + list(range(1, 2 * n_sites, 2))
     psi = state.transpose(perm).reshape(d ** n_sites, da ** n_sites)
     return DenseDensity(n_sites=n_sites, matrix=psi @ psi.conj().T)
@@ -102,9 +117,12 @@ def expectation(rho, ops):
     """Tr[rho (op_1 kron ... kron op_N)] for one operator per site."""
     if len(ops) != rho.n_sites:
         raise DimensionMismatchError(f"got {len(ops)} operators for {rho.n_sites} sites")
-    full = reduce(np.kron, [_as_square(op, "op") for op in ops])
+    ops = [_as_square(op, "op") for op in ops]
+    _guard(prod(op.shape[0] for op in ops) ** 2, "operator product")
+    full = reduce(np.kron, ops)
     if full.shape != rho.matrix.shape:
         raise DimensionMismatchError(
             f"operator product is {full.shape}, density matrix is {rho.matrix.shape}"
         )
-    return complex(np.trace(rho.matrix @ full))
+    # tr(rho F) = sum_ij rho_ij F_ji, without forming the product rho F
+    return complex(np.sum(rho.matrix * full.T))

@@ -1,10 +1,13 @@
 import itertools
+from functools import reduce
 
 import numpy as np
 import pytest
 
+from test_generic import generic_model
+from weaksym import oracle
 from weaksym.errors import SizeGuardError
-from weaksym.model import aklt_tensor, build_aklt_model, spin1_operators
+from weaksym.model import LpdoTensor, Model, aklt_tensor, build_aklt_model, spin1_operators
 from weaksym.oracle import (
     apply_channel_exact,
     contract_full,
@@ -12,10 +15,25 @@ from weaksym.oracle import (
     expectation,
 )
 from weaksym.stringorder import string_order_ring
-from weaksym.symmetry import extract_virtual_rep
+from weaksym.symmetry import SymmetryAction, extract_virtual_rep
 from weaksym.transfer import build_transfer, flux_operator
+from weaksym.verify import generic_model_checks
 
 OPS = spin1_operators()
+
+
+def random_matrix(rng, n):
+    """Complex Gaussian n x n matrix: neither unitary, Hermitian nor symmetric."""
+    return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+
+def single_ancilla_model():
+    """The pure AKLT chain as an LPDO with one ancilla state: d=3, da=1, D=2."""
+    aklt = build_aklt_model(0.0)
+    actions = {
+        g: SymmetryAction(element=g, u=act.u, ua=np.eye(1)) for g, act in aklt.actions.items()
+    }
+    return Model(lpdo=LpdoTensor(aklt_tensor().tensor[:, None]), group=aklt.group, actions=actions)
 
 
 def dumb_purified_state(lpdo, seam, n_sites):
@@ -37,10 +55,16 @@ def dumb_purified_state(lpdo, seam, n_sites):
 
 
 def test_contract_full_against_dumb_loop():
-    model = build_aklt_model(0.3)
-    fast = contract_full(model.lpdo, np.eye(2), 3)
-    slow = dumb_purified_state(model.lpdo, np.eye(2), 3)
-    np.testing.assert_allclose(fast, slow, atol=1e-14)
+    """AKLT with an identity seam, and the D=6 generic model with a random seam;
+    N=1 is the ring closed on a single site."""
+    generic = generic_model(0.3)[0].lpdo
+    seam = random_matrix(np.random.default_rng(11), generic.bond_dim)
+    for lpdo, s in ((build_aklt_model(0.3).lpdo, np.eye(2)), (generic, seam)):
+        for n_sites in (1, 2, 3):
+            fast = contract_full(lpdo, s, n_sites)
+            slow = dumb_purified_state(lpdo, s, n_sites)
+            assert fast.shape == (lpdo.d, lpdo.da) * n_sites
+            np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=1e-14)
 
 
 def test_pure_limit_density_equals_mps_density():
@@ -109,6 +133,17 @@ def test_expectation_all_identity_is_trace():
     assert abs(expectation(rho, [np.eye(3)] * 3) - np.trace(rho.matrix)) < 1e-13
 
 
+def test_expectation_against_definition():
+    """Non-Hermitian site operators on a complex density: a dropped transpose fails."""
+    rng = np.random.default_rng(5)
+    generic = generic_model(0.3)[0].lpdo
+    seam = random_matrix(rng, generic.bond_dim)
+    rho = density_from_state(contract_full(generic, seam, 2), 2)
+    ops = [random_matrix(rng, 3) for _ in range(2)]
+    expected = np.trace(rho.matrix @ reduce(np.kron, ops))
+    assert abs(expectation(rho, ops) - expected) <= 1e-12 * abs(expected)
+
+
 def test_uniform_charge_matches_transfer():
     model = build_aklt_model(0.2)
     rho = density_from_state(contract_full(model.lpdo, np.eye(2), 5), 5)
@@ -140,10 +175,35 @@ def test_string_matches_ring_contraction():
     assert abs(dense - ring) < 1e-10
 
 
-def test_size_guard():
+def test_size_guard(monkeypatch):
+    """Every dense array is bounded. At d=3, da=1, D=2 and N=3 the state has
+    27 entries, the open-bond block 108, the density and operator matrices
+    729; each is refused on its own."""
     model = build_aklt_model(0.3)
     with pytest.raises(SizeGuardError):
         contract_full(model.lpdo, np.eye(2), 7)
+    lpdo = single_ancilla_model().lpdo
+    state = contract_full(lpdo, np.eye(2), 3)
+    rho = density_from_state(state, 3)
+    monkeypatch.setattr(oracle, "MAX_AMPLITUDES", 200)
+    contract_full(lpdo, np.eye(2), 3)
+    with pytest.raises(SizeGuardError):
+        density_from_state(state, 3)
+    with pytest.raises(SizeGuardError):
+        expectation(rho, [np.eye(3)] * 3)
+    monkeypatch.setattr(oracle, "MAX_AMPLITUDES", 100)
+    with pytest.raises(SizeGuardError):
+        contract_full(lpdo, np.eye(2), 3)
+
+
+def test_generic_checks_skip_oracle_beyond_guard(monkeypatch):
+    model = single_ancilla_model()
+    (row,) = [r for section, r in generic_model_checks(model) if section == "oracle"]
+    assert row.passed and row.detail == ""
+    monkeypatch.setattr(oracle, "MAX_AMPLITUDES", 200)
+    (row,) = [r for section, r in generic_model_checks(model) if section == "oracle"]
+    assert row.passed and row.detail.startswith("skipped: ")
+    assert "density matrix" in row.detail
 
 
 def test_density_validate_rejects_broken_matrix():
