@@ -53,6 +53,7 @@ from .transfer import (
     commutant_residual,
     flux_operator,
     symmetry_gap,
+    transfer_spectrum,
     twisted_spectrum,
 )
 from .response import (

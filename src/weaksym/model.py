@@ -10,9 +10,10 @@ purified by the Stinespring dilation A[i, a] = sum_j K_a[i, j] A0[j] into a
 locally purified tensor with a four-dimensional ancilla leg for every p.
 """
 
+import functools
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,19 +70,35 @@ class PureMpsTensor:
         return self.tensor.shape[1]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class LpdoTensor:
-    """Locally purified site tensor, indexed [physical, ancilla, left, right]."""
+    """Locally purified site tensor, indexed [physical, ancilla, left, right].
+
+    The tensor is a read-only copy of the array passed in, so values
+    derived from it can be memoised on the instance (:meth:`memoised`) and
+    never go stale; the memo is freed with the instance.
+    """
 
     tensor: np.ndarray
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        t = np.asarray(self.tensor, dtype=complex)
+        t = np.array(self.tensor, dtype=complex)
         if t.ndim != 4 or t.shape[2] != t.shape[3]:
             raise DimensionMismatchError(f"purified tensor must be (d, da, D, D), got {t.shape}")
         if not np.all(np.isfinite(t)):
             raise ValidationError("tensor: entries must be finite")
-        self.tensor = t
+        t.flags.writeable = False
+        object.__setattr__(self, "tensor", t)
+
+    def memoised(self, key, compute):
+        """The value of ``compute()`` for ``key``, computed once per tensor.
+
+        A ``compute`` that raises stores nothing.
+        """
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     @property
     def d(self):
@@ -225,8 +242,12 @@ def solve_ancilla_rep(channel, u, tol=1e-10):
     return ua
 
 
+@functools.cache
 def aklt_group():
-    """Z2 x Z2 rotation group {1, R_x, R_y, R_z} of the AKLT family."""
+    """Z2 x Z2 rotation group {1, R_x, R_y, R_z} of the AKLT family.
+
+    Built and validated once per process; the frozen table is shared.
+    """
     labels = ("1", "R_x", "R_y", "R_z")
     prod = {
         ("1", "1"): "1",
@@ -386,10 +407,7 @@ def load_model(path):
         u = _decode_array(entry.get("u"), (d, d), f"{where}.u")
         ua = _decode_array(entry.get("ua"), (da, da), f"{where}.ua")
         act = SymmetryAction(element=g, u=u, ua=ua)
-        try:
-            act.validate(path=where)
-        except ValidationError:
-            raise
+        act.validate(path=where)
         actions[g] = act
     missing = [g for g in group.labels if g not in actions]
     if missing:

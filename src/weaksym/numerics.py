@@ -41,7 +41,7 @@ def kron(a, b):
     return np.kron(_as_matrix(a, "a"), _as_matrix(b, "b"))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Spectrum:
     """Eigendecomposition with paired left/right eigenvectors.
 
@@ -59,6 +59,8 @@ class Spectrum:
     condition_estimate : condition number of the right eigenvector matrix.
     near_defective : the eigenvector matrix is too ill-conditioned for the
         left/right pairing to be trusted (Jordan-block-like input).
+
+    The arrays are read-only, so one spectrum can be shared between callers.
     """
 
     eigenvalues: np.ndarray
@@ -103,6 +105,8 @@ def spectral_decompose(m, tol=DEFAULT_TOL):
 
     residual = float(np.max(np.abs(left @ r - np.eye(len(w)))))
     biorthonormal = bool(residual < DEFAULT_TOL and not near_defective)
+    for a in (w, r, left):
+        a.flags.writeable = False
 
     return Spectrum(
         eigenvalues=w,

@@ -17,9 +17,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import GaplessTransferError, NearDefectiveError, NonCommutingError
-from .numerics import spectral_decompose
 from .symmetry import cocycle_commutator, extract_virtual_rep
-from .transfer import build_transfer, flux_operator, symmetry_gap, twisted_spectrum
+from .transfer import build_transfer, flux_operator, symmetry_gap, transfer_spectrum, twisted_spectrum
 
 SNAP_TOL = 1e-6
 GAP_TOL = 1e-8
@@ -74,11 +73,11 @@ def finite_response(model, g1, g2, n_sites):
     """
     _require_commuting(model, g1, g2)
     rep1, _ = extract_virtual_rep(model.lpdo, model.action(g1))
-    t = build_transfer(model.lpdo, model.action(g2).u)
-    power = np.linalg.matrix_power(t, int(n_sites))
+    u2 = model.action(g2).u
+    power = np.linalg.matrix_power(build_transfer(model.lpdo, u2), int(n_sites))
     denominator = complex(np.trace(power))
     numerator = complex(np.trace(flux_operator(rep1.v) @ power))
-    gap = symmetry_gap(spectral_decompose(t))
+    gap = symmetry_gap(transfer_spectrum(model.lpdo, u2))
     if abs(denominator) < DENOMINATOR_FLOOR:
         return ResponseResult(
             value=complex(np.nan, np.nan),
@@ -136,10 +135,8 @@ def flux_response(model, flux, g2, gap_tol=GAP_TOL):
 
 def _ancilla_flux_response(model, flux, g2, gap_tol):
     """:func:`flux_response` on T(1, ua_g2): the insertion sits on the ancilla leg."""
-    t = build_transfer(model.lpdo, np.eye(model.lpdo.d), model.action(g2).ua)
-    [value], gap = _leading_pair(
-        spectral_decompose(t), [flux_operator(flux)], gap_tol, f"for {g2!r} on the ancilla"
-    )
+    spectrum = transfer_spectrum(model.lpdo, np.eye(model.lpdo.d), model.action(g2).ua)
+    [value], gap = _leading_pair(spectrum, [flux_operator(flux)], gap_tol, f"for {g2!r} on the ancilla")
     return value, gap
 
 

@@ -18,9 +18,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import GaplessTransferError, UndefinedExponentError
-from .numerics import matrix_power_trace, spectral_decompose
+from .numerics import matrix_power_trace
 from .symmetry import endpoint_charge
-from .transfer import build_transfer, symmetry_gap, twisted_spectrum
+from .transfer import build_transfer, symmetry_gap, transfer_spectrum, twisted_spectrum
 from .response import GAP_TOL, _leading_pair, thermo_response
 
 UNDERFLOW_FLOOR = 1e-280
@@ -102,7 +102,8 @@ def string_order_series(model, g2, chi_l, chi_r, lengths, n_sites=None):
         if np.any(lengths < 0):
             raise ValueError(f"string length must be >= 0, got {lengths.min()}")
         inners = (np.linalg.matrix_power(t2, l) for l in lengths)
-        raw, _ = _leading_pair(spectral_decompose(t1), inners, GAP_TOL, "of T(1)", ends=(tl, tr))
+        t1_spectrum = transfer_spectrum(lpdo, np.eye(lpdo.d))
+        raw, _ = _leading_pair(t1_spectrum, inners, GAP_TOL, "of T(1)", ends=(tl, tr))
     else:
         n_sites = int(n_sites)
         for l in lengths:

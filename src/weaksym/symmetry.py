@@ -23,8 +23,8 @@ from .errors import (
     NotSymmetricError,
     ValidationError,
 )
-from .numerics import _as_square, spectral_decompose
-from .transfer import build_transfer
+from .numerics import _as_square
+from .transfer import _insertions, transfer_spectrum
 
 
 def unitarity_defect(m):
@@ -186,9 +186,18 @@ def extract_virtual_rep(lpdo, act, tol=1e-8):
     :class:`NotSymmetricError` if the twisted leading modulus deviates from
     the untwisted one (tensor not symmetric under this action) or the
     recovered pair fails the transformation law.
+
+    The result is memoised on ``lpdo``, keyed by the element label, u_g,
+    ua_g and ``tol``; a failed extraction is not stored.
     """
+    _, _, insertion = _insertions(lpdo, act.u, act.ua)
+    key = ("rep", act.element, tol) + insertion
+    return lpdo.memoised(key, lambda: _extract_virtual_rep(lpdo, act, tol))
+
+
+def _extract_virtual_rep(lpdo, act, tol):
     dv = lpdo.bond_dim
-    ref = spectral_decompose(build_transfer(lpdo, np.eye(lpdo.d)))
+    ref = transfer_spectrum(lpdo, np.eye(lpdo.d))
     if ref.near_defective:
         raise NearDefectiveError("untwisted transfer map is near-defective")
     mods = np.abs(ref.eigenvalues)
@@ -198,7 +207,7 @@ def extract_virtual_rep(lpdo, act, tol=1e-8):
         )
     lam_ref = ref.eigenvalues[0]
 
-    twisted = spectral_decompose(build_transfer(lpdo, act.u, act.ua))
+    twisted = transfer_spectrum(lpdo, act.u, act.ua)
     lam = twisted.eigenvalues[0]
     if abs(abs(lam) - abs(lam_ref)) > tol * max(1.0, abs(lam_ref)):
         raise NotSymmetricError(
@@ -215,6 +224,7 @@ def extract_virtual_rep(lpdo, act, tol=1e-8):
     mods = np.abs(flat)
     pick = int(np.argmax(mods > mods.max() - 1e-12))
     v = v * (flat[pick].conjugate() / mods[pick])
+    v.flags.writeable = False
 
     theta = float(np.angle(lam / lam_ref))
     rep = VirtualRep(element=act.element, v=v)

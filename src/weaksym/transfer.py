@@ -29,24 +29,50 @@ def _insertion(m, name, leg, dim):
     return m
 
 
+def _insertions(lpdo, op, op_a):
+    """Validated ``(op, op_a)`` and the memo key of T(op, op_a)."""
+    op = _insertion(op, "op", "d", lpdo.d)
+    if op_a is not None:
+        op_a = _insertion(op_a, "op_a", "da", lpdo.da)
+    return op, op_a, (op.tobytes(), None if op_a is None else op_a.tobytes())
+
+
+def _contract(a4, op, op_a):
+    dv = a4.shape[2]
+    # j, b: bra physical and ancilla; i, a: ket physical and ancilla (b = a
+    # when the ancilla is traced through)
+    if op_a is None:
+        t = np.einsum("ji,jamn,iapq->mpnq", op, a4.conj(), a4)
+    else:
+        t = np.einsum("ji,ba,jbmn,iapq->mpnq", op, op_a, a4.conj(), a4)
+    t = t.reshape(dv * dv, dv * dv)
+    t.flags.writeable = False
+    return t
+
+
 def build_transfer(lpdo, op, op_a=None):
     """The D^2 x D^2 transfer map T(op, op_a) as a dense array.
 
     ``op`` is a d x d matrix sandwiched between the bra and ket physical
     legs, ``op_a`` a da x da matrix between the ancilla legs; ``op_a=None``
     traces the ancilla through directly. ``op = 1`` and ``op_a=None`` give
-    the ordinary mixed-state transfer map.
+    the ordinary mixed-state transfer map. The map is built once per tensor
+    and insertion pair and returned read-only.
     """
-    a4 = lpdo.tensor
-    d, da, dv, _ = a4.shape
-    op = _insertion(op, "op", "d", d)
-    # j, b: bra physical and ancilla; i, a: ket physical and ancilla (b = a
-    # when the ancilla is traced through)
-    if op_a is None:
-        t = np.einsum("ji,jamn,iapq->mpnq", op, a4.conj(), a4)
-    else:
-        t = np.einsum("ji,ba,jbmn,iapq->mpnq", op, _insertion(op_a, "op_a", "da", da), a4.conj(), a4)
-    return t.reshape(dv * dv, dv * dv)
+    op, op_a, key = _insertions(lpdo, op, op_a)
+    return lpdo.memoised(("transfer",) + key, lambda: _contract(lpdo.tensor, op, op_a))
+
+
+def transfer_spectrum(lpdo, op, op_a=None):
+    """Spectrum of T(op, op_a), decomposed once per tensor and insertion pair.
+
+    This is the only route from a transfer map to
+    :func:`~weaksym.numerics.spectral_decompose`.
+    """
+    op, op_a, key = _insertions(lpdo, op, op_a)
+    return lpdo.memoised(
+        ("spectrum",) + key, lambda: spectral_decompose(build_transfer(lpdo, op, op_a))
+    )
 
 
 def flux_operator(v):
@@ -54,9 +80,9 @@ def flux_operator(v):
     return kron(np.asarray(v).conj(), v)
 
 
-def twisted_spectrum(model, g, tol=1e-10):
+def twisted_spectrum(model, g):
     """Spectrum of the transfer matrix twisted by u_g on the physical leg."""
-    return spectral_decompose(build_transfer(model.lpdo, model.action(g).u), tol=tol)
+    return transfer_spectrum(model.lpdo, model.action(g).u)
 
 
 def symmetry_gap(spectrum):

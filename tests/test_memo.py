@@ -1,0 +1,128 @@
+"""Per-model memo of transfer maps, spectra and virtual representations.
+
+Eigendecompositions are counted with a wrapper around ``np.linalg.eig`` as
+``weaksym.numerics`` sees it; every spectrum in the package goes through
+that one call.
+"""
+
+import numpy as np
+import pytest
+
+from test_generic import generic_model
+from weaksym import cli, numerics
+from weaksym.model import LpdoTensor, aklt_group, build_aklt_model
+from weaksym.symmetry import SymmetryAction, extract_virtual_rep
+from weaksym.transfer import build_transfer, transfer_spectrum
+from weaksym.verify import generic_model_checks
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """A list that grows by one entry per ``np.linalg.eig`` call in weaksym.numerics."""
+    calls = []
+    eig = numerics.np.linalg.eig
+
+    def counting(m):
+        calls.append(m.shape)
+        return eig(m)
+
+    monkeypatch.setattr(numerics.np.linalg, "eig", counting)
+    return calls
+
+
+def _key(m):
+    return None if m is None else np.asarray(m, dtype=complex).tobytes()
+
+
+def test_sweep_row_decomposes_at_most_four_maps(eig_calls):
+    # T(1), T(R_x, ua_x), T(R_y, ua_y) and T(R_z), each once for the whole row
+    row = cli._sweep_row(0.3, 200, 50, 1e-8)
+    assert not row["flags"]
+    assert len(eig_calls) <= 4
+
+
+def test_generic_checks_decompose_each_insertion_once(eig_calls):
+    model, _, _ = generic_model(0.3)
+    lpdo = model.lpdo
+    eye = np.eye(lpdo.d)
+    insertions = {(_key(eye), None)}
+    for g in model.group.labels:
+        act = model.action(g)
+        insertions.add((_key(act.u), _key(act.ua)))
+        if g != model.group.identity:
+            insertions.add((_key(act.u), None))
+            insertions.add((_key(eye), _key(act.ua)))
+    results = generic_model_checks(model)
+    assert all(result.passed for _, result in results)
+    assert len(eig_calls) <= len(insertions)
+
+
+def _snapshot(lpdo, model):
+    """Every memoised kind of value of ``lpdo`` as raw bytes."""
+    eye = np.eye(lpdo.d)
+    out = []
+    for g in model.group.labels:
+        act = model.action(g)
+        for op, op_a in ((act.u, None), (act.u, act.ua), (eye, act.ua)):
+            out.append(build_transfer(lpdo, op, op_a).tobytes())
+            spectrum = transfer_spectrum(lpdo, op, op_a)
+            out += [a.tobytes() for a in (spectrum.eigenvalues, spectrum.right_vectors, spectrum.left_vectors)]
+            out += [spectrum.condition_estimate, spectrum.biorthonormal, spectrum.near_defective]
+        rep, theta = extract_virtual_rep(lpdo, act)
+        out += [rep.element, rep.v.tobytes(), rep.residual, theta]
+    return out
+
+
+def test_memoised_values_are_bit_equal_to_a_fresh_model():
+    model, _, _ = generic_model(0.8)
+    lpdo = model.lpdo
+    first = _snapshot(lpdo, model)
+    act = model.action("R_y")
+    assert build_transfer(lpdo, act.u) is build_transfer(lpdo, act.u)
+    assert transfer_spectrum(lpdo, act.u, act.ua) is transfer_spectrum(lpdo, act.u, act.ua)
+    assert extract_virtual_rep(lpdo, act) is extract_virtual_rep(lpdo, act)
+    assert _snapshot(lpdo, model) == first
+    assert _snapshot(LpdoTensor(lpdo.tensor), model) == first
+
+
+def test_identical_actions_keep_their_own_labels():
+    model = build_aklt_model(0.3)
+    act = model.action("R_x")
+    first = extract_virtual_rep(model.lpdo, SymmetryAction(element="a", u=act.u, ua=act.ua))[0]
+    second = extract_virtual_rep(model.lpdo, SymmetryAction(element="b", u=act.u, ua=act.ua))[0]
+    assert (first.element, second.element) == ("a", "b")
+    assert first.v.tobytes() == second.v.tobytes()
+
+
+def test_shared_arrays_are_read_only():
+    model = build_aklt_model(0.3)
+    lpdo = model.lpdo
+    act = model.action("R_z")
+    spectrum = transfer_spectrum(lpdo, act.u)
+    arrays = [
+        lpdo.tensor,
+        build_transfer(lpdo, act.u),
+        build_transfer(lpdo, act.u, act.ua),
+        spectrum.eigenvalues,
+        spectrum.right_vectors,
+        spectrum.left_vectors,
+        extract_virtual_rep(lpdo, act)[0].v,
+    ]
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[0] = 0
+
+
+def test_constructor_copies_the_tensor():
+    tensor = np.array(build_aklt_model(0.3).lpdo.tensor)
+    reference = LpdoTensor(tensor)
+    expected = build_transfer(reference, np.eye(3)).tobytes()
+    lpdo = LpdoTensor(tensor)
+    tensor[...] = 0
+    assert build_transfer(lpdo, np.eye(3)).tobytes() == expected
+    assert np.any(lpdo.tensor != 0)
+
+
+def test_aklt_group_is_built_once():
+    assert aklt_group() is aklt_group()
+    assert build_aklt_model(0.2).group is build_aklt_model(0.7).group
