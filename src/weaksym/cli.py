@@ -14,10 +14,9 @@ thermodynamic response at a gap closing).
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import (
     DegenerateSpectrumError,
@@ -54,12 +53,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(value):
-    if value is None:
-        return "nan"
-    value = float(value)
-    if np.isnan(value):
-        return "nan"
-    return f"{value:.17g}"
+    # "%.17g" already prints NaN as "nan"
+    return "nan" if value is None else f"{float(value):.17g}"
 
 
 def _fmt_complex(value):
@@ -71,7 +66,7 @@ def _json_float(value):
     if value is None:
         return None
     value = float(value)
-    return None if np.isnan(value) else value
+    return None if math.isnan(value) else value
 
 
 def _root_label(frac):
@@ -275,6 +270,7 @@ def cmd_string(args):
     else:
         flags.append("fit_window_too_small")
 
+    rows = list(zip(series.lengths.tolist(), series.raw.tolist(), series.normalized.tolist()))
     if args.format == "json":
         payload = {
             "g2": g2,
@@ -286,7 +282,7 @@ def cmd_string(args):
                     "raw": [v.real, v.imag],
                     "normalized": [w.real, w.imag],
                 }
-                for l, v, w in zip(series.lengths, series.raw, series.normalized)
+                for l, v, w in rows
             ],
             "fit": None
             if fit is None
@@ -296,7 +292,7 @@ def cmd_string(args):
         text = json.dumps(payload, indent=2) + "\n"
     else:
         lines = ["l,re_raw,im_raw,re_norm,im_norm"]
-        for l, v, w in zip(series.lengths, series.raw, series.normalized):
+        for l, v, w in rows:
             lines.append(
                 f"{int(l)},{_fmt(v.real)},{_fmt(v.imag)},{_fmt(w.real)},{_fmt(w.imag)}"
             )

@@ -8,6 +8,7 @@ ordering plus a biorthonormalized left/right eigenvector pairing, which
 the thermodynamic-limit formulas rely on.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,6 +16,10 @@ import numpy as np
 from .errors import DimensionMismatchError, ValidationError
 
 DEFAULT_TOL = 1e-10
+# A factor of a scaled product is rescaled by a power of two before it is
+# multiplied when the sum of its squared moduli leaves [2^-800, 2^800], so
+# no product of two factors leaves the normal range of doubles.
+_SQUARE_NORM_RANGE = (2.0**-800, 2.0**800)
 
 
 def _as_matrix(m, name="matrix"):
@@ -118,13 +123,89 @@ def spectral_decompose(m, tol=DEFAULT_TOL):
     )
 
 
+def ldexp(z, exponent):
+    """z * 2**exponent for complex z, elementwise; exact in the normal range."""
+    z = np.asarray(z, dtype=complex)
+    out = np.empty_like(z)
+    out.real = np.ldexp(z.real, exponent)
+    out.imag = np.ldexp(z.imag, exponent)
+    return out
+
+
+def rescale(m, exponent):
+    """(m, exponent) with m brought into range by an exact power of two.
+
+    m * 2**exponent is unchanged. An m whose squared Frobenius norm lies in
+    [2^-800, 2^800] (or that is zero) is returned as it is; any other is
+    divided by a power of two that puts its largest modulus in [1/2, 1).
+    """
+    low, high = _SQUARE_NORM_RANGE
+    if low <= abs(np.vdot(m, m)) <= high:
+        return m, exponent
+    amax = float(np.abs(m).max())
+    if amax == 0.0:
+        return m, exponent
+    shift = math.frexp(amax)[1]
+    return ldexp(m, -shift), exponent + shift
+
+
+class ScaledPowers:
+    """Powers m^n = mantissa * 2**exponent of one square matrix.
+
+    One table of repeated squarings m, m^2, m^4, ... serves every n, so
+    memory is O(log n) matrices however many powers are asked for. Each
+    power multiplies the table entries in the order of
+    ``np.linalg.matrix_power`` (bits of n from the lowest up, with its n = 3
+    shortcut). Every factor goes through :func:`rescale` before it enters a
+    product, and the power is returned as the last product left it. So
+    mantissa * 2**exponent is bit-identical to ``np.linalg.matrix_power(m, n)``
+    wherever that stays clear of the subnormal range, and it neither under-
+    nor overflows where the plain power would.
+    """
+
+    def __init__(self, m):
+        m = _as_square(m)
+        # m^(2^k) as its squaring left it, and the same rescaled as a factor.
+        self._squares = [(m, 0)]
+        self._factors = [rescale(m, 0)]
+
+    def _extend(self, k):
+        while len(self._squares) <= k:
+            z, e = self._factors[-1]
+            self._squares.append((z @ z, 2 * e))
+            self._factors.append(rescale(*self._squares[-1]))
+
+    def power(self, n):
+        """(mantissa, exponent) with m^n = mantissa * 2**exponent, n >= 0."""
+        if int(n) != n or n < 0:
+            raise ValidationError(f"power must be a nonnegative integer, got {n!r}")
+        n = int(n)
+        if n == 0:
+            return np.eye(len(self._squares[0][0]), dtype=complex), 0
+        self._extend(n.bit_length() - 1)
+        if n == 3:  # matrix_power's shortcut (m @ m) @ m
+            (z2, e2), (z, e) = self._factors[1], self._factors[0]
+            return z2 @ z, e2 + e
+        result = None
+        for k in range(n.bit_length()):
+            if n >> k & 1:
+                if result is None:
+                    result = self._squares[k]
+                else:
+                    r, er = rescale(*result)
+                    z, e = self._factors[k]
+                    result = (r @ z, er + e)
+        return result
+
+
 def matrix_power_trace(m, n):
     """tr(m^n) for integer n >= 0 by repeated squaring.
 
     Exact powering is used instead of spectral sums so the result is
     well-defined for defective matrices too; n = 0 returns the dimension.
+    The power carries a binary exponent (:class:`ScaledPowers`): the trace
+    is that of plain repeated squaring wherever that stays clear of
+    subnormals, and elsewhere only the returned value itself can underflow.
     """
-    m = _as_square(m)
-    if int(n) != n or n < 0:
-        raise ValidationError(f"power must be a nonnegative integer, got {n!r}")
-    return complex(np.trace(np.linalg.matrix_power(m, int(n))))
+    mantissa, exponent = ScaledPowers(m).power(n)
+    return complex(ldexp(np.trace(mantissa), exponent))

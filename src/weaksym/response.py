@@ -17,12 +17,12 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import GaplessTransferError, NearDefectiveError, NonCommutingError
+from .numerics import ScaledPowers
 from .symmetry import cocycle_commutator, extract_virtual_rep
 from .transfer import build_transfer, flux_operator, symmetry_gap, transfer_spectrum, twisted_spectrum
 
 SNAP_TOL = 1e-6
 GAP_TOL = 1e-8
-DENOMINATOR_FLOOR = 1e-300
 
 
 @dataclass
@@ -33,7 +33,8 @@ class ResponseResult:
     Fraction(1, 2) for -1) when the value lies within the snap tolerance
     of one, else None. ``mode`` is "thermo" or "finite"; ``n_sites`` is
     None in thermo mode. ``valid`` is cleared when the value is not a
-    usable phase (vanishing denominator, or thermo modulus off unity).
+    usable phase (a denominator trace that is exactly zero, or a thermo
+    modulus off unity).
     """
 
     value: complex
@@ -67,18 +68,19 @@ def _require_commuting(model, g1, g2):
 def finite_response(model, g1, g2, n_sites):
     """Flux response on a finite ring, both traces by repeated squaring.
 
-    Returns a :class:`ResponseResult` in mode "finite". The result is
-    flagged invalid (value NaN) when the denominator trace falls below the
-    representable floor. g1 = identity returns exactly 1.
+    Returns a :class:`ResponseResult` in mode "finite". The power of T(g2)
+    carries a binary exponent that cancels in the ratio, so the traces never
+    underflow; the result is flagged invalid (value NaN) only when the
+    denominator trace is exactly zero. g1 = identity returns exactly 1.
     """
     _require_commuting(model, g1, g2)
     rep1, _ = extract_virtual_rep(model.lpdo, model.action(g1))
     u2 = model.action(g2).u
-    power = np.linalg.matrix_power(build_transfer(model.lpdo, u2), int(n_sites))
+    power, _ = ScaledPowers(build_transfer(model.lpdo, u2)).power(int(n_sites))
     denominator = complex(np.trace(power))
     numerator = complex(np.trace(flux_operator(rep1.v) @ power))
     gap = symmetry_gap(transfer_spectrum(model.lpdo, u2))
-    if abs(denominator) < DENOMINATOR_FLOOR:
+    if denominator == 0:
         return ResponseResult(
             value=complex(np.nan, np.nan),
             snapped=None,
@@ -98,14 +100,15 @@ def finite_response(model, g1, g2, n_sites):
     )
 
 
-def _leading_pair(spectrum, xs, gap_tol, what, ends=None):
-    """Leading-pair contractions (L0·X·R0)/(L0·R0) of a gapped spectrum.
+def _leading_pair(spectrum, gap_tol, what):
+    """Leading eigenvector pair of a gapped spectrum, for (L0·X·R0)/(L0·R0).
 
-    Returns the list of values, one per X in ``xs``, and the symmetry gap.
-    ``ends = (X_L, X_R)`` stands for X_L·X·X_R with each end contracted
-    onto its eigenvector once. Raises :class:`NearDefectiveError` for an
-    untrustworthy spectrum and :class:`GaplessTransferError` when the gap
-    is at or below ``gap_tol``; ``what`` ("for 'R_z'") names the map in both.
+    Returns ``(left, right, norm, gap)``: the left row L0, the right column
+    R0, their overlap L0·R0 and the symmetry gap. Every thermodynamic value
+    is ``(left @ X @ right) / norm`` for some X. Raises
+    :class:`NearDefectiveError` for an untrustworthy spectrum and
+    :class:`GaplessTransferError` when the gap is at or below ``gap_tol``;
+    ``what`` ("for 'R_z'") names the map in both.
     """
     if spectrum.near_defective:
         raise NearDefectiveError(f"transfer spectrum {what} is near-defective")
@@ -113,10 +116,13 @@ def _leading_pair(spectrum, xs, gap_tol, what, ends=None):
     if gap <= gap_tol:
         raise GaplessTransferError(f"symmetry gap {what} is {gap:.3e}; thermodynamic limit undefined")
     _, left, right = spectrum.leading
-    norm = left @ right
-    if ends is not None:
-        left, right = left @ ends[0], ends[1] @ right
-    return [complex((left @ x @ right) / norm) for x in xs], gap
+    return left, right, left @ right, gap
+
+
+def _pair_value(spectrum, x, gap_tol, what):
+    """(L0·X·R0)/(L0·R0) on the leading pair of ``spectrum``, and the gap."""
+    left, right, norm, gap = _leading_pair(spectrum, gap_tol, what)
+    return complex((left @ x @ right) / norm), gap
 
 
 def flux_response(model, flux, g2, gap_tol=GAP_TOL):
@@ -128,16 +134,13 @@ def flux_response(model, flux, g2, gap_tol=GAP_TOL):
     below ``gap_tol`` (the value is undefined at a transition) and
     :class:`NearDefectiveError` for untrustworthy spectra.
     """
-    spectrum = twisted_spectrum(model, g2)
-    [value], gap = _leading_pair(spectrum, [flux_operator(flux)], gap_tol, f"for {g2!r}")
-    return value, gap
+    return _pair_value(twisted_spectrum(model, g2), flux_operator(flux), gap_tol, f"for {g2!r}")
 
 
 def _ancilla_flux_response(model, flux, g2, gap_tol):
     """:func:`flux_response` on T(1, ua_g2): the insertion sits on the ancilla leg."""
     spectrum = transfer_spectrum(model.lpdo, np.eye(model.lpdo.d), model.action(g2).ua)
-    [value], gap = _leading_pair(spectrum, [flux_operator(flux)], gap_tol, f"for {g2!r} on the ancilla")
-    return value, gap
+    return _pair_value(spectrum, flux_operator(flux), gap_tol, f"for {g2!r} on the ancilla")
 
 
 def _thermo_result(model, g1, value, gap):

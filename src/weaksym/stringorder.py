@@ -11,6 +11,12 @@ across T(g2)^l. The normalized order divides out the uniform-charge
 envelope so that an order-one plateau survives exactly when the endpoint
 charges of chi match the flux responses of the state, one group element at
 a time.
+
+A series over many lengths carries its scale instead of forming values that
+under- or overflow: the thermodynamic series is one running row vector
+x_{l+1} = x_l T(g2)/|lambda_0| across the lengths, and ring series take every
+power from one table of repeated squarings with binary exponents
+(:class:`~weaksym.numerics.ScaledPowers`).
 """
 
 from dataclasses import dataclass, replace
@@ -18,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import GaplessTransferError, UndefinedExponentError
-from .numerics import matrix_power_trace
+from .numerics import ScaledPowers, ldexp, rescale
 from .symmetry import endpoint_charge
 from .transfer import build_transfer, symmetry_gap, transfer_spectrum, twisted_spectrum
 from .response import GAP_TOL, _leading_pair, thermo_response
@@ -42,6 +48,12 @@ class StringOrderSeries:
 
     ``n_sites`` is the ring size, or None for the thermodynamic limit.
     ``normalized`` stays None until :func:`normalized_string` fills it.
+    The scale the evaluation carried is kept alongside ``raw``:
+    ``raw = mantissa * base**lengths * 2**exponent``, where ``base`` is
+    |lambda_0(T(g2))| for a thermodynamic series (1 if that vanishes) and 1
+    on a ring, and ``exponent`` is an integer array (zero in the
+    thermodynamic limit). Where only the envelope is below the range of
+    doubles, ``raw`` underflows but ``mantissa`` does not.
     """
 
     g2: str
@@ -51,6 +63,9 @@ class StringOrderSeries:
     raw: np.ndarray
     normalized: np.ndarray | None
     n_sites: int | None
+    mantissa: np.ndarray
+    base: float
+    exponent: np.ndarray
 
     @property
     def mode(self):
@@ -90,35 +105,71 @@ def string_order_series(model, g2, chi_l, chi_r, lengths, n_sites=None):
     The four transfer maps, and in the thermodynamic limit the leading
     eigenvector pair of T(1), are computed once for the whole series. The
     thermodynamic limit requires T(1) to be gapped (it stays gapped at the
-    symmetry transition; only T(g2) goes gapless there).
+    symmetry transition; only T(g2) goes gapless there). Lengths may come in
+    any order and may repeat.
+
+    The thermodynamic series carries one boundary row vector from the
+    shortest length to the longest, one vector-matrix product per length,
+    on T(g2)/|lambda_0|. A ring value takes T(g2)^l and T(1)^(N-l-2) from one
+    table of repeated squarings per map, each bit-identical to
+    ``np.linalg.matrix_power`` in the normal range, so it depends only on
+    (l, N).
     """
     lengths = np.asarray(list(lengths), dtype=int)
     lpdo = model.lpdo
-    t1 = build_transfer(lpdo, np.eye(lpdo.d))
+    eye = np.eye(lpdo.d)
+    t1 = build_transfer(lpdo, eye)
     t2 = build_transfer(lpdo, model.action(g2).u)
     tl = build_transfer(lpdo, chi_l)
     tr = build_transfer(lpdo, chi_r)
     if n_sites is None:
         if np.any(lengths < 0):
             raise ValueError(f"string length must be >= 0, got {lengths.min()}")
-        inners = (np.linalg.matrix_power(t2, l) for l in lengths)
-        t1_spectrum = transfer_spectrum(lpdo, np.eye(lpdo.d))
-        raw, _ = _leading_pair(t1_spectrum, inners, GAP_TOL, "of T(1)", ends=(tl, tr))
+        left, right, norm, _ = _leading_pair(transfer_spectrum(lpdo, eye), GAP_TOL, "of T(1)")
+        lam0 = abs(twisted_spectrum(model, g2).eigenvalues[0])
+        base = float(lam0) if lam0 > 0 else 1.0
+        step = t2 / base
+        x, end = left @ tl, tr @ right
+        distinct, where = np.unique(lengths, return_inverse=True)
+        rows = np.empty((len(distinct), len(x)), dtype=complex)
+        at = 0
+        for i, l in enumerate(distinct.tolist()):
+            if l == at + 1:
+                x = x @ step
+            elif l > at:
+                x = x @ np.linalg.matrix_power(step, l - at)
+            at = l
+            rows[i] = x
+        mantissa = ((rows @ end) / norm)[where]
+        exponent = np.zeros(len(lengths), dtype=int)
+        raw = mantissa * base ** lengths.astype(float)
     else:
         n_sites = int(n_sites)
         for l in lengths:
             if not 0 <= l <= n_sites - 2:
                 raise ValueError(f"need 0 <= l <= N-2, got l={l}, N={n_sites}")
-        power = np.linalg.matrix_power
-        raw = [complex(np.trace(tl @ power(t2, l) @ tr @ power(t1, n_sites - l - 2))) for l in lengths]
+        powers1, powers2 = ScaledPowers(t1), ScaledPowers(t2)
+        mantissa, exponent = [], []
+        for l in lengths.tolist():
+            m2, e2 = rescale(*powers2.power(l))
+            m1, e1 = rescale(*powers1.power(n_sites - l - 2))
+            mantissa.append(complex((tl @ m2 @ tr @ m1).trace()))
+            exponent.append(e2 + e1)
+        mantissa = np.array(mantissa, dtype=complex)
+        exponent = np.array(exponent, dtype=int)
+        base = 1.0
+        raw = ldexp(mantissa, exponent)
     return StringOrderSeries(
         g2=g2,
         chi_l=np.asarray(chi_l, dtype=complex),
         chi_r=np.asarray(chi_r, dtype=complex),
         lengths=lengths,
-        raw=np.array(raw, dtype=complex),
+        raw=raw,
         normalized=None,
         n_sites=n_sites,
+        mantissa=mantissa,
+        base=base,
+        exponent=exponent,
     )
 
 
@@ -136,21 +187,32 @@ def normalized_string(model, series):
     """Divide out the uniform-charge envelope, length by length.
 
     Ring mode divides S(l) by |Tr[rho U_g2]|^{l/N}; thermodynamic mode by
-    |lambda_0(T(g2))|^l. Raises ZeroDivisionError when the envelope
-    vanishes.
+    |lambda_0(T(g2))|^l. Both work on the scale the series carried, not on
+    ``raw``, so neither the envelope nor the string underflows. Raises
+    ZeroDivisionError when the envelope vanishes: an exactly zero trace or
+    leading eigenvalue.
     """
+    lengths = series.lengths
     if series.n_sites is not None:
+        n_sites = series.n_sites
         t2 = build_transfer(model.lpdo, model.action(series.g2).u)
-        charge = abs(matrix_power_trace(t2, series.n_sites))
+        power, charge_exp = ScaledPowers(t2).power(n_sites)
+        charge = abs(complex(np.trace(power)))
         if charge == 0.0:
             raise ZeroDivisionError("Tr[rho U_g2] vanishes; normalization undefined")
-        factors = charge ** (series.lengths / series.n_sites)
+        # |Tr T^N|^{l/N} = charge^{l/N} 2^{charge_exp l/N}: the integer part
+        # of the binary exponent is split off exactly and joins the series'.
+        shift, rest = np.divmod(charge_exp * lengths, n_sites)
+        factors = charge ** (lengths / n_sites) * 2.0 ** (rest / n_sites)
+        scaled = series.mantissa * series.base ** lengths.astype(float) / factors
+        normalized = ldexp(scaled, series.exponent - shift)
     else:
         lam0 = abs(twisted_spectrum(model, series.g2).eigenvalues[0])
         if lam0 == 0.0:
             raise ZeroDivisionError("leading twisted eigenvalue vanishes; normalization undefined")
-        factors = lam0 ** series.lengths.astype(float)
-    return replace(series, normalized=series.raw / factors)
+        scaled = series.mantissa * (series.base / lam0) ** lengths.astype(float)
+        normalized = ldexp(scaled, series.exponent)
+    return replace(series, normalized=normalized)
 
 
 def decay_exponent(series, window=DEFAULT_WINDOW):

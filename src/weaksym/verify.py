@@ -4,8 +4,13 @@ Every analytically known property of the decohered AKLT family, plus the
 dense-oracle cross-checks, expressed as named pass/fail records. The CLI
 ``verify`` command and the acceptance test suite both run these, so the
 command line and the test report can never drift apart.
+
+Each section takes ``build``, the function that makes the built-in model at a
+noise rate p. :func:`run_level` passes one that makes each model once for the
+whole run, so the per-model memo serves every section that uses the same p.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,12 +101,12 @@ def _multiset_distance(computed, expected):
 
 # --- criterion 1: transfer spectra and explicit matrices --------------------
 
-def transfer_table_checks():
+def transfer_table_checks(build=build_aklt_model):
     results = []
     worst_s1 = worst_sz = worst_m1 = worst_mz = 0.0
     expected_t1 = [1, -1 / 3, -1 / 3, -1 / 3]
     for p in P_GRID:
-        model = build_aklt_model(p)
+        model = build(p)
         spec1 = twisted_spectrum(model, "1")
         specz = twisted_spectrum(model, "R_z")
         worst_s1 = max(worst_s1, _multiset_distance(spec1.eigenvalues, expected_t1))
@@ -121,10 +126,10 @@ def transfer_table_checks():
 
 # --- criterion 3: symmetry gaps ---------------------------------------------
 
-def gap_checks():
+def gap_checks(build=build_aklt_model):
     worst_z = worst_1 = 0.0
     for p in P_GRID:
-        model = build_aklt_model(p)
+        model = build(p)
         gz = symmetry_gap(twisted_spectrum(model, "R_z"))
         g1 = symmetry_gap(twisted_spectrum(model, "1"))
         worst_z = max(worst_z, abs(gz - aklt_gap_z(p)))
@@ -137,12 +142,12 @@ def gap_checks():
 
 # --- criterion 2: quantized responses across the phase diagram --------------
 
-def response_checks():
+def response_checks(build=build_aklt_model):
     results = []
     worst_thermo = worst_agree = 0.0
     for p_values, target_y in ((P_BELOW, -1.0), (P_ABOVE, 1.0)):
         for p in p_values:
-            model = build_aklt_model(p)
+            model = build(p)
             rx = thermo_response(model, "R_x", "R_z")
             ry = thermo_response(model, "R_y", "R_z")
             worst_thermo = max(
@@ -158,7 +163,7 @@ def response_checks():
     )
     results.append(_check("finite-size responses at N=200 match thermodynamic", worst_agree, 1e-8))
 
-    model = build_aklt_model(0.5)
+    model = build(0.5)
     gap = symmetry_gap(twisted_spectrum(model, "R_z"))
     try:
         thermo_response(model, "R_y", "R_z")
@@ -179,24 +184,24 @@ def response_checks():
 
 # --- criterion 4: normalized string order plateaus ---------------------------
 
-def string_order_checks(n_sites=200, length=50):
+def string_order_checks(n_sites=200, length=50, build=build_aklt_model):
     ops = spin1_operators()
     sx, sy = ops["S_x"], ops["S_y"]
     worst_plateau = worst_below = worst_x = 0.0
     for p in P_ABOVE:
-        model = build_aklt_model(p)
+        model = build(p)
         sn_y = normalized_string(
             model, string_order_series(model, "R_z", sy, sy, [length], n_sites=n_sites)
         ).normalized[0]
         worst_plateau = max(worst_plateau, abs(abs(sn_y) - aklt_string_amplitude(p)))
     for p in P_BELOW:
-        model = build_aklt_model(p)
+        model = build(p)
         sn_y = normalized_string(
             model, string_order_series(model, "R_z", sy, sy, [length], n_sites=n_sites)
         ).normalized[0]
         worst_below = max(worst_below, abs(sn_y))
     for p in P_BELOW + P_ABOVE:
-        model = build_aklt_model(p)
+        model = build(p)
         sn_x = normalized_string(
             model, string_order_series(model, "R_z", sx, sx, [length], n_sites=n_sites)
         ).normalized[0]
@@ -217,7 +222,9 @@ def _thermo_fit(model, chi, window):
     return decay_exponent(series, window=window)
 
 
-def exponent_crossing(bracket=(0.4, 0.6), xtol=1e-7, window=DEFAULT_WINDOW):
+def exponent_crossing(
+    bracket=(0.4, 0.6), xtol=1e-7, window=DEFAULT_WINDOW, build=build_aklt_model
+):
     """Noise rate where the S_y decay exponent drops to the S_x one.
 
     Bisects xi_y(p) - xi_x(p) on ``bracket``; both exponents come from
@@ -228,7 +235,7 @@ def exponent_crossing(bracket=(0.4, 0.6), xtol=1e-7, window=DEFAULT_WINDOW):
     sx, sy = ops["S_x"], ops["S_y"]
 
     def difference(p):
-        model = build_aklt_model(p)
+        model = build(p)
         return _thermo_fit(model, sy, window).xi - _thermo_fit(model, sx, window).xi
 
     lo, hi = bracket
@@ -244,24 +251,24 @@ def exponent_crossing(bracket=(0.4, 0.6), xtol=1e-7, window=DEFAULT_WINDOW):
     return 0.5 * (lo + hi)
 
 
-def exponent_checks():
+def exponent_checks(build=build_aklt_model):
     ops = spin1_operators()
     sx, sy = ops["S_x"], ops["S_y"]
     worst_x = 0.0
     for p in [i / 10 for i in range(10)]:
-        fit = _thermo_fit(build_aklt_model(p), sx, EARLY_WINDOW)
+        fit = _thermo_fit(build(p), sx, EARLY_WINDOW)
         worst_x = max(worst_x, abs(fit.xi - np.log(3.0)))
     # At p = 1 the S_x string vanishes identically, so its exponent does
     # not exist; check the vanishing instead of fitting roundoff.
     series_p1 = string_order_series(
-        build_aklt_model(1.0), "R_z", sx, sx, range(0, 21)
+        build(1.0), "R_z", sx, sx, range(0, 21)
     )
     worst_p1 = max(abs(v) for v in series_p1.raw)
     worst_y = 0.0
     for p in (0.6, 0.75, 0.9):
-        fit = _thermo_fit(build_aklt_model(p), sy, DEFAULT_WINDOW)
+        fit = _thermo_fit(build(p), sy, DEFAULT_WINDOW)
         worst_y = max(worst_y, abs(fit.xi - (-np.log((4 * p - 1) / 3))))
-    crossing = exponent_crossing()
+    crossing = exponent_crossing(build=build)
     return [
         _check("S_x decay exponent ln(3) for p in [0, 0.9]", worst_x, 1e-6),
         _check("S_x string vanishes identically at p=1", worst_p1, 1e-12),
@@ -272,12 +279,12 @@ def exponent_checks():
 
 # --- criterion 6: dense-oracle equivalence -----------------------------------
 
-def oracle_checks(sizes=(3, 4, 5), p_values=(0.0, 0.3, 0.7, 1.0)):
+def oracle_checks(sizes=(3, 4, 5), p_values=(0.0, 0.3, 0.7, 1.0), build=build_aklt_model):
     ops = spin1_operators()
     eye3 = np.eye(3)
     worst_charge = worst_flux = worst_string = 0.0
     for p in p_values:
-        model = build_aklt_model(p)
+        model = build(p)
         lpdo = model.lpdo
         uz = model.action("R_z").u
         tz = build_transfer(lpdo, uz)
@@ -314,11 +321,11 @@ def oracle_checks(sizes=(3, 4, 5), p_values=(0.0, 0.3, 0.7, 1.0)):
 
 # --- criterion 7: structural identities --------------------------------------
 
-def structural_checks(p_values=(0.2, 0.8)):
+def structural_checks(p_values=(0.2, 0.8), build=build_aklt_model):
     results = []
     worst_comm = worst_law = worst_cons = worst_flux2 = 0.0
     for p in p_values:
-        model = build_aklt_model(p)
+        model = build(p)
         lpdo = model.lpdo
         reps = {g: extract_virtual_rep(lpdo, model.action(g))[0] for g in model.group.labels}
         worst_law = max(worst_law, *(rep.residual for rep in reps.values()))
@@ -346,8 +353,8 @@ def structural_checks(p_values=(0.2, 0.8)):
 
 # --- criterion 8: pure-state limit -------------------------------------------
 
-def pure_limit_checks(n_sites=200):
-    model = build_aklt_model(0.0)
+def pure_limit_checks(n_sites=200, build=build_aklt_model):
+    model = build(0.0)
     lpdo = model.lpdo
     reps = {g: extract_virtual_rep(lpdo, model.action(g))[0] for g in ("R_x", "R_y", "R_z")}
     worst = 0.0
@@ -390,13 +397,15 @@ _SECTIONS = {
 def run_level(level):
     """Run the named check level on the built-in family.
 
-    Returns a list of (section, CheckResult) pairs in a fixed order.
+    Returns a list of (section, CheckResult) pairs in a fixed order. The
+    built-in model at each p is made once for the run.
     """
     if level not in LEVELS:
         raise ValueError(f"unknown verify level {level!r}; choose from {sorted(LEVELS)}")
+    build = functools.cache(build_aklt_model)
     out = []
     for section in LEVELS[level]:
-        for result in _SECTIONS[section]():
+        for result in _SECTIONS[section](build=build):
             out.append((section, result))
     return out
 

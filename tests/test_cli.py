@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from weaksym.cli import CSV_HEADER, main
+from weaksym.cli import CSV_HEADER, _fmt, _json_float, main
 from weaksym.model import build_aklt_model, save_model
 
 
@@ -128,6 +128,14 @@ def test_response_mode_conflict(capsys):
         capsys, "response", "--p", "0.2", "--g1", "R_x", "--g2", "R_z", "--thermo", "--sites", "10"
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("p", ["0.3", "0.75"])
+def test_response_thousands_of_sites_exit_zero(capsys, p):
+    for sites in ("2000", "3000"):
+        code, out, err = run(capsys, "response", "--p", p, "--g1", "R_x", "--g2", "R_z", "--sites", sites)
+        assert code == 0 and err == ""
+        assert "(snapped: exp(i*pi))" in out.splitlines()[0]
 
 
 # --- string ------------------------------------------------------------------
@@ -255,3 +263,35 @@ def test_no_command(capsys):
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
+
+
+def _csv_values(out):
+    rows = out.strip().splitlines()[1:-1]
+    return np.array([[float(v) for v in row.split(",")[1:]] for row in rows])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ("--p", "0.3", "--chi", "sx"),
+        ("--p", "0.75", "--chi", "sy"),
+        ("--p", "0.75", "--chi", "sy", "--sites", "3000"),
+    ],
+)
+def test_long_string_series_finite_without_warnings(capsys, extra):
+    """Thousands of lengths: no RuntimeWarning, no exit 3 and no non-finite row."""
+    l_max = "1000" if "--sites" in extra else "2000"
+    code, out, err = run(capsys, "string", "--g2", "R_z", "--l-min", "0", "--l-max", l_max, *extra)
+    assert code == 0 and err == ""
+    values = _csv_values(out)
+    assert values.shape == (int(l_max) + 1, 4)
+    assert np.all(np.isfinite(values))
+
+
+def test_fmt_prints_nan_and_seventeen_digits():
+    assert _fmt(float("nan")) == _fmt(None) == _fmt(np.float64("nan")) == "nan"
+    assert _fmt(-float("nan")) == "nan"
+    assert _fmt(0.1) == "0.10000000000000001"
+    assert _json_float(np.nan) is None and _json_float(None) is None
+    assert _json_float(np.float64(0.5)) == 0.5

@@ -156,3 +156,22 @@ def test_non_commuting_pair_rejected():
         from weaksym.response import _require_commuting
 
         _require_commuting(fake_model, "r", "s")
+
+
+@pytest.mark.parametrize("p", [0.3, 0.75])
+def test_finite_response_on_thousands_of_sites(p):
+    """tr T(R_z)^N is far below 1e-308 at N = 3000; the carried exponent cancels in the ratio."""
+    model = build_aklt_model(p)
+    for g1, expected in (("R_x", -1.0), ("R_y", -1.0 if p < 0.5 else 1.0)):
+        for n in (2000, 3000):
+            res = finite_response(model, g1, "R_z", n)
+            assert res.valid and res.n_sites == n
+            assert abs(res.value - expected) < 1e-12
+            assert res.snapped == (Fraction(1, 2) if expected < 0 else Fraction(0, 1))
+
+
+def test_finite_response_refuses_exactly_zero_trace():
+    """tr T(R_z) = 0 exactly for the AKLT family, so N = 1 has no response."""
+    res = finite_response(build_aklt_model(0.3), "R_x", "R_z", 1)
+    assert not res.valid and res.snapped is None
+    assert np.isnan(res.value.real) and np.isnan(res.value.imag)

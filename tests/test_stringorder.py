@@ -11,6 +11,7 @@ from weaksym.stringorder import (
     string_order_series,
     string_order_thermo,
 )
+from weaksym.transfer import build_transfer, transfer_spectrum, twisted_spectrum
 
 OPS = spin1_operators()
 
@@ -187,3 +188,115 @@ def test_selection_rule_trivial_endpoint_never_matches():
 def test_selection_rule_gapless_refuses():
     with pytest.raises(GaplessTransferError):
         selection_classify(build_aklt_model(0.5), "R_z", OPS["S_y"], OPS["S_y"])
+
+
+# --- long series: running products, carried scale -------------------------------
+
+def _thermo_closed_form(p, alpha, lengths):
+    """Normalized thermodynamic S(l) = -A (r / lambda_0)^l, evaluated in logs."""
+    r = -1 / 3 if alpha == "S_x" else (4 * p - 1) / 3
+    lam0 = max(abs((3 - 4 * p) / 3), abs((4 * p - 1) / 3), 1 / 3)
+    ratio = r / lam0
+    signs = np.where(np.asarray(lengths) % 2 == 1, np.sign(ratio), 1.0)
+    with np.errstate(under="ignore"):
+        return -amplitude(p) * signs * np.exp(np.asarray(lengths) * np.log(abs(ratio)))
+
+
+@pytest.mark.parametrize("p", [0.3, 0.75])
+@pytest.mark.parametrize("alpha", ["S_x", "S_y"])
+def test_thermo_normalized_closed_form_to_l_2000(p, alpha):
+    """Every normalized value up to l = 2000 is finite and on the closed form.
+
+    Values far below the plateau scale carry 1e-16 cross-talk from the other
+    channels, hence the absolute tolerance. The envelope |lambda_0|^l drops below the smallest double near l = 1390
+    (p = 0.3) and l = 1750 (p = 0.75); the series runs on T(g2)/|lambda_0|, so
+    the normalized values never see it.
+    """
+    model = build_aklt_model(p)
+    lengths = np.arange(2001)
+    series = normalized_string(
+        model, string_order_series(model, "R_z", OPS[alpha], OPS[alpha], lengths)
+    )
+    expected = _thermo_closed_form(p, alpha, lengths)
+    assert np.all(np.isfinite(series.normalized)) and np.all(np.isfinite(series.raw))
+    np.testing.assert_allclose(series.normalized.real, expected, rtol=1e-10, atol=1e-15)
+    assert np.abs(series.normalized.imag).max() < 1e-15
+    if alpha == "S_y" and p > 0.5:
+        assert abs(series.normalized[-1] - (-amplitude(p))) < 1e-12  # the plateau at l = 2000
+
+
+def test_ring_plateau_on_3000_sites():
+    """S_y plateau (2(1-p)/3)^2 on N = 3000, where Tr T(R_z)^N is about 1e-528."""
+    p = 0.75
+    model = build_aklt_model(p)
+    series = normalized_string(
+        model, string_order_series(model, "R_z", OPS["S_y"], OPS["S_y"], range(1001), n_sites=3000)
+    )
+    assert np.all(np.isfinite(series.normalized))
+    assert np.abs(np.abs(series.normalized) - amplitude(p)).max() < 1e-12
+
+
+def test_ring_series_values_equal_one_length_calls():
+    """A ring value depends only on (l, N): series order and neighbours do not matter."""
+    model = build_aklt_model(0.3)
+    lengths = [1198, 0, 517, 3, 1024, 517, 65, 999, 1, 768]
+    series = string_order_series(model, "R_z", OPS["S_y"], OPS["S_y"], lengths, n_sites=1200)
+    np.testing.assert_array_equal(series.lengths, lengths)
+    for l, value in zip(lengths, series.raw):
+        assert value == string_order_ring(model, "R_z", OPS["S_y"], OPS["S_y"], l, 1200)
+
+
+def test_ring_raw_bit_identical_to_matrix_power():
+    model = build_aklt_model(0.3)
+    lpdo = model.lpdo
+    t1 = build_transfer(lpdo, np.eye(3))
+    t2 = build_transfer(lpdo, model.action("R_z").u)
+    tl = tr = build_transfer(lpdo, OPS["S_x"])
+    n = 300
+    series = string_order_series(model, "R_z", OPS["S_x"], OPS["S_x"], range(0, n - 1, 7), n_sites=n)
+    power = np.linalg.matrix_power
+    for l, value in zip(series.lengths, series.raw):
+        assert value == np.trace(tl @ power(t2, l) @ tr @ power(t1, n - l - 2))
+
+
+def test_thermo_series_matches_matrix_power_reference():
+    """The running product agrees with (L0 T_chi T(g2)^l T_chi R0)/(L0 R0) to 1e-13."""
+    for p in (0.3, 0.75):
+        model = build_aklt_model(p)
+        lpdo = model.lpdo
+        spectrum = transfer_spectrum(lpdo, np.eye(3))
+        _, left, right = spectrum.leading
+        t2 = build_transfer(lpdo, model.action("R_z").u)
+        lam0 = abs(twisted_spectrum(model, "R_z").eigenvalues[0])
+        for alpha in ("S_0", "S_x", "S_y", "S_z"):
+            t_chi = build_transfer(lpdo, OPS[alpha])
+            series = string_order_series(model, "R_z", OPS[alpha], OPS[alpha], range(201))
+            for l, value in zip(series.lengths, series.raw):
+                ref = (left @ t_chi @ np.linalg.matrix_power(t2, l) @ t_chi @ right) / (left @ right)
+                assert abs(value - ref) <= 1e-13 * lam0**l, (p, alpha, l)
+
+
+def test_thermo_series_any_order_and_repeats():
+    model = build_aklt_model(0.75)
+    full = string_order_series(model, "R_z", OPS["S_y"], OPS["S_y"], range(41))
+    lengths = [40, 3, 17, 3, 0, 40]
+    series = string_order_series(model, "R_z", OPS["S_y"], OPS["S_y"], lengths)
+    np.testing.assert_array_equal(series.lengths, lengths)
+    np.testing.assert_allclose(series.raw, full.raw[lengths], rtol=1e-14, atol=0)
+    assert series.raw[1] == series.raw[3] and series.raw[0] == series.raw[5]
+
+
+def test_series_carries_its_scale():
+    """raw = mantissa * base**l * 2**exponent on both branches."""
+    model = build_aklt_model(0.75)
+    thermo = string_order_series(model, "R_z", OPS["S_y"], OPS["S_y"], [0, 10, 2000])
+    assert thermo.base == pytest.approx(2 / 3) and not thermo.exponent.any()
+    assert thermo.raw[-1] == 0 and abs(thermo.mantissa[-1]) > 1e-2
+    ring = string_order_series(model, "R_z", OPS["S_y"], OPS["S_y"], [10, 2500], n_sites=3000)
+    assert ring.base == 1.0 and ring.exponent[0] == 0 and ring.exponent[1] < -1000
+    for series in (thermo, ring):
+        rebuilt = [
+            m * series.base**l * 2.0**e if e > -1000 else 0.0
+            for m, l, e in zip(series.mantissa, series.lengths, series.exponent)
+        ]
+        np.testing.assert_allclose(series.raw, rebuilt, rtol=1e-15, atol=1e-300)
