@@ -8,7 +8,6 @@ ordering plus a biorthonormalized left/right eigenvector pairing, which
 the thermodynamic-limit formulas rely on.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +19,10 @@ DEFAULT_TOL = 1e-10
 # multiplied when the sum of its squared moduli leaves [2^-800, 2^800], so
 # no product of two factors leaves the normal range of doubles.
 _SQUARE_NORM_RANGE = (2.0**-800, 2.0**800)
+# ScaledPowers.powers stacks its products from this many powers up. Each
+# stacked bit level costs about ten numpy calls, so for fewer powers the
+# per-length loop of ScaledPowers.power is faster.
+MIN_STACKED_POWERS = 12
 
 
 def _as_matrix(m, name="matrix"):
@@ -61,6 +64,8 @@ class Spectrum:
         ``biorthonormal`` is set, ``left_vectors @ right_vectors`` is the
         identity to within 1e-10.
     biorthonormal : whether the measured pairing residual is below 1e-10.
+    pairing_residual : max |(left_vectors @ right_vectors - 1)_ij|, the
+        measured biorthonormality residual.
     condition_estimate : condition number of the right eigenvector matrix.
     near_defective : the eigenvector matrix is too ill-conditioned for the
         left/right pairing to be trusted (Jordan-block-like input).
@@ -72,6 +77,7 @@ class Spectrum:
     right_vectors: np.ndarray
     left_vectors: np.ndarray
     biorthonormal: bool
+    pairing_residual: float
     condition_estimate: float
     near_defective: bool
 
@@ -118,6 +124,7 @@ def spectral_decompose(m, tol=DEFAULT_TOL):
         right_vectors=r,
         left_vectors=left,
         biorthonormal=biorthonormal,
+        pairing_residual=residual,
         condition_estimate=cond,
         near_defective=bool(near_defective),
     )
@@ -138,15 +145,24 @@ def rescale(m, exponent):
     m * 2**exponent is unchanged. An m whose squared Frobenius norm lies in
     [2^-800, 2^800] (or that is zero) is returned as it is; any other is
     divided by a power of two that puts its largest modulus in [1/2, 1).
+    ``m`` may also be a stack (k, n, n) with an exponent array (k,): one
+    range test and one exponent shift per matrix, all in one pass.
     """
     low, high = _SQUARE_NORM_RANGE
-    if low <= abs(np.vdot(m, m)) <= high:
-        return m, exponent
-    amax = float(np.abs(m).max())
-    if amax == 0.0:
-        return m, exponent
-    shift = math.frexp(amax)[1]
-    return ldexp(m, -shift), exponent + shift
+    if m.ndim == 2:  # one matrix: a BLAS dot is the cheapest test
+        if low <= abs(np.vdot(m, m)) <= high:
+            return m, exponent
+        out = True
+    else:
+        k, rows, cols = m.shape
+        parts = m.reshape(k, rows * cols).view(float)  # real and imaginary parts
+        square_norm = np.einsum("ki,ki->k", parts, parts)
+        if low <= square_norm.min(initial=high) and square_norm.max(initial=low) <= high:
+            return m, exponent
+        out = (square_norm < low) | (square_norm > high)
+    # frexp(0) has exponent 0, so a zero matrix keeps its scale.
+    shift = np.where(out, np.frexp(np.abs(m).max(axis=(-2, -1)))[1], 0)
+    return ldexp(m, -shift[..., None, None]), exponent + shift
 
 
 class ScaledPowers:
@@ -161,6 +177,13 @@ class ScaledPowers:
     mantissa * 2**exponent is bit-identical to ``np.linalg.matrix_power(m, n)``
     wherever that stays clear of the subnormal range, and it neither under-
     nor overflows where the plain power would.
+
+    :meth:`powers` builds many powers at once: one stacked product per bit
+    level for every n with that bit set, so a series of lengths costs about
+    log2(max n) numpy calls instead of one Python-level product per factor.
+    Fewer than ``MIN_STACKED_POWERS`` powers are cheaper one at a time and
+    go through :meth:`power`. Either way each power is bit-identical to
+    :meth:`power` of the same n.
     """
 
     def __init__(self, m):
@@ -196,6 +219,42 @@ class ScaledPowers:
                     z, e = self._factors[k]
                     result = (r @ z, er + e)
         return result
+
+    def powers(self, ns):
+        """(mantissas (k, d, d), exponents (k,)): :meth:`power` of each n in ns."""
+        ns = np.asarray(ns, dtype=int)
+        dim = len(self._squares[0][0])
+        mantissa = np.empty((len(ns), dim, dim), dtype=complex)
+        exponent = np.zeros(len(ns), dtype=int)
+        if len(ns) < MIN_STACKED_POWERS:
+            for i, n in enumerate(ns.tolist()):
+                mantissa[i], exponent[i] = self.power(n)
+            return mantissa, exponent
+        if ns.min() < 0:
+            raise ValidationError(f"power must be a nonnegative integer, got {ns.min()}")
+        mantissa[...] = np.eye(dim)
+        top = int(ns.max()).bit_length()
+        self._extend(top - 1)
+        three = ns == 3
+        if three.any():  # matrix_power's shortcut (m @ m) @ m
+            (z2, e2), (z, e) = self._factors[1], self._factors[0]
+            mantissa[three], exponent[three] = z2 @ z, e2 + e
+            ns = np.where(three, 0, ns)
+        # The lowest set bit of n takes its table entry as it is; every
+        # higher one multiplies in a rescaled factor.
+        lowest, higher = ns & -ns, ns & (ns - 1)
+        starts = int(np.bitwise_or.reduce(lowest))
+        multiplies = int(np.bitwise_or.reduce(higher))
+        for k in range(top):
+            if starts >> k & 1:
+                rows = lowest == 1 << k
+                mantissa[rows], exponent[rows] = self._squares[k]
+            if multiplies >> k & 1:
+                rows = (higher >> k & 1).astype(bool)
+                r, er = rescale(mantissa[rows], exponent[rows])
+                z, e = self._factors[k]
+                mantissa[rows], exponent[rows] = r @ z, er + e
+        return mantissa, exponent
 
 
 def matrix_power_trace(m, n):

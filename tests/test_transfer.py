@@ -3,7 +3,7 @@ import pytest
 
 from weaksym.errors import DimensionMismatchError
 from weaksym.model import build_aklt_model
-from weaksym.numerics import matrix_power_trace
+from weaksym.numerics import matrix_power_trace, spectral_decompose
 from weaksym.oracle import contract_full, density_from_state, expectation
 from weaksym.symmetry import VirtualRep, extract_virtual_rep
 from weaksym.transfer import (
@@ -90,6 +90,21 @@ def test_spectrum_twisted_quarter_noise():
     got = sorted(spec.eigenvalues.real, key=abs, reverse=True)
     np.testing.assert_allclose(got, expected, atol=1e-12)
     assert np.abs(spec.eigenvalues.imag).max() < 1e-12
+
+
+def test_spectrum_keeps_its_pairing_residual():
+    """The measured residual of left @ right against 1 is kept, below 1e-10 when certified."""
+    rng = np.random.default_rng(3)
+    spectra = [twisted_spectrum(build_aklt_model(p), g) for p in P_GRID for g in ("1", "R_x", "R_z")]
+    spectra += [spectral_decompose(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))) for _ in range(5)]
+    spectra.append(spectral_decompose(np.array([[1.0, 1.0], [0.0, 1.0]])))  # a Jordan block
+    for spec in spectra:
+        gram = spec.left_vectors @ spec.right_vectors
+        assert spec.pairing_residual == np.max(np.abs(gram - np.eye(len(gram))))
+        if spec.biorthonormal:
+            assert spec.pairing_residual < 1e-10
+    assert sum(spec.biorthonormal for spec in spectra) == len(spectra) - 1
+    assert not spectra[-1].biorthonormal
 
 
 def test_spectrum_twisted_critical_moduli():
