@@ -23,64 +23,11 @@ from .errors import (
     ValidationError,
     WeaksymError,
 )
-from .numerics import Spectrum, kron, matrix_power_trace, spectral_decompose
-from .symmetry import (
-    GroupTable,
-    SymmetryAction,
-    VirtualRep,
-    cocycle_commutator,
-    endpoint_charge,
-    extract_virtual_rep,
-    verify_transformation_law,
-)
-from .model import (
-    KrausChannel,
-    LpdoTensor,
-    Model,
-    PureMpsTensor,
-    aklt_channel,
-    aklt_group,
-    aklt_tensor,
-    build_aklt_model,
-    dilate,
-    load_model,
-    save_model,
-    solve_ancilla_rep,
-    spin1_operators,
-)
-from .transfer import (
-    build_transfer,
-    commutant_residual,
-    flux_operator,
-    symmetry_gap,
-    transfer_spectrum,
-    twisted_spectrum,
-)
-from .response import (
-    ResponseResult,
-    ancilla_response,
-    conservation_check,
-    finite_response,
-    flux_response,
-    thermo_response,
-)
-from .stringorder import (
-    DecayFit,
-    SelectionReport,
-    StringOrderSeries,
-    decay_exponent,
-    normalized_string,
-    selection_classify,
-    string_order_ring,
-    string_order_series,
-    string_order_thermo,
-)
-from .oracle import (
-    DenseDensity,
-    apply_channel_exact,
-    contract_full,
-    density_from_state,
-    expectation,
-)
+from .numerics import ScaledPowers
+from .symmetry import VirtualRep
+from .model import LpdoTensor, Model, build_aklt_model, load_model, save_model
+from .transfer import build_transfer, symmetry_gap, transfer_spectrum, twisted_spectrum
+from .response import thermo_response
+from .stringorder import decay_channel, normalized_string, string_order_series
 
 __version__ = "0.1.0"

@@ -2,7 +2,7 @@
 
 Subcommands: ``sweep`` (phase-diagram grid to CSV/JSON), ``response``
 (single quantized-response diagnostic), ``string`` (string-order series
-with decay fit), ``verify`` (built-in check suite or generic model
+with its decay channel), ``verify`` (built-in check suite or generic model
 checks). Output is deterministic: floats print with 17 significant
 digits so repeated runs are byte-identical and JSON round-trips doubles
 without loss.
@@ -29,7 +29,7 @@ from .errors import (
 )
 from .model import _decode_array, build_aklt_model, load_model, spin1_operators
 from .response import finite_response, thermo_response
-from .stringorder import EARLY_WINDOW, decay_exponent, normalized_string, string_order_series
+from .stringorder import decay_channel, normalized_string, string_order_series
 from .transfer import symmetry_gap, twisted_spectrum
 from . import verify as _verify
 
@@ -39,6 +39,9 @@ EXIT_IO = 2
 EXIT_UNDEFINED = 3
 
 CSV_HEADER = "p,reQxz,imQxz,reQyz,imQyz,gap_z,abs_sn_x,abs_sn_y,xi_x,xi_y,flags"
+# A decay exponent that does not exist is flagged, not fatal: the string
+# vanishes, its channel is nilpotent, or no channel can be told apart.
+_NO_EXPONENT = (UndefinedExponentError, NearDefectiveError, GaplessTransferError)
 
 _CHI_BUILTIN = {"s0": "S_0", "sx": "S_x", "sy": "S_y", "sz": "S_z"}
 
@@ -146,12 +149,8 @@ def _sweep_row(p, n_sites, length, gap_tol):
             sn[tag] = nan
             flags.append(f"sn_{tag}_undefined")
         try:
-            thermo = string_order_series(
-                model, "R_z", chi, chi, range(EARLY_WINDOW[0], EARLY_WINDOW[1] + 1)
-            )
-            fit = decay_exponent(thermo, window=EARLY_WINDOW)
-            xi[tag] = fit.xi
-        except UndefinedExponentError:
+            xi[tag] = decay_channel(model, "R_z", chi, chi).xi
+        except _NO_EXPONENT:
             xi[tag] = nan
             flags.append(f"xi_{tag}_undefined")
 
@@ -261,14 +260,11 @@ def cmd_string(args):
     series = normalized_string(model, series)
 
     flags = []
-    fit = None
-    if len(series.lengths) >= 4:
-        try:
-            fit = decay_exponent(series, window=(args.l_min, args.l_max))
-        except UndefinedExponentError:
-            flags.append("xi_undefined")
-    else:
-        flags.append("fit_window_too_small")
+    try:
+        channel = decay_channel(model, g2, chi, chi)
+    except _NO_EXPONENT:
+        channel = None
+        flags.append("xi_undefined")
 
     rows = list(zip(series.lengths.tolist(), series.raw.tolist(), series.normalized.tolist()))
     if args.format == "json":
@@ -285,8 +281,8 @@ def cmd_string(args):
                 for l, v, w in rows
             ],
             "fit": None
-            if fit is None
-            else {"xi": fit.xi, "residual": fit.residual, "window": list(fit.window)},
+            if channel is None
+            else {"xi": channel.xi, "residual": channel.floor, "window": "spectrum"},
             "flags": flags,
         }
         text = json.dumps(payload, indent=2) + "\n"
@@ -296,10 +292,10 @@ def cmd_string(args):
             lines.append(
                 f"{int(l)},{_fmt(v.real)},{_fmt(v.imag)},{_fmt(w.real)},{_fmt(w.imag)}"
             )
-        if fit is not None:
+        if channel is not None:
             lines.append(
-                f"# xi={_fmt(fit.xi)} residual={_fmt(fit.residual)} "
-                f"window={fit.window[0]}:{fit.window[1]} flags={';'.join(flags)}"
+                f"# xi={_fmt(channel.xi)} residual={_fmt(channel.floor)} "
+                f"window=spectrum flags={';'.join(flags)}"
             )
         else:
             lines.append(f"# xi=nan residual=nan window=none flags={';'.join(flags)}")
@@ -363,7 +359,7 @@ def _build_parser():
     p_resp.add_argument("--json", action="store_true", help="machine-readable output")
     p_resp.set_defaults(func=cmd_response)
 
-    p_str = sub.add_parser("string", help="string order series with decay fit")
+    p_str = sub.add_parser("string", help="string order series with its decay exponent")
     _add_common(p_str)
     p_str.add_argument("--g2", required=True, help="string element")
     p_str.add_argument("--chi", required=True, help="endpoint: s0|sx|sy|sz or a JSON matrix path")

@@ -19,29 +19,34 @@ power from one table of repeated squarings with binary exponents
 (:class:`~weaksym.numerics.ScaledPowers`), all lengths at once: one stacked
 product per bit level, so a series of thousands of lengths costs about
 log2(N) numpy calls per map rather than a Python-level product per factor.
+
+The decay exponent is not fitted to a series. Expanding T(g2) in its own
+eigenpairs makes the thermodynamic string a finite sum of geometric channels,
+S(l) = sum_k c_k lambda_k^l, and :func:`decay_channel` reads the slowest
+channel with a nonzero amplitude off the memoised spectra of T(1) and T(g2).
+Whether that channel is lambda_0 itself is the selection rule: the
+normalized string is order one exactly when it is.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import GaplessTransferError, UndefinedExponentError
+from .errors import NearDefectiveError, UndefinedExponentError
 from .numerics import ScaledPowers, ldexp, rescale
-from .symmetry import endpoint_charge
-from .transfer import build_transfer, symmetry_gap, transfer_spectrum, twisted_spectrum
-from .response import GAP_TOL, _leading_pair, thermo_response
+from .transfer import build_transfer, transfer_spectrum, twisted_spectrum
+from .response import GAP_TOL, _leading_pair
 
-UNDERFLOW_FLOOR = 1e-280
-# A geometric series fits -ln|S| to a line at roundoff level; residuals far
-# above that mean the string cancelled and only noise is left in the window.
-NOISE_RESIDUAL = 1e-3
-DEFAULT_WINDOW = (20, 50)
-# The series are exactly geometric from l=0, but a late window drowns a
-# fast-decaying channel in 1e-16 cross-talk from slower ones: the S_x
-# signal decays as 3^-l while roundoff leaks the (4p-1)/3 channel, so for
-# p near 1 the default window is noise-dominated. This early window keeps
-# the fit clean in double precision at every grid p.
-EARLY_WINDOW = (4, 16)
+# Eigenvalues of T(g2) within this much of each other, relative to
+# |lambda_0|, are one channel: their amplitudes add.
+CLUSTER_TOL = 1e-12
+# A channel is live when its amplitude exceeds this share of the scale its
+# contraction works at. On the AKLT family live channels sit at 0.19 of
+# that scale or above and dead ones at 2.3e-28 or below (1,098 values of p).
+LIVE_TOL = 1e-10
+# A live channel this much below |lambda_0| is nilpotent: its eigenvalue is
+# zero up to roundoff, and -ln of it would be a number made of noise.
+NILPOTENT_TOL = 1e-13
 # A ring series builds its powers for a chunk of lengths at a time, each
 # chunk a few stacks of at most this many complex entries (16 MB apiece).
 MAX_STACK_ENTRIES = 2**20
@@ -77,31 +82,22 @@ class StringOrderSeries:
         return "ring" if self.n_sites is not None else "thermo"
 
 
-@dataclass
-class DecayFit:
-    """Least-squares decay exponent of -ln|S(l)| over a length window."""
+@dataclass(frozen=True)
+class DecayChannel:
+    """The slowest live geometric channel of a thermodynamic string.
 
-    xi: float
-    window: tuple
-    residual: float
-
-
-@dataclass
-class SelectionReport:
-    """Per-element selection-rule bookkeeping for one string observable.
-
-    ``channels`` lists (element, endpoint charge, flux response, match).
-    ``predicted`` is "order-one" when every channel matches, otherwise
-    "vanishing"; ``observed`` restates the measured normalized value at
-    the probe length; ``consistent`` ties the two together.
+    ``xi = -ln|eigenvalue|``; ``amplitude`` is its c summed over the
+    eigenvalue's cluster. ``floor`` is the largest dead amplitude relative
+    to the contraction scale (0 when every channel is live). ``order_one``
+    says whether the channel is the leading eigenvalue of T(g2), i.e. whether
+    the normalized string keeps an order-one plateau.
     """
 
-    predicted: str
-    observed: str
-    channels: list
-    probe_length: int
-    probe_value: float
-    consistent: bool
+    xi: float
+    eigenvalue: complex
+    amplitude: complex
+    floor: float
+    order_one: bool
 
 
 def string_order_series(model, g2, chi_l, chi_r, lengths, n_sites=None):
@@ -180,16 +176,6 @@ def string_order_series(model, g2, chi_l, chi_r, lengths, n_sites=None):
     )
 
 
-def string_order_ring(model, g2, chi_l, chi_r, length, n_sites):
-    """String order on a ring of n_sites with string length 0 <= l <= N-2."""
-    return complex(string_order_series(model, g2, chi_l, chi_r, [length], n_sites=n_sites).raw[0])
-
-
-def string_order_thermo(model, g2, chi_l, chi_r, length):
-    """String order in the thermodynamic limit at one string length."""
-    return complex(string_order_series(model, g2, chi_l, chi_r, [length]).raw[0])
-
-
 def normalized_string(model, series):
     """Divide out the uniform-charge envelope, length by length.
 
@@ -222,83 +208,64 @@ def normalized_string(model, series):
     return replace(series, normalized=normalized)
 
 
-def decay_exponent(series, window=DEFAULT_WINDOW):
-    """Fit -ln|S(l)| = xi * l + const over lengths inside ``window``.
+def decay_channel(model, g2, chi_l, chi_r):
+    """Decay exponent of the thermodynamic string, read off its channels.
 
-    Needs at least four points in the window; any |S| at or below the
-    underflow floor (1e-280) makes the exponent undefined, as does exact
-    cancellation to zero.  Cancellation does not always underflow: when the
-    amplitude of the decay channel vanishes the series is pure roundoff,
-    which shows up as a fit residual many orders above machine precision,
-    so residuals beyond ``NOISE_RESIDUAL`` are rejected too.
+    With (L0, R0) the leading pair of T(1) and (L_k, R_k) the biorthonormal
+    pairs of T(g2), S(l) = sum_k c_k lambda_k^l with
+
+        c_k = (L0 T_chiL R_k)(L_k T_chiR R0) / (L0 R0).
+
+    Amplitudes of equal eigenvalues (within ``CLUSTER_TOL`` |lambda_0|) are
+    summed, since an eigenspace may split one channel across vectors. A
+    cluster is live when |c| exceeds ``LIVE_TOL`` times the scale
+    |L0||T_chiL||T_chiR||R0| / |L0 R0| times the condition estimate of
+    T(g2)'s eigenvectors; the exponent is -ln|lambda| of the live cluster of
+    largest modulus. Both spectra are the memoised ones, so no new
+    eigendecomposition runs. A gapless T(g2) is fine: tied moduli give one
+    exponent either way.
+
+    Raises :class:`UndefinedExponentError` when no channel is live (the
+    string vanishes identically) or the live one is nilpotent, and
+    :class:`NearDefectiveError` when T(g2)'s eigenvectors cannot be paired.
     """
-    lo, hi = window
-    mask = (series.lengths >= lo) & (series.lengths <= hi)
-    lengths = series.lengths[mask]
-    values = np.abs(series.raw[mask])
-    if len(lengths) < 4:
-        raise ValueError(
-            f"need at least 4 points in window [{lo}, {hi}], have {len(lengths)}"
-        )
-    if np.any(values <= UNDERFLOW_FLOOR):
-        raise UndefinedExponentError(
-            "string order underflows (or cancels exactly) inside the fit window"
-        )
-    y = -np.log(values)
-    slope, intercept = np.polyfit(lengths, y, 1)
-    residual = float(np.max(np.abs(y - (slope * lengths + intercept))))
-    if residual > NOISE_RESIDUAL:
-        raise UndefinedExponentError(
-            "exponent undefined: exact cancellation leaves only roundoff in "
-            f"the fit window (log residual {residual:.2e})"
-        )
-    return DecayFit(
-        xi=float(slope),
-        window=(int(lengths.min()), int(lengths.max())),
-        residual=residual,
-    )
-
-
-def selection_classify(model, g2, chi_l, chi_r, probe_length=50, threshold=1e-3, gap_tol=GAP_TOL):
-    """Predict and measure whether a normalized string order is order one.
-
-    Prediction: for every non-identity group element g, the endpoint
-    charge e^{i phi(g)} of chi_R must equal the flux response
-    e^{i Q(g, g2)}. Measurement: the normalized thermodynamic string at
-    ``probe_length`` is compared against ``threshold``. Both endpoint
-    operators must carry definite charge under every element.
-    """
+    lpdo = model.lpdo
+    left, right, norm, _ = _leading_pair(transfer_spectrum(lpdo, np.eye(lpdo.d)), GAP_TOL, "of T(1)")
     spectrum = twisted_spectrum(model, g2)
-    if symmetry_gap(spectrum) <= gap_tol:
-        raise GaplessTransferError(f"T({g2}) is gapless; classification undefined")
-
-    chi_l = np.asarray(chi_l, dtype=complex)
-    chi_r = np.asarray(chi_r, dtype=complex)
-    identity = model.group.identity
+    if spectrum.near_defective:
+        raise NearDefectiveError(f"transfer spectrum of T({g2}) is near-defective")
+    tl = build_transfer(lpdo, chi_l)
+    tr = build_transfer(lpdo, chi_r)
+    scale = (
+        np.linalg.norm(left) * np.linalg.norm(tl) * np.linalg.norm(tr) * np.linalg.norm(right)
+        / abs(norm) * spectrum.condition_estimate
+    )
+    if scale == 0:
+        raise UndefinedExponentError("string vanishes identically: an endpoint map is zero")
+    amplitudes = (left @ tl @ spectrum.right_vectors) * (spectrum.left_vectors @ tr @ right) / norm
+    eigenvalues = spectrum.eigenvalues
+    lam0 = abs(eigenvalues[0])
+    unassigned = np.ones(len(eigenvalues), dtype=bool)
     channels = []
-    all_match = True
-    for g in model.group.labels:
-        if g == identity:
-            continue
-        act = model.action(g)
-        endpoint_charge(chi_l, act)  # both endpoints must carry definite charge
-        phi = endpoint_charge(chi_r, act)
-        q = thermo_response(model, g, g2, gap_tol=gap_tol).value
-        match = bool(abs(phi - q) < 1e-6)
-        all_match = all_match and match
-        channels.append((g, phi, q, match))
-
-    series = string_order_series(model, g2, chi_l, chi_r, [probe_length])
-    series = normalized_string(model, series)
-    probe_value = float(abs(series.normalized[0]))
-
-    predicted = "order-one" if all_match else "vanishing"
-    observed = "order-one" if probe_value > threshold else "vanishing"
-    return SelectionReport(
-        predicted=predicted,
-        observed=observed,
-        channels=channels,
-        probe_length=int(probe_length),
-        probe_value=probe_value,
-        consistent=(predicted == observed),
+    for i in range(len(eigenvalues)):
+        if unassigned[i]:
+            members = unassigned & (np.abs(eigenvalues - eigenvalues[i]) <= CLUSTER_TOL * lam0)
+            unassigned &= ~members
+            channels.append((complex(eigenvalues[i]), complex(amplitudes[members].sum())))
+    threshold = LIVE_TOL * scale
+    live = [(lam, c) for lam, c in channels if abs(c) > threshold]
+    if not live:
+        raise UndefinedExponentError("string vanishes identically: no decay channel is live")
+    floor = max((abs(c) for _, c in channels if abs(c) <= threshold), default=0.0) / scale
+    lam, c = max(live, key=lambda channel: abs(channel[0]))
+    if abs(lam) <= NILPOTENT_TOL * lam0:
+        raise UndefinedExponentError(
+            f"string decays faster than any exponential: its live channel is nilpotent ({abs(lam):.1e})"
+        )
+    return DecayChannel(
+        xi=float(-np.log(abs(lam))),
+        eigenvalue=lam,
+        amplitude=c,
+        floor=float(floor),
+        order_one=bool(abs(abs(lam) - lam0) <= CLUSTER_TOL * lam0),
     )

@@ -41,6 +41,57 @@ def test_sweep_quantized_columns(capsys):
     assert abs(float(row[8]) - np.log(3)) < 1e-6  # xi_x
 
 
+def _closed_form_xi(p, tag):
+    return -np.log(abs(-1 / 3 if tag == "x" else (4 * p - 1) / 3))
+
+
+def test_sweep_exponents_on_101_points(capsys):
+    """Both exponents equal -ln|r| to 1e-12 wherever the string has a channel.
+
+    Refused only where they do not exist: S_y's channel is nilpotent at
+    p = 1/4 and both strings vanish at p = 1. At p = 1/2, where T(R_z) is
+    gapless, both channels have |r| = 1/3.
+    """
+    code, out, _ = run(capsys, "sweep", "--steps", "101")
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert len(rows) == 101
+    undefined = set()
+    for row in rows:
+        p, flags = float(row[0]), row[-1].split(";")
+        for tag, column in (("x", 8), ("y", 9)):
+            xi = float(row[column])
+            if f"xi_{tag}_undefined" in flags:
+                assert np.isnan(xi)
+                undefined.add((p, tag))
+            else:
+                assert xi == pytest.approx(_closed_form_xi(p, tag), rel=1e-12), (p, tag)
+    assert undefined == {(0.25, "y"), (1.0, "x"), (1.0, "y")}
+    half = next(row for row in rows if row[0] == "0.5")
+    assert float(half[8]) == pytest.approx(np.log(3), rel=1e-12)
+    assert float(half[9]) == pytest.approx(np.log(3), rel=1e-12)
+
+
+@pytest.mark.parametrize("p", ["0.2485", "0.2515"])
+def test_sweep_exponent_next_to_the_nilpotent_point(capsys, p):
+    """|r| = 0.002: a window fit loses this channel under roundoff, the spectrum does not."""
+    code, out, _ = run(capsys, "sweep", "--p", p)
+    row = out.strip().split("\n")[1].split(",")
+    assert code == 0 and "xi_y_undefined" not in row[-1]
+    assert float(row[9]) == pytest.approx(_closed_form_xi(float(p), "y"), rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_vanishing_strings_at_p1_warn_nothing(capsys):
+    code, out, err = run(capsys, "sweep", "--p", "1")
+    assert code == 0 and err == ""
+    assert "xi_x_undefined;xi_y_undefined" in out
+    for chi in ("sx", "sy"):
+        code, out, err = run(capsys, "string", "--p", "1", "--g2", "R_z", "--chi", chi, "--l-max", "5")
+        assert code == 0 and err == ""
+        assert out.strip().splitlines()[-1] == "# xi=nan residual=nan window=none flags=xi_undefined"
+
+
 def test_sweep_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(["sweep", "--steps", "4", "--out", str(a)]) == 0
@@ -147,7 +198,7 @@ def test_string_fit_footer(capsys):
     )
     assert code == 0
     footer = out.strip().splitlines()[-1]
-    assert footer.startswith("# xi=")
+    assert footer.startswith("# xi=") and "window=spectrum" in footer
     xi = float(footer.split()[1].split("=")[1])
     assert abs(xi - np.log(1.5)) < 1e-6
 
@@ -172,7 +223,7 @@ def test_string_ring_length_guard(capsys):
 
 
 def test_string_underflow_flagged_not_fatal(capsys):
-    """S_y vanishes identically at p=1/4; the fit is flagged, exit stays 0."""
+    """S_y's channel is nilpotent at p=1/4; the exponent is flagged, exit stays 0."""
     code, out, _ = run(
         capsys, "string", "--p", "0.25", "--g2", "R_z", "--chi", "sy",
         "--l-min", "10", "--l-max", "30",
@@ -190,6 +241,7 @@ def test_string_json_structure(capsys):
     assert doc["mode"] == "thermo"
     assert len(doc["rows"]) == 11
     assert abs(doc["fit"]["xi"] - np.log(1.5)) < 1e-6
+    assert doc["fit"]["window"] == "spectrum" and doc["fit"]["residual"] < 1e-20
 
 
 def test_string_chi_from_file(tmp_path, capsys):

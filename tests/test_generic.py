@@ -15,8 +15,9 @@ insertions.
 import numpy as np
 import pytest
 
-from weaksym.model import LpdoTensor, Model, build_aklt_model
+from weaksym.model import LpdoTensor, Model, build_aklt_model, spin1_operators
 from weaksym.response import ancilla_response, conservation_check, thermo_response
+from weaksym.stringorder import decay_channel
 from weaksym.symmetry import SymmetryAction, extract_virtual_rep, verify_transformation_law
 from weaksym.transfer import build_transfer
 
@@ -114,3 +115,16 @@ def test_thermo_response_reproduces_aklt(p, q_yz):
     assert res.valid and res.snapped is not None
     # the ancilla carries the rest of the cocycle -1
     assert abs(ancilla_response(model, "R_y", "R_z").value - (-q_yz)) < 1e-8
+
+
+@pytest.mark.parametrize("p", [0.3, 0.75])
+@pytest.mark.parametrize("alpha", ["S_0", "S_x", "S_y"])
+def test_decay_channel_reproduces_aklt(p, alpha):
+    """The random factor only adds dead channels: the exponent is the AKLT one."""
+    model, aklt, _ = generic_model(p)
+    chi = spin1_operators()[alpha]
+    generic = decay_channel(model, "R_z", chi, chi)
+    reference = decay_channel(aklt, "R_z", chi, chi)
+    assert generic.xi == pytest.approx(reference.xi, rel=1e-10)
+    assert generic.amplitude == pytest.approx(reference.amplitude, abs=1e-10)
+    assert generic.order_one == reference.order_one

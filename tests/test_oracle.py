@@ -14,7 +14,7 @@ from weaksym.oracle import (
     density_from_state,
     expectation,
 )
-from weaksym.stringorder import string_order_ring
+from weaksym.stringorder import string_order_series
 from weaksym.symmetry import SymmetryAction, extract_virtual_rep
 from weaksym.transfer import build_transfer, flux_operator
 from weaksym.verify import generic_model_checks
@@ -171,7 +171,7 @@ def test_string_matches_ring_contraction():
     uz = model.action("R_z").u
     sy = OPS["S_y"]
     dense = expectation(rho, [sy, uz, sy, np.eye(3)])
-    ring = string_order_ring(model, "R_z", sy, sy, 1, 4)
+    ring = string_order_series(model, "R_z", sy, sy, [1], n_sites=4).raw[0]
     assert abs(dense - ring) < 1e-10
 
 

@@ -1,17 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from weaksym.errors import GaplessTransferError, UndefinedExponentError
+from weaksym.errors import UndefinedExponentError
 from weaksym.model import build_aklt_model, spin1_operators
-from weaksym.stringorder import (
-    decay_exponent,
-    normalized_string,
-    selection_classify,
-    string_order_ring,
-    string_order_series,
-    string_order_thermo,
-)
+from weaksym.response import thermo_response
+from weaksym.stringorder import decay_channel, normalized_string, string_order_series
+from weaksym.symmetry import endpoint_charge
 from weaksym.transfer import build_transfer, transfer_spectrum, twisted_spectrum
+from weaksym.verify import decay_exponent
 
 OPS = spin1_operators()
 
@@ -32,7 +30,7 @@ ORACLE_N4_L1_P03 = {
 def test_ring_matches_frozen_oracle_values():
     model = build_aklt_model(0.3)
     for alpha, expected in ORACLE_N4_L1_P03.items():
-        value = string_order_ring(model, "R_z", OPS[alpha], OPS[alpha], 1, 4)
+        value = string_order_series(model, "R_z", OPS[alpha], OPS[alpha], [1], n_sites=4).raw[0]
         assert abs(value - expected) < 1e-11, alpha
 
 
@@ -45,7 +43,7 @@ def test_ring_asymptotic_closed_form_magnitude():
     """
     p, n, l = 0.3, 60, 20
     model = build_aklt_model(p)
-    value = string_order_ring(model, "R_z", OPS["S_x"], OPS["S_x"], l, n)
+    value = string_order_series(model, "R_z", OPS["S_x"], OPS["S_x"], [l], n_sites=n).raw[0]
     closed = amplitude(p) * ((-1 / 3) ** l + (-1 / 3) ** (n - l))
     assert abs(abs(value) - abs(closed)) / abs(closed) < 1e-6
 
@@ -53,14 +51,14 @@ def test_ring_asymptotic_closed_form_magnitude():
 def test_ring_rejects_string_longer_than_ring():
     model = build_aklt_model(0.3)
     with pytest.raises(ValueError):
-        string_order_ring(model, "R_z", OPS["S_y"], OPS["S_y"], 9, 10)
+        string_order_series(model, "R_z", OPS["S_y"], OPS["S_y"], [9], n_sites=10)
 
 
 def test_thermo_sy_closed_form_magnitude():
     p = 0.75
     model = build_aklt_model(p)
     for l in (5, 10, 30):
-        value = string_order_thermo(model, "R_z", OPS["S_y"], OPS["S_y"], l)
+        value = string_order_series(model, "R_z", OPS["S_y"], OPS["S_y"], [l]).raw[0]
         closed = amplitude(p) * ((-1 + 4 * p) / 3) ** l
         assert abs(abs(value) - abs(closed)) < 1e-10
 
@@ -69,14 +67,14 @@ def test_thermo_trivial_string_is_one():
     """chi = identity and g2 = identity reduce to the normalization itself."""
     model = build_aklt_model(0.3)
     for l in (0, 1, 7):
-        value = string_order_thermo(model, "1", OPS["S_0"], OPS["S_0"], l)
+        value = string_order_series(model, "1", OPS["S_0"], OPS["S_0"], [l]).raw[0]
         assert abs(value - 1) < 1e-12
 
 
 def test_ring_converges_to_thermo():
     model = build_aklt_model(0.3)
-    ring = string_order_ring(model, "R_z", OPS["S_y"], OPS["S_y"], 30, 200)
-    thermo = string_order_thermo(model, "R_z", OPS["S_y"], OPS["S_y"], 30)
+    ring = string_order_series(model, "R_z", OPS["S_y"], OPS["S_y"], [30], n_sites=200).raw[0]
+    thermo = string_order_series(model, "R_z", OPS["S_y"], OPS["S_y"], [30]).raw[0]
     assert abs(ring - thermo) < 1e-8
 
 
@@ -85,7 +83,8 @@ def test_series_modes_and_shapes():
     s = string_order_series(model, "R_z", OPS["S_y"], OPS["S_y"], range(3), n_sites=10)
     assert s.mode == "ring" and len(s.raw) == 3
     for l, v in zip(s.lengths, s.raw):
-        assert v == string_order_ring(model, "R_z", OPS["S_y"], OPS["S_y"], l, 10)
+        one = string_order_series(model, "R_z", OPS["S_y"], OPS["S_y"], [l], n_sites=10)
+        assert v == one.raw[0]
     s = string_order_series(model, "R_z", OPS["S_y"], OPS["S_y"], [0, 2])
     assert s.mode == "thermo" and s.n_sites is None
 
@@ -159,35 +158,52 @@ def test_decay_exponent_needs_window_points():
         decay_exponent(series, window=(0, 2))
 
 
-def test_selection_rule_high_noise_order_one():
-    report = selection_classify(build_aklt_model(0.8), "R_z", OPS["S_y"], OPS["S_y"])
-    assert report.predicted == "order-one"
-    assert report.observed == "order-one"
-    assert report.consistent
-    assert report.probe_value > 1e-3
-    charges = {g: phi for g, phi, _, _ in report.channels}
-    assert abs(charges["R_x"] - (-1)) < 1e-10
-    assert abs(charges["R_y"] - 1) < 1e-10
-    assert abs(charges["R_z"] - (-1)) < 1e-10
+# --- decay channels read off the spectrum -------------------------------------
+
+def _closed_form_xi(p, alpha):
+    return -np.log(abs(-1 / 3 if alpha == "S_x" else (4 * p - 1) / 3))
 
 
-def test_selection_rule_low_noise_vanishing():
-    report = selection_classify(build_aklt_model(0.2), "R_z", OPS["S_y"], OPS["S_y"])
-    assert report.predicted == "vanishing"
-    assert report.observed == "vanishing"
-    assert report.consistent
+@pytest.mark.parametrize("p", [0.0, 0.1, 0.2485, 0.2515, 0.3, 0.5, 0.6, 0.75, 0.9])
+@pytest.mark.parametrize("alpha", ["S_x", "S_y"])
+def test_decay_channel_closed_form(p, alpha):
+    """xi = -ln|r| with amplitude -(2(1-p)/3)^2, including the tied moduli at p = 1/2."""
+    channel = decay_channel(build_aklt_model(p), "R_z", OPS[alpha], OPS[alpha])
+    assert channel.xi == pytest.approx(_closed_form_xi(p, alpha), rel=1e-12)
+    assert channel.amplitude == pytest.approx(-amplitude(p), abs=1e-12)
+    assert channel.floor < 1e-20
 
 
-def test_selection_rule_trivial_endpoint_never_matches():
-    for p in (0.2, 0.8):
-        report = selection_classify(build_aklt_model(p), "R_z", OPS["S_0"], OPS["S_0"])
-        assert report.predicted == "vanishing"
-        assert report.consistent
+def test_decay_channel_sums_a_degenerate_eigenspace():
+    """At p = 0 the S_x amplitude (2/3)^2 is split across the triple -1/3 eigenvalue."""
+    channel = decay_channel(build_aklt_model(0.0), "R_z", OPS["S_x"], OPS["S_x"])
+    assert channel.eigenvalue == pytest.approx(-1 / 3, abs=1e-14)
+    assert channel.amplitude == pytest.approx(-4 / 9, abs=1e-14)
 
 
-def test_selection_rule_gapless_refuses():
-    with pytest.raises(GaplessTransferError):
-        selection_classify(build_aklt_model(0.5), "R_z", OPS["S_y"], OPS["S_y"])
+@pytest.mark.parametrize(
+    "p, alpha, reason",
+    [(0.25, "S_y", "nilpotent"), (1.0, "S_x", "no decay channel"), (1.0, "S_y", "endpoint map is zero")],
+)
+def test_decay_channel_refuses_undefined_exponents(p, alpha, reason):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UndefinedExponentError, match=reason):
+            decay_channel(build_aklt_model(p), "R_z", OPS[alpha], OPS[alpha])
+
+
+@pytest.mark.parametrize("p", [0.2, 0.8])
+@pytest.mark.parametrize("alpha", ["S_0", "S_x", "S_y"])
+def test_order_one_is_the_selection_rule(p, alpha):
+    """The channel is lambda_0 exactly when every endpoint charge equals its flux response."""
+    model = build_aklt_model(p)
+    chi = OPS[alpha]
+    matches = [
+        abs(endpoint_charge(chi, model.action(g)) - thermo_response(model, g, "R_z").value) < 1e-6
+        for g in model.group.labels
+        if g != model.group.identity
+    ]
+    assert decay_channel(model, "R_z", chi, chi).order_one == all(matches)
 
 
 # --- long series: running products, carried scale -------------------------------
@@ -243,7 +259,8 @@ def test_ring_series_values_equal_one_length_calls():
     series = string_order_series(model, "R_z", OPS["S_y"], OPS["S_y"], lengths, n_sites=1200)
     np.testing.assert_array_equal(series.lengths, lengths)
     for l, value in zip(lengths, series.raw):
-        assert value == string_order_ring(model, "R_z", OPS["S_y"], OPS["S_y"], l, 1200)
+        one = string_order_series(model, "R_z", OPS["S_y"], OPS["S_y"], [l], n_sites=1200)
+        assert value == one.raw[0]
 
 
 def test_ring_raw_bit_identical_to_matrix_power():
