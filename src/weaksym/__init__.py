@@ -26,8 +26,8 @@ from .errors import (
 from .numerics import ScaledPowers
 from .symmetry import VirtualRep
 from .model import LpdoTensor, Model, build_aklt_model, load_model, save_model
-from .transfer import build_transfer, symmetry_gap, transfer_spectrum, twisted_spectrum
+from .transfer import build_transfer, symmetry_gap, transfer_powers, transfer_spectrum, twisted_spectrum
 from .response import thermo_response
-from .stringorder import decay_channel, normalized_string, string_order_series
+from .stringorder import decay_channel, string_order_series
 
 __version__ = "0.1.0"

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .model import _decode_array, build_aklt_model, load_model, spin1_operators
 from .response import finite_response, thermo_response
-from .stringorder import decay_channel, normalized_string, string_order_series
+from .stringorder import decay_channel, string_order_series
 from .transfer import symmetry_gap, twisted_spectrum
 from . import verify as _verify
 
@@ -144,7 +144,7 @@ def _sweep_row(p, n_sites, length, gap_tol):
         chi = ops[f"S_{tag}"]
         try:
             ring = string_order_series(model, "R_z", chi, chi, [length], n_sites=n_sites)
-            sn[tag] = abs(normalized_string(model, ring).normalized[0])
+            sn[tag] = abs(ring.normalized[0])
         except ZeroDivisionError:
             sn[tag] = nan
             flags.append(f"sn_{tag}_undefined")
@@ -190,8 +190,6 @@ def _sweep_text(rows, fmt):
 
 
 def cmd_sweep(args):
-    if args.model != "aklt":
-        raise ValidationError("sweep varies p; only the parametric aklt family supports it")
     if args.p is not None:
         p_values = [args.p]
     elif args.steps < 1:
@@ -214,8 +212,6 @@ def cmd_response(args):
     model = _resolve_model(args)
     g1 = _group_label(model, args.g1, "--g1")
     g2 = _group_label(model, args.g2, "--g2")
-    if args.thermo and args.sites is not None:
-        raise ValidationError("choose one of --thermo and --sites")
     if args.sites is not None:
         result = finite_response(model, g1, g2, args.sites)
     else:
@@ -250,14 +246,11 @@ def cmd_string(args):
     chi = _resolve_chi(args.chi, model.lpdo.d)
     if args.l_min < 0 or args.l_max < args.l_min:
         raise ValidationError("need 0 <= l_min <= l_max")
-    if args.thermo and args.sites is not None:
-        raise ValidationError("choose one of --thermo and --sites")
     n_sites = args.sites
     if n_sites is not None and args.l_max > n_sites - 2:
         raise ValidationError("--l-max must be at most N-2 on a ring")
     lengths = range(args.l_min, args.l_max + 1)
     series = string_order_series(model, g2, chi, chi, lengths, n_sites=n_sites)
-    series = normalized_string(model, series)
 
     flags = []
     try:
@@ -329,18 +322,21 @@ def cmd_verify(args):
 
 # --- parser ------------------------------------------------------------------
 
-def _add_common(sub):
-    sub.add_argument("--model", default="aklt", help="built-in family id (aklt) or model JSON path")
+def _add_common(sub, model=True, tol=True):
+    """--model unless the command varies p, --p, and --tol if it reads a thermodynamic value."""
+    if model:
+        sub.add_argument("--model", default="aklt", help="built-in family id (aklt) or model JSON path")
     sub.add_argument("--p", type=float, default=None, help="noise rate for the built-in family")
-    sub.add_argument("--tol", type=float, default=1e-8, help="gap tolerance for thermodynamic quantities")
+    if tol:
+        sub.add_argument("--tol", type=float, default=1e-8, help="gap tolerance for thermodynamic quantities")
 
 
 def _build_parser():
     parser = _Parser(prog="weaksym", description="Quantized responses and string order of locally purified mixed states.")
     sub = parser.add_subparsers(dest="command", metavar="command", required=True)
 
-    p_sweep = sub.add_parser("sweep", help="phase-diagram grid over p, CSV or JSON")
-    _add_common(p_sweep)
+    p_sweep = sub.add_parser("sweep", help="phase-diagram grid over p of the aklt family, CSV or JSON")
+    _add_common(p_sweep, model=False)
     p_sweep.add_argument("--p-min", type=float, default=0.0)
     p_sweep.add_argument("--p-max", type=float, default=1.0)
     p_sweep.add_argument("--steps", type=int, default=11)
@@ -355,18 +351,16 @@ def _build_parser():
     p_resp.add_argument("--g1", required=True, help="flux element")
     p_resp.add_argument("--g2", required=True, help="charge element")
     p_resp.add_argument("--sites", type=int, default=None, help="finite ring length (default thermodynamic)")
-    p_resp.add_argument("--thermo", action="store_true", help="thermodynamic limit (the default)")
     p_resp.add_argument("--json", action="store_true", help="machine-readable output")
     p_resp.set_defaults(func=cmd_response)
 
     p_str = sub.add_parser("string", help="string order series with its decay exponent")
-    _add_common(p_str)
+    _add_common(p_str, tol=False)
     p_str.add_argument("--g2", required=True, help="string element")
     p_str.add_argument("--chi", required=True, help="endpoint: s0|sx|sy|sz or a JSON matrix path")
     p_str.add_argument("--l-min", type=int, default=0)
     p_str.add_argument("--l-max", type=int, default=50)
     p_str.add_argument("--sites", type=int, default=None, help="finite ring length (default thermodynamic)")
-    p_str.add_argument("--thermo", action="store_true", help="thermodynamic limit (the default)")
     p_str.add_argument("--out", default=None, help="output path (default stdout)")
     p_str.add_argument("--format", choices=("csv", "json"), default="csv")
     p_str.set_defaults(func=cmd_string)

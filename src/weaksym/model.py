@@ -273,16 +273,14 @@ class Model:
     """A purified site tensor bundled with its symmetry data.
 
     ``actions`` maps each group element label to its on-site
-    :class:`SymmetryAction`. ``channel`` and ``pure`` record the dilation
-    provenance when known (the built-in family keeps both; models loaded
-    from files may carry only the channel, or neither).
+    :class:`SymmetryAction`. ``channel`` records the dilated noise channel
+    when known (the built-in family keeps it; a model file may carry it).
     """
 
     lpdo: LpdoTensor
     group: GroupTable
     actions: dict
     channel: KrausChannel | None = None
-    pure: PureMpsTensor | None = None
 
     def action(self, g):
         try:
@@ -293,9 +291,8 @@ class Model:
 
 def build_aklt_model(p):
     """Decohered AKLT chain at noise rate p, with its Z2 x Z2 action."""
-    pure = aklt_tensor()
     channel = aklt_channel(p)
-    lpdo = dilate(pure, channel)
+    lpdo = dilate(aklt_tensor(), channel)
     group = aklt_group()
     ops = spin1_operators()
     actions = {}
@@ -303,7 +300,7 @@ def build_aklt_model(p):
         u = ops["S_0"] if g == "1" else ops[g]
         ua = solve_ancilla_rep(channel, u)
         actions[g] = SymmetryAction(element=g, u=u, ua=ua)
-    return Model(lpdo=lpdo, group=group, actions=actions, channel=channel, pure=pure)
+    return Model(lpdo=lpdo, group=group, actions=actions, channel=channel)
 
 
 # --- serialization ---------------------------------------------------------

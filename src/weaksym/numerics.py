@@ -256,15 +256,3 @@ class ScaledPowers:
                 mantissa[rows], exponent[rows] = r @ z, er + e
         return mantissa, exponent
 
-
-def matrix_power_trace(m, n):
-    """tr(m^n) for integer n >= 0 by repeated squaring.
-
-    Exact powering is used instead of spectral sums so the result is
-    well-defined for defective matrices too; n = 0 returns the dimension.
-    The power carries a binary exponent (:class:`ScaledPowers`): the trace
-    is that of plain repeated squaring wherever that stays clear of
-    subnormals, and elsewhere only the returned value itself can underflow.
-    """
-    mantissa, exponent = ScaledPowers(m).power(n)
-    return complex(ldexp(np.trace(mantissa), exponent))

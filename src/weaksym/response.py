@@ -17,9 +17,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import GaplessTransferError, NearDefectiveError, NonCommutingError
-from .numerics import ScaledPowers
 from .symmetry import cocycle_commutator, extract_virtual_rep
-from .transfer import build_transfer, flux_operator, symmetry_gap, transfer_spectrum, twisted_spectrum
+from .transfer import flux_operator, symmetry_gap, transfer_powers, transfer_spectrum, twisted_spectrum
 
 SNAP_TOL = 1e-6
 GAP_TOL = 1e-8
@@ -76,7 +75,7 @@ def finite_response(model, g1, g2, n_sites):
     _require_commuting(model, g1, g2)
     rep1, _ = extract_virtual_rep(model.lpdo, model.action(g1))
     u2 = model.action(g2).u
-    power, _ = ScaledPowers(build_transfer(model.lpdo, u2)).power(int(n_sites))
+    power, _ = transfer_powers(model.lpdo, u2).power(int(n_sites))
     denominator = complex(np.trace(power))
     numerator = complex(np.trace(flux_operator(rep1.v) @ power))
     gap = symmetry_gap(transfer_spectrum(model.lpdo, u2))

@@ -10,15 +10,16 @@ eigenvector pair of T(1) and the string reduces to boundary vectors acting
 across T(g2)^l. The normalized order divides out the uniform-charge
 envelope so that an order-one plateau survives exactly when the endpoint
 charges of chi match the flux responses of the state, one group element at
-a time.
+a time. Every series comes normalized.
 
 A series over many lengths carries its scale instead of forming values that
 under- or overflow: the thermodynamic series is one running row vector
 x_{l+1} = x_l T(g2)/|lambda_0| across the lengths, and ring series take every
-power from one table of repeated squarings with binary exponents
-(:class:`~weaksym.numerics.ScaledPowers`), all lengths at once: one stacked
-product per bit level, so a series of thousands of lengths costs about
-log2(N) numpy calls per map rather than a Python-level product per factor.
+power, the envelope Tr T(g2)^N included, from the model's one table of
+repeated squarings per map (:func:`~weaksym.transfer.transfer_powers`), all
+lengths at once: one stacked product per bit level, so a series of thousands
+of lengths costs about log2(N) numpy calls per map rather than a
+Python-level product per factor.
 
 The decay exponent is not fitted to a series. Expanding T(g2) in its own
 eigenpairs makes the thermodynamic string a finite sum of geometric channels,
@@ -28,13 +29,13 @@ Whether that channel is lambda_0 itself is the selection rule: the
 normalized string is order one exactly when it is.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NearDefectiveError, UndefinedExponentError
-from .numerics import ScaledPowers, ldexp, rescale
-from .transfer import build_transfer, transfer_spectrum, twisted_spectrum
+from .numerics import ldexp, rescale
+from .transfer import build_transfer, transfer_powers, transfer_spectrum, twisted_spectrum
 from .response import GAP_TOL, _leading_pair
 
 # Eigenvalues of T(g2) within this much of each other, relative to
@@ -57,13 +58,13 @@ class StringOrderSeries:
     """String order values over a range of string lengths.
 
     ``n_sites`` is the ring size, or None for the thermodynamic limit.
-    ``normalized`` stays None until :func:`normalized_string` fills it.
+    ``normalized`` is ``raw`` with the uniform-charge envelope divided out.
     The scale the evaluation carried is kept alongside ``raw``:
     ``raw = mantissa * base**lengths * 2**exponent``, where ``base`` is
-    |lambda_0(T(g2))| for a thermodynamic series (1 if that vanishes) and 1
-    on a ring, and ``exponent`` is an integer array (zero in the
-    thermodynamic limit). Where only the envelope is below the range of
-    doubles, ``raw`` underflows but ``mantissa`` does not.
+    |lambda_0(T(g2))| for a thermodynamic series and 1 on a ring, and
+    ``exponent`` is an integer array (zero in the thermodynamic limit).
+    Where only the envelope is below the range of doubles, ``raw``
+    underflows but ``mantissa`` and ``normalized`` do not.
     """
 
     g2: str
@@ -71,7 +72,7 @@ class StringOrderSeries:
     chi_r: np.ndarray
     lengths: np.ndarray
     raw: np.ndarray
-    normalized: np.ndarray | None
+    normalized: np.ndarray
     n_sites: int | None
     mantissa: np.ndarray
     base: float
@@ -111,26 +112,35 @@ def string_order_series(model, g2, chi_l, chi_r, lengths, n_sites=None):
 
     The thermodynamic series carries one boundary row vector from the
     shortest length to the longest, one vector-matrix product per length,
-    on T(g2)/|lambda_0|. A ring series takes T(g2)^l and T(1)^(N-l-2) from one
-    table of repeated squarings per map, stacked across lengths in chunks of
-    at most ``MAX_STACK_ENTRIES`` entries per stack. Each power is
+    on T(g2)/|lambda_0|. A ring series takes T(g2)^l and T(1)^(N-l-2) from
+    the memoised squaring tables of the two maps
+    (:func:`~weaksym.transfer.transfer_powers`), stacked across lengths in
+    chunks of at most ``MAX_STACK_ENTRIES`` entries per stack. Each power is
     bit-identical to ``np.linalg.matrix_power`` in the normal range, and each
     value depends only on (l, N).
+
+    ``normalized`` divides out the uniform-charge envelope: |lambda_0(T(g2))|^l
+    in the thermodynamic limit, where the carried mantissa is already the
+    normalized value, and |Tr[rho U_g2]|^{l/N} = |Tr T(g2)^N|^{l/N} on a ring,
+    taken from the table the series uses. Both work on the carried scale, not
+    on ``raw``, so neither the envelope nor the string underflows. Raises
+    ZeroDivisionError when the envelope vanishes: an exactly zero leading
+    eigenvalue or trace.
     """
     lengths = np.asarray(list(lengths), dtype=int)
     lpdo = model.lpdo
     eye = np.eye(lpdo.d)
-    t1 = build_transfer(lpdo, eye)
-    t2 = build_transfer(lpdo, model.action(g2).u)
+    u2 = model.action(g2).u
     tl = build_transfer(lpdo, chi_l)
     tr = build_transfer(lpdo, chi_r)
     if n_sites is None:
         if np.any(lengths < 0):
             raise ValueError(f"string length must be >= 0, got {lengths.min()}")
         left, right, norm, _ = _leading_pair(transfer_spectrum(lpdo, eye), GAP_TOL, "of T(1)")
-        lam0 = abs(twisted_spectrum(model, g2).eigenvalues[0])
-        base = float(lam0) if lam0 > 0 else 1.0
-        step = t2 / base
+        base = float(abs(twisted_spectrum(model, g2).eigenvalues[0]))
+        if base == 0.0:
+            raise ZeroDivisionError("leading twisted eigenvalue vanishes; normalization undefined")
+        step = build_transfer(lpdo, u2) / base
         x, end = left @ tl, tr @ right
         distinct, where = np.unique(lengths, return_inverse=True)
         rows = np.empty((len(distinct), len(x)), dtype=complex)
@@ -145,15 +155,20 @@ def string_order_series(model, g2, chi_l, chi_r, lengths, n_sites=None):
         mantissa = ((rows @ end) / norm)[where]
         exponent = np.zeros(len(lengths), dtype=int)
         raw = mantissa * base ** lengths.astype(float)
+        normalized = mantissa
     else:
         n_sites = int(n_sites)
         bad = (lengths < 0) | (lengths > n_sites - 2)
         if bad.any():
             raise ValueError(f"need 0 <= l <= N-2, got l={lengths[bad][0]}, N={n_sites}")
-        powers1, powers2 = ScaledPowers(t1), ScaledPowers(t2)
+        powers1, powers2 = transfer_powers(lpdo, eye), transfer_powers(lpdo, u2)
+        envelope, envelope_exp = powers2.power(n_sites)
+        charge = abs(complex(np.trace(envelope)))
+        if charge == 0.0:
+            raise ZeroDivisionError("Tr[rho U_g2] vanishes; normalization undefined")
         mantissa = np.empty(len(lengths), dtype=complex)
         exponent = np.empty(len(lengths), dtype=int)
-        step = max(1, MAX_STACK_ENTRIES // t1.size)
+        step = max(1, MAX_STACK_ENTRIES // tl.size)
         for at in range(0, len(lengths), step):
             chunk = slice(at, at + step)
             m2, e2 = rescale(*powers2.powers(lengths[chunk]))
@@ -162,50 +177,23 @@ def string_order_series(model, g2, chi_l, chi_r, lengths, n_sites=None):
             exponent[chunk] = e2 + e1
         base = 1.0
         raw = ldexp(mantissa, exponent)
+        # |Tr T^N|^{l/N} = charge^{l/N} 2^{envelope_exp l/N}: the integer part
+        # of the binary exponent is split off exactly and joins the series'.
+        shift, rest = np.divmod(envelope_exp * lengths, n_sites)
+        factors = charge ** (lengths / n_sites) * 2.0 ** (rest / n_sites)
+        normalized = ldexp(mantissa / factors, exponent - shift)
     return StringOrderSeries(
         g2=g2,
         chi_l=np.asarray(chi_l, dtype=complex),
         chi_r=np.asarray(chi_r, dtype=complex),
         lengths=lengths,
         raw=raw,
-        normalized=None,
+        normalized=normalized,
         n_sites=n_sites,
         mantissa=mantissa,
         base=base,
         exponent=exponent,
     )
-
-
-def normalized_string(model, series):
-    """Divide out the uniform-charge envelope, length by length.
-
-    Ring mode divides S(l) by |Tr[rho U_g2]|^{l/N}; thermodynamic mode by
-    |lambda_0(T(g2))|^l. Both work on the scale the series carried, not on
-    ``raw``, so neither the envelope nor the string underflows. Raises
-    ZeroDivisionError when the envelope vanishes: an exactly zero trace or
-    leading eigenvalue.
-    """
-    lengths = series.lengths
-    if series.n_sites is not None:
-        n_sites = series.n_sites
-        t2 = build_transfer(model.lpdo, model.action(series.g2).u)
-        power, charge_exp = ScaledPowers(t2).power(n_sites)
-        charge = abs(complex(np.trace(power)))
-        if charge == 0.0:
-            raise ZeroDivisionError("Tr[rho U_g2] vanishes; normalization undefined")
-        # |Tr T^N|^{l/N} = charge^{l/N} 2^{charge_exp l/N}: the integer part
-        # of the binary exponent is split off exactly and joins the series'.
-        shift, rest = np.divmod(charge_exp * lengths, n_sites)
-        factors = charge ** (lengths / n_sites) * 2.0 ** (rest / n_sites)
-        scaled = series.mantissa * series.base ** lengths.astype(float) / factors
-        normalized = ldexp(scaled, series.exponent - shift)
-    else:
-        lam0 = abs(twisted_spectrum(model, series.g2).eigenvalues[0])
-        if lam0 == 0.0:
-            raise ZeroDivisionError("leading twisted eigenvalue vanishes; normalization undefined")
-        scaled = series.mantissa * (series.base / lam0) ** lengths.astype(float)
-        normalized = ldexp(scaled, series.exponent)
-    return replace(series, normalized=normalized)
 
 
 def decay_channel(model, g2, chi_l, chi_r):

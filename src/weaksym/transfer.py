@@ -19,7 +19,7 @@ which is how :func:`weaksym.symmetry.extract_virtual_rep` reads V_g off.
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .numerics import _as_square, kron, spectral_decompose
+from .numerics import ScaledPowers, _as_square, kron, spectral_decompose
 
 
 def _insertion(m, name, leg, dim):
@@ -73,6 +73,18 @@ def transfer_spectrum(lpdo, op, op_a=None):
     return lpdo.memoised(
         ("spectrum",) + key, lambda: spectral_decompose(build_transfer(lpdo, op, op_a))
     )
+
+
+def transfer_powers(lpdo, op, op_a=None):
+    """Squaring table of T(op, op_a), built once per tensor and insertion pair.
+
+    The :class:`~weaksym.numerics.ScaledPowers` table is memoised next to the
+    map and its spectrum, so every ring trace Tr[X T^N] on one model, at any
+    N, squares the map at most once per bit level. This is the only place a
+    table is built.
+    """
+    op, op_a, key = _insertions(lpdo, op, op_a)
+    return lpdo.memoised(("powers",) + key, lambda: ScaledPowers(build_transfer(lpdo, op, op_a)))
 
 
 def flux_operator(v):

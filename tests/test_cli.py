@@ -110,11 +110,12 @@ def test_sweep_json_round_trip(capsys):
 
 
 def test_sweep_rejects_model_file(tmp_path, capsys):
+    """sweep varies p of the built-in family; it has no --model option."""
     path = tmp_path / "m.json"
     save_model(build_aklt_model(0.3), path)
     code, _, err = run(capsys, "sweep", "--model", str(path))
     assert code == 1
-    assert "aklt" in err
+    assert "unrecognized arguments: --model" in err
 
 
 def test_sweep_bad_out_path(capsys):
@@ -175,10 +176,27 @@ def test_response_requires_p(capsys):
 
 
 def test_response_mode_conflict(capsys):
+    """The thermodynamic limit is the default; there is no --thermo to conflict with --sites."""
     code, _, err = run(
         capsys, "response", "--p", "0.2", "--g1", "R_x", "--g2", "R_z", "--thermo", "--sites", "10"
     )
     assert code == 1
+    assert "unrecognized arguments: --thermo" in err
+
+
+@pytest.mark.parametrize(
+    "argv, removed",
+    [
+        (("sweep", "--steps", "1", "--model", "aklt"), "--model aklt"),
+        (("response", "--p", "0.2", "--g1", "R_x", "--g2", "R_z", "--thermo"), "--thermo"),
+        (("string", "--p", "0.2", "--g2", "R_z", "--chi", "sx", "--thermo"), "--thermo"),
+        (("string", "--p", "0.2", "--g2", "R_z", "--chi", "sx", "--tol", "1e-8"), "--tol 1e-8"),
+    ],
+)
+def test_options_that_did_nothing_are_usage_errors(capsys, argv, removed):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert f"unrecognized arguments: {removed}" in err
 
 
 @pytest.mark.parametrize("p", ["0.3", "0.75"])
@@ -220,6 +238,23 @@ def test_string_ring_length_guard(capsys):
     )
     assert code == 1
     assert "N-2" in err
+
+
+def test_string_vanishing_ring_envelope_exits_3(capsys):
+    """At p = 1/2, Tr T(R_z)^3 = 2(1/3)^3 + 2(-1/3)^3 is exactly 0: no normalization."""
+    code, out, err = run(
+        capsys, "string", "--p", "0.5", "--g2", "R_z", "--chi", "sx", "--sites", "3", "--l-max", "1"
+    )
+    assert code == 3 and out == ""
+    assert "Tr[rho U_g2] vanishes" in err
+
+
+def test_sweep_flags_vanishing_ring_envelope(capsys):
+    code, out, _ = run(capsys, "sweep", "--p", "0.5", "--sites", "3", "--string-length", "1")
+    row = out.strip().split("\n")[1].split(",")
+    assert code == 0
+    assert row[6] == row[7] == "nan"
+    assert row[-1].endswith("sn_x_undefined;sn_y_undefined")
 
 
 def test_string_underflow_flagged_not_fatal(capsys):

@@ -1,8 +1,8 @@
-"""Per-model memo of transfer maps, spectra and virtual representations.
+"""Per-model memo of transfer maps, spectra, squaring tables and virtual representations.
 
 Eigendecompositions are counted with a wrapper around ``np.linalg.eig`` as
 ``weaksym.numerics`` sees it; every spectrum in the package goes through
-that one call.
+that one call. Squaring tables are counted at ``ScaledPowers.__init__``.
 """
 
 import numpy as np
@@ -12,7 +12,7 @@ from test_generic import generic_model
 from weaksym import cli, numerics
 from weaksym.model import LpdoTensor, aklt_group, build_aklt_model
 from weaksym.symmetry import SymmetryAction, extract_virtual_rep
-from weaksym.transfer import build_transfer, transfer_spectrum
+from weaksym.transfer import build_transfer, transfer_powers, transfer_spectrum
 from weaksym.verify import generic_model_checks
 
 
@@ -39,6 +39,46 @@ def test_sweep_row_decomposes_at_most_four_maps(eig_calls):
     row = cli._sweep_row(0.3, 200, 50, 1e-8)
     assert not row["flags"]
     assert len(eig_calls) <= 4
+
+
+@pytest.fixture
+def power_tables(monkeypatch):
+    """A list of every ``ScaledPowers`` table built while the test runs."""
+    tables = []
+    init = numerics.ScaledPowers.__init__
+
+    def recording(self, m):
+        init(self, m)
+        tables.append(self)
+
+    monkeypatch.setattr(numerics.ScaledPowers, "__init__", recording)
+    return tables
+
+
+def test_sweep_row_builds_one_squaring_table_per_map(power_tables):
+    # Both ring strings and the envelope Tr T(R_z)^N share the tables of
+    # T(1) and T(R_z): squares up to 2^7 for N = 200 and N - l - 2 = 148.
+    cli._sweep_row(0.3, 200, 50, 1e-8)
+    model = build_aklt_model(0.3)
+    maps = [build_transfer(model.lpdo, op) for op in (np.eye(3), model.action("R_z").u)]
+    assert len(power_tables) == 2
+    assert {table._squares[0][0].tobytes() for table in power_tables} == {t.tobytes() for t in maps}
+    assert sum(len(table._squares) - 1 for table in power_tables) == 14
+
+
+def test_transfer_powers_are_memoised_and_bit_equal_to_a_fresh_model():
+    model, _, _ = generic_model(0.3)
+    lpdo = model.lpdo
+    act = model.action("R_z")
+    ns = [0, 1, 3, 50, 200, 2999]
+    for op, op_a in ((act.u, None), (act.u, act.ua), (np.eye(lpdo.d), None)):
+        table = transfer_powers(lpdo, op, op_a)
+        assert transfer_powers(lpdo, op, op_a) is table
+        fresh = transfer_powers(LpdoTensor(lpdo.tensor), op, op_a)
+        assert fresh is not table
+        for n in ns:
+            (m, e), (m0, e0) = table.power(n), fresh.power(n)
+            assert m.tobytes() == m0.tobytes() and e == e0
 
 
 def test_generic_checks_decompose_each_insertion_once(eig_calls):

@@ -6,7 +6,7 @@ import pytest
 from weaksym.errors import UndefinedExponentError
 from weaksym.model import build_aklt_model, spin1_operators
 from weaksym.response import thermo_response
-from weaksym.stringorder import decay_channel, normalized_string, string_order_series
+from weaksym.stringorder import decay_channel, string_order_series
 from weaksym.symmetry import endpoint_charge
 from weaksym.transfer import build_transfer, transfer_spectrum, twisted_spectrum
 from weaksym.verify import decay_exponent
@@ -93,7 +93,7 @@ def test_normalized_plateau_above_transition():
     for p in (0.6, 0.8, 0.9):
         model = build_aklt_model(p)
         series = string_order_series(model, "R_z", OPS["S_y"], OPS["S_y"], [50], n_sites=200)
-        value = abs(normalized_string(model, series).normalized[0])
+        value = abs(series.normalized[0])
         assert abs(value - amplitude(p)) < 1e-6
 
 
@@ -102,20 +102,19 @@ def test_normalized_vanishes_below_transition_and_for_sx():
         model = build_aklt_model(p)
         for alpha in ("S_x", "S_y"):
             series = string_order_series(model, "R_z", OPS[alpha], OPS[alpha], [50], n_sites=200)
-            assert abs(normalized_string(model, series).normalized[0]) < 1e-6
+            assert abs(series.normalized[0]) < 1e-6
     for p in (0.6, 0.9):
         model = build_aklt_model(p)
         series = string_order_series(model, "R_z", OPS["S_x"], OPS["S_x"], [50], n_sites=200)
-        assert abs(normalized_string(model, series).normalized[0]) < 1e-6
+        assert abs(series.normalized[0]) < 1e-6
 
 
 def test_normalized_thermo_uses_leading_eigenvalue():
     p = 0.8
     model = build_aklt_model(p)
     series = string_order_series(model, "R_z", OPS["S_y"], OPS["S_y"], [10, 20])
-    norm = normalized_string(model, series)
     lam0 = (4 * p - 1) / 3
-    for l, raw, scaled in zip(norm.lengths, norm.raw, norm.normalized):
+    for l, raw, scaled in zip(series.lengths, series.raw, series.normalized):
         assert abs(scaled - raw / lam0 ** l) < 1e-12
 
 
@@ -230,9 +229,7 @@ def test_thermo_normalized_closed_form_to_l_2000(p, alpha):
     """
     model = build_aklt_model(p)
     lengths = np.arange(2001)
-    series = normalized_string(
-        model, string_order_series(model, "R_z", OPS[alpha], OPS[alpha], lengths)
-    )
+    series = string_order_series(model, "R_z", OPS[alpha], OPS[alpha], lengths)
     expected = _thermo_closed_form(p, alpha, lengths)
     assert np.all(np.isfinite(series.normalized)) and np.all(np.isfinite(series.raw))
     np.testing.assert_allclose(series.normalized.real, expected, rtol=1e-10, atol=1e-15)
@@ -245,9 +242,7 @@ def test_ring_plateau_on_3000_sites():
     """S_y plateau (2(1-p)/3)^2 on N = 3000, where Tr T(R_z)^N is about 1e-528."""
     p = 0.75
     model = build_aklt_model(p)
-    series = normalized_string(
-        model, string_order_series(model, "R_z", OPS["S_y"], OPS["S_y"], range(1001), n_sites=3000)
-    )
+    series = string_order_series(model, "R_z", OPS["S_y"], OPS["S_y"], range(1001), n_sites=3000)
     assert np.all(np.isfinite(series.normalized))
     assert np.abs(np.abs(series.normalized) - amplitude(p)).max() < 1e-12
 

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from test_numerics import power_trace
 from weaksym.errors import DimensionMismatchError
 from weaksym.model import build_aklt_model
-from weaksym.numerics import matrix_power_trace, spectral_decompose
+from weaksym.numerics import spectral_decompose
 from weaksym.oracle import contract_full, density_from_state, expectation
 from weaksym.symmetry import VirtualRep, extract_virtual_rep
 from weaksym.transfer import (
@@ -125,7 +126,7 @@ def test_uniform_charge_identity_closed_form():
     model = build_aklt_model(0.3)
     t1 = build_transfer(model.lpdo, np.eye(3))
     for n in (1, 2, 3, 10, 51):
-        assert abs(matrix_power_trace(t1, n) - (1 + 3 * (-1 / 3) ** n)) < 1e-12
+        assert abs(power_trace(t1, n) - (1 + 3 * (-1 / 3) ** n)) < 1e-12
     # leading eigenvalue 1 for the untwisted matrix: the charge does not decay
     assert abs(-np.log(abs(twisted_spectrum(model, "1").eigenvalues[0]))) < 1e-12
 
@@ -133,7 +134,7 @@ def test_uniform_charge_identity_closed_form():
 def test_uniform_charge_single_site_is_transfer_trace():
     p = 0.45
     model = build_aklt_model(p)
-    value = matrix_power_trace(build_transfer(model.lpdo, model.action("R_z").u), 1)
+    value = power_trace(build_transfer(model.lpdo, model.action("R_z").u), 1)
     expected = (3 - 4 * p) / 3 + (-1 + 4 * p) / 3 + 2 * (-1 / 3)
     assert abs(value - expected) < 1e-13
 
