@@ -47,29 +47,6 @@ def spin1_operators():
     return ops
 
 
-@dataclass
-class PureMpsTensor:
-    """Pure MPS site tensor, indexed [physical, left virtual, right virtual]."""
-
-    tensor: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.tensor, dtype=complex)
-        if t.ndim != 3 or t.shape[1] != t.shape[2]:
-            raise DimensionMismatchError(f"pure tensor must be (d, D, D), got {t.shape}")
-        if not np.all(np.isfinite(t)):
-            raise ValidationError("tensor: entries must be finite")
-        self.tensor = t
-
-    @property
-    def d(self):
-        return self.tensor.shape[0]
-
-    @property
-    def bond_dim(self):
-        return self.tensor.shape[1]
-
-
 @dataclass(frozen=True, eq=False)
 class LpdoTensor:
     """Locally purified site tensor, indexed [physical, ancilla, left, right].
@@ -139,21 +116,21 @@ class KrausChannel:
         s = np.einsum("aji,ajk->ik", self.kraus.conj(), self.kraus)
         return float(np.linalg.norm(s - np.eye(self.d)))
 
-    def validate(self, tol=1e-12, path="channel"):
+    def validate(self, tol=1e-12):
         defect = self.completeness_defect()
         if defect > tol:
-            raise ValidationError(f"{path}.kraus: not trace preserving (defect {defect:.3e})")
-        if self.p is not None and not 0.0 <= self.p <= 1.0:
-            raise ValidationError(f"{path}.p: expected 0 <= p <= 1, got {self.p}")
+            raise ValidationError(f"channel.kraus: not trace preserving (defect {defect:.3e})")
+        if self.p is not None and not (isinstance(self.p, (int, float)) and 0.0 <= self.p <= 1.0):
+            raise ValidationError(f"channel.p: expected 0 <= p <= 1, got {self.p}")
 
 
 def aklt_tensor():
-    """Bond-dimension-2 AKLT site tensor (left-canonical normalization)."""
+    """Bond-dimension-2 AKLT site tensor A0[m, x, y] (left-canonical normalization)."""
     a = np.zeros((3, 2, 2), dtype=complex)
     a[0] = np.sqrt(2.0 / 3.0) * np.array([[0, 1], [0, 0]])   # m = -1
     a[1] = -np.sqrt(1.0 / 3.0) * np.array([[1, 0], [0, -1]])  # m = 0
     a[2] = -np.sqrt(2.0 / 3.0) * np.array([[0, 0], [1, 0]])   # m = +1
-    return PureMpsTensor(a)
+    return a
 
 
 def aklt_channel(p):
@@ -177,22 +154,22 @@ def aklt_channel(p):
 
 
 def dilate(pure, channel):
-    """Stinespring dilation of a channel applied to every site of a pure MPS.
+    """Stinespring dilation of a channel applied to every site of a pure MPS A0[j, x, y].
 
     A[i, a] = sum_j K_a[i, j] A0[j]; the ancilla dimension equals the
     number of Kraus operators (zero operators keep their slot, so the
     ancilla dimension does not jump across parameter values where some
     Kraus operators vanish).
     """
-    if channel.d != pure.d:
+    if channel.d != pure.shape[0]:
         raise DimensionMismatchError(
-            f"channel acts on d={channel.d}, tensor has d={pure.d}"
+            f"channel acts on d={channel.d}, tensor has d={pure.shape[0]}"
         )
-    a4 = np.einsum("aij,jxy->iaxy", channel.kraus, pure.tensor)
+    a4 = np.einsum("aij,jxy->iaxy", channel.kraus, pure)
     return LpdoTensor(a4)
 
 
-def solve_ancilla_rep(channel, u, tol=1e-10):
+def solve_ancilla_rep(channel, u):
     """Ancilla-leg unitary induced by a channel-covariant physical unitary.
 
     Solves u K_a u^dag = sum_b c[a, b] K_b for the covariance coefficients,
@@ -225,7 +202,7 @@ def solve_ancilla_rep(channel, u, tol=1e-10):
     c_live, *_ = np.linalg.lstsq(kmat.T, target.T, rcond=None)
     c_live = c_live.T
     residual = np.linalg.norm(c_live @ kmat - target) / np.linalg.norm(target)
-    if residual > tol:
+    if residual > 1e-10:
         raise CovarianceError(f"channel is not covariant under u (residual {residual:.3e})")
 
     c = np.eye(n, dtype=complex)
@@ -369,6 +346,8 @@ def load_model(path):
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"file: not valid JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise ValidationError("file: expected a JSON object")
 
     for field in ("d", "da", "D", "tensor", "group", "actions"):
         if field not in doc:
@@ -380,16 +359,17 @@ def load_model(path):
     if min(d, da, dv) < 1:
         raise ValidationError("d/da/D: dimensions must be positive")
 
-    tensor = _decode_array(doc["tensor"], (d, da, dv, dv), "tensor")
-    if not np.all(np.isfinite(tensor)):
-        raise ValidationError("tensor: entries must be finite")
-    lpdo = LpdoTensor(tensor)
+    lpdo = LpdoTensor(_decode_array(doc["tensor"], (d, da, dv, dv), "tensor"))
 
     grp = doc["group"]
     if not isinstance(grp, dict) or "elements" not in grp or "table" not in grp:
         raise ValidationError("group: expected an object with elements and table")
+    if not isinstance(grp["elements"], list) or any(isinstance(g, (list, dict)) for g in grp["elements"]):
+        raise ValidationError("group.elements: expected a list of labels")
+    if not isinstance(grp["table"], list) or not all(isinstance(r, list) for r in grp["table"]):
+        raise ValidationError("group.table: expected a list of rows")
     group = GroupTable(tuple(grp["elements"]), tuple(tuple(r) for r in grp["table"]))
-    group.validate(path="group")
+    group.validate()
 
     actions = {}
     if not isinstance(doc["actions"], list):
@@ -413,13 +393,10 @@ def load_model(path):
     channel = None
     if "channel" in doc:
         ch = doc["channel"]
-        if not isinstance(ch, dict) or "kraus" not in ch:
+        if not isinstance(ch, dict) or not isinstance(ch.get("kraus"), list):
             raise ValidationError("channel: expected an object with a kraus list")
-        kraus_raw = np.asarray(ch["kraus"], dtype=float)
-        if kraus_raw.ndim != 4 or kraus_raw.shape[1:] != (d, d, 2):
-            raise ValidationError(f"channel.kraus: expected shape (n, {d}, {d}, 2)")
-        kraus = kraus_raw[..., 0] + 1j * kraus_raw[..., 1]
+        kraus = _decode_array(ch["kraus"], (len(ch["kraus"]), d, d), "channel.kraus")
         channel = KrausChannel(kraus, p=ch.get("p"))
-        channel.validate(tol=1e-9, path="channel")
+        channel.validate(tol=1e-9)
 
     return Model(lpdo=lpdo, group=group, actions=actions, channel=channel)

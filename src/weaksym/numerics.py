@@ -14,7 +14,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
 
-DEFAULT_TOL = 1e-10
+# Largest certified pairing residual; 1/PAIRING_TOL bounds the eigenvector condition.
+PAIRING_TOL = 1e-10
 # A factor of a scaled product is rescaled by a power of two before it is
 # multiplied when the sum of its squared moduli leaves [2^-800, 2^800], so
 # no product of two factors leaves the normal range of doubles.
@@ -25,28 +26,15 @@ _SQUARE_NORM_RANGE = (2.0**-800, 2.0**800)
 MIN_STACKED_POWERS = 12
 
 
-def _as_matrix(m, name="matrix"):
+def _as_square(m, name="matrix"):
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2:
         raise DimensionMismatchError(f"{name}: expected a 2D array, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValidationError(f"{name}: entries must be finite")
-    return m
-
-
-def _as_square(m, name="matrix"):
-    m = _as_matrix(m, name)
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"{name}: expected square, got shape {m.shape}")
     return m
-
-
-def kron(a, b):
-    """Kronecker product with shape and finiteness validation.
-
-    (p x q) kron (r x s) -> (p*r x q*s), row of `a` varying slowest.
-    """
-    return np.kron(_as_matrix(a, "a"), _as_matrix(b, "b"))
 
 
 @dataclass(frozen=True)
@@ -87,15 +75,15 @@ class Spectrum:
         return self.eigenvalues[0], self.left_vectors[0], self.right_vectors[:, 0]
 
 
-def spectral_decompose(m, tol=DEFAULT_TOL):
+def spectral_decompose(m):
     """Full dense eigendecomposition with deterministic ordering.
 
     Eigenvalues are sorted by (-|lambda|, -Re lambda, -Im lambda). Left
     eigenvectors are obtained by inverting the right eigenvector matrix,
     which makes the pairing (L_m | R_n) = delta_mn exact up to roundoff
     whenever the matrix is comfortably diagonalizable. If the right
-    eigenvector matrix has condition number above 1/tol the result is
-    flagged near-defective and the pairing is not certified.
+    eigenvector matrix has condition number above 1/``PAIRING_TOL`` (1e10)
+    the result is flagged near-defective and the pairing is not certified.
     """
     m = _as_square(m)
     w, r = np.linalg.eig(m)
@@ -106,7 +94,7 @@ def spectral_decompose(m, tol=DEFAULT_TOL):
 
     with np.errstate(all="ignore"):
         cond = float(np.linalg.cond(r))
-    near_defective = (not np.isfinite(cond)) or cond > 1.0 / tol
+    near_defective = (not np.isfinite(cond)) or cond > 1.0 / PAIRING_TOL
 
     try:
         left = np.linalg.inv(r)
@@ -115,7 +103,7 @@ def spectral_decompose(m, tol=DEFAULT_TOL):
         near_defective = True
 
     residual = float(np.max(np.abs(left @ r - np.eye(len(w)))))
-    biorthonormal = bool(residual < DEFAULT_TOL and not near_defective)
+    biorthonormal = bool(residual < PAIRING_TOL and not near_defective)
     for a in (w, r, left):
         a.flags.writeable = False
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import GaplessTransferError, NearDefectiveError, NonCommutingError
+from .errors import GaplessTransferError, NearDefectiveError, NonCommutingError, ValidationError
 from .symmetry import cocycle_commutator, extract_virtual_rep
 from .transfer import flux_operator, symmetry_gap, transfer_powers, transfer_spectrum, twisted_spectrum
 
@@ -44,12 +44,12 @@ class ResponseResult:
     valid: bool
 
 
-def snap_root_of_unity(value, order, tol=SNAP_TOL):
-    """Nearest k/order with |value - e^{2 pi i k / order}| < tol, else None."""
+def snap_root_of_unity(value, order):
+    """Nearest k/order with |value - e^{2 pi i k / order}| < ``SNAP_TOL``, else None."""
     if not np.isfinite(value.real) or not np.isfinite(value.imag):
         return None
     best = None
-    best_dist = tol
+    best_dist = SNAP_TOL
     for k in range(int(order)):
         root = np.exp(2j * np.pi * k / order)
         dist = abs(value - root)
@@ -71,7 +71,10 @@ def finite_response(model, g1, g2, n_sites):
     carries a binary exponent that cancels in the ratio, so the traces never
     underflow; the result is flagged invalid (value NaN) only when the
     denominator trace is exactly zero. g1 = identity returns exactly 1.
+    A ring of fewer than 1 site raises :class:`ValidationError`.
     """
+    if n_sites < 1:
+        raise ValidationError(f"a ring needs at least 1 site, got N={n_sites}")
     _require_commuting(model, g1, g2)
     rep1, _ = extract_virtual_rep(model.lpdo, model.action(g1))
     u2 = model.action(g2).u
@@ -136,12 +139,6 @@ def flux_response(model, flux, g2, gap_tol=GAP_TOL):
     return _pair_value(twisted_spectrum(model, g2), flux_operator(flux), gap_tol, f"for {g2!r}")
 
 
-def _ancilla_flux_response(model, flux, g2, gap_tol):
-    """:func:`flux_response` on T(1, ua_g2): the insertion sits on the ancilla leg."""
-    spectrum = transfer_spectrum(model.lpdo, np.eye(model.lpdo.d), model.action(g2).ua)
-    return _pair_value(spectrum, flux_operator(flux), gap_tol, f"for {g2!r} on the ancilla")
-
-
 def _thermo_result(model, g1, value, gap):
     valid = bool(abs(abs(value) - 1.0) <= 1e-8)
     return ResponseResult(
@@ -166,31 +163,23 @@ def thermo_response(model, g1, g2, gap_tol=GAP_TOL):
     return _thermo_result(model, g1, *flux_response(model, rep1.v, g2, gap_tol=gap_tol))
 
 
-def ancilla_response(model, g1, g2, gap_tol=GAP_TOL):
-    """Ancilla share of the response: ua_g2 inserted on the ancilla leg.
-
-    Same flux and eigenvector pair as :func:`thermo_response`, but on the
-    transfer map T(1, ua_g2) with the physical leg traced through. A
-    trivial ancilla action gives 1 identically.
-    """
-    _require_commuting(model, g1, g2)
-    rep1, _ = extract_virtual_rep(model.lpdo, model.action(g1))
-    return _thermo_result(model, g1, *_ancilla_flux_response(model, rep1.v, g2, gap_tol))
-
-
 def conservation_check(model, g1, g2):
     """Residual of e^{i Q_t} = e^{i Q} * e^{i Q_a}.
 
     The total (cocycle) charge of the purified state splits between the
     physical and ancilla responses. Returns
     ``(residual, total, physical, ancilla)`` where ``total`` is the
-    commutator phase of the extracted virtual representations.
+    commutator phase of the extracted virtual representations, ``physical``
+    the :func:`thermo_response`, and ``ancilla`` the same contraction on
+    T(1, ua_g2), with ua_g2 on the ancilla leg (1 for a trivial ua_g2).
     """
     _require_commuting(model, g1, g2)
     rep1, _ = extract_virtual_rep(model.lpdo, model.action(g1))
     rep2, _ = extract_virtual_rep(model.lpdo, model.action(g2))
     total = cocycle_commutator(rep1, rep2)
     physical = _thermo_result(model, g1, *flux_response(model, rep1.v, g2))
-    ancilla = _thermo_result(model, g1, *_ancilla_flux_response(model, rep1.v, g2, GAP_TOL))
+    spectrum = transfer_spectrum(model.lpdo, np.eye(model.lpdo.d), model.action(g2).ua)
+    value, gap = _pair_value(spectrum, flux_operator(rep1.v), GAP_TOL, f"for {g2!r} on the ancilla")
+    ancilla = _thermo_result(model, g1, value, gap)
     residual = abs(total - physical.value * ancilla.value)
     return float(residual), total, physical, ancilla

@@ -26,6 +26,9 @@ from .errors import (
 from .numerics import _as_square
 from .transfer import _insertions, transfer_spectrum
 
+# Tolerance of the modulus tests and the push-through residual of extract_virtual_rep.
+REP_TOL = 1e-8
+
 
 def unitarity_defect(m):
     """Frobenius norm of m m^dag - 1."""
@@ -51,30 +54,30 @@ class GroupTable:
         g.validate()
         return g
 
-    def validate(self, path="group"):
+    def validate(self):
         labels = self.labels
         n = len(labels)
         if len(set(labels)) != n or n == 0:
-            raise ValidationError(f"{path}.elements: labels must be nonempty and unique")
+            raise ValidationError("group.elements: labels must be nonempty and unique")
         if len(self.table) != n or any(len(row) != n for row in self.table):
-            raise ValidationError(f"{path}.table: expected a {n}x{n} table")
+            raise ValidationError(f"group.table: expected a {n}x{n} table")
         for i, row in enumerate(self.table):
             for j, lab in enumerate(row):
                 if lab not in labels:
-                    raise ValidationError(f"{path}.table[{i}][{j}]: unknown label {lab!r}")
+                    raise ValidationError(f"group.table[{i}][{j}]: unknown label {lab!r}")
         # unique two-sided identity
         ids = [g for g in labels if all(self.multiply(g, h) == h and self.multiply(h, g) == h for h in labels)]
         if len(ids) != 1:
-            raise ValidationError(f"{path}.table: expected exactly one identity, found {ids}")
+            raise ValidationError(f"group.table: expected exactly one identity, found {ids}")
         e = ids[0]
         for g in labels:
             if sum(1 for h in labels if self.multiply(g, h) == e) != 1:
-                raise ValidationError(f"{path}.table: element {g!r} lacks a unique inverse")
+                raise ValidationError(f"group.table: element {g!r} lacks a unique inverse")
         for a in labels:
             for b in labels:
                 for c in labels:
                     if self.multiply(self.multiply(a, b), c) != self.multiply(a, self.multiply(b, c)):
-                        raise ValidationError(f"{path}.table: not associative at ({a!r}, {b!r}, {c!r})")
+                        raise ValidationError(f"group.table: not associative at ({a!r}, {b!r}, {c!r})")
 
     def index(self, g):
         try:
@@ -114,17 +117,16 @@ class GroupTable:
 
 @dataclass(frozen=True)
 class SymmetryAction:
-    """On-site action of one group element: physical u, ancilla ua, phase theta."""
+    """On-site action of one group element: physical u and ancilla ua."""
 
     element: str
     u: np.ndarray
     ua: np.ndarray
-    theta: float = 0.0
 
-    def validate(self, tol=1e-10, path="action"):
+    def validate(self, path="action"):
         for name, m in (("u", self.u), ("ua", self.ua)):
             defect = unitarity_defect(m)
-            if defect > tol:
+            if defect > 1e-10:
                 raise ValidationError(f"{path}.{name}: not unitary (defect {defect:.3e})")
 
 
@@ -142,14 +144,14 @@ class VirtualRep:
     residual: float | None = None
 
 
-def verify_transformation_law(lpdo, act, rep, theta=None):
+def verify_transformation_law(lpdo, act, rep, theta):
     """Residual of the virtual-leg push-through relation.
 
     Returns the Frobenius norm, over all physical/ancilla indices, of
 
-        sum_{i',a'} u[i,i'] ua[a,a'] A[i',a'] - e^{i theta} V A[i,a] V^dag.
+        sum_{i',a'} u[i,i'] ua[a,a'] A[i',a'] - e^{i theta} V A[i,a] V^dag,
 
-    ``theta`` defaults to ``act.theta``.
+    with ``theta`` the phase :func:`extract_virtual_rep` returns.
     """
     a4 = lpdo.tensor
     u = _as_square(act.u, "u")
@@ -162,15 +164,13 @@ def verify_transformation_law(lpdo, act, rep, theta=None):
         raise DimensionMismatchError(f"ua is {ua.shape[0]}x{ua.shape[0]}, tensor has da={da}")
     if v.shape[0] != dv:
         raise DimensionMismatchError(f"v is {v.shape[0]}x{v.shape[0]}, tensor has D={dv}")
-    if theta is None:
-        theta = act.theta
     # i,a: outer physical/ancilla; x,y: virtual
     lhs = np.einsum("ij,ab,jbxy->iaxy", u, ua, a4)
     rhs = np.exp(1j * theta) * np.einsum("xp,iapq,yq->iaxy", v, a4, v.conj())
     return float(np.linalg.norm(lhs - rhs))
 
 
-def extract_virtual_rep(lpdo, act, tol=1e-8):
+def extract_virtual_rep(lpdo, act):
     """Recover the virtual representation V_g and phase theta_g of a symmetry.
 
     The leading right eigenvector of T(u_g, ua_g), reshaped to a D x D
@@ -185,23 +185,23 @@ def extract_virtual_rep(lpdo, act, tol=1e-8):
     degenerate in modulus (non-injective tensor), and
     :class:`NotSymmetricError` if the twisted leading modulus deviates from
     the untwisted one (tensor not symmetric under this action) or the
-    recovered pair fails the transformation law.
+    recovered pair fails the transformation law (both at ``REP_TOL``).
 
-    The result is memoised on ``lpdo``, keyed by the element label, u_g,
-    ua_g and ``tol``; a failed extraction is not stored.
+    The result is memoised on ``lpdo``, keyed by the element label, u_g and
+    ua_g; a failed extraction is not stored.
     """
     _, _, insertion = _insertions(lpdo, act.u, act.ua)
-    key = ("rep", act.element, tol) + insertion
-    return lpdo.memoised(key, lambda: _extract_virtual_rep(lpdo, act, tol))
+    key = ("rep", act.element) + insertion
+    return lpdo.memoised(key, lambda: _extract_virtual_rep(lpdo, act))
 
 
-def _extract_virtual_rep(lpdo, act, tol):
+def _extract_virtual_rep(lpdo, act):
     dv = lpdo.bond_dim
     ref = transfer_spectrum(lpdo, np.eye(lpdo.d))
     if ref.near_defective:
         raise NearDefectiveError("untwisted transfer map is near-defective")
     mods = np.abs(ref.eigenvalues)
-    if dv * dv > 1 and mods[0] - mods[1] <= tol * max(1.0, mods[0]):
+    if dv * dv > 1 and mods[0] - mods[1] <= REP_TOL * max(1.0, mods[0]):
         raise DegenerateSpectrumError(
             f"leading transfer eigenvalue degenerate in modulus (gap {mods[0] - mods[1]:.3e})"
         )
@@ -209,7 +209,7 @@ def _extract_virtual_rep(lpdo, act, tol):
 
     twisted = transfer_spectrum(lpdo, act.u, act.ua)
     lam = twisted.eigenvalues[0]
-    if abs(abs(lam) - abs(lam_ref)) > tol * max(1.0, abs(lam_ref)):
+    if abs(abs(lam) - abs(lam_ref)) > REP_TOL * max(1.0, abs(lam_ref)):
         raise NotSymmetricError(
             f"tensor not symmetric under {act.element!r}: twisted leading modulus "
             f"{abs(lam):.12f} vs {abs(lam_ref):.12f}"
@@ -229,7 +229,7 @@ def _extract_virtual_rep(lpdo, act, tol):
     theta = float(np.angle(lam / lam_ref))
     rep = VirtualRep(element=act.element, v=v)
     residual = verify_transformation_law(lpdo, act, rep, theta=theta)
-    if residual > tol:
+    if residual > REP_TOL:
         raise NotSymmetricError(
             f"extracted representation for {act.element!r} fails the transformation "
             f"law (residual {residual:.3e})"
@@ -237,7 +237,7 @@ def _extract_virtual_rep(lpdo, act, tol):
     return replace(rep, residual=residual), theta
 
 
-def cocycle_commutator(rep1, rep2, tol=1e-8):
+def cocycle_commutator(rep1, rep2):
     """Projective phase e^{i Q_t} from the group commutator of two virtual reps.
 
     Computes M = V1 V2 V1^dag V2^dag and requires M to be a scalar; the
@@ -252,7 +252,7 @@ def cocycle_commutator(rep1, rep2, tol=1e-8):
     m = v1 @ v2 @ v1.conj().T @ v2.conj().T
     dim = m.shape[0]
     c = np.trace(m) / dim
-    if abs(c) < tol or np.linalg.norm(m - c * np.eye(dim)) > tol * np.sqrt(dim):
+    if abs(c) < 1e-8 or np.linalg.norm(m - c * np.eye(dim)) > 1e-8 * np.sqrt(dim):
         raise NonCommutingError(
             "virtual representations do not commute projectively "
             f"({rep1.element!r}, {rep2.element!r})"
@@ -260,11 +260,11 @@ def cocycle_commutator(rep1, rep2, tol=1e-8):
     return complex(c / abs(c))
 
 
-def endpoint_charge(chi, act, tol=1e-10):
+def endpoint_charge(chi, act):
     """Charge e^{i phi} of an endpoint operator under u_g conjugation.
 
-    Requires u_g chi u_g^dag = e^{i phi} chi; anything else raises
-    :class:`IndefiniteChargeError`.
+    Requires u_g chi u_g^dag = e^{i phi} chi to a relative residual of 1e-10;
+    anything else raises :class:`IndefiniteChargeError`.
     """
     chi = _as_square(chi, "chi")
     u = _as_square(act.u, "u")
@@ -276,7 +276,7 @@ def endpoint_charge(chi, act, tol=1e-10):
     rotated = u @ chi @ u.conj().T
     c = np.vdot(chi, rotated) / norm2
     residual = np.linalg.norm(rotated - c * chi) / np.sqrt(abs(norm2))
-    if residual > tol or abs(c) < tol:
+    if residual > 1e-10 or abs(c) < 1e-10:
         raise IndefiniteChargeError(
             f"operator has no definite charge under {act.element!r} (residual {residual:.3e})"
         )

@@ -19,7 +19,7 @@ which is how :func:`weaksym.symmetry.extract_virtual_rep` reads V_g off.
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .numerics import ScaledPowers, _as_square, kron, spectral_decompose
+from .numerics import ScaledPowers, _as_square, spectral_decompose
 
 
 def _insertion(m, name, leg, dim):
@@ -88,8 +88,9 @@ def transfer_powers(lpdo, op, op_a=None):
 
 
 def flux_operator(v):
-    """kron(conj(V), V): a symmetry flux V threaded through the doubled space."""
-    return kron(np.asarray(v).conj(), v)
+    """kron(conj(V), V): a symmetry flux V, finite and square, threaded through the doubled space."""
+    v = _as_square(v, "flux")
+    return np.kron(v.conj(), v)
 
 
 def twisted_spectrum(model, g):

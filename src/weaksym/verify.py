@@ -45,8 +45,8 @@ class CheckResult:
     detail: str = ""
 
 
-def _check(name, worst, tol, detail=""):
-    return CheckResult(name=name, passed=bool(worst <= tol), worst=float(worst), tol=tol, detail=detail)
+def _check(name, worst, tol):
+    return CheckResult(name=name, passed=bool(worst <= tol), worst=float(worst), tol=tol)
 
 
 # --- analytic references for the decohered AKLT family ---------------------
@@ -187,13 +187,14 @@ def response_checks(build=build_aklt_model):
 
 # --- criterion 4: normalized string order plateaus ---------------------------
 
-def string_order_checks(n_sites=200, length=50, build=build_aklt_model):
+def string_order_checks(build=build_aklt_model):
+    """Normalized strings of length 50 on a ring of 200 sites."""
     ops = spin1_operators()
     sx, sy = ops["S_x"], ops["S_y"]
     worst_plateau = worst_below = worst_x = 0.0
 
     def normalized(model, chi):
-        return string_order_series(model, "R_z", chi, chi, [length], n_sites=n_sites).normalized[0]
+        return string_order_series(model, "R_z", chi, chi, [50], n_sites=200).normalized[0]
 
     for p in P_ABOVE:
         sn_y = normalized(build(p), sy)
@@ -280,27 +281,25 @@ def _thermo_fit(model, chi, window):
     return decay_exponent(series, window=window)
 
 
-def exponent_crossing(
-    bracket=(0.4, 0.6), xtol=1e-7, window=DEFAULT_WINDOW, build=build_aklt_model
-):
+def exponent_crossing(build=build_aklt_model):
     """Noise rate where the S_y decay exponent drops to the S_x one.
 
-    Bisects xi_y(p) - xi_x(p) on ``bracket``; both exponents come from
-    thermodynamic-limit fits, so the only structure used is the string
-    order itself.
+    Bisects xi_y(p) - xi_x(p) on [0.4, 0.6] down to a bracket of 1e-7; both
+    exponents come from thermodynamic-limit fits over ``DEFAULT_WINDOW``,
+    so the only structure used is the string order itself.
     """
     ops = spin1_operators()
     sx, sy = ops["S_x"], ops["S_y"]
 
     def difference(p):
         model = build(p)
-        return _thermo_fit(model, sy, window).xi - _thermo_fit(model, sx, window).xi
+        return _thermo_fit(model, sy, DEFAULT_WINDOW).xi - _thermo_fit(model, sx, DEFAULT_WINDOW).xi
 
-    lo, hi = bracket
+    lo, hi = 0.4, 0.6
     f_lo, f_hi = difference(lo), difference(hi)
     if not (f_lo > 0 >= f_hi):
-        raise ValueError(f"bracket {bracket} does not straddle the crossing")
-    while hi - lo > xtol:
+        raise ValueError("bracket (0.4, 0.6) does not straddle the crossing")
+    while hi - lo > 1e-7:
         mid = 0.5 * (lo + hi)
         if difference(mid) > 0:
             lo = mid
@@ -337,16 +336,17 @@ def exponent_checks(build=build_aklt_model):
 
 # --- criterion 6: dense-oracle equivalence -----------------------------------
 
-def oracle_checks(sizes=(3, 4, 5), p_values=(0.0, 0.3, 0.7, 1.0), build=build_aklt_model):
+def oracle_checks(build=build_aklt_model):
+    """Dense-oracle cross-checks on rings of 3, 4 and 5 sites."""
     ops = spin1_operators()
     eye3 = np.eye(3)
     worst_charge = worst_flux = worst_string = 0.0
-    for p in p_values:
+    for p in (0.0, 0.3, 0.7, 1.0):
         model = build(p)
         lpdo = model.lpdo
         uz = model.action("R_z").u
         reps = [extract_virtual_rep(lpdo, model.action(g1))[0] for g1 in ("R_x", "R_y")]
-        for n in sizes:
+        for n in (3, 4, 5):
             rho = density_from_state(contract_full(lpdo, np.eye(2), n), n)
             dense = expectation(rho, [uz] * n)
             worst_charge = max(worst_charge, abs(dense - _ring_trace(lpdo, uz, n)))
@@ -375,10 +375,10 @@ def oracle_checks(sizes=(3, 4, 5), p_values=(0.0, 0.3, 0.7, 1.0), build=build_ak
 
 # --- criterion 7: structural identities --------------------------------------
 
-def structural_checks(p_values=(0.2, 0.8), build=build_aklt_model):
+def structural_checks(build=build_aklt_model):
     results = []
     worst_comm = worst_law = worst_cons = worst_flux2 = 0.0
-    for p in p_values:
+    for p in (0.2, 0.8):
         model = build(p)
         lpdo = model.lpdo
         reps = {g: extract_virtual_rep(lpdo, model.action(g))[0] for g in model.group.labels}
@@ -407,34 +407,19 @@ def structural_checks(p_values=(0.2, 0.8), build=build_aklt_model):
 
 # --- criterion 8: pure-state limit -------------------------------------------
 
-def pure_limit_checks(n_sites=200, build=build_aklt_model):
+def pure_limit_checks(build=build_aklt_model):
     model = build(0.0)
     lpdo = model.lpdo
     reps = {g: extract_virtual_rep(lpdo, model.action(g))[0] for g in ("R_x", "R_y", "R_z")}
     worst = 0.0
     for g1 in ("R_x", "R_y"):
-        res = finite_response(model, g1, "R_z", n_sites)
+        res = finite_response(model, g1, "R_z", 200)
         cocycle = cocycle_commutator(reps[g1], reps["R_z"])
         worst = max(worst, abs(res.value - (-1.0)), abs(res.value - cocycle))
     return [
         _check("pure-state responses reduce to the projective cocycle", worst, 1e-10)
     ]
 
-
-LEVELS = {
-    "tables": ("transfer tables", "symmetry gaps"),
-    "oracle": ("dense oracle",),
-    "all": (
-        "transfer tables",
-        "symmetry gaps",
-        "responses",
-        "string order",
-        "decay exponents",
-        "dense oracle",
-        "structural identities",
-        "pure-state limit",
-    ),
-}
 
 _SECTIONS = {
     "transfer tables": transfer_table_checks,
@@ -445,6 +430,12 @@ _SECTIONS = {
     "dense oracle": oracle_checks,
     "structural identities": structural_checks,
     "pure-state limit": pure_limit_checks,
+}
+
+LEVELS = {
+    "tables": ("transfer tables", "symmetry gaps"),
+    "oracle": ("dense oracle",),
+    "all": tuple(_SECTIONS),
 }
 
 
@@ -464,14 +455,14 @@ def run_level(level):
     return out
 
 
-def generic_model_checks(model, oracle_sites=3):
+def generic_model_checks(model):
     """Structural checks that apply to any loaded model.
 
     Covers action unitarity, the push-through law for every element,
     commutant residuals and the conservation law for commuting pairs
     (skipped with a note where a twisted transfer is gapless), and a dense
-    oracle cross-check of the uniform charges (skipped with a note when the
-    ring exceeds the oracle's size guard).
+    oracle cross-check of the uniform charges on 3 sites (skipped with a
+    note when the ring exceeds the oracle's size guard).
     """
     out = []
     lpdo = model.lpdo
@@ -510,18 +501,17 @@ def generic_model_checks(model, oracle_sites=3):
                         CheckResult(f"conservation for ({g1}, {g2})", True, 0.0, 1e-8, f"skipped: {exc}"),
                     )
                 )
-    name = f"uniform charges match the dense oracle at N={oracle_sites}"
+    n = 3
+    name = f"uniform charges match the dense oracle at N={n}"
     try:
-        rho = density_from_state(
-            contract_full(lpdo, np.eye(lpdo.bond_dim), oracle_sites), oracle_sites
-        )
+        rho = density_from_state(contract_full(lpdo, np.eye(lpdo.bond_dim), n), n)
     except SizeGuardError as exc:
         out.append(("oracle", CheckResult(name, True, 0.0, 1e-10, f"skipped: {exc}")))
         return out
     worst = 0.0
     for g in model.group.labels:
         u = model.action(g).u
-        dense = expectation(rho, [u] * oracle_sites)
-        worst = max(worst, abs(dense - _ring_trace(lpdo, u, oracle_sites)))
+        dense = expectation(rho, [u] * n)
+        worst = max(worst, abs(dense - _ring_trace(lpdo, u, n)))
     out.append(("oracle", _check(name, worst, 1e-10)))
     return out

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from weaksym.cli import CSV_HEADER, _fmt, _json_float, main
-from weaksym.model import build_aklt_model, save_model
+from weaksym.errors import ValidationError
+from weaksym.model import build_aklt_model, load_model, save_model
 
 
 def run(capsys, *argv):
@@ -168,6 +169,13 @@ def test_response_unknown_element(capsys):
     code, _, err = run(capsys, "response", "--p", "0.2", "--g1", "R_w", "--g2", "R_z")
     assert code == 1
     assert "unknown group element" in err
+
+
+@pytest.mark.parametrize("sites", ["0", "-1"])
+def test_response_refuses_rings_of_fewer_than_one_site(capsys, sites):
+    code, out, err = run(capsys, "response", "--p", "0.2", "--g1", "R_x", "--g2", "R_z", "--sites", sites)
+    assert code == 1 and out == ""
+    assert err == f"error: a ring needs at least 1 site, got N={sites}\n"
 
 
 def test_response_requires_p(capsys):
@@ -336,6 +344,37 @@ def test_verify_corrupted_model_names_invariant(tmp_path, capsys):
 def test_verify_missing_model_file(capsys):
     code, _, err = run(capsys, "verify", "--model", "/no/such/model.json")
     assert code == 2
+
+
+def _pop_kraus_row(doc):
+    doc["channel"]["kraus"][0].pop()
+    return doc
+
+
+# A model file with a field of the wrong JSON type: (edit of a saved file, field path).
+MALFORMED = {
+    "not-an-object": (lambda doc: 5, "file"),
+    "elements-not-a-list": (lambda doc: {**doc, "group": {**doc["group"], "elements": 5}}, "group.elements"),
+    "rows-not-lists": (lambda doc: {**doc, "group": {**doc["group"], "table": [1, 2, 3, 4]}}, "group.table"),
+    "p-a-string": (lambda doc: {**doc, "channel": {**doc["channel"], "p": "x"}}, "channel.p"),
+    "p-a-list": (lambda doc: {**doc, "channel": {**doc["channel"], "p": [0.1]}}, "channel.p"),
+    "ragged-kraus": (_pop_kraus_row, "channel.kraus"),
+}
+
+
+@pytest.mark.parametrize("edit, field", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_model_file_exits_1_naming_the_field(tmp_path, capsys, edit, field):
+    path = tmp_path / "m.json"
+    save_model(build_aklt_model(0.3), path)
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    with pytest.raises(ValidationError, match=f"^{field}"):
+        load_model(path)
+    code, out, err = run(capsys, "verify", "--model", str(path))
+    assert code == 1 and err == ""
+    assert out.startswith(f"FAIL  [load] model file invalid: {field}")
+    code, out, err = run(capsys, "response", "--model", str(path), "--g1", "R_x", "--g2", "R_z")
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {field}")
 
 
 # --- top level -----------------------------------------------------------------

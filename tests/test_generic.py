@@ -16,10 +16,10 @@ import numpy as np
 import pytest
 
 from weaksym.model import LpdoTensor, Model, build_aklt_model, spin1_operators
-from weaksym.response import ancilla_response, conservation_check, thermo_response
+from weaksym.response import conservation_check, flux_response, thermo_response
 from weaksym.stringorder import decay_channel
 from weaksym.symmetry import SymmetryAction, extract_virtual_rep, verify_transformation_law
-from weaksym.transfer import build_transfer
+from weaksym.transfer import build_transfer, symmetry_gap, twisted_spectrum
 
 DR = 2  # physical dimension of the random factor, an extra ancilla leg
 BOND = 3  # its bond dimension; the model has D = 2 * BOND = 6
@@ -114,7 +114,7 @@ def test_thermo_response_reproduces_aklt(p, q_yz):
     assert abs(res.value - q_yz) < 1e-8
     assert res.valid and res.snapped is not None
     # the ancilla carries the rest of the cocycle -1
-    assert abs(ancilla_response(model, "R_y", "R_z").value - (-q_yz)) < 1e-8
+    assert abs(conservation_check(model, "R_y", "R_z")[3].value - (-q_yz)) < 1e-8
 
 
 @pytest.mark.parametrize("p", [0.3, 0.75])
@@ -128,3 +128,48 @@ def test_decay_channel_reproduces_aklt(p, alpha):
     assert generic.xi == pytest.approx(reference.xi, rel=1e-10)
     assert generic.amplitude == pytest.approx(reference.amplitude, abs=1e-10)
     assert generic.order_one == reference.order_one
+
+
+@pytest.mark.parametrize("p", [0.3, 0.75])
+def test_outputs_invariant_under_an_ancilla_basis_change(p):
+    """A[i, a] -> sum_b W[a, b] A[i, b] with ua_g -> W ua_g W^dag changes no output."""
+    model, _, _ = generic_model(p)
+    rng = np.random.default_rng(13)
+    da = model.lpdo.da
+    w, _ = np.linalg.qr(rng.normal(size=(da, da)) + 1j * rng.normal(size=(da, da)))
+    rotated = Model(
+        lpdo=LpdoTensor(np.einsum("ab,ibxy->iaxy", w, model.lpdo.tensor)),
+        group=model.group,
+        actions={
+            g: SymmetryAction(element=g, u=act.u, ua=w @ act.ua @ w.conj().T)
+            for g, act in model.actions.items()
+        },
+    )
+    for g1 in model.group.labels:
+        for g2 in model.group.labels:
+            before, after = thermo_response(model, g1, g2), thermo_response(rotated, g1, g2)
+            assert abs(after.value - before.value) <= 1e-10
+            assert after.snapped == before.snapped
+            residual, total, physical, ancilla = conservation_check(model, g1, g2)
+            residual_r, total_r, physical_r, ancilla_r = conservation_check(rotated, g1, g2)
+            assert abs(residual_r - residual) <= 1e-10
+            assert abs(total_r - total) <= 1e-10
+            assert abs(physical_r.value - physical.value) <= 1e-10
+            assert abs(ancilla_r.value - ancilla.value) <= 1e-10
+    gap = symmetry_gap(twisted_spectrum(model, "R_z"))
+    assert abs(symmetry_gap(twisted_spectrum(rotated, "R_z")) - gap) <= 1e-10
+    for alpha in ("S_0", "S_x", "S_y"):
+        chi = spin1_operators()[alpha]
+        before, after = decay_channel(model, "R_z", chi, chi), decay_channel(rotated, "R_z", chi, chi)
+        assert abs(after.xi - before.xi) <= 1e-10
+        assert abs(after.amplitude - before.amplitude) <= 1e-10
+        assert after.order_one == before.order_one
+
+
+def test_flux_response_ignores_a_phase_on_the_flux():
+    model, _, _ = generic_model(0.3)
+    v = extract_virtual_rep(model.lpdo, model.action("R_y"))[0].v
+    phase = np.exp(1j * np.random.default_rng(17).uniform(0, 2 * np.pi))
+    value, gap = flux_response(model, v, "R_z")
+    value_r, gap_r = flux_response(model, phase * v, "R_z")
+    assert abs(value_r - value) <= 1e-10 and gap_r == gap

@@ -43,12 +43,12 @@ def test_pi_rotations():
 
 def test_aklt_tensor_middle_component():
     a = aklt_tensor()
-    np.testing.assert_allclose(a.tensor[1], -np.diag([1, -1]) / np.sqrt(3), atol=1e-15)
-    assert a.d == 3 and a.bond_dim == 2
+    np.testing.assert_allclose(a[1], -np.diag([1, -1]) / np.sqrt(3), atol=1e-15)
+    assert a.shape == (3, 2, 2)
 
 
 def test_aklt_tensor_left_canonical():
-    a = aklt_tensor().tensor
+    a = aklt_tensor()
     gram = sum(a[i].conj().T @ a[i] for i in range(3))
     np.testing.assert_allclose(gram, np.eye(2), atol=1e-12)
 
@@ -82,7 +82,7 @@ def test_dilate_and_model_shapes():
 
 def test_dilate_pure_limit_reduces_to_mps():
     lpdo = dilate(aklt_tensor(), aklt_channel(0.0))
-    np.testing.assert_allclose(lpdo.tensor[:, 0], aklt_tensor().tensor, atol=1e-15)
+    np.testing.assert_allclose(lpdo.tensor[:, 0], aklt_tensor(), atol=1e-15)
     np.testing.assert_allclose(lpdo.tensor[:, 1:], 0, atol=1e-15)
 
 

@@ -3,31 +3,8 @@ import pytest
 
 from weaksym.errors import DimensionMismatchError, ValidationError
 from weaksym.model import build_aklt_model
-from weaksym.numerics import (
-    ScaledPowers,
-    kron,
-    ldexp,
-    rescale,
-    spectral_decompose,
-)
+from weaksym.numerics import ScaledPowers, ldexp, rescale, spectral_decompose
 from weaksym.transfer import build_transfer
-
-SZ = np.diag([1.0, -1.0])
-
-
-def test_kron_identity():
-    assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_kron_sigma_z_pair():
-    assert np.array_equal(kron(SZ, SZ), np.diag([1.0, -1.0, -1.0, 1.0]))
-
-
-def test_kron_shape():
-    a = np.ones((2, 3))
-    b = np.ones((2, 2))
-    assert kron(a, b).shape == (4, 6)
-
 
 def test_spectral_decompose_diagonal():
     m = np.diag([1.0, -1 / 3, -1 / 3, -1 / 3])

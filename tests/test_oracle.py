@@ -33,7 +33,7 @@ def single_ancilla_model():
     actions = {
         g: SymmetryAction(element=g, u=act.u, ua=np.eye(1)) for g, act in aklt.actions.items()
     }
-    return Model(lpdo=LpdoTensor(aklt_tensor().tensor[:, None]), group=aklt.group, actions=actions)
+    return Model(lpdo=LpdoTensor(aklt_tensor()[:, None]), group=aklt.group, actions=actions)
 
 
 def dumb_purified_state(lpdo, seam, n_sites):
@@ -73,7 +73,7 @@ def test_pure_limit_density_equals_mps_density():
     state = contract_full(model.lpdo, np.eye(2), 3)
     rho = density_from_state(state, 3).matrix
 
-    a3 = aklt_tensor().tensor
+    a3 = aklt_tensor()
     psi = np.zeros((3, 3, 3), dtype=complex)
     for i, j, k in itertools.product(range(3), repeat=3):
         psi[i, j, k] = np.trace(a3[i] @ a3[j] @ a3[k])

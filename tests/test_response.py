@@ -7,7 +7,6 @@ import pytest
 from weaksym.errors import GaplessTransferError, NonCommutingError
 from weaksym.model import build_aklt_model
 from weaksym.response import (
-    ancilla_response,
     conservation_check,
     finite_response,
     flux_response,
@@ -93,8 +92,8 @@ def test_flux_response_matches_element_route():
 
 
 def test_ancilla_response_signs():
-    assert abs(ancilla_response(build_aklt_model(0.2), "R_y", "R_z").value - 1) < 1e-10
-    assert abs(ancilla_response(build_aklt_model(0.8), "R_y", "R_z").value - (-1)) < 1e-10
+    assert abs(conservation_check(build_aklt_model(0.2), "R_y", "R_z")[3].value - 1) < 1e-10
+    assert abs(conservation_check(build_aklt_model(0.8), "R_y", "R_z")[3].value - (-1)) < 1e-10
 
 
 def test_ancilla_response_trivial_for_strong_symmetry():
@@ -102,7 +101,7 @@ def test_ancilla_response_trivial_for_strong_symmetry():
     model = build_aklt_model(0.0)
     for g1 in model.group.labels:
         for g2 in ("R_x", "R_y", "R_z"):
-            assert abs(ancilla_response(model, g1, g2).value - 1) < 1e-10
+            assert abs(conservation_check(model, g1, g2)[3].value - 1) < 1e-10
 
 
 def test_conservation_all_pairs():

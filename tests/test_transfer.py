@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from test_numerics import power_trace
-from weaksym.errors import DimensionMismatchError
+from weaksym.errors import DimensionMismatchError, ValidationError
 from weaksym.model import build_aklt_model
 from weaksym.numerics import spectral_decompose
 from weaksym.oracle import contract_full, density_from_state, expectation
+from weaksym.response import flux_response
 from weaksym.symmetry import VirtualRep, extract_virtual_rep
 from weaksym.transfer import (
     build_transfer,
@@ -149,6 +150,15 @@ def test_flux_operator_structure():
     v = np.diag([1.0 + 0j, -1.0])
     np.testing.assert_allclose(flux_operator(v), np.diag([1, -1, -1, 1]), atol=1e-15)
     np.testing.assert_allclose(flux_operator(np.eye(2)), np.eye(4), atol=1e-15)
+
+
+def test_flux_operator_rejects_non_square_or_non_finite():
+    with pytest.raises(DimensionMismatchError):
+        flux_operator(np.ones((2, 3)))
+    with pytest.raises(ValidationError):
+        flux_operator(np.array([[1.0, np.nan], [0.0, 1.0]]))
+    with pytest.raises(DimensionMismatchError):
+        flux_response(build_aklt_model(0.3), np.ones((2, 3)), "R_z")
 
 
 def test_commutant_residual_symmetry_flux():
