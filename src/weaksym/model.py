@@ -120,8 +120,9 @@ class KrausChannel:
         defect = self.completeness_defect()
         if defect > tol:
             raise ValidationError(f"channel.kraus: not trace preserving (defect {defect:.3e})")
-        if self.p is not None and not (isinstance(self.p, (int, float)) and 0.0 <= self.p <= 1.0):
-            raise ValidationError(f"channel.p: expected 0 <= p <= 1, got {self.p}")
+        p = self.p
+        if p is not None and (isinstance(p, bool) or not (isinstance(p, (int, float)) and 0.0 <= p <= 1.0)):
+            raise ValidationError(f"channel.p: expected 0 <= p <= 1, got {p}")
 
 
 def aklt_tensor():
@@ -334,9 +335,10 @@ def save_model(model, path):
 def load_model(path):
     """Load and validate a model from the JSON interchange format.
 
-    Every structural invariant is checked on load: dimension consistency,
-    group axioms, unitarity of all symmetry actions (tolerance 1e-10), and
-    trace preservation of the optional channel block (tolerance 1e-9).
+    Every structural invariant is checked on load: integer dimensions and
+    their consistency, group axioms, one action per group element, unitarity
+    of all symmetry actions (tolerance 1e-10), and trace preservation of the
+    optional channel block (tolerance 1e-9).
     Violations raise :class:`ValidationError` naming the offending field.
     """
     if not os.path.exists(path):
@@ -352,10 +354,9 @@ def load_model(path):
     for field in ("d", "da", "D", "tensor", "group", "actions"):
         if field not in doc:
             raise ValidationError(f"{field}: missing required field")
-    try:
-        d, da, dv = int(doc["d"]), int(doc["da"]), int(doc["D"])
-    except (TypeError, ValueError):
-        raise ValidationError("d/da/D: expected integers") from None
+    d, da, dv = doc["d"], doc["da"], doc["D"]
+    if not all(isinstance(n, int) and not isinstance(n, bool) for n in (d, da, dv)):
+        raise ValidationError("d/da/D: expected integers")
     if min(d, da, dv) < 1:
         raise ValidationError("d/da/D: dimensions must be positive")
 
@@ -381,6 +382,8 @@ def load_model(path):
         g = entry["element"]
         if g not in group.labels:
             raise ValidationError(f"{where}.element: unknown group element {g!r}")
+        if g in actions:
+            raise ValidationError(f"{where}.element: second entry for group element {g!r}")
         u = _decode_array(entry.get("u"), (d, d), f"{where}.u")
         ua = _decode_array(entry.get("ua"), (da, da), f"{where}.ua")
         act = SymmetryAction(element=g, u=u, ua=ua)

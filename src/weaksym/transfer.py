@@ -14,6 +14,12 @@ carries the flux responses and symmetry gaps; T(1, ua) the ancilla share of
 the conservation law. The leading right eigenvector of T(u, ua), reshaped
 to M[conj, ket] and transposed, is V_g times the fixed point of T(1, 1),
 which is how :func:`weaksym.symmetry.extract_virtual_rep` reads V_g off.
+
+For D > 2 the map is one matrix product, O(d da D^4) work: the ket layer is
+rotated by O and O_a, then contracted against conj(A) reshaped to
+(d da) x D^2. For D <= 2 it is the einsum of the formula above, which
+differs from the product in the last bits and so keeps the built-in AKLT
+family's outputs bit-stable.
 """
 
 import numpy as np
@@ -38,13 +44,22 @@ def _insertions(lpdo, op, op_a):
 
 
 def _contract(a4, op, op_a):
-    dv = a4.shape[2]
+    d, da, dv, _ = a4.shape
     # j, b: bra physical and ancilla; i, a: ket physical and ancilla (b = a
     # when the ancilla is traced through)
-    if op_a is None:
-        t = np.einsum("ji,jamn,iapq->mpnq", op, a4.conj(), a4)
+    if dv <= 2:
+        if op_a is None:
+            t = np.einsum("ji,jamn,iapq->mpnq", op, a4.conj(), a4)
+        else:
+            t = np.einsum("ji,ba,jbmn,iapq->mpnq", op, op_a, a4.conj(), a4)
     else:
-        t = np.einsum("ji,ba,jbmn,iapq->mpnq", op, op_a, a4.conj(), a4)
+        # rotate the ket layer, ket[j, b, (p q)], then one GEMM against the
+        # bra layer gives [(m n), (p q)]
+        ket = (op @ a4.reshape(d, -1)).reshape(d, da, dv * dv)
+        if op_a is not None:
+            ket = op_a @ ket
+        t = a4.conj().reshape(d * da, dv * dv).T @ ket.reshape(d * da, dv * dv)
+        t = t.reshape(dv, dv, dv, dv).transpose(0, 2, 1, 3)
     t = t.reshape(dv * dv, dv * dv)
     t.flags.writeable = False
     return t

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -351,7 +352,7 @@ def _pop_kraus_row(doc):
     return doc
 
 
-# A model file with a field of the wrong JSON type: (edit of a saved file, field path).
+# A malformed model file, mostly a field of the wrong JSON type: (edit of a saved file, field path).
 MALFORMED = {
     "not-an-object": (lambda doc: 5, "file"),
     "elements-not-a-list": (lambda doc: {**doc, "group": {**doc["group"], "elements": 5}}, "group.elements"),
@@ -359,6 +360,15 @@ MALFORMED = {
     "p-a-string": (lambda doc: {**doc, "channel": {**doc["channel"], "p": "x"}}, "channel.p"),
     "p-a-list": (lambda doc: {**doc, "channel": {**doc["channel"], "p": [0.1]}}, "channel.p"),
     "ragged-kraus": (_pop_kraus_row, "channel.kraus"),
+    "p-a-bool": (lambda doc: {**doc, "channel": {**doc["channel"], "p": True}}, "channel.p"),
+    "D-a-float": (lambda doc: {**doc, "D": 2.7}, "d/da/D"),
+    "d-a-string": (lambda doc: {**doc, "d": "3"}, "d/da/D"),
+    "da-a-bool": (lambda doc: {**doc, "da": True}, "d/da/D"),
+    # an extra entry labelled "1" that carries R_x's action
+    "second-action-for-an-element": (
+        lambda doc: {**doc, "actions": doc["actions"] + [{**doc["actions"][1], "element": "1"}]},
+        "actions[4].element",
+    ),
 }
 
 
@@ -367,7 +377,7 @@ def test_malformed_model_file_exits_1_naming_the_field(tmp_path, capsys, edit, f
     path = tmp_path / "m.json"
     save_model(build_aklt_model(0.3), path)
     path.write_text(json.dumps(edit(json.loads(path.read_text()))))
-    with pytest.raises(ValidationError, match=f"^{field}"):
+    with pytest.raises(ValidationError, match=f"^{re.escape(field)}"):
         load_model(path)
     code, out, err = run(capsys, "verify", "--model", str(path))
     assert code == 1 and err == ""

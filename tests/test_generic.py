@@ -1,4 +1,5 @@
-"""Generic-model tests at bond dimension D=6.
+"""Generic-model tests at bond dimension D=6 (the transfer-map definition
+test also runs at D=4 and D=12).
 
 The model is the decohered AKLT LPDO tensored with a seeded random
 injective MPS B on an extra ancilla factor,
@@ -25,27 +26,32 @@ DR = 2  # physical dimension of the random factor, an extra ancilla leg
 BOND = 3  # its bond dimension; the model has D = 2 * BOND = 6
 
 
-def random_injective_mps(rng):
+def random_matrix(rng, n):
+    """Seeded complex Gaussian n x n matrix: neither Hermitian nor unitary."""
+    return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+
+def random_injective_mps(rng, bond=BOND):
     """Complex Gaussian B[s, g, h], scaled so its transfer map has leading eigenvalue 1."""
     while True:
-        b = rng.normal(size=(DR, BOND, BOND)) + 1j * rng.normal(size=(DR, BOND, BOND))
+        b = rng.normal(size=(DR, bond, bond)) + 1j * rng.normal(size=(DR, bond, bond))
         mods = np.sort(np.abs(np.linalg.eigvals(sum(np.kron(x, x.conj()) for x in b))))[::-1]
         if mods[1] < 0.9 * mods[0]:
             return b / np.sqrt(mods[0])
 
 
-def generic_model(p, seed=7):
-    """(generic model, AKLT model, gauge W) at noise rate p.
+def generic_model(p, seed=7, bond=BOND):
+    """(generic model, AKLT model, gauge W) at noise rate p and D = 2 * bond.
 
     The gauge makes V_g = W (V_g^AKLT (x) 1) W^dag neither symmetric nor
     antisymmetric, so a transposed representation cannot pass for V_g.
     """
     aklt = build_aklt_model(p)
     rng = np.random.default_rng(seed)
-    b = random_injective_mps(rng)
+    b = random_injective_mps(rng, bond)
     d, da, dv, _ = aklt.lpdo.tensor.shape
-    tensor = np.einsum("iaxy,sgh->iasxgyh", aklt.lpdo.tensor, b).reshape(d, da * DR, dv * BOND, dv * BOND)
-    w, _ = np.linalg.qr(rng.normal(size=(dv * BOND,) * 2) + 1j * rng.normal(size=(dv * BOND,) * 2))
+    tensor = np.einsum("iaxy,sgh->iasxgyh", aklt.lpdo.tensor, b).reshape(d, da * DR, dv * bond, dv * bond)
+    w, _ = np.linalg.qr(random_matrix(rng, dv * bond))
     tensor = w @ tensor @ w.conj().T
     actions = {
         g: SymmetryAction(element=g, u=act.u, ua=np.kron(act.ua, np.eye(DR)))
@@ -68,17 +74,28 @@ def transfer_by_definition(a4, op, op_a):
 
 @pytest.mark.parametrize("g", ["R_x", "R_z"])
 def test_build_transfer_matches_definition(g):
-    model, _, _ = generic_model(0.3)
-    lpdo = model.lpdo
-    act = model.action(g)
-    eye, eye_a = np.eye(lpdo.d), np.eye(lpdo.da)
-    assert lpdo.bond_dim == 6
-    for op, op_a in ((eye, eye_a), (act.u, eye_a), (eye, act.ua), (act.u, act.ua)):
-        expected = transfer_by_definition(lpdo.tensor, op, op_a)
-        np.testing.assert_allclose(build_transfer(lpdo, op, op_a), expected, atol=1e-13)
-    np.testing.assert_allclose(
-        build_transfer(lpdo, act.u), transfer_by_definition(lpdo.tensor, act.u, eye_a), atol=1e-13
-    )
+    """T(op, op_a) is its term-by-term sum at D = 4, 6 and 12.
+
+    Next to the unitary actions, seeded random insertions that are neither
+    Hermitian nor unitary catch a transposed or conjugated op or op_a and
+    swapped bra and ket layers.
+    """
+    rng = np.random.default_rng(11)
+    for bond in (2, 3, 6):
+        model, _, _ = generic_model(0.3, bond=bond)
+        lpdo = model.lpdo
+        act = model.action(g)
+        assert lpdo.bond_dim == 2 * bond
+        eye, eye_a = np.eye(lpdo.d), np.eye(lpdo.da)
+        op, op_a = random_matrix(rng, lpdo.d), random_matrix(rng, lpdo.da)
+        pairs = ((eye, eye_a), (act.u, eye_a), (eye, act.ua), (act.u, act.ua),
+                 (op, eye_a), (eye, op_a), (op, op_a), (act.u, op_a))
+        for o, o_a in pairs:
+            expected = transfer_by_definition(lpdo.tensor, o, o_a)
+            np.testing.assert_allclose(build_transfer(lpdo, o, o_a), expected, atol=1e-13)
+        for o in (act.u, op):
+            expected = transfer_by_definition(lpdo.tensor, o, eye_a)
+            np.testing.assert_allclose(build_transfer(lpdo, o), expected, atol=1e-13)
 
 
 @pytest.mark.parametrize("p", [0.2, 0.8])

@@ -34,6 +34,26 @@ def tz_expected(p):
     )
 
 
+@pytest.mark.parametrize("p", [0.0, 0.2, 0.5, 0.75, 1.0])
+def test_bond_two_transfer_is_the_einsum_bit_for_bit(p):
+    """At D = 2 every AKLT T(u, None), T(u, ua) and T(1, ua) is the einsum's array.
+
+    The built-in family's outputs are byte-stable because D <= 2 keeps this
+    contraction; a matrix-product build differs in the last bits.
+    """
+    model = build_aklt_model(p)
+    a4 = model.lpdo.tensor
+    eye = np.eye(3, dtype=complex)
+    for g in model.group.labels:
+        act = model.action(g)
+        for op, op_a in ((act.u, None), (act.u, act.ua), (eye, act.ua)):
+            if op_a is None:
+                t = np.einsum("ji,jamn,iapq->mpnq", op, a4.conj(), a4)
+            else:
+                t = np.einsum("ji,ba,jbmn,iapq->mpnq", op, op_a, a4.conj(), a4)
+            assert np.array_equal(build_transfer(model.lpdo, op, op_a), t.reshape(4, 4))
+
+
 def test_untwisted_matrix_entrywise():
     for p in (0.0, 0.3, 0.7, 1.0):
         model = build_aklt_model(p)
