@@ -1,11 +1,19 @@
 """Dense complex linear algebra kernel.
 
-Everything downstream works with small dense matrices (transfer matrices
-are D^2 x D^2 with D the virtual bond dimension), so plain LAPACK via
-numpy is both the simplest and the fastest option here. The one piece of
-added value over raw ``np.linalg.eig`` is a deterministic eigenvalue
-ordering plus a biorthonormalized left/right eigenvector pairing, which
-the thermodynamic-limit formulas rely on.
+Everything downstream works with dense matrices: transfer maps are
+D^2 x D^2 with D the virtual bond dimension. Two routes lead to their
+eigenpairs, both with a deterministic eigenvalue ordering and a
+biorthonormalized left/right pairing, which the thermodynamic-limit formulas
+rely on:
+
+* :func:`spectral_decompose`, a full LAPACK ``eig`` (O(n^3)), for small maps
+  and as the reference;
+* :func:`leading_spectrum`, a thick-restart Arnoldi iteration (Krylov-Schur
+  style: Stewart, SIAM J. Matrix Anal. Appl. 23, 601 (2001)) that returns only
+  the largest-modulus eigenpairs, at the cost of a few hundred matrix-vector
+  products. It is the faster route for maps above about a hundred rows.
+
+This module is the only place a non-Hermitian eigenproblem is solved.
 """
 
 from dataclasses import dataclass
@@ -24,6 +32,19 @@ _SQUARE_NORM_RANGE = (2.0**-800, 2.0**800)
 # stacked bit level costs about ten numpy calls, so for fewer powers the
 # per-length loop of ScaledPowers.power is faster.
 MIN_STACKED_POWERS = 12
+# Arnoldi basis size of leading_spectrum (at least three vectors per wanted pair).
+KRYLOV_BASIS = 24
+# A Ritz pair is converged when its residual is below this share of the
+# leading modulus.
+KRYLOV_TOL = 1e-14
+# Moduli closer than this share of the leading modulus are one cluster, which
+# a partial spectrum returns whole or not at all.
+TIE_TOL = 1e-9
+# An Arnoldi run that has not converged after this many restarts gives way to
+# the dense decomposition.
+MAX_RESTARTS = 50
+# Seed of the start vectors: a fixed seed makes every rerun byte-identical.
+KRYLOV_SEED = 0
 
 
 def _as_square(m, name="matrix"):
@@ -39,24 +60,32 @@ def _as_square(m, name="matrix"):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigendecomposition with paired left/right eigenvectors.
+    """Eigenpairs of an n x n matrix with paired left/right eigenvectors.
+
+    A spectrum holds k <= n pairs. A full one (k = n, from
+    :func:`spectral_decompose`) holds them all; a partial one (from
+    :func:`leading_spectrum`) holds the k largest moduli, every eigenvalue
+    counted with its multiplicity, and never splits a cluster of tied moduli:
+    every eigenvalue it leaves out is smaller in modulus than all it holds.
 
     Attributes
     ----------
-    eigenvalues : (n,) complex array, sorted by descending modulus; exact
+    eigenvalues : (k,) complex array, sorted by descending modulus; exact
         modulus ties broken by descending real part, then descending
         imaginary part.
-    right_vectors : (n, n) complex array, right eigenvectors as columns,
+    right_vectors : (n, k) complex array, right eigenvectors as columns,
         ordered like ``eigenvalues``.
-    left_vectors : (n, n) complex array, left eigenvectors as rows. When
+    left_vectors : (k, n) complex array, left eigenvectors as rows. When
         ``biorthonormal`` is set, ``left_vectors @ right_vectors`` is the
         identity to within 1e-10.
     biorthonormal : whether the measured pairing residual is below 1e-10.
     pairing_residual : max |(left_vectors @ right_vectors - 1)_ij|, the
         measured biorthonormality residual.
-    condition_estimate : condition number of the right eigenvector matrix.
-    near_defective : the eigenvector matrix is too ill-conditioned for the
-        left/right pairing to be trusted (Jordan-block-like input).
+    condition_estimate : for a full spectrum, the condition number of the
+        right eigenvector matrix; for a partial one, the largest Wilkinson
+        condition |L_k| |R_k| / |L_k R_k| of the pairs it holds.
+    near_defective : the condition estimate exceeds 1e10, so the left/right
+        pairing cannot be trusted (Jordan-block-like input).
 
     The arrays are read-only, so one spectrum can be shared between callers.
     """
@@ -74,6 +103,33 @@ class Spectrum:
         """(lambda0, left row, right column) for the top eigenvalue."""
         return self.eigenvalues[0], self.left_vectors[0], self.right_vectors[:, 0]
 
+    @property
+    def complete(self):
+        """Whether the spectrum holds every eigenpair of its matrix."""
+        return len(self.eigenvalues) == len(self.right_vectors)
+
+
+def _spectrum(w, right, left, condition):
+    """Read-only :class:`Spectrum`, with its pairing residual measured."""
+    near_defective = (not np.isfinite(condition)) or condition > 1.0 / PAIRING_TOL
+    residual = float(np.max(np.abs(left @ right - np.eye(len(w)))))
+    for a in (w, right, left):
+        a.flags.writeable = False
+    return Spectrum(
+        eigenvalues=w,
+        right_vectors=right,
+        left_vectors=left,
+        biorthonormal=bool(residual < PAIRING_TOL and not near_defective),
+        pairing_residual=residual,
+        condition_estimate=condition,
+        near_defective=bool(near_defective),
+    )
+
+
+def _by_modulus(w):
+    """Order of w by (-|w|, -Re w, -Im w); lexsort uses the last key as primary."""
+    return np.lexsort((-w.imag, -w.real, -np.abs(w)))
+
 
 def spectral_decompose(m):
     """Full dense eigendecomposition with deterministic ordering.
@@ -87,35 +143,178 @@ def spectral_decompose(m):
     """
     m = _as_square(m)
     w, r = np.linalg.eig(m)
-    # lexsort uses the last key as primary
-    order = np.lexsort((-w.imag, -w.real, -np.abs(w)))
+    order = _by_modulus(w)
     w = w[order]
     r = r[:, order]
-
     with np.errstate(all="ignore"):
         cond = float(np.linalg.cond(r))
-    near_defective = (not np.isfinite(cond)) or cond > 1.0 / PAIRING_TOL
-
     try:
         left = np.linalg.inv(r)
     except np.linalg.LinAlgError:
         left = np.linalg.pinv(r)
-        near_defective = True
+        cond = float("inf")
+    return _spectrum(w, r, left, cond)
 
-    residual = float(np.max(np.abs(left @ r - np.eye(len(w)))))
-    biorthonormal = bool(residual < PAIRING_TOL and not near_defective)
-    for a in (w, r, left):
-        a.flags.writeable = False
 
-    return Spectrum(
-        eigenvalues=w,
-        right_vectors=r,
-        left_vectors=left,
-        biorthonormal=biorthonormal,
-        pairing_residual=residual,
-        condition_estimate=cond,
-        near_defective=bool(near_defective),
+def _orthogonalize(basis, w):
+    """(w less its part in span(basis), basis^H w), by Gram-Schmidt twice; basis orthonormal."""
+    c = (w.conj() @ basis).conj()
+    w = w - basis @ c
+    c2 = (w.conj() @ basis).conj()
+    return w - basis @ c2, c + c2
+
+
+def _arnoldi_run(m, rng, locked, size, pairs, boundary=None, scale=None):
+    """One thick-restart Arnoldi run on m, deflated against the orthonormal columns ``locked``.
+
+    Without a ``boundary`` the run converges the ``pairs`` largest-modulus
+    Ritz values and every one tied in modulus with the last; with one, those
+    of modulus at or above ``boundary``, and also the first Ritz value below
+    them, to a tenth of its distance from the boundary, so that nothing more
+    is left above it. Each restart keeps the Ritz vectors of the values it
+    converges and two more.
+
+    Returns ``(basis, boundary, scale)``: an orthonormal basis (n, t) of
+    their invariant subspace, orthogonal to ``locked``; the smallest modulus
+    returned; and the leading modulus the tolerances are relative to. None
+    when the run has not converged after ``MAX_RESTARTS`` restarts or the
+    values do not fit ``size`` basis vectors.
+    """
+    n = len(m)
+    fixed = locked.shape[1]
+    size = min(size, n - fixed)
+    v = np.empty((n, fixed + size + 1), dtype=complex)
+    v[:, :fixed] = locked
+    h = np.zeros((size + 1, size), dtype=complex)
+
+    def start(j):  # random unit vector orthogonal to the first j basis vectors
+        w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        w, _ = _orthogonalize(v[:, : fixed + j], w)
+        return w / np.linalg.norm(w)
+
+    v[:, fixed] = start(0)
+    kept = 0
+    for _ in range(MAX_RESTARTS):
+        for j in range(kept, size):
+            w, c = _orthogonalize(v[:, : fixed + j + 1], m @ v[:, fixed + j])
+            h[: j + 1, j] = c[fixed:]
+            beta = np.sqrt(np.vdot(w, w).real)
+            if beta <= KRYLOV_TOL * np.sqrt(np.vdot(c, c).real):
+                # the basis spans an invariant subspace: go on from a new direction
+                h[j + 1, j] = 0
+                v[:, fixed + j + 1] = start(j + 1)
+            else:
+                h[j + 1, j] = beta
+                v[:, fixed + j + 1] = w / beta
+        theta, y = np.linalg.eig(h[:size])
+        order = _by_modulus(theta)
+        theta, y = theta[order], y[:, order]
+        mods = np.abs(theta)
+        if boundary is None:
+            scale = mods[0]
+            t = min(pairs, size)
+            while t < size and mods[t - 1] - mods[t] <= TIE_TOL * scale:
+                t += 1
+            cut = mods[t - 1]
+        else:
+            t = int(np.count_nonzero(mods >= boundary - TIE_TOL * scale))
+            cut = boundary
+        if t + 1 >= size:
+            return None
+        # Ritz pair (theta, V y), y of unit norm, misses by |h[size] . y|
+        residual = np.abs(h[size] @ y[:, : t + 1])
+        if np.all(residual[:t] <= KRYLOV_TOL * scale) and (
+            boundary is None or residual[t] <= 0.1 * (cut - mods[t])
+        ):
+            q, _ = np.linalg.qr(y[:, :t])
+            return v[:, fixed : fixed + size] @ q, cut, scale
+        kept = min(t + 3, size - 1)
+        q, _ = np.linalg.qr(y[:, :kept])
+        v[:, fixed : fixed + kept] = v[:, fixed : fixed + size] @ q
+        v[:, fixed + kept] = v[:, fixed + size]
+        s, b = q.conj().T @ h[:size] @ q, h[size] @ q
+        h[:] = 0
+        h[:kept, :kept] = s
+        h[kept, :kept] = b
+    return None
+
+
+def _invariant_subspace(m, rng, size, pairs, boundary=None, scale=None, count=None):
+    """Orthonormal basis of the invariant subspace of m's largest-modulus eigenvalues.
+
+    Arnoldi from one start vector meets one eigenvector per eigenvalue, so it
+    would count a repeated eigenvalue once. Without ``count`` the first run is
+    therefore followed by runs from fresh start vectors, deflated against all
+    found so far, until one finds nothing more at or above the boundary of
+    the first. Given a ``boundary`` and a ``count`` (the adjoint of a map
+    whose eigenvalues above the boundary are counted), runs stop once the
+    basis holds ``count`` vectors. Returns ``(basis, boundary, scale)`` as
+    :func:`_arnoldi_run` does, or None.
+    """
+    q = np.empty((len(m), 0), dtype=complex)
+    while count is None or q.shape[1] < count:
+        found = _arnoldi_run(m, rng, q, size, pairs, boundary, scale)
+        if found is None:
+            return None
+        x, boundary, scale = found
+        if x.shape[1] == 0:
+            break
+        q = np.hstack([q, x])
+        if q.shape[1] > size:
+            return None
+    if count is not None and q.shape[1] != count:
+        return None
+    return q, boundary, scale
+
+
+def leading_spectrum(m, pairs):
+    """The ``pairs`` largest-modulus eigenpairs of m, as a partial :class:`Spectrum`.
+
+    Every eigenvalue tied in modulus with the last of them is included too,
+    each with its multiplicity, so the spectrum may hold more than ``pairs``.
+    Right eigenvectors come from thick-restart Arnoldi on m, left ones from a
+    second run on its adjoint, biorthonormalized against the right ones
+    (L R = 1). Both runs start from vectors of a fixed-seed generator, so the
+    result is the same on every call. ``condition_estimate`` is the largest
+    Wilkinson condition |L_k| |R_k| / |L_k R_k| of the pairs returned.
+
+    Falls back to :func:`spectral_decompose` (a full spectrum) when the
+    Arnoldi basis would not be much smaller than m, when an Arnoldi run does
+    not converge, or when a returned pair misses its eigen-equation by more
+    than 1e-12 of the leading modulus.
+    """
+    m = _as_square(m)
+    size = max(KRYLOV_BASIS, 3 * pairs)
+    if 2 * size > len(m):
+        return spectral_decompose(m)
+    rng = np.random.default_rng(KRYLOV_SEED)
+    found = _invariant_subspace(m, rng, size, pairs)
+    if found is None:
+        return spectral_decompose(m)
+    q, boundary, scale = found
+    found = _invariant_subspace(m.conj().T, rng, size, pairs, boundary, scale, count=q.shape[1])
+    if found is None:
+        return spectral_decompose(m)
+    p = found[0].conj().T
+    w, y = np.linalg.eig(q.conj().T @ (m @ q))
+    order = _by_modulus(w)
+    w = w[order]
+    right = q @ y[:, order]
+    try:
+        left = np.linalg.solve(p @ right, p)
+    except np.linalg.LinAlgError:
+        return spectral_decompose(m)
+    right_norm = np.linalg.norm(right, axis=0)
+    left_norm = np.linalg.norm(left, axis=1)
+    miss = max(
+        (np.linalg.norm(m @ right - right * w, axis=0) / right_norm).max(),
+        (np.linalg.norm(left @ m - w[:, None] * left, axis=1) / left_norm).max(),
     )
+    if not miss <= 100 * KRYLOV_TOL * scale:
+        return spectral_decompose(m)
+    with np.errstate(all="ignore"):
+        condition = float((left_norm * right_norm / np.abs(np.sum(left * right.T, axis=1))).max())
+    return _spectrum(w, right, left, condition)
 
 
 def ldexp(z, exponent):

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import NearDefectiveError, UndefinedExponentError
 from .numerics import ldexp, rescale
-from .transfer import build_transfer, transfer_powers, transfer_spectrum, twisted_spectrum
+from .transfer import LEADING_PAIRS, build_transfer, transfer_powers, transfer_spectrum, twisted_spectrum
 from .response import GAP_TOL, _leading_pair
 
 # Eigenvalues of T(g2) within this much of each other, relative to
@@ -209,9 +209,16 @@ def decay_channel(model, g2, chi_l, chi_r):
     cluster is live when |c| exceeds ``LIVE_TOL`` times the scale
     |L0||T_chiL||T_chiR||R0| / |L0 R0| times the condition estimate of
     T(g2)'s eigenvectors; the exponent is -ln|lambda| of the live cluster of
-    largest modulus. Both spectra are the memoised ones, so no new
-    eigendecomposition runs. A gapless T(g2) is fine: tied moduli give one
-    exponent either way.
+    largest modulus. A gapless T(g2) is fine: tied moduli give one exponent
+    either way.
+
+    The channels are those of the memoised spectra. A partial spectrum of
+    T(g2) (bond dimension above ``DENSE_MAX_BOND``) holds every eigenvalue
+    down to some modulus, so its slowest live channel is the slowest of all;
+    when none of its channels is live, the spectrum is widened to twice as
+    many pairs, up to the full dense one, and the new spectrum is memoised
+    too. ``floor`` covers the channels of the spectrum the exponent was read
+    from.
 
     Raises :class:`UndefinedExponentError` when no channel is live (the
     string vanishes identically) or the live one is nilpotent, and
@@ -219,29 +226,33 @@ def decay_channel(model, g2, chi_l, chi_r):
     """
     lpdo = model.lpdo
     left, right, norm, _ = _leading_pair(transfer_spectrum(lpdo, np.eye(lpdo.d)), GAP_TOL, "of T(1)")
-    spectrum = twisted_spectrum(model, g2)
-    if spectrum.near_defective:
-        raise NearDefectiveError(f"transfer spectrum of T({g2}) is near-defective")
     tl = build_transfer(lpdo, chi_l)
     tr = build_transfer(lpdo, chi_r)
-    scale = (
-        np.linalg.norm(left) * np.linalg.norm(tl) * np.linalg.norm(tr) * np.linalg.norm(right)
-        / abs(norm) * spectrum.condition_estimate
-    )
-    if scale == 0:
-        raise UndefinedExponentError("string vanishes identically: an endpoint map is zero")
-    amplitudes = (left @ tl @ spectrum.right_vectors) * (spectrum.left_vectors @ tr @ right) / norm
-    eigenvalues = spectrum.eigenvalues
-    lam0 = abs(eigenvalues[0])
-    unassigned = np.ones(len(eigenvalues), dtype=bool)
-    channels = []
-    for i in range(len(eigenvalues)):
-        if unassigned[i]:
-            members = unassigned & (np.abs(eigenvalues - eigenvalues[i]) <= CLUSTER_TOL * lam0)
-            unassigned &= ~members
-            channels.append((complex(eigenvalues[i]), complex(amplitudes[members].sum())))
-    threshold = LIVE_TOL * scale
-    live = [(lam, c) for lam, c in channels if abs(c) > threshold]
+    envelope = np.linalg.norm(left) * np.linalg.norm(tl) * np.linalg.norm(tr) * np.linalg.norm(right) / abs(norm)
+    start = left @ tl
+    pairs = LEADING_PAIRS
+    while True:
+        spectrum = transfer_spectrum(lpdo, model.action(g2).u, pairs=pairs)
+        if spectrum.near_defective:
+            raise NearDefectiveError(f"transfer spectrum of T({g2}) is near-defective")
+        scale = envelope * spectrum.condition_estimate
+        if scale == 0:
+            raise UndefinedExponentError("string vanishes identically: an endpoint map is zero")
+        amplitudes = (start @ spectrum.right_vectors) * (spectrum.left_vectors @ tr @ right) / norm
+        eigenvalues = spectrum.eigenvalues
+        lam0 = abs(eigenvalues[0])
+        unassigned = np.ones(len(eigenvalues), dtype=bool)
+        channels = []
+        for i in range(len(eigenvalues)):
+            if unassigned[i]:
+                members = unassigned & (np.abs(eigenvalues - eigenvalues[i]) <= CLUSTER_TOL * lam0)
+                unassigned &= ~members
+                channels.append((complex(eigenvalues[i]), complex(amplitudes[members].sum())))
+        threshold = LIVE_TOL * scale
+        live = [(lam, c) for lam, c in channels if abs(c) > threshold]
+        if live or spectrum.complete:
+            break
+        pairs *= 2
     if not live:
         raise UndefinedExponentError("string vanishes identically: no decay channel is live")
     floor = max((abs(c) for _, c in channels if abs(c) <= threshold), default=0.0) / scale

@@ -151,17 +151,15 @@ def verify_transformation_law(lpdo, act, rep, theta):
 
         sum_{i',a'} u[i,i'] ua[a,a'] A[i',a'] - e^{i theta} V A[i,a] V^dag,
 
-    with ``theta`` the phase :func:`extract_virtual_rep` returns.
+    with ``theta`` the phase :func:`extract_virtual_rep` returns. u and ua
+    must match the tensor's d and da, which :func:`extract_virtual_rep`
+    checks before it calls this.
     """
     a4 = lpdo.tensor
     u = _as_square(act.u, "u")
     ua = _as_square(act.ua, "ua")
     v = _as_square(rep.v, "v")
-    d, da, dv, _ = a4.shape
-    if u.shape[0] != d:
-        raise DimensionMismatchError(f"u is {u.shape[0]}x{u.shape[0]}, tensor has d={d}")
-    if ua.shape[0] != da:
-        raise DimensionMismatchError(f"ua is {ua.shape[0]}x{ua.shape[0]}, tensor has da={da}")
+    dv = a4.shape[2]
     if v.shape[0] != dv:
         raise DimensionMismatchError(f"v is {v.shape[0]}x{v.shape[0]}, tensor has D={dv}")
     # i,a: outer physical/ancilla; x,y: virtual

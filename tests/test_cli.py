@@ -4,9 +4,11 @@ import re
 import numpy as np
 import pytest
 
+from test_generic import generic_model
 from weaksym.cli import CSV_HEADER, _fmt, _json_float, main
-from weaksym.errors import ValidationError
+from weaksym.errors import GaplessTransferError, ValidationError
 from weaksym.model import build_aklt_model, load_model, save_model
+from weaksym.response import thermo_response
 
 
 def run(capsys, *argv):
@@ -144,6 +146,19 @@ def test_response_identity(capsys):
 
 def test_response_gapless_exits_3(capsys):
     code, _, err = run(capsys, "response", "--p", "0.5", "--g1", "R_y", "--g2", "R_z")
+    assert code == 3
+    assert "gap" in err
+
+
+@pytest.mark.parametrize("bond", [3, 6], ids=["D6", "D12"])
+def test_generic_model_gapless_at_half_noise_exits_3(bond, tmp_path, capsys):
+    """At p = 1/2 the leading 1/3 of T(R_z) is doubly degenerate, on the dense and the Krylov path."""
+    model, _, _ = generic_model(0.5, bond=bond)
+    with pytest.raises(GaplessTransferError):
+        thermo_response(model, "R_y", "R_z")
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    code, _, err = run(capsys, "response", "--model", str(path), "--g1", "R_y", "--g2", "R_z")
     assert code == 3
     assert "gap" in err
 

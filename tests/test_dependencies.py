@@ -1,7 +1,11 @@
-"""numpy stays the only runtime dependency of the package.
+"""numpy stays the only runtime dependency of the package, and one module solves eigenproblems.
 
 An AST scan of every import statement in ``src/weaksym``: each imported
-module must be in the standard library, numpy, or the package itself.
+module must be in the standard library, numpy, or the package itself. A
+second scan finds every use of numpy's non-Hermitian eigensolvers, ``eig``
+and ``eigvals``: only ``numerics.py`` may make one, so every transfer
+spectrum goes through its dense or Krylov path. ``eigvalsh`` (the oracle's
+positivity check) is not one of them.
 """
 
 import ast
@@ -26,3 +30,26 @@ def test_package_imports_only_the_standard_library_numpy_and_itself():
     assert sources, f"no sources under {PACKAGE}"
     outside = [(path.name, name) for path in sources for name in imported_modules(path) if name not in ALLOWED]
     assert outside == []
+
+
+NON_HERMITIAN = {"eig", "eigvals"}
+
+
+def non_hermitian_eigensolves(path):
+    """Lines of one source file that name ``eig`` or ``eigvals`` (an attribute or a numpy import)."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Attribute) and node.attr in NON_HERMITIAN:
+            yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module and node.module.split(".")[0] == "numpy":
+            yield from (node.lineno for alias in node.names if alias.name in NON_HERMITIAN)
+
+
+def test_non_hermitian_eigensolves_only_in_numerics():
+    outside = [
+        (path.name, line)
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "numerics.py"
+        for line in non_hermitian_eigensolves(path)
+    ]
+    assert outside == []
+    assert list(non_hermitian_eigensolves(PACKAGE / "numerics.py"))

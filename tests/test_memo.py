@@ -1,16 +1,20 @@
 """Per-model memo of transfer maps, spectra, squaring tables and virtual representations.
 
 Eigendecompositions are counted with a wrapper around ``np.linalg.eig`` as
-``weaksym.numerics`` sees it; every spectrum in the package goes through
-that one call. Squaring tables are counted at ``ScaledPowers.__init__``.
+``weaksym.numerics`` sees it; every eigensolve in the package goes through
+that one call. A full spectrum is one call on the map itself, a partial one
+(bond dimension above ``DENSE_MAX_BOND``) a few calls on small Arnoldi
+matrices and none on the map. Squaring tables are counted at
+``ScaledPowers.__init__``.
 """
 
 import numpy as np
 import pytest
 
 from test_generic import generic_model
-from weaksym import cli, numerics
-from weaksym.model import LpdoTensor, aklt_group, build_aklt_model
+from weaksym import cli, numerics, transfer
+from weaksym.model import LpdoTensor, aklt_group, build_aklt_model, save_model
+from weaksym.response import thermo_response
 from weaksym.symmetry import SymmetryAction, extract_virtual_rep
 from weaksym.transfer import build_transfer, transfer_powers, transfer_spectrum
 from weaksym.verify import generic_model_checks
@@ -39,6 +43,42 @@ def test_sweep_row_decomposes_at_most_four_maps(eig_calls):
     row = cli._sweep_row(0.3, 200, 50, 1e-8)
     assert not row["flags"]
     assert len(eig_calls) <= 4
+
+
+@pytest.fixture
+def partial_spectra(monkeypatch):
+    """A list of the maps ``transfer_spectrum`` hands to the Krylov path, as bytes."""
+    maps = []
+    leading = transfer.leading_spectrum
+
+    def recording(m, pairs):
+        maps.append(m.tobytes())
+        return leading(m, pairs)
+
+    monkeypatch.setattr(transfer, "leading_spectrum", recording)
+    return maps
+
+
+def test_generic_thermo_response_decomposes_three_maps_once(eig_calls, partial_spectra, tmp_path, capsys):
+    """At D=12: T(1), T(R_x, ua_x) and T(R_z), each by Krylov iteration, no eig of a 144 x 144 map."""
+    model, _, _ = generic_model(0.3, bond=6)
+    lpdo = model.lpdo
+    n = lpdo.bond_dim**2
+    act_x, act_z = model.action("R_x"), model.action("R_z")
+    maps = {build_transfer(lpdo, op, op_a).tobytes() for op, op_a in ((np.eye(lpdo.d), None), (act_x.u, act_x.ua), (act_z.u, None))}
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    assert cli.main(["response", "--model", str(path), "--g1", "R_x", "--g2", "R_z"]) == 0
+    assert "snapped: exp(i*pi)" in capsys.readouterr().out
+    assert sorted(partial_spectra) == sorted(maps)
+    assert eig_calls and (n, n) not in eig_calls
+    # in one process, a second call on the same model computes nothing new
+    partial_spectra.clear()
+    thermo_response(model, "R_x", "R_z")
+    assert sorted(partial_spectra) == sorted(maps)
+    calls = len(eig_calls)
+    thermo_response(model, "R_x", "R_z")
+    assert len(eig_calls) == calls and len(partial_spectra) == 3
 
 
 @pytest.fixture
