@@ -6,12 +6,13 @@ eigenpairs, both with a deterministic eigenvalue ordering and a
 biorthonormalized left/right pairing, which the thermodynamic-limit formulas
 rely on:
 
-* :func:`spectral_decompose`, a full LAPACK ``eig`` (O(n^3)), for small maps
-  and as the reference;
-* :func:`leading_spectrum`, a thick-restart Arnoldi iteration (Krylov-Schur
-  style: Stewart, SIAM J. Matrix Anal. Appl. 23, 601 (2001)) that returns only
-  the largest-modulus eigenpairs, at the cost of a few hundred matrix-vector
-  products. It is the faster route for maps above about a hundred rows.
+* :func:`spectral_decompose`, a full LAPACK ``eig`` (O(n^3)), the reference;
+* a thick-restart Arnoldi iteration (Krylov-Schur style: Stewart, SIAM J.
+  Matrix Anal. Appl. 23, 601 (2001)) that returns only the largest-modulus
+  eigenpairs, at the cost of a few hundred matrix-vector products.
+
+:func:`leading_spectrum` picks between them by the size of the map: the
+full decomposition up to ``DENSE_MAX_ROWS`` rows, Arnoldi above.
 
 This module is the only place a non-Hermitian eigenproblem is solved.
 """
@@ -32,7 +33,15 @@ _SQUARE_NORM_RANGE = (2.0**-800, 2.0**800)
 # stacked bit level costs about ten numpy calls, so for fewer powers the
 # per-length loop of ScaledPowers.power is faster.
 MIN_STACKED_POWERS = 12
-# Arnoldi basis size of leading_spectrum (at least three vectors per wanted pair).
+# Maps of up to this many rows (bond dimension D <= 10) are decomposed in
+# full, larger ones by Arnoldi. Measured per map on one BLAS thread: at 100
+# rows Arnoldi is faster on AKLT x random-MPS maps (7 vs 10 ms) but slower
+# where subleading moduli crowd together (19 vs 12 ms); at 144 rows (D = 12)
+# it is faster on both (7-18 ms against 23-35 ms).
+DENSE_MAX_ROWS = 100
+# Leading eigenpairs a partial spectrum holds at least (the gap needs two).
+LEADING_PAIRS = 3
+# Arnoldi basis size (at least three vectors per wanted pair).
 KRYLOV_BASIS = 24
 # A Ritz pair is converged when its residual is below this share of the
 # leading modulus.
@@ -64,7 +73,7 @@ class Spectrum:
 
     A spectrum holds k <= n pairs. A full one (k = n, from
     :func:`spectral_decompose`) holds them all; a partial one (from
-    :func:`leading_spectrum`) holds the k largest moduli, every eigenvalue
+    :func:`leading_spectrum` above ``DENSE_MAX_ROWS`` rows) holds the k largest moduli, every eigenvalue
     counted with its multiplicity, and never splits a cluster of tied moduli:
     every eigenvalue it leaves out is smaller in modulus than all it holds.
 
@@ -164,10 +173,10 @@ def _orthogonalize(basis, w):
     return w - basis @ c2, c + c2
 
 
-def _arnoldi_run(m, rng, locked, size, pairs, boundary=None, scale=None):
+def _arnoldi_run(m, rng, locked, boundary=None, scale=None):
     """One thick-restart Arnoldi run on m, deflated against the orthonormal columns ``locked``.
 
-    Without a ``boundary`` the run converges the ``pairs`` largest-modulus
+    Without a ``boundary`` the run converges the ``LEADING_PAIRS`` largest-modulus
     Ritz values and every one tied in modulus with the last; with one, those
     of modulus at or above ``boundary``, and also the first Ritz value below
     them, to a tenth of its distance from the boundary, so that nothing more
@@ -178,11 +187,11 @@ def _arnoldi_run(m, rng, locked, size, pairs, boundary=None, scale=None):
     their invariant subspace, orthogonal to ``locked``; the smallest modulus
     returned; and the leading modulus the tolerances are relative to. None
     when the run has not converged after ``MAX_RESTARTS`` restarts or the
-    values do not fit ``size`` basis vectors.
+    values do not fit ``KRYLOV_BASIS`` basis vectors.
     """
     n = len(m)
     fixed = locked.shape[1]
-    size = min(size, n - fixed)
+    size = min(KRYLOV_BASIS, n - fixed)
     v = np.empty((n, fixed + size + 1), dtype=complex)
     v[:, :fixed] = locked
     h = np.zeros((size + 1, size), dtype=complex)
@@ -212,7 +221,7 @@ def _arnoldi_run(m, rng, locked, size, pairs, boundary=None, scale=None):
         mods = np.abs(theta)
         if boundary is None:
             scale = mods[0]
-            t = min(pairs, size)
+            t = min(LEADING_PAIRS, size)
             while t < size and mods[t - 1] - mods[t] <= TIE_TOL * scale:
                 t += 1
             cut = mods[t - 1]
@@ -239,7 +248,7 @@ def _arnoldi_run(m, rng, locked, size, pairs, boundary=None, scale=None):
     return None
 
 
-def _invariant_subspace(m, rng, size, pairs, boundary=None, scale=None, count=None):
+def _invariant_subspace(m, rng, boundary=None, scale=None, count=None):
     """Orthonormal basis of the invariant subspace of m's largest-modulus eigenvalues.
 
     Arnoldi from one start vector meets one eigenvector per eigenvalue, so it
@@ -253,46 +262,46 @@ def _invariant_subspace(m, rng, size, pairs, boundary=None, scale=None, count=No
     """
     q = np.empty((len(m), 0), dtype=complex)
     while count is None or q.shape[1] < count:
-        found = _arnoldi_run(m, rng, q, size, pairs, boundary, scale)
+        found = _arnoldi_run(m, rng, q, boundary, scale)
         if found is None:
             return None
         x, boundary, scale = found
         if x.shape[1] == 0:
             break
         q = np.hstack([q, x])
-        if q.shape[1] > size:
+        if q.shape[1] > KRYLOV_BASIS:
             return None
     if count is not None and q.shape[1] != count:
         return None
     return q, boundary, scale
 
 
-def leading_spectrum(m, pairs):
-    """The ``pairs`` largest-modulus eigenpairs of m, as a partial :class:`Spectrum`.
+def leading_spectrum(m):
+    """Spectrum of m's leading eigenpairs: in full up to ``DENSE_MAX_ROWS`` rows, partial above.
 
-    Every eigenvalue tied in modulus with the last of them is included too,
-    each with its multiplicity, so the spectrum may hold more than ``pairs``.
+    A map of up to ``DENSE_MAX_ROWS`` rows gets :func:`spectral_decompose`.
+    A larger one gets a partial :class:`Spectrum` of its ``LEADING_PAIRS``
+    largest-modulus eigenpairs and every eigenvalue tied in modulus with the
+    last of them, each with its multiplicity, so it may hold more pairs.
     Right eigenvectors come from thick-restart Arnoldi on m, left ones from a
     second run on its adjoint, biorthonormalized against the right ones
     (L R = 1). Both runs start from vectors of a fixed-seed generator, so the
     result is the same on every call. ``condition_estimate`` is the largest
     Wilkinson condition |L_k| |R_k| / |L_k R_k| of the pairs returned.
 
-    Falls back to :func:`spectral_decompose` (a full spectrum) when the
-    Arnoldi basis would not be much smaller than m, when an Arnoldi run does
+    A large map also gets :func:`spectral_decompose` when an Arnoldi run does
     not converge, or when a returned pair misses its eigen-equation by more
     than 1e-12 of the leading modulus.
     """
     m = _as_square(m)
-    size = max(KRYLOV_BASIS, 3 * pairs)
-    if 2 * size > len(m):
+    if len(m) <= DENSE_MAX_ROWS:
         return spectral_decompose(m)
     rng = np.random.default_rng(KRYLOV_SEED)
-    found = _invariant_subspace(m, rng, size, pairs)
+    found = _invariant_subspace(m, rng)
     if found is None:
         return spectral_decompose(m)
     q, boundary, scale = found
-    found = _invariant_subspace(m.conj().T, rng, size, pairs, boundary, scale, count=q.shape[1])
+    found = _invariant_subspace(m.conj().T, rng, boundary, scale, count=q.shape[1])
     if found is None:
         return spectral_decompose(m)
     p = found[0].conj().T

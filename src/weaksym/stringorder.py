@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import NearDefectiveError, UndefinedExponentError
 from .numerics import ldexp, rescale
-from .transfer import LEADING_PAIRS, build_transfer, transfer_powers, transfer_spectrum, twisted_spectrum
+from .transfer import build_transfer, transfer_powers, transfer_spectrum, twisted_spectrum
 from .response import GAP_TOL, _leading_pair
 
 # Eigenvalues of T(g2) within this much of each other, relative to
@@ -213,12 +213,18 @@ def decay_channel(model, g2, chi_l, chi_r):
     either way.
 
     The channels are those of the memoised spectra. A partial spectrum of
-    T(g2) (bond dimension above ``DENSE_MAX_BOND``) holds every eigenvalue
-    down to some modulus, so its slowest live channel is the slowest of all;
-    when none of its channels is live, the spectrum is widened to twice as
-    many pairs, up to the full dense one, and the new spectrum is memoised
-    too. ``floor`` covers the channels of the spectrum the exponent was read
-    from.
+    T(g2) (bond dimension above 10) holds every eigenvalue down to some
+    modulus, so its slowest live channel is the slowest of all; when none of
+    its channels is live, the complete spectrum is read instead. ``floor``
+    covers the channels of the spectrum the exponent was read from.
+
+    The condition estimate is that of the spectrum read: cond(R) of all
+    eigenvectors for a complete one, the largest Wilkinson condition of the
+    pairs held for a partial one, which is never larger. So at bond dimension
+    above 10 the live threshold can be lower than at 10 and below for a map
+    of the same conditioning, and a channel whose amplitude lies between the
+    two thresholds is live on the partial spectrum although the complete one
+    would call it dead. Built-in models (D = 2) always read a complete one.
 
     Raises :class:`UndefinedExponentError` when no channel is live (the
     string vanishes identically) or the live one is nilpotent, and
@@ -230,9 +236,9 @@ def decay_channel(model, g2, chi_l, chi_r):
     tr = build_transfer(lpdo, chi_r)
     envelope = np.linalg.norm(left) * np.linalg.norm(tl) * np.linalg.norm(tr) * np.linalg.norm(right) / abs(norm)
     start = left @ tl
-    pairs = LEADING_PAIRS
+    u = model.action(g2).u
+    spectrum = transfer_spectrum(lpdo, u)
     while True:
-        spectrum = transfer_spectrum(lpdo, model.action(g2).u, pairs=pairs)
         if spectrum.near_defective:
             raise NearDefectiveError(f"transfer spectrum of T({g2}) is near-defective")
         scale = envelope * spectrum.condition_estimate
@@ -252,7 +258,7 @@ def decay_channel(model, g2, chi_l, chi_r):
         live = [(lam, c) for lam, c in channels if abs(c) > threshold]
         if live or spectrum.complete:
             break
-        pairs *= 2
+        spectrum = transfer_spectrum(lpdo, u, complete=True)
     if not live:
         raise UndefinedExponentError("string vanishes identically: no decay channel is live")
     floor = max((abs(c) for _, c in channels if abs(c) <= threshold), default=0.0) / scale

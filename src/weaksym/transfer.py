@@ -21,26 +21,17 @@ rotated by O and O_a, then contracted against conj(A) reshaped to
 differs from the product in the last bits and so keeps the built-in AKLT
 family's outputs bit-stable.
 
-Spectra follow the same kind of split. Up to D = ``DENSE_MAX_BOND`` a map is
-decomposed in full by a dense ``eig``, O(D^6) work. Above it only the leading
-eigenpairs, which are all any consumer reads, are computed by Krylov
-iteration (:func:`~weaksym.numerics.leading_spectrum`), O(D^4) work per
-matrix-vector product.
+Spectra follow the same kind of split, made by
+:func:`~weaksym.numerics.leading_spectrum` on the size of the map: up to
+``DENSE_MAX_ROWS`` rows (D <= 10) a map is decomposed in full by a dense ``eig``, O(D^6) work; above it
+only the leading eigenpairs, which are all any consumer reads, are computed
+by Krylov iteration, O(D^4) work per matrix-vector product.
 """
 
 import numpy as np
 
 from .errors import DimensionMismatchError
 from .numerics import ScaledPowers, _as_square, leading_spectrum, spectral_decompose
-
-# Maps of bond dimension up to this are decomposed in full, larger ones by
-# Krylov iteration. Measured per map on one BLAS thread: at D = 10 Krylov is
-# faster on AKLT x random-MPS maps (7 vs 10 ms) but slower where subleading
-# moduli crowd together (19 vs 12 ms); at D = 12 it is faster on both (7-18
-# ms against 23-35 ms).
-DENSE_MAX_BOND = 10
-# Leading eigenpairs a partial spectrum holds at least (the gap needs two).
-LEADING_PAIRS = 3
 
 
 def _insertion(m, name, leg, dim):
@@ -93,24 +84,23 @@ def build_transfer(lpdo, op, op_a=None):
     return lpdo.memoised(("transfer",) + key, lambda: _contract(lpdo.tensor, op, op_a))
 
 
-def transfer_spectrum(lpdo, op, op_a=None, pairs=LEADING_PAIRS):
+def transfer_spectrum(lpdo, op, op_a=None, complete=False):
     """Spectrum of T(op, op_a), decomposed once per tensor and insertion pair.
 
-    Up to bond dimension ``DENSE_MAX_BOND`` the spectrum is full
-    (:func:`~weaksym.numerics.spectral_decompose`); above it, it is partial
-    and holds at least the ``pairs`` leading eigenpairs, with every
-    eigenvalue tied in modulus with the last of them
-    (:func:`~weaksym.numerics.leading_spectrum`), memoised per ``pairs``.
-    This is the only route from a transfer map to an eigensolver.
+    The spectrum is :func:`~weaksym.numerics.leading_spectrum`'s: full up to
+    ``DENSE_MAX_ROWS`` rows (bond dimension 10), partial above. ``complete`` asks for a full spectrum
+    at any bond dimension; a large map then gets
+    :func:`~weaksym.numerics.spectral_decompose` too, memoised next to its
+    partial spectrum. This is the only route from a transfer map to an
+    eigensolver.
     """
     op, op_a, key = _insertions(lpdo, op, op_a)
-    if lpdo.bond_dim <= DENSE_MAX_BOND:
-        return lpdo.memoised(
-            ("spectrum",) + key, lambda: spectral_decompose(build_transfer(lpdo, op, op_a))
+    spectrum = lpdo.memoised(("spectrum",) + key, lambda: leading_spectrum(build_transfer(lpdo, op, op_a)))
+    if complete and not spectrum.complete:
+        spectrum = lpdo.memoised(
+            ("complete spectrum",) + key, lambda: spectral_decompose(build_transfer(lpdo, op, op_a))
         )
-    return lpdo.memoised(
-        ("spectrum", pairs) + key, lambda: leading_spectrum(build_transfer(lpdo, op, op_a), pairs)
-    )
+    return spectrum
 
 
 def transfer_powers(lpdo, op, op_a=None):

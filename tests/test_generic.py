@@ -21,13 +21,13 @@ Test ids without a suffix are D=6.
 import numpy as np
 import pytest
 
-from weaksym import transfer
+from weaksym import numerics
 from weaksym.errors import NearDefectiveError, UndefinedExponentError
 from weaksym.model import LpdoTensor, Model, build_aklt_model, spin1_operators
-from weaksym.response import conservation_check, flux_response, thermo_response
-from weaksym.stringorder import decay_channel
+from weaksym.response import GAP_TOL, _leading_pair, conservation_check, flux_response, thermo_response
+from weaksym.stringorder import LIVE_TOL, decay_channel
 from weaksym.symmetry import GroupTable, SymmetryAction, extract_virtual_rep, verify_transformation_law
-from weaksym.transfer import DENSE_MAX_BOND, build_transfer, symmetry_gap, twisted_spectrum
+from weaksym.transfer import build_transfer, symmetry_gap, transfer_spectrum, twisted_spectrum
 from weaksym.verify import aklt_tz_eigenvalues
 
 DR = 2  # physical dimension of the random factor, an extra ancilla leg
@@ -136,7 +136,7 @@ def test_bonds_take_the_three_routes_to_a_spectrum(bond):
     """D=2 builds T by einsum, D=6 by one product; both decompose it in full. D=12 is partial."""
     model, _, _ = generic_model(0.3, bond=bond)
     spectrum = twisted_spectrum(model, "R_z")
-    assert spectrum.complete == (model.lpdo.bond_dim <= DENSE_MAX_BOND)
+    assert spectrum.complete == (model.lpdo.bond_dim**2 <= numerics.DENSE_MAX_ROWS)
     assert len(spectrum.eigenvalues) >= 2
 
 
@@ -275,7 +275,7 @@ def test_krylov_and_dense_paths_agree(p, bond, monkeypatch):
     assert not twisted_spectrum(model, "1").complete
     krylov = every_output(model)
     with monkeypatch.context() as patch:
-        patch.setattr(transfer, "DENSE_MAX_BOND", 2 * bond)
+        patch.setattr(numerics, "DENSE_MAX_ROWS", (2 * bond) ** 2)
         model, _, _ = generic_model(p, bond=bond)
         assert twisted_spectrum(model, "1").complete
         dense = every_output(model)
@@ -285,6 +285,52 @@ def test_krylov_and_dense_paths_agree(p, bond, monkeypatch):
             assert krylov[name] is None, name
         else:
             np.testing.assert_allclose(krylov[name], value, rtol=0, atol=1e-10, err_msg=name)
+
+
+def test_a_channel_between_the_two_live_thresholds(monkeypatch):
+    """A partial spectrum's live threshold is the lower one: a channel between the two is live only there.
+
+    At D=12 the three pairs the partial spectrum of T(1) holds have Wilkinson
+    condition about 4, while the complete spectrum's eigenvector matrix has
+    condition about 1e3. chi_l is tuned so that the leading channel of
+    <chi_l T(1)^l chi_r> has an amplitude halfway between the two thresholds
+    (on a log scale): the partial spectrum reports it as the order-one
+    channel, the complete one calls it dead and reads the decay of the next
+    live one.
+    """
+    model, _, _ = generic_model(0.3, bond=6)
+    lpdo = model.lpdo
+    rng = np.random.default_rng(3)
+    eye, b, chi_r = np.eye(lpdo.d), random_matrix(rng, lpdo.d), random_matrix(rng, lpdo.d)
+    partial = transfer_spectrum(lpdo, eye)
+    complete = transfer_spectrum(lpdo, eye, complete=True)
+    assert not partial.complete and len(partial.eigenvalues) == 3
+    left, right, norm, _ = _leading_pair(partial, GAP_TOL, "of T(1)")
+    tr = build_transfer(lpdo, chi_r)
+
+    def leading_amplitude(chi):  # linear in chi
+        return (left @ build_transfer(lpdo, chi) @ right) * (left @ tr @ right) / norm / norm
+
+    cancelled = b - leading_amplitude(b) / leading_amplitude(eye) * eye
+    envelope = (
+        np.linalg.norm(left) * np.linalg.norm(build_transfer(lpdo, cancelled)) * np.linalg.norm(tr)
+        * np.linalg.norm(right) / abs(norm)
+    )
+    low = LIVE_TOL * envelope * partial.condition_estimate
+    high = LIVE_TOL * envelope * complete.condition_estimate
+    assert 100 * low < high
+    target = np.sqrt(low * high)
+    chi_l = cancelled + target / leading_amplitude(eye) * eye
+    channel = decay_channel(model, "1", chi_l, chi_r)
+    assert channel.order_one and abs(channel.xi) < 1e-12
+    assert abs(channel.amplitude) == pytest.approx(target, rel=1e-3)
+    with monkeypatch.context() as patch:
+        patch.setattr(numerics, "DENSE_MAX_ROWS", lpdo.bond_dim**2)
+        model, _, _ = generic_model(0.3, bond=6)
+        channel = decay_channel(model, "1", chi_l, chi_r)
+    assert not channel.order_one
+    assert channel.xi == pytest.approx(np.log(3), abs=1e-10)  # the AKLT factor's -1/3
+    assert 0 < channel.floor <= LIVE_TOL
 
 
 def jordan_model(bond):

@@ -3,7 +3,7 @@
 Eigendecompositions are counted with a wrapper around ``np.linalg.eig`` as
 ``weaksym.numerics`` sees it; every eigensolve in the package goes through
 that one call. A full spectrum is one call on the map itself, a partial one
-(bond dimension above ``DENSE_MAX_BOND``) a few calls on small Arnoldi
+(above ``DENSE_MAX_ROWS`` rows) a few calls on small Arnoldi
 matrices and none on the map. Squaring tables are counted at
 ``ScaledPowers.__init__``.
 """
@@ -47,13 +47,13 @@ def test_sweep_row_decomposes_at_most_four_maps(eig_calls):
 
 @pytest.fixture
 def partial_spectra(monkeypatch):
-    """A list of the maps ``transfer_spectrum`` hands to the Krylov path, as bytes."""
+    """A list of the maps ``transfer_spectrum`` hands to ``leading_spectrum``, as bytes."""
     maps = []
     leading = transfer.leading_spectrum
 
-    def recording(m, pairs):
+    def recording(m):
         maps.append(m.tobytes())
-        return leading(m, pairs)
+        return leading(m)
 
     monkeypatch.setattr(transfer, "leading_spectrum", recording)
     return maps

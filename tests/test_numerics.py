@@ -3,7 +3,7 @@ import pytest
 
 from weaksym.errors import DimensionMismatchError, ValidationError
 from weaksym.model import build_aklt_model
-from weaksym.numerics import KRYLOV_BASIS, TIE_TOL, ScaledPowers, ldexp, leading_spectrum, rescale, spectral_decompose
+from weaksym.numerics import DENSE_MAX_ROWS, LEADING_PAIRS, TIE_TOL, ScaledPowers, ldexp, leading_spectrum, rescale, spectral_decompose
 from weaksym.transfer import build_transfer, symmetry_gap
 
 from test_generic import generic_model
@@ -171,11 +171,11 @@ def with_eigenvalues(rng, top, n, bulk=0.45):
     return x @ np.diag(np.concatenate([top, z])) @ np.linalg.inv(x)
 
 
-def assert_leading_matches_dense(m, pairs=3):
+def assert_leading_matches_dense(m):
     """A partial spectrum is the top of the dense one, to 1e-10, tied clusters whole."""
-    partial, full = leading_spectrum(m, pairs), spectral_decompose(m)
+    partial, full = leading_spectrum(m), spectral_decompose(m)
     k = len(partial.eigenvalues)
-    assert not partial.complete and k >= pairs
+    assert not partial.complete and k >= LEADING_PAIRS
     mods = np.abs(full.eigenvalues)
     assert mods[k - 1] - mods[k] > TIE_TOL * mods[0]  # the cut falls in a gap
     assert abs(symmetry_gap(partial) - symmetry_gap(full)) <= 1e-10
@@ -203,15 +203,15 @@ def assert_leading_matches_dense(m, pairs=3):
 
 def test_leading_spectrum_matches_dense_on_non_normal_matrices():
     rng = np.random.default_rng(23)
-    for n in (100, 150, 200):
+    for n in (DENSE_MAX_ROWS + 1, 150, 200):
         top = [1.0, 0.8 * np.exp(0.3j), -0.7, 0.6j, 0.55]
         assert_leading_matches_dense(with_eigenvalues(rng, top, n))
 
 
 @pytest.mark.parametrize("p", [0.2, 0.5, 0.75])
 def test_leading_spectrum_matches_dense_on_transfer_maps(p):
-    """T(1), T(R_x, ua_x) and T(R_z) of AKLT (x) random MPS at D = 10, 12, 16; p = 1/2 is gapless."""
-    for bond in (5, 6, 8):
+    """T(1), T(R_x, ua_x) and T(R_z) of AKLT (x) random MPS at D = 12 and 16; p = 1/2 is gapless."""
+    for bond in (6, 8):
         model, _, _ = generic_model(p, bond=bond)
         lpdo = model.lpdo
         act_x, act_z = model.action("R_x"), model.action("R_z")
@@ -222,53 +222,56 @@ def test_leading_spectrum_matches_dense_on_transfer_maps(p):
 
 
 def test_leading_spectrum_tied_second_modulus():
-    """A real map's complex second eigenvalue comes with its conjugate: one tied cluster."""
+    """A real map's complex third eigenvalue comes with its conjugate: the cut moves past both."""
     rng = np.random.default_rng(5)
     n = 120
     blocks = np.zeros((n, n))
-    blocks[0, 0], blocks[3, 3] = 1.0, 0.5
-    for at, (r, angle) in [(1, (0.7, 1.1))] + [(k, (0.45 * rng.uniform(), rng.uniform(0, np.pi))) for k in range(4, n, 2)]:
+    blocks[0, 0], blocks[1, 1] = 1.0, 0.8
+    for at, (r, angle) in [(2, (0.7, 1.1))] + [(k, (0.45 * rng.uniform(), rng.uniform(0, np.pi))) for k in range(4, n, 2)]:
         blocks[at : at + 2, at : at + 2] = r * np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
     x = np.eye(n) + 0.5 * rng.normal(size=(n, n)) / np.sqrt(n)
     m = x @ blocks @ np.linalg.inv(x)
-    partial = assert_leading_matches_dense(m, pairs=2)
-    assert len(partial.eigenvalues) == 3
-    assert abs(partial.eigenvalues[1] - partial.eigenvalues[2].conjugate()) < 1e-10
+    partial = assert_leading_matches_dense(m)
+    assert len(partial.eigenvalues) == 4
+    assert abs(partial.eigenvalues[2] - partial.eigenvalues[3].conjugate()) < 1e-10
 
 
 def test_leading_spectrum_exactly_degenerate_clusters():
     """Arnoldi from one vector meets one eigenvector per eigenvalue; the multiplicity still counts."""
     rng = np.random.default_rng(9)
     m = with_eigenvalues(rng, [1.0, 0.7, 0.7, 0.7, 0.5], 120)
-    partial = assert_leading_matches_dense(m, pairs=2)
+    partial = assert_leading_matches_dense(m)
     assert len(partial.eigenvalues) == 4
     m = with_eigenvalues(rng, [0.9, 0.9, 0.6], 120)
-    partial = assert_leading_matches_dense(m, pairs=1)
-    assert len(partial.eigenvalues) == 2 and abs(symmetry_gap(partial)) < 1e-12
+    partial = assert_leading_matches_dense(m)
+    assert len(partial.eigenvalues) == 3 and abs(symmetry_gap(partial)) < 1e-12
 
 
 def test_leading_spectrum_invariant_subspace_smaller_than_the_basis():
     """Three distinct eigenvalues: the Krylov space breaks down after three vectors."""
     rng = np.random.default_rng(4)
-    n = 100
+    n = 120
     values = np.array([1.0, 0.6, 0.6] + [0.3] * (n - 3))
     x = np.eye(n) + 0.5 * rng.normal(size=(n, n)) / np.sqrt(n)
     m = x @ np.diag(values) @ np.linalg.inv(x)
-    partial = assert_leading_matches_dense(m, pairs=2)
+    partial = assert_leading_matches_dense(m)
     assert len(partial.eigenvalues) == 3
 
 
 def test_leading_spectrum_is_the_same_on_every_call():
-    m = with_eigenvalues(np.random.default_rng(2), [1.0, -0.8, 0.5], 100)
-    first, second = leading_spectrum(m, 3), leading_spectrum(m, 3)
+    m = with_eigenvalues(np.random.default_rng(2), [1.0, -0.8, 0.5], 120)
+    first, second = leading_spectrum(m), leading_spectrum(m)
+    assert not first.complete
     for a, b in zip((first.eigenvalues, first.right_vectors, first.left_vectors),
                     (second.eigenvalues, second.right_vectors, second.left_vectors)):
         assert a.tobytes() == b.tobytes()
 
 
-def test_leading_spectrum_falls_back_to_dense_below_twice_the_basis():
-    small = np.random.default_rng(8).normal(size=(2 * KRYLOV_BASIS - 1,) * 2)
-    partial, full = leading_spectrum(small, 3), spectral_decompose(small)
+def test_leading_spectrum_is_the_dense_one_up_to_the_row_cutoff():
+    rng = np.random.default_rng(8)
+    assert not leading_spectrum(with_eigenvalues(rng, [1.0, 0.8, 0.6], DENSE_MAX_ROWS + 1)).complete
+    small = rng.normal(size=(DENSE_MAX_ROWS,) * 2)
+    partial, full = leading_spectrum(small), spectral_decompose(small)
     assert partial.complete
     for a, b in zip((partial.eigenvalues, partial.right_vectors, partial.left_vectors),
                     (full.eigenvalues, full.right_vectors, full.left_vectors)):
