@@ -293,9 +293,9 @@ def leading_spectrum(m):
     not converge, or when a returned pair misses its eigen-equation by more
     than 1e-12 of the leading modulus.
     """
+    if np.ndim(m) == 2 and len(m) <= DENSE_MAX_ROWS:
+        return spectral_decompose(m)  # which validates m
     m = _as_square(m)
-    if len(m) <= DENSE_MAX_ROWS:
-        return spectral_decompose(m)
     rng = np.random.default_rng(KRYLOV_SEED)
     found = _invariant_subspace(m, rng)
     if found is None:

@@ -221,7 +221,7 @@ def test_leading_spectrum_matches_dense_on_transfer_maps(p):
             assert abs(symmetry_gap(partial)) < 1e-12 and len(partial.eigenvalues) >= 2
 
 
-def test_leading_spectrum_tied_second_modulus():
+def test_leading_spectrum_tied_conjugate_pair_at_the_cut():
     """A real map's complex third eigenvalue comes with its conjugate: the cut moves past both."""
     rng = np.random.default_rng(5)
     n = 120
