@@ -73,9 +73,10 @@ class Spectrum:
 
     A spectrum holds k <= n pairs. A full one (k = n, from
     :func:`spectral_decompose`) holds them all; a partial one (from
-    :func:`leading_spectrum` above ``DENSE_MAX_ROWS`` rows) holds the k largest moduli, every eigenvalue
-    counted with its multiplicity, and never splits a cluster of tied moduli:
-    every eigenvalue it leaves out is smaller in modulus than all it holds.
+    :func:`leading_spectrum` above ``DENSE_MAX_ROWS`` rows) holds the k
+    largest moduli, every eigenvalue counted with its multiplicity, and never
+    splits a cluster of tied moduli: every eigenvalue it leaves out is
+    smaller in modulus than all it holds.
 
     Attributes
     ----------
