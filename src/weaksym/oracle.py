@@ -1,24 +1,32 @@
 """Dense brute-force oracle for small rings.
 
-Contracts the purified tensor into the full state vector, reduces to the
-physical density matrix, and evaluates observables against explicit
-Kronecker-product operators. Exponentially expensive on purpose: every
-quantity here is an independent cross-check for the transfer-matrix
-formulas, and the oracle still shares no code with the transfer layer.
+Contracts the purified tensor into the full state vector |psi> of a ring and
+evaluates observables on it directly. Exponentially expensive on purpose:
+every quantity here is an independent cross-check for the transfer-matrix
+formulas, and the oracle shares no code with the transfer layer.
 
-The ring is contracted as a chain of matrix products. The running block is
-one matrix whose rows are (left bond, accumulated site indices) and whose
-columns are the right bond; the seam is the first factor, and each site
+The ring is cut into two halves, each contracted as a chain of matrix
+products. A half's running block is one matrix whose rows are (left bond,
+accumulated site indices) and whose columns are the right bond; each site
 multiplies the block by the site matrix A[b, (i a c)] = A[i, a, b, c], whose
 columns again end in the right bond, so the product reshapes into the next
-block without a copy. The open left and right bonds are traced at the end.
+block without a copy. The first half starts from the seam and holds the first
+ceil(N/2) sites, the second holds the rest. Closing the ring sums over the two
+bonds at the cuts, one matrix product over their D^2 pairs, so no block with
+the ring's bonds left open is ever written.
+
+An expectation of a site-product operator F = O_1 x ... x O_N on the physical
+density rho = Tr_anc |psi><psi| is Tr[rho F] = <psi| (F x 1_anc) |psi>. Each
+O_k is folded into its site tensor (O_k A on the physical leg), that ring is
+contracted the same way, and the overlap with |psi> over every physical and
+ancilla index traces the ancillas. Neither the density matrix nor the
+Kronecker-product operator is formed; :func:`density_from_state` and
+:func:`apply_channel_exact` build the density for tests that check it.
 Every dense array is bounded by ``MAX_AMPLITUDES`` entries and refused with
 :class:`SizeGuardError` before it is allocated.
 """
 
 from dataclasses import dataclass
-from functools import reduce
-from math import prod
 
 import numpy as np
 
@@ -50,30 +58,55 @@ def _guard(entries, what):
         raise SizeGuardError(f"{what} = {entries} entries exceeds the guard of {MAX_AMPLITUDES}")
 
 
+def _site_matrix(a4):
+    """A[b, (i a c)] = A[i, a, b, c]: one site as a bond-to-(site, bond) matrix."""
+    return a4.transpose(2, 0, 1, 3).reshape(a4.shape[2], -1)
+
+
+def _half_ring(start, sites):
+    """start @ A_1 ... A_k as a (left bond, site indices, right bond) array."""
+    dv = start.shape[0]
+    block = start
+    for site in sites:
+        block = (block @ site).reshape(-1, dv)
+    return block.reshape(dv, -1, dv)
+
+
+def _ring_halves(seam, sites):
+    """A ring of site matrices cut in two, L[s_left, (a b)] and R[(a b), s_right].
+
+    L @ R is the flat, site-major array of amplitudes
+    tr[seam A_1[s_1] ... A_N[s_N]]: the product sums over the bond pair
+    (a, b) at the two cuts. L starts from the seam and holds the first
+    ceil(N/2) sites.
+    """
+    dv = seam.shape[0]
+    half = (len(sites) + 1) // 2
+    left = _half_ring(seam, sites[:half])  # [a, s_left, b]
+    right = _half_ring(np.eye(dv), sites[half:])  # [b, s_right, a]
+    return left.transpose(1, 0, 2).reshape(-1, dv * dv), right.transpose(2, 0, 1).reshape(dv * dv, -1)
+
+
 def contract_full(lpdo, seam, n_sites):
     """Full purified state vector of a ring with a seam matrix inserted.
 
     coefficient(i1 a1 ... iN aN) = tr[seam A[i1, a1] ... A[iN, aN]].
     Returns an array of shape (d, da) * n_sites, site-major. Refuses
-    rings whose open-bond block, (d*da)^N * D^2 entries, exceeds
-    ``MAX_AMPLITUDES``.
+    rings where (d*da)^N * D^2, the amplitudes times the bond pairs at the
+    cuts, exceeds ``MAX_AMPLITUDES``; that bounds the state and every block
+    of the contraction.
     """
     a4 = lpdo.tensor
     d, da, dv, _ = a4.shape
     n_sites = int(n_sites)
     if n_sites < 1:
         raise ValueError(f"need at least one site, got {n_sites}")
-    _guard((d * da) ** n_sites * dv * dv, "open-bond block (d*da)^N * D^2")
+    _guard((d * da) ** n_sites * dv * dv, "ring amplitudes x cut bond pairs (d*da)^N * D^2")
     seam = _as_square(seam, "seam")
     if seam.shape[0] != dv:
         raise DimensionMismatchError(f"seam is {seam.shape[0]}x{seam.shape[0]}, bond is {dv}")
-
-    site = a4.transpose(2, 0, 1, 3).reshape(dv, d * da * dv)
-    block = seam
-    for _ in range(n_sites):
-        block = (block @ site).reshape(-1, dv)
-    state = np.einsum("asa->s", block.reshape(dv, -1, dv))
-    return state.reshape((d, da) * n_sites)
+    left, right = _ring_halves(seam, [_site_matrix(a4)] * n_sites)
+    return (left @ right).reshape((d, da) * n_sites)
 
 
 def density_from_state(state, n_sites):
@@ -113,16 +146,34 @@ def apply_channel_exact(rho, channel):
     return DenseDensity(n_sites=rho.n_sites, matrix=out)
 
 
-def expectation(rho, ops):
-    """Tr[rho (op_1 kron ... kron op_N)] for one operator per site."""
-    if len(ops) != rho.n_sites:
-        raise DimensionMismatchError(f"got {len(ops)} operators for {rho.n_sites} sites")
-    ops = [_as_square(op, "op") for op in ops]
-    _guard(prod(op.shape[0] for op in ops) ** 2, "operator product")
-    full = reduce(np.kron, ops)
-    if full.shape != rho.matrix.shape:
-        raise DimensionMismatchError(
-            f"operator product is {full.shape}, density matrix is {rho.matrix.shape}"
-        )
-    # tr(rho F) = sum_ij rho_ij F_ji, without forming the product rho F
-    return complex(np.sum(rho.matrix * full.T))
+def expectation(lpdo, seam, op_lists):
+    """Tr[rho (O_1 kron ... kron O_N)] for each list of one operator per site.
+
+    rho = Tr_anc |psi><psi| is the physical density of the ring
+    |psi> = ``contract_full(lpdo, seam, N)``, contracted once for all lists;
+    N is the length of every list. Each value is <psi| (F x 1_anc) |psi>,
+    with F folded into the site tensors. Returns a complex array of one
+    value per list.
+    """
+    a4 = lpdo.tensor
+    d = a4.shape[0]
+    op_lists = [[_as_square(op, "op") for op in ops] for ops in op_lists]
+    n_sites = len(op_lists[0])
+    for ops in op_lists:
+        if len(ops) != n_sites:
+            raise DimensionMismatchError(f"got {len(ops)} operators for {n_sites} sites")
+        for op in ops:
+            if op.shape[0] != d:
+                raise DimensionMismatchError(f"op is {op.shape[0]}x{op.shape[0]}, tensor has d={d}")
+    psi = contract_full(lpdo, seam, n_sites)
+    seam = _as_square(seam, "seam")
+    flat = a4.reshape(d, -1)
+    # psi as [s_right, s_left], the cut of every folded ring
+    ket = psi.reshape((d * a4.shape[1]) ** ((n_sites + 1) // 2), -1).T
+    values = []
+    for ops in op_lists:
+        left, right = _ring_halves(seam, [_site_matrix((op @ flat).reshape(a4.shape)) for op in ops])
+        # <psi|phi> over every amplitude of phi = left @ right, without writing phi:
+        # sum_st conj(psi_st) left_sk right_kt, with the conjugate taken on the smaller factor
+        values.append(np.vdot(ket @ left.conj(), right.T))
+    return np.array(values)

@@ -32,8 +32,8 @@ class ResponseResult:
     Fraction(1, 2) for -1) when the value lies within the snap tolerance
     of one, else None. ``mode`` is "thermo" or "finite"; ``n_sites`` is
     None in thermo mode. ``valid`` is cleared when the value is not a
-    usable phase (a denominator trace that is exactly zero, or a thermo
-    modulus off unity).
+    usable phase (a denominator trace that cancels to zero or to roundoff,
+    or a thermo modulus off unity).
     """
 
     value: complex
@@ -69,8 +69,10 @@ def finite_response(model, g1, g2, n_sites):
 
     Returns a :class:`ResponseResult` in mode "finite". The power of T(g2)
     carries a binary exponent that cancels in the ratio, so the traces never
-    underflow; the result is flagged invalid (value NaN) only when the
-    denominator trace is exactly zero. g1 = identity returns exactly 1.
+    underflow; the result is flagged invalid (value NaN) when the
+    denominator trace cancels: |Tr M| <= N * D^2 * eps * sum_i |M_ii| for
+    the scaled power M, which holds for an exactly zero trace too.
+    g1 = identity returns exactly 1.
     A ring of fewer than 1 site raises :class:`ValidationError`.
     """
     if n_sites < 1:
@@ -82,7 +84,11 @@ def finite_response(model, g1, g2, n_sites):
     denominator = complex(np.trace(power))
     numerator = complex(np.trace(flux_operator(rep1.v) @ power))
     gap = symmetry_gap(transfer_spectrum(model.lpdo, u2))
-    if denominator == 0:
+    # Each diagonal entry of the power carries a rounding error of about
+    # N * D^2 * eps times its size, so a trace within that much of zero has
+    # cancelled and no digit of the ratio means anything.
+    roundoff = n_sites * power.shape[0] * np.finfo(float).eps * np.abs(np.diagonal(power)).sum()
+    if abs(denominator) <= roundoff:
         return ResponseResult(
             value=complex(np.nan, np.nan),
             snapped=None,

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import GaplessTransferError, SizeGuardError, UndefinedExponentError, WeaksymError
 from .model import build_aklt_model, spin1_operators
 from .numerics import ldexp
-from .oracle import contract_full, density_from_state, expectation
+from .oracle import expectation
 from .response import conservation_check, finite_response, flux_response, thermo_response
 from .stringorder import string_order_series
 from .symmetry import cocycle_commutator, extract_virtual_rep
@@ -339,7 +339,7 @@ def exponent_checks(build=build_aklt_model):
 def oracle_checks(build=build_aklt_model):
     """Dense-oracle cross-checks on rings of 3, 4 and 5 sites."""
     ops = spin1_operators()
-    eye3 = np.eye(3)
+    eye2, eye3 = np.eye(2), np.eye(3)
     worst_charge = worst_flux = worst_string = 0.0
     for p in (0.0, 0.3, 0.7, 1.0):
         model = build(p)
@@ -347,25 +347,21 @@ def oracle_checks(build=build_aklt_model):
         uz = model.action("R_z").u
         reps = [extract_virtual_rep(lpdo, model.action(g1))[0] for g1 in ("R_x", "R_y")]
         for n in (3, 4, 5):
-            rho = density_from_state(contract_full(lpdo, np.eye(2), n), n)
-            dense = expectation(rho, [uz] * n)
-            worst_charge = max(worst_charge, abs(dense - _ring_trace(lpdo, uz, n)))
-
-            for rep in reps:
-                rho_flux = density_from_state(contract_full(lpdo, rep.v, n), n)
-                flux = flux_operator(rep.v)
-                for u in (uz, eye3):
-                    dense = expectation(rho_flux, [u] * n)
-                    worst_flux = max(worst_flux, abs(dense - _ring_trace(lpdo, u, n, flux)))
-
+            strings, rings = [], []
             for alpha in ("S_0", "S_x", "S_y"):
                 chi = ops[alpha]
                 series = string_order_series(model, "R_z", chi, chi, range(n - 1), n_sites=n)
                 for length, ring in zip(series.lengths.tolist(), series.raw):
-                    dense = expectation(
-                        rho, [chi] + [uz] * length + [chi] + [eye3] * (n - length - 2)
-                    )
-                    worst_string = max(worst_string, abs(dense - ring))
+                    strings.append([chi] + [uz] * length + [chi] + [eye3] * (n - length - 2))
+                    rings.append(ring)
+            charge, *dense = expectation(lpdo, eye2, [[uz] * n] + strings)
+            worst_charge = max(worst_charge, abs(charge - _ring_trace(lpdo, uz, n)))
+            worst_string = max(worst_string, *(abs(value - ring) for value, ring in zip(dense, rings)))
+
+            for rep in reps:
+                flux = flux_operator(rep.v)
+                for u, dense in zip((uz, eye3), expectation(lpdo, rep.v, [[uz] * n, [eye3] * n])):
+                    worst_flux = max(worst_flux, abs(dense - _ring_trace(lpdo, u, n, flux)))
     return [
         _check("uniform charge Tr[rho U] matches the dense oracle", worst_charge, 1e-10),
         _check("flux-inserted numerators match the dense oracle", worst_flux, 1e-10),
@@ -503,15 +499,12 @@ def generic_model_checks(model):
                 )
     n = 3
     name = f"uniform charges match the dense oracle at N={n}"
+    charges = [model.action(g).u for g in model.group.labels]
     try:
-        rho = density_from_state(contract_full(lpdo, np.eye(lpdo.bond_dim), n), n)
+        dense = expectation(lpdo, np.eye(lpdo.bond_dim), [[u] * n for u in charges])
     except SizeGuardError as exc:
         out.append(("oracle", CheckResult(name, True, 0.0, 1e-10, f"skipped: {exc}")))
         return out
-    worst = 0.0
-    for g in model.group.labels:
-        u = model.action(g).u
-        dense = expectation(rho, [u] * n)
-        worst = max(worst, abs(dense - _ring_trace(lpdo, u, n)))
+    worst = max(abs(value - _ring_trace(lpdo, u, n)) for u, value in zip(charges, dense))
     out.append(("oracle", _check(name, worst, 1e-10)))
     return out

@@ -24,7 +24,14 @@ import pytest
 from weaksym import numerics
 from weaksym.errors import NearDefectiveError, UndefinedExponentError
 from weaksym.model import LpdoTensor, Model, build_aklt_model, spin1_operators
-from weaksym.response import GAP_TOL, _leading_pair, conservation_check, flux_response, thermo_response
+from weaksym.response import (
+    GAP_TOL,
+    _leading_pair,
+    conservation_check,
+    finite_response,
+    flux_response,
+    thermo_response,
+)
 from weaksym.stringorder import LIVE_TOL, decay_channel
 from weaksym.symmetry import GroupTable, SymmetryAction, extract_virtual_rep, verify_transformation_law
 from weaksym.transfer import build_transfer, symmetry_gap, transfer_spectrum, twisted_spectrum
@@ -247,6 +254,22 @@ def test_flux_response_ignores_a_phase_on_the_flux():
         value, gap = flux_response(model, v, "R_z")
         value_r, gap_r = flux_response(model, phase * v, "R_z")
         assert abs(value_r - value) <= 1e-10 and gap_r == gap
+
+
+@pytest.mark.parametrize("bond", BONDS)
+def test_finite_response_refuses_a_trace_cancelled_to_roundoff(bond):
+    """Tr T(g2) is zero for the AKLT factor, but the gauged generic map leaves
+    roundoff: at N=1 every response, and at p=1/2 the odd rings, are refused
+    like the exactly cancelled built-in traces, while even rings stay valid."""
+    model = generic_model(0.5, bond=bond)[0]
+    for g1 in ("R_x", "R_y"):
+        for n_sites in (1, 7):
+            res = finite_response(model, g1, "R_z", n_sites)
+            assert not res.valid and res.snapped is None and np.isnan(res.value.real)
+        assert finite_response(model, g1, "R_z", 8).valid
+    for p in (0.3, 0.8):
+        for g1 in model.group.labels:
+            assert not finite_response(generic_model(p, bond=bond)[0], g1, "R_z", 1).valid
 
 
 def every_output(model):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from test_generic import generic_model
-from weaksym import oracle
-from weaksym.errors import SizeGuardError
+from weaksym import oracle, verify
+from weaksym.errors import DimensionMismatchError, SizeGuardError
 from weaksym.model import LpdoTensor, Model, aklt_tensor, build_aklt_model, spin1_operators
 from weaksym.oracle import (
     apply_channel_exact,
@@ -17,7 +17,7 @@ from weaksym.oracle import (
 from weaksym.stringorder import string_order_series
 from weaksym.symmetry import SymmetryAction, extract_virtual_rep
 from weaksym.transfer import build_transfer, flux_operator
-from weaksym.verify import generic_model_checks
+from weaksym.verify import generic_model_checks, oracle_checks
 
 OPS = spin1_operators()
 
@@ -34,6 +34,16 @@ def single_ancilla_model():
         g: SymmetryAction(element=g, u=act.u, ua=np.eye(1)) for g, act in aklt.actions.items()
     }
     return Model(lpdo=LpdoTensor(aklt_tensor()[:, None]), group=aklt.group, actions=actions)
+
+
+def random_lpdo(rng, d=2, da=2, bond=3):
+    """Complex Gaussian LPDO tensor with no symmetry: small enough for the dumb loop at N=5."""
+    return LpdoTensor(rng.normal(size=(d, da, bond, bond)) + 1j * rng.normal(size=(d, da, bond, bond)))
+
+
+def kron_expectation(rho, ops):
+    """Tr[rho (op_1 kron ... kron op_N)] by its definition, on the dense density."""
+    return np.trace(rho.matrix @ reduce(np.kron, ops))
 
 
 def dumb_purified_state(lpdo, seam, n_sites):
@@ -65,6 +75,19 @@ def test_contract_full_against_dumb_loop():
             slow = dumb_purified_state(lpdo, s, n_sites)
             assert fast.shape == (lpdo.d, lpdo.da) * n_sites
             np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("n_sites", [4, 5])
+def test_contract_full_against_dumb_loop_on_two_halves(n_sites):
+    """Rings long enough that both halves hold sites: the second half is as
+    long as the first at N=4 and one site shorter at N=5."""
+    rng = np.random.default_rng(13)
+    lpdo = random_lpdo(rng)
+    seam = random_matrix(rng, lpdo.bond_dim)
+    fast = contract_full(lpdo, seam, n_sites)
+    slow = dumb_purified_state(lpdo, seam, n_sites)
+    assert fast.shape == (lpdo.d, lpdo.da) * n_sites
+    np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=1e-12)
 
 
 def test_pure_limit_density_equals_mps_density():
@@ -130,80 +153,108 @@ def test_channel_preserves_trace():
 def test_expectation_all_identity_is_trace():
     model = build_aklt_model(0.4)
     rho = density_from_state(contract_full(model.lpdo, np.eye(2), 3), 3)
-    assert abs(expectation(rho, [np.eye(3)] * 3) - np.trace(rho.matrix)) < 1e-13
+    (value,) = expectation(model.lpdo, np.eye(2), [[np.eye(3)] * 3])
+    assert abs(value - np.trace(rho.matrix)) < 1e-13
 
 
 def test_expectation_against_definition():
-    """Non-Hermitian site operators on a complex density: a dropped transpose fails."""
+    """Non-Hermitian site operators on the D=6 generic model with a complex
+    seam, against Tr[rho F] with the Kronecker product F at N = 1..4: a
+    dropped transpose or conjugate fails."""
     rng = np.random.default_rng(5)
     generic = generic_model(0.3)[0].lpdo
     seam = random_matrix(rng, generic.bond_dim)
-    rho = density_from_state(contract_full(generic, seam, 2), 2)
-    ops = [random_matrix(rng, 3) for _ in range(2)]
-    expected = np.trace(rho.matrix @ reduce(np.kron, ops))
-    assert abs(expectation(rho, ops) - expected) <= 1e-12 * abs(expected)
+    for n_sites in (1, 2, 3, 4):
+        rho = density_from_state(contract_full(generic, seam, n_sites), n_sites)
+        op_lists = [[random_matrix(rng, 3) for _ in range(n_sites)] for _ in range(3)]
+        values = expectation(generic, seam, op_lists)
+        assert values.shape == (3,)
+        for ops, value in zip(op_lists, values):
+            expected = kron_expectation(rho, ops)
+            assert abs(value - expected) <= 1e-12 * abs(expected)
+
+
+def test_expectation_refuses_mismatched_lists():
+    model = build_aklt_model(0.3)
+    with pytest.raises(DimensionMismatchError):
+        expectation(model.lpdo, np.eye(2), [[np.eye(3)] * 3, [np.eye(3)] * 2])
+    with pytest.raises(DimensionMismatchError):
+        expectation(model.lpdo, np.eye(2), [[np.eye(2)] * 3])
 
 
 def test_uniform_charge_matches_transfer():
     model = build_aklt_model(0.2)
-    rho = density_from_state(contract_full(model.lpdo, np.eye(2), 5), 5)
     uz = model.action("R_z").u
     tz = build_transfer(model.lpdo, uz)
-    dense = expectation(rho, [uz] * 5)
+    (dense,) = expectation(model.lpdo, np.eye(2), [[uz] * 5])
     assert abs(dense - np.trace(np.linalg.matrix_power(tz, 5))) < 1e-10
 
 
 def test_flux_inserted_numerator_matches_transfer():
     model = build_aklt_model(0.3)
     rep, _ = extract_virtual_rep(model.lpdo, model.action("R_z"))
-    state = contract_full(model.lpdo, rep.v, 4)
-    rho = density_from_state(state, 4)
     uz = model.action("R_z").u
     tz = build_transfer(model.lpdo, uz)
-    dense = expectation(rho, [uz] * 4)
+    (dense,) = expectation(model.lpdo, rep.v, [[uz] * 4])
     twisted = np.trace(flux_operator(rep.v) @ np.linalg.matrix_power(tz, 4))
     assert abs(dense - twisted) < 1e-11
 
 
 def test_string_matches_ring_contraction():
     model = build_aklt_model(0.3)
-    rho = density_from_state(contract_full(model.lpdo, np.eye(2), 4), 4)
     uz = model.action("R_z").u
     sy = OPS["S_y"]
-    dense = expectation(rho, [sy, uz, sy, np.eye(3)])
+    (dense,) = expectation(model.lpdo, np.eye(2), [[sy, uz, sy, np.eye(3)]])
     ring = string_order_series(model, "R_z", sy, sy, [1], n_sites=4).raw[0]
     assert abs(dense - ring) < 1e-10
 
 
 def test_size_guard(monkeypatch):
     """Every dense array is bounded. At d=3, da=1, D=2 and N=3 the state has
-    27 entries, the open-bond block 108, the density and operator matrices
-    729; each is refused on its own."""
+    27 entries, the ring's guard (d*da)^N * D^2 108 and the density matrix
+    729; each is refused on its own. Expectations need no density matrix, so
+    they run below its size and are refused with the ring."""
     model = build_aklt_model(0.3)
     with pytest.raises(SizeGuardError):
         contract_full(model.lpdo, np.eye(2), 7)
     lpdo = single_ancilla_model().lpdo
     state = contract_full(lpdo, np.eye(2), 3)
-    rho = density_from_state(state, 3)
     monkeypatch.setattr(oracle, "MAX_AMPLITUDES", 200)
     contract_full(lpdo, np.eye(2), 3)
+    expectation(lpdo, np.eye(2), [[np.eye(3)] * 3])
     with pytest.raises(SizeGuardError):
         density_from_state(state, 3)
-    with pytest.raises(SizeGuardError):
-        expectation(rho, [np.eye(3)] * 3)
     monkeypatch.setattr(oracle, "MAX_AMPLITUDES", 100)
     with pytest.raises(SizeGuardError):
         contract_full(lpdo, np.eye(2), 3)
+    with pytest.raises(SizeGuardError):
+        expectation(lpdo, np.eye(2), [[np.eye(3)] * 3])
 
 
 def test_generic_checks_skip_oracle_beyond_guard(monkeypatch):
+    """The oracle line needs the ring (108 entries here), not the density matrix (729)."""
     model = single_ancilla_model()
     (row,) = [r for section, r in generic_model_checks(model) if section == "oracle"]
     assert row.passed and row.detail == ""
     monkeypatch.setattr(oracle, "MAX_AMPLITUDES", 200)
     (row,) = [r for section, r in generic_model_checks(model) if section == "oracle"]
+    assert row.passed and row.detail == ""
+    monkeypatch.setattr(oracle, "MAX_AMPLITUDES", 100)
+    (row,) = [r for section, r in generic_model_checks(model) if section == "oracle"]
     assert row.passed and row.detail.startswith("skipped: ")
-    assert "density matrix" in row.detail
+    assert "(d*da)^N * D^2" in row.detail
+
+
+def test_oracle_checks_form_no_density_matrix(monkeypatch):
+    """Criterion 6 evaluates every expectation on the state: the d^N x d^N
+    density is never built."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("density_from_state called")
+
+    monkeypatch.setattr(oracle, "density_from_state", refuse)
+    monkeypatch.setattr(verify, "density_from_state", refuse, raising=False)
+    assert all(row.passed for row in oracle_checks())
 
 
 def test_density_validate_rejects_broken_matrix():

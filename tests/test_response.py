@@ -169,6 +169,15 @@ def test_finite_response_on_thousands_of_sites(p):
             assert res.snapped == (Fraction(1, 2) if expected < 0 else Fraction(0, 1))
 
 
+@pytest.mark.parametrize("n_sites", [3, 5, 9])
+def test_finite_response_refuses_a_trace_cancelled_to_roundoff(n_sites):
+    """At p = 1/2, Tr T(R_x)^N cancels to roundoff at odd N, not to exactly 0."""
+    model = build_aklt_model(0.5)
+    for g1 in ("R_x", "R_y", "R_z"):
+        res = finite_response(model, g1, "R_x", n_sites)
+        assert not res.valid and res.snapped is None and np.isnan(res.value.real)
+
+
 def test_finite_response_refuses_exactly_zero_trace():
     """tr T(R_z) = 0 exactly for the AKLT family, so N = 1 has no response."""
     res = finite_response(build_aklt_model(0.3), "R_x", "R_z", 1)

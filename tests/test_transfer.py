@@ -5,7 +5,7 @@ from test_numerics import power_trace
 from weaksym.errors import DimensionMismatchError, ValidationError
 from weaksym.model import build_aklt_model
 from weaksym.numerics import spectral_decompose
-from weaksym.oracle import contract_full, density_from_state, expectation
+from weaksym.oracle import expectation
 from weaksym.response import flux_response
 from weaksym.symmetry import VirtualRep, extract_virtual_rep
 from weaksym.transfer import (
@@ -90,11 +90,9 @@ def test_single_site_trace_matches_oracle():
     """tr T(O) equals the one-site expectation Tr[rho O] done densely."""
     rng = np.random.default_rng(23)
     model = build_aklt_model(0.3)
-    rho = density_from_state(contract_full(model.lpdo, np.eye(2), 1), 1)
-    for _ in range(5):
-        o = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    ops = [rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(5)]
+    for o, rhs in zip(ops, expectation(model.lpdo, np.eye(2), [[o] for o in ops])):
         lhs = np.trace(build_transfer(model.lpdo, o))
-        rhs = expectation(rho, [o])
         assert abs(lhs - rhs) < 1e-12
 
 
@@ -187,6 +185,20 @@ def test_commutant_residual_symmetry_flux():
         model = build_aklt_model(p)
         t = build_transfer(model.lpdo, model.action("R_z").u)
         assert commutant_residual(t, sx) < 1e-12
+
+
+@pytest.mark.parametrize("dv", [3, 6])
+def test_commutant_residual_matches_kron_definition(dv):
+    """A complex map and a non-unitary flux: a swapped leg pair or a missing conjugate fails."""
+    rng = np.random.default_rng(dv)
+    n = dv * dv
+    t = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    v = rng.normal(size=(dv, dv)) + 1j * rng.normal(size=(dv, dv))
+    f = np.kron(v.conj(), v)
+    expected = np.linalg.norm(f @ t - t @ f)
+    assert abs(commutant_residual(t, VirtualRep("rand", v)) - expected) <= 1e-12 * expected
+    with pytest.raises(DimensionMismatchError):
+        commutant_residual(t, VirtualRep("rand", v[:-1, :-1]))
 
 
 def test_commutant_residual_identity_flux_exact():
