@@ -152,9 +152,8 @@ def commutant_residual(transfer, rep):
     dv = v.shape[0]
     if transfer.shape != (dv * dv, dv * dv):
         raise DimensionMismatchError(f"flux is {dv}x{dv}, transfer is {transfer.shape}")
-    t = transfer.reshape(dv, dv, dv * dv)
     # (F T)[m p, n q] = conj(V)[m, M] V[p, P] T[M P, n q]
-    ft = np.matmul(v, (v.conj() @ t.reshape(dv, -1)).reshape(t.shape))
+    ft = np.matmul(v, (v.conj() @ transfer.reshape(dv, -1)).reshape(dv, dv, -1))
     # (T F)[m p, n q] = T[m p, N Q] conj(V)[N, n] V[Q, q]
-    tf = np.matmul(v.conj().T, (t.reshape(-1, dv) @ v).reshape(dv * dv, dv, dv))
+    tf = np.matmul(v.conj().T, (transfer.reshape(-1, dv) @ v).reshape(-1, dv, dv))
     return float(np.linalg.norm(ft.reshape(-1) - tf.reshape(-1)))

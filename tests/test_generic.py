@@ -268,8 +268,9 @@ def test_finite_response_refuses_a_trace_cancelled_to_roundoff(bond):
             assert not res.valid and res.snapped is None and np.isnan(res.value.real)
         assert finite_response(model, g1, "R_z", 8).valid
     for p in (0.3, 0.8):
+        model = generic_model(p, bond=bond)[0]
         for g1 in model.group.labels:
-            assert not finite_response(generic_model(p, bond=bond)[0], g1, "R_z", 1).valid
+            assert not finite_response(model, g1, "R_z", 1).valid
 
 
 def every_output(model):
