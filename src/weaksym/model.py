@@ -243,7 +243,7 @@ def aklt_group():
         [prod.get((g, h), h if g == "1" else g) for h in labels]
         for g in labels
     ]
-    return GroupTable.from_table(labels, table)
+    return GroupTable(labels, table)
 
 
 @dataclass
@@ -369,8 +369,7 @@ def load_model(path):
         raise ValidationError("group.elements: expected a list of labels")
     if not isinstance(grp["table"], list) or not all(isinstance(r, list) for r in grp["table"]):
         raise ValidationError("group.table: expected a list of rows")
-    group = GroupTable(tuple(grp["elements"]), tuple(tuple(r) for r in grp["table"]))
-    group.validate()
+    group = GroupTable(grp["elements"], grp["table"])
 
     actions = {}
     if not isinstance(doc["actions"], list):

@@ -21,6 +21,7 @@ from .symmetry import cocycle_commutator, extract_virtual_rep
 from .transfer import flux_operator, symmetry_gap, transfer_powers, transfer_spectrum, twisted_spectrum
 
 SNAP_TOL = 1e-6
+# A symmetry gap at or below this is a transition: the thermodynamic limit is undefined.
 GAP_TOL = 1e-8
 
 
@@ -72,7 +73,7 @@ def finite_response(model, g1, g2, n_sites):
     underflow; the result is flagged invalid (value NaN) when the
     denominator trace cancels: |Tr M| <= N * D^2 * eps * sum_i |M_ii| for
     the scaled power M, which holds for an exactly zero trace too.
-    g1 = identity returns exactly 1.
+    g1 = identity returns 1 to within roundoff.
     A ring of fewer than 1 site raises :class:`ValidationError`.
     """
     if n_sites < 1:
@@ -108,41 +109,41 @@ def finite_response(model, g1, g2, n_sites):
     )
 
 
-def _leading_pair(spectrum, gap_tol, what):
+def _leading_pair(spectrum, what):
     """Leading eigenvector pair of a gapped spectrum, for (L0·X·R0)/(L0·R0).
 
     Returns ``(left, right, norm, gap)``: the left row L0, the right column
     R0, their overlap L0·R0 and the symmetry gap. Every thermodynamic value
     is ``(left @ X @ right) / norm`` for some X. Raises
     :class:`NearDefectiveError` for an untrustworthy spectrum and
-    :class:`GaplessTransferError` when the gap is at or below ``gap_tol``;
-    ``what`` ("for 'R_z'") names the map in both.
+    :class:`GaplessTransferError` when the gap is at or below ``GAP_TOL``
+    (1e-8); ``what`` ("for 'R_z'") names the map in both.
     """
     if spectrum.near_defective:
         raise NearDefectiveError(f"transfer spectrum {what} is near-defective")
     gap = symmetry_gap(spectrum)
-    if gap <= gap_tol:
+    if gap <= GAP_TOL:
         raise GaplessTransferError(f"symmetry gap {what} is {gap:.3e}; thermodynamic limit undefined")
     _, left, right = spectrum.leading
     return left, right, left @ right, gap
 
 
-def _pair_value(spectrum, x, gap_tol, what):
+def _pair_value(spectrum, x, what):
     """(L0·X·R0)/(L0·R0) on the leading pair of ``spectrum``, and the gap."""
-    left, right, norm, gap = _leading_pair(spectrum, gap_tol, what)
+    left, right, norm, gap = _leading_pair(spectrum, what)
     return complex((left @ x @ right) / norm), gap
 
 
-def flux_response(model, flux, g2, gap_tol=GAP_TOL):
+def flux_response(model, flux, g2):
     """Thermodynamic response of an arbitrary seam matrix ``flux``.
 
     (L0| kron(conj(X), X) |R0) on the leading biorthonormal eigenvector
     pair of T(g2). Returns ``(value, gap)``. Raises
     :class:`GaplessTransferError` when the symmetry gap of T(g2) is at or
-    below ``gap_tol`` (the value is undefined at a transition) and
+    below ``GAP_TOL`` (the value is undefined at a transition) and
     :class:`NearDefectiveError` for untrustworthy spectra.
     """
-    return _pair_value(twisted_spectrum(model, g2), flux_operator(flux), gap_tol, f"for {g2!r}")
+    return _pair_value(twisted_spectrum(model, g2), flux_operator(flux), f"for {g2!r}")
 
 
 def _thermo_result(model, g1, value, gap):
@@ -157,16 +158,17 @@ def _thermo_result(model, g1, value, gap):
     )
 
 
-def thermo_response(model, g1, g2, gap_tol=GAP_TOL):
+def thermo_response(model, g1, g2):
     """Thermodynamic-limit flux response e^{i Q(g1, g2)}.
 
     Threads the extracted virtual representation V_g1 through the leading
     eigenvector pair of T(g2). Valid results are phases: unit modulus
-    within 1e-8.
+    within 1e-8. Raises :class:`GaplessTransferError` when the symmetry gap
+    of T(g2) is at or below ``GAP_TOL`` (1e-8), where the limit is undefined.
     """
     _require_commuting(model, g1, g2)
     rep1, _ = extract_virtual_rep(model.lpdo, model.action(g1))
-    return _thermo_result(model, g1, *flux_response(model, rep1.v, g2, gap_tol=gap_tol))
+    return _thermo_result(model, g1, *flux_response(model, rep1.v, g2))
 
 
 def conservation_check(model, g1, g2):
@@ -185,7 +187,7 @@ def conservation_check(model, g1, g2):
     total = cocycle_commutator(rep1, rep2)
     physical = _thermo_result(model, g1, *flux_response(model, rep1.v, g2))
     spectrum = transfer_spectrum(model.lpdo, np.eye(model.lpdo.d), model.action(g2).ua)
-    value, gap = _pair_value(spectrum, flux_operator(rep1.v), GAP_TOL, f"for {g2!r} on the ancilla")
+    value, gap = _pair_value(spectrum, flux_operator(rep1.v), f"for {g2!r} on the ancilla")
     ancilla = _thermo_result(model, g1, value, gap)
     residual = abs(total - physical.value * ancilla.value)
     return float(residual), total, physical, ancilla

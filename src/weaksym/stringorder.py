@@ -36,7 +36,7 @@ import numpy as np
 from .errors import NearDefectiveError, UndefinedExponentError
 from .numerics import ldexp, rescale
 from .transfer import build_transfer, transfer_powers, transfer_spectrum, twisted_spectrum
-from .response import GAP_TOL, _leading_pair
+from .response import _leading_pair
 
 # Eigenvalues of T(g2) within this much of each other, relative to
 # |lambda_0|, are one channel: their amplitudes add.
@@ -67,9 +67,6 @@ class StringOrderSeries:
     underflows but ``mantissa`` and ``normalized`` do not.
     """
 
-    g2: str
-    chi_l: np.ndarray
-    chi_r: np.ndarray
     lengths: np.ndarray
     raw: np.ndarray
     normalized: np.ndarray
@@ -136,7 +133,7 @@ def string_order_series(model, g2, chi_l, chi_r, lengths, n_sites=None):
     if n_sites is None:
         if np.any(lengths < 0):
             raise ValueError(f"string length must be >= 0, got {lengths.min()}")
-        left, right, norm, _ = _leading_pair(transfer_spectrum(lpdo, eye), GAP_TOL, "of T(1)")
+        left, right, norm, _ = _leading_pair(transfer_spectrum(lpdo, eye), "of T(1)")
         base = float(abs(twisted_spectrum(model, g2).eigenvalues[0]))
         if base == 0.0:
             raise ZeroDivisionError("leading twisted eigenvalue vanishes; normalization undefined")
@@ -183,9 +180,6 @@ def string_order_series(model, g2, chi_l, chi_r, lengths, n_sites=None):
         factors = charge ** (lengths / n_sites) * 2.0 ** (rest / n_sites)
         normalized = ldexp(mantissa / factors, exponent - shift)
     return StringOrderSeries(
-        g2=g2,
-        chi_l=np.asarray(chi_l, dtype=complex),
-        chi_r=np.asarray(chi_r, dtype=complex),
         lengths=lengths,
         raw=raw,
         normalized=normalized,
@@ -231,7 +225,7 @@ def decay_channel(model, g2, chi_l, chi_r):
     :class:`NearDefectiveError` when T(g2)'s eigenvectors cannot be paired.
     """
     lpdo = model.lpdo
-    left, right, norm, _ = _leading_pair(transfer_spectrum(lpdo, np.eye(lpdo.d)), GAP_TOL, "of T(1)")
+    left, right, norm, _ = _leading_pair(transfer_spectrum(lpdo, np.eye(lpdo.d)), "of T(1)")
     tl = build_transfer(lpdo, chi_l)
     tr = build_transfer(lpdo, chi_r)
     envelope = np.linalg.norm(left) * np.linalg.norm(tl) * np.linalg.norm(tr) * np.linalg.norm(right) / abs(norm)

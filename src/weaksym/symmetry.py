@@ -10,7 +10,7 @@ with V_g unitary and defined up to a phase. V_g is generically a projective
 representation; its cocycle data is what the quantized responses measure.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -40,22 +40,21 @@ def unitarity_defect(m):
 class GroupTable:
     """Finite group given by element labels and a multiplication table.
 
-    ``table[i][j]`` is the label of ``labels[i] * labels[j]``. Validation
-    (closure, unique identity, inverses, associativity) runs on
-    construction via :meth:`from_table`.
+    ``table[i][j]`` is the label of ``labels[i] * labels[j]``. Construction
+    checks the group axioms (closure, a unique two-sided identity, unique
+    inverses, associativity) and raises :class:`ValidationError` naming the
+    one that fails, so every table in use is a group. ``identity`` is found
+    on the way.
     """
 
     labels: tuple
     table: tuple  # tuple of tuples of labels
+    identity: object = field(init=False)
 
-    @classmethod
-    def from_table(cls, labels, table):
-        g = cls(tuple(labels), tuple(tuple(row) for row in table))
-        g.validate()
-        return g
-
-    def validate(self):
-        labels = self.labels
+    def __post_init__(self):
+        labels = tuple(self.labels)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "table", tuple(tuple(row) for row in self.table))
         n = len(labels)
         if len(set(labels)) != n or n == 0:
             raise ValidationError("group.elements: labels must be nonempty and unique")
@@ -78,6 +77,7 @@ class GroupTable:
                 for c in labels:
                     if self.multiply(self.multiply(a, b), c) != self.multiply(a, self.multiply(b, c)):
                         raise ValidationError(f"group.table: not associative at ({a!r}, {b!r}, {c!r})")
+        object.__setattr__(self, "identity", e)
 
     def index(self, g):
         try:
@@ -88,28 +88,12 @@ class GroupTable:
     def multiply(self, g1, g2):
         return self.table[self.index(g1)][self.index(g2)]
 
-    @property
-    def identity(self):
-        for g in self.labels:
-            if all(self.multiply(g, h) == h for h in self.labels):
-                return g
-        raise ValidationError("group.table: no identity element")
-
-    def inverse(self, g):
-        e = self.identity
-        for h in self.labels:
-            if self.multiply(g, h) == e:
-                return h
-        raise ValidationError(f"group.table: no inverse for {g!r}")
-
     def order(self, g):
-        e = self.identity
-        h = g
-        for n in range(1, len(self.labels) + 1):
-            if h == e:
-                return n
-            h = self.multiply(h, g)
-        raise ValidationError(f"group.table: power sequence of {g!r} never reaches identity")
+        """Smallest n >= 1 with g^n the identity."""
+        n, h = 1, g
+        while h != self.identity:
+            n, h = n + 1, self.multiply(h, g)
+        return n
 
     def commutes(self, g1, g2):
         return self.multiply(g1, g2) == self.multiply(g2, g1)

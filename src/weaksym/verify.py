@@ -372,33 +372,26 @@ def oracle_checks(build=build_aklt_model):
 # --- criterion 7: structural identities --------------------------------------
 
 def structural_checks(build=build_aklt_model):
-    results = []
-    worst_comm = worst_law = worst_cons = worst_flux2 = 0.0
+    """Worst of each kind of :func:`_structural_lines` (a failed or skipped line is inf), and group orbits."""
+    worst = {"actions": 0.0, "commutants": 0.0, "conservation": 0.0}
+    worst_flux2 = 0.0
     for p in (0.2, 0.8):
         model = build(p)
-        lpdo = model.lpdo
-        reps = {g: extract_virtual_rep(lpdo, model.action(g))[0] for g in model.group.labels}
-        worst_law = max(worst_law, *(rep.residual for rep in reps.values()))
-        for g2 in model.group.labels:
-            t = build_transfer(lpdo, model.action(g2).u)
-            for g1 in model.group.labels:
-                if model.group.commutes(g1, g2):
-                    worst_comm = max(worst_comm, commutant_residual(t, reps[g1]))
+        for section, result in _structural_lines(model):
+            value = result.worst if result.passed and not result.detail else np.inf
+            worst[section] = max(worst[section], value)
         for g1 in model.group.labels:
-            for g2 in model.group.labels:
-                if g2 == "1" or not model.group.commutes(g1, g2):
-                    continue
-                residual, *_ = conservation_check(model, g1, g2)
-                worst_cons = max(worst_cons, residual)
-            if g1 != "1":
-                squared = np.linalg.matrix_power(reps[g1].v, model.group.order(g1))
+            if g1 != model.group.identity:
+                rep, _ = extract_virtual_rep(model.lpdo, model.action(g1))
+                squared = np.linalg.matrix_power(rep.v, model.group.order(g1))
                 value, _ = flux_response(model, squared, "R_z")
                 worst_flux2 = max(worst_flux2, abs(value - 1.0))
-    results.append(_check("flux operators commute with twisted transfers", worst_comm, 1e-12))
-    results.append(_check("extracted representations satisfy the push-through law", worst_law, 1e-8))
-    results.append(_check("response conservation: total = physical x ancilla", worst_cons, 1e-8))
-    results.append(_check("a full group orbit of fluxes responds trivially", worst_flux2, 1e-8))
-    return results
+    return [
+        _check("flux operators commute with twisted transfers", worst["commutants"], 1e-12),
+        _check("extracted representations satisfy the push-through law", worst["actions"], 1e-8),
+        _check("response conservation: total = physical x ancilla", worst["conservation"], 1e-8),
+        _check("a full group orbit of fluxes responds trivially", worst_flux2, 1e-8),
+    ]
 
 
 # --- criterion 8: pure-state limit -------------------------------------------
@@ -451,52 +444,53 @@ def run_level(level):
     return out
 
 
-def generic_model_checks(model):
-    """Structural checks that apply to any loaded model.
+def _structural_lines(model):
+    """Push-through, commutant and conservation lines of one model, as (section, CheckResult).
 
-    Covers action unitarity, the push-through law for every element,
-    commutant residuals and the conservation law for commuting pairs
-    (skipped with a note where a twisted transfer is gapless), and a dense
-    oracle cross-check of the uniform charges on 3 sites (skipped with a
-    note when the ring exceeds the oracle's size guard).
+    "actions": action unitarity and the push-through law per element. Then per
+    commuting pair of extracted elements, "commutants", and "conservation" for g2
+    not the identity (skipped with a note where a twisted transfer is gapless).
     """
     out = []
-    lpdo = model.lpdo
+    lpdo, group = model.lpdo, model.group
     reps = {}
-    for g in model.group.labels:
+    for g in group.labels:
         act = model.action(g)
+        name = f"push-through law for {g}"
         try:
             act.validate()
             reps[g] = extract_virtual_rep(lpdo, act)[0]
-            out.append(("actions", _check(f"push-through law for {g}", reps[g].residual, 1e-8)))
+            out.append(("actions", _check(name, reps[g].residual, 1e-8)))
         except WeaksymError as exc:
-            out.append(
-                ("actions", CheckResult(f"push-through law for {g}", False, float("nan"), 1e-8, str(exc)))
-            )
-    for g2 in model.group.labels:
+            out.append(("actions", CheckResult(name, False, float("nan"), 1e-8, str(exc))))
+    for g2 in group.labels:
         t = build_transfer(lpdo, model.action(g2).u)
-        for g1 in model.group.labels:
-            if g1 in reps and model.group.commutes(g1, g2):
-                out.append(
-                    (
-                        "commutants",
-                        _check(f"flux {g1} commutes with T({g2})", commutant_residual(t, reps[g1]), 1e-10),
-                    )
-                )
+        for g1 in group.labels:
+            if g1 in reps and group.commutes(g1, g2):
+                residual = commutant_residual(t, reps[g1])
+                out.append(("commutants", _check(f"flux {g1} commutes with T({g2})", residual, 1e-10)))
     for g1 in reps:
         for g2 in reps:
-            if g2 == model.group.identity or not model.group.commutes(g1, g2):
+            if g2 == group.identity or not group.commutes(g1, g2):
                 continue
+            name = f"conservation for ({g1}, {g2})"
             try:
                 residual, *_ = conservation_check(model, g1, g2)
-                out.append(("conservation", _check(f"conservation for ({g1}, {g2})", residual, 1e-8)))
+                out.append(("conservation", _check(name, residual, 1e-8)))
             except GaplessTransferError as exc:
-                out.append(
-                    (
-                        "conservation",
-                        CheckResult(f"conservation for ({g1}, {g2})", True, 0.0, 1e-8, f"skipped: {exc}"),
-                    )
-                )
+                out.append(("conservation", CheckResult(name, True, 0.0, 1e-8, f"skipped: {exc}")))
+    return out
+
+
+def generic_model_checks(model):
+    """Checks that apply to any loaded model.
+
+    The lines of :func:`_structural_lines`, which criterion 7 also runs on the
+    built-in family, and a dense oracle cross-check of the uniform charges on 3
+    sites (skipped with a note when the ring exceeds the oracle's size guard).
+    """
+    out = _structural_lines(model)
+    lpdo = model.lpdo
     n = 3
     name = f"uniform charges match the dense oracle at N={n}"
     charges = [model.action(g).u for g in model.group.labels]

@@ -1,11 +1,13 @@
 import json
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from test_generic import generic_model
-from weaksym.cli import CSV_HEADER, _fmt, _json_float, main
+from test_stringorder import flip_model
+from weaksym.cli import CSV_HEADER, _fmt, _json_float, _root_label, main
 from weaksym.errors import GaplessTransferError, ValidationError
 from weaksym.model import build_aklt_model, load_model, save_model
 from weaksym.response import thermo_response
@@ -127,6 +129,19 @@ def test_sweep_bad_out_path(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--steps", "0"), "--steps must be at least 1"),
+        (("--sites", "10", "--string-length", "9"), "--string-length must be at most N-2 on a ring"),
+    ],
+)
+def test_sweep_refusals(capsys, argv, message):
+    code, out, err = run(capsys, "sweep", *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
 # --- response ----------------------------------------------------------------
 
 def test_response_low_noise(capsys):
@@ -194,6 +209,28 @@ def test_response_refuses_rings_of_fewer_than_one_site(capsys, sites):
     assert err == f"error: a ring needs at least 1 site, got N={sites}\n"
 
 
+def test_response_refuses_p_with_a_model_file(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    save_model(build_aklt_model(0.3), path)
+    code, out, err = run(capsys, "response", "--model", str(path), "--p", "0.3", "--g1", "R_x", "--g2", "R_z")
+    assert code == 1 and out == ""
+    assert err == "error: --p only applies to the built-in aklt family, not model files\n"
+
+
+def test_response_cancelled_ring_prints_nan_and_exits_3(capsys):
+    """At p = 1/2 the trace of T(R_x)^7 cancels: the value is printed as nan and refused."""
+    code, out, err = run(capsys, "response", "--p", "0.5", "--g1", "R_z", "--g2", "R_x", "--sites", "7")
+    assert code == 3
+    assert out.splitlines()[0] == "value: nan-nanj"
+    assert err == "error: response denominator vanishes; value undefined\n"
+
+
+def test_root_labels():
+    assert _root_label(Fraction(0)) == "1"
+    assert _root_label(Fraction(1, 2)) == "exp(i*pi)"
+    assert _root_label(Fraction(1, 3)) == "exp(2*pi*i*1/3)"
+
+
 def test_response_requires_p(capsys):
     code, _, err = run(capsys, "response", "--g1", "R_x", "--g2", "R_z")
     assert code == 1
@@ -215,6 +252,8 @@ def test_response_mode_conflict(capsys):
         (("response", "--p", "0.2", "--g1", "R_x", "--g2", "R_z", "--thermo"), "--thermo"),
         (("string", "--p", "0.2", "--g2", "R_z", "--chi", "sx", "--thermo"), "--thermo"),
         (("string", "--p", "0.2", "--g2", "R_z", "--chi", "sx", "--tol", "1e-8"), "--tol 1e-8"),
+        (("sweep", "--steps", "1", "--tol", "1e-8"), "--tol 1e-8"),
+        (("response", "--p", "0.2", "--g1", "R_x", "--g2", "R_z", "--tol", "1e-8"), "--tol 1e-8"),
     ],
 )
 def test_options_that_did_nothing_are_usage_errors(capsys, argv, removed):
@@ -262,6 +301,26 @@ def test_string_ring_length_guard(capsys):
     )
     assert code == 1
     assert "N-2" in err
+
+
+def test_string_refuses_l_min_above_l_max(capsys):
+    code, out, err = run(capsys, "string", "--p", "0.3", "--g2", "R_z", "--chi", "sy", "--l-min", "5", "--l-max", "4")
+    assert code == 1 and out == ""
+    assert err == "error: need 0 <= l_min <= l_max\n"
+
+
+def test_string_on_a_two_state_model(tmp_path, capsys):
+    """Built-in endpoints are spin-1 operators; an explicit one runs, and a vanishing T(g2) exits 3."""
+    path = tmp_path / "flip.json"
+    save_model(flip_model(), path)
+    code, out, err = run(capsys, "string", "--model", str(path), "--g2", "x", "--chi", "sz")
+    assert code == 1 and out == ""
+    assert err == "error: built-in endpoint 'sz' is a spin-1 operator; model has d=2\n"
+    chi = tmp_path / "z.json"
+    chi.write_text(json.dumps([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]))
+    code, out, err = run(capsys, "string", "--model", str(path), "--g2", "x", "--chi", str(chi))
+    assert code == 3 and out == ""
+    assert "leading twisted eigenvalue vanishes" in err
 
 
 def test_string_vanishing_ring_envelope_exits_3(capsys):
@@ -357,6 +416,35 @@ def test_verify_corrupted_model_names_invariant(tmp_path, capsys):
     assert "FAIL" in out and "unitary" in out
 
 
+def test_verify_model_that_breaks_the_push_through_law(tmp_path, capsys):
+    """A tensor off the symmetric one by 1e-3: every non-identity element fails and verify exits 1."""
+    path = tmp_path / "m.json"
+    save_model(build_aklt_model(0.3), path)
+    doc = json.loads(path.read_text())
+    noise = 1e-3 * np.random.default_rng(0).normal(size=np.shape(doc["tensor"]))
+    doc["tensor"] = (np.array(doc["tensor"]) + noise).tolist()
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", "--model", str(path))
+    assert code == 1
+    failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert [line.split(":")[0] for line in failed] == [
+        f"FAIL  [actions] push-through law for {g}" for g in ("R_x", "R_y", "R_z")
+    ]
+    assert all("worst nan vs tol 1e-08  (tensor not symmetric under" in line for line in failed)
+    assert out.splitlines()[-1] == f"{out.count('PASS')}/{out.count('PASS') + 3} checks passed"
+
+
+def test_verify_model_skips_conservation_where_gapless(tmp_path, capsys):
+    """At p = 1/2 every twisted transfer is gapless: each conservation line is a skip, and verify passes."""
+    path = tmp_path / "m.json"
+    save_model(build_aklt_model(0.5), path)
+    code, out, _ = run(capsys, "verify", "--model", str(path))
+    assert code == 0
+    lines = [line for line in out.splitlines() if "[conservation]" in line]
+    assert len(lines) == 12
+    assert all(line.startswith("PASS") and "(skipped: symmetry gap for" in line for line in lines)
+
+
 def test_verify_missing_model_file(capsys):
     code, _, err = run(capsys, "verify", "--model", "/no/such/model.json")
     assert code == 2
@@ -364,6 +452,16 @@ def test_verify_missing_model_file(capsys):
 
 def _pop_kraus_row(doc):
     doc["channel"]["kraus"][0].pop()
+    return doc
+
+
+def _nan_in_tensor(doc):
+    doc["tensor"][0][0][0][0] = [float("nan"), 0.0]  # json writes and reads it as NaN
+    return doc
+
+
+def _unknown_label_in_table(doc):
+    doc["group"]["table"][1][2] = "R_w"
     return doc
 
 
@@ -384,6 +482,27 @@ MALFORMED = {
         lambda doc: {**doc, "actions": doc["actions"] + [{**doc["actions"][1], "element": "1"}]},
         "actions[4].element",
     ),
+    "no-actions": (lambda doc: {k: v for k, v in doc.items() if k != "actions"}, "actions: missing required field"),
+    "d-zero": (lambda doc: {**doc, "d": 0}, "d/da/D: dimensions must be positive"),
+    "tensor-wrong-shape": (lambda doc: {**doc, "D": 3}, "tensor: expected shape"),
+    "tensor-not-finite": (_nan_in_tensor, "tensor: entries must be finite"),
+    "group-not-an-object": (lambda doc: {**doc, "group": 5}, "group: expected an object"),
+    "repeated-element": (
+        lambda doc: {**doc, "group": {**doc["group"], "elements": ["1", "1", "R_y", "R_z"]}},
+        "group.elements: labels must be nonempty and unique",
+    ),
+    "table-not-square": (
+        lambda doc: {**doc, "group": {**doc["group"], "table": doc["group"]["table"][:3]}},
+        "group.table: expected a 4x4 table",
+    ),
+    "table-unknown-label": (_unknown_label_in_table, "group.table[1][2]: unknown label 'R_w'"),
+    "actions-not-a-list": (lambda doc: {**doc, "actions": {}}, "actions: expected a list"),
+    "action-not-an-object": (lambda doc: {**doc, "actions": [5] + doc["actions"][1:]}, "actions[0]: expected an object"),
+    "action-for-an-unknown-element": (
+        lambda doc: {**doc, "actions": [{**doc["actions"][0], "element": "R_w"}] + doc["actions"][1:]},
+        "actions[0].element: unknown group element 'R_w'",
+    ),
+    "channel-not-an-object": (lambda doc: {**doc, "channel": 5}, "channel: expected an object"),
 }
 
 
@@ -403,6 +522,15 @@ def test_malformed_model_file_exits_1_naming_the_field(tmp_path, capsys, edit, f
 
 
 # --- top level -----------------------------------------------------------------
+
+def test_broken_pipe_exits_2(capsys, monkeypatch):
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError
+
+    monkeypatch.setattr("sys.stdout", ClosedPipe())
+    assert main(["sweep", "--steps", "1"]) == 2
+
 
 def test_unknown_command(capsys):
     assert main(["no-such-command"]) == 1

@@ -25,7 +25,6 @@ from weaksym import numerics
 from weaksym.errors import NearDefectiveError, UndefinedExponentError
 from weaksym.model import LpdoTensor, Model, build_aklt_model, spin1_operators
 from weaksym.response import (
-    GAP_TOL,
     _leading_pair,
     conservation_check,
     finite_response,
@@ -329,7 +328,7 @@ def test_a_channel_between_the_two_live_thresholds(monkeypatch):
     partial = transfer_spectrum(lpdo, eye)
     complete = transfer_spectrum(lpdo, eye, complete=True)
     assert not partial.complete and len(partial.eigenvalues) == 3
-    left, right, norm, _ = _leading_pair(partial, GAP_TOL, "of T(1)")
+    left, right, norm, _ = _leading_pair(partial, "of T(1)")
     tr = build_transfer(lpdo, chi_r)
 
     def leading_amplitude(chi):  # linear in chi
@@ -369,7 +368,7 @@ def jordan_model(bond):
     a = np.stack([np.eye(2), n, n, n.T])[:, None]
     b = random_injective_mps(np.random.default_rng(5), bond)
     tensor = np.einsum("iaxy,sgh->iasxgyh", a, b).reshape(4, DR, 2 * bond, 2 * bond)
-    group = GroupTable.from_table(("1", "g"), (("1", "g"), ("g", "1")))
+    group = GroupTable(("1", "g"), (("1", "g"), ("g", "1")))
     actions = {
         "1": SymmetryAction(element="1", u=np.eye(4), ua=np.eye(DR)),
         "g": SymmetryAction(element="g", u=np.diag([1.0, 1.0, -1.0, 1.0]), ua=np.eye(DR)),

@@ -40,7 +40,7 @@ def _key(m):
 
 def test_sweep_row_decomposes_at_most_four_maps(eig_calls):
     # T(1), T(R_x, ua_x), T(R_y, ua_y) and T(R_z), each once for the whole row
-    row = cli._sweep_row(0.3, 200, 50, 1e-8)
+    row = cli._sweep_row(0.3, 200, 50)
     assert not row["flags"]
     assert len(eig_calls) <= 4
 
@@ -98,7 +98,7 @@ def power_tables(monkeypatch):
 def test_sweep_row_builds_one_squaring_table_per_map(power_tables):
     # Both ring strings and the envelope Tr T(R_z)^N share the tables of
     # T(1) and T(R_z): squares up to 2^7 for N = 200 and N - l - 2 = 148.
-    cli._sweep_row(0.3, 200, 50, 1e-8)
+    cli._sweep_row(0.3, 200, 50)
     model = build_aklt_model(0.3)
     maps = [build_transfer(model.lpdo, op) for op in (np.eye(3), model.action("R_z").u)]
     assert len(power_tables) == 2

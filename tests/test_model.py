@@ -135,6 +135,31 @@ def test_ancilla_rep_lone_sx_is_covariant():
     assert abs(abs(ua[0, 0]) - 1) < 1e-12
 
 
+def test_channel_and_dilation_refusals():
+    ops = spin1_operators()
+    with pytest.raises(DimensionMismatchError, match="kraus must be"):
+        KrausChannel(np.zeros((2, 3)))
+    with pytest.raises(DimensionMismatchError, match="channel acts on d=2, tensor has d=3"):
+        dilate(aklt_tensor(), KrausChannel(np.eye(2)[None]))
+    with pytest.raises(DimensionMismatchError, match="u is 2x2, channel has d=3"):
+        solve_ancilla_rep(aklt_channel(0.3), np.eye(2))
+    with pytest.raises(CovarianceError, match="no nonzero Kraus operators"):
+        solve_ancilla_rep(KrausChannel(np.zeros((2, 3, 3))), ops["R_z"])
+    with pytest.raises(CovarianceError, match="linearly dependent"):
+        solve_ancilla_rep(KrausChannel(np.stack([ops["S_x"], 2 * ops["S_x"]])), ops["R_z"])
+
+
+def test_ancilla_rep_rejects_non_unitary_coefficients():
+    """X maps the span of (Z, Z + X) to itself, but Z + X -> -Z + X = -2 Z + (Z + X) is no rotation.
+
+    solve_ancilla_rep does not require a trace-preserving channel, so only
+    the unitarity test refuses this one.
+    """
+    x, z = np.array([[0, 1], [1, 0]]), np.diag([1.0, -1.0])
+    with pytest.raises(ValidationError, match="covariance coefficients not unitary"):
+        solve_ancilla_rep(KrausChannel(np.stack([z, z + x])), x)
+
+
 def test_group_and_actions_assembled():
     model = build_aklt_model(0.2)
     assert model.group.labels == aklt_group().labels

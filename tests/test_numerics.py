@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from weaksym import numerics
 from weaksym.errors import DimensionMismatchError, ValidationError
 from weaksym.model import build_aklt_model
 from weaksym.numerics import DENSE_MAX_ROWS, LEADING_PAIRS, TIE_TOL, ScaledPowers, ldexp, leading_spectrum, rescale, spectral_decompose
@@ -276,3 +277,54 @@ def test_leading_spectrum_is_the_dense_one_up_to_the_row_cutoff():
     for a, b in zip((partial.eigenvalues, partial.right_vectors, partial.left_vectors),
                     (full.eigenvalues, full.right_vectors, full.left_vectors)):
         assert a.tobytes() == b.tobytes()
+
+
+def assert_is_the_dense_spectrum(m):
+    partial, full = leading_spectrum(m), spectral_decompose(m)
+    assert partial.complete
+    for a, b in zip((partial.eigenvalues, partial.right_vectors, partial.left_vectors),
+                    (full.eigenvalues, full.right_vectors, full.left_vectors)):
+        assert a.tobytes() == b.tobytes()
+    assert partial.condition_estimate == full.condition_estimate
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("MAX_RESTARTS", 0), ("KRYLOV_BASIS", LEADING_PAIRS + 1)],
+    ids=["no-restarts-left", "basis-too-small-for-the-pairs"],
+)
+def test_leading_spectrum_is_the_dense_one_when_arnoldi_gives_up(monkeypatch, name, value):
+    m = with_eigenvalues(np.random.default_rng(2), [1.0, -0.8, 0.5], 120)
+    monkeypatch.setattr(numerics, name, value)
+    assert_is_the_dense_spectrum(m)
+
+
+def test_leading_spectrum_is_the_dense_one_past_a_basis_of_tied_vectors():
+    """30 copies of the leading eigenvalue: the deflated runs collect more vectors than the basis holds."""
+    assert_is_the_dense_spectrum(with_eigenvalues(np.random.default_rng(3), [1.0] * 30 + [0.5], 120))
+
+
+def test_leading_spectrum_is_the_dense_one_on_a_defective_top():
+    """A Jordan block at the top: the pairs Arnoldi returns miss their eigen-equation."""
+    rng = np.random.default_rng(0)
+    n = 120
+    d = np.diag(np.concatenate([[1.0, 1.0], 0.45 * np.sqrt(rng.uniform(size=n - 2)) * np.exp(2j * np.pi * rng.uniform(size=n - 2))]))
+    d[0, 1] = 1.0
+    x = np.eye(n) + 0.5 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) / np.sqrt(n)
+    assert_is_the_dense_spectrum(x @ d @ np.linalg.inv(x))
+
+
+def test_leading_spectrum_is_the_dense_one_when_the_pairing_is_singular(monkeypatch):
+    m = with_eigenvalues(np.random.default_rng(2), [1.0, -0.8, 0.5], 120)
+
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    assert_is_the_dense_spectrum(m)
+
+
+def test_rejects_arrays_that_are_not_matrices():
+    for m in (np.zeros(3), np.zeros((DENSE_MAX_ROWS + 1,) * 2 + (1,))):
+        with pytest.raises(DimensionMismatchError, match="expected a 2D array"):
+            leading_spectrum(m)

@@ -7,7 +7,7 @@ import pytest
 from test_generic import generic_model
 from weaksym import oracle, verify
 from weaksym.errors import DimensionMismatchError, SizeGuardError
-from weaksym.model import LpdoTensor, Model, aklt_tensor, build_aklt_model, spin1_operators
+from weaksym.model import KrausChannel, LpdoTensor, Model, aklt_tensor, build_aklt_model, spin1_operators
 from weaksym.oracle import (
     apply_channel_exact,
     contract_full,
@@ -180,6 +180,21 @@ def test_expectation_refuses_mismatched_lists():
         expectation(model.lpdo, np.eye(2), [[np.eye(3)] * 3, [np.eye(3)] * 2])
     with pytest.raises(DimensionMismatchError):
         expectation(model.lpdo, np.eye(2), [[np.eye(2)] * 3])
+
+
+def test_state_and_density_refusals():
+    model = build_aklt_model(0.3)
+    with pytest.raises(ValueError, match="need at least one site, got 0"):
+        contract_full(model.lpdo, np.eye(2), 0)
+    with pytest.raises(DimensionMismatchError, match="seam is 3x3, bond is 2"):
+        contract_full(model.lpdo, np.eye(3), 2)
+    state = contract_full(model.lpdo, np.eye(2), 2)
+    with pytest.raises(DimensionMismatchError, match="state has 4 legs, expected 6 for 3 sites"):
+        density_from_state(state, 3)
+    rho = density_from_state(state, 2)
+    two_level = KrausChannel(np.eye(2)[None])
+    with pytest.raises(DimensionMismatchError, match="density matrix dim 9 is not d"):
+        apply_channel_exact(rho, two_level)
 
 
 def test_uniform_charge_matches_transfer():

@@ -52,6 +52,20 @@ def test_finite_response_identity_flux_is_one():
     assert abs(res.value - 1) < 1e-13
 
 
+@pytest.mark.parametrize("p", [0.0, 0.2, 0.8])
+def test_finite_response_identity_flux_is_one_to_roundoff(p):
+    """The identity flux gives 1 up to roundoff, not exactly: at N=301 the imaginary part is about 1e-145."""
+    model = build_aklt_model(p)
+    for n_sites in (3, 200, 301):
+        res = finite_response(model, "1", "R_z", n_sites)
+        assert res.valid and abs(res.value - 1) <= 1e-12, n_sites
+
+
+def test_snap_refuses_non_finite_values():
+    for value in (complex(np.nan, 0.0), complex(0.0, np.nan), complex(np.inf, 0.0)):
+        assert snap_root_of_unity(value, 2) is None
+
+
 def test_finite_response_vanishing_denominator_flagged():
     """At p = 1/2 and odd N the ring normalization cancels exactly."""
     model = build_aklt_model(0.5)
@@ -144,12 +158,11 @@ def _s3_table():
         [inverse[tuple(perms[g][perms[h][i]] for i in range(3))] for h in labels]
         for g in labels
     ]
-    return GroupTable.from_table(labels, table)
+    return GroupTable(labels, table)
 
 
 def test_non_commuting_pair_rejected():
     group = _s3_table()
-    group.validate()
     fake_model = SimpleNamespace(group=group)
     with pytest.raises(NonCommutingError):
         from weaksym.response import _require_commuting

@@ -1,13 +1,14 @@
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from weaksym.errors import UndefinedExponentError
-from weaksym.model import build_aklt_model, spin1_operators
+from weaksym.model import LpdoTensor, Model, build_aklt_model, spin1_operators
 from weaksym.response import thermo_response
 from weaksym.stringorder import decay_channel, string_order_series
-from weaksym.symmetry import endpoint_charge
+from weaksym.symmetry import GroupTable, SymmetryAction, endpoint_charge
 from weaksym.transfer import build_transfer, transfer_spectrum, twisted_spectrum
 from weaksym.verify import decay_exponent
 
@@ -89,6 +90,30 @@ def test_series_modes_and_shapes():
     assert s.mode == "thermo" and s.n_sites is None
 
 
+def flip_model():
+    """A D = 1 product state |0> on d = 2 with da = 1, and a Z2 "x" acting as sigma_x.
+
+    The state is not symmetric under x: T(sigma_x) = <0|sigma_x|0> = 0, while
+    T(1) = 1 is a one-eigenvalue map.
+    """
+    group = GroupTable(("1", "x"), (("1", "x"), ("x", "1")))
+    actions = {
+        "1": SymmetryAction("1", np.eye(2), np.eye(1)),
+        "x": SymmetryAction("x", np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(1)),
+    }
+    return Model(lpdo=LpdoTensor(np.array([1.0, 0.0]).reshape(2, 1, 1, 1)), group=group, actions=actions)
+
+
+def test_thermo_series_refusals():
+    """A vanishing leading eigenvalue of T(g2) leaves nothing to normalize by; a negative length is refused first."""
+    model = flip_model()
+    z = np.diag([1.0, -1.0])
+    with pytest.raises(ZeroDivisionError, match="leading twisted eigenvalue vanishes"):
+        string_order_series(model, "x", z, z, [0, 1])
+    with pytest.raises(ValueError, match="string length must be >= 0, got -1"):
+        string_order_series(model, "x", z, z, [2, -1])
+
+
 def test_normalized_plateau_above_transition():
     for p in (0.6, 0.8, 0.9):
         model = build_aklt_model(p)
@@ -148,6 +173,14 @@ def test_decay_exponent_undefined_when_string_vanishes():
     series = string_order_series(model, "R_z", OPS["S_y"], OPS["S_y"], range(20, 51))
     with pytest.raises(UndefinedExponentError):
         decay_exponent(series)
+
+
+def test_decay_exponent_refuses_a_noise_only_window():
+    """Values far above the underflow floor that follow no line: only roundoff is left."""
+    lengths = np.arange(20, 51)
+    noise = SimpleNamespace(lengths=lengths, raw=1e-17 * (1 + 0.9 * (-1.0) ** lengths))
+    with pytest.raises(UndefinedExponentError, match="only roundoff"):
+        decay_exponent(noise)
 
 
 def test_decay_exponent_needs_window_points():

@@ -1,12 +1,19 @@
+import re
+
 import numpy as np
 import pytest
 
 from weaksym.errors import (
+    DegenerateSpectrumError,
+    DimensionMismatchError,
     IndefiniteChargeError,
+    NearDefectiveError,
+    NonCommutingError,
+    NotSymmetricError,
     ValidationError,
     WeaksymError,
 )
-from weaksym.model import build_aklt_model, spin1_operators
+from weaksym.model import LpdoTensor, build_aklt_model, spin1_operators
 from weaksym.symmetry import (
     GroupTable,
     SymmetryAction,
@@ -26,11 +33,10 @@ SZ = np.diag([1.0 + 0j, -1.0])
 
 def test_klein_four_group_axioms():
     group = build_aklt_model(0.3).group
-    group.validate()
     assert group.identity == "1"
     assert set(group.labels) == {"1", "R_x", "R_y", "R_z"}
     for g in group.labels:
-        assert group.inverse(g) == g
+        assert group.multiply(g, g) == "1"
         assert group.order(g) == (1 if g == "1" else 2)
         for h in group.labels:
             assert group.commutes(g, h)
@@ -39,12 +45,39 @@ def test_klein_four_group_axioms():
 
 def test_group_table_rejects_broken_closure():
     with pytest.raises(ValidationError):
-        GroupTable.from_table(["e", "a"], [["e", "a"], ["a", "b"]])
+        GroupTable(["e", "a"], [["e", "a"], ["a", "b"]])
 
 
 def test_group_table_rejects_missing_identity():
     with pytest.raises(ValidationError):
-        GroupTable.from_table(["e", "a"], [["a", "e"], ["a", "e"]])
+        GroupTable(["e", "a"], [["a", "e"], ["a", "e"]])
+
+
+def test_group_table_is_checked_on_construction():
+    """Every axiom refusal names the field; a valid table finds its identity."""
+    cases = [
+        ((), (), "group.elements: labels must be nonempty and unique"),
+        (("e", "e"), (("e", "e"), ("e", "e")), "group.elements: labels must be nonempty and unique"),
+        (("e", "a"), (("e", "a"),), "group.table: expected a 2x2 table"),
+        (("e", "a"), (("e", "a"), ("a",)), "group.table: expected a 2x2 table"),
+        # a has two inverses, a and b
+        (("e", "a", "b"), (("e", "a", "b"), ("a", "e", "e"), ("b", "e", "e")), "group.table: element 'a' lacks a unique inverse"),
+    ]
+    for labels, table, message in cases:
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}"):
+            GroupTable(labels, table)
+    # a Latin square with an identity (a loop of order 5) that is not associative: (1*1)*2 = 2, 1*(1*2) = 4
+    loop = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3), (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
+    with pytest.raises(ValidationError, match="^group.table: not associative"):
+        GroupTable(tuple(range(5)), loop)
+    group = GroupTable(["e", "a"], [["e", "a"], ["a", "e"]])
+    assert group.identity == "e" and group.labels == ("e", "a") and group.order("a") == 2
+
+
+def test_group_table_unknown_label():
+    group = build_aklt_model(0.3).group
+    with pytest.raises(KeyError, match="unknown group element 'R_w'"):
+        group.multiply("R_w", "1")
 
 
 # --- transformation law --------------------------------------------------------
@@ -127,6 +160,42 @@ def test_extract_rejects_non_symmetry():
         extract_virtual_rep(model.lpdo, bogus)
 
 
+def test_law_rejects_a_representation_of_the_wrong_size():
+    model = build_aklt_model(0.3)
+    with pytest.raises(DimensionMismatchError, match="v is 3x3, tensor has D=2"):
+        verify_transformation_law(model.lpdo, model.action("R_z"), VirtualRep("R_z", np.eye(3)), theta=0.0)
+
+
+def test_extract_refuses_a_near_defective_untwisted_map():
+    """Tensor (1, N) with N nilpotent: T(1) = 1 + N (x) N is a Jordan block at 1."""
+    n = np.array([[0, 1], [0, 0]], dtype=complex)
+    lpdo = LpdoTensor(np.stack([np.eye(2), n])[:, None])
+    with pytest.raises(NearDefectiveError, match="untwisted transfer map is near-defective"):
+        extract_virtual_rep(lpdo, SymmetryAction("1", np.eye(2), np.eye(1)))
+
+
+def test_extract_refuses_a_degenerate_leading_eigenvalue():
+    """A GHZ-like tensor diag(1, 0), diag(0, 1) is not injective: T(1) = diag(1, 0, 0, 1)."""
+    lpdo = LpdoTensor(np.stack([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])[:, None])
+    with pytest.raises(DegenerateSpectrumError, match="gap 0.000e"):
+        extract_virtual_rep(lpdo, SymmetryAction("1", np.eye(2), np.eye(1)))
+
+
+def test_extract_refuses_a_near_symmetry_that_fails_the_law():
+    """R_x tilted by exp(i eps H): the twisted leading modulus moves by O(eps^2), the law by O(eps).
+
+    At eps = 1e-5 the modulus test (1e-8) passes and the push-through law fails.
+    """
+    model = build_aklt_model(0.0)
+    rng = np.random.default_rng(0)
+    h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    w, v = np.linalg.eigh(h + h.conj().T)
+    u = model.action("R_x").u @ v @ np.diag(np.exp(1e-5j * w)) @ v.conj().T
+    tilted = SymmetryAction("R_x", u, model.action("R_x").ua)
+    with pytest.raises(NotSymmetricError, match="fails the transformation law"):
+        extract_virtual_rep(model.lpdo, tilted)
+
+
 # --- cocycles and charges -------------------------------------------------------
 
 def test_cocycle_pauli_pairs():
@@ -154,3 +223,19 @@ def test_endpoint_charge_rejects_mixed_charge():
     model = build_aklt_model(0.3)
     with pytest.raises(IndefiniteChargeError):
         endpoint_charge(ops["S_x"] + ops["S_z"], model.action("R_z"))
+
+
+def test_cocycle_refusals():
+    with pytest.raises(DimensionMismatchError, match="representation shapes differ"):
+        cocycle_commutator(VirtualRep("x", SX), VirtualRep("1", np.eye(3)))
+    # diag(1, i) and sigma_x: the group commutator is diag(-i, i), not a scalar
+    with pytest.raises(NonCommutingError, match="do not commute projectively"):
+        cocycle_commutator(VirtualRep("s", np.diag([1.0, 1j])), VirtualRep("x", SX))
+
+
+def test_endpoint_charge_refusals():
+    act = build_aklt_model(0.3).action("R_z")
+    with pytest.raises(DimensionMismatchError, match="chi is"):
+        endpoint_charge(np.eye(2), act)
+    with pytest.raises(IndefiniteChargeError, match="endpoint operator is zero"):
+        endpoint_charge(np.zeros((3, 3)), act)

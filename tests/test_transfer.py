@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from test_numerics import power_trace
+from test_stringorder import flip_model
 from weaksym.errors import DimensionMismatchError, ValidationError
 from weaksym.model import build_aklt_model
 from weaksym.numerics import spectral_decompose
@@ -13,6 +14,7 @@ from weaksym.transfer import (
     commutant_residual,
     flux_operator,
     symmetry_gap,
+    transfer_spectrum,
     twisted_spectrum,
 )
 
@@ -220,6 +222,10 @@ def test_ancilla_transfer_identity_matches_untwisted():
     model = build_aklt_model(0.7)
     ta = build_transfer(model.lpdo, np.eye(3), np.eye(4))
     np.testing.assert_allclose(ta, t1_expected(), atol=1e-14)
+
+
+def test_one_eigenvalue_map_has_an_infinite_gap():
+    assert symmetry_gap(transfer_spectrum(flip_model().lpdo, np.eye(2))) == float("inf")
 
 
 def test_build_transfer_rejects_wrong_insertion_shape():
