@@ -310,7 +310,7 @@ def test_string_refuses_l_min_above_l_max(capsys):
 
 
 def test_string_on_a_two_state_model(tmp_path, capsys):
-    """Built-in endpoints are spin-1 operators; an explicit one runs, and a vanishing T(g2) exits 3."""
+    """Built-in endpoints are spin-1 operators, refused at d = 2; with an explicit one, T(x) = 0 leaves no normalization (exit 3)."""
     path = tmp_path / "flip.json"
     save_model(flip_model(), path)
     code, out, err = run(capsys, "string", "--model", str(path), "--g2", "x", "--chi", "sz")
@@ -465,7 +465,8 @@ def _unknown_label_in_table(doc):
     return doc
 
 
-# A malformed model file, mostly a field of the wrong JSON type: (edit of a saved file, field path).
+# A malformed model file, mostly a field of the wrong JSON type: (edit of a saved file, start of the
+# error: the field path, and for some the refusal too).
 MALFORMED = {
     "not-an-object": (lambda doc: 5, "file"),
     "elements-not-a-list": (lambda doc: {**doc, "group": {**doc["group"], "elements": 5}}, "group.elements"),
