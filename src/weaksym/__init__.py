@@ -10,7 +10,6 @@ is built in as a one-parameter model family.
 """
 
 from .errors import (
-    CovarianceError,
     DegenerateSpectrumError,
     DimensionMismatchError,
     GaplessTransferError,

@@ -48,7 +48,3 @@ class SizeGuardError(WeaksymError, ValueError):
 
 class IndefiniteChargeError(WeaksymError, ValueError):
     """Endpoint operator is not an eigenoperator of the symmetry conjugation."""
-
-
-class CovarianceError(WeaksymError, ValueError):
-    """Kraus channel is not covariant under the requested unitary."""

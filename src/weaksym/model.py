@@ -13,17 +13,12 @@ locally purified tensor with a four-dimensional ancilla leg for every p.
 import functools
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (
-    CovarianceError,
-    DimensionMismatchError,
-    ValidationError,
-)
-from .numerics import _as_square
-from .symmetry import GroupTable, SymmetryAction, unitarity_defect
+from .errors import DimensionMismatchError, ValidationError
+from .symmetry import GroupTable, SymmetryAction, endpoint_charge
 
 _SQ2 = np.sqrt(2.0)
 
@@ -104,10 +99,6 @@ class KrausChannel:
         self.kraus = k
 
     @property
-    def n_kraus(self):
-        return self.kraus.shape[0]
-
-    @property
     def d(self):
         return self.kraus.shape[1]
 
@@ -134,22 +125,23 @@ def aklt_tensor():
     return a
 
 
+@functools.cache
+def _aklt_kraus_basis():
+    """The p-independent Kraus operators 1, Sx Sy, Sy Sz, Sz Sx, stacked read-only."""
+    ops = spin1_operators()
+    sx, sy, sz = ops["S_x"], ops["S_y"], ops["S_z"]
+    basis = np.stack([ops["S_0"], sx @ sy, sy @ sz, sz @ sx])
+    basis.flags.writeable = False
+    return basis
+
+
 def aklt_channel(p):
     """Decoherence channel of the AKLT family at noise rate p in [0, 1]."""
     p = float(p)
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"channel.p: expected 0 <= p <= 1, got {p}")
-    ops = spin1_operators()
-    sx, sy, sz = ops["S_x"], ops["S_y"], ops["S_z"]
-    kraus = np.stack(
-        [
-            np.sqrt(1.0 - p) * ops["S_0"],
-            np.sqrt(p) * (sx @ sy),
-            np.sqrt(p) * (sy @ sz),
-            np.sqrt(p) * (sz @ sx),
-        ]
-    )
-    ch = KrausChannel(kraus, p=p)
+    weights = np.sqrt([1.0 - p, p, p, p])
+    ch = KrausChannel(weights[:, None, None] * _aklt_kraus_basis(), p=p)
     ch.validate()
     return ch
 
@@ -168,56 +160,6 @@ def dilate(pure, channel):
         )
     a4 = np.einsum("aij,jxy->iaxy", channel.kraus, pure)
     return LpdoTensor(a4)
-
-
-def solve_ancilla_rep(channel, u):
-    """Ancilla-leg unitary induced by a channel-covariant physical unitary.
-
-    Solves u K_a u^dag = sum_b c[a, b] K_b for the covariance coefficients,
-    verifies that c is unitary, and returns its inverse (the unitary the
-    Stinespring environment picks up), with the overall phase fixed by
-    making the first nonzero diagonal entry real positive. Kraus operators
-    that are identically zero are given a trivial action.
-
-    Raises :class:`CovarianceError` if the channel is not covariant or the
-    nonzero Kraus operators are linearly dependent, and
-    :class:`ValidationError` if the coefficient matrix is not unitary.
-    """
-    u = _as_square(u, "u")
-    k = channel.kraus
-    if channel.d != u.shape[0]:
-        raise DimensionMismatchError(f"u is {u.shape[0]}x{u.shape[0]}, channel has d={channel.d}")
-    n = channel.n_kraus
-    norms = np.linalg.norm(k.reshape(n, -1), axis=1)
-    scale = norms.max()
-    if not scale > 0:
-        raise CovarianceError("channel has no nonzero Kraus operators")
-    live = np.flatnonzero(norms > 1e-12 * scale)
-
-    kmat = k[live].reshape(len(live), -1)  # rows vec(K_a)
-    if np.linalg.matrix_rank(kmat, tol=1e-10 * scale) < len(live):
-        raise CovarianceError("nonzero Kraus operators are linearly dependent")
-    target = np.einsum("ij,ajk,lk->ail", u, k[live], u.conj()).reshape(len(live), -1)
-
-    # c_live @ kmat = target, least squares row by row
-    c_live, *_ = np.linalg.lstsq(kmat.T, target.T, rcond=None)
-    c_live = c_live.T
-    residual = np.linalg.norm(c_live @ kmat - target) / np.linalg.norm(target)
-    if residual > 1e-10:
-        raise CovarianceError(f"channel is not covariant under u (residual {residual:.3e})")
-
-    c = np.eye(n, dtype=complex)
-    c[np.ix_(live, live)] = c_live
-    defect = unitarity_defect(c)
-    if defect > 1e-10:
-        raise ValidationError(f"covariance coefficients not unitary (defect {defect:.3e})")
-
-    ua = c.conj().T
-    diag = np.diag(ua)
-    first = int(np.argmax(np.abs(diag) > 1e-12))
-    z = diag[first]
-    ua = ua * (z.conjugate() / abs(z))
-    return ua
 
 
 @functools.cache
@@ -246,6 +188,28 @@ def aklt_group():
     return GroupTable(labels, table)
 
 
+@functools.cache
+def _aklt_actions():
+    """Physical and ancilla action of each element of :func:`aklt_group`.
+
+    u_g is the pi rotation R_g (1 for the identity). Each Kraus operator K
+    of :func:`aklt_channel` is a charge eigenoperator, u_g K u_g^dag = c K,
+    so the Stinespring environment picks up ua_g = diag(conj(c)) in the
+    Kraus basis, the same for every p. Built once per process; the arrays
+    are read-only and shared, and each model gets its own dict.
+    """
+    ops = spin1_operators()
+    actions = {}
+    for g in aklt_group().labels:
+        u = ops["S_0"] if g == "1" else ops[g]
+        u.flags.writeable = False
+        rotation = SymmetryAction(element=g, u=u, ua=None)  # endpoint_charge reads u only
+        ua = np.diag([endpoint_charge(k, rotation) for k in _aklt_kraus_basis()]).conj()
+        ua.flags.writeable = False
+        actions[g] = replace(rotation, ua=ua)
+    return actions
+
+
 @dataclass
 class Model:
     """A purified site tensor bundled with its symmetry data.
@@ -271,14 +235,7 @@ def build_aklt_model(p):
     """Decohered AKLT chain at noise rate p, with its Z2 x Z2 action."""
     channel = aklt_channel(p)
     lpdo = dilate(aklt_tensor(), channel)
-    group = aklt_group()
-    ops = spin1_operators()
-    actions = {}
-    for g in group.labels:
-        u = ops["S_0"] if g == "1" else ops[g]
-        ua = solve_ancilla_rep(channel, u)
-        actions[g] = SymmetryAction(element=g, u=u, ua=ua)
-    return Model(lpdo=lpdo, group=group, actions=actions, channel=channel)
+    return Model(lpdo=lpdo, group=aklt_group(), actions=dict(_aklt_actions()), channel=channel)
 
 
 # --- serialization ---------------------------------------------------------

@@ -21,7 +21,8 @@ from .symmetry import cocycle_commutator, extract_virtual_rep
 from .transfer import flux_operator, symmetry_gap, transfer_powers, transfer_spectrum, twisted_spectrum
 
 SNAP_TOL = 1e-6
-# A symmetry gap at or below this is a transition: the thermodynamic limit is undefined.
+# A symmetry gap at or below this share of |lambda_0(T(1))|, the tensor's
+# normalization, is a transition: the thermodynamic limit is undefined.
 GAP_TOL = 1e-8
 
 
@@ -109,28 +110,29 @@ def finite_response(model, g1, g2, n_sites):
     )
 
 
-def _leading_pair(spectrum, what):
-    """Leading eigenvector pair of a gapped spectrum, for (L0·X·R0)/(L0·R0).
+def _leading_pair(lpdo, spectrum, what):
+    """Leading eigenvector pair of a gapped spectrum of ``lpdo``, for (L0·X·R0)/(L0·R0).
 
     Returns ``(left, right, norm, gap)``: the left row L0, the right column
     R0, their overlap L0·R0 and the symmetry gap. Every thermodynamic value
     is ``(left @ X @ right) / norm`` for some X. Raises
     :class:`NearDefectiveError` for an untrustworthy spectrum and
     :class:`GaplessTransferError` when the gap is at or below ``GAP_TOL``
-    (1e-8); ``what`` ("for 'R_z'") names the map in both.
+    (1e-8) times |lambda_0(T(1))|, so a rescaled tensor gets the same
+    answer; ``what`` ("for 'R_z'") names the map in both.
     """
     if spectrum.near_defective:
         raise NearDefectiveError(f"transfer spectrum {what} is near-defective")
     gap = symmetry_gap(spectrum)
-    if gap <= GAP_TOL:
+    if gap <= GAP_TOL * abs(transfer_spectrum(lpdo, np.eye(lpdo.d)).eigenvalues[0]):
         raise GaplessTransferError(f"symmetry gap {what} is {gap:.3e}; thermodynamic limit undefined")
     _, left, right = spectrum.leading
     return left, right, left @ right, gap
 
 
-def _pair_value(spectrum, x, what):
-    """(L0·X·R0)/(L0·R0) on the leading pair of ``spectrum``, and the gap."""
-    left, right, norm, gap = _leading_pair(spectrum, what)
+def _pair_value(lpdo, spectrum, x, what):
+    """(L0·X·R0)/(L0·R0) on the leading pair of ``spectrum``, a spectrum of ``lpdo``, and the gap."""
+    left, right, norm, gap = _leading_pair(lpdo, spectrum, what)
     return complex((left @ x @ right) / norm), gap
 
 
@@ -140,10 +142,10 @@ def flux_response(model, flux, g2):
     (L0| kron(conj(X), X) |R0) on the leading biorthonormal eigenvector
     pair of T(g2). Returns ``(value, gap)``. Raises
     :class:`GaplessTransferError` when the symmetry gap of T(g2) is at or
-    below ``GAP_TOL`` (the value is undefined at a transition) and
-    :class:`NearDefectiveError` for untrustworthy spectra.
+    below ``GAP_TOL`` times |lambda_0(T(1))| (the value is undefined at a
+    transition) and :class:`NearDefectiveError` for untrustworthy spectra.
     """
-    return _pair_value(twisted_spectrum(model, g2), flux_operator(flux), f"for {g2!r}")
+    return _pair_value(model.lpdo, twisted_spectrum(model, g2), flux_operator(flux), f"for {g2!r}")
 
 
 def _thermo_result(model, g1, value, gap):
@@ -164,7 +166,8 @@ def thermo_response(model, g1, g2):
     Threads the extracted virtual representation V_g1 through the leading
     eigenvector pair of T(g2). Valid results are phases: unit modulus
     within 1e-8. Raises :class:`GaplessTransferError` when the symmetry gap
-    of T(g2) is at or below ``GAP_TOL`` (1e-8), where the limit is undefined.
+    of T(g2) is at or below ``GAP_TOL`` (1e-8) times |lambda_0(T(1))|, where
+    the limit is undefined.
     """
     _require_commuting(model, g1, g2)
     rep1, _ = extract_virtual_rep(model.lpdo, model.action(g1))
@@ -187,7 +190,7 @@ def conservation_check(model, g1, g2):
     total = cocycle_commutator(rep1, rep2)
     physical = _thermo_result(model, g1, *flux_response(model, rep1.v, g2))
     spectrum = transfer_spectrum(model.lpdo, np.eye(model.lpdo.d), model.action(g2).ua)
-    value, gap = _pair_value(spectrum, flux_operator(rep1.v), f"for {g2!r} on the ancilla")
+    value, gap = _pair_value(model.lpdo, spectrum, flux_operator(rep1.v), f"for {g2!r} on the ancilla")
     ancilla = _thermo_result(model, g1, value, gap)
     residual = abs(total - physical.value * ancilla.value)
     return float(residual), total, physical, ancilla

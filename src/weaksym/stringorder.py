@@ -133,7 +133,7 @@ def string_order_series(model, g2, chi_l, chi_r, lengths, n_sites=None):
     if n_sites is None:
         if np.any(lengths < 0):
             raise ValueError(f"string length must be >= 0, got {lengths.min()}")
-        left, right, norm, _ = _leading_pair(transfer_spectrum(lpdo, eye), "of T(1)")
+        left, right, norm, _ = _leading_pair(lpdo, transfer_spectrum(lpdo, eye), "of T(1)")
         base = float(abs(twisted_spectrum(model, g2).eigenvalues[0]))
         if base == 0.0:
             raise ZeroDivisionError("leading twisted eigenvalue vanishes; normalization undefined")
@@ -225,7 +225,7 @@ def decay_channel(model, g2, chi_l, chi_r):
     :class:`NearDefectiveError` when T(g2)'s eigenvectors cannot be paired.
     """
     lpdo = model.lpdo
-    left, right, norm, _ = _leading_pair(transfer_spectrum(lpdo, np.eye(lpdo.d)), "of T(1)")
+    left, right, norm, _ = _leading_pair(lpdo, transfer_spectrum(lpdo, np.eye(lpdo.d)), "of T(1)")
     tl = build_transfer(lpdo, chi_l)
     tr = build_transfer(lpdo, chi_r)
     envelope = np.linalg.norm(left) * np.linalg.norm(tl) * np.linalg.norm(tr) * np.linalg.norm(right) / abs(norm)

@@ -26,7 +26,8 @@ from .errors import (
 from .numerics import _as_square
 from .transfer import _insertions, transfer_spectrum
 
-# Tolerance of the modulus tests and the push-through residual of extract_virtual_rep.
+# Tolerance of the modulus tests of extract_virtual_rep, relative to the
+# leading modulus of T(1), and of its push-through residual.
 REP_TOL = 1e-8
 
 
@@ -167,7 +168,9 @@ def extract_virtual_rep(lpdo, act):
     degenerate in modulus (non-injective tensor), and
     :class:`NotSymmetricError` if the twisted leading modulus deviates from
     the untwisted one (tensor not symmetric under this action) or the
-    recovered pair fails the transformation law (both at ``REP_TOL``).
+    recovered pair fails the transformation law (all at ``REP_TOL``). Both
+    modulus tests are relative to the untwisted leading modulus, so a
+    rescaled tensor, which describes the same state, gets the same answer.
 
     The result is memoised on ``lpdo``, keyed by the element label, u_g and
     ua_g; a failed extraction is not stored.
@@ -183,7 +186,7 @@ def _extract_virtual_rep(lpdo, act):
     if ref.near_defective:
         raise NearDefectiveError("untwisted transfer map is near-defective")
     mods = np.abs(ref.eigenvalues)
-    if dv * dv > 1 and mods[0] - mods[1] <= REP_TOL * max(1.0, mods[0]):
+    if dv * dv > 1 and mods[0] - mods[1] <= REP_TOL * mods[0]:
         raise DegenerateSpectrumError(
             f"leading transfer eigenvalue degenerate in modulus (gap {mods[0] - mods[1]:.3e})"
         )
@@ -191,7 +194,7 @@ def _extract_virtual_rep(lpdo, act):
 
     twisted = transfer_spectrum(lpdo, act.u, act.ua)
     lam = twisted.eigenvalues[0]
-    if abs(abs(lam) - abs(lam_ref)) > REP_TOL * max(1.0, abs(lam_ref)):
+    if abs(abs(lam) - abs(lam_ref)) > REP_TOL * abs(lam_ref):
         raise NotSymmetricError(
             f"tensor not symmetric under {act.element!r}: twisted leading modulus "
             f"{abs(lam):.12f} vs {abs(lam_ref):.12f}"

@@ -1,15 +1,21 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from test_generic import generic_model
 from test_stringorder import flip_model
+import weaksym
 from weaksym.cli import CSV_HEADER, _fmt, _json_float, _root_label, main
 from weaksym.errors import GaplessTransferError, ValidationError
-from weaksym.model import build_aklt_model, load_model, save_model
+from weaksym.model import LpdoTensor, build_aklt_model, load_model, save_model
 from weaksym.response import thermo_response
 
 
@@ -268,6 +274,42 @@ def test_response_thousands_of_sites_exit_zero(capsys, p):
         code, out, err = run(capsys, "response", "--p", p, "--g1", "R_x", "--g2", "R_z", "--sites", sites)
         assert code == 0 and err == ""
         assert "(snapped: exp(i*pi))" in out.splitlines()[0]
+
+
+def test_response_at_a_noise_rate_next_to_zero(capsys):
+    """Every p in [0, 1] has the same ancilla actions, so a tiny p is no special case."""
+    code, out, err = run(capsys, "response", "--p", "1e-14", "--g1", "R_x", "--g2", "R_z")
+    assert code == 0 and err == ""
+    assert out.splitlines()[0] == "value: -1+0j (snapped: exp(i*pi))"
+
+
+@pytest.mark.parametrize("scale", ["1e-4", "1e-2", "1", "1e4"])
+def test_rescaled_tensor_gives_the_same_phase(tmp_path, capsys, scale):
+    """A tensor times c describes the same state: the modulus and gap tests are relative to |lambda_0(T(1))|."""
+    model = build_aklt_model(0.2)
+    path = tmp_path / "scaled.json"
+    save_model(replace(model, lpdo=LpdoTensor(model.lpdo.tensor * float(scale))), path)
+    code, out, err = run(capsys, "response", "--model", str(path), "--g1", "R_x", "--g2", "R_z")
+    assert code == 0 and err == ""
+    assert out.splitlines()[0] == "value: -1+0j (snapped: exp(i*pi))"
+    gap = float(out.splitlines()[1].split()[1])
+    assert gap == pytest.approx(0.4 * float(scale) ** 2, rel=1e-12)
+    code, out, err = run(capsys, "string", "--model", str(path), "--g2", "R_z", "--chi", "sx", "--l-max", "3")
+    assert code == 0 and err == ""
+    xi = float(out.strip().splitlines()[-1].split()[1].split("=")[1])
+    assert xi == pytest.approx(np.log(3) - 2 * np.log(float(scale)), abs=1e-12)
+
+
+def test_python_dash_m_entry_point(capsys):
+    """``python -m weaksym`` runs ``cli.main`` and exits with its code."""
+    argv = ["response", "--p", "0.3", "--g1", "R_x", "--g2", "R_z"]
+    code, out, err = run(capsys, *argv)
+    src = str(Path(weaksym.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "weaksym", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, err) == (0, out, "")
 
 
 # --- string ------------------------------------------------------------------

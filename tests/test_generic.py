@@ -328,7 +328,7 @@ def test_a_channel_between_the_two_live_thresholds(monkeypatch):
     partial = transfer_spectrum(lpdo, eye)
     complete = transfer_spectrum(lpdo, eye, complete=True)
     assert not partial.complete and len(partial.eigenvalues) == 3
-    left, right, norm, _ = _leading_pair(partial, "of T(1)")
+    left, right, norm, _ = _leading_pair(lpdo, partial, "of T(1)")
     tr = build_transfer(lpdo, chi_r)
 
     def leading_amplitude(chi):  # linear in chi

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from weaksym.errors import CovarianceError, DimensionMismatchError, ValidationError
+from weaksym.errors import DimensionMismatchError, ValidationError
 from weaksym.model import (
     KrausChannel,
     LpdoTensor,
@@ -14,7 +14,6 @@ from weaksym.model import (
     dilate,
     load_model,
     save_model,
-    solve_ancilla_rep,
     spin1_operators,
 )
 
@@ -93,71 +92,74 @@ def test_lpdo_rejects_wrong_rank():
 
 # --- ancilla representations -------------------------------------------------------
 
+# Noise rates where the Kraus stack is numerically rank deficient: tiny p
+# leaves three operators near zero, p = 1 - 2^-53 leaves K_0 near zero.
+EXTREME_P = (1e-22, 1e-20, 1e-18, 1e-16, 1e-14, 1e-12, 1 - 2**-53)
+
+
 def test_ancilla_rep_frozen_diagonals():
-    """Covariance solutions in the Kraus basis (S_0, S_xS_y, S_yS_z, S_zS_x)."""
-    ops = spin1_operators()
-    ch = aklt_channel(0.3)
+    """Ancilla actions in the Kraus basis (S_0, S_xS_y, S_yS_z, S_zS_x), exactly."""
+    model = build_aklt_model(0.3)
     expected = {
         "R_z": np.diag([1.0, 1.0, -1.0, -1.0]),
         "R_x": np.diag([1.0, -1.0, 1.0, -1.0]),
         "R_y": np.diag([1.0, -1.0, -1.0, 1.0]),
     }
     for g, ua in expected.items():
-        solved = solve_ancilla_rep(ch, ops[g])
-        np.testing.assert_allclose(solved, ua, atol=1e-12)
+        np.testing.assert_array_equal(model.action(g).ua, ua)
+        np.testing.assert_array_equal(model.action(g).u, spin1_operators()[g])
 
 
 def test_ancilla_rep_identity():
-    ch = aklt_channel(0.3)
-    np.testing.assert_allclose(solve_ancilla_rep(ch, np.eye(3)), np.eye(4), atol=1e-12)
+    act = build_aklt_model(0.3).action("1")
+    np.testing.assert_array_equal(act.u, np.eye(3))
+    np.testing.assert_array_equal(act.ua, np.eye(4))
 
 
-def test_ancilla_rep_pure_limit_pads_dead_block():
-    """At p=0 only K_0 is alive; the dead rows get identity."""
-    ch = aklt_channel(0.0)
-    ua = solve_ancilla_rep(ch, spin1_operators()["R_z"])
-    np.testing.assert_allclose(ua, np.eye(4), atol=1e-12)
+def test_kraus_operators_are_charge_eigenoperators():
+    """R_g K R_g^dag = c K for every element and Kraus operator, with c = conj(ua_g[k, k])."""
+    model = build_aklt_model(0.3)
+    for g in model.group.labels:
+        act = model.action(g)
+        for k, kraus in enumerate(model.channel.kraus):
+            charge = np.conj(act.ua[k, k])
+            np.testing.assert_allclose(act.u @ kraus @ act.u.conj().T, charge * kraus, rtol=0, atol=1e-15)
 
 
-def test_ancilla_rep_rejects_non_covariant_channel():
-    """R_z maps S_x + S_z to -S_x + S_z, which leaves the single-operator span."""
-    ops = spin1_operators()
-    lone = KrausChannel(kraus=np.array([ops["S_x"] + ops["S_z"]]))
-    with pytest.raises(CovarianceError):
-        solve_ancilla_rep(lone, ops["R_z"])
+@pytest.mark.parametrize("p", EXTREME_P)
+def test_build_aklt_model_at_extreme_noise_rates(p):
+    model = build_aklt_model(p)
+    reference = build_aklt_model(0.3)
+    for g in model.group.labels:
+        assert np.array_equal(model.action(g).ua, reference.action(g).ua)
+        model.action(g).validate()
 
 
-def test_ancilla_rep_lone_sx_is_covariant():
-    """A single S_x Kraus operator only picks up a sign, so covariance holds."""
-    ops = spin1_operators()
-    ua = solve_ancilla_rep(KrausChannel(kraus=np.array([ops["S_x"]])), ops["R_z"])
-    assert ua.shape == (1, 1)
-    assert abs(abs(ua[0, 0]) - 1) < 1e-12
+def test_build_aklt_model_on_a_fine_grid():
+    reference = build_aklt_model(0.3)
+    for p in np.linspace(0.0, 1.0, 1001):
+        model = build_aklt_model(p)
+        assert all(model.action(g) is reference.action(g) for g in reference.group.labels)
+
+
+def test_models_do_not_share_their_actions_dict():
+    """The action table is shared read-only; each model's dict is its own."""
+    first, second = build_aklt_model(0.3), build_aklt_model(0.3)
+    first.actions["R_x"] = first.actions["1"]
+    del first.actions["R_y"]
+    assert second.action("R_x").element == "R_x"
+    assert second.action("R_y").element == "R_y"
+    assert build_aklt_model(0.6).action("R_y").element == "R_y"
+    for arr in (second.action("R_z").u, second.action("R_z").ua):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 2.0
 
 
 def test_channel_and_dilation_refusals():
-    ops = spin1_operators()
     with pytest.raises(DimensionMismatchError, match="kraus must be"):
         KrausChannel(np.zeros((2, 3)))
     with pytest.raises(DimensionMismatchError, match="channel acts on d=2, tensor has d=3"):
         dilate(aklt_tensor(), KrausChannel(np.eye(2)[None]))
-    with pytest.raises(DimensionMismatchError, match="u is 2x2, channel has d=3"):
-        solve_ancilla_rep(aklt_channel(0.3), np.eye(2))
-    with pytest.raises(CovarianceError, match="no nonzero Kraus operators"):
-        solve_ancilla_rep(KrausChannel(np.zeros((2, 3, 3))), ops["R_z"])
-    with pytest.raises(CovarianceError, match="linearly dependent"):
-        solve_ancilla_rep(KrausChannel(np.stack([ops["S_x"], 2 * ops["S_x"]])), ops["R_z"])
-
-
-def test_ancilla_rep_rejects_non_unitary_coefficients():
-    """X maps the span of (Z, Z + X) to itself, but Z + X -> -Z + X = -2 Z + (Z + X) is no rotation.
-
-    solve_ancilla_rep does not require a trace-preserving channel, so only
-    the unitarity test refuses this one.
-    """
-    x, z = np.array([[0, 1], [1, 0]]), np.diag([1.0, -1.0])
-    with pytest.raises(ValidationError, match="covariance coefficients not unitary"):
-        solve_ancilla_rep(KrausChannel(np.stack([z, z + x])), x)
 
 
 def test_group_and_actions_assembled():
