@@ -1,9 +1,10 @@
 """Dense brute-force oracle for small rings.
 
-Contracts the purified tensor into the full state vector |psi> of a ring and
-evaluates observables on it directly. Exponentially expensive on purpose:
-every quantity here is an independent cross-check for the transfer-matrix
-formulas, and the oracle shares no code with the transfer layer.
+Contracts the purified tensor around a ring, into its state vector |psi> or
+its two halves, and evaluates observables on it directly. Exponentially
+expensive on purpose: every quantity here is an independent cross-check
+for the transfer-matrix formulas, and the oracle shares no code with the
+transfer layer.
 
 The ring is cut into two halves, each contracted as a chain of matrix
 products. A half's running block is one matrix whose rows are (left bond,
@@ -18,8 +19,11 @@ the ring's bonds left open is ever written.
 An expectation of a site-product operator F = O_1 x ... x O_N on the physical
 density rho = Tr_anc |psi><psi| is Tr[rho F] = <psi| (F x 1_anc) |psi>. Each
 O_k is folded into its site tensor (O_k A on the physical leg), that ring is
-contracted the same way, and the overlap with |psi> over every physical and
-ancilla index traces the ancillas. Neither the density matrix nor the
+cut the same way, and the overlap with |psi> over every physical and
+ancilla index traces the ancillas. :func:`expectation` sums that overlap at
+the two cuts or through the state, whichever costs less (Pfeifer, Haegeman &
+Verstraete, PRE 90, 033315 (2014)): the cuts on every built-in ring, the
+state for a wide bond on a short ring. Neither the density matrix nor the
 Kronecker-product operator is formed; :func:`density_from_state` and
 :func:`apply_channel_exact` build the density for tests that check it.
 Every dense array is bounded by ``MAX_AMPLITUDES`` entries and refused with
@@ -87,14 +91,11 @@ def _ring_halves(seam, sites):
     return left.transpose(1, 0, 2).reshape(-1, dv * dv), right.transpose(2, 0, 1).reshape(dv * dv, -1)
 
 
-def contract_full(lpdo, seam, n_sites):
-    """Full purified state vector of a ring with a seam matrix inserted.
+def _ring(lpdo, seam, n_sites):
+    """(L0, R0): the ring of ``lpdo`` cut in two by :func:`_ring_halves`.
 
-    coefficient(i1 a1 ... iN aN) = tr[seam A[i1, a1] ... A[iN, aN]].
-    Returns an array of shape (d, da) * n_sites, site-major. Refuses
-    rings where (d*da)^N * D^2, the amplitudes times the bond pairs at the
-    cuts, exceeds ``MAX_AMPLITUDES``; that bounds the state and every block
-    of the contraction.
+    Refuses N < 1, a seam that does not fit the bond, and (d*da)^N * D^2, the
+    amplitudes times the cut bond pairs, above ``MAX_AMPLITUDES``.
     """
     a4 = lpdo.tensor
     d, da, dv, _ = a4.shape
@@ -105,8 +106,18 @@ def contract_full(lpdo, seam, n_sites):
     seam = _as_square(seam, "seam")
     if seam.shape[0] != dv:
         raise DimensionMismatchError(f"seam is {seam.shape[0]}x{seam.shape[0]}, bond is {dv}")
-    left, right = _ring_halves(seam, [_site_matrix(a4)] * n_sites)
-    return (left @ right).reshape((d, da) * n_sites)
+    return _ring_halves(seam, [_site_matrix(a4)] * n_sites)
+
+
+def contract_full(lpdo, seam, n_sites):
+    """Full purified state vector of a ring with a seam matrix inserted.
+
+    coefficient(i1 a1 ... iN aN) = tr[seam A[i1, a1] ... A[iN, aN]].
+    Returns an array of shape (d, da) * n_sites, site-major. Refused as
+    :func:`_ring` refuses.
+    """
+    left, right = _ring(lpdo, seam, n_sites)
+    return (left @ right).reshape(lpdo.tensor.shape[:2] * int(n_sites))
 
 
 def density_from_state(state, n_sites):
@@ -150,10 +161,12 @@ def expectation(lpdo, seam, op_lists):
     """Tr[rho (O_1 kron ... kron O_N)] for each list of one operator per site.
 
     rho = Tr_anc |psi><psi| is the physical density of the ring
-    |psi> = ``contract_full(lpdo, seam, N)``, contracted once for all lists;
-    N is the length of every list. Each value is <psi| (F x 1_anc) |psi>,
-    with F folded into the site tensors. Returns a complex array of one
-    value per list.
+    |psi> = ``contract_full(lpdo, seam, N)``; N is the length of every list.
+    Each value is <psi|phi>, phi = L @ R the ring with F folded into its site
+    tensors and psi = L0 @ R0, cut alike. It is summed at the two cuts,
+    sum (L0^H L) o (conj(R0) R^T), for (s_left + s_right) D^4 per list when
+    (s_left + s_right) D^2 < s_left s_right, else through psi, formed once,
+    for s_left s_right D^2. Returns a complex array of one value per list.
     """
     a4 = lpdo.tensor
     d = a4.shape[0]
@@ -165,15 +178,21 @@ def expectation(lpdo, seam, op_lists):
         for op in ops:
             if op.shape[0] != d:
                 raise DimensionMismatchError(f"op is {op.shape[0]}x{op.shape[0]}, tensor has d={d}")
-    psi = contract_full(lpdo, seam, n_sites)
+    left0, right0 = _ring(lpdo, seam, n_sites)
     seam = _as_square(seam, "seam")
     flat = a4.reshape(d, -1)
-    # psi as [s_right, s_left], the cut of every folded ring
-    ket = psi.reshape((d * a4.shape[1]) ** ((n_sites + 1) // 2), -1).T
+    (s_left, bonds), s_right = left0.shape, right0.shape[1]
+    at_cuts = (s_left + s_right) * bonds < s_left * s_right
+    if at_cuts:
+        bra_left, bra_right = left0.conj().T, right0.conj()
+    else:
+        ket = (left0 @ right0).T  # psi as [s_right, s_left], the cut of every folded ring
     values = []
     for ops in op_lists:
         left, right = _ring_halves(seam, [_site_matrix((op @ flat).reshape(a4.shape)) for op in ops])
-        # <psi|phi> over every amplitude of phi = left @ right, without writing phi:
-        # sum_st conj(psi_st) left_sk right_kt, with the conjugate taken on the smaller factor
-        values.append(np.vdot(ket @ left.conj(), right.T))
+        if at_cuts:
+            values.append(np.sum((bra_left @ left) * (bra_right @ right.T)))
+        else:
+            # sum_st conj(psi_st) left_sk right_kt without writing phi, the conjugate on the smaller factor
+            values.append(np.vdot(ket @ left.conj(), right.T))
     return np.array(values)

@@ -64,7 +64,8 @@ class StringOrderSeries:
     |lambda_0(T(g2))| for a thermodynamic series and 1 on a ring, and
     ``exponent`` is an integer array (zero in the thermodynamic limit).
     Where only the envelope is below the range of doubles, ``raw``
-    underflows but ``mantissa`` and ``normalized`` do not.
+    underflows but ``mantissa`` and ``normalized`` do not; above it, ``raw``
+    is +-inf and a zero part of the mantissa stays zero.
     """
 
     lengths: np.ndarray
@@ -151,7 +152,12 @@ def string_order_series(model, g2, chi_l, chi_r, lengths, n_sites=None):
             rows[i] = x
         mantissa = ((rows @ end) / norm)[where]
         exponent = np.zeros(len(lengths), dtype=int)
-        raw = mantissa * base ** lengths.astype(float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            raw = mantissa * base ** lengths.astype(float)
+        # past the double range base**l is inf, and a zero part of the mantissa
+        # times inf is nan: that part stays zero, as the ring's ldexp keeps it
+        for part, m in ((raw.real, mantissa.real), (raw.imag, mantissa.imag)):
+            np.copyto(part, m, where=np.isnan(part) & (m == 0))
         normalized = mantissa
     else:
         n_sites = int(n_sites)

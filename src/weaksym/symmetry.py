@@ -27,7 +27,8 @@ from .numerics import _as_square
 from .transfer import _insertions, transfer_spectrum
 
 # Tolerance of the modulus tests of extract_virtual_rep, relative to the
-# leading modulus of T(1), and of its push-through residual.
+# leading modulus |lambda_0| of T(1), and of its push-through residual,
+# relative to |lambda_0|^(1/2): the residual is linear in the tensor.
 REP_TOL = 1e-8
 
 
@@ -169,8 +170,9 @@ def extract_virtual_rep(lpdo, act):
     :class:`NotSymmetricError` if the twisted leading modulus deviates from
     the untwisted one (tensor not symmetric under this action) or the
     recovered pair fails the transformation law (all at ``REP_TOL``). Both
-    modulus tests are relative to the untwisted leading modulus, so a
-    rescaled tensor, which describes the same state, gets the same answer.
+    modulus tests are relative to the untwisted leading modulus |lambda_0|
+    and the law's residual to |lambda_0|^(1/2), so a rescaled tensor, which
+    describes the same state, gets the same answer.
 
     The result is memoised on ``lpdo``, keyed by the element label, u_g and
     ua_g; a failed extraction is not stored.
@@ -214,7 +216,7 @@ def _extract_virtual_rep(lpdo, act):
     theta = float(np.angle(lam / lam_ref))
     rep = VirtualRep(element=act.element, v=v)
     residual = verify_transformation_law(lpdo, act, rep, theta=theta)
-    if residual > REP_TOL:
+    if residual > REP_TOL * abs(lam_ref) ** 0.5:
         raise NotSymmetricError(
             f"extracted representation for {act.element!r} fails the transformation "
             f"law (residual {residual:.3e})"

@@ -28,6 +28,7 @@ from .transfer import (
     flux_operator,
     symmetry_gap,
     transfer_powers,
+    transfer_spectrum,
     twisted_spectrum,
 )
 
@@ -444,15 +445,24 @@ def run_level(level):
     return out
 
 
+def _normalization(lpdo):
+    """|lambda_0(T(1))|: a tensor times c has c^2 times it and describes the same state."""
+    return float(abs(transfer_spectrum(lpdo, np.eye(lpdo.d)).eigenvalues[0]))
+
+
 def _structural_lines(model):
     """Push-through, commutant and conservation lines of one model, as (section, CheckResult).
 
     "actions": action unitarity and the push-through law per element. Then per
     commuting pair of extracted elements, "commutants", and "conservation" for g2
     not the identity (skipped with a note where a twisted transfer is gapless).
+    Tolerances: push-through 1e-8 |lambda_0(T(1))|^(1/2) and commutants
+    1e-10 |lambda_0(T(1))|, as those residuals scale; conservation compares phases.
     """
     out = []
     lpdo, group = model.lpdo, model.group
+    scale = _normalization(lpdo)
+    push_tol, commutant_tol = 1e-8 * scale**0.5, 1e-10 * scale
     reps = {}
     for g in group.labels:
         act = model.action(g)
@@ -460,15 +470,15 @@ def _structural_lines(model):
         try:
             act.validate()
             reps[g] = extract_virtual_rep(lpdo, act)[0]
-            out.append(("actions", _check(name, reps[g].residual, 1e-8)))
+            out.append(("actions", _check(name, reps[g].residual, push_tol)))
         except WeaksymError as exc:
-            out.append(("actions", CheckResult(name, False, float("nan"), 1e-8, str(exc))))
+            out.append(("actions", CheckResult(name, False, float("nan"), push_tol, str(exc))))
     for g2 in group.labels:
         t = build_transfer(lpdo, model.action(g2).u)
         for g1 in group.labels:
             if g1 in reps and group.commutes(g1, g2):
                 residual = commutant_residual(t, reps[g1])
-                out.append(("commutants", _check(f"flux {g1} commutes with T({g2})", residual, 1e-10)))
+                out.append(("commutants", _check(f"flux {g1} commutes with T({g2})", residual, commutant_tol)))
     for g1 in reps:
         for g2 in reps:
             if g2 == group.identity or not group.commutes(g1, g2):
@@ -487,18 +497,20 @@ def generic_model_checks(model):
 
     The lines of :func:`_structural_lines`, which criterion 7 also runs on the
     built-in family, and a dense oracle cross-check of the uniform charges on 3
-    sites (skipped with a note when the ring exceeds the oracle's size guard).
+    sites (skipped with a note when the ring exceeds the oracle's size guard),
+    to 1e-10 |lambda_0(T(1))|^3, the scale of a charge on 3 sites.
     """
     out = _structural_lines(model)
     lpdo = model.lpdo
     n = 3
     name = f"uniform charges match the dense oracle at N={n}"
+    tol = 1e-10 * _normalization(lpdo) ** n
     charges = [model.action(g).u for g in model.group.labels]
     try:
         dense = expectation(lpdo, np.eye(lpdo.bond_dim), [[u] * n for u in charges])
     except SizeGuardError as exc:
-        out.append(("oracle", CheckResult(name, True, 0.0, 1e-10, f"skipped: {exc}")))
+        out.append(("oracle", CheckResult(name, True, 0.0, tol, f"skipped: {exc}")))
         return out
     worst = max(abs(value - _ring_trace(lpdo, u, n)) for u, value in zip(charges, dense))
-    out.append(("oracle", _check(name, worst, 1e-10)))
+    out.append(("oracle", _check(name, worst, tol)))
     return out

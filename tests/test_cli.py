@@ -283,7 +283,7 @@ def test_response_at_a_noise_rate_next_to_zero(capsys):
     assert out.splitlines()[0] == "value: -1+0j (snapped: exp(i*pi))"
 
 
-@pytest.mark.parametrize("scale", ["1e-4", "1e-2", "1", "1e4"])
+@pytest.mark.parametrize("scale", ["1e-4", "1e-2", "1", "1e4", "1e8"])
 def test_rescaled_tensor_gives_the_same_phase(tmp_path, capsys, scale):
     """A tensor times c describes the same state: the modulus and gap tests are relative to |lambda_0(T(1))|."""
     model = build_aklt_model(0.2)
@@ -298,6 +298,39 @@ def test_rescaled_tensor_gives_the_same_phase(tmp_path, capsys, scale):
     assert code == 0 and err == ""
     xi = float(out.strip().splitlines()[-1].split()[1].split("=")[1])
     assert xi == pytest.approx(np.log(3) - 2 * np.log(float(scale)), abs=1e-12)
+
+
+def test_overflowed_raw_prints_inf_not_nan(tmp_path, capsys):
+    """Times 1e4, |lambda_0(T(R_z))|^l passes the double range at l = 39: raw prints +-inf with a zero imaginary part."""
+    model = build_aklt_model(0.2)
+    path = tmp_path / "scaled.json"
+    save_model(replace(model, lpdo=LpdoTensor(model.lpdo.tensor * 1e4)), path)
+    code, out, err = run(capsys, "string", "--model", str(path), "--g2", "R_z", "--chi", "sx", "--l-max", "60")
+    assert code == 0 and err == "" and "nan" not in out
+    rows = [line.split(",") for line in out.splitlines()[1:-1]]
+    assert rows[38][1] != "inf" and rows[39][:3] == ["39", "inf", "0"] and rows[40][:3] == ["40", "-inf", "0"]
+
+
+VERIFY_TOL_POWERS = {"actions": (1e-8, 1), "commutants": (1e-10, 2), "conservation": (1e-8, 0), "oracle": (1e-10, 6)}
+
+
+@pytest.mark.parametrize("scale", ["1e-4", "1", "1e4", "1e8"])
+def test_rescaled_tensor_passes_verify(tmp_path, capsys, scale):
+    """A tensor times c has |lambda_0(T(1))| = c^2, and each verify --model
+    tolerance scales with it at the power of its residual: the push-through
+    residual as c, a commutant as c^2, a charge on 3 sites as c^6; the
+    conservation residual compares phases."""
+    model = build_aklt_model(0.2)
+    path = tmp_path / "scaled.json"
+    save_model(replace(model, lpdo=LpdoTensor(model.lpdo.tensor * float(scale))), path)
+    code, out, err = run(capsys, "verify", "all", "--model", str(path))
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[-1] == "33/33 checks passed"
+    for line in lines[:-1]:
+        section, tol = re.match(r"PASS  \[(\w+)\] .* vs tol (\S+)$", line).groups()
+        base, power = VERIFY_TOL_POWERS[section]
+        assert float(tol) == pytest.approx(base * float(scale) ** power, rel=1e-9)
 
 
 def test_python_dash_m_entry_point(capsys):

@@ -174,6 +174,60 @@ def test_expectation_against_definition():
             assert abs(value - expected) <= 1e-12 * abs(expected)
 
 
+def _folded(lpdo, seam, op_lists):
+    """(L0, R0) of the ring and the (L, R) of each operator-folded ring, cut alike."""
+    a4 = lpdo.tensor
+    flat = a4.reshape(lpdo.d, -1)
+    site = oracle._site_matrix(a4)
+    folded = [
+        oracle._ring_halves(seam, [oracle._site_matrix((op @ flat).reshape(a4.shape)) for op in ops])
+        for ops in op_lists
+    ]
+    return oracle._ring_halves(seam, [site] * len(op_lists[0])), folded
+
+
+def overlaps_through_the_state(lpdo, seam, op_lists):
+    """<psi|phi> with psi = L0 @ R0 formed and phi = L @ R not written: sum_st conj(psi_st) L_sk R_kt."""
+    _, folded = _folded(lpdo, seam, op_lists)
+    n_sites = len(op_lists[0])
+    psi = contract_full(lpdo, seam, n_sites)
+    ket = psi.reshape((lpdo.d * lpdo.da) ** ((n_sites + 1) // 2), -1).T
+    return np.array([np.vdot(ket @ left.conj(), right.T) for left, right in folded])
+
+
+def overlaps_at_the_cuts(lpdo, seam, op_lists):
+    """<psi|phi> = sum (L0^H L) o (conj(R0) R^T) over the bond pairs at the two cuts."""
+    (left0, right0), folded = _folded(lpdo, seam, op_lists)
+    return np.array([np.sum((left0.conj().T @ left) * (right0.conj() @ right.T)) for left, right in folded])
+
+
+@pytest.mark.parametrize(
+    "bond, n_sites, formula",
+    [
+        (2, 3, overlaps_at_the_cuts),
+        (2, 4, overlaps_at_the_cuts),
+        (2, 5, overlaps_at_the_cuts),
+        (6, 3, overlaps_through_the_state),
+        (12, 3, overlaps_through_the_state),
+    ],
+)
+def test_expectation_on_each_branch(bond, n_sites, formula):
+    """AKLT rings of 3 to 5 sites take the overlap at the cuts, generic D = 6
+    and 12 rings of 3 sites through the state: (s_left + s_right) D^2 against
+    s_left s_right. Each value matches Tr[rho F] with a complex seam and
+    non-Hermitian operators, and equals its branch's formula byte for byte."""
+    rng = np.random.default_rng(bond * 10 + n_sites)
+    lpdo = build_aklt_model(0.3).lpdo if bond == 2 else generic_model(0.3, bond=bond // 2)[0].lpdo
+    seam = random_matrix(rng, bond)
+    op_lists = [[random_matrix(rng, lpdo.d) for _ in range(n_sites)] for _ in range(3)]
+    values = expectation(lpdo, seam, op_lists)
+    rho = density_from_state(contract_full(lpdo, seam, n_sites), n_sites)
+    for ops, value in zip(op_lists, values):
+        expected = kron_expectation(rho, ops)
+        assert abs(value - expected) <= 1e-13 * abs(expected)
+    assert np.array_equal(values, formula(lpdo, seam, op_lists))
+
+
 def test_expectation_refuses_mismatched_lists():
     model = build_aklt_model(0.3)
     with pytest.raises(DimensionMismatchError):
@@ -269,6 +323,17 @@ def test_oracle_checks_form_no_density_matrix(monkeypatch):
 
     monkeypatch.setattr(oracle, "density_from_state", refuse)
     monkeypatch.setattr(verify, "density_from_state", refuse, raising=False)
+    assert all(row.passed for row in oracle_checks())
+
+
+def test_oracle_checks_form_no_state_vector(monkeypatch):
+    """Criterion 6 takes each overlap at the ring's cuts: contract_full is never called."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("contract_full called")
+
+    monkeypatch.setattr(oracle, "contract_full", refuse)
+    monkeypatch.setattr(verify, "contract_full", refuse, raising=False)
     assert all(row.passed for row in oracle_checks())
 
 

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -88,6 +89,30 @@ def test_series_modes_and_shapes():
         assert v == one.raw[0]
     s = string_order_series(model, "R_z", OPS["S_y"], OPS["S_y"], [0, 2])
     assert s.mode == "thermo" and s.n_sites is None
+
+
+def test_thermo_raw_beyond_double_range_is_inf_not_nan():
+    """A tensor times 1e4 has |lambda_0(T(R_z))| about 1e8, so base**l overflows at large l.
+
+    Such a raw value is +-inf with a zero imaginary part, and an exactly
+    vanishing string (S_y at p = 1) stays 0, not 0 * inf = nan; no warning
+    is raised. Every finite raw value is mantissa * base**l as it stands.
+    """
+    for p, chi in ((0.2, "S_x"), (1.0, "S_x"), (1.0, "S_y")):
+        model = build_aklt_model(p)
+        model = replace(model, lpdo=LpdoTensor(model.lpdo.tensor * 1e4))
+        s = string_order_series(model, "R_z", OPS[chi], OPS[chi], range(61))
+        assert not np.isnan(s.raw).any()
+        assert np.all(s.raw.imag == 0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = s.mantissa * s.base ** s.lengths.astype(float)
+        finite = np.isfinite(expected)
+        assert not finite[40:].any()
+        assert np.array_equal(s.raw[finite], expected[finite])
+        if chi == "S_y":
+            assert np.all(s.mantissa == 0) and np.all(s.raw == 0)
+        else:
+            assert np.array_equal(s.raw.real[~finite], np.sign(s.mantissa.real[~finite]) * np.inf)
 
 
 def flip_model():
