@@ -445,11 +445,6 @@ def run_level(level):
     return out
 
 
-def _normalization(lpdo):
-    """|lambda_0(T(1))|: a tensor times c has c^2 times it and describes the same state."""
-    return float(abs(transfer_spectrum(lpdo, np.eye(lpdo.d)).eigenvalues[0]))
-
-
 def _structural_lines(model):
     """Push-through, commutant and conservation lines of one model, as (section, CheckResult).
 
@@ -461,7 +456,7 @@ def _structural_lines(model):
     """
     out = []
     lpdo, group = model.lpdo, model.group
-    scale = _normalization(lpdo)
+    scale = float(abs(transfer_spectrum(lpdo, np.eye(lpdo.d)).eigenvalues[0]))
     push_tol, commutant_tol = 1e-8 * scale**0.5, 1e-10 * scale
     reps = {}
     for g in group.labels:
@@ -504,7 +499,7 @@ def generic_model_checks(model):
     lpdo = model.lpdo
     n = 3
     name = f"uniform charges match the dense oracle at N={n}"
-    tol = 1e-10 * _normalization(lpdo) ** n
+    tol = 1e-10 * float(abs(transfer_spectrum(lpdo, np.eye(lpdo.d)).eigenvalues[0])) ** n
     charges = [model.action(g).u for g in model.group.labels]
     try:
         dense = expectation(lpdo, np.eye(lpdo.bond_dim), [[u] * n for u in charges])
