@@ -67,6 +67,20 @@ def _as_square(m, name="matrix"):
     return m
 
 
+def _whole(values, rule):
+    """A number (as a Python int of any size) or a sequence as ints: 200.0 passes,
+    and 2.5, nan or inf raises :class:`ValidationError` "<rule>, got <value>"."""
+    if isinstance(values, (int, np.integer)) or (np.ndim(values) == 0 and float(values).is_integer()):
+        return int(values)
+    values = np.asarray(values)
+    if values.dtype.kind not in "biu":
+        with np.errstate(invalid="ignore"):
+            bad = np.mod(values, 1) != 0
+        if bad.any():
+            raise ValidationError(f"{rule}, got {values[bad][0].item()!r}")
+    return values.astype(int, copy=False)
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Eigenpairs of an n x n matrix with paired left/right eigenvectors.
@@ -397,9 +411,9 @@ class ScaledPowers:
 
     def power(self, n):
         """(mantissa, exponent) with m^n = mantissa * 2**exponent, n >= 0."""
-        if int(n) != n or n < 0:
+        n = _whole(n, "power must be a nonnegative integer")
+        if n < 0:
             raise ValidationError(f"power must be a nonnegative integer, got {n!r}")
-        n = int(n)
         if n == 0:
             return np.eye(len(self._squares[0][0]), dtype=complex), 0
         self._extend(n.bit_length() - 1)
@@ -419,7 +433,7 @@ class ScaledPowers:
 
     def powers(self, ns):
         """(mantissas (k, d, d), exponents (k,)): :meth:`power` of each n in ns."""
-        ns = np.asarray(ns, dtype=int)
+        ns = _whole(ns, "power must be a nonnegative integer")
         dim = len(self._squares[0][0])
         mantissa = np.empty((len(ns), dim, dim), dtype=complex)
         exponent = np.zeros(len(ns), dtype=int)

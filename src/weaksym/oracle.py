@@ -24,36 +24,17 @@ ancilla index traces the ancillas. :func:`expectation` sums that overlap at
 the two cuts or through the state, whichever costs less (Pfeifer, Haegeman &
 Verstraete, PRE 90, 033315 (2014)): the cuts on every built-in ring, the
 state for a wide bond on a short ring. Neither the density matrix nor the
-Kronecker-product operator is formed; :func:`density_from_state` and
-:func:`apply_channel_exact` build the density for tests that check it.
-Every dense array is bounded by ``MAX_AMPLITUDES`` entries and refused with
-:class:`SizeGuardError` before it is allocated.
+Kronecker-product operator is formed. Every dense array is bounded by
+``MAX_AMPLITUDES`` entries and refused with :class:`SizeGuardError` before it
+is allocated.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, SizeGuardError
+from .errors import DimensionMismatchError, SizeGuardError, ValidationError
 from .numerics import _as_square
 
 MAX_AMPLITUDES = 2 ** 24
-
-
-@dataclass
-class DenseDensity:
-    """Dense density matrix on d^n_sites physical basis states."""
-
-    n_sites: int
-    matrix: np.ndarray
-
-    def validate(self, tol=1e-10):
-        """Hermiticity and positivity residuals (worst offenders)."""
-        herm = float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
-        low = float(np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.conj().T)).min())
-        if herm > tol or low < -tol:
-            raise ValueError(f"not a density matrix: hermiticity {herm:.3e}, min eig {low:.3e}")
-        return herm, low
 
 
 def _guard(entries, what):
@@ -92,85 +73,40 @@ def _ring_halves(seam, sites):
 
 
 def _ring(lpdo, seam, n_sites):
-    """(L0, R0): the ring of ``lpdo`` cut in two by :func:`_ring_halves`.
+    """(L0, R0, seam): the ring of ``lpdo`` cut in two by :func:`_ring_halves`,
+    and the seam as the square array it was checked as.
 
     Refuses N < 1, a seam that does not fit the bond, and (d*da)^N * D^2, the
     amplitudes times the cut bond pairs, above ``MAX_AMPLITUDES``.
     """
     a4 = lpdo.tensor
     d, da, dv, _ = a4.shape
-    n_sites = int(n_sites)
     if n_sites < 1:
-        raise ValueError(f"need at least one site, got {n_sites}")
+        raise ValidationError(f"need at least one site, got {n_sites}")
     _guard((d * da) ** n_sites * dv * dv, "ring amplitudes x cut bond pairs (d*da)^N * D^2")
     seam = _as_square(seam, "seam")
     if seam.shape[0] != dv:
         raise DimensionMismatchError(f"seam is {seam.shape[0]}x{seam.shape[0]}, bond is {dv}")
-    return _ring_halves(seam, [_site_matrix(a4)] * n_sites)
-
-
-def contract_full(lpdo, seam, n_sites):
-    """Full purified state vector of a ring with a seam matrix inserted.
-
-    coefficient(i1 a1 ... iN aN) = tr[seam A[i1, a1] ... A[iN, aN]].
-    Returns an array of shape (d, da) * n_sites, site-major. Refused as
-    :func:`_ring` refuses.
-    """
-    left, right = _ring(lpdo, seam, n_sites)
-    return (left @ right).reshape(lpdo.tensor.shape[:2] * int(n_sites))
-
-
-def density_from_state(state, n_sites):
-    """Physical density matrix: trace the ancilla legs out of |psi><psi|.
-
-    ``state`` must come from :func:`contract_full` (shape (d, da) * N).
-    """
-    n_sites = int(n_sites)
-    if state.ndim != 2 * n_sites:
-        raise DimensionMismatchError(
-            f"state has {state.ndim} legs, expected {2 * n_sites} for {n_sites} sites"
-        )
-    d, da = state.shape[0], state.shape[1]
-    _guard(d ** (2 * n_sites), "density matrix d^N x d^N")
-    perm = list(range(0, 2 * n_sites, 2)) + list(range(1, 2 * n_sites, 2))
-    psi = state.transpose(perm).reshape(d ** n_sites, da ** n_sites)
-    return DenseDensity(n_sites=n_sites, matrix=psi @ psi.conj().T)
-
-
-def apply_channel_exact(rho, channel):
-    """Apply a single-site channel to every site of a dense density matrix."""
-    d = channel.d
-    dim = rho.matrix.shape[0]
-    if d ** rho.n_sites != dim:
-        raise DimensionMismatchError(
-            f"density matrix dim {dim} is not d^N for d={d}, N={rho.n_sites}"
-        )
-    out = rho.matrix
-    for site in range(rho.n_sites):
-        left = np.eye(d ** site)
-        right = np.eye(d ** (rho.n_sites - site - 1))
-        acc = np.zeros_like(out)
-        for ka in channel.kraus:
-            op = np.kron(np.kron(left, ka), right)
-            acc += op @ out @ op.conj().T
-        out = acc
-    return DenseDensity(n_sites=rho.n_sites, matrix=out)
+    return *_ring_halves(seam, [_site_matrix(a4)] * n_sites), seam
 
 
 def expectation(lpdo, seam, op_lists):
     """Tr[rho (O_1 kron ... kron O_N)] for each list of one operator per site.
 
-    rho = Tr_anc |psi><psi| is the physical density of the ring
-    |psi> = ``contract_full(lpdo, seam, N)``; N is the length of every list.
-    Each value is <psi|phi>, phi = L @ R the ring with F folded into its site
-    tensors and psi = L0 @ R0, cut alike. It is summed at the two cuts,
-    sum (L0^H L) o (conj(R0) R^T), for (s_left + s_right) D^4 per list when
-    (s_left + s_right) D^2 < s_left s_right, else through psi, formed once,
-    for s_left s_right D^2. Returns a complex array of one value per list.
+    rho = Tr_anc |psi><psi| is the physical density of the ring |psi> with
+    amplitudes tr[seam A[i_1, a_1] ... A[i_N, a_N]]; N is the length of every
+    list, and an empty ``op_lists`` is refused. Each value is <psi|phi>, phi =
+    L @ R the ring with F folded into its site tensors and psi = L0 @ R0, cut
+    alike. It is summed at the two cuts, sum (L0^H L) o (conj(R0) R^T), for
+    (s_left + s_right) D^4 per list when (s_left + s_right) D^2 < s_left
+    s_right, else through psi, formed once, for s_left s_right D^2. Returns a
+    complex array of one value per list.
     """
     a4 = lpdo.tensor
     d = a4.shape[0]
     op_lists = [[_as_square(op, "op") for op in ops] for ops in op_lists]
+    if not op_lists:
+        raise ValidationError("op_lists is empty: need at least one list of operators")
     n_sites = len(op_lists[0])
     for ops in op_lists:
         if len(ops) != n_sites:
@@ -178,8 +114,7 @@ def expectation(lpdo, seam, op_lists):
         for op in ops:
             if op.shape[0] != d:
                 raise DimensionMismatchError(f"op is {op.shape[0]}x{op.shape[0]}, tensor has d={d}")
-    left0, right0 = _ring(lpdo, seam, n_sites)
-    seam = _as_square(seam, "seam")
+    left0, right0, seam = _ring(lpdo, seam, n_sites)
     flat = a4.reshape(d, -1)
     (s_left, bonds), s_right = left0.shape, right0.shape[1]
     at_cuts = (s_left + s_right) * bonds < s_left * s_right

@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import GaplessTransferError, NearDefectiveError, NonCommutingError, ValidationError
+from .numerics import _whole
 from .symmetry import cocycle_commutator, extract_virtual_rep
 from .transfer import flux_operator, symmetry_gap, transfer_powers, transfer_spectrum, twisted_spectrum
 
@@ -75,14 +76,16 @@ def finite_response(model, g1, g2, n_sites):
     denominator trace cancels: |Tr M| <= N * D^2 * eps * sum_i |M_ii| for
     the scaled power M, which holds for an exactly zero trace too.
     g1 = identity returns 1 to within roundoff.
-    A ring of fewer than 1 site raises :class:`ValidationError`.
+    A ring size that is not an integer (200.0 is one) or below 1 raises
+    :class:`ValidationError`.
     """
+    n_sites = _whole(n_sites, "the ring size N must be an integer")
     if n_sites < 1:
         raise ValidationError(f"a ring needs at least 1 site, got N={n_sites}")
     _require_commuting(model, g1, g2)
     rep1, _ = extract_virtual_rep(model.lpdo, model.action(g1))
     u2 = model.action(g2).u
-    power, _ = transfer_powers(model.lpdo, u2).power(int(n_sites))
+    power, _ = transfer_powers(model.lpdo, u2).power(n_sites)
     denominator = complex(np.trace(power))
     numerator = complex(np.trace(flux_operator(rep1.v) @ power))
     gap = symmetry_gap(transfer_spectrum(model.lpdo, u2))
@@ -96,7 +99,7 @@ def finite_response(model, g1, g2, n_sites):
             snapped=None,
             gap=gap,
             mode="finite",
-            n_sites=int(n_sites),
+            n_sites=n_sites,
             valid=False,
         )
     value = numerator / denominator
@@ -105,7 +108,7 @@ def finite_response(model, g1, g2, n_sites):
         snapped=snap_root_of_unity(value, model.group.order(g1)),
         gap=gap,
         mode="finite",
-        n_sites=int(n_sites),
+        n_sites=n_sites,
         valid=True,
     )
 
@@ -188,7 +191,7 @@ def conservation_check(model, g1, g2):
     rep1, _ = extract_virtual_rep(model.lpdo, model.action(g1))
     rep2, _ = extract_virtual_rep(model.lpdo, model.action(g2))
     total = cocycle_commutator(rep1, rep2)
-    physical = _thermo_result(model, g1, *flux_response(model, rep1.v, g2))
+    physical = thermo_response(model, g1, g2)
     spectrum = transfer_spectrum(model.lpdo, np.eye(model.lpdo.d), model.action(g2).ua)
     value, gap = _pair_value(model.lpdo, spectrum, flux_operator(rep1.v), f"for {g2!r} on the ancilla")
     ancilla = _thermo_result(model, g1, value, gap)

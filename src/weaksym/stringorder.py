@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NearDefectiveError, UndefinedExponentError
-from .numerics import ldexp, rescale
+from .errors import NearDefectiveError, UndefinedExponentError, ValidationError
+from .numerics import _whole, ldexp, rescale
 from .transfer import build_transfer, transfer_powers, transfer_spectrum, twisted_spectrum
 from .response import _leading_pair
 
@@ -106,7 +106,8 @@ def string_order_series(model, g2, chi_l, chi_r, lengths, n_sites=None):
     eigenvector pair of T(1), are computed once for the whole series. The
     thermodynamic limit requires T(1) to be gapped (it stays gapped at the
     symmetry transition; only T(g2) goes gapless there). Lengths may come in
-    any order and may repeat.
+    any order and may repeat. A length or ring size that is not an integer
+    (3.0 is one), or a length out of range, raises :class:`ValidationError`.
 
     The thermodynamic series carries one boundary row vector from the
     shortest length to the longest, one vector-matrix product per length,
@@ -125,7 +126,7 @@ def string_order_series(model, g2, chi_l, chi_r, lengths, n_sites=None):
     ZeroDivisionError when the envelope vanishes: an exactly zero leading
     eigenvalue or trace.
     """
-    lengths = np.asarray(list(lengths), dtype=int)
+    lengths = _whole(list(lengths), "string length must be an integer")
     lpdo = model.lpdo
     eye = np.eye(lpdo.d)
     u2 = model.action(g2).u
@@ -133,7 +134,7 @@ def string_order_series(model, g2, chi_l, chi_r, lengths, n_sites=None):
     tr = build_transfer(lpdo, chi_r)
     if n_sites is None:
         if np.any(lengths < 0):
-            raise ValueError(f"string length must be >= 0, got {lengths.min()}")
+            raise ValidationError(f"string length must be >= 0, got {lengths.min()}")
         left, right, norm, _ = _leading_pair(lpdo, transfer_spectrum(lpdo, eye), "of T(1)")
         base = float(abs(twisted_spectrum(model, g2).eigenvalues[0]))
         if base == 0.0:
@@ -160,10 +161,10 @@ def string_order_series(model, g2, chi_l, chi_r, lengths, n_sites=None):
             np.copyto(part, m, where=np.isnan(part) & (m == 0))
         normalized = mantissa
     else:
-        n_sites = int(n_sites)
+        n_sites = _whole(n_sites, "the ring size N must be an integer")
         bad = (lengths < 0) | (lengths > n_sites - 2)
         if bad.any():
-            raise ValueError(f"need 0 <= l <= N-2, got l={lengths[bad][0]}, N={n_sites}")
+            raise ValidationError(f"need 0 <= l <= N-2, got l={lengths[bad][0]}, N={n_sites}")
         powers1, powers2 = transfer_powers(lpdo, eye), transfer_powers(lpdo, u2)
         envelope, envelope_exp = powers2.power(n_sites)
         charge = abs(complex(np.trace(envelope)))

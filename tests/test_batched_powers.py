@@ -130,11 +130,23 @@ def test_few_powers_take_the_loop_and_agree():
 
 
 def test_no_lengths_and_bad_powers():
+    """A negative or non-integer power is refused on the loop and on the
+    stacked path alike, with the text of ``power``, not truncated; an
+    integral float is the same power as the integer."""
     mantissas, exponents = ScaledPowers(np.eye(3)).powers([])
     assert mantissas.shape == (0, 3, 3) and exponents.shape == (0,)
-    for ns in ([4, -1], [4] * numerics.MIN_STACKED_POWERS + [-1]):
-        with pytest.raises(ValidationError):
-            ScaledPowers(np.eye(2)).powers(ns)
+    powers = ScaledPowers(_aklt_maps(0.3)[1])
+    for bad in (-1, 2.5, np.nan, np.inf):
+        message = f"power must be a nonnegative integer, got {bad!r}"
+        for ns in ([4, bad], [4] * numerics.MIN_STACKED_POWERS + [bad]):
+            with pytest.raises(ValidationError, match=message):
+                powers.powers(ns)
+        with pytest.raises(ValidationError, match=message):
+            powers.power(bad)
+    for ns in ([2.0, 3.0], [2.0] * numerics.MIN_STACKED_POWERS + [3.0]):
+        whole, ints = powers.powers(ns), powers.powers([int(n) for n in ns])
+        np.testing.assert_array_equal(whole[0], ints[0])
+        np.testing.assert_array_equal(whole[1], ints[1])
 
 
 def test_stacked_rescale_matches_one_matrix_at_a_time():
@@ -192,7 +204,7 @@ def test_ring_series_across_chunk_boundaries(monkeypatch):
 
 def test_ring_length_check_names_the_first_offending_length():
     model = build_aklt_model(0.3)
-    with pytest.raises(ValueError, match=r"need 0 <= l <= N-2, got l=9, N=10"):
+    with pytest.raises(ValidationError, match=r"need 0 <= l <= N-2, got l=9, N=10"):
         string_order_series(model, "R_z", OPS["S_y"], OPS["S_y"], [3, 9, -1, 12], n_sites=10)
     with pytest.raises(ValueError, match=r"got l=-1, N=10"):
         string_order_series(model, "R_z", OPS["S_y"], OPS["S_y"], [0, -1, 9], n_sites=10)

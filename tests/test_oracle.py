@@ -4,20 +4,16 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from dense_reference import apply_channel, density, purified_state
 from test_generic import generic_model
-from weaksym import oracle, verify
-from weaksym.errors import DimensionMismatchError, SizeGuardError
-from weaksym.model import KrausChannel, LpdoTensor, Model, aklt_tensor, build_aklt_model, spin1_operators
-from weaksym.oracle import (
-    apply_channel_exact,
-    contract_full,
-    density_from_state,
-    expectation,
-)
+from weaksym import oracle
+from weaksym.errors import DimensionMismatchError, SizeGuardError, ValidationError
+from weaksym.model import LpdoTensor, Model, aklt_tensor, build_aklt_model, spin1_operators
+from weaksym.oracle import expectation
 from weaksym.stringorder import string_order_series
 from weaksym.symmetry import SymmetryAction, extract_virtual_rep
 from weaksym.transfer import build_transfer, flux_operator
-from weaksym.verify import generic_model_checks, oracle_checks
+from weaksym.verify import generic_model_checks
 
 OPS = spin1_operators()
 
@@ -43,14 +39,14 @@ def random_lpdo(rng, d=2, da=2, bond=3):
 
 def kron_expectation(rho, ops):
     """Tr[rho (op_1 kron ... kron op_N)] by its definition, on the dense density."""
-    return np.trace(rho.matrix @ reduce(np.kron, ops))
+    return np.trace(rho @ reduce(np.kron, ops))
 
 
 def dumb_purified_state(lpdo, seam, n_sites):
     """Index-by-index reimplementation of the ring contraction.
 
     Loops over every physical/ancilla configuration and takes the matrix
-    trace directly; shares no code with contract_full.
+    trace directly; shares no code with the oracle's ring.
     """
     a4 = lpdo.tensor
     d, da = a4.shape[0], a4.shape[1]
@@ -65,13 +61,14 @@ def dumb_purified_state(lpdo, seam, n_sites):
 
 
 def test_contract_full_against_dumb_loop():
-    """AKLT with an identity seam, and the D=6 generic model with a random seam;
-    N=1 is the ring closed on a single site."""
+    """The oracle's ring, read off as the state vector: AKLT with an identity
+    seam, and the D=6 generic model with a random seam; N=1 is the ring closed
+    on a single site."""
     generic = generic_model(0.3)[0].lpdo
     seam = random_matrix(np.random.default_rng(11), generic.bond_dim)
     for lpdo, s in ((build_aklt_model(0.3).lpdo, np.eye(2)), (generic, seam)):
         for n_sites in (1, 2, 3):
-            fast = contract_full(lpdo, s, n_sites)
+            fast = purified_state(lpdo, s, n_sites)
             slow = dumb_purified_state(lpdo, s, n_sites)
             assert fast.shape == (lpdo.d, lpdo.da) * n_sites
             np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=1e-14)
@@ -84,7 +81,7 @@ def test_contract_full_against_dumb_loop_on_two_halves(n_sites):
     rng = np.random.default_rng(13)
     lpdo = random_lpdo(rng)
     seam = random_matrix(rng, lpdo.bond_dim)
-    fast = contract_full(lpdo, seam, n_sites)
+    fast = purified_state(lpdo, seam, n_sites)
     slow = dumb_purified_state(lpdo, seam, n_sites)
     assert fast.shape == (lpdo.d, lpdo.da) * n_sites
     np.testing.assert_allclose(fast, slow, rtol=1e-12, atol=1e-12)
@@ -93,8 +90,7 @@ def test_contract_full_against_dumb_loop_on_two_halves(n_sites):
 def test_pure_limit_density_equals_mps_density():
     """p=0: the purified state reduces to the bare MPS on the a=0 slice."""
     model = build_aklt_model(0.0)
-    state = contract_full(model.lpdo, np.eye(2), 3)
-    rho = density_from_state(state, 3).matrix
+    rho = density(purified_state(model.lpdo, np.eye(2), 3), 3)
 
     a3 = aklt_tensor()
     psi = np.zeros((3, 3, 3), dtype=complex)
@@ -108,7 +104,7 @@ def test_norm_equals_transfer_trace():
     for p in (0.0, 0.3, 0.8):
         model = build_aklt_model(p)
         for n in (2, 3, 4):
-            state = contract_full(model.lpdo, np.eye(2), n)
+            state = purified_state(model.lpdo, np.eye(2), n)
             norm = np.vdot(state, state).real
             t1 = build_transfer(model.lpdo, np.eye(3))
             assert abs(norm - np.trace(np.linalg.matrix_power(t1, n)).real) < 1e-12
@@ -116,17 +112,16 @@ def test_norm_equals_transfer_trace():
 
 def test_density_is_a_density():
     model = build_aklt_model(0.3)
-    rho = density_from_state(contract_full(model.lpdo, np.eye(2), 4), 4)
-    herm, low = rho.validate()
-    assert herm < 1e-13
-    assert low > -1e-12
-    assert abs(np.trace(rho.matrix) - (1 + 3 * (-1 / 3) ** 4)) < 1e-12
+    rho = density(purified_state(model.lpdo, np.eye(2), 4), 4)
+    assert np.max(np.abs(rho - rho.conj().T)) < 1e-13
+    assert np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min() > -1e-12
+    assert abs(np.trace(rho) - (1 + 3 * (-1 / 3) ** 4)) < 1e-12
 
 
 def test_density_is_weakly_symmetric():
     """The decohered state commutes with every global rotation."""
     model = build_aklt_model(0.3)
-    rho = density_from_state(contract_full(model.lpdo, np.eye(2), 4), 4).matrix
+    rho = density(purified_state(model.lpdo, np.eye(2), 4), 4)
     for g in ("R_x", "R_y", "R_z"):
         u = np.kron(np.kron(np.kron(OPS[g], OPS[g]), OPS[g]), OPS[g])
         assert np.max(np.abs(u @ rho - rho @ u)) < 1e-11
@@ -136,25 +131,25 @@ def test_channel_application_matches_purified_contraction():
     """Dilating then contracting equals applying the channel densely."""
     pure = build_aklt_model(0.0)
     noisy = build_aklt_model(0.3)
-    rho0 = density_from_state(contract_full(pure.lpdo, np.eye(2), 4), 4)
-    rho_channel = apply_channel_exact(rho0, noisy.channel)
-    rho_lpdo = density_from_state(contract_full(noisy.lpdo, np.eye(2), 4), 4)
-    assert np.max(np.abs(rho_channel.matrix - rho_lpdo.matrix)) < 1e-12
+    rho0 = density(purified_state(pure.lpdo, np.eye(2), 4), 4)
+    rho_channel = apply_channel(rho0, 4, noisy.channel.kraus)
+    rho_lpdo = density(purified_state(noisy.lpdo, np.eye(2), 4), 4)
+    assert np.max(np.abs(rho_channel - rho_lpdo)) < 1e-12
 
 
 def test_channel_preserves_trace():
     model = build_aklt_model(0.7)
     pure = build_aklt_model(0.0)
-    rho0 = density_from_state(contract_full(pure.lpdo, np.eye(2), 4), 4)
-    rho1 = apply_channel_exact(rho0, model.channel)
-    assert abs(np.trace(rho1.matrix) - np.trace(rho0.matrix)) < 1e-12
+    rho0 = density(purified_state(pure.lpdo, np.eye(2), 4), 4)
+    rho1 = apply_channel(rho0, 4, model.channel.kraus)
+    assert abs(np.trace(rho1) - np.trace(rho0)) < 1e-12
 
 
 def test_expectation_all_identity_is_trace():
     model = build_aklt_model(0.4)
-    rho = density_from_state(contract_full(model.lpdo, np.eye(2), 3), 3)
+    rho = density(purified_state(model.lpdo, np.eye(2), 3), 3)
     (value,) = expectation(model.lpdo, np.eye(2), [[np.eye(3)] * 3])
-    assert abs(value - np.trace(rho.matrix)) < 1e-13
+    assert abs(value - np.trace(rho)) < 1e-13
 
 
 def test_expectation_against_definition():
@@ -165,7 +160,7 @@ def test_expectation_against_definition():
     generic = generic_model(0.3)[0].lpdo
     seam = random_matrix(rng, generic.bond_dim)
     for n_sites in (1, 2, 3, 4):
-        rho = density_from_state(contract_full(generic, seam, n_sites), n_sites)
+        rho = density(purified_state(generic, seam, n_sites), n_sites)
         op_lists = [[random_matrix(rng, 3) for _ in range(n_sites)] for _ in range(3)]
         values = expectation(generic, seam, op_lists)
         assert values.shape == (3,)
@@ -190,7 +185,7 @@ def overlaps_through_the_state(lpdo, seam, op_lists):
     """<psi|phi> with psi = L0 @ R0 formed and phi = L @ R not written: sum_st conj(psi_st) L_sk R_kt."""
     _, folded = _folded(lpdo, seam, op_lists)
     n_sites = len(op_lists[0])
-    psi = contract_full(lpdo, seam, n_sites)
+    psi = purified_state(lpdo, seam, n_sites)
     ket = psi.reshape((lpdo.d * lpdo.da) ** ((n_sites + 1) // 2), -1).T
     return np.array([np.vdot(ket @ left.conj(), right.T) for left, right in folded])
 
@@ -221,7 +216,7 @@ def test_expectation_on_each_branch(bond, n_sites, formula):
     seam = random_matrix(rng, bond)
     op_lists = [[random_matrix(rng, lpdo.d) for _ in range(n_sites)] for _ in range(3)]
     values = expectation(lpdo, seam, op_lists)
-    rho = density_from_state(contract_full(lpdo, seam, n_sites), n_sites)
+    rho = density(purified_state(lpdo, seam, n_sites), n_sites)
     for ops, value in zip(op_lists, values):
         expected = kron_expectation(rho, ops)
         assert abs(value - expected) <= 1e-13 * abs(expected)
@@ -234,21 +229,18 @@ def test_expectation_refuses_mismatched_lists():
         expectation(model.lpdo, np.eye(2), [[np.eye(3)] * 3, [np.eye(3)] * 2])
     with pytest.raises(DimensionMismatchError):
         expectation(model.lpdo, np.eye(2), [[np.eye(2)] * 3])
+    with pytest.raises(ValidationError, match="op_lists is empty"):
+        expectation(model.lpdo, np.eye(2), [])
 
 
 def test_state_and_density_refusals():
+    """The ring's refusals, met through expectation: no site, and a seam that
+    does not fit the bond."""
     model = build_aklt_model(0.3)
-    with pytest.raises(ValueError, match="need at least one site, got 0"):
-        contract_full(model.lpdo, np.eye(2), 0)
+    with pytest.raises(ValidationError, match="need at least one site, got 0"):
+        expectation(model.lpdo, np.eye(2), [[]])
     with pytest.raises(DimensionMismatchError, match="seam is 3x3, bond is 2"):
-        contract_full(model.lpdo, np.eye(3), 2)
-    state = contract_full(model.lpdo, np.eye(2), 2)
-    with pytest.raises(DimensionMismatchError, match="state has 4 legs, expected 6 for 3 sites"):
-        density_from_state(state, 3)
-    rho = density_from_state(state, 2)
-    two_level = KrausChannel(np.eye(2)[None])
-    with pytest.raises(DimensionMismatchError, match="density matrix dim 9 is not d"):
-        apply_channel_exact(rho, two_level)
+        expectation(model.lpdo, np.eye(3), [[np.eye(3)] * 2])
 
 
 def test_uniform_charge_matches_transfer():
@@ -279,23 +271,17 @@ def test_string_matches_ring_contraction():
 
 
 def test_size_guard(monkeypatch):
-    """Every dense array is bounded. At d=3, da=1, D=2 and N=3 the state has
-    27 entries, the ring's guard (d*da)^N * D^2 108 and the density matrix
-    729; each is refused on its own. Expectations need no density matrix, so
-    they run below its size and are refused with the ring."""
+    """Every dense array is bounded. At d=3, da=1, D=2 and N=3 the ring's
+    guard (d*da)^N * D^2 is 108 entries: expectations run under a guard of
+    200 and are refused under 100. The default guard refuses the 7-site AKLT
+    ring, 9^7 * 4 entries."""
     model = build_aklt_model(0.3)
     with pytest.raises(SizeGuardError):
-        contract_full(model.lpdo, np.eye(2), 7)
+        expectation(model.lpdo, np.eye(2), [[np.eye(3)] * 7])
     lpdo = single_ancilla_model().lpdo
-    state = contract_full(lpdo, np.eye(2), 3)
     monkeypatch.setattr(oracle, "MAX_AMPLITUDES", 200)
-    contract_full(lpdo, np.eye(2), 3)
     expectation(lpdo, np.eye(2), [[np.eye(3)] * 3])
-    with pytest.raises(SizeGuardError):
-        density_from_state(state, 3)
     monkeypatch.setattr(oracle, "MAX_AMPLITUDES", 100)
-    with pytest.raises(SizeGuardError):
-        contract_full(lpdo, np.eye(2), 3)
     with pytest.raises(SizeGuardError):
         expectation(lpdo, np.eye(2), [[np.eye(3)] * 3])
 
@@ -312,34 +298,3 @@ def test_generic_checks_skip_oracle_beyond_guard(monkeypatch):
     (row,) = [r for section, r in generic_model_checks(model) if section == "oracle"]
     assert row.passed and row.detail.startswith("skipped: ")
     assert "(d*da)^N * D^2" in row.detail
-
-
-def test_oracle_checks_form_no_density_matrix(monkeypatch):
-    """Criterion 6 evaluates every expectation on the state: the d^N x d^N
-    density is never built."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("density_from_state called")
-
-    monkeypatch.setattr(oracle, "density_from_state", refuse)
-    monkeypatch.setattr(verify, "density_from_state", refuse, raising=False)
-    assert all(row.passed for row in oracle_checks())
-
-
-def test_oracle_checks_form_no_state_vector(monkeypatch):
-    """Criterion 6 takes each overlap at the ring's cuts: contract_full is never called."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("contract_full called")
-
-    monkeypatch.setattr(oracle, "contract_full", refuse)
-    monkeypatch.setattr(verify, "contract_full", refuse, raising=False)
-    assert all(row.passed for row in oracle_checks())
-
-
-def test_density_validate_rejects_broken_matrix():
-    model = build_aklt_model(0.3)
-    rho = density_from_state(contract_full(model.lpdo, np.eye(2), 2), 2)
-    rho.matrix[0, 1] += 1.0
-    with pytest.raises(ValueError):
-        rho.validate()

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from weaksym.errors import GaplessTransferError, NonCommutingError
+from weaksym.errors import GaplessTransferError, NonCommutingError, ValidationError
 from weaksym.model import build_aklt_model
 from weaksym.response import (
     conservation_check,
@@ -193,3 +193,12 @@ def test_finite_response_refuses_exactly_zero_trace():
     res = finite_response(build_aklt_model(0.3), "R_x", "R_z", 1)
     assert not res.valid and res.snapped is None
     assert np.isnan(res.value.real) and np.isnan(res.value.imag)
+
+
+def test_finite_response_refuses_a_non_integer_ring_size():
+    """N = 200.7 is refused, not evaluated as N = 200; 200.0 is N = 200."""
+    model = build_aklt_model(0.3)
+    with pytest.raises(ValidationError, match="ring size N must be an integer, got 200.7"):
+        finite_response(model, "R_x", "R_z", 200.7)
+    whole, ints = finite_response(model, "R_x", "R_z", 200.0), finite_response(model, "R_x", "R_z", 200)
+    assert whole == ints and type(whole.n_sites) is int

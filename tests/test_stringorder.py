@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from weaksym.errors import UndefinedExponentError
+from weaksym.errors import UndefinedExponentError, ValidationError
 from weaksym.model import LpdoTensor, Model, build_aklt_model, spin1_operators
 from weaksym.response import thermo_response
 from weaksym.stringorder import decay_channel, string_order_series
@@ -135,8 +135,25 @@ def test_thermo_series_refusals():
     z = np.diag([1.0, -1.0])
     with pytest.raises(ZeroDivisionError, match="leading twisted eigenvalue vanishes"):
         string_order_series(model, "x", z, z, [0, 1])
-    with pytest.raises(ValueError, match="string length must be >= 0, got -1"):
+    with pytest.raises(ValidationError, match="string length must be >= 0, got -1"):
         string_order_series(model, "x", z, z, [2, -1])
+
+
+def test_non_integer_lengths_and_ring_sizes_are_refused_not_truncated():
+    """l = 3.7 is not evaluated as l = 3, nor N = 10.9 as N = 10, in either
+    mode; 3.0 and 10.0 are the integers they equal."""
+    model = build_aklt_model(0.3)
+    sy = OPS["S_y"]
+    for n_sites in (None, 10):
+        with pytest.raises(ValidationError, match="string length must be an integer, got 3.7"):
+            string_order_series(model, "R_z", sy, sy, [2, 3.7], n_sites=n_sites)
+        whole = string_order_series(model, "R_z", sy, sy, [2.0, 3.0], n_sites=n_sites and float(n_sites))
+        ints = string_order_series(model, "R_z", sy, sy, [2, 3], n_sites=n_sites)
+        np.testing.assert_array_equal(whole.lengths, ints.lengths)
+        np.testing.assert_array_equal(whole.raw, ints.raw)
+        assert whole.n_sites == ints.n_sites
+    with pytest.raises(ValidationError, match="ring size N must be an integer, got 10.9"):
+        string_order_series(model, "R_z", sy, sy, [2, 3], n_sites=10.9)
 
 
 def test_normalized_plateau_above_transition():
