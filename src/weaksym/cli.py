@@ -5,7 +5,12 @@ Subcommands: ``sweep`` (phase-diagram grid to CSV/JSON), ``response``
 with its decay channel), ``verify`` (built-in check suite or generic model
 checks). Output is deterministic: floats print with 17 significant
 digits so repeated runs are byte-identical and JSON round-trips doubles
-without loss.
+without loss. A CSV float column is rendered as a whole, each distinct
+value formatted once: a long string series repeats few values (exact
+zeros of a real model, underflowed mantissas).
+
+The argument parser is built once per process, so repeated in-process
+:func:`main` calls share it; parsing keeps no state between calls.
 
 Exit codes: 0 success, 1 usage or failed verification, 2 I/O failure,
 3 mathematically undefined quantity requested (for example a
@@ -13,10 +18,13 @@ thermodynamic response at a gap closing).
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import (
     DegenerateSpectrumError,
@@ -56,6 +64,18 @@ class _Parser(argparse.ArgumentParser):
 def _fmt(value):
     # "%.17g" already prints NaN as "nan"
     return "nan" if value is None else f"{float(value):.17g}"
+
+
+def _fmt_column(values):
+    """``[_fmt(v) for v in values]``, formatting each distinct float once.
+
+    Values are told apart by their IEEE bits, not by float equality, so
+    -0.0 still prints ``-0`` next to 0.0's ``0``; every nan prints ``nan``.
+    """
+    values = np.asarray(values, dtype=float)
+    bits, where = np.unique(values.view(np.int64), return_inverse=True)
+    text = [_fmt(v) for v in bits.view(float).tolist()]
+    return [text[i] for i in where.tolist()]
 
 
 def _fmt_complex(value):
@@ -168,12 +188,9 @@ _SWEEP_COLUMNS = CSV_HEADER.split(",")[:-1]
 
 def _sweep_text(rows, fmt):
     if fmt == "csv":
-        lines = [CSV_HEADER]
-        for row in rows:
-            lines.append(
-                ",".join([_fmt(row[c]) for c in _SWEEP_COLUMNS] + [";".join(row["flags"])])
-            )
-        return "\n".join(lines) + "\n"
+        columns = [_fmt_column([row[c] for row in rows]) for c in _SWEEP_COLUMNS]
+        columns.append([";".join(row["flags"]) for row in rows])
+        return "\n".join([CSV_HEADER, *map(",".join, zip(*columns))]) + "\n"
     payload = {
         "rows": [
             {**{c: _json_float(row[c]) for c in _SWEEP_COLUMNS}, "flags": row["flags"]}
@@ -253,8 +270,8 @@ def cmd_string(args):
         channel = None
         flags.append("xi_undefined")
 
-    rows = list(zip(series.lengths.tolist(), series.raw.tolist(), series.normalized.tolist()))
     if args.format == "json":
+        rows = zip(series.lengths.tolist(), series.raw.tolist(), series.normalized.tolist())
         payload = {
             "g2": g2,
             "mode": series.mode,
@@ -274,11 +291,10 @@ def cmd_string(args):
         }
         text = json.dumps(payload, indent=2) + "\n"
     else:
-        lines = ["l,re_raw,im_raw,re_norm,im_norm"]
-        for l, v, w in rows:
-            lines.append(
-                f"{int(l)},{_fmt(v.real)},{_fmt(v.imag)},{_fmt(w.real)},{_fmt(w.imag)}"
-            )
+        columns = [map(str, series.lengths.tolist())]
+        for values in (series.raw, series.normalized):
+            columns += [_fmt_column(values.real), _fmt_column(values.imag)]
+        lines = ["l,re_raw,im_raw,re_norm,im_norm", *map(",".join, zip(*columns))]
         if channel is not None:
             lines.append(
                 f"# xi={_fmt(channel.xi)} residual={_fmt(channel.floor)} "
@@ -323,6 +339,7 @@ def _add_common(sub, model=True):
     sub.add_argument("--p", type=float, default=None, help="noise rate for the built-in family")
 
 
+@functools.cache
 def _build_parser():
     parser = _Parser(prog="weaksym", description="Quantized responses and string order of locally purified mixed states.")
     sub = parser.add_subparsers(dest="command", metavar="command", required=True)

@@ -358,22 +358,26 @@ def rescale(m, exponent):
     divided by a power of two that puts its largest modulus in [1/2, 1).
     ``m`` may also be a stack (k, n, n) with an exponent array (k,): one
     range test and one exponent shift per matrix, all in one pass.
+
+    ``np.frexp`` returns int32 shifts; they join the exponent as a Python
+    int for one matrix and as int64 for a stack, so exponents that pass
+    2^31 (powers of a ring of billions of sites) do not wrap.
     """
     low, high = _SQUARE_NORM_RANGE
+    # frexp(0) has exponent 0, so a zero matrix keeps its scale.
     if m.ndim == 2:  # one matrix: a BLAS dot is the cheapest test
         if low <= abs(np.vdot(m, m)) <= high:
             return m, exponent
-        out = True
-    else:
-        k, rows, cols = m.shape
-        parts = m.reshape(k, rows * cols).view(float)  # real and imaginary parts
-        square_norm = np.einsum("ki,ki->k", parts, parts)
-        if low <= square_norm.min(initial=high) and square_norm.max(initial=low) <= high:
-            return m, exponent
-        out = (square_norm < low) | (square_norm > high)
-    # frexp(0) has exponent 0, so a zero matrix keeps its scale.
-    shift = np.where(out, np.frexp(np.abs(m).max(axis=(-2, -1)))[1], 0)
-    return ldexp(m, -shift[..., None, None]), exponent + shift
+        shift = int(np.frexp(np.abs(m).max())[1])
+        return ldexp(m, -shift), exponent + shift
+    k, rows, cols = m.shape
+    parts = m.reshape(k, rows * cols).view(float)  # real and imaginary parts
+    square_norm = np.einsum("ki,ki->k", parts, parts)
+    if low <= square_norm.min(initial=high) and square_norm.max(initial=low) <= high:
+        return m, exponent
+    out = (square_norm < low) | (square_norm > high)
+    shift = np.where(out, np.frexp(np.abs(m).max(axis=(-2, -1)))[1], 0).astype(np.int64)
+    return ldexp(m, -shift[:, None, None]), exponent + shift
 
 
 class ScaledPowers:

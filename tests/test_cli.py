@@ -13,10 +13,13 @@ import pytest
 from test_generic import generic_model
 from test_stringorder import flip_model
 import weaksym
-from weaksym.cli import CSV_HEADER, _fmt, _json_float, _root_label, main
+from weaksym.cli import CSV_HEADER, _build_parser, _fmt, _fmt_column, _json_float, _root_label, main
 from weaksym.errors import GaplessTransferError, ValidationError
-from weaksym.model import LpdoTensor, build_aklt_model, load_model, save_model
+from weaksym.model import LpdoTensor, build_aklt_model, load_model, save_model, spin1_operators
+from weaksym.numerics import ldexp
 from weaksym.response import thermo_response
+from weaksym.stringorder import string_order_series
+from weaksym.transfer import transfer_powers
 
 
 def run(capsys, *argv):
@@ -650,3 +653,137 @@ def test_fmt_prints_nan_and_seventeen_digits():
     assert _fmt(0.1) == "0.10000000000000001"
     assert _json_float(np.nan) is None and _json_float(None) is None
     assert _json_float(np.float64(0.5)) == 0.5
+
+
+# --- column-wise CSV rendering -------------------------------------------------
+
+NAN = float("nan")
+EDGE_VALUES = [0.0, -0.0, NAN, -NAN, np.inf, -np.inf, 5e-324, -5e-324, 0.1, -0.1, 1e308]
+
+
+@pytest.mark.parametrize("value", EDGE_VALUES, ids=repr)
+def test_fmt_column_of_one_value_is_fmt(value):
+    assert _fmt_column([value]) == [_fmt(value)]
+
+
+def test_fmt_column_tells_values_apart_by_their_bits():
+    """-0.0 == 0.0 and nan != nan as floats; the column still prints each like _fmt."""
+    column = EDGE_VALUES + EDGE_VALUES[::-1] + [0.0, -0.0, NAN, 0.1, 0.1 + 2**-56]
+    assert _fmt_column(column) == [_fmt(v) for v in column]
+    assert _fmt_column(np.array([0.0, -0.0, -0.0, 0.0])) == ["0", "-0", "-0", "0"]
+    assert _fmt_column(np.array([NAN, -NAN, np.inf])) == ["nan", "nan", "inf"]
+    strided = np.array([1j, complex(-0.0, 0.5), complex(0.0, -0.0)])  # the real and imaginary views of a complex array
+    assert _fmt_column(strided.real) == ["0", "-0", "0"]
+    assert _fmt_column(strided.imag) == ["1", "0.5", "-0"]
+
+
+def _per_value_csv(series):
+    """The string CSV rows as the per-value rendering prints them."""
+    return [
+        f"{l},{_fmt(v.real)},{_fmt(v.imag)},{_fmt(w.real)},{_fmt(w.imag)}"
+        for l, v, w in zip(series.lengths.tolist(), series.raw.tolist(), series.normalized.tolist())
+    ]
+
+
+@pytest.mark.parametrize(
+    "p, l_max, n_sites",
+    [("0.3", 2000, None), ("0.3", 1000, 1200)],
+    ids=["thermo-underflowed", "ring-1200"],
+)
+def test_string_csv_equals_the_per_value_rendering(capsys, p, l_max, n_sites):
+    """Every row equals _fmt of each value, also from l = 48 on, where S_y's
+    thermodynamic mantissa is mostly underflowed to exact signed zeros."""
+    ring = [] if n_sites is None else ["--sites", str(n_sites)]
+    code, out, err = run(capsys, "string", "--p", p, "--g2", "R_z", "--chi", "sy", "--l-max", str(l_max), *ring)
+    assert code == 0 and err == ""
+    sy = spin1_operators()["S_y"]
+    series = string_order_series(build_aklt_model(float(p)), "R_z", sy, sy, range(l_max + 1), n_sites=n_sites)
+    lines = out.splitlines()
+    assert lines[0] == "l,re_raw,im_raw,re_norm,im_norm"
+    assert lines[1:-1] == _per_value_csv(series)
+    assert lines[-1].startswith("# xi=")
+    if n_sites is None:
+        zero = series.mantissa[48:] == 0
+        assert series.mantissa[47] != 0 and zero[:4].all() and zero.sum() > 1500
+        assert {"0", "-0"} <= {value for row in lines[49:-1] for value in row.split(",")[1:]}
+
+
+def test_sweep_csv_equals_the_per_value_rendering(capsys):
+    """nan columns (gapless thermo at p = 1/2, the vanishing strings at p = 1) print as _fmt does."""
+    code, out, _ = run(capsys, "sweep", "--steps", "5")
+    code_json, text, _ = run(capsys, "sweep", "--steps", "5", "--format", "json")
+    assert code == code_json == 0
+    rows = json.loads(text)["rows"]
+    expected = [
+        ",".join([_fmt(row[c]) for c in CSV_HEADER.split(",")[:-1]] + [";".join(row["flags"])])
+        for row in rows
+    ]
+    assert out.splitlines() == [CSV_HEADER] + expected
+    assert "nan" in out
+
+
+# --- one parser per process ----------------------------------------------------
+
+STRING_CALL = ("string", "--p", "0.3", "--g2", "R_z", "--chi", "sx", "--l-max", "5")
+
+
+def test_the_parser_is_built_once_and_keeps_no_state(capsys):
+    """A usage error leaves nothing behind for the next call: it prints the bytes of a fresh parser."""
+    _build_parser.cache_clear()
+    fresh = run(capsys, *STRING_CALL)
+    assert fresh[0] == 0
+    parser = _build_parser()
+    code, out, err = run(capsys, "string", "--p", "0.3", "--g2", "R_z", "--chi", "sx", "--l-max", "five")
+    assert code == 1 and out == "" and "invalid int value: 'five'" in err
+    assert run(capsys, *STRING_CALL) == fresh
+    assert _build_parser() is parser
+
+
+def test_an_option_of_one_call_does_not_reach_the_next(capsys):
+    code, out, _ = run(capsys, *STRING_CALL, "--format", "json")
+    assert code == 0 and json.loads(out)["rows"]
+    code, out, _ = run(capsys, *STRING_CALL)
+    assert code == 0 and out.startswith("l,re_raw,im_raw,re_norm,im_norm\n")
+    code, out, _ = run(capsys, "sweep", "--p", "0.3", "--format", "json")
+    assert code == 0 and json.loads(out)["rows"]
+    code, out, _ = run(capsys, "sweep", "--p", "0.3")
+    assert code == 0 and out.startswith(CSV_HEADER + "\n")
+
+
+def test_verify_without_a_level_still_runs_all(capsys):
+    code, tables, _ = run(capsys, "verify", "tables")
+    assert code == 0
+    code, default, _ = run(capsys, "verify")
+    assert code == 0
+    code, every, _ = run(capsys, "verify", "all")
+    assert code == 0
+    assert default == every != tables
+    assert default.count("\n") > tables.count("\n")
+
+
+# --- rings of billions of sites ---------------------------------------------------
+
+def _state_norm(p, n_sites):
+    """Tr rho = Tr T(1)^N of the stored tensor."""
+    mantissa, exponent = transfer_powers(build_aklt_model(p).lpdo, np.eye(3)).power(n_sites)
+    return ldexp(np.trace(mantissa), exponent).real
+
+
+def test_ring_of_ten_billion_sites_matches_a_million(capsys):
+    """At N = 10^10 the binary exponents of T(R_z)^N (|lambda_0| = 11/15 at
+    p = 0.8) pass 2^31; they once wrapped in int32 and printed -1.1e-8.
+
+    The stored T(1) has Tr T(1)^N = 1 - 1.72 N eps, and the ring series is
+    not divided by it, so the printed values drift by 3.8e-6 relative at
+    N = 10^10. Divided by Tr rho, both rings give the same string.
+    """
+    values = {}
+    for n_sites in (10**6, 10**10):
+        code, out, err = run(
+            capsys, "string", "--p", "0.8", "--g2", "R_z", "--chi", "sy",
+            "--sites", str(n_sites), "--l-min", "48", "--l-max", "50",
+        )
+        assert code == 0 and err == ""
+        values[n_sites] = _csv_values(out) / _state_norm(0.8, n_sites)
+    np.testing.assert_allclose(values[10**10], values[10**6], rtol=0, atol=1e-9)
+    np.testing.assert_allclose(values[10**10][:, 2], -((2 * 0.2 / 3) ** 2), rtol=1e-12)

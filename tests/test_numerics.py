@@ -144,6 +144,17 @@ def test_scaled_powers_carry_the_exponent_past_underflow():
     assert abs(np.trace(np.linalg.matrix_power(tz, 3000))) == 0.0  # the plain power underflows
 
 
+def test_scaled_powers_exponents_past_two_to_the_31_do_not_wrap():
+    """(1/2)^n at n = 2^33 + k has binary exponent -n; frexp's int32 shifts
+    must not wrap it, for one power or a stack of them."""
+    powers = ScaledPowers(np.diag([0.5, 0.25]))
+    ns = 2**33 + np.arange(numerics.MIN_STACKED_POWERS)
+    mantissa, exponent = powers.power(int(ns[0]))
+    assert ldexp(mantissa, exponent + int(ns[0]))[0, 0] == 1
+    mantissas, exponents = powers.powers(ns)
+    np.testing.assert_array_equal(ldexp(mantissas[:, 0, 0], exponents + ns), 1)
+
+
 def test_scaled_powers_zero_and_rejects_bad_power():
     mantissa, exponent = ScaledPowers(np.zeros((3, 3))).power(5)
     assert exponent == 0 and not mantissa.any()
