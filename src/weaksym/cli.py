@@ -126,12 +126,21 @@ def _group_label(model, name):
     )
 
 
+@functools.cache
+def _spin1():
+    """One read-only set of :func:`spin1_operators` per process."""
+    ops = spin1_operators()
+    for m in ops.values():
+        m.flags.writeable = False
+    return ops
+
+
 def _resolve_chi(spec, dim):
     key = spec.lower()
     if key in _CHI_BUILTIN:
         if dim != 3:
             raise ValidationError(f"built-in endpoint {spec!r} is a spin-1 operator; model has d={dim}")
-        return spin1_operators()[_CHI_BUILTIN[key]]
+        return _spin1()[_CHI_BUILTIN[key]]
     with open(spec) as fh:
         payload = json.load(fh)
     return _decode_array(payload, (dim, dim), "chi")
@@ -151,7 +160,7 @@ def _sweep_row(p, n_sites, length):
         flags.append("gapless_thermo")
     gap_z = symmetry_gap(twisted_spectrum(model, "R_z"))
 
-    ops = spin1_operators()
+    ops = _spin1()
     sn = {}
     xi = {}
     for tag in ("x", "y"):

@@ -21,6 +21,7 @@ from .errors import DimensionMismatchError, ValidationError
 from .symmetry import GroupTable, SymmetryAction, endpoint_charge
 
 _SQ2 = np.sqrt(2.0)
+_MISSING = object()
 
 
 def spin1_operators():
@@ -58,7 +59,7 @@ class LpdoTensor:
         t = np.array(self.tensor, dtype=complex)
         if t.ndim != 4 or t.shape[2] != t.shape[3]:
             raise DimensionMismatchError(f"purified tensor must be (d, da, D, D), got {t.shape}")
-        if not np.all(np.isfinite(t)):
+        if not np.isfinite(t).all():
             raise ValidationError("tensor: entries must be finite")
         t.flags.writeable = False
         object.__setattr__(self, "tensor", t)
@@ -66,11 +67,12 @@ class LpdoTensor:
     def memoised(self, key, compute):
         """The value of ``compute()`` for ``key``, computed once per tensor.
 
-        A ``compute`` that raises stores nothing.
+        A ``compute`` that raises stores nothing. A hit is one dict lookup.
         """
-        if key not in self._memo:
-            self._memo[key] = compute()
-        return self._memo[key]
+        value = self._memo.get(key, _MISSING)
+        if value is _MISSING:
+            value = self._memo[key] = compute()
+        return value
 
     @property
     def d(self):

@@ -60,7 +60,7 @@ def _as_square(m, name="matrix"):
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2:
         raise DimensionMismatchError(f"{name}: expected a 2D array, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValidationError(f"{name}: entries must be finite")
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"{name}: expected square, got shape {m.shape}")
@@ -136,7 +136,9 @@ class Spectrum:
 def _spectrum(w, right, left, condition):
     """Read-only :class:`Spectrum`, with its pairing residual measured."""
     near_defective = (not np.isfinite(condition)) or condition > 1.0 / PAIRING_TOL
-    residual = float(np.max(np.abs(left @ right - np.eye(len(w)))))
+    pairing = left @ right
+    pairing.flat[:: len(w) + 1] -= 1
+    residual = float(np.abs(pairing).max())
     for a in (w, right, left):
         a.flags.writeable = False
     return Spectrum(
@@ -170,8 +172,9 @@ def spectral_decompose(m):
     order = _by_modulus(w)
     w = w[order]
     r = r[:, order]
+    s = np.linalg.svd(r, compute_uv=False)  # np.linalg.cond(r), without its wrapper
     with np.errstate(all="ignore"):
-        cond = float(np.linalg.cond(r))
+        cond = float(s[0] / s[-1])
     try:
         left = np.linalg.inv(r)
     except np.linalg.LinAlgError:

@@ -107,7 +107,8 @@ def string_order_series(model, g2, chi_l, chi_r, lengths, n_sites=None):
     thermodynamic limit requires T(1) to be gapped (it stays gapped at the
     symmetry transition; only T(g2) goes gapless there). Lengths may come in
     any order and may repeat. A length or ring size that is not an integer
-    (3.0 is one), or a length out of range, raises :class:`ValidationError`.
+    (3.0 is one), a length out of range, or a ring of N >= 2^63 sites raises
+    :class:`ValidationError`.
 
     The thermodynamic series carries one boundary row vector from the
     shortest length to the longest, one vector-matrix product per length,
@@ -126,6 +127,10 @@ def string_order_series(model, g2, chi_l, chi_r, lengths, n_sites=None):
     ZeroDivisionError when the envelope vanishes: an exactly zero leading
     eigenvalue or trace.
     """
+    if n_sites is not None:
+        n_sites = _whole(n_sites, "the ring size N must be an integer")
+        if n_sites >= 2**63:
+            raise ValidationError(f"a ring string needs N < 2^63, got N={n_sites}")
     lengths = _whole(list(lengths), "string length must be an integer")
     lpdo = model.lpdo
     eye = np.eye(lpdo.d)
@@ -161,7 +166,6 @@ def string_order_series(model, g2, chi_l, chi_r, lengths, n_sites=None):
             np.copyto(part, m, where=np.isnan(part) & (m == 0))
         normalized = mantissa
     else:
-        n_sites = _whole(n_sites, "the ring size N must be an integer")
         bad = (lengths < 0) | (lengths > n_sites - 2)
         if bad.any():
             raise ValidationError(f"need 0 <= l <= N-2, got l={lengths[bad][0]}, N={n_sites}")
@@ -183,9 +187,11 @@ def string_order_series(model, g2, chi_l, chi_r, lengths, n_sites=None):
         raw = ldexp(mantissa, exponent)
         # |Tr T^N|^{l/N} = charge^{l/N} 2^{envelope_exp l/N}: the integer part
         # of the binary exponent is split off exactly and joins the series'.
-        shift, rest = np.divmod(envelope_exp * lengths, n_sites)
-        factors = charge ** (lengths / n_sites) * 2.0 ** (rest / n_sites)
-        normalized = ldexp(mantissa / factors, exponent - shift)
+        # The product is taken in Python ints: near l = N = 10^10 it passes int64.
+        product = lengths.astype(object) * envelope_exp
+        shift, rest = product // n_sites, product % n_sites
+        factors = charge ** (lengths / n_sites) * 2.0 ** (rest.astype(float) / n_sites)
+        normalized = ldexp(mantissa / factors, exponent - shift.astype(np.int64))
     return StringOrderSeries(
         lengths=lengths,
         raw=raw,

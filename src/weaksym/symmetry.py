@@ -24,7 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .numerics import _as_square
-from .transfer import _insertions, transfer_spectrum
+from .transfer import _insertions, build_transfer, transfer_spectrum
 
 # Tolerance of the modulus tests of extract_virtual_rep, relative to the
 # leading modulus |lambda_0| of T(1), and of its push-through residual,
@@ -177,12 +177,13 @@ def extract_virtual_rep(lpdo, act):
     The result is memoised on ``lpdo``, keyed by the element label, u_g and
     ua_g; a failed extraction is not stored.
     """
-    _, _, insertion = _insertions(lpdo, act.u, act.ua)
+    _, _, insertion = _insertions(act.u, act.ua)
     key = ("rep", act.element) + insertion
     return lpdo.memoised(key, lambda: _extract_virtual_rep(lpdo, act))
 
 
 def _extract_virtual_rep(lpdo, act):
+    build_transfer(lpdo, act.u, act.ua)  # checks u and ua against d and da first
     dv = lpdo.bond_dim
     ref = transfer_spectrum(lpdo, np.eye(lpdo.d))
     if ref.near_defective:

@@ -26,6 +26,9 @@ Spectra follow the same kind of split, made by
 ``DENSE_MAX_ROWS`` rows (D <= 10) a map is decomposed in full by a dense ``eig``, O(D^6) work; above it
 only the leading eigenpairs, which are all any consumer reads, are computed
 by Krylov iteration, O(D^4) work per matrix-vector product.
+
+Every value is memoised on the tensor under its insertions' complex shapes
+and bytes; an insertion is checked when its map is built, not on each lookup.
 """
 
 import numpy as np
@@ -38,15 +41,16 @@ def _insertion(m, name, leg, dim):
     m = _as_square(m, name)
     if m.shape[0] != dim:
         raise DimensionMismatchError(f"{name} is {m.shape[0]}x{m.shape[0]}, tensor has {leg}={dim}")
-    return m
 
 
-def _insertions(lpdo, op, op_a):
-    """Validated ``(op, op_a)`` and the memo key of T(op, op_a)."""
-    op = _insertion(op, "op", "d", lpdo.d)
+def _insertions(op, op_a):
+    """Unchecked complex ``(op, op_a)`` and the memo key of T(op, op_a): their shapes and bytes."""
+    op = np.asarray(op, dtype=complex)
+    key = (op.shape, op.tobytes())
     if op_a is not None:
-        op_a = _insertion(op_a, "op_a", "da", lpdo.da)
-    return op, op_a, (op.tobytes(), None if op_a is None else op_a.tobytes())
+        op_a = np.asarray(op_a, dtype=complex)
+        key += (op_a.shape, op_a.tobytes())
+    return op, op_a, key
 
 
 def _contract(a4, op, op_a):
@@ -79,9 +83,20 @@ def build_transfer(lpdo, op, op_a=None):
     traces the ancilla through directly. ``op = 1`` and ``op_a=None`` give
     the ordinary mixed-state transfer map. The map is built once per tensor
     and insertion pair and returned read-only.
+
+    The memo key is the insertions' complex shapes and bytes. Their sizes and
+    finiteness are checked when the map is built, and every value memoised
+    per insertion pair comes from the map, so a hit checks nothing again.
     """
-    op, op_a, key = _insertions(lpdo, op, op_a)
-    return lpdo.memoised(("transfer",) + key, lambda: _contract(lpdo.tensor, op, op_a))
+    op, op_a, key = _insertions(op, op_a)
+
+    def build():
+        _insertion(op, "op", "d", lpdo.d)
+        if op_a is not None:
+            _insertion(op_a, "op_a", "da", lpdo.da)
+        return _contract(lpdo.tensor, op, op_a)
+
+    return lpdo.memoised(("transfer",) + key, build)
 
 
 def transfer_spectrum(lpdo, op, op_a=None, complete=False):
@@ -94,7 +109,7 @@ def transfer_spectrum(lpdo, op, op_a=None, complete=False):
     partial spectrum. This is the only route from a transfer map to an
     eigensolver.
     """
-    op, op_a, key = _insertions(lpdo, op, op_a)
+    op, op_a, key = _insertions(op, op_a)
     spectrum = lpdo.memoised(("spectrum",) + key, lambda: leading_spectrum(build_transfer(lpdo, op, op_a)))
     if complete and not spectrum.complete:
         spectrum = lpdo.memoised(
@@ -111,14 +126,15 @@ def transfer_powers(lpdo, op, op_a=None):
     N, squares the map at most once per bit level. This is the only place a
     table is built.
     """
-    op, op_a, key = _insertions(lpdo, op, op_a)
+    op, op_a, key = _insertions(op, op_a)
     return lpdo.memoised(("powers",) + key, lambda: ScaledPowers(build_transfer(lpdo, op, op_a)))
 
 
 def flux_operator(v):
-    """kron(conj(V), V): a symmetry flux V, finite and square, threaded through the doubled space."""
+    """kron(conj(V), V), as one broadcast product: a finite square flux V threaded through the doubled space."""
     v = _as_square(v, "flux")
-    return np.kron(v.conj(), v)
+    dv = v.shape[0]
+    return (v.conj()[:, None, :, None] * v[None, :, None, :]).reshape(dv * dv, dv * dv)
 
 
 def twisted_spectrum(model, g):

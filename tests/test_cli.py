@@ -787,3 +787,46 @@ def test_ring_of_ten_billion_sites_matches_a_million(capsys):
         values[n_sites] = _csv_values(out) / _state_norm(0.8, n_sites)
     np.testing.assert_allclose(values[10**10], values[10**6], rtol=0, atol=1e-9)
     np.testing.assert_allclose(values[10**10][:, 2], -((2 * 0.2 / 3) ** 2), rtol=1e-12)
+
+
+def test_ring_string_of_length_near_ten_billion_matches_a_million(capsys):
+    """At l = N - 2 the envelope's binary exponent times l, about -4.5e19 at
+    N = 10^10, passes int64; it once wrapped and printed -0.
+
+    No power of T(1) enters at l = N - 2, and the drift of the stored
+    T(g2)^l cancels against that of the envelope |Tr T(g2)^N|^{l/N}, so the
+    two rings agree without dividing by Tr rho.
+    """
+    values = {}
+    for n_sites in (10**6, 10**10):
+        code, out, err = run(
+            capsys, "string", "--p", "0.8", "--g2", "R_z", "--chi", "sy",
+            "--sites", str(n_sites), "--l-min", str(n_sites - 2), "--l-max", str(n_sites - 2),
+        )
+        assert code == 0 and err == ""
+        values[n_sites] = _csv_values(out)
+    np.testing.assert_allclose(values[10**10], values[10**6], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(values[10**10][:, 2], -((2 * 0.2 / 3) ** 2), rtol=1e-12)
+
+
+def test_ring_strings_past_int64_sites_are_refused(capsys):
+    """N - 2 - l passes int64 at N = 10^20; it once ended in an OverflowError
+    traceback. The largest ring taken, N = 2^63 - 1, prints values that
+    underflow (Tr rho = Tr T(1)^N of the stored tensor is about 2^-5080
+    there), so it is checked on the carried scale: the raw series divided by
+    Tr rho is the thermodynamic one."""
+    code, out, err = run(
+        capsys, "string", "--p", "0.8", "--g2", "R_z", "--chi", "sy",
+        "--sites", str(10**20), "--l-min", "48", "--l-max", "50",
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: a ring string needs N < 2^63, got N=100000000000000000000\n"
+    model = build_aklt_model(0.8)
+    sy = spin1_operators()["S_y"]
+    with pytest.raises(ValidationError, match=r"N < 2\^63, got N=9223372036854775808$"):
+        string_order_series(model, "R_z", sy, sy, [48], n_sites=2**63)
+    ring = string_order_series(model, "R_z", sy, sy, [48, 49, 50], n_sites=2**63 - 1)
+    mantissa, exponent = transfer_powers(model.lpdo, np.eye(3)).power(2**63 - 1)
+    per_state = ldexp(ring.mantissa / np.trace(mantissa), ring.exponent - exponent)
+    thermo = string_order_series(model, "R_z", sy, sy, [48, 49, 50])
+    np.testing.assert_allclose(per_state, thermo.raw, rtol=1e-12, atol=0)

@@ -13,6 +13,7 @@ import pytest
 
 from test_generic import generic_model
 from weaksym import cli, numerics, transfer
+from weaksym.errors import DimensionMismatchError, ValidationError
 from weaksym.model import LpdoTensor, aklt_group, build_aklt_model, save_model
 from weaksym.response import thermo_response
 from weaksym.symmetry import SymmetryAction, extract_virtual_rep
@@ -43,6 +44,87 @@ def test_sweep_row_decomposes_at_most_four_maps(eig_calls):
     row = cli._sweep_row(0.3, 200, 50)
     assert not row["flags"]
     assert len(eig_calls) <= 4
+
+
+@pytest.fixture
+def checked_insertions(monkeypatch):
+    """A list of ``(name, bytes)`` for every ``transfer._insertion`` check."""
+    calls = []
+    check = transfer._insertion
+
+    def recording(m, name, leg, dim):
+        calls.append((name, np.asarray(m, dtype=complex).tobytes()))
+        return check(m, name, leg, dim)
+
+    monkeypatch.setattr(transfer, "_insertion", recording)
+    return calls
+
+
+def test_sweep_row_checks_each_insertion_once(checked_insertions, eig_calls, power_tables):
+    """T(1), T(R_x, ua_x), T(R_y, ua_y), T(R_z), T(S_x) and T(S_y): six physical
+    insertions and two ancilla ones, each checked when its map is built and
+    never on the ~30 lookups that hit."""
+    cli._sweep_row(0.3, 200, 50)
+    model = build_aklt_model(0.3)
+    ops = cli._spin1()
+    physical = [np.eye(3), *(model.action(g).u for g in ("R_x", "R_y", "R_z")), ops["S_x"], ops["S_y"]]
+    ancilla = [model.action(g).ua for g in ("R_x", "R_y")]
+    expected = [("op", _key(m)) for m in physical] + [("op_a", _key(m)) for m in ancilla]
+    assert sorted(checked_insertions) == sorted(expected)
+    assert len(eig_calls) <= 4
+    assert len(power_tables) == 2
+
+
+def test_a_non_finite_insertion_is_refused_on_every_call_and_never_stored():
+    lpdo = build_aklt_model(0.3).lpdo
+    bad = np.eye(3)
+    bad[1, 2] = np.nan
+    entries = dict(lpdo._memo)
+    for lookup in (build_transfer, transfer_spectrum, transfer_powers):
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="op: entries must be finite"):
+                lookup(lpdo, bad)
+            with pytest.raises(ValidationError, match="op_a: entries must be finite"):
+                lookup(lpdo, np.eye(3), np.full((4, 4), np.inf))
+    assert lpdo._memo == entries
+
+
+def test_the_bytes_of_a_stored_insertion_in_another_shape_are_refused():
+    lpdo = build_aklt_model(0.3).lpdo
+    eye3, eye4 = np.eye(3), np.eye(4)
+    build_transfer(lpdo, eye3, eye4)
+    transfer_spectrum(lpdo, eye3)
+    for lookup in (build_transfer, transfer_spectrum, transfer_powers):
+        with pytest.raises(DimensionMismatchError, match=r"op: expected square, got shape \(1, 9\)"):
+            lookup(lpdo, eye3.reshape(1, 9))
+        with pytest.raises(DimensionMismatchError, match=r"op: expected a 2D array, got shape \(9,\)"):
+            lookup(lpdo, eye3.ravel())
+        with pytest.raises(DimensionMismatchError, match=r"op_a: expected square, got shape \(2, 8\)"):
+            lookup(lpdo, eye3, eye4.reshape(2, 8))
+
+
+def test_an_action_of_the_wrong_size_is_refused_before_any_spectrum(eig_calls):
+    model = build_aklt_model(0.3)
+    act = model.action("R_x")
+    for u, ua, text in (
+        (np.eye(2), act.ua, "op is 2x2, tensor has d=3"),
+        (act.u, np.eye(3), "op_a is 3x3, tensor has da=4"),
+    ):
+        for _ in range(2):
+            with pytest.raises(DimensionMismatchError, match=f"^{text}$"):
+                extract_virtual_rep(model.lpdo, SymmetryAction(element="R_x", u=u, ua=ua))
+    assert eig_calls == []
+
+
+def test_a_float_identity_shares_the_complex_identity_entry(eig_calls):
+    model = build_aklt_model(0.3)
+    lpdo = model.lpdo
+    u = model.action("1").u
+    assert u.dtype == complex
+    assert transfer_spectrum(lpdo, np.eye(3)) is transfer_spectrum(lpdo, u)
+    assert build_transfer(lpdo, np.eye(3)) is build_transfer(lpdo, u)
+    assert transfer_powers(lpdo, np.eye(3, dtype=int)) is transfer_powers(lpdo, u)
+    assert len(eig_calls) == 1
 
 
 @pytest.fixture

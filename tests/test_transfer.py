@@ -172,6 +172,20 @@ def test_flux_operator_structure():
     np.testing.assert_allclose(flux_operator(np.eye(2)), np.eye(4), atol=1e-15)
 
 
+@pytest.mark.parametrize("dv", [1, 2, 6, 12])
+def test_flux_operator_is_kron_byte_for_byte(dv):
+    """Signed zeros in either part of V, and whole -0-0j entries, keep their signs."""
+    rng = np.random.default_rng(dv)
+    v = rng.normal(size=(dv, dv)) + 1j * rng.normal(size=(dv, dv))
+    v.real[rng.random((dv, dv)) < 0.3] = -0.0
+    v.imag[rng.random((dv, dv)) < 0.3] = -0.0
+    v[rng.random((dv, dv)) < 0.2] = complex(-0.0, -0.0)
+    v[0, 0] = complex(-0.0, 0.0)
+    f = flux_operator(v)
+    assert f.shape == (dv * dv, dv * dv)
+    assert f.tobytes() == np.kron(v.conj(), v).tobytes()
+
+
 def test_flux_operator_rejects_non_square_or_non_finite():
     with pytest.raises(DimensionMismatchError):
         flux_operator(np.ones((2, 3)))
