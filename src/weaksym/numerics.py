@@ -13,6 +13,8 @@ rely on:
 
 :func:`leading_spectrum` picks between them by the size of the map: the
 full decomposition up to ``DENSE_MAX_ROWS`` rows, Arnoldi above.
+:func:`leading_eigenpair` takes the same two routes to one eigenvalue and
+its right vector only: a bare ``eig``, or one Arnoldi run for one pair.
 
 This module is the only place a non-Hermitian eigenproblem is solved.
 """
@@ -68,8 +70,9 @@ def _as_square(m, name="matrix"):
 
 
 def _whole(values, rule):
-    """A number (as a Python int of any size) or a sequence as ints: 200.0 passes,
-    and 2.5, nan or inf raises :class:`ValidationError` "<rule>, got <value>"."""
+    """A number (as a Python int of any size) or a sequence as int64: 200.0 passes,
+    and 2.5, nan or inf raises :class:`ValidationError` "<rule>, got <value>",
+    as does a sequence entry outside [-2^63, 2^63), which int64 would wrap."""
     if isinstance(values, (int, np.integer)) or (np.ndim(values) == 0 and float(values).is_integer()):
         return int(values)
     values = np.asarray(values)
@@ -78,6 +81,10 @@ def _whole(values, rule):
             bad = np.mod(values, 1) != 0
         if bad.any():
             raise ValidationError(f"{rule}, got {values[bad][0].item()!r}")
+    if values.dtype.kind not in "bi":  # uint64, float or Python ints can pass int64
+        wide = (values < -(2**63)) | (values >= 2**63)
+        if wide.any():
+            raise ValidationError(f"{rule} in [-2^63, 2^63), got {values[wide].tolist()[0]!r}")
     return values.astype(int, copy=False)
 
 
@@ -191,10 +198,10 @@ def _orthogonalize(basis, w):
     return w - basis @ c2, c + c2
 
 
-def _arnoldi_run(m, rng, locked, boundary=None, scale=None):
+def _arnoldi_run(m, rng, locked, boundary=None, scale=None, wanted=LEADING_PAIRS):
     """One thick-restart Arnoldi run on m, deflated against the orthonormal columns ``locked``.
 
-    Without a ``boundary`` the run converges the ``LEADING_PAIRS`` largest-modulus
+    Without a ``boundary`` the run converges the ``wanted`` largest-modulus
     Ritz values and every one tied in modulus with the last; with one, those
     of modulus at or above ``boundary``, and also the first Ritz value below
     them, to a tenth of its distance from the boundary, so that nothing more
@@ -239,7 +246,7 @@ def _arnoldi_run(m, rng, locked, boundary=None, scale=None):
         mods = np.abs(theta)
         if boundary is None:
             scale = mods[0]
-            t = min(LEADING_PAIRS, size)
+            t = min(wanted, size)
             while t < size and mods[t - 1] - mods[t] <= TIE_TOL * scale:
                 t += 1
             cut = mods[t - 1]
@@ -342,6 +349,29 @@ def leading_spectrum(m):
     with np.errstate(all="ignore"):
         condition = float((left_norm * right_norm / np.abs(np.sum(left * right.T, axis=1))).max())
     return _spectrum(w, right, left, condition)
+
+
+def leading_eigenpair(m):
+    """(lambda0, R0): m's first eigenvalue in :class:`Spectrum` order and its right vector.
+
+    Up to ``DENSE_MAX_ROWS`` rows a bare ``eig``, bit for bit the pair of
+    ``spectral_decompose(m).leading``; above, one Arnoldi run for the leading
+    Ritz pair and any tied with it, kept if it meets its eigen-equation to
+    100 ``KRYLOV_TOL`` of the leading modulus, else the dense pair. With no
+    left vector, a defective top goes unflagged.
+    """
+    m = _as_square(m)
+    found = len(m) > DENSE_MAX_ROWS and _arnoldi_run(m, np.random.default_rng(KRYLOV_SEED), locked=m[:, :0], wanted=1)
+    if found:
+        q, _, scale = found
+        w, y = np.linalg.eig(q.conj().T @ (m @ q))
+        k = _by_modulus(w)[0]
+        right = q @ y[:, k]
+        if np.linalg.norm(m @ right - w[k] * right) <= 100 * KRYLOV_TOL * scale * np.linalg.norm(right):
+            return w[k], right
+    w, r = np.linalg.eig(m)
+    k = _by_modulus(w)[0]
+    return w[k], r[:, k]
 
 
 def ldexp(z, exponent):

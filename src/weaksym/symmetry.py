@@ -24,7 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .numerics import _as_square
-from .transfer import _insertions, build_transfer, transfer_spectrum
+from .transfer import _insertions, build_transfer, transfer_eigenpair, transfer_spectrum
 
 # Tolerance of the modulus tests of extract_virtual_rep, relative to the
 # leading modulus |lambda_0| of T(1), and of its push-through residual,
@@ -139,19 +139,19 @@ def verify_transformation_law(lpdo, act, rep, theta):
 
     with ``theta`` the phase :func:`extract_virtual_rep` returns. u and ua
     must match the tensor's d and da, which :func:`extract_virtual_rep`
-    checks before it calls this.
+    checks before it calls this. Both sides are matrix products, O(d da D^3).
     """
     a4 = lpdo.tensor
     u = _as_square(act.u, "u")
     ua = _as_square(act.ua, "ua")
     v = _as_square(rep.v, "v")
-    dv = a4.shape[2]
+    d, da, dv, _ = a4.shape
     if v.shape[0] != dv:
         raise DimensionMismatchError(f"v is {v.shape[0]}x{v.shape[0]}, tensor has D={dv}")
-    # i,a: outer physical/ancilla; x,y: virtual
-    lhs = np.einsum("ij,ab,jbxy->iaxy", u, ua, a4)
-    rhs = np.exp(1j * theta) * np.einsum("xp,iapq,yq->iaxy", v, a4, v.conj())
-    return float(np.linalg.norm(lhs - rhs))
+    # u and ua rotate the outer legs as in transfer._contract; A V^dag is one GEMM
+    lhs = ua @ (u @ a4.reshape(d, -1)).reshape(d, da, dv * dv)
+    rhs = np.exp(1j * theta) * (v @ (a4.reshape(-1, dv) @ v.conj().T).reshape(a4.shape))
+    return float(np.linalg.norm(lhs.reshape(a4.shape) - rhs))
 
 
 def extract_virtual_rep(lpdo, act):
@@ -161,7 +161,8 @@ def extract_virtual_rep(lpdo, act):
     matrix and transposed (the map acts on the conjugate layer first), is
     V_g times the fixed point of the untwisted map; a polar decomposition
     strips the fixed point off. The phase theta_g is the leading
-    eigenvalue's phase relative to the untwisted map T(1, 1).
+    eigenvalue's phase relative to the untwisted map T(1, 1). Only that pair
+    of T(u_g, ua_g) is computed (:func:`~weaksym.transfer.transfer_eigenpair`).
 
     Returns ``(VirtualRep, theta)``; the representation carries the
     push-through residual it was checked against. Raises
@@ -175,7 +176,8 @@ def extract_virtual_rep(lpdo, act):
     describes the same state, gets the same answer.
 
     The result is memoised on ``lpdo``, keyed by the element label, u_g and
-    ua_g; a failed extraction is not stored.
+    ua_g; a failed extraction is not stored, but the spectrum and the pair
+    it read are, so a retry computes neither again.
     """
     _, _, insertion = _insertions(act.u, act.ua)
     key = ("rep", act.element) + insertion
@@ -195,15 +197,14 @@ def _extract_virtual_rep(lpdo, act):
         )
     lam_ref = ref.eigenvalues[0]
 
-    twisted = transfer_spectrum(lpdo, act.u, act.ua)
-    lam = twisted.eigenvalues[0]
+    lam, right = transfer_eigenpair(lpdo, act.u, act.ua)
     if abs(abs(lam) - abs(lam_ref)) > REP_TOL * abs(lam_ref):
         raise NotSymmetricError(
             f"tensor not symmetric under {act.element!r}: twisted leading modulus "
             f"{abs(lam):.12f} vs {abs(lam_ref):.12f}"
         )
 
-    x = twisted.right_vectors[:, 0].reshape(dv, dv).T
+    x = right.reshape(dv, dv).T
     w, _, vh = np.linalg.svd(x)
     v = w @ vh  # nearest unitary (polar factor)
 

@@ -25,7 +25,9 @@ Spectra follow the same kind of split, made by
 :func:`~weaksym.numerics.leading_spectrum` on the size of the map: up to
 ``DENSE_MAX_ROWS`` rows (D <= 10) a map is decomposed in full by a dense ``eig``, O(D^6) work; above it
 only the leading eigenpairs, which are all any consumer reads, are computed
-by Krylov iteration, O(D^4) work per matrix-vector product.
+by Krylov iteration, O(D^4) work per matrix-vector product. The extraction
+of V_g reads one eigenvalue and one right vector of T(u, ua), so
+:func:`transfer_eigenpair` computes only that pair, by the same two routes.
 
 Every value is memoised on the tensor under its insertions' complex shapes
 and bytes; an insertion is checked when its map is built, not on each lookup.
@@ -34,7 +36,7 @@ and bytes; an insertion is checked when its map is built, not on each lookup.
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .numerics import ScaledPowers, _as_square, leading_spectrum, spectral_decompose
+from .numerics import ScaledPowers, _as_square, leading_eigenpair, leading_spectrum, spectral_decompose
 
 
 def _insertion(m, name, leg, dim):
@@ -106,8 +108,8 @@ def transfer_spectrum(lpdo, op, op_a=None, complete=False):
     ``DENSE_MAX_ROWS`` rows (bond dimension 10), partial above. ``complete`` asks for a full spectrum
     at any bond dimension; a large map then gets
     :func:`~weaksym.numerics.spectral_decompose` too, memoised next to its
-    partial spectrum. This is the only route from a transfer map to an
-    eigensolver.
+    partial spectrum. With :func:`transfer_eigenpair`, this is the only
+    route from a transfer map to an eigensolver.
     """
     op, op_a, key = _insertions(op, op_a)
     spectrum = lpdo.memoised(("spectrum",) + key, lambda: leading_spectrum(build_transfer(lpdo, op, op_a)))
@@ -116,6 +118,18 @@ def transfer_spectrum(lpdo, op, op_a=None, complete=False):
             ("complete spectrum",) + key, lambda: spectral_decompose(build_transfer(lpdo, op, op_a))
         )
     return spectrum
+
+
+def transfer_eigenpair(lpdo, op, op_a=None):
+    """:func:`~weaksym.numerics.leading_eigenpair` of T(op, op_a), R0 read-only, once per tensor and insertion pair."""
+    op, op_a, key = _insertions(op, op_a)
+
+    def compute():
+        lam, right = leading_eigenpair(build_transfer(lpdo, op, op_a))
+        right.flags.writeable = False
+        return lam, right
+
+    return lpdo.memoised(("eigenpair",) + key, compute)
 
 
 def transfer_powers(lpdo, op, op_a=None):

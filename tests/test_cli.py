@@ -809,6 +809,24 @@ def test_ring_string_of_length_near_ten_billion_matches_a_million(capsys):
     np.testing.assert_allclose(values[10**10][:, 2], -((2 * 0.2 / 3) ** 2), rtol=1e-12)
 
 
+def test_string_lengths_past_int64_are_refused(capsys):
+    """A length in [2^63, 2^64) once wrapped to a negative int64 and was refused
+    as negative; one of 2^64 ended in an OverflowError traceback. 2^63 - 1 is
+    still taken."""
+    for length in (2**63, 2**64):
+        code, out, err = run(
+            capsys, "string", "--p", "0.3", "--g2", "R_z", "--chi", "sy",
+            "--l-min", str(length), "--l-max", str(length),
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: string length must be an integer in [-2^63, 2^63), got {length}\n"
+    code, out, _ = run(
+        capsys, "string", "--p", "0.3", "--g2", "R_z", "--chi", "sy",
+        "--l-min", str(2**63 - 1), "--l-max", str(2**63 - 1),
+    )
+    assert code == 0 and out.splitlines()[1] == f"{2**63 - 1},0,0,0,0"
+
+
 def test_ring_strings_past_int64_sites_are_refused(capsys):
     """N - 2 - l passes int64 at N = 10^20; it once ended in an OverflowError
     traceback. The largest ring taken, N = 2^63 - 1, prints values that

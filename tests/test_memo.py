@@ -1,10 +1,11 @@
-"""Per-model memo of transfer maps, spectra, squaring tables and virtual representations.
+"""Per-model memo of transfer maps, spectra, leading pairs, squaring tables and virtual representations.
 
 Eigendecompositions are counted with a wrapper around ``np.linalg.eig`` as
 ``weaksym.numerics`` sees it; every eigensolve in the package goes through
-that one call. A full spectrum is one call on the map itself, a partial one
-(above ``DENSE_MAX_ROWS`` rows) a few calls on small Arnoldi
-matrices and none on the map. Squaring tables are counted at
+that one call. A full spectrum or a dense leading pair is one call on the
+map itself, a partial spectrum or a Krylov leading pair (above
+``DENSE_MAX_ROWS`` rows) a few calls on small Arnoldi matrices and none on
+the map. Squaring tables are counted at
 ``ScaledPowers.__init__``.
 """
 
@@ -13,7 +14,7 @@ import pytest
 
 from test_generic import generic_model
 from weaksym import cli, numerics, transfer
-from weaksym.errors import DimensionMismatchError, ValidationError
+from weaksym.errors import DimensionMismatchError, NotSymmetricError, ValidationError
 from weaksym.model import LpdoTensor, aklt_group, build_aklt_model, save_model
 from weaksym.response import thermo_response
 from weaksym.symmetry import SymmetryAction, extract_virtual_rep
@@ -141,26 +142,56 @@ def partial_spectra(monkeypatch):
     return maps
 
 
-def test_generic_thermo_response_decomposes_three_maps_once(eig_calls, partial_spectra, tmp_path, capsys):
-    """At D=12: T(1), T(R_x, ua_x) and T(R_z), each by Krylov iteration, no eig of a 144 x 144 map."""
+@pytest.fixture
+def eigenpairs(monkeypatch):
+    """A list of the maps ``transfer_eigenpair`` hands to ``leading_eigenpair``, as bytes."""
+    maps = []
+    leading = transfer.leading_eigenpair
+
+    def recording(m):
+        maps.append(m.tobytes())
+        return leading(m)
+
+    monkeypatch.setattr(transfer, "leading_eigenpair", recording)
+    return maps
+
+
+def test_generic_thermo_response_decomposes_three_maps_once(eig_calls, partial_spectra, eigenpairs, tmp_path, capsys):
+    """At D=12: partial spectra of T(1) and T(R_z) and the leading pair of
+    T(R_x, ua_x), each by Krylov iteration, no eig of a 144 x 144 map."""
     model, _, _ = generic_model(0.3, bond=6)
     lpdo = model.lpdo
     n = lpdo.bond_dim**2
     act_x, act_z = model.action("R_x"), model.action("R_z")
-    maps = {build_transfer(lpdo, op, op_a).tobytes() for op, op_a in ((np.eye(lpdo.d), None), (act_x.u, act_x.ua), (act_z.u, None))}
+    spectra = sorted(build_transfer(lpdo, op).tobytes() for op in (np.eye(lpdo.d), act_z.u))
+    pairs = [build_transfer(lpdo, act_x.u, act_x.ua).tobytes()]
     path = tmp_path / "model.json"
     save_model(model, path)
     assert cli.main(["response", "--model", str(path), "--g1", "R_x", "--g2", "R_z"]) == 0
     assert "snapped: exp(i*pi)" in capsys.readouterr().out
-    assert sorted(partial_spectra) == sorted(maps)
+    assert sorted(partial_spectra) == spectra and eigenpairs == pairs
     assert eig_calls and (n, n) not in eig_calls
     # in one process, a second call on the same model computes nothing new
     partial_spectra.clear()
+    eigenpairs.clear()
     thermo_response(model, "R_x", "R_z")
-    assert sorted(partial_spectra) == sorted(maps)
+    assert sorted(partial_spectra) == spectra and eigenpairs == pairs
     calls = len(eig_calls)
     thermo_response(model, "R_x", "R_z")
-    assert len(eig_calls) == calls and len(partial_spectra) == 3
+    assert len(eig_calls) == calls and len(partial_spectra) == 2 and len(eigenpairs) == 1
+
+
+def test_a_failed_extraction_computes_its_pair_once(eigenpairs):
+    """A random unitary is no symmetry of the tensor: the extraction is refused
+    on every call, and the pair of T(u, ua) it read stays stored."""
+    model = build_aklt_model(0.3)
+    rng = np.random.default_rng(0)
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    bogus = SymmetryAction(element="R_z", u=q, ua=model.action("R_z").ua)
+    for _ in range(2):
+        with pytest.raises(NotSymmetricError, match="twisted leading modulus"):
+            extract_virtual_rep(model.lpdo, bogus)
+    assert eigenpairs == [build_transfer(model.lpdo, q, bogus.ua).tobytes()]
 
 
 @pytest.fixture

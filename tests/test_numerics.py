@@ -1,10 +1,23 @@
+import re
+
 import numpy as np
 import pytest
 
 from weaksym import numerics
 from weaksym.errors import DimensionMismatchError, ValidationError
 from weaksym.model import build_aklt_model
-from weaksym.numerics import DENSE_MAX_ROWS, LEADING_PAIRS, TIE_TOL, ScaledPowers, ldexp, leading_spectrum, rescale, spectral_decompose
+from weaksym.numerics import (
+    DENSE_MAX_ROWS,
+    LEADING_PAIRS,
+    TIE_TOL,
+    ScaledPowers,
+    _whole,
+    ldexp,
+    leading_eigenpair,
+    leading_spectrum,
+    rescale,
+    spectral_decompose,
+)
 from weaksym.transfer import build_transfer, symmetry_gap
 
 from test_generic import generic_model
@@ -339,3 +352,105 @@ def test_rejects_arrays_that_are_not_matrices():
     for m in (np.zeros(3), np.zeros((DENSE_MAX_ROWS + 1,) * 2 + (1,))):
         with pytest.raises(DimensionMismatchError, match="expected a 2D array"):
             leading_spectrum(m)
+
+
+# --- one leading eigenpair ----------------------------------------------------
+
+def assert_is_the_dense_pair(m):
+    lam, right = leading_eigenpair(m)
+    lam0, _, right0 = spectral_decompose(m).leading
+    assert np.array_equal(lam, lam0) and np.array_equal(right, right0)
+
+
+def test_leading_eigenpair_is_the_dense_one_on_every_twisted_map_of_the_family():
+    """T(u_g, ua_g) of every g on the 11-point p-grid, bit for bit."""
+    for p in [i / 10 for i in range(11)]:
+        model = build_aklt_model(p)
+        for g in model.group.labels:
+            act = model.action(g)
+            assert_is_the_dense_pair(build_transfer(model.lpdo, act.u, act.ua))
+
+
+def test_leading_eigenpair_is_the_dense_one_on_random_maps():
+    rng = np.random.default_rng(31)
+    for _ in range(10):
+        assert_is_the_dense_pair(rng.normal(size=(36, 36)) + 1j * rng.normal(size=(36, 36)))
+
+
+@pytest.mark.parametrize("bond", [6, 8])
+@pytest.mark.parametrize("p", [0.2, 0.75])
+def test_leading_eigenpair_matches_dense_on_twisted_maps(monkeypatch, p, bond):
+    """T(u_g, ua_g) of AKLT (x) random MPS at D = 12 and 16, by Arnoldi: no eig of the map itself."""
+    model, _, _ = generic_model(p, bond=bond)
+    lpdo = model.lpdo
+    eig, shapes = np.linalg.eig, []
+    for g in model.group.labels:
+        act = model.action(g)
+        m = build_transfer(lpdo, act.u, act.ua)
+        with monkeypatch.context() as patch:
+            patch.setattr(numerics.np.linalg, "eig", lambda a: shapes.append(a.shape) or eig(a))
+            lam, right = leading_eigenpair(m)
+        lam0, _, right0 = spectral_decompose(m).leading
+        assert abs(lam - lam0) <= 1e-13 * abs(lam0)
+        phase = np.vdot(right, right0)
+        np.testing.assert_allclose(right * phase / abs(phase), right0, atol=1e-12)
+    assert shapes and m.shape not in shapes
+
+
+@pytest.mark.parametrize("reason", ["run-gives-up", "no-restarts-left", "pair-misses"])
+def test_leading_eigenpair_is_the_dense_one_when_arnoldi_gives_up(monkeypatch, reason):
+    m = with_eigenvalues(np.random.default_rng(2), [1.0, -0.8, 0.5], 120)
+    if reason == "run-gives-up":
+        monkeypatch.setattr(numerics, "_arnoldi_run", lambda *args, **kwargs: None)
+    elif reason == "no-restarts-left":
+        monkeypatch.setattr(numerics, "MAX_RESTARTS", 0)
+    else:  # a run that claims a subspace which is not invariant
+        basis = np.eye(len(m), 1, dtype=complex)
+        monkeypatch.setattr(numerics, "_arnoldi_run", lambda *args, **kwargs: (basis, 1.0, 1.0))
+    assert_is_the_dense_pair(m)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_leading_eigenpair_of_a_tie_is_the_first_in_spectrum_order(monkeypatch, seed):
+    """Eigenvalues 1 and -1 tie in modulus. The Arnoldi run converges both, and
+    the pair returned is the first of them in Spectrum order. Which one that
+    is falls to roundoff in the last bits of the two moduli, as it does in a
+    partial spectrum; exact moduli, as a dense eig of a diagonal map gives,
+    put +1 first."""
+    m = with_eigenvalues(np.random.default_rng(seed), [1.0, -1.0, 0.5], 120)
+    eig, solved = np.linalg.eig, []
+    monkeypatch.setattr(numerics.np.linalg, "eig", lambda a: solved.append(eig(a)) or solved[-1])
+    lam, right = leading_eigenpair(m)
+    values = solved[-1][0]  # the Ritz values of the converged subspace
+    assert len(values) == 2 and np.abs(np.sort_complex(values) - [-1, 1]).max() <= 1e-12
+    assert lam == values[numerics._by_modulus(values)[0]]
+    assert np.linalg.norm(m @ right - lam * right) <= 1e-12 * np.linalg.norm(right)
+    monkeypatch.undo()
+    lam, right = leading_eigenpair(np.diag([-1.0, 0.5, 1.0]))
+    assert lam == 1 and np.array_equal(right, [0, 0, 1])
+
+
+def test_leading_eigenpair_is_the_same_on_every_call():
+    m = with_eigenvalues(np.random.default_rng(2), [1.0, -0.8, 0.5], 120)
+    (lam, right), (lam2, right2) = leading_eigenpair(m), leading_eigenpair(m)
+    assert lam == lam2 and right.tobytes() == right2.tobytes()
+
+
+# --- integer range of sizes and lengths ---------------------------------------
+
+@pytest.mark.parametrize(
+    "values, shown",
+    [([2**63], "9223372036854775808"), ([5, 2**64], "18446744073709551616"),
+     ([-(2**63) - 1], "-9223372036854775809"), ([1e19], "1e+19")],
+    ids=["uint64", "past-uint64", "below-int64", "float"],
+)
+def test_whole_refuses_sequences_past_int64(values, shown):
+    with pytest.raises(ValidationError, match=rf"^length in \[-2\^63, 2\^63\), got {re.escape(shown)}$"):
+        _whole(values, "length")
+
+
+def test_whole_keeps_int64_sequences_and_scalars_of_any_size():
+    kept = _whole([2**63 - 1, -(2**63)], "length")
+    assert kept.dtype == np.int64 and kept.tolist() == [2**63 - 1, -(2**63)]
+    assert _whole([3.0, 2.0**62], "length").tolist() == [3, 2**62]
+    assert _whole(10**20, "N") == 10**20

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -158,6 +159,44 @@ def test_extract_rejects_non_symmetry():
     bogus = SymmetryAction(element="R_z", u=q, ua=model.action("R_z").ua)
     with pytest.raises(WeaksymError):
         extract_virtual_rep(model.lpdo, bogus)
+
+
+def law_by_einsum(a4, u, ua, v, theta):
+    """The push-through residual as one six-index contraction per side."""
+    lhs = np.einsum("ij,ab,jbxy->iaxy", u, ua, a4)
+    rhs = np.exp(1j * theta) * np.einsum("xp,iapq,yq->iaxy", v, a4, v.conj())
+    return float(np.linalg.norm(lhs - rhs))
+
+
+@pytest.mark.parametrize("dv", [2, 6, 12])
+def test_law_matches_the_six_index_einsum(dv):
+    """Seeded random tensors, non-unitary u, ua and V, and random theta."""
+    rng = np.random.default_rng(dv)
+    d, da = 3, 4
+
+    def gaussian(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    for _ in range(3):
+        a4, u, ua, v = gaussian(d, da, dv, dv), gaussian(d, d), gaussian(da, da), gaussian(dv, dv)
+        theta = rng.uniform(-np.pi, np.pi)
+        got = verify_transformation_law(LpdoTensor(a4), SymmetryAction("g", u, ua), VirtualRep("g", v), theta)
+        expected = law_by_einsum(a4, u, ua, v, theta)
+        assert abs(got - expected) <= 1e-13 * expected
+
+
+def test_law_refusals_keep_their_text():
+    model = build_aklt_model(0.3)
+    act = model.action("R_z")
+    rep = VirtualRep("R_z", np.eye(2))
+    for bad, text in (
+        (replace(act, u=np.eye(3)[:2]), r"u: expected square, got shape \(2, 3\)"),
+        (replace(act, ua=np.ones(4)), r"ua: expected a 2D array, got shape \(4,\)"),
+    ):
+        with pytest.raises(DimensionMismatchError, match=f"^{text}$"):
+            verify_transformation_law(model.lpdo, bad, rep, theta=0.0)
+    with pytest.raises(DimensionMismatchError, match=r"^v: expected square, got shape \(1, 4\)$"):
+        verify_transformation_law(model.lpdo, act, VirtualRep("R_z", np.ones((1, 4))), theta=0.0)
 
 
 def test_law_rejects_a_representation_of_the_wrong_size():
