@@ -84,10 +84,11 @@ def _fmt_complex(value):
 
 
 def _json_float(value):
+    """A float for JSON: nan and +-inf, which strict JSON cannot hold, become null."""
     if value is None:
         return None
     value = float(value)
-    return None if math.isnan(value) else value
+    return value if math.isfinite(value) else None
 
 
 def _root_label(frac):
@@ -206,7 +207,7 @@ def _sweep_text(rows, fmt):
             for row in rows
         ]
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def cmd_sweep(args):
@@ -237,19 +238,19 @@ def cmd_response(args):
     else:
         result = thermo_response(model, g1, g2)
 
+    label = None if result.snapped is None else _root_label(result.snapped)
     if args.json:
         payload = {
             "value": [_json_float(result.value.real), _json_float(result.value.imag)],
-            "snapped": _root_label(result.snapped) if result.snapped is not None else None,
+            "snapped": label,
             "gap": _json_float(result.gap),
             "mode": result.mode,
             "n_sites": result.n_sites,
             "valid": result.valid,
         }
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload, indent=2, allow_nan=False))
     else:
-        snapped = f" (snapped: {_root_label(result.snapped)})" if result.snapped is not None else ""
-        print(f"value: {_fmt_complex(result.value)}{snapped}")
+        print(f"value: {_fmt_complex(result.value)}" + ("" if label is None else f" (snapped: {label})"))
         print(f"gap: {_fmt(result.gap)}")
         print(f"mode: {result.mode}" + (f" (N={result.n_sites})" if result.n_sites else ""))
     if not result.valid:
@@ -288,17 +289,17 @@ def cmd_string(args):
             "rows": [
                 {
                     "l": int(l),
-                    "raw": [v.real, v.imag],
-                    "normalized": [w.real, w.imag],
+                    "raw": [_json_float(v.real), _json_float(v.imag)],
+                    "normalized": [_json_float(w.real), _json_float(w.imag)],
                 }
                 for l, v, w in rows
             ],
             "fit": None
             if channel is None
-            else {"xi": channel.xi, "residual": channel.floor, "window": "spectrum"},
+            else {"xi": _json_float(channel.xi), "residual": _json_float(channel.floor), "window": "spectrum"},
             "flags": flags,
         }
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     else:
         columns = [map(str, series.lengths.tolist())]
         for values in (series.raw, series.normalized):
@@ -384,7 +385,7 @@ def _build_parser():
     p_str.set_defaults(func=cmd_string)
 
     p_ver = sub.add_parser("verify", help="run the built-in check suite")
-    p_ver.add_argument("level", nargs="?", choices=("tables", "oracle", "all"), default="all")
+    p_ver.add_argument("level", nargs="?", choices=tuple(_verify.LEVELS), default="all")
     p_ver.add_argument("--model", default="aklt", help="built-in family id (aklt) or model JSON path")
     p_ver.set_defaults(func=cmd_verify)
 
@@ -404,13 +405,7 @@ def main(argv=None):
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (
-        GaplessTransferError,
-        UndefinedExponentError,
-        NearDefectiveError,
-        DegenerateSpectrumError,
-        ZeroDivisionError,
-    ) as exc:
+    except (*_NO_EXPONENT, DegenerateSpectrumError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNDEFINED
     except ValueError as exc:  # every refusal of bad input subclasses it

@@ -11,6 +11,8 @@ rely on:
   Matrix Anal. Appl. 23, 601 (2001)) that returns only the largest-modulus
   eigenpairs, at the cost of a few hundred matrix-vector products.
 
+Both return a :class:`Spectrum`: the eigenpairs and what was measured of
+them, the pairing residual and a condition estimate, nothing derived.
 :func:`leading_spectrum` picks between them by the size of the map: the
 full decomposition up to ``DENSE_MAX_ROWS`` rows, Arnoldi above.
 :func:`leading_eigenpair` takes the same two routes to one eigenvalue and
@@ -106,28 +108,33 @@ class Spectrum:
         imaginary part.
     right_vectors : (n, k) complex array, right eigenvectors as columns,
         ordered like ``eigenvalues``.
-    left_vectors : (k, n) complex array, left eigenvectors as rows. When
-        ``biorthonormal`` is set, ``left_vectors @ right_vectors`` is the
-        identity to within 1e-10.
-    biorthonormal : whether the measured pairing residual is below 1e-10.
+    left_vectors : (k, n) complex array, left eigenvectors as rows; the
+        pairing is certified, ``left_vectors @ right_vectors`` the identity,
+        when ``pairing_residual < PAIRING_TOL`` (1e-10) and the spectrum is
+        not ``near_defective``.
     pairing_residual : max |(left_vectors @ right_vectors - 1)_ij|, the
         measured biorthonormality residual.
     condition_estimate : for a full spectrum, the condition number of the
         right eigenvector matrix; for a partial one, the largest Wilkinson
         condition |L_k| |R_k| / |L_k R_k| of the pairs it holds.
-    near_defective : the condition estimate exceeds 1e10, so the left/right
-        pairing cannot be trusted (Jordan-block-like input).
 
-    The arrays are read-only, so one spectrum can be shared between callers.
+    Only measured values are stored; ``near_defective``, ``leading`` and
+    ``complete`` are derived from them. The arrays are read-only, so one
+    spectrum can be shared between callers.
     """
 
     eigenvalues: np.ndarray
     right_vectors: np.ndarray
     left_vectors: np.ndarray
-    biorthonormal: bool
     pairing_residual: float
     condition_estimate: float
-    near_defective: bool
+
+    @property
+    def near_defective(self):
+        """Whether the condition estimate is not finite or exceeds 1/``PAIRING_TOL``
+        (1e10), so the left/right pairing cannot be trusted (Jordan-block-like input)."""
+        condition = self.condition_estimate
+        return not np.isfinite(condition) or condition > 1.0 / PAIRING_TOL
 
     @property
     def leading(self):
@@ -142,21 +149,12 @@ class Spectrum:
 
 def _spectrum(w, right, left, condition):
     """Read-only :class:`Spectrum`, with its pairing residual measured."""
-    near_defective = (not np.isfinite(condition)) or condition > 1.0 / PAIRING_TOL
     pairing = left @ right
     pairing.flat[:: len(w) + 1] -= 1
     residual = float(np.abs(pairing).max())
     for a in (w, right, left):
         a.flags.writeable = False
-    return Spectrum(
-        eigenvalues=w,
-        right_vectors=right,
-        left_vectors=left,
-        biorthonormal=bool(residual < PAIRING_TOL and not near_defective),
-        pairing_residual=residual,
-        condition_estimate=condition,
-        near_defective=bool(near_defective),
-    )
+    return Spectrum(w, right, left, residual, condition)
 
 
 def _by_modulus(w):

@@ -29,37 +29,34 @@ GAP_TOL = 1e-8
 
 @dataclass
 class ResponseResult:
-    """Outcome of a response evaluation.
+    """Outcome of a response evaluation, built by ``_result`` alone.
 
     ``snapped`` is the nearest root of unity as a fraction of 2*pi (e.g.
-    Fraction(1, 2) for -1) when the value lies within the snap tolerance
-    of one, else None. ``mode`` is "thermo" or "finite"; ``n_sites`` is
-    None in thermo mode. ``valid`` is cleared when the value is not a
-    usable phase (a denominator trace that cancels to zero or to roundoff,
-    or a thermo modulus off unity).
+    Fraction(1, 2) for -1) when the value is valid and within the snap
+    tolerance of one, else None. ``n_sites`` is the ring size, None in the
+    thermodynamic limit, and ``mode`` ("finite" or "thermo") follows from it.
+    ``valid`` is cleared when the value is not a usable phase (a denominator
+    trace that cancels to zero or to roundoff, or a thermo modulus off unity).
     """
 
     value: complex
     snapped: Fraction | None
     gap: float
-    mode: str
     n_sites: int | None
     valid: bool
 
+    @property
+    def mode(self):
+        return "thermo" if self.n_sites is None else "finite"
+
 
 def snap_root_of_unity(value, order):
-    """Nearest k/order with |value - e^{2 pi i k / order}| < ``SNAP_TOL``, else None."""
+    """k/order of the root e^{2 pi i k / order} nearest value if within ``SNAP_TOL``, else None."""
     if not np.isfinite(value.real) or not np.isfinite(value.imag):
         return None
-    best = None
-    best_dist = SNAP_TOL
-    for k in range(int(order)):
-        root = np.exp(2j * np.pi * k / order)
-        dist = abs(value - root)
-        if dist < best_dist:
-            best_dist = dist
-            best = Fraction(k, int(order))
-    return best
+    order = int(order)
+    k = round(float(np.angle(value)) * order / (2 * np.pi)) % order
+    return Fraction(k, order) if abs(value - np.exp(2j * np.pi * k / order)) < SNAP_TOL else None
 
 
 def _require_commuting(model, g1, g2):
@@ -93,24 +90,21 @@ def finite_response(model, g1, g2, n_sites):
     # N * D^2 * eps times its size, so a trace within that much of zero has
     # cancelled and no digit of the ratio means anything.
     roundoff = n_sites * power.shape[0] * np.finfo(float).eps * np.abs(np.diagonal(power)).sum()
-    if abs(denominator) <= roundoff:
-        return ResponseResult(
-            value=complex(np.nan, np.nan),
-            snapped=None,
-            gap=gap,
-            mode="finite",
-            n_sites=n_sites,
-            valid=False,
-        )
-    value = numerator / denominator
-    return ResponseResult(
-        value=value,
-        snapped=snap_root_of_unity(value, model.group.order(g1)),
-        gap=gap,
-        mode="finite",
-        n_sites=n_sites,
-        valid=True,
-    )
+    valid = not abs(denominator) <= roundoff
+    value = numerator / denominator if valid else complex(np.nan, np.nan)
+    return _result(model, g1, value, gap, n_sites, valid)
+
+
+def _result(model, g1, value, gap, n_sites=None, valid=None):
+    """The :class:`ResponseResult` of ``value``, a response to the flux of ``g1``.
+
+    ``valid`` defaults to the thermo test, a modulus of 1 within 1e-8; a
+    valid value is snapped to the roots of unity of the order of ``g1``.
+    """
+    if valid is None:
+        valid = bool(abs(abs(value) - 1.0) <= 1e-8)
+    snapped = snap_root_of_unity(value, model.group.order(g1)) if valid else None
+    return ResponseResult(value=value, snapped=snapped, gap=gap, n_sites=n_sites, valid=valid)
 
 
 def _leading_pair(lpdo, spectrum, what):
@@ -151,18 +145,6 @@ def flux_response(model, flux, g2):
     return _pair_value(model.lpdo, twisted_spectrum(model, g2), flux_operator(flux), f"for {g2!r}")
 
 
-def _thermo_result(model, g1, value, gap):
-    valid = bool(abs(abs(value) - 1.0) <= 1e-8)
-    return ResponseResult(
-        value=value,
-        snapped=snap_root_of_unity(value, model.group.order(g1)) if valid else None,
-        gap=gap,
-        mode="thermo",
-        n_sites=None,
-        valid=valid,
-    )
-
-
 def thermo_response(model, g1, g2):
     """Thermodynamic-limit flux response e^{i Q(g1, g2)}.
 
@@ -174,7 +156,7 @@ def thermo_response(model, g1, g2):
     """
     _require_commuting(model, g1, g2)
     rep1, _ = extract_virtual_rep(model.lpdo, model.action(g1))
-    return _thermo_result(model, g1, *flux_response(model, rep1.v, g2))
+    return _result(model, g1, *flux_response(model, rep1.v, g2))
 
 
 def conservation_check(model, g1, g2):
@@ -194,6 +176,6 @@ def conservation_check(model, g1, g2):
     physical = thermo_response(model, g1, g2)
     spectrum = transfer_spectrum(model.lpdo, np.eye(model.lpdo.d), model.action(g2).ua)
     value, gap = _pair_value(model.lpdo, spectrum, flux_operator(rep1.v), f"for {g2!r} on the ancilla")
-    ancilla = _thermo_result(model, g1, value, gap)
+    ancilla = _result(model, g1, value, gap)
     residual = abs(total - physical.value * ancilla.value)
     return float(residual), total, physical, ancilla

@@ -24,7 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .numerics import _as_square
-from .transfer import _insertions, build_transfer, transfer_eigenpair, transfer_spectrum
+from .transfer import _insertions, build_transfer, symmetry_gap, transfer_eigenpair, transfer_spectrum
 
 # Tolerance of the modulus tests of extract_virtual_rep, relative to the
 # leading modulus |lambda_0| of T(1), and of its push-through residual,
@@ -190,12 +190,10 @@ def _extract_virtual_rep(lpdo, act):
     ref = transfer_spectrum(lpdo, np.eye(lpdo.d))
     if ref.near_defective:
         raise NearDefectiveError("untwisted transfer map is near-defective")
-    mods = np.abs(ref.eigenvalues)
-    if dv * dv > 1 and mods[0] - mods[1] <= REP_TOL * mods[0]:
-        raise DegenerateSpectrumError(
-            f"leading transfer eigenvalue degenerate in modulus (gap {mods[0] - mods[1]:.3e})"
-        )
     lam_ref = ref.eigenvalues[0]
+    gap = symmetry_gap(ref)  # inf for D = 1
+    if gap <= REP_TOL * abs(lam_ref):
+        raise DegenerateSpectrumError(f"leading transfer eigenvalue degenerate in modulus (gap {gap:.3e})")
 
     lam, right = transfer_eigenpair(lpdo, act.u, act.ua)
     if abs(abs(lam) - abs(lam_ref)) > REP_TOL * abs(lam_ref):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from test_generic import generic_model
+from test_response import product_state_model
 from test_stringorder import flip_model
 import weaksym
 from weaksym.cli import CSV_HEADER, _build_parser, _fmt, _fmt_column, _json_float, _root_label, main
@@ -312,6 +313,38 @@ def test_overflowed_raw_prints_inf_not_nan(tmp_path, capsys):
     assert code == 0 and err == "" and "nan" not in out
     rows = [line.split(",") for line in out.splitlines()[1:-1]]
     assert rows[38][1] != "inf" and rows[39][:3] == ["39", "inf", "0"] and rows[40][:3] == ["40", "-inf", "0"]
+
+
+def strict_json(text):
+    """json.loads refusing the NaN, Infinity and -Infinity tokens that JSON does not have."""
+
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_overflowed_raw_prints_null_in_json(tmp_path, capsys):
+    model = build_aklt_model(0.2)
+    path = tmp_path / "scaled.json"
+    save_model(replace(model, lpdo=LpdoTensor(model.lpdo.tensor * 1e4)), path)
+    argv = ("string", "--model", str(path), "--g2", "R_z", "--chi", "sx", "--l-max", "60", "--format", "json")
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    rows = strict_json(out)["rows"]
+    assert rows[38]["raw"][0] is not None and rows[39]["raw"] == [None, 0.0]
+    assert sum(v is None for row in rows for v in row["raw"] + row["normalized"]) == 22
+
+
+def test_infinite_gap_prints_null_in_json(tmp_path, capsys):
+    path = tmp_path / "product.json"
+    save_model(product_state_model(), path)
+    code, out, err = run(capsys, "response", "--model", str(path), "--g1", "g", "--g2", "g", "--json")
+    assert code == 0 and err == ""
+    doc = strict_json(out)
+    assert doc["gap"] is None and doc["value"] == [1.0, 0.0] and doc["snapped"] == "1" and doc["valid"]
+    code, out, _ = run(capsys, "response", "--model", str(path), "--g1", "g", "--g2", "g")
+    assert code == 0 and "gap: inf\n" in out
 
 
 VERIFY_TOL_POWERS = {"actions": (1e-8, 1), "commutants": (1e-10, 2), "conservation": (1e-8, 0), "oracle": (1e-10, 6)}
@@ -652,6 +685,7 @@ def test_fmt_prints_nan_and_seventeen_digits():
     assert _fmt(-float("nan")) == "nan"
     assert _fmt(0.1) == "0.10000000000000001"
     assert _json_float(np.nan) is None and _json_float(None) is None
+    assert _json_float(np.inf) is None and _json_float(-np.inf) is None
     assert _json_float(np.float64(0.5)) == 0.5
 
 

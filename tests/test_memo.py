@@ -260,7 +260,7 @@ def _snapshot(lpdo, model):
             out.append(build_transfer(lpdo, op, op_a).tobytes())
             spectrum = transfer_spectrum(lpdo, op, op_a)
             out += [a.tobytes() for a in (spectrum.eigenvalues, spectrum.right_vectors, spectrum.left_vectors)]
-            out += [spectrum.condition_estimate, spectrum.biorthonormal, spectrum.near_defective]
+            out += [spectrum.condition_estimate, spectrum.pairing_residual < numerics.PAIRING_TOL, spectrum.near_defective]
         rep, theta = extract_virtual_rep(lpdo, act)
         out += [rep.element, rep.v.tobytes(), rep.residual, theta]
     return out

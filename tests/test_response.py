@@ -5,15 +5,16 @@ import numpy as np
 import pytest
 
 from weaksym.errors import GaplessTransferError, NonCommutingError, ValidationError
-from weaksym.model import build_aklt_model
+from weaksym.model import LpdoTensor, Model, build_aklt_model
 from weaksym.response import (
+    SNAP_TOL,
     conservation_check,
     finite_response,
     flux_response,
     snap_root_of_unity,
     thermo_response,
 )
-from weaksym.symmetry import GroupTable
+from weaksym.symmetry import GroupTable, SymmetryAction, extract_virtual_rep
 
 
 def test_snap_exact_roots():
@@ -26,6 +27,62 @@ def test_snap_tolerance():
     assert snap_root_of_unity(-1.0 + 1e-9, 2) == Fraction(1, 2)
     assert snap_root_of_unity(-0.99, 2) is None
     assert snap_root_of_unity(np.exp(2j * np.pi / 3), 4) is None
+
+
+def snap_by_loop(value, order):
+    """The nearest of all ``order`` roots within ``SNAP_TOL``, by trying each in turn."""
+    if not np.isfinite(value.real) or not np.isfinite(value.imag):
+        return None
+    best, best_dist = None, SNAP_TOL
+    for k in range(order):
+        dist = abs(value - np.exp(2j * np.pi * k / order))
+        if dist < best_dist:
+            best, best_dist = Fraction(k, order), dist
+    return best
+
+
+def test_snap_matches_the_loop_over_all_roots():
+    """Around every root of orders 1-12 (offsets from 0 to 0.5, both sides of
+    ``SNAP_TOL``), at random values, and at -1 with a +0 or -0 imaginary part."""
+    rng = np.random.default_rng(20)
+    radii = [0.0, 1e-15, 1e-9, 5e-7, 0.999e-6, 1e-6, 1.001e-6, 2e-6, 1e-3, 0.1, 0.5]
+    for order in range(1, 13):
+        roots = np.exp(2j * np.pi * np.arange(order) / order)
+        offsets = np.outer(radii, np.exp(2j * np.pi * rng.random(6))).ravel()
+        values = np.concatenate([(roots[:, None] + offsets).ravel(), rng.normal(size=200) + 1j * rng.normal(size=200)])
+        values = [*values.tolist(), complex(-1.0, 0.0), complex(-1.0, -0.0), -1.0]
+        for value in values:
+            assert snap_root_of_unity(value, order) == snap_by_loop(value, order), (value, order)
+
+
+def product_state_model():
+    """D = 1: (|0> + |1>)/sqrt(2) on every site, da = 1, and Z2 acting as sigma_x."""
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    actions = {"e": SymmetryAction("e", np.eye(2), np.eye(1)), "g": SymmetryAction("g", x, np.eye(1))}
+    tensor = np.full((2, 1, 1, 1), 2**-0.5, dtype=complex)
+    return Model(LpdoTensor(tensor), GroupTable(("e", "g"), (("e", "g"), ("g", "e"))), actions)
+
+
+def test_product_state_has_an_infinite_gap_and_unit_response():
+    """T(1) has one eigenvalue, so its symmetry gap is inf and extraction finds no degeneracy."""
+    model = product_state_model()
+    rep, theta = extract_virtual_rep(model.lpdo, model.action("g"))
+    assert rep.v.tolist() == [[1]] and abs(theta) < 1e-15
+    res = thermo_response(model, "g", "g")
+    assert abs(res.value - 1) < 1e-15 and res.gap == np.inf and res.valid and res.snapped == 0
+    res = finite_response(model, "g", "g", 7)
+    assert abs(res.value - 1) < 1e-15 and res.valid and res.snapped == 0
+
+
+def test_mode_follows_from_each_construction():
+    model = build_aklt_model(0.3)
+    thermo = thermo_response(model, "R_x", "R_z")
+    finite = finite_response(model, "R_x", "R_z", 20)
+    cancelled = finite_response(build_aklt_model(0.5), "R_y", "R_z", 9)
+    ancilla = conservation_check(model, "R_x", "R_z")[3]
+    assert (thermo.mode, thermo.n_sites, ancilla.mode, ancilla.n_sites) == ("thermo", None, "thermo", None)
+    assert (finite.mode, finite.n_sites, cancelled.mode, cancelled.n_sites) == ("finite", 20, "finite", 9)
+    assert not cancelled.valid and cancelled.snapped is None
 
 
 def test_finite_response_low_noise():
