@@ -18,6 +18,9 @@ full decomposition up to ``DENSE_MAX_ROWS`` rows, Arnoldi above.
 :func:`leading_eigenpair` takes the same two routes to one eigenvalue and
 its right vector only: a bare ``eig``, or one Arnoldi run for one pair.
 
+:class:`ScaledPowers` holds powers m^n as mantissa * 2**exponent, so they
+neither under- nor overflow; many of them come from one GEMM per bit level.
+
 This module is the only place a non-Hermitian eigenproblem is solved.
 """
 
@@ -33,10 +36,25 @@ PAIRING_TOL = 1e-10
 # multiplied when the sum of its squared moduli leaves [2^-800, 2^800], so
 # no product of two factors leaves the normal range of doubles.
 _SQUARE_NORM_RANGE = (2.0**-800, 2.0**800)
-# ScaledPowers.powers stacks its products from this many powers up. Each
-# stacked bit level costs about ten numpy calls, so for fewer powers the
-# per-length loop of ScaledPowers.power is faster.
+# ScaledPowers.powers stacks its products from this many powers up. A
+# stacked bit level costs about ten numpy calls (one GEMM) however many
+# powers it holds; the per-length loop of ScaledPowers.power costs a few
+# small products per power. Timed on one BLAS thread for 1-16 powers below
+# 2^12, consecutive or random: at D = 2 the stacked path wins from 6
+# (consecutive) or 10 (random) powers on, and 11 powers take 394 us looped
+# against 200 us stacked; at D = 6, where arithmetic outweighs the calls,
+# the loop is faster at 31 of the 32 points (12 random powers: 0.92 against
+# 1.46 ms). No one count suits both; 12 is kept.
 MIN_STACKED_POWERS = 12
+# A double's binary exponent lies in [-1074, 1024), so past this shift a
+# finite nonzero value is 0 or inf whatever its mantissa.
+LDEXP_LIMIT = 2**12
+# m^n carries a binary exponent below 2^(bit_length(n) + 12) in modulus,
+# whatever m: a squaring doubles it and a rescale adds at most 1074. So the
+# powers below this keep theirs inside +-2^60, with room for a caller to
+# rescale and add two and a shift, and ScaledPowers.powers keeps them in
+# int64; from here on it keeps Python ints.
+INT64_POWERS = 2**48
 # Maps of up to this many rows (bond dimension D <= 10) are decomposed in
 # full, larger ones by Arnoldi. Measured per map on one BLAS thread: at 100
 # rows Arnoldi is faster on AKLT x random-MPS maps (7 vs 10 ms) but slower
@@ -373,8 +391,16 @@ def leading_eigenpair(m):
 
 
 def ldexp(z, exponent):
-    """z * 2**exponent for complex z, elementwise; exact in the normal range."""
+    """z * 2**exponent for complex z, elementwise; exact in the normal range.
+
+    ``exponent`` may hold Python ints of any size (an object array): beyond
+    +-``LDEXP_LIMIT`` every finite z * 2**exponent is 0 or +-inf, so they
+    are clipped there before they meet int64.
+    """
     z = np.asarray(z, dtype=complex)
+    exponent = np.asarray(exponent)
+    if exponent.dtype == object:
+        exponent = np.clip(exponent, -LDEXP_LIMIT, LDEXP_LIMIT).astype(np.int64)
     out = np.empty_like(z)
     out.real = np.ldexp(z.real, exponent)
     out.imag = np.ldexp(z.imag, exponent)
@@ -391,8 +417,9 @@ def rescale(m, exponent):
     range test and one exponent shift per matrix, all in one pass.
 
     ``np.frexp`` returns int32 shifts; they join the exponent as a Python
-    int for one matrix and as int64 for a stack, so exponents that pass
-    2^31 (powers of a ring of billions of sites) do not wrap.
+    int for one matrix and as the stack's exponent array (int64, or Python
+    ints in an object array) for a stack, so exponents that pass 2^31
+    (powers of a ring of billions of sites) do not wrap.
     """
     low, high = _SQUARE_NORM_RANGE
     # frexp(0) has exponent 0, so a zero matrix keeps its scale.
@@ -411,6 +438,12 @@ def rescale(m, exponent):
     return ldexp(m, -shift[:, None, None]), exponent + shift
 
 
+def _zero_exponents(count, largest):
+    """Zero exponents for ``count`` powers up to ``largest``: int64 below
+    ``INT64_POWERS``, else Python ints in an object array."""
+    return np.zeros(count, dtype=int if largest < INT64_POWERS else object)
+
+
 class ScaledPowers:
     """Powers m^n = mantissa * 2**exponent of one square matrix.
 
@@ -424,12 +457,15 @@ class ScaledPowers:
     wherever that stays clear of the subnormal range, and it neither under-
     nor overflows where the plain power would.
 
-    :meth:`powers` builds many powers at once: one stacked product per bit
-    level for every n with that bit set, so a series of lengths costs about
-    log2(max n) numpy calls instead of one Python-level product per factor.
-    Fewer than ``MIN_STACKED_POWERS`` powers are cheaper one at a time and
-    go through :meth:`power`. Either way each power is bit-identical to
-    :meth:`power` of the same n.
+    :meth:`powers` builds many powers at once. Per bit level, the stack of
+    every n with that bit set is multiplied by its table factor as one
+    (rows * d, d) GEMM, so a series of lengths costs about log2(max n) BLAS
+    calls (a stacked ``matmul`` would make one per matrix) instead of one
+    Python-level product per factor. Fewer than ``MIN_STACKED_POWERS``
+    powers are cheaper one at a time and go through :meth:`power`. Either
+    way each power is bit-identical to :meth:`power` of the same n, and its
+    exponent is exact: a Python int for one power, and for many an int64
+    array below n = ``INT64_POWERS``, else an object array of Python ints.
     """
 
     def __init__(self, m):
@@ -467,27 +503,36 @@ class ScaledPowers:
         return result
 
     def powers(self, ns):
-        """(mantissas (k, d, d), exponents (k,)): :meth:`power` of each n in ns."""
+        """(mantissas (k, d, d), exponents (k,)): :meth:`power` of each n in ns.
+
+        The exponents are int64 for n below ``INT64_POWERS`` and Python ints
+        in an object array from there: they never wrap.
+        """
         ns = _whole(ns, "power must be a nonnegative integer")
         dim = len(self._squares[0][0])
         mantissa = np.empty((len(ns), dim, dim), dtype=complex)
-        exponent = np.zeros(len(ns), dtype=int)
         if len(ns) < MIN_STACKED_POWERS:
-            for i, n in enumerate(ns.tolist()):
+            values = ns.tolist()
+            exponent = _zero_exponents(len(values), max(values, default=0))
+            for i, n in enumerate(values):
                 mantissa[i], exponent[i] = self.power(n)
             return mantissa, exponent
         if ns.min() < 0:
             raise ValidationError(f"power must be a nonnegative integer, got {ns.min()}")
         mantissa[...] = np.eye(dim)
-        top = int(ns.max()).bit_length()
+        largest = int(ns.max())
+        top = largest.bit_length()
         self._extend(top - 1)
+        exponent = _zero_exponents(len(ns), largest)
         three = ns == 3
         if three.any():  # matrix_power's shortcut (m @ m) @ m
             (z2, e2), (z, e) = self._factors[1], self._factors[0]
             mantissa[three], exponent[three] = z2 @ z, e2 + e
             ns = np.where(three, 0, ns)
         # The lowest set bit of n takes its table entry as it is; every
-        # higher one multiplies in a rescaled factor.
+        # higher one multiplies in a rescaled factor, the whole stack at once
+        # as one (rows * d, d) GEMM: each entry keeps the sum of a d x d
+        # product, where a stacked matmul would make one BLAS call per matrix.
         lowest, higher = ns & -ns, ns & (ns - 1)
         starts = int(np.bitwise_or.reduce(lowest))
         multiplies = int(np.bitwise_or.reduce(higher))
@@ -499,6 +544,6 @@ class ScaledPowers:
                 rows = (higher >> k & 1).astype(bool)
                 r, er = rescale(mantissa[rows], exponent[rows])
                 z, e = self._factors[k]
-                mantissa[rows], exponent[rows] = r @ z, er + e
+                mantissa[rows], exponent[rows] = (r.reshape(-1, dim) @ z).reshape(r.shape), er + e
         return mantissa, exponent
 

@@ -14,12 +14,14 @@ a time. Every series comes normalized.
 
 A series over many lengths carries its scale instead of forming values that
 under- or overflow: the thermodynamic series is one running row vector
-x_{l+1} = x_l T(g2)/|lambda_0| across the lengths, and ring series take every
-power, the envelope Tr T(g2)^N included, from the model's one table of
-repeated squarings per map (:func:`~weaksym.transfer.transfer_powers`), all
-lengths at once: one stacked product per bit level, so a series of thousands
-of lengths costs about log2(N) numpy calls per map rather than a
-Python-level product per factor.
+x_{l+1} = x_l T(g2)/|lambda_0| across the lengths, each row written in place
+from the one before, and ring series take every power, the envelope
+Tr T(g2)^N included, from the model's one table of repeated squarings per map
+(:func:`~weaksym.transfer.transfer_powers`), all lengths at once: one GEMM
+per bit level over the whole stack, so a series of thousands of lengths costs
+about log2(N) BLAS calls per map rather than one per matrix, or a
+Python-level product per factor. The chain T_chiL m2 T_chiR m1 takes its
+stack-times-T_chiR step as one GEMM too.
 
 The decay exponent is not fitted to a series. Expanding T(g2) in its own
 eigenpairs makes the thermodynamic string a finite sum of geometric channels,
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NearDefectiveError, UndefinedExponentError, ValidationError
-from .numerics import _whole, ldexp, rescale
+from .numerics import _whole, _zero_exponents, ldexp, rescale
 from .transfer import build_transfer, transfer_powers, transfer_spectrum, twisted_spectrum
 from .response import _leading_pair
 
@@ -62,7 +64,9 @@ class StringOrderSeries:
     The scale the evaluation carried is kept alongside ``raw``:
     ``raw = mantissa * base**lengths * 2**exponent``, where ``base`` is
     |lambda_0(T(g2))| for a thermodynamic series and 1 on a ring, and
-    ``exponent`` is an integer array (zero in the thermodynamic limit).
+    ``exponent`` is an integer array (zero in the thermodynamic limit; on a
+    ring of N >= ``numerics.INT64_POWERS`` sites, Python ints in an object
+    array).
     Where only the envelope is below the range of doubles, ``raw``
     underflows but ``mantissa`` and ``normalized`` do not; above it, ``raw``
     is +-inf and a zero part of the mantissa stays zero.
@@ -147,16 +151,7 @@ def string_order_series(model, g2, chi_l, chi_r, lengths, n_sites=None):
         step = build_transfer(lpdo, u2) / base
         x, end = left @ tl, tr @ right
         distinct, where = np.unique(lengths, return_inverse=True)
-        rows = np.empty((len(distinct), len(x)), dtype=complex)
-        at = 0
-        for i, l in enumerate(distinct.tolist()):
-            if l == at + 1:
-                x = x @ step
-            elif l > at:
-                x = x @ np.linalg.matrix_power(step, l - at)
-            at = l
-            rows[i] = x
-        mantissa = ((rows @ end) / norm)[where]
+        mantissa = ((_carried_rows(x, step, distinct.tolist()) @ end) / norm)[where]
         exponent = np.zeros(len(lengths), dtype=int)
         with np.errstate(over="ignore", invalid="ignore"):
             raw = mantissa * base ** lengths.astype(float)
@@ -175,13 +170,13 @@ def string_order_series(model, g2, chi_l, chi_r, lengths, n_sites=None):
         if charge == 0.0:
             raise ZeroDivisionError("Tr[rho U_g2] vanishes; normalization undefined")
         mantissa = np.empty(len(lengths), dtype=complex)
-        exponent = np.empty(len(lengths), dtype=int)
+        exponent = _zero_exponents(len(lengths), n_sites)
         step = max(1, MAX_STACK_ENTRIES // tl.size)
         for at in range(0, len(lengths), step):
             chunk = slice(at, at + step)
             m2, e2 = rescale(*powers2.powers(lengths[chunk]))
             m1, e1 = rescale(*powers1.powers(n_sites - 2 - lengths[chunk]))
-            mantissa[chunk] = (tl @ m2 @ tr @ m1).trace(axis1=1, axis2=2)
+            mantissa[chunk] = _ring_traces(tl, m2, tr, m1)
             exponent[chunk] = e2 + e1
         base = 1.0
         raw = ldexp(mantissa, exponent)
@@ -191,7 +186,9 @@ def string_order_series(model, g2, chi_l, chi_r, lengths, n_sites=None):
         product = lengths.astype(object) * envelope_exp
         shift, rest = product // n_sites, product % n_sites
         factors = charge ** (lengths / n_sites) * 2.0 ** (rest.astype(float) / n_sites)
-        normalized = ldexp(mantissa / factors, exponent - shift.astype(np.int64))
+        # |shift| <= |envelope_exp|: like every exponent here, it fits int64
+        # below N = INT64_POWERS (so exponent is int64) and is a Python int above.
+        normalized = ldexp(mantissa / factors, exponent - shift.astype(exponent.dtype))
     return StringOrderSeries(
         lengths=lengths,
         raw=raw,
@@ -201,6 +198,34 @@ def string_order_series(model, g2, chi_l, chi_r, lengths, n_sites=None):
         base=base,
         exponent=exponent,
     )
+
+
+def _carried_rows(x, step, lengths):
+    """Rows x step^l for increasing lengths l >= 0, each carried from the one
+    before and written in place: bit for bit the rows of ``x = x @ step``."""
+    rows = np.empty((len(lengths), len(x)), dtype=complex)
+    at = 0
+    for l, row in zip(lengths, rows):
+        if l == at + 1:
+            np.dot(x, step, out=row)
+        elif l > at:
+            np.dot(x, np.linalg.matrix_power(step, l - at), out=row)
+        else:  # l = 0
+            row[:] = x
+        x, at = row, l
+    return rows
+
+
+def _ring_traces(tl, m2, tr, m1):
+    """Tr[tl m2_i tr m1_i] over two stacks, bit for bit ``(tl @ m2 @ tr @ m1).trace``.
+
+    The stack times ``tr`` is one (k * n, n) GEMM, which sums each entry as
+    the stacked matmul does in one call per matrix. ``tl @`` a stack and a
+    stack times a stack stay stacked: the first rounds differently as one
+    GEMM (9 x 9 maps), the second has no one-GEMM form.
+    """
+    chain = (tl @ m2).reshape(-1, len(tr)) @ tr
+    return (chain.reshape(m2.shape) @ m1).trace(axis1=1, axis2=2)
 
 
 def decay_channel(model, g2, chi_l, chi_r):

@@ -208,3 +208,166 @@ def test_ring_length_check_names_the_first_offending_length():
         string_order_series(model, "R_z", OPS["S_y"], OPS["S_y"], [3, 9, -1, 12], n_sites=10)
     with pytest.raises(ValueError, match=r"got l=-1, N=10"):
         string_order_series(model, "R_z", OPS["S_y"], OPS["S_y"], [0, -1, 9], n_sites=10)
+
+
+# --- one GEMM per bit level -------------------------------------------------
+
+# Map sizes n = D^2 for D = 1, 2, 3, 6, 12, and stack sizes around
+# MIN_STACKED_POWERS. A stack of more than MAX_STACK_ENTRIES entries, which a
+# ring series never builds, is left out (1,001 maps of 36 x 36 or 144 x 144).
+MAP_SIZES = (1, 4, 9, 36, 144)
+STACKS = (1, 11, 12, 13, 1001)
+GEMM_CASES = [
+    pytest.param(n, count, id=f"n{n}-k{count}")
+    for n in MAP_SIZES
+    for count in STACKS
+    if n * n * count <= stringorder.MAX_STACK_ENTRIES
+]
+
+
+def random_map(rng, n, radius):
+    """Seeded complex Gaussian n x n map scaled to spectral radius ``radius``."""
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return m * (radius / np.abs(np.linalg.eigvals(m)).max())
+
+
+def stacked_matmul_powers(m, ns):
+    """The stacked powers as they were built before the one-GEMM product: at
+    each bit level one stacked ``r @ z``, which makes one BLAS call per matrix."""
+    table = PerLengthPowers(m)
+    ns = np.array(ns, dtype=np.int64)
+    table.power(int(ns.max()))  # fills the table up to the top bit
+    mantissa = np.broadcast_to(np.eye(len(m), dtype=complex), (len(ns),) + m.shape).copy()
+    exponent = np.zeros(len(ns), dtype=np.int64)
+    three = ns == 3
+    if three.any():
+        (z2, e2), (z, e) = table.factors[1], table.factors[0]
+        mantissa[three], exponent[three] = z2 @ z, e2 + e
+    ns = np.where(three, 0, ns)
+    for k in range(int(ns.max()).bit_length()):
+        first = (ns & -ns) == 1 << k
+        mantissa[first], exponent[first] = table.squares[k]
+        later = (ns & (ns - 1)) >> k & 1 == 1
+        if later.any():
+            r, er = rescale(mantissa[later], exponent[later])
+            z, e = table.factors[k]
+            mantissa[later], exponent[later] = r @ z, er + e
+    return mantissa, exponent
+
+
+@pytest.mark.parametrize("n, count", GEMM_CASES)
+def test_stacked_powers_match_power_and_the_stacked_matmul(n, count, monkeypatch):
+    """Powers up to 699 far below and far above the double range (spectral
+    radius 0.3 and 3), on the default path and forced onto the stacked one."""
+    rng = np.random.default_rng(n * 10_000 + count)
+    ns = rng.integers(0, 700, size=count)
+    ns[0] = 699
+    ns[1:6] = [3, 0, 1, 2, 512][: count - 1]
+    for radius in (0.3, 3.0):
+        m = random_map(rng, n, radius)
+        old_mantissa, old_exponent = stacked_matmul_powers(m, ns)
+        for threshold in (numerics.MIN_STACKED_POWERS, 1):
+            monkeypatch.setattr(numerics, "MIN_STACKED_POWERS", threshold)
+            powers = ScaledPowers(m)
+            mantissa, exponent = powers.powers(ns)
+            assert exponent.dtype == np.int64
+            assert np.array_equal(mantissa, old_mantissa) and np.array_equal(exponent, old_exponent)
+            for i, power in enumerate(ns.tolist()):
+                single, single_exponent = powers.power(power)
+                assert np.array_equal(mantissa[i], single) and exponent[i] == single_exponent
+
+
+@pytest.mark.parametrize("n, count", GEMM_CASES)
+def test_ring_traces_match_the_stacked_chain(n, count):
+    rng = np.random.default_rng(n * 10_000 + count + 1)
+    tl, tr = random_map(rng, n, 1.0), random_map(rng, n, 1.0)
+    m2, m1 = (rng.normal(size=(2, count, n, n)) + 1j * rng.normal(size=(2, count, n, n))) / n
+    expected = (tl @ m2 @ tr @ m1).trace(axis1=1, axis2=2)
+    assert np.array_equal(stringorder._ring_traces(tl, m2, tr, m1), expected)
+
+
+@pytest.mark.parametrize("n", MAP_SIZES)
+def test_carried_rows_match_the_vector_recurrence(n):
+    """Consecutive lengths, gaps, a start above 0 and one length, against
+    ``x = x @ step`` (and ``x @ step^gap`` across a gap)."""
+    rng = np.random.default_rng(n)
+    step = random_map(rng, n, 0.9)
+    start = rng.normal(size=n) + 1j * rng.normal(size=n)
+    for lengths in (list(range(1001)), [0, 1, 2, 5, 6, 40, 41, 300], [3, 4, 9], [7], []):
+        expected, x, at = [], start, 0
+        for l in lengths:
+            if l > at:
+                x = x @ (step if l == at + 1 else np.linalg.matrix_power(step, l - at))
+            at = l
+            expected.append(x)
+        rows = stringorder._carried_rows(start, step, lengths)
+        assert rows.shape == (len(lengths), n)
+        assert np.array_equal(rows, np.reshape(expected, rows.shape))
+
+
+@pytest.mark.parametrize("bond", [1, 3, 6], ids=["D2", "D6", "D12"])
+def test_generic_ring_series_across_a_chunk_boundary(bond):
+    """Generic ring series against the per-length loop, across chunks
+    unpatched: a chunk holds 809 lengths at D = 6, so 1,001 lengths cross
+    one boundary, and 50 at D = 12, so 80 lengths cross one; at D = 2 all
+    1,001 fit in one chunk."""
+    model, _, _ = generic_model(0.3, bond=bond)
+    lengths = list(range(0, 2002, 2)) if bond < 6 else list(range(0, 160, 2))
+    series = string_order_series(model, "R_z", OPS["S_y"], OPS["S_y"], lengths, n_sites=2003)
+    mantissa, exponent = per_length_ring(model, "R_z", OPS["S_y"], lengths, 2003)
+    assert series.exponent.dtype == np.int64
+    assert np.array_equal(series.mantissa, mantissa) and np.array_equal(series.exponent, exponent)
+
+
+# --- exponents past int64 ---------------------------------------------------
+
+def exact_log2(mantissa, exponent):
+    """log2 of a power of two held as mantissa * 2**exponent, as a Python int."""
+    fraction, shift = math.frexp(mantissa.real)
+    assert fraction == 0.5 and mantissa.imag == 0
+    return shift - 1 + exponent
+
+
+@pytest.mark.parametrize("count", [3, 12], ids=["loop", "stacked"])
+def test_exponents_past_int64_are_python_ints(count):
+    """(2^-1020)^n = 2^(-1020 n): past n = 9.04e15 that exponent leaves int64.
+    The stacked path once wrapped it to about +9.16e18 without an error, and
+    the loop ended in an OverflowError."""
+    powers = ScaledPowers(np.array([[2.0**-1020]]))
+    ns = [9_100_000_000_000_000 + i for i in range(count)]
+    mantissa, exponent = powers.powers(ns)
+    assert exponent.dtype == object
+    for n, m, e in zip(ns, mantissa, exponent):
+        single, single_exponent = powers.power(n)
+        assert type(e) is int and e == single_exponent and np.array_equal(m, single)
+        assert exact_log2(m[0, 0], e) == -1020 * n
+
+
+@pytest.mark.parametrize("count", [3, 12], ids=["loop", "stacked"])
+def test_exponents_keep_int64_below_the_bound(count):
+    """The same map on both sides of ``INT64_POWERS``, from which exponents
+    are Python ints: exact on both, int64 below it."""
+    assert numerics.INT64_POWERS == 2**48
+    powers = ScaledPowers(np.array([[2.0**-1020]]))
+    for top, dtype in ((2**48 - 1, np.int64), (2**48 + count, object)):
+        ns = [top - i for i in range(count)]
+        mantissa, exponent = powers.powers(ns)
+        assert exponent.dtype == dtype
+        for n, m, e in zip(ns, mantissa, exponent):
+            assert exact_log2(m[0, 0], int(e)) == -1020 * n
+
+
+def test_ring_series_past_int64_exponents_match_on_both_paths():
+    """A ring of N = 2^63 - 1 sites: T(R_z)^l has a binary exponent near
+    -1.0e19 at p = 0.6. One length takes the loop, sixteen the stacked path;
+    both give the normalized value of the same string at N = 10^6."""
+    model = build_aklt_model(0.6)
+    sy = OPS["S_y"]
+    n_sites = 2**63 - 1
+    one = string_order_series(model, "R_z", sy, sy, [n_sites - 2], n_sites=n_sites)
+    many = string_order_series(model, "R_z", sy, sy, range(n_sites - 17, n_sites - 1), n_sites=n_sites)
+    small = string_order_series(model, "R_z", sy, sy, [10**6 - 2], n_sites=10**6)
+    assert one.exponent.dtype == many.exponent.dtype == object
+    assert one.exponent[0] < -(2**63)
+    assert one.normalized[0] == many.normalized[-1] == small.normalized[0]
+    assert one.raw[0] == 0 and np.all(np.isfinite(many.normalized))

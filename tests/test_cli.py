@@ -882,3 +882,54 @@ def test_ring_strings_past_int64_sites_are_refused(capsys):
     per_state = ldexp(ring.mantissa / np.trace(mantissa), ring.exponent - exponent)
     thermo = string_order_series(model, "R_z", sy, sy, [48, 49, 50])
     np.testing.assert_allclose(per_state, thermo.raw, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("l_min", [2**63 - 3, 2**63 - 18], ids=["loop", "stacked"])
+def test_ring_strings_with_exponents_past_int64_print_their_value(capsys, l_min):
+    """At N = 2^63 - 1 and p = 0.6, T(R_z)^l has a binary exponent near -1.0e19.
+    One length (the per-length loop) ended in an OverflowError traceback, and
+    sixteen (the stacked path) did too. Both print the normalized value of
+    the same string at N = 10^6."""
+    n_sites = 2**63 - 1
+    argv = ["string", "--p", "0.6", "--g2", "R_z", "--chi", "sy", "--sites", str(n_sites)]
+    code, out, err = run(capsys, *argv, "--l-min", str(l_min), "--l-max", str(n_sites - 2))
+    assert (code, err) == (0, "")
+    rows = out.splitlines()[1:-1]
+    assert len(rows) == n_sites - 1 - l_min
+    _, small, _ = run(capsys, *argv[:-1], str(10**6), "--l-min", str(10**6 - 2), "--l-max", str(10**6 - 2))
+    assert rows[-1] == f"{n_sites - 2},-0,0,-0.071111111111111083,0"
+    assert rows[-1].split(",")[1:] == small.splitlines()[1].split(",")[1:]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--p", "0.3", "--chi", "sy", "--sites", "1200", "--l-min", "0", "--l-max", "20"],
+        ["--p", "0.75", "--chi", "sx", "--l-min", "0", "--l-max", "2000"],
+        ["--chi", "sy", "--sites", "1200", "--l-min", "0", "--l-max", "1000"],
+    ],
+    ids=["ring-21", "thermo-2001", "ring-1001-D6"],
+)
+def test_string_bytes_do_not_depend_on_the_blas_thread_count(argv, tmp_path):
+    """BLAS may split one stacked GEMM across threads; each entry's sum must not
+    change when it does. The D = 6 ring stacks 809 maps of 36 x 36 per GEMM."""
+    if "--p" not in argv:
+        path = tmp_path / "model.json"
+        save_model(generic_model(0.3)[0], path)
+        argv = ["--model", str(path), *argv]
+    src = str(Path(weaksym.__file__).parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            OMP_NUM_THREADS=threads,
+            OPENBLAS_NUM_THREADS=threads,
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "weaksym", "string", "--g2", "R_z", *argv],
+            capture_output=True, env=env, timeout=120,
+        )
+        outputs.append((done.returncode, done.stdout, done.stderr))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0 and outputs[0][1].count(b"\n") > 20
