@@ -25,6 +25,7 @@ This module is the only place a non-Hermitian eigenproblem is solved.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +33,9 @@ from .errors import DimensionMismatchError, ValidationError
 
 # Largest certified pairing residual; 1/PAIRING_TOL bounds the eigenvector condition.
 PAIRING_TOL = 1e-10
+# Eigenvalues within this much of each other, relative to the leading
+# modulus, are one cluster: one eigenspace, however eig's basis splits it.
+CLUSTER_TOL = 1e-12
 # A factor of a scaled product is rescaled by a power of two before it is
 # multiplied when the sum of its squared moduli leaves [2^-800, 2^800], so
 # no product of two factors leaves the normal range of doubles.
@@ -132,13 +136,14 @@ class Spectrum:
         not ``near_defective``.
     pairing_residual : max |(left_vectors @ right_vectors - 1)_ij|, the
         measured biorthonormality residual.
-    condition_estimate : for a full spectrum, the condition number of the
-        right eigenvector matrix; for a partial one, the largest Wilkinson
-        condition |L_k| |R_k| / |L_k R_k| of the pairs it holds.
+    condition_estimate : the largest Wilkinson condition
+        |L_k| |R_k| / |L_k R_k| of the pairs held, on either path (never
+        above cond(R), which depends on the basis eig picks inside an
+        eigenspace); nan where R has no inverse, so no left vectors pair.
 
-    Only measured values are stored; ``near_defective``, ``leading`` and
-    ``complete`` are derived from them. The arrays are read-only, so one
-    spectrum can be shared between callers.
+    Only measured values are stored; ``clusters``, ``near_defective``,
+    ``leading`` and ``complete`` are derived from them. The arrays are
+    read-only, so one spectrum can be shared between callers.
     """
 
     eigenvalues: np.ndarray
@@ -146,6 +151,26 @@ class Spectrum:
     left_vectors: np.ndarray
     pairing_residual: float
     condition_estimate: float
+
+    @cached_property
+    def clusters(self):
+        """[(eigenvalue, members, condition)] per cluster, computed once per spectrum: in
+        spectrum order, each takes every eigenvalue not yet taken within ``CLUSTER_TOL``
+        |lambda_0| of its first (``members``, a mask). ``condition`` is the norm
+        ||R_c L_c||_F of its spectral projector: basis-free, and |R_k| |L_k| if simple."""
+        w, out = self.eigenvalues, []
+        simple = np.sqrt((abs(self.right_vectors) ** 2).sum(0) * (abs(self.left_vectors) ** 2).sum(1))
+        unassigned = np.ones(len(w), dtype=bool)
+        for i in range(len(w)):
+            if unassigned[i]:
+                members = unassigned & (np.abs(w - w[i]) <= CLUSTER_TOL * abs(w[0]))
+                unassigned &= ~members
+                condition = simple[i]
+                if np.count_nonzero(members) > 1:  # ||R_c L_c||_F^2 = <L_c L_c^H, R_c^H R_c>: no n x n product
+                    r, l = self.right_vectors[:, members], self.left_vectors[members]
+                    condition = np.sqrt(np.vdot(l @ l.conj().T, r.conj().T @ r).real)
+                out.append((complex(w[i]), members, float(condition)))
+        return out
 
     @property
     def near_defective(self):
@@ -165,14 +190,16 @@ class Spectrum:
         return len(self.eigenvalues) == len(self.right_vectors)
 
 
-def _spectrum(w, right, left, condition):
-    """Read-only :class:`Spectrum`, with its pairing residual measured."""
+def _spectrum(w, right, left):
+    """Read-only :class:`Spectrum`, with its pairing residual and condition measured."""
     pairing = left @ right
+    with np.errstate(all="ignore"):  # an unpaired vector, L_k R_k = 0, has no finite condition
+        wilkinson = np.sqrt((abs(left) ** 2).sum(1) * (abs(right) ** 2).sum(0)) / abs(pairing.diagonal())
     pairing.flat[:: len(w) + 1] -= 1
     residual = float(np.abs(pairing).max())
     for a in (w, right, left):
         a.flags.writeable = False
-    return Spectrum(w, right, left, residual, condition)
+    return Spectrum(w, right, left, residual, float(wilkinson.max()))
 
 
 def _by_modulus(w):
@@ -186,24 +213,20 @@ def spectral_decompose(m):
     Eigenvalues are sorted by (-|lambda|, -Re lambda, -Im lambda). Left
     eigenvectors are obtained by inverting the right eigenvector matrix,
     which makes the pairing (L_m | R_n) = delta_mn exact up to roundoff
-    whenever the matrix is comfortably diagonalizable. If the right
-    eigenvector matrix has condition number above 1/``PAIRING_TOL`` (1e10)
-    the result is flagged near-defective and the pairing is not certified.
+    whenever the matrix is comfortably diagonalizable. If a pair has
+    Wilkinson condition above 1/``PAIRING_TOL`` (1e10), or the right
+    eigenvector matrix has no inverse, the result is flagged near-defective
+    and the pairing is not certified.
     """
     m = _as_square(m)
     w, r = np.linalg.eig(m)
     order = _by_modulus(w)
-    w = w[order]
-    r = r[:, order]
-    s = np.linalg.svd(r, compute_uv=False)  # np.linalg.cond(r), without its wrapper
-    with np.errstate(all="ignore"):
-        cond = float(s[0] / s[-1])
+    w, r = w[order], r[:, order]
     try:
         left = np.linalg.inv(r)
-    except np.linalg.LinAlgError:
-        left = np.linalg.pinv(r)
-        cond = float("inf")
-    return _spectrum(w, r, left, cond)
+    except np.linalg.LinAlgError:  # R is singular: no left vectors pair with it
+        left = np.zeros_like(r)
+    return _spectrum(w, r, left)
 
 
 def _orthogonalize(basis, w):
@@ -327,8 +350,8 @@ def leading_spectrum(m):
     Right eigenvectors come from thick-restart Arnoldi on m, left ones from a
     second run on its adjoint, biorthonormalized against the right ones
     (L R = 1). Both runs start from vectors of a fixed-seed generator, so the
-    result is the same on every call. ``condition_estimate`` is the largest
-    Wilkinson condition |L_k| |R_k| / |L_k R_k| of the pairs returned.
+    result is the same on every call. Each pair's condition is measured as
+    on the dense path.
 
     A large map also gets :func:`spectral_decompose` when an Arnoldi run does
     not converge, or when a returned pair misses its eigen-equation by more
@@ -354,17 +377,13 @@ def leading_spectrum(m):
         left = np.linalg.solve(p @ right, p)
     except np.linalg.LinAlgError:
         return spectral_decompose(m)
-    right_norm = np.linalg.norm(right, axis=0)
-    left_norm = np.linalg.norm(left, axis=1)
     miss = max(
-        (np.linalg.norm(m @ right - right * w, axis=0) / right_norm).max(),
-        (np.linalg.norm(left @ m - w[:, None] * left, axis=1) / left_norm).max(),
+        (np.linalg.norm(m @ right - right * w, axis=0) / np.linalg.norm(right, axis=0)).max(),
+        (np.linalg.norm(left @ m - w[:, None] * left, axis=1) / np.linalg.norm(left, axis=1)).max(),
     )
     if not miss <= 100 * KRYLOV_TOL * scale:
         return spectral_decompose(m)
-    with np.errstate(all="ignore"):
-        condition = float((left_norm * right_norm / np.abs(np.sum(left * right.T, axis=1))).max())
-    return _spectrum(w, right, left, condition)
+    return _spectrum(w, right, left)
 
 
 def leading_eigenpair(m):

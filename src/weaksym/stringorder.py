@@ -36,16 +36,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NearDefectiveError, UndefinedExponentError, ValidationError
-from .numerics import _whole, _zero_exponents, ldexp, rescale
+from .numerics import CLUSTER_TOL, _whole, _zero_exponents, ldexp, rescale
 from .transfer import build_transfer, transfer_powers, transfer_spectrum, twisted_spectrum
 from .response import _leading_pair
 
-# Eigenvalues of T(g2) within this much of each other, relative to
-# |lambda_0|, are one channel: their amplitudes add.
-CLUSTER_TOL = 1e-12
-# A channel is live when its amplitude exceeds this share of the scale its
-# contraction works at. On the AKLT family live channels sit at 0.19 of
-# that scale or above and dead ones at 2.3e-28 or below (1,098 values of p).
+# A channel is live when its amplitude exceeds this share of its scale (see
+# decay_channel). On the AKLT family live channels sit at 0.29 of their
+# scale or above and dead ones at 2.6e-28 or below (1,098 values of p).
 LIVE_TOL = 1e-10
 # A live channel this much below |lambda_0| is nilpotent: its eigenvalue is
 # zero up to roundoff, and -ln of it would be a number made of noise.
@@ -91,7 +88,7 @@ class DecayChannel:
 
     ``xi = -ln|eigenvalue|``; ``amplitude`` is its c summed over the
     eigenvalue's cluster. ``floor`` is the largest dead amplitude relative
-    to the contraction scale (0 when every channel is live). ``order_one``
+    to its own channel's scale (0 when every channel is live). ``order_one``
     says whether the channel is the leading eigenvalue of T(g2), i.e. whether
     the normalized string keeps an order-one plateau.
     """
@@ -236,27 +233,20 @@ def decay_channel(model, g2, chi_l, chi_r):
 
         c_k = (L0 T_chiL R_k)(L_k T_chiR R0) / (L0 R0).
 
-    Amplitudes of equal eigenvalues (within ``CLUSTER_TOL`` |lambda_0|) are
-    summed, since an eigenspace may split one channel across vectors. A
-    cluster is live when |c| exceeds ``LIVE_TOL`` times the scale
-    |L0||T_chiL||T_chiR||R0| / |L0 R0| times the condition estimate of
-    T(g2)'s eigenvectors; the exponent is -ln|lambda| of the live cluster of
-    largest modulus. A gapless T(g2) is fine: tied moduli give one exponent
-    either way.
+    Amplitudes are summed over each of ``Spectrum.clusters``, since an
+    eigenspace may split one channel across vectors. A cluster c is live
+    when |c| exceeds ``LIVE_TOL`` times its scale: the contraction's
+    |L0||T_chiL||T_chiR||R0| / |L0 R0| times the cluster's basis-free
+    condition ||R_c L_c||_F. The exponent is -ln|lambda| of the live cluster
+    of largest modulus. A gapless T(g2) is fine: tied moduli give one
+    exponent either way.
 
     The channels are those of the memoised spectra. A partial spectrum of
     T(g2) (bond dimension above 10) holds every eigenvalue down to some
     modulus, so its slowest live channel is the slowest of all; when none of
-    its channels is live, the complete spectrum is read instead. ``floor``
-    covers the channels of the spectrum the exponent was read from.
-
-    The condition estimate is that of the spectrum read: cond(R) of all
-    eigenvectors for a complete one, the largest Wilkinson condition of the
-    pairs held for a partial one, which is never larger. So at bond dimension
-    above 10 the live threshold can be lower than at 10 and below for a map
-    of the same conditioning, and a channel whose amplitude lies between the
-    two thresholds is live on the partial spectrum although the complete one
-    would call it dead. Built-in models (D = 2) always read a complete one.
+    its channels is live, the complete spectrum is read instead. A cluster
+    both hold is judged alike on either. ``floor`` covers the channels of
+    the spectrum the exponent was read from.
 
     Raises :class:`UndefinedExponentError` when no channel is live (the
     string vanishes identically) or the live one is nilpotent, and
@@ -264,36 +254,27 @@ def decay_channel(model, g2, chi_l, chi_r):
     """
     lpdo = model.lpdo
     left, right, norm, _ = _leading_pair(lpdo, transfer_spectrum(lpdo, np.eye(lpdo.d)), "of T(1)")
-    tl = build_transfer(lpdo, chi_l)
-    tr = build_transfer(lpdo, chi_r)
+    tl, tr = build_transfer(lpdo, chi_l), build_transfer(lpdo, chi_r)
     envelope = np.linalg.norm(left) * np.linalg.norm(tl) * np.linalg.norm(tr) * np.linalg.norm(right) / abs(norm)
+    if envelope == 0:
+        raise UndefinedExponentError("string vanishes identically: an endpoint map is zero")
     start = left @ tl
     u = model.action(g2).u
     spectrum = transfer_spectrum(lpdo, u)
     while True:
         if spectrum.near_defective:
             raise NearDefectiveError(f"transfer spectrum of T({g2}) is near-defective")
-        scale = envelope * spectrum.condition_estimate
-        if scale == 0:
-            raise UndefinedExponentError("string vanishes identically: an endpoint map is zero")
         amplitudes = (start @ spectrum.right_vectors) * (spectrum.left_vectors @ tr @ right) / norm
-        eigenvalues = spectrum.eigenvalues
-        lam0 = abs(eigenvalues[0])
-        unassigned = np.ones(len(eigenvalues), dtype=bool)
-        channels = []
-        for i in range(len(eigenvalues)):
-            if unassigned[i]:
-                members = unassigned & (np.abs(eigenvalues - eigenvalues[i]) <= CLUSTER_TOL * lam0)
-                unassigned &= ~members
-                channels.append((complex(eigenvalues[i]), complex(amplitudes[members].sum())))
-        threshold = LIVE_TOL * scale
-        live = [(lam, c) for lam, c in channels if abs(c) > threshold]
+        channels = [(lam, complex(amplitudes[members].sum()), envelope * condition)  # (eigenvalue, amplitude, scale)
+                    for lam, members, condition in spectrum.clusters]
+        live = [(lam, c) for lam, c, scale in channels if abs(c) > LIVE_TOL * scale]
         if live or spectrum.complete:
             break
         spectrum = transfer_spectrum(lpdo, u, complete=True)
     if not live:
         raise UndefinedExponentError("string vanishes identically: no decay channel is live")
-    floor = max((abs(c) for _, c in channels if abs(c) <= threshold), default=0.0) / scale
+    floor = max((abs(c) / scale for _, c, scale in channels if abs(c) <= LIVE_TOL * scale), default=0.0)
+    lam0 = abs(spectrum.eigenvalues[0])
     lam, c = max(live, key=lambda channel: abs(channel[0]))
     if abs(lam) <= NILPOTENT_TOL * lam0:
         raise UndefinedExponentError(

@@ -18,6 +18,12 @@ D=12 the matrix-product map and the Krylov iteration of a partial spectrum.
 Test ids without a suffix are D=6.
 """
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -31,11 +37,12 @@ from weaksym.response import (
     flux_response,
     thermo_response,
 )
-from weaksym.stringorder import LIVE_TOL, decay_channel
+from weaksym.stringorder import CLUSTER_TOL, LIVE_TOL, decay_channel
 from weaksym.symmetry import GroupTable, SymmetryAction, extract_virtual_rep, verify_transformation_law
 from weaksym.transfer import build_transfer, symmetry_gap, transfer_spectrum, twisted_spectrum
 from weaksym.verify import aklt_tz_eigenvalues
 
+TESTS = Path(__file__).resolve().parent
 DR = 2  # physical dimension of the random factor, an extra ancilla leg
 BOND = 3  # its bond dimension; the model has D = 2 * BOND = 6
 # Bond dimensions of the random factor the invariance tests run at: D = 6, 2, 12.
@@ -310,25 +317,52 @@ def test_krylov_and_dense_paths_agree(p, bond, monkeypatch):
             np.testing.assert_allclose(krylov[name], value, rtol=0, atol=1e-10, err_msg=name)
 
 
-def test_a_channel_between_the_two_live_thresholds(monkeypatch):
-    """A partial spectrum's live threshold is the lower one: a channel between the two is live only there.
+def cluster_projector_norms(spectrum):
+    """[(eigenvalue, multiplicity, ||R_c L_c||_F)] per cluster, grouped as ``Spectrum.clusters`` groups them.
 
-    At D=12 the three pairs the partial spectrum of T(1) holds have Wilkinson
-    condition about 4, while the complete spectrum's eigenvector matrix has
-    condition about 1e3. chi_l is tuned so that the leading channel of
-    <chi_l T(1)^l chi_r> has an amplitude halfway between the two thresholds
-    (on a log scale): the partial spectrum reports it as the order-one
-    channel, the complete one calls it dead and reads the decay of the next
-    live one.
+    The reference for ``Spectrum.clusters``: the spectral projector
+    sum_k R_k L_k of each cluster is formed as an n x n matrix.
     """
-    model, _, _ = generic_model(0.3, bond=6)
+    w = spectrum.eigenvalues
+    unassigned = np.ones(len(w), dtype=bool)
+    out = []
+    for i in range(len(w)):
+        if unassigned[i]:
+            members = unassigned & (np.abs(w - w[i]) <= CLUSTER_TOL * abs(w[0]))
+            unassigned &= ~members
+            projector = spectrum.right_vectors[:, members] @ spectrum.left_vectors[members]
+            out.append((complex(w[i]), int(members.sum()), float(np.linalg.norm(projector))))
+    return out
+
+
+def measured_clusters(spectrum):
+    """``spectrum.clusters`` as [(eigenvalue, multiplicity, condition)]."""
+    return [(lam, int(members.sum()), condition) for lam, members, condition in spectrum.clusters]
+
+
+def assert_same_clusters(held, clusters, rel):
+    """Each cluster of ``held`` is in ``clusters`` (eigenvalue to 1e-12, not by position: moduli of a
+    conjugate pair tie, so roundoff orders them), with its multiplicity and its norm to ``rel``."""
+    eigenvalues = np.array([lam for lam, _, _ in clusters])
+    for lam, count, size in held:
+        at = int(np.argmin(np.abs(eigenvalues - lam)))
+        assert abs(eigenvalues[at] - lam) <= 1e-12 and clusters[at][1] == count, lam
+        assert clusters[at][2] == pytest.approx(size, rel=rel), lam
+
+
+def tuned_endpoints(model, factor):
+    """(chi_l, chi_r): the leading channel of <chi_l T(1)^l chi_r> at ``factor`` times its live threshold.
+
+    The threshold is ``LIVE_TOL`` times the contraction scale times the norm
+    of the leading spectral projector R_0 L_0 of T(1). chi_l is a seeded
+    random matrix with its leading amplitude cancelled, plus that much of
+    the identity; chi_r is a seeded random matrix.
+    """
     lpdo = model.lpdo
     rng = np.random.default_rng(3)
     eye, b, chi_r = np.eye(lpdo.d), random_matrix(rng, lpdo.d), random_matrix(rng, lpdo.d)
-    partial = transfer_spectrum(lpdo, eye)
-    complete = transfer_spectrum(lpdo, eye, complete=True)
-    assert not partial.complete and len(partial.eigenvalues) == 3
-    left, right, norm, _ = _leading_pair(lpdo, partial, "of T(1)")
+    spectrum = transfer_spectrum(lpdo, eye)
+    left, right, norm, _ = _leading_pair(lpdo, spectrum, "of T(1)")
     tr = build_transfer(lpdo, chi_r)
 
     def leading_amplitude(chi):  # linear in chi
@@ -339,21 +373,121 @@ def test_a_channel_between_the_two_live_thresholds(monkeypatch):
         np.linalg.norm(left) * np.linalg.norm(build_transfer(lpdo, cancelled)) * np.linalg.norm(tr)
         * np.linalg.norm(right) / abs(norm)
     )
-    low = LIVE_TOL * envelope * partial.condition_estimate
-    high = LIVE_TOL * envelope * complete.condition_estimate
-    assert 100 * low < high
-    target = np.sqrt(low * high)
-    chi_l = cancelled + target / leading_amplitude(eye) * eye
-    channel = decay_channel(model, "1", chi_l, chi_r)
-    assert channel.order_one and abs(channel.xi) < 1e-12
-    assert abs(channel.amplitude) == pytest.approx(target, rel=1e-3)
+    _, simple, projector_norm = cluster_projector_norms(spectrum)[0]
+    assert simple == 1
+    target = factor * LIVE_TOL * envelope * projector_norm
+    return cancelled + target / leading_amplitude(eye) * eye, chi_r
+
+
+@pytest.mark.parametrize("factor", [1.5, 0.01], ids=["live", "dead"])
+def test_a_channel_near_its_live_threshold_gets_one_verdict_on_both_paths(factor, monkeypatch):
+    """The partial and the dense spectrum of T(1) judge a channel near its live threshold alike.
+
+    At D=12 chi_l is tuned so that the leading channel of
+    <chi_l T(1)^l chi_r> has an amplitude ``factor`` times its threshold,
+    which scales with the norm of that channel's own spectral projector. On
+    both paths the clusters the partial spectrum holds have the same
+    projector norms, so a channel at 1.5 times the threshold is live on both
+    (order one, xi = 0), and one at 0.01 times is dead on both, which then
+    read the decay of the AKLT factor's -1/3. A condition estimate of the
+    whole eigenvector matrix would put the dense threshold tens to hundreds
+    of times higher, by an amount that depends on the basis LAPACK returns
+    inside degenerate eigenspaces.
+    """
+    model, _, _ = generic_model(0.3, bond=6)
+    lpdo = model.lpdo
+    chi_l, chi_r = tuned_endpoints(model, factor)
+    partial = transfer_spectrum(lpdo, np.eye(lpdo.d))
+    assert not partial.complete and len(partial.eigenvalues) == 3
+    channels = [decay_channel(model, "1", chi_l, chi_r)]
+    held = measured_clusters(partial)
+    assert_same_clusters(cluster_projector_norms(partial), held, rel=1e-12)
     with monkeypatch.context() as patch:
         patch.setattr(numerics, "DENSE_MAX_ROWS", lpdo.bond_dim**2)
         model, _, _ = generic_model(0.3, bond=6)
-        channel = decay_channel(model, "1", chi_l, chi_r)
-    assert not channel.order_one
-    assert channel.xi == pytest.approx(np.log(3), abs=1e-10)  # the AKLT factor's -1/3
-    assert 0 < channel.floor <= LIVE_TOL
+        dense = transfer_spectrum(model.lpdo, np.eye(lpdo.d))
+        assert dense.complete
+        channels.append(decay_channel(model, "1", chi_l, chi_r))
+    assert_same_clusters(held, measured_clusters(dense), rel=1e-12)
+    for channel in channels:
+        if factor > 1:
+            assert channel.order_one and abs(channel.xi) < 1e-12
+            assert 0 <= channel.floor <= LIVE_TOL
+        else:
+            assert not channel.order_one
+            assert channel.xi == pytest.approx(np.log(3), abs=1e-10)  # the AKLT factor's -1/3
+            assert channel.floor == pytest.approx(factor * LIVE_TOL, rel=1e-3)
+    assert channels[0].eigenvalue == pytest.approx(channels[1].eigenvalue, abs=1e-12)
+    assert channels[0].amplitude == pytest.approx(channels[1].amplitude, rel=1e-10)
+
+
+def thread_probe():
+    """Print, as JSON, what the D=12 model's decay channels are read from, on both spectrum paths.
+
+    Per path (the partial spectra with their fallback, then ``DENSE_MAX_ROWS``
+    raised so every spectrum is dense): the clusters of T(1) and T(R_z) with
+    their spectral-projector norms, partial and complete, and the channel
+    ``decay_channel`` picks for the spin endpoints under R_z and for the tuned
+    endpoints under 1. Run in a subprocess by the BLAS thread-count test.
+    """
+    out = {}
+    for path in ("partial", "dense"):
+        if path == "dense":
+            numerics.DENSE_MAX_ROWS = 144
+        model, _, _ = generic_model(0.3, bond=6)
+        lpdo = model.lpdo
+        for g in ("1", "R_z"):
+            for complete in (False, True):
+                clusters = measured_clusters(transfer_spectrum(lpdo, model.action(g).u, complete=complete))
+                out[f"{path} T({g}) complete={complete}"] = [[lam.real, lam.imag, n, size] for lam, n, size in clusters]
+        ends = [("R_z", alpha, chi, chi) for alpha, chi in spin1_operators().items()]
+        ends += [("1", f"tuned x{factor}", *tuned_endpoints(model, factor)) for factor in (100, 1.5, 0.01)]
+        for g2, name, chi_l, chi_r in ends:
+            try:
+                channel = decay_channel(model, g2, chi_l, chi_r)
+                out[f"{path} {g2} {name}"] = [channel.xi, channel.eigenvalue.real, channel.eigenvalue.imag]
+            except UndefinedExponentError:
+                out[f"{path} {g2} {name}"] = None
+    print(json.dumps(out))
+
+
+def test_decay_channels_do_not_depend_on_the_blas_thread_count():
+    """At one and at two BLAS threads, the D=12 model's cluster norms agree to 1e-10 and its channels to 1e-12.
+
+    LAPACK's eigenvector basis inside a degenerate eigenspace depends on the
+    thread count; a cluster's projector norm does not. The tuned endpoint at
+    100 times its threshold sits where a live test scaled by cond(R) of the
+    complete spectrum (about 88 at one thread, 1,142 at two) called it live
+    at one thread and dead at two. Floors are roundoff, so they are not
+    compared; neither are bytes.
+    """
+    src = Path(numerics.__file__).parents[1]
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join(filter(None, [str(src), str(TESTS), os.environ.get("PYTHONPATH")])),
+            OMP_NUM_THREADS=threads,
+            OPENBLAS_NUM_THREADS=threads,
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", "import test_generic; test_generic.thread_probe()"],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        runs.append(json.loads(done.stdout))
+    one, two = runs
+    assert one.keys() == two.keys()
+    for name, value in one.items():
+        if " T(" in name:
+            clusters = [(complex(re, im), n, size) for re, im, n, size in two[name]]
+            assert len(value) == len(clusters), name
+            assert_same_clusters([(complex(re, im), n, size) for re, im, n, size in value], clusters, rel=1e-10)
+        elif value is None:
+            assert two[name] is None, name
+        else:
+            np.testing.assert_allclose(two[name], value, rtol=0, atol=1e-12, err_msg=name)
+    assert one["dense 1 tuned x100"][0] == pytest.approx(0, abs=1e-12)  # order one: live on either path
 
 
 def jordan_model(bond):

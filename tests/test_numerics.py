@@ -65,6 +65,40 @@ def test_jordan_block_flags_near_defective():
     assert spec.near_defective
 
 
+def test_a_singular_eigenvector_matrix_is_near_defective():
+    """A 3 x 3 nilpotent Jordan block: eig's three right vectors are parallel, so R has no inverse.
+
+    No left vectors pair with them; the spectrum is near-defective, and its
+    pairing residual says that L R is nowhere near the identity.
+    """
+    m = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(np.linalg.eig(m)[1])
+    spec = spectral_decompose(m)
+    assert spec.near_defective and not np.isfinite(spec.condition_estimate)
+    assert spec.pairing_residual >= 0.5
+
+
+def test_cluster_condition_does_not_depend_on_the_basis_of_an_eigenspace():
+    """Mixing the vectors of a triple eigenvalue, R -> R X and L -> X^-1 L, leaves every cluster's
+    condition ||R_c L_c||_F as it was; the largest per-pair (Wilkinson) condition moves."""
+    rng = np.random.default_rng(6)
+    m = with_eigenvalues(rng, [1.0, 0.5, 0.5, 0.5], 8)
+    spec = spectral_decompose(m)
+    triple = np.abs(spec.eigenvalues - 0.5) < 1e-9
+    assert triple.sum() == 3
+    x = np.eye(8, dtype=complex)
+    x[np.ix_(triple, triple)] += rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    mixed = numerics._spectrum(spec.eigenvalues.copy(), spec.right_vectors @ x, np.linalg.solve(x, spec.left_vectors))
+    assert abs(mixed.condition_estimate / spec.condition_estimate - 1) > 0.1
+    assert [members.sum() for _, members, _ in spec.clusters] == [1, 3, 1, 1, 1, 1]
+    for (lam, members, condition), (mixed_lam, mixed_members, mixed_condition) in zip(spec.clusters, mixed.clusters):
+        assert mixed_lam == lam and np.array_equal(mixed_members, members)
+        projector = spec.right_vectors[:, members] @ spec.left_vectors[members]
+        assert condition == pytest.approx(np.linalg.norm(projector), rel=1e-12)
+        assert mixed_condition == pytest.approx(condition, rel=1e-10)
+
+
 def test_leading_triple():
     m = np.diag([3.0, 1.0])
     lam, left, right = spectral_decompose(m).leading
