@@ -35,7 +35,7 @@ from .errors import (
 )
 from .model import _decode_array, build_aklt_model, load_model, spin1_operators
 from .response import finite_response, thermo_response
-from .stringorder import decay_channel, string_order_series
+from .stringorder import _string_series, decay_channel, string_order_series
 from .transfer import symmetry_gap, twisted_spectrum
 from . import verify as _verify
 
@@ -162,14 +162,15 @@ def _sweep_row(p, n_sites, length):
     gap_z = symmetry_gap(twisted_spectrum(model, "R_z"))
 
     ops = _spin1()
-    sn = {}
+    chis = {tag: ops[f"S_{tag}"] for tag in ("x", "y")}
+    try:  # the two rings share one envelope: both or neither vanish
+        rings = _string_series(model, "R_z", [(chi, chi) for chi in chis.values()], [length], n_sites=n_sites)
+        sn = {tag: abs(ring.normalized[0]) for tag, ring in zip(chis, rings)}
+    except ZeroDivisionError:
+        sn = dict.fromkeys(chis)
     xi = {}
-    for tag in ("x", "y"):
-        chi = ops[f"S_{tag}"]
-        try:
-            ring = string_order_series(model, "R_z", chi, chi, [length], n_sites=n_sites)
-            sn[tag] = abs(ring.normalized[0])
-        except ZeroDivisionError:
+    for tag, chi in chis.items():
+        if sn[tag] is None:
             sn[tag] = nan
             flags.append(f"sn_{tag}_undefined")
         try:

@@ -25,7 +25,7 @@ This module is the only place a non-Hermitian eigenproblem is solved.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -91,6 +91,14 @@ def _as_square(m, name="matrix"):
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatchError(f"{name}: expected square, got shape {m.shape}")
     return m
+
+
+@cache
+def _identity(dim):
+    """The complex dim x dim identity, read-only and made once per dimension."""
+    eye = np.eye(dim, dtype=complex)
+    eye.flags.writeable = False
+    return eye
 
 
 def _whole(values, rule):

@@ -101,10 +101,23 @@ def expectation(lpdo, seam, op_lists):
     (s_left + s_right) D^4 per list when (s_left + s_right) D^2 < s_left
     s_right, else through psi, formed once, for s_left s_right D^2. Returns a
     complex array of one value per list.
+
+    Lists tend to repeat a few operator objects, so each distinct object is
+    checked once and, after the size guard, folded into its site matrix once
+    per call.
     """
     a4 = lpdo.tensor
     d = a4.shape[0]
-    op_lists = [[_as_square(op, "op") for op in ops] for ops in op_lists]
+    # id of each distinct operator object -> (the object, held so that no
+    # other object takes its id during the call; the operator as checked)
+    checked = {}
+
+    def check(op):
+        if id(op) not in checked:
+            checked[id(op)] = op, _as_square(op, "op")
+        return checked[id(op)][1]
+
+    op_lists = [[check(op) for op in ops] for ops in op_lists]
     if not op_lists:
         raise ValidationError("op_lists is empty: need at least one list of operators")
     n_sites = len(op_lists[0])
@@ -122,9 +135,10 @@ def expectation(lpdo, seam, op_lists):
         bra_left, bra_right = left0.conj().T, right0.conj()
     else:
         ket = (left0 @ right0).T  # psi as [s_right, s_left], the cut of every folded ring
+    sites = {id(op): _site_matrix((op @ flat).reshape(a4.shape)) for _, op in checked.values()}
     values = []
     for ops in op_lists:
-        left, right = _ring_halves(seam, [_site_matrix((op @ flat).reshape(a4.shape)) for op in ops])
+        left, right = _ring_halves(seam, [sites[id(op)] for op in ops])
         if at_cuts:
             values.append(np.sum((bra_left @ left) * (bra_right @ right.T)))
         else:

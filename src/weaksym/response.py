@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import GaplessTransferError, NearDefectiveError, NonCommutingError, ValidationError
-from .numerics import _whole
+from .numerics import _identity, _whole
 from .symmetry import cocycle_commutator, extract_virtual_rep
 from .transfer import flux_operator, symmetry_gap, transfer_powers, transfer_spectrum, twisted_spectrum
 
@@ -121,7 +121,7 @@ def _leading_pair(lpdo, spectrum, what):
     if spectrum.near_defective:
         raise NearDefectiveError(f"transfer spectrum {what} is near-defective")
     gap = symmetry_gap(spectrum)
-    if gap <= GAP_TOL * abs(transfer_spectrum(lpdo, np.eye(lpdo.d)).eigenvalues[0]):
+    if gap <= GAP_TOL * abs(transfer_spectrum(lpdo, _identity(lpdo.d)).eigenvalues[0]):
         raise GaplessTransferError(f"symmetry gap {what} is {gap:.3e}; thermodynamic limit undefined")
     _, left, right = spectrum.leading
     return left, right, left @ right, gap
@@ -174,7 +174,7 @@ def conservation_check(model, g1, g2):
     rep2, _ = extract_virtual_rep(model.lpdo, model.action(g2))
     total = cocycle_commutator(rep1, rep2)
     physical = thermo_response(model, g1, g2)
-    spectrum = transfer_spectrum(model.lpdo, np.eye(model.lpdo.d), model.action(g2).ua)
+    spectrum = transfer_spectrum(model.lpdo, _identity(model.lpdo.d), model.action(g2).ua)
     value, gap = _pair_value(model.lpdo, spectrum, flux_operator(rep1.v), f"for {g2!r} on the ancilla")
     ancilla = _result(model, g1, value, gap)
     residual = abs(total - physical.value * ancilla.value)

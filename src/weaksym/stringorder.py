@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NearDefectiveError, UndefinedExponentError, ValidationError
-from .numerics import CLUSTER_TOL, _whole, _zero_exponents, ldexp, rescale
+from .numerics import CLUSTER_TOL, _identity, _whole, _zero_exponents, ldexp, rescale
 from .transfer import build_transfer, transfer_powers, transfer_spectrum, twisted_spectrum
 from .response import _leading_pair
 
@@ -113,12 +113,14 @@ def string_order_series(model, g2, chi_l, chi_r, lengths, n_sites=None):
 
     The thermodynamic series carries one boundary row vector from the
     shortest length to the longest, one vector-matrix product per length,
-    on T(g2)/|lambda_0|. A ring series takes T(g2)^l and T(1)^(N-l-2) from
-    the memoised squaring tables of the two maps
+    on T(g2)/|lambda_0| (:func:`_carried_rows`). A ring series takes T(g2)^l
+    and T(1)^(N-l-2) from the memoised squaring tables of the two maps
     (:func:`~weaksym.transfer.transfer_powers`), stacked across lengths in
     chunks of at most ``MAX_STACK_ENTRIES`` entries per stack. Each power is
     bit-identical to ``np.linalg.matrix_power`` in the normal range, and each
-    value depends only on (l, N).
+    value depends only on (l, N). This is the one-pair case of
+    :func:`_string_series`, which evaluates several endpoint pairs over one
+    set of powers, bit for bit as one call per pair.
 
     ``normalized`` divides out the uniform-charge envelope: |lambda_0(T(g2))|^l
     in the thermodynamic limit, where the carried mantissa is already the
@@ -128,16 +130,28 @@ def string_order_series(model, g2, chi_l, chi_r, lengths, n_sites=None):
     ZeroDivisionError when the envelope vanishes: an exactly zero leading
     eigenvalue or trace.
     """
+    return _string_series(model, g2, [(chi_l, chi_r)], lengths, n_sites)[0]
+
+
+def _string_series(model, g2, endpoints, lengths, n_sites=None):
+    """:func:`string_order_series` of each ``(chi_l, chi_r)`` in ``endpoints``, in order.
+
+    Everything that does not depend on the endpoints is computed once: the
+    argument checks, on a ring the envelope and each chunk's stacks of
+    powers, in the thermodynamic limit the leading pair of T(1) and the
+    carried step. Each pair costs its endpoint maps, its traces or carried
+    rows, and its scaling. Every endpoint is checked before any power or
+    spectrum is computed. Each series owns its arrays.
+    """
     if n_sites is not None:
         n_sites = _whole(n_sites, "the ring size N must be an integer")
         if n_sites >= 2**63:
             raise ValidationError(f"a ring string needs N < 2^63, got N={n_sites}")
     lengths = _whole(list(lengths), "string length must be an integer")
     lpdo = model.lpdo
-    eye = np.eye(lpdo.d)
+    eye = _identity(lpdo.d)
     u2 = model.action(g2).u
-    tl = build_transfer(lpdo, chi_l)
-    tr = build_transfer(lpdo, chi_r)
+    maps = [(build_transfer(lpdo, chi_l), build_transfer(lpdo, chi_r)) for chi_l, chi_r in endpoints]
     if n_sites is None:
         if np.any(lengths < 0):
             raise ValidationError(f"string length must be >= 0, got {lengths.min()}")
@@ -146,17 +160,20 @@ def string_order_series(model, g2, chi_l, chi_r, lengths, n_sites=None):
         if base == 0.0:
             raise ZeroDivisionError("leading twisted eigenvalue vanishes; normalization undefined")
         step = build_transfer(lpdo, u2) / base
-        x, end = left @ tl, tr @ right
         distinct, where = np.unique(lengths, return_inverse=True)
-        mantissa = ((_carried_rows(x, step, distinct.tolist()) @ end) / norm)[where]
-        exponent = np.zeros(len(lengths), dtype=int)
-        with np.errstate(over="ignore", invalid="ignore"):
-            raw = mantissa * base ** lengths.astype(float)
-        # past the double range base**l is inf, and a zero part of the mantissa
-        # times inf is nan: that part stays zero, as the ring's ldexp keeps it
-        for part, m in ((raw.real, mantissa.real), (raw.imag, mantissa.imag)):
-            np.copyto(part, m, where=np.isnan(part) & (m == 0))
-        normalized = mantissa
+        distinct = distinct.tolist()
+        with np.errstate(over="ignore"):
+            scale = base ** lengths.astype(float)
+        values = []
+        for tl, tr in maps:
+            mantissa = ((_carried_rows(left @ tl, step, distinct) @ (tr @ right)) / norm)[where]
+            with np.errstate(over="ignore", invalid="ignore"):
+                raw = mantissa * scale
+            # past the double range base**l is inf, and a zero part of the mantissa
+            # times inf is nan: that part stays zero, as the ring's ldexp keeps it
+            for part, m in ((raw.real, mantissa.real), (raw.imag, mantissa.imag)):
+                np.copyto(part, m, where=np.isnan(part) & (m == 0))
+            values.append((raw, mantissa, mantissa, np.zeros(len(lengths), dtype=int)))
     else:
         bad = (lengths < 0) | (lengths > n_sites - 2)
         if bad.any():
@@ -166,17 +183,17 @@ def string_order_series(model, g2, chi_l, chi_r, lengths, n_sites=None):
         charge = abs(complex(np.trace(envelope)))
         if charge == 0.0:
             raise ZeroDivisionError("Tr[rho U_g2] vanishes; normalization undefined")
-        mantissa = np.empty(len(lengths), dtype=complex)
+        mantissas = [np.empty(len(lengths), dtype=complex) for _ in maps]
         exponent = _zero_exponents(len(lengths), n_sites)
-        step = max(1, MAX_STACK_ENTRIES // tl.size)
+        step = max(1, MAX_STACK_ENTRIES // maps[0][0].size)
         for at in range(0, len(lengths), step):
             chunk = slice(at, at + step)
             m2, e2 = rescale(*powers2.powers(lengths[chunk]))
             m1, e1 = rescale(*powers1.powers(n_sites - 2 - lengths[chunk]))
-            mantissa[chunk] = _ring_traces(tl, m2, tr, m1)
+            for mantissa, (tl, tr) in zip(mantissas, maps):
+                mantissa[chunk] = _ring_traces(tl, m2, tr, m1)
             exponent[chunk] = e2 + e1
         base = 1.0
-        raw = ldexp(mantissa, exponent)
         # |Tr T^N|^{l/N} = charge^{l/N} 2^{envelope_exp l/N}: the integer part
         # of the binary exponent is split off exactly and joins the series'.
         # The product is taken in Python ints: near l = N = 10^10 it passes int64.
@@ -185,28 +202,46 @@ def string_order_series(model, g2, chi_l, chi_r, lengths, n_sites=None):
         factors = charge ** (lengths / n_sites) * 2.0 ** (rest.astype(float) / n_sites)
         # |shift| <= |envelope_exp|: like every exponent here, it fits int64
         # below N = INT64_POWERS (so exponent is int64) and is a Python int above.
-        normalized = ldexp(mantissa / factors, exponent - shift.astype(exponent.dtype))
-    return StringOrderSeries(
-        lengths=lengths,
-        raw=raw,
-        normalized=normalized,
-        n_sites=n_sites,
-        mantissa=mantissa,
-        base=base,
-        exponent=exponent,
-    )
+        shifted = exponent - shift.astype(exponent.dtype)
+        values = [
+            (ldexp(mantissa, exponent), ldexp(mantissa / factors, shifted), mantissa, exponent.copy())
+            for mantissa in mantissas
+        ]
+    return [
+        StringOrderSeries(
+            lengths=lengths.copy(),
+            raw=raw,
+            normalized=normalized,
+            n_sites=n_sites,
+            mantissa=mantissa,
+            base=base,
+            exponent=exponent,
+        )
+        for raw, normalized, mantissa, exponent in values
+    ]
 
 
 def _carried_rows(x, step, lengths):
     """Rows x step^l for increasing lengths l >= 0, each carried from the one
-    before and written in place: bit for bit the rows of ``x = x @ step``."""
+    before and written in place: bit for bit the rows of ``x = x @ step``.
+
+    A jump of several lengths multiplies by ``matrix_power(step, jump)``.
+    Once one step leaves a row unchanged bit for bit (a row that has
+    underflowed to zeros), every further single step would too, so
+    when the remaining lengths are consecutive the rest of the rows are that
+    row, and no product is formed.
+    """
     rows = np.empty((len(lengths), len(x)), dtype=complex)
     at = 0
-    for l, row in zip(lengths, rows):
+    last = len(lengths) - 1
+    for i, (l, row) in enumerate(zip(lengths, rows)):
         if l == at + 1:
-            np.dot(x, step, out=row)
+            x.dot(step, out=row)
+            if row.tobytes() == x.tobytes() and lengths[last] - l == last - i:
+                rows[i + 1:] = row
+                break
         elif l > at:
-            np.dot(x, np.linalg.matrix_power(step, l - at), out=row)
+            x.dot(np.linalg.matrix_power(step, l - at), out=row)
         else:  # l = 0
             row[:] = x
         x, at = row, l
@@ -253,7 +288,7 @@ def decay_channel(model, g2, chi_l, chi_r):
     :class:`NearDefectiveError` when T(g2)'s eigenvectors cannot be paired.
     """
     lpdo = model.lpdo
-    left, right, norm, _ = _leading_pair(lpdo, transfer_spectrum(lpdo, np.eye(lpdo.d)), "of T(1)")
+    left, right, norm, _ = _leading_pair(lpdo, transfer_spectrum(lpdo, _identity(lpdo.d)), "of T(1)")
     tl, tr = build_transfer(lpdo, chi_l), build_transfer(lpdo, chi_r)
     envelope = np.linalg.norm(left) * np.linalg.norm(tl) * np.linalg.norm(tr) * np.linalg.norm(right) / abs(norm)
     if envelope == 0:

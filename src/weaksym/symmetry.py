@@ -23,7 +23,7 @@ from .errors import (
     NotSymmetricError,
     ValidationError,
 )
-from .numerics import _as_square
+from .numerics import _as_square, _identity
 from .transfer import _insertions, build_transfer, symmetry_gap, transfer_eigenpair, transfer_spectrum
 
 # Tolerance of the modulus tests of extract_virtual_rep, relative to the
@@ -187,7 +187,7 @@ def extract_virtual_rep(lpdo, act):
 def _extract_virtual_rep(lpdo, act):
     build_transfer(lpdo, act.u, act.ua)  # checks u and ua against d and da first
     dv = lpdo.bond_dim
-    ref = transfer_spectrum(lpdo, np.eye(lpdo.d))
+    ref = transfer_spectrum(lpdo, _identity(lpdo.d))
     if ref.near_defective:
         raise NearDefectiveError("untwisted transfer map is near-defective")
     lam_ref = ref.eigenvalues[0]

@@ -17,10 +17,10 @@ import numpy as np
 
 from .errors import GaplessTransferError, SizeGuardError, UndefinedExponentError, WeaksymError
 from .model import build_aklt_model, spin1_operators
-from .numerics import ldexp
+from .numerics import _identity, ldexp
 from .oracle import expectation
 from .response import conservation_check, finite_response, flux_response, thermo_response
-from .stringorder import string_order_series
+from .stringorder import _string_series, string_order_series
 from .symmetry import cocycle_commutator, extract_virtual_rep
 from .transfer import (
     build_transfer,
@@ -275,11 +275,10 @@ def decay_exponent(series, window=DEFAULT_WINDOW):
         residual=residual,
     )
 
-def _thermo_fit(model, chi, window):
-    series = string_order_series(
-        model, "R_z", chi, chi, range(window[0], window[1] + 1)
-    )
-    return decay_exponent(series, window=window)
+def _thermo_fits(model, chis, window):
+    """Fits of the thermodynamic strings chi ... chi over ``window``, one per chi, from one evaluation."""
+    series = _string_series(model, "R_z", [(chi, chi) for chi in chis], range(window[0], window[1] + 1))
+    return [decay_exponent(s, window=window) for s in series]
 
 
 def exponent_crossing(build=build_aklt_model):
@@ -293,8 +292,8 @@ def exponent_crossing(build=build_aklt_model):
     sx, sy = ops["S_x"], ops["S_y"]
 
     def difference(p):
-        model = build(p)
-        return _thermo_fit(model, sy, DEFAULT_WINDOW).xi - _thermo_fit(model, sx, DEFAULT_WINDOW).xi
+        fit_y, fit_x = _thermo_fits(build(p), [sy, sx], DEFAULT_WINDOW)
+        return fit_y.xi - fit_x.xi
 
     lo, hi = 0.4, 0.6
     f_lo, f_hi = difference(lo), difference(hi)
@@ -314,7 +313,7 @@ def exponent_checks(build=build_aklt_model):
     sx, sy = ops["S_x"], ops["S_y"]
     worst_x = 0.0
     for p in [i / 10 for i in range(10)]:
-        fit = _thermo_fit(build(p), sx, EARLY_WINDOW)
+        (fit,) = _thermo_fits(build(p), [sx], EARLY_WINDOW)
         worst_x = max(worst_x, abs(fit.xi - np.log(3.0)))
     # At p = 1 the S_x string vanishes identically, so its exponent does
     # not exist; check the vanishing instead of fitting roundoff.
@@ -324,7 +323,7 @@ def exponent_checks(build=build_aklt_model):
     worst_p1 = max(abs(v) for v in series_p1.raw)
     worst_y = 0.0
     for p in (0.6, 0.75, 0.9):
-        fit = _thermo_fit(build(p), sy, DEFAULT_WINDOW)
+        (fit,) = _thermo_fits(build(p), [sy], DEFAULT_WINDOW)
         worst_y = max(worst_y, abs(fit.xi - (-np.log((4 * p - 1) / 3))))
     crossing = exponent_crossing(build=build)
     return [
@@ -349,9 +348,9 @@ def oracle_checks(build=build_aklt_model):
         reps = [extract_virtual_rep(lpdo, model.action(g1))[0] for g1 in ("R_x", "R_y")]
         for n in (3, 4, 5):
             strings, rings = [], []
-            for alpha in ("S_0", "S_x", "S_y"):
-                chi = ops[alpha]
-                series = string_order_series(model, "R_z", chi, chi, range(n - 1), n_sites=n)
+            chis = [ops[alpha] for alpha in ("S_0", "S_x", "S_y")]
+            all_series = _string_series(model, "R_z", [(chi, chi) for chi in chis], range(n - 1), n_sites=n)
+            for chi, series in zip(chis, all_series):
                 for length, ring in zip(series.lengths.tolist(), series.raw):
                     strings.append([chi] + [uz] * length + [chi] + [eye3] * (n - length - 2))
                     rings.append(ring)
@@ -456,7 +455,7 @@ def _structural_lines(model):
     """
     out = []
     lpdo, group = model.lpdo, model.group
-    scale = float(abs(transfer_spectrum(lpdo, np.eye(lpdo.d)).eigenvalues[0]))
+    scale = float(abs(transfer_spectrum(lpdo, _identity(lpdo.d)).eigenvalues[0]))
     push_tol, commutant_tol = 1e-8 * scale**0.5, 1e-10 * scale
     reps = {}
     for g in group.labels:
@@ -499,7 +498,7 @@ def generic_model_checks(model):
     lpdo = model.lpdo
     n = 3
     name = f"uniform charges match the dense oracle at N={n}"
-    tol = 1e-10 * float(abs(transfer_spectrum(lpdo, np.eye(lpdo.d)).eigenvalues[0])) ** n
+    tol = 1e-10 * float(abs(transfer_spectrum(lpdo, _identity(lpdo.d)).eigenvalues[0])) ** n
     charges = [model.action(g).u for g in model.group.labels]
     try:
         dense = expectation(lpdo, np.eye(lpdo.bond_dim), [[u] * n for u in charges])

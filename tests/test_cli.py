@@ -917,6 +917,13 @@ def test_string_bytes_do_not_depend_on_the_blas_thread_count(argv, tmp_path):
         path = tmp_path / "model.json"
         save_model(generic_model(0.3)[0], path)
         argv = ["--model", str(path), *argv]
+    one, two = _at_one_and_two_blas_threads(["string", "--g2", "R_z", *argv])
+    assert one == two
+    assert one[0] == 0 and one[1].count(b"\n") > 20
+
+
+def _at_one_and_two_blas_threads(argv):
+    """(exit code, stdout, stderr) of ``python -m weaksym *argv`` at one and at two BLAS threads."""
     src = str(Path(weaksym.__file__).parents[1])
     outputs = []
     for threads in ("1", "2"):
@@ -926,10 +933,19 @@ def test_string_bytes_do_not_depend_on_the_blas_thread_count(argv, tmp_path):
             OMP_NUM_THREADS=threads,
             OPENBLAS_NUM_THREADS=threads,
         )
-        done = subprocess.run(
-            [sys.executable, "-m", "weaksym", "string", "--g2", "R_z", *argv],
-            capture_output=True, env=env, timeout=120,
-        )
+        done = subprocess.run([sys.executable, "-m", "weaksym", *argv], capture_output=True, env=env, timeout=120)
         outputs.append((done.returncode, done.stdout, done.stderr))
-    assert outputs[0] == outputs[1]
-    assert outputs[0][0] == 0 and outputs[0][1].count(b"\n") > 20
+    return outputs
+
+
+@pytest.mark.parametrize(
+    "argv, lines",
+    [(["sweep", "--steps", "21"], 22), (["verify", "oracle"], 4)],
+    ids=["sweep-21", "verify-oracle"],
+)
+def test_shared_series_bytes_do_not_depend_on_the_blas_thread_count(argv, lines):
+    """A sweep row evaluates S_x and S_y, and the oracle check S_0, S_x and S_y,
+    as one series each; their output must not change with the BLAS threads."""
+    one, two = _at_one_and_two_blas_threads(argv)
+    assert one == two
+    assert one[0] == 0 and one[1].count(b"\n") >= lines

@@ -219,6 +219,24 @@ def test_sweep_row_builds_one_squaring_table_per_map(power_tables):
     assert sum(len(table._squares) - 1 for table in power_tables) == 14
 
 
+def test_sweep_row_computes_each_ring_power_once(power_tables, monkeypatch):
+    """The S_x and S_y rings share the envelope T(R_z)^200 and the powers
+    T(R_z)^50 and T(1)^148; each is assembled from its table once per row."""
+    powers = []
+    power = numerics.ScaledPowers.power
+
+    def recording(self, n):
+        powers.append(n)
+        return power(self, n)
+
+    monkeypatch.setattr(numerics.ScaledPowers, "power", recording)
+    row = cli._sweep_row(0.3, 200, 50)
+    assert not row["flags"]
+    assert sorted(powers) == [50, 148, 200]
+    assert len(power_tables) == 2
+    assert sum(len(table._squares) - 1 for table in power_tables) == 14
+
+
 def test_transfer_powers_are_memoised_and_bit_equal_to_a_fresh_model():
     model, _, _ = generic_model(0.3)
     lpdo = model.lpdo

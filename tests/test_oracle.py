@@ -298,3 +298,52 @@ def test_generic_checks_skip_oracle_beyond_guard(monkeypatch):
     (row,) = [r for section, r in generic_model_checks(model) if section == "oracle"]
     assert row.passed and row.detail.startswith("skipped: ")
     assert "(d*da)^N * D^2" in row.detail
+
+
+@pytest.fixture
+def site_matrices(monkeypatch):
+    """A list that grows by one entry per ``oracle._site_matrix`` call."""
+    calls = []
+    site_matrix = oracle._site_matrix
+
+    def counting(a4):
+        calls.append(a4.shape)
+        return site_matrix(a4)
+
+    monkeypatch.setattr(oracle, "_site_matrix", counting)
+    return calls
+
+
+def test_a_repeated_operator_object_is_folded_once(site_matrices):
+    """Lists that repeat one object give the values of lists of equal copies,
+    and of one call per list, bit for bit; only the three distinct objects
+    (and the bare ring) are folded."""
+    model = build_aklt_model(0.3)
+    lpdo = model.lpdo
+    uz, sy, eye3 = model.action("R_z").u, OPS["S_y"], np.eye(3)
+    shared = [[sy, uz, sy, eye3], [uz, uz, uz, uz], [eye3, sy, uz, sy]]
+    values = expectation(lpdo, np.eye(2), shared)
+    assert len(site_matrices) == 1 + 3
+    copies = [[op.copy() for op in ops] for ops in shared]
+    assert values.tobytes() == expectation(lpdo, np.eye(2), copies).tobytes()
+    alone = np.concatenate([expectation(lpdo, np.eye(2), [ops]) for ops in shared])
+    assert values.tobytes() == alone.tobytes()
+    # operators made on the fly are freed as soon as they are read, unless
+    # the call holds them: a freed one's id may come back for the next
+    generated = ((np.array(op) for op in ops) for ops in shared)
+    assert values.tobytes() == expectation(lpdo, np.eye(2), generated).tobytes()
+
+
+def test_operators_are_checked_in_order_before_the_guard(site_matrices):
+    """A bad operator in the last list is refused though its objects repeat,
+    and a ring over the guard is refused before any operator is folded."""
+    lpdo = build_aklt_model(0.3).lpdo
+    eye3, bad = np.eye(3), np.eye(3)
+    bad[0, 0] = np.inf
+    with pytest.raises(DimensionMismatchError, match="op is 2x2, tensor has d=3"):
+        expectation(lpdo, np.eye(2), [[eye3] * 3, [eye3] * 3, [eye3, eye3, np.eye(2)]])
+    with pytest.raises(ValidationError, match="op: entries must be finite"):
+        expectation(lpdo, np.eye(2), [[eye3] * 7, [eye3] * 6 + [bad]])
+    with pytest.raises(SizeGuardError):
+        expectation(lpdo, np.eye(2), [[eye3] * 7, [OPS["S_y"]] * 7])
+    assert site_matrices == []

@@ -5,10 +5,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from weaksym.errors import UndefinedExponentError, ValidationError
+from test_generic import generic_model
+from weaksym.errors import DimensionMismatchError, UndefinedExponentError, ValidationError
 from weaksym.model import LpdoTensor, Model, build_aklt_model, spin1_operators
 from weaksym.response import thermo_response
-from weaksym.stringorder import decay_channel, string_order_series
+from weaksym.stringorder import _carried_rows, _string_series, decay_channel, string_order_series
 from weaksym.symmetry import GroupTable, SymmetryAction, endpoint_charge
 from weaksym.transfer import build_transfer, transfer_spectrum, twisted_spectrum
 from weaksym.verify import decay_exponent
@@ -387,3 +388,109 @@ def test_series_carries_its_scale():
             for m, l, e in zip(series.mantissa, series.lengths, series.exponent)
         ]
         np.testing.assert_allclose(series.raw, rebuilt, rtol=1e-15, atol=1e-300)
+
+
+def _bits(series):
+    """Everything a series holds, as bytes and Python values: equal bits compare equal."""
+    exponent = series.exponent.tolist() if series.exponent.dtype == object else series.exponent.tobytes()
+    return (
+        series.lengths.tobytes(), series.raw.tobytes(), series.normalized.tobytes(),
+        series.mantissa.tobytes(), series.exponent.dtype, exponent, series.base, series.n_sites,
+    )
+
+
+def _arrays(series):
+    return [series.lengths, series.raw, series.normalized, series.mantissa, series.exponent]
+
+
+PAIRS = [("S_x", "S_x"), ("S_y", "S_y"), ("S_0", "S_z"), ("S_z", "S_y")]
+
+
+@pytest.mark.parametrize(
+    "fresh, lengths, n_sites",
+    [
+        (lambda: build_aklt_model(0.3), [7, 0, 3, 3, 12, 40, 7, 0], None),
+        (lambda: build_aklt_model(0.75), [9], 20),
+        (lambda: build_aklt_model(0.3), [5, 0, 198, 17, 17, 64, 1, 2, 3, 100, 150], 200),
+        (lambda: generic_model(0.3)[0], range(1001), 1200),
+        (lambda: build_aklt_model(0.6), [0, 3, 2**49, 2**50 - 2, 2**50 - 3], 2**50),
+    ],
+    ids=["thermo-gaps-repeats", "ring-1", "ring-11", "ring-1001-D6", "ring-2^50"],
+)
+def test_shared_series_equal_one_call_per_pair(fresh, lengths, n_sites):
+    """Each series of one shared evaluation is bit for bit a separate call on a
+    fresh model, and owns its arrays. Eleven lengths take the per-length
+    powers, 1,001 lengths at D = 6 cross the 809-length chunk, and N = 2^50
+    keeps its exponents as Python ints."""
+    endpoints = [(OPS[a], OPS[b]) for a, b in PAIRS]
+    shared = _string_series(fresh(), "R_z", endpoints, lengths, n_sites)
+    assert len(shared) == len(endpoints)
+    for (chi_l, chi_r), series in zip(endpoints, shared):
+        alone = string_order_series(fresh(), "R_z", chi_l, chi_r, lengths, n_sites)
+        assert _bits(series) == _bits(alone)
+    for i, series in enumerate(shared):
+        for other in shared[i + 1:]:
+            for a, b in zip(_arrays(series), _arrays(other)):
+                assert not np.shares_memory(a, b) or not (a.flags.writeable or b.flags.writeable)
+
+
+def test_a_shared_series_checks_every_endpoint_before_any_power():
+    model = build_aklt_model(0.3)
+    entries = dict(model.lpdo._memo)
+    endpoints = [(OPS["S_x"], OPS["S_x"]), (OPS["S_y"], np.eye(2))]
+    for n_sites in (None, 200):
+        with pytest.raises(DimensionMismatchError, match="op is 2x2, tensor has d=3"):
+            _string_series(model, "R_z", endpoints, [50], n_sites)
+    assert {key[0] for key in model.lpdo._memo.keys() - entries.keys()} == {"transfer"}
+
+
+def _carried_reference(x, step, lengths):
+    """x step^l for increasing lengths, each row x @ matrix_power(step, jump) of the row before."""
+    rows, at = [], 0
+    for l in lengths:
+        if l > at:
+            x = x @ np.linalg.matrix_power(step, l - at)
+        rows.append(x)
+        at = l
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("alpha", ["S_x", "S_y"])
+def test_carried_rows_fill_the_zero_tail_bit_for_bit(alpha):
+    """At p = 0.3 both series underflow to zero rows from l = 1266 (S_x) and
+    1199 (S_y); the rows that repeat are filled, bit for bit as the recurrence
+    leaves them."""
+    model = build_aklt_model(0.3)
+    lpdo = model.lpdo
+    _, left, _ = transfer_spectrum(lpdo, np.eye(3)).leading
+    step = build_transfer(lpdo, model.action("R_z").u) / abs(twisted_spectrum(model, "R_z").eigenvalues[0])
+    x = left @ build_transfer(lpdo, OPS[alpha])
+    lengths = list(range(2001))
+    rows = _carried_rows(x, step, lengths)
+    expected = _carried_reference(x, step, lengths)
+    assert rows.tobytes() == expected.tobytes()
+    zero = ~expected.view(float).any(axis=1)
+    assert zero[-1] and zero.sum() > 700
+
+
+def test_carried_rows_do_not_fill_across_a_gap():
+    """x = [1, 1] is a fixed row of one step (1 + 1e-17 rounds to 1) but not of
+    step^99, whose corner entry is 9.9e-16: a repeat before a gap must not fill."""
+    x = np.array([1.0, 1.0], dtype=complex)
+    step = np.array([[1.0, 0.0], [1e-17, 1.0]], dtype=complex)
+    lengths = [0, 1, 2, 101, 102, 103]
+    rows = _carried_rows(x, step, lengths)
+    expected = _carried_reference(x, step, lengths)
+    assert rows.tobytes() == expected.tobytes()
+    assert rows[2].tobytes() == rows[1].tobytes() and rows[3].tobytes() != rows[2].tobytes()
+
+
+def test_carried_rows_without_a_repeat_match_the_recurrence():
+    rng = np.random.default_rng(5)
+    step = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    step /= abs(np.linalg.eigvals(step)).max()
+    x = rng.normal(size=4) + 1j * rng.normal(size=4)
+    lengths = [0, *range(3, 300)]
+    rows = _carried_rows(x, step, lengths)
+    assert rows.tobytes() == _carried_reference(x, step, lengths).tobytes()
+    assert all(a.tobytes() != b.tobytes() for a, b in zip(rows, rows[1:]))
