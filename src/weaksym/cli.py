@@ -63,7 +63,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _fmt(value):
     # "%.17g" already prints NaN as "nan"
-    return "nan" if value is None else f"{float(value):.17g}"
+    return f"{float(value):.17g}"
 
 
 def _fmt_column(values):
@@ -85,8 +85,6 @@ def _fmt_complex(value):
 
 def _json_float(value):
     """A float for JSON: nan and +-inf, which strict JSON cannot hold, become null."""
-    if value is None:
-        return None
     value = float(value)
     return value if math.isfinite(value) else None
 
@@ -127,21 +125,12 @@ def _group_label(model, name):
     )
 
 
-@functools.cache
-def _spin1():
-    """One read-only set of :func:`spin1_operators` per process."""
-    ops = spin1_operators()
-    for m in ops.values():
-        m.flags.writeable = False
-    return ops
-
-
 def _resolve_chi(spec, dim):
     key = spec.lower()
     if key in _CHI_BUILTIN:
         if dim != 3:
             raise ValidationError(f"built-in endpoint {spec!r} is a spin-1 operator; model has d={dim}")
-        return _spin1()[_CHI_BUILTIN[key]]
+        return spin1_operators()[_CHI_BUILTIN[key]]
     with open(spec) as fh:
         payload = json.load(fh)
     return _decode_array(payload, (dim, dim), "chi")
@@ -161,7 +150,7 @@ def _sweep_row(p, n_sites, length):
         flags.append("gapless_thermo")
     gap_z = symmetry_gap(twisted_spectrum(model, "R_z"))
 
-    ops = _spin1()
+    ops = spin1_operators()
     chis = {tag: ops[f"S_{tag}"] for tag in ("x", "y")}
     try:  # the two rings share one envelope: both or neither vanish
         rings = _string_series(model, "R_z", [(chi, chi) for chi in chis.values()], [length], n_sites=n_sites)
@@ -323,6 +312,8 @@ def cmd_string(args):
 def cmd_verify(args):
     if args.model == "aklt":
         results = _verify.run_level(args.level)
+    elif args.level != "all":
+        raise ValidationError(f"verify {args.level} checks the built-in family; a model file takes level all")
     else:
         try:
             model = load_model(args.model)

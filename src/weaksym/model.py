@@ -27,11 +27,17 @@ _MISSING = object()
 def spin1_operators():
     """Spin-1 operators in the basis (m=-1, m=0, m=+1).
 
-    Returns a dict with the spin matrices S_x, S_y, S_z, the identity S_0,
-    and the pi-rotations R_alpha = exp(i pi S_alpha). For spin 1 the
+    Returns a new dict with the spin matrices S_x, S_y, S_z, the identity
+    S_0, and the pi-rotations R_alpha = exp(i pi S_alpha). For spin 1 the
     rotations close to R_alpha = 1 - 2 S_alpha^2, so R_z = diag(-1, 1, -1)
-    exactly.
+    exactly. The arrays are read-only, made once per process and shared by
+    every dict.
     """
+    return dict(_spin1_set())
+
+
+@functools.cache
+def _spin1_set():
     sx = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / _SQ2
     sy = -np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=complex) / _SQ2
     sz = np.diag([-1.0, 0.0, 1.0]).astype(complex)
@@ -40,6 +46,8 @@ def spin1_operators():
     for alpha in "xyz":
         s = ops[f"S_{alpha}"]
         ops[f"R_{alpha}"] = eye - 2.0 * (s @ s)
+    for m in ops.values():
+        m.flags.writeable = False
     return ops
 
 
@@ -109,9 +117,9 @@ class KrausChannel:
         s = np.einsum("aji,ajk->ik", self.kraus.conj(), self.kraus)
         return float(np.linalg.norm(s - np.eye(self.d)))
 
-    def validate(self, tol=1e-12):
+    def validate(self):
         defect = self.completeness_defect()
-        if defect > tol:
+        if defect > 1e-9:
             raise ValidationError(f"channel.kraus: not trace preserving (defect {defect:.3e})")
         p = self.p
         if p is not None and (isinstance(p, bool) or not (isinstance(p, (int, float)) and 0.0 <= p <= 1.0)):
@@ -143,9 +151,7 @@ def aklt_channel(p):
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"channel.p: expected 0 <= p <= 1, got {p}")
     weights = np.sqrt([1.0 - p, p, p, p])
-    ch = KrausChannel(weights[:, None, None] * _aklt_kraus_basis(), p=p)
-    ch.validate()
-    return ch
+    return KrausChannel(weights[:, None, None] * _aklt_kraus_basis(), p=p)
 
 
 def dilate(pure, channel):
@@ -204,7 +210,6 @@ def _aklt_actions():
     actions = {}
     for g in aklt_group().labels:
         u = ops["S_0"] if g == "1" else ops[g]
-        u.flags.writeable = False
         rotation = SymmetryAction(element=g, u=u, ua=None)  # endpoint_charge reads u only
         ua = np.diag([endpoint_charge(k, rotation) for k in _aklt_kraus_basis()]).conj()
         ua.flags.writeable = False
@@ -358,6 +363,6 @@ def load_model(path):
             raise ValidationError("channel: expected an object with a kraus list")
         kraus = _decode_array(ch["kraus"], (len(ch["kraus"]), d, d), "channel.kraus")
         channel = KrausChannel(kraus, p=ch.get("p"))
-        channel.validate(tol=1e-9)
+        channel.validate()
 
     return Model(lpdo=lpdo, group=group, actions=actions, channel=channel)

@@ -93,6 +93,15 @@ def _as_square(m, name="matrix"):
     return m
 
 
+def _insertion(m, name, leg, dim):
+    """m as a finite complex dim x dim array, to act on a tensor leg of size ``dim``;
+    any other size raises :class:`DimensionMismatchError` "<name> is kxk, tensor has <leg>=<dim>"."""
+    m = _as_square(m, name)
+    if m.shape[0] != dim:
+        raise DimensionMismatchError(f"{name} is {m.shape[0]}x{m.shape[0]}, tensor has {leg}={dim}")
+    return m
+
+
 @cache
 def _identity(dim):
     """The complex dim x dim identity, read-only and made once per dimension."""

@@ -32,7 +32,7 @@ is allocated.
 import numpy as np
 
 from .errors import DimensionMismatchError, SizeGuardError, ValidationError
-from .numerics import _as_square
+from .numerics import _insertion
 
 MAX_AMPLITUDES = 2 ** 24
 
@@ -84,9 +84,7 @@ def _ring(lpdo, seam, n_sites):
     if n_sites < 1:
         raise ValidationError(f"need at least one site, got {n_sites}")
     _guard((d * da) ** n_sites * dv * dv, "ring amplitudes x cut bond pairs (d*da)^N * D^2")
-    seam = _as_square(seam, "seam")
-    if seam.shape[0] != dv:
-        raise DimensionMismatchError(f"seam is {seam.shape[0]}x{seam.shape[0]}, bond is {dv}")
+    seam = _insertion(seam, "seam", "D", dv)
     return *_ring_halves(seam, [_site_matrix(a4)] * n_sites), seam
 
 
@@ -114,7 +112,7 @@ def expectation(lpdo, seam, op_lists):
 
     def check(op):
         if id(op) not in checked:
-            checked[id(op)] = op, _as_square(op, "op")
+            checked[id(op)] = op, _insertion(op, "op", "d", d)
         return checked[id(op)][1]
 
     op_lists = [[check(op) for op in ops] for ops in op_lists]
@@ -124,9 +122,6 @@ def expectation(lpdo, seam, op_lists):
     for ops in op_lists:
         if len(ops) != n_sites:
             raise DimensionMismatchError(f"got {len(ops)} operators for {n_sites} sites")
-        for op in ops:
-            if op.shape[0] != d:
-                raise DimensionMismatchError(f"op is {op.shape[0]}x{op.shape[0]}, tensor has d={d}")
     left0, right0, seam = _ring(lpdo, seam, n_sites)
     flat = a4.reshape(d, -1)
     (s_left, bonds), s_right = left0.shape, right0.shape[1]

@@ -22,8 +22,8 @@ from .symmetry import cocycle_commutator, extract_virtual_rep
 from .transfer import flux_operator, symmetry_gap, transfer_powers, transfer_spectrum, twisted_spectrum
 
 SNAP_TOL = 1e-6
-# A symmetry gap at or below this share of |lambda_0(T(1))|, the tensor's
-# normalization, is a transition: the thermodynamic limit is undefined.
+# A symmetry gap at or below this share of |lambda_0(T(1))| is a transition:
+# the thermodynamic limit is undefined. Scale-free, as symmetry.REP_TOL says.
 GAP_TOL = 1e-8
 
 
@@ -115,8 +115,7 @@ def _leading_pair(lpdo, spectrum, what):
     is ``(left @ X @ right) / norm`` for some X. Raises
     :class:`NearDefectiveError` for an untrustworthy spectrum and
     :class:`GaplessTransferError` when the gap is at or below ``GAP_TOL``
-    (1e-8) times |lambda_0(T(1))|, so a rescaled tensor gets the same
-    answer; ``what`` ("for 'R_z'") names the map in both.
+    (1e-8) times |lambda_0(T(1))|; ``what`` ("for 'R_z'") names the map in both.
     """
     if spectrum.near_defective:
         raise NearDefectiveError(f"transfer spectrum {what} is near-defective")
@@ -139,8 +138,8 @@ def flux_response(model, flux, g2):
     (L0| kron(conj(X), X) |R0) on the leading biorthonormal eigenvector
     pair of T(g2). Returns ``(value, gap)``. Raises
     :class:`GaplessTransferError` when the symmetry gap of T(g2) is at or
-    below ``GAP_TOL`` times |lambda_0(T(1))| (the value is undefined at a
-    transition) and :class:`NearDefectiveError` for untrustworthy spectra.
+    below ``GAP_TOL`` times |lambda_0(T(1))| and :class:`NearDefectiveError`
+    for untrustworthy spectra.
     """
     return _pair_value(model.lpdo, twisted_spectrum(model, g2), flux_operator(flux), f"for {g2!r}")
 
@@ -151,8 +150,7 @@ def thermo_response(model, g1, g2):
     Threads the extracted virtual representation V_g1 through the leading
     eigenvector pair of T(g2). Valid results are phases: unit modulus
     within 1e-8. Raises :class:`GaplessTransferError` when the symmetry gap
-    of T(g2) is at or below ``GAP_TOL`` (1e-8) times |lambda_0(T(1))|, where
-    the limit is undefined.
+    of T(g2) is at or below ``GAP_TOL`` (1e-8) times |lambda_0(T(1))|.
     """
     _require_commuting(model, g1, g2)
     rep1, _ = extract_virtual_rep(model.lpdo, model.action(g1))

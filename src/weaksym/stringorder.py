@@ -17,11 +17,8 @@ under- or overflow: the thermodynamic series is one running row vector
 x_{l+1} = x_l T(g2)/|lambda_0| across the lengths, each row written in place
 from the one before, and ring series take every power, the envelope
 Tr T(g2)^N included, from the model's one table of repeated squarings per map
-(:func:`~weaksym.transfer.transfer_powers`), all lengths at once: one GEMM
-per bit level over the whole stack, so a series of thousands of lengths costs
-about log2(N) BLAS calls per map rather than one per matrix, or a
-Python-level product per factor. The chain T_chiL m2 T_chiR m1 takes its
-stack-times-T_chiR step as one GEMM too.
+(:func:`~weaksym.transfer.transfer_powers`), all lengths at once
+(:meth:`~weaksym.numerics.ScaledPowers.powers`).
 
 The decay exponent is not fitted to a series. Expanding T(g2) in its own
 eigenpairs makes the thermodynamic string a finite sum of geometric channels,
@@ -141,7 +138,7 @@ def _string_series(model, g2, endpoints, lengths, n_sites=None):
     powers, in the thermodynamic limit the leading pair of T(1) and the
     carried step. Each pair costs its endpoint maps, its traces or carried
     rows, and its scaling. Every endpoint is checked before any power or
-    spectrum is computed. Each series owns its arrays.
+    spectrum is computed. Each field of each series owns its array.
     """
     if n_sites is not None:
         n_sites = _whole(n_sites, "the ring size N must be an integer")
@@ -173,7 +170,7 @@ def _string_series(model, g2, endpoints, lengths, n_sites=None):
             # times inf is nan: that part stays zero, as the ring's ldexp keeps it
             for part, m in ((raw.real, mantissa.real), (raw.imag, mantissa.imag)):
                 np.copyto(part, m, where=np.isnan(part) & (m == 0))
-            values.append((raw, mantissa, mantissa, np.zeros(len(lengths), dtype=int)))
+            values.append((raw, mantissa, mantissa.copy(), np.zeros(len(lengths), dtype=int)))
     else:
         bad = (lengths < 0) | (lengths > n_sites - 2)
         if bad.any():

@@ -23,12 +23,15 @@ from .errors import (
     NotSymmetricError,
     ValidationError,
 )
-from .numerics import _as_square, _identity
+from .numerics import _as_square, _identity, _insertion
 from .transfer import _insertions, build_transfer, symmetry_gap, transfer_eigenpair, transfer_spectrum
 
-# Tolerance of the modulus tests of extract_virtual_rep, relative to the
-# leading modulus |lambda_0| of T(1), and of its push-through residual,
-# relative to |lambda_0|^(1/2): the residual is linear in the tensor.
+# Tolerances are scale-free: a tensor times c describes the same state and
+# multiplies the leading modulus |lambda_0| of T(1) by |c|^2, so a residual
+# that grows as |lambda_0|^k is held to a tolerance times |lambda_0|^k, and a
+# rescaled tensor gets the same answer. REP_TOL is that of the modulus tests of
+# extract_virtual_rep (k = 1) and of its push-through residual (k = 1/2: the
+# residual is linear in the tensor); response.GAP_TOL follows the same rule.
 REP_TOL = 1e-8
 
 
@@ -144,10 +147,8 @@ def verify_transformation_law(lpdo, act, rep, theta):
     a4 = lpdo.tensor
     u = _as_square(act.u, "u")
     ua = _as_square(act.ua, "ua")
-    v = _as_square(rep.v, "v")
     d, da, dv, _ = a4.shape
-    if v.shape[0] != dv:
-        raise DimensionMismatchError(f"v is {v.shape[0]}x{v.shape[0]}, tensor has D={dv}")
+    v = _insertion(rep.v, "v", "D", dv)
     # u and ua rotate the outer legs as in transfer._contract; A V^dag is one GEMM
     lhs = ua @ (u @ a4.reshape(d, -1)).reshape(d, da, dv * dv)
     rhs = np.exp(1j * theta) * (v @ (a4.reshape(-1, dv) @ v.conj().T).reshape(a4.shape))
@@ -170,10 +171,9 @@ def extract_virtual_rep(lpdo, act):
     degenerate in modulus (non-injective tensor), and
     :class:`NotSymmetricError` if the twisted leading modulus deviates from
     the untwisted one (tensor not symmetric under this action) or the
-    recovered pair fails the transformation law (all at ``REP_TOL``). Both
-    modulus tests are relative to the untwisted leading modulus |lambda_0|
-    and the law's residual to |lambda_0|^(1/2), so a rescaled tensor, which
-    describes the same state, gets the same answer.
+    recovered pair fails the transformation law: the modulus tests at
+    ``REP_TOL`` |lambda_0|, the law at ``REP_TOL`` |lambda_0|^(1/2), with
+    lambda_0 the untwisted leading eigenvalue.
 
     The result is memoised on ``lpdo``, keyed by the element label, u_g and
     ua_g; a failed extraction is not stored, but the spectrum and the pair

@@ -11,9 +11,7 @@ index fast), i.e. a vectorized boundary matrix M[conj, ket] flattens in row
 major order, and the operator threading a symmetry flux V through it is
 kron(conj(V), V). T(1, 1) is the ordinary mixed-state transfer map; T(u, 1)
 carries the flux responses and symmetry gaps; T(1, ua) the ancilla share of
-the conservation law. The leading right eigenvector of T(u, ua), reshaped
-to M[conj, ket] and transposed, is V_g times the fixed point of T(1, 1),
-which is how :func:`weaksym.symmetry.extract_virtual_rep` reads V_g off.
+the conservation law.
 
 For D > 2 the map is one matrix product, O(d da D^4) work: the ket layer is
 rotated by O and O_a, then contracted against conj(A) reshaped to
@@ -21,13 +19,9 @@ rotated by O and O_a, then contracted against conj(A) reshaped to
 differs from the product in the last bits and so keeps the built-in AKLT
 family's outputs bit-stable.
 
-Spectra follow the same kind of split, made by
-:func:`~weaksym.numerics.leading_spectrum` on the size of the map: up to
-``DENSE_MAX_ROWS`` rows (D <= 10) a map is decomposed in full by a dense ``eig``, O(D^6) work; above it
-only the leading eigenpairs, which are all any consumer reads, are computed
-by Krylov iteration, O(D^4) work per matrix-vector product. The extraction
-of V_g reads one eigenvalue and one right vector of T(u, ua), so
-:func:`transfer_eigenpair` computes only that pair, by the same two routes.
+Spectra and eigenpairs come from :mod:`weaksym.numerics`, dense or by
+Krylov iteration on the size of the map; a large map gets only its leading
+eigenpairs, which are all any consumer reads.
 
 Every value is memoised on the tensor under its insertions' complex shapes
 and bytes; an insertion is checked when its map is built, not on each lookup.
@@ -36,13 +30,7 @@ and bytes; an insertion is checked when its map is built, not on each lookup.
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .numerics import ScaledPowers, _as_square, leading_eigenpair, leading_spectrum, spectral_decompose
-
-
-def _insertion(m, name, leg, dim):
-    m = _as_square(m, name)
-    if m.shape[0] != dim:
-        raise DimensionMismatchError(f"{name} is {m.shape[0]}x{m.shape[0]}, tensor has {leg}={dim}")
+from .numerics import ScaledPowers, _as_square, _insertion, leading_eigenpair, leading_spectrum, spectral_decompose
 
 
 def _insertions(op, op_a):

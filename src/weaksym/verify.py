@@ -21,7 +21,7 @@ from .numerics import _identity, ldexp
 from .oracle import expectation
 from .response import conservation_check, finite_response, flux_response, thermo_response
 from .stringorder import _string_series, string_order_series
-from .symmetry import cocycle_commutator, extract_virtual_rep
+from .symmetry import REP_TOL, cocycle_commutator, extract_virtual_rep
 from .transfer import (
     build_transfer,
     commutant_residual,
@@ -105,7 +105,7 @@ def _multiset_distance(computed, expected):
 
 # --- criterion 1: transfer spectra and explicit matrices --------------------
 
-def transfer_table_checks(build=build_aklt_model):
+def transfer_table_checks(build):
     results = []
     worst_s1 = worst_sz = worst_m1 = worst_mz = 0.0
     expected_t1 = [1, -1 / 3, -1 / 3, -1 / 3]
@@ -130,7 +130,7 @@ def transfer_table_checks(build=build_aklt_model):
 
 # --- criterion 3: symmetry gaps ---------------------------------------------
 
-def gap_checks(build=build_aklt_model):
+def gap_checks(build):
     worst_z = worst_1 = 0.0
     for p in P_GRID:
         model = build(p)
@@ -146,7 +146,7 @@ def gap_checks(build=build_aklt_model):
 
 # --- criterion 2: quantized responses across the phase diagram --------------
 
-def response_checks(build=build_aklt_model):
+def response_checks(build):
     results = []
     worst_thermo = worst_agree = 0.0
     for p_values, target_y in ((P_BELOW, -1.0), (P_ABOVE, 1.0)):
@@ -188,22 +188,18 @@ def response_checks(build=build_aklt_model):
 
 # --- criterion 4: normalized string order plateaus ---------------------------
 
-def string_order_checks(build=build_aklt_model):
-    """Normalized strings of length 50 on a ring of 200 sites."""
+def string_order_checks(build):
+    """Normalized strings of length 50 on a ring of 200 sites, S_y and S_x as one series per p."""
     ops = spin1_operators()
-    sx, sy = ops["S_x"], ops["S_y"]
+    ends = [(ops[chi], ops[chi]) for chi in ("S_y", "S_x")]
     worst_plateau = worst_below = worst_x = 0.0
-
-    def normalized(model, chi):
-        return string_order_series(model, "R_z", chi, chi, [50], n_sites=200).normalized[0]
-
-    for p in P_ABOVE:
-        sn_y = normalized(build(p), sy)
-        worst_plateau = max(worst_plateau, abs(abs(sn_y) - aklt_string_amplitude(p)))
-    for p in P_BELOW:
-        worst_below = max(worst_below, abs(normalized(build(p), sy)))
     for p in P_BELOW + P_ABOVE:
-        worst_x = max(worst_x, abs(normalized(build(p), sx)))
+        sn_y, sn_x = (abs(s.normalized[0]) for s in _string_series(build(p), "R_z", ends, [50], n_sites=200))
+        if p in P_ABOVE:
+            worst_plateau = max(worst_plateau, abs(sn_y - aklt_string_amplitude(p)))
+        else:
+            worst_below = max(worst_below, sn_y)
+        worst_x = max(worst_x, sn_x)
     return [
         _check("normalized S_y plateau (2(1-p)/3)^2 above p=1/2", worst_plateau, 1e-6),
         _check("normalized S_y vanishes below p=1/2", worst_below, 1e-6),
@@ -239,7 +235,7 @@ class DecayFit:
     residual: float
 
 
-def decay_exponent(series, window=DEFAULT_WINDOW):
+def decay_exponent(series, window):
     """Fit -ln|S(l)| = xi * l + const over lengths inside ``window``.
 
     Needs at least four points in the window; any |S| at or below the
@@ -281,7 +277,7 @@ def _thermo_fits(model, chis, window):
     return [decay_exponent(s, window=window) for s in series]
 
 
-def exponent_crossing(build=build_aklt_model):
+def exponent_crossing(build):
     """Noise rate where the S_y decay exponent drops to the S_x one.
 
     Bisects xi_y(p) - xi_x(p) on [0.4, 0.6] down to a bracket of 1e-7; both
@@ -308,7 +304,7 @@ def exponent_crossing(build=build_aklt_model):
     return 0.5 * (lo + hi)
 
 
-def exponent_checks(build=build_aklt_model):
+def exponent_checks(build):
     ops = spin1_operators()
     sx, sy = ops["S_x"], ops["S_y"]
     worst_x = 0.0
@@ -325,7 +321,7 @@ def exponent_checks(build=build_aklt_model):
     for p in (0.6, 0.75, 0.9):
         (fit,) = _thermo_fits(build(p), [sy], DEFAULT_WINDOW)
         worst_y = max(worst_y, abs(fit.xi - (-np.log((4 * p - 1) / 3))))
-    crossing = exponent_crossing(build=build)
+    crossing = exponent_crossing(build)
     return [
         _check("S_x decay exponent ln(3) for p in [0, 0.9]", worst_x, 1e-6),
         _check("S_x string vanishes identically at p=1", worst_p1, 1e-12),
@@ -336,7 +332,7 @@ def exponent_checks(build=build_aklt_model):
 
 # --- criterion 6: dense-oracle equivalence -----------------------------------
 
-def oracle_checks(build=build_aklt_model):
+def oracle_checks(build):
     """Dense-oracle cross-checks on rings of 3, 4 and 5 sites."""
     ops = spin1_operators()
     eye2, eye3 = np.eye(2), np.eye(3)
@@ -371,7 +367,7 @@ def oracle_checks(build=build_aklt_model):
 
 # --- criterion 7: structural identities --------------------------------------
 
-def structural_checks(build=build_aklt_model):
+def structural_checks(build):
     """Worst of each kind of :func:`_structural_lines` (a failed or skipped line is inf), and group orbits."""
     worst = {"actions": 0.0, "commutants": 0.0, "conservation": 0.0}
     worst_flux2 = 0.0
@@ -396,7 +392,7 @@ def structural_checks(build=build_aklt_model):
 
 # --- criterion 8: pure-state limit -------------------------------------------
 
-def pure_limit_checks(build=build_aklt_model):
+def pure_limit_checks(build):
     model = build(0.0)
     lpdo = model.lpdo
     reps = {g: extract_virtual_rep(lpdo, model.action(g))[0] for g in ("R_x", "R_y", "R_z")}
@@ -439,7 +435,7 @@ def run_level(level):
     build = functools.cache(build_aklt_model)
     out = []
     for section in LEVELS[level]:
-        for result in _SECTIONS[section](build=build):
+        for result in _SECTIONS[section](build):
             out.append((section, result))
     return out
 
@@ -450,13 +446,13 @@ def _structural_lines(model):
     "actions": action unitarity and the push-through law per element. Then per
     commuting pair of extracted elements, "commutants", and "conservation" for g2
     not the identity (skipped with a note where a twisted transfer is gapless).
-    Tolerances: push-through 1e-8 |lambda_0(T(1))|^(1/2) and commutants
-    1e-10 |lambda_0(T(1))|, as those residuals scale; conservation compares phases.
+    Tolerances: push-through ``REP_TOL`` |lambda_0(T(1))|^(1/2) and commutants
+    1e-10 |lambda_0(T(1))|; conservation compares phases.
     """
     out = []
     lpdo, group = model.lpdo, model.group
     scale = float(abs(transfer_spectrum(lpdo, _identity(lpdo.d)).eigenvalues[0]))
-    push_tol, commutant_tol = 1e-8 * scale**0.5, 1e-10 * scale
+    push_tol, commutant_tol = REP_TOL * scale**0.5, 1e-10 * scale
     reps = {}
     for g in group.labels:
         act = model.action(g)
@@ -492,7 +488,7 @@ def generic_model_checks(model):
     The lines of :func:`_structural_lines`, which criterion 7 also runs on the
     built-in family, and a dense oracle cross-check of the uniform charges on 3
     sites (skipped with a note when the ring exceeds the oracle's size guard),
-    to 1e-10 |lambda_0(T(1))|^3, the scale of a charge on 3 sites.
+    to 1e-10 |lambda_0(T(1))|^3.
     """
     out = _structural_lines(model)
     lpdo = model.lpdo

@@ -516,6 +516,18 @@ def test_verify_model_file(tmp_path, capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("level", ["tables", "oracle"])
+def test_verify_a_model_file_at_a_built_in_level_is_a_usage_error(tmp_path, capsys, level):
+    """Those levels check the built-in family; a model file takes level all, named or not."""
+    path = tmp_path / "m.json"
+    save_model(build_aklt_model(0.3), path)
+    code, out, err = run(capsys, "verify", level, "--model", str(path))
+    assert code == 1 and out == ""
+    assert f"error: verify {level} checks the built-in family" in err
+    named, unnamed = (run(capsys, "verify", *argv, "--model", str(path)) for argv in (["all"], []))
+    assert named == unnamed and named[0] == 0
+
+
 def test_verify_corrupted_model_names_invariant(tmp_path, capsys):
     path = tmp_path / "m.json"
     save_model(build_aklt_model(0.3), path)
@@ -681,10 +693,10 @@ def test_long_string_series_finite_without_warnings(capsys, extra):
 
 
 def test_fmt_prints_nan_and_seventeen_digits():
-    assert _fmt(float("nan")) == _fmt(None) == _fmt(np.float64("nan")) == "nan"
+    assert _fmt(float("nan")) == _fmt(np.float64("nan")) == "nan"
     assert _fmt(-float("nan")) == "nan"
     assert _fmt(0.1) == "0.10000000000000001"
-    assert _json_float(np.nan) is None and _json_float(None) is None
+    assert _json_float(np.nan) is None
     assert _json_float(np.inf) is None and _json_float(-np.inf) is None
     assert _json_float(np.float64(0.5)) == 0.5
 
@@ -747,9 +759,9 @@ def test_sweep_csv_equals_the_per_value_rendering(capsys):
     code, out, _ = run(capsys, "sweep", "--steps", "5")
     code_json, text, _ = run(capsys, "sweep", "--steps", "5", "--format", "json")
     assert code == code_json == 0
-    rows = json.loads(text)["rows"]
-    expected = [
-        ",".join([_fmt(row[c]) for c in CSV_HEADER.split(",")[:-1]] + [";".join(row["flags"])])
+    rows, columns = json.loads(text)["rows"], CSV_HEADER.split(",")[:-1]
+    expected = [  # JSON holds nan as null
+        ",".join([_fmt(np.nan if row[c] is None else row[c]) for c in columns] + [";".join(row["flags"])])
         for row in rows
     ]
     assert out.splitlines() == [CSV_HEADER] + expected
@@ -920,6 +932,16 @@ def test_string_bytes_do_not_depend_on_the_blas_thread_count(argv, tmp_path):
     one, two = _at_one_and_two_blas_threads(["string", "--g2", "R_z", *argv])
     assert one == two
     assert one[0] == 0 and one[1].count(b"\n") > 20
+
+
+def test_verify_model_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """verify all --model on a D = 6 file: the leg-size checks, the push-through
+    tolerance and the 3-site oracle."""
+    path = tmp_path / "model.json"
+    save_model(generic_model(0.3)[0], path)
+    one, two = _at_one_and_two_blas_threads(["verify", "all", "--model", str(path)])
+    assert one == two
+    assert one[0] == 0 and one[1].endswith(b"\n33/33 checks passed\n")
 
 
 def _at_one_and_two_blas_threads(argv):

@@ -5,7 +5,8 @@ module must be in the standard library, numpy, or the package itself. A
 second scan finds every use of numpy's non-Hermitian eigensolvers, ``eig``
 and ``eigvals``: only ``numerics.py`` may make one, so every transfer
 spectrum goes through its dense or Krylov path. ``eigvalsh`` (the oracle's
-positivity check) is not one of them.
+positivity check) is not one of them. A third scan counts the parameter and
+dataclass-field defaults, each a value a caller may leave out.
 """
 
 import ast
@@ -53,3 +54,26 @@ def test_non_hermitian_eigensolves_only_in_numerics():
     ]
     assert outside == []
     assert list(non_hermitian_eigensolves(PACKAGE / "numerics.py"))
+
+
+# Defaults in src/weaksym: a new one is a decision the change log records
+# when it raises this count.
+MAX_DEFAULTS = 26
+
+
+def defaults(path):
+    """(owner, default) of every parameter default and dataclass-field default in one source file."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            for default in args.defaults + [d for d in args.kw_defaults if d is not None]:
+                yield getattr(node, "name", "lambda"), ast.unparse(default)
+        elif isinstance(node, ast.ClassDef) and any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+            for statement in node.body:
+                if isinstance(statement, ast.AnnAssign) and statement.value is not None:
+                    yield f"{node.name}.{ast.unparse(statement.target)}", ast.unparse(statement.value)
+
+
+def test_defaults_do_not_grow():
+    found = [(path.name, *default) for path in sorted(PACKAGE.glob("*.py")) for default in defaults(path)]
+    assert len(found) <= MAX_DEFAULTS, found

@@ -15,7 +15,7 @@ import pytest
 from test_generic import generic_model
 from weaksym import cli, numerics, transfer
 from weaksym.errors import DimensionMismatchError, NotSymmetricError, ValidationError
-from weaksym.model import LpdoTensor, aklt_group, build_aklt_model, save_model
+from weaksym.model import LpdoTensor, aklt_group, build_aklt_model, save_model, spin1_operators
 from weaksym.response import thermo_response
 from weaksym.symmetry import SymmetryAction, extract_virtual_rep
 from weaksym.transfer import build_transfer, transfer_powers, transfer_spectrum
@@ -67,7 +67,7 @@ def test_sweep_row_checks_each_insertion_once(checked_insertions, eig_calls, pow
     never on the ~30 lookups that hit."""
     cli._sweep_row(0.3, 200, 50)
     model = build_aklt_model(0.3)
-    ops = cli._spin1()
+    ops = spin1_operators()
     physical = [np.eye(3), *(model.action(g).u for g in ("R_x", "R_y", "R_z")), ops["S_x"], ops["S_y"]]
     ancilla = [model.action(g).ua for g in ("R_x", "R_y")]
     expected = [("op", _key(m)) for m in physical] + [("op_a", _key(m)) for m in ancilla]

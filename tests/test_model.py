@@ -28,6 +28,17 @@ def test_spin_commutators():
     np.testing.assert_allclose(sz @ sx - sx @ sz, 1j * sy, atol=1e-14)
 
 
+def test_spin1_operators_are_one_read_only_set_in_new_dicts():
+    first, second = spin1_operators(), spin1_operators()
+    assert first is not second and list(first) == ["S_0", "S_x", "S_y", "S_z", "R_x", "R_y", "R_z"]
+    for name, m in first.items():
+        assert m is second[name]
+        with pytest.raises(ValueError, match="read-only"):
+            m[0, 0] = 2.0
+    first["S_x"] = first.pop("S_y")
+    assert spin1_operators()["S_x"] is second["S_x"] and "S_y" in spin1_operators()
+
+
 def test_pi_rotations():
     ops = spin1_operators()
     np.testing.assert_allclose(ops["R_z"], np.diag([-1, 1, -1]), atol=1e-15)
@@ -67,10 +78,17 @@ def test_aklt_channel_pure_limit_is_identity_only():
 
 
 def test_aklt_channel_rejects_bad_rate():
-    with pytest.raises(ValidationError):
-        aklt_channel(1.5)
-    with pytest.raises(ValidationError):
-        aklt_channel(-0.1)
+    for p in (1.5, -0.1, float("nan")):
+        with pytest.raises(ValidationError, match="channel.p: expected 0 <= p <= 1"):
+            aklt_channel(p)
+
+
+def test_aklt_channel_is_trace_preserving_at_every_rate():
+    """The built-in channel is not validated when it is made; its Kraus stack must sum to 1."""
+    for p in np.linspace(0.0, 1.0, 101):
+        kraus = aklt_channel(p).kraus
+        completeness = np.einsum("aji,ajk->ik", kraus.conj(), kraus)
+        assert np.abs(completeness - np.eye(3)).max() <= 1e-14, p
 
 
 def test_dilate_and_model_shapes():

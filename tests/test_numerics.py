@@ -19,6 +19,8 @@ from weaksym.numerics import (
     rescale,
     spectral_decompose,
 )
+from weaksym.oracle import expectation
+from weaksym.symmetry import VirtualRep, verify_transformation_law
 from weaksym.transfer import build_transfer, symmetry_gap
 
 from test_generic import generic_model
@@ -489,3 +491,22 @@ def test_whole_keeps_int64_sequences_and_scalars_of_any_size():
     assert kept.dtype == np.int64 and kept.tolist() == [2**63 - 1, -(2**63)]
     assert _whole([3.0, 2.0**62], "length").tolist() == [3, 2**62]
     assert _whole(10**20, "N") == 10**20
+
+
+@pytest.mark.parametrize(
+    "refuse, name, leg, dim",
+    [
+        (lambda model, m: build_transfer(model.lpdo, m), "op", "d", 3),
+        (lambda model, m: build_transfer(model.lpdo, np.eye(3), m), "op_a", "da", 4),
+        (lambda model, m: verify_transformation_law(model.lpdo, model.action("1"), VirtualRep("1", m), 0.0), "v", "D", 2),
+        (lambda model, m: expectation(model.lpdo, m, [[np.eye(3)] * 2]), "seam", "D", 2),
+        (lambda model, m: expectation(model.lpdo, np.eye(2), [[np.eye(3), m]]), "op", "d", 3),
+    ],
+    ids=["transfer-op", "transfer-op_a", "law-v", "oracle-seam", "oracle-op"],
+)
+def test_every_leg_size_refusal_names_the_matrix_and_the_leg(refuse, name, leg, dim):
+    """One check decides whether a square matrix fits a leg of the tensor (d = 3, da = 4, D = 2)."""
+    model = build_aklt_model(0.3)
+    for size in (dim - 1, dim + 1):
+        with pytest.raises(DimensionMismatchError, match=f"^{name} is {size}x{size}, tensor has {leg}={dim}$"):
+            refuse(model, np.eye(size))

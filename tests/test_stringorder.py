@@ -12,7 +12,7 @@ from weaksym.response import thermo_response
 from weaksym.stringorder import _carried_rows, _string_series, decay_channel, string_order_series
 from weaksym.symmetry import GroupTable, SymmetryAction, endpoint_charge
 from weaksym.transfer import build_transfer, transfer_spectrum, twisted_spectrum
-from weaksym.verify import decay_exponent
+from weaksym.verify import DEFAULT_WINDOW, decay_exponent
 
 OPS = spin1_operators()
 
@@ -189,7 +189,7 @@ def test_normalized_thermo_uses_leading_eigenvalue():
 def test_decay_exponent_sx():
     model = build_aklt_model(0.3)
     series = string_order_series(model, "R_z", OPS["S_x"], OPS["S_x"], range(20, 51))
-    fit = decay_exponent(series)
+    fit = decay_exponent(series, DEFAULT_WINDOW)
     assert abs(fit.xi - np.log(3)) < 1e-6
     assert fit.residual < 1e-10
     assert fit.window == (20, 50)
@@ -199,14 +199,14 @@ def test_decay_exponent_sy_above_transition():
     for p in (0.6, 0.75, 0.9):
         model = build_aklt_model(p)
         series = string_order_series(model, "R_z", OPS["S_y"], OPS["S_y"], range(20, 51))
-        fit = decay_exponent(series)
+        fit = decay_exponent(series, DEFAULT_WINDOW)
         assert abs(fit.xi - (-np.log((4 * p - 1) / 3))) < 1e-6
 
 
 def test_decay_exponent_s0():
     model = build_aklt_model(0.3)
     series = string_order_series(model, "R_z", OPS["S_0"], OPS["S_0"], range(20, 51))
-    fit = decay_exponent(series)
+    fit = decay_exponent(series, DEFAULT_WINDOW)
     assert abs(fit.xi - np.log(3)) < 1e-6
 
 
@@ -215,7 +215,7 @@ def test_decay_exponent_undefined_when_string_vanishes():
     model = build_aklt_model(0.25)
     series = string_order_series(model, "R_z", OPS["S_y"], OPS["S_y"], range(20, 51))
     with pytest.raises(UndefinedExponentError):
-        decay_exponent(series)
+        decay_exponent(series, DEFAULT_WINDOW)
 
 
 def test_decay_exponent_refuses_a_noise_only_window():
@@ -223,7 +223,7 @@ def test_decay_exponent_refuses_a_noise_only_window():
     lengths = np.arange(20, 51)
     noise = SimpleNamespace(lengths=lengths, raw=1e-17 * (1 + 0.9 * (-1.0) ** lengths))
     with pytest.raises(UndefinedExponentError, match="only roundoff"):
-        decay_exponent(noise)
+        decay_exponent(noise, DEFAULT_WINDOW)
 
 
 def test_decay_exponent_needs_window_points():
@@ -419,19 +419,19 @@ PAIRS = [("S_x", "S_x"), ("S_y", "S_y"), ("S_0", "S_z"), ("S_z", "S_y")]
 )
 def test_shared_series_equal_one_call_per_pair(fresh, lengths, n_sites):
     """Each series of one shared evaluation is bit for bit a separate call on a
-    fresh model, and owns its arrays. Eleven lengths take the per-length
-    powers, 1,001 lengths at D = 6 cross the 809-length chunk, and N = 2^50
-    keeps its exponents as Python ints."""
+    fresh model, and each of its fields owns its array. Eleven lengths take the
+    per-length powers, 1,001 lengths at D = 6 cross the 809-length chunk, and
+    N = 2^50 keeps its exponents as Python ints."""
     endpoints = [(OPS[a], OPS[b]) for a, b in PAIRS]
     shared = _string_series(fresh(), "R_z", endpoints, lengths, n_sites)
     assert len(shared) == len(endpoints)
     for (chi_l, chi_r), series in zip(endpoints, shared):
         alone = string_order_series(fresh(), "R_z", chi_l, chi_r, lengths, n_sites)
         assert _bits(series) == _bits(alone)
-    for i, series in enumerate(shared):
-        for other in shared[i + 1:]:
-            for a, b in zip(_arrays(series), _arrays(other)):
-                assert not np.shares_memory(a, b) or not (a.flags.writeable or b.flags.writeable)
+    arrays = [a for series in shared for a in _arrays(series)]
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b) or not (a.flags.writeable or b.flags.writeable)
 
 
 def test_a_shared_series_checks_every_endpoint_before_any_power():
