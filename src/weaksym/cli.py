@@ -35,8 +35,9 @@ from .errors import (
 )
 from .model import _decode_array, build_aklt_model, load_model, spin1_operators
 from .response import finite_response, thermo_response
-from .stringorder import _string_series, decay_channel, string_order_series
-from .transfer import symmetry_gap, twisted_spectrum
+from .stringorder import _string_lengths, _string_series, decay_channel, string_order_series
+from .symmetry import extract_virtual_reps
+from .transfer import build_transfers, symmetry_gap, transfer_spectra, twisted_spectrum
 from . import verify as _verify
 
 EXIT_OK = 0
@@ -50,6 +51,9 @@ CSV_HEADER = "p,reQxz,imQxz,reQyz,imQyz,gap_z,abs_sn_x,abs_sn_y,xi_x,xi_y,flags"
 _NO_EXPONENT = (UndefinedExponentError, NearDefectiveError, GaplessTransferError)
 
 _CHI_BUILTIN = {"s0": "S_0", "sx": "S_x", "sy": "S_y", "sz": "S_z"}
+# A sweep builds the models of this many rows at a time and computes what
+# their rows read as one stack per map kind (_stack_row_values).
+SWEEP_CHUNK = 32
 
 
 class _Parser(argparse.ArgumentParser):
@@ -138,8 +142,23 @@ def _resolve_chi(spec, dim):
 
 # --- sweep -------------------------------------------------------------------
 
-def _sweep_row(p, n_sites, length):
-    model = build_aklt_model(p)
+def _stack_row_values(models):
+    """Store in each model's memo, as one stack per kind, what its sweep row reads:
+    V_x and V_y (with T(1), its spectrum and the leading pairs of T(R_x, ua_x)
+    and T(R_y, ua_y)), the spectrum of T(R_z), and T(S_x) and T(S_y). The
+    models share their actions. A value that fails is not stored; the row
+    that reads it raises its error."""
+    lpdos = [model.lpdo for model in models]
+    actions = models[0].actions
+    for g in ("R_x", "R_y"):
+        extract_virtual_reps(lpdos, actions[g])
+    transfer_spectra(lpdos, actions["R_z"].u, None)
+    ops = spin1_operators()
+    for tag in ("S_x", "S_y"):
+        build_transfers(lpdos, ops[tag], None)
+
+
+def _sweep_row(p, model, n_sites, length):
     flags = []
     nan = float("nan")
     try:
@@ -183,6 +202,18 @@ def _sweep_row(p, n_sites, length):
     }
 
 
+def _sweep_rows(p_values, n_sites, length):
+    """The row of each p, ``SWEEP_CHUNK`` models at a time, each model released after its row."""
+    rows = []
+    for at in range(0, len(p_values), SWEEP_CHUNK):
+        chunk = p_values[at : at + SWEEP_CHUNK]
+        models = [build_aklt_model(p) for p in chunk]
+        _stack_row_values(models)
+        for p in chunk:
+            rows.append(_sweep_row(p, models.pop(0), n_sites, length))
+    return rows
+
+
 _SWEEP_COLUMNS = CSV_HEADER.split(",")[:-1]
 
 
@@ -210,9 +241,8 @@ def cmd_sweep(args):
     else:
         span = args.p_max - args.p_min
         p_values = [args.p_min + i * span / (args.steps - 1) for i in range(args.steps)]
-    if args.string_length > args.sites - 2:
-        raise ValidationError("--string-length must be at most N-2 on a ring")
-    rows = [_sweep_row(p, args.sites, args.string_length) for p in p_values]
+    _string_lengths([args.string_length], args.sites)
+    rows = _sweep_rows(p_values, args.sites, args.string_length)
     _write_text(args.out, _sweep_text(rows, args.format))
     return EXIT_OK
 
@@ -252,14 +282,13 @@ def cmd_response(args):
 # --- string ------------------------------------------------------------------
 
 def cmd_string(args):
+    if args.l_max < args.l_min:
+        raise ValidationError("--l-min must be at most --l-max")
+    n_sites = args.sites
+    _string_lengths([args.l_min, args.l_max], n_sites)
     model = _resolve_model(args)
     g2 = _group_label(model, args.g2)
     chi = _resolve_chi(args.chi, model.lpdo.d)
-    if args.l_min < 0 or args.l_max < args.l_min:
-        raise ValidationError("need 0 <= l_min <= l_max")
-    n_sites = args.sites
-    if n_sites is not None and args.l_max > n_sites - 2:
-        raise ValidationError("--l-max must be at most N-2 on a ring")
     lengths = range(args.l_min, args.l_max + 1)
     series = string_order_series(model, g2, chi, chi, lengths, n_sites=n_sites)
 

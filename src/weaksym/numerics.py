@@ -18,6 +18,14 @@ full decomposition up to ``DENSE_MAX_ROWS`` rows, Arnoldi above.
 :func:`leading_eigenpair` takes the same two routes to one eigenvalue and
 its right vector only: a bare ``eig``, or one Arnoldi run for one pair.
 
+The dense path also takes a stack (k, n, n) of maps and returns a list: one
+``eig`` and one ``inv`` for the whole stack. LAPACK still runs once per
+matrix, so each result is bit for bit the one its matrix gets alone; only the
+Python around each call is shared. A stack in which some eigenvector matrix
+has no inverse is inverted again one matrix at a time. An ``eig`` that fails
+on a stack raises, and the caller decomposes that stack one map at a time
+(:mod:`weaksym.transfer`). Arnoldi always runs one map at a time.
+
 :class:`ScaledPowers` holds powers m^n as mantissa * 2**exponent, so they
 neither under- nor overflow; many of them come from one GEMM per bit level.
 
@@ -102,6 +110,24 @@ def _insertion(m, name, leg, dim):
     return m
 
 
+def _stacked(arrays):
+    """``np.stack(arrays)``; a stack of one is a view, without the copy."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _square_stack(m):
+    """m, a matrix or a stack (k, n, n) of matrices, as a complex stack (k, n, n),
+    refused as :func:`_as_square` refuses one matrix."""
+    if np.ndim(m) != 3:
+        return _as_square(m)[None]
+    m = np.asarray(m, dtype=complex)
+    if m.shape[1] != m.shape[2]:
+        raise DimensionMismatchError(f"matrix: expected a 2D array or a stack of square ones, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValidationError("matrix: entries must be finite")
+    return m
+
+
 @cache
 def _identity(dim):
     """The complex dim x dim identity, read-only and made once per dimension."""
@@ -127,6 +153,15 @@ def _whole(values, rule):
         if wide.any():
             raise ValidationError(f"{rule} in [-2^63, 2^63), got {values[wide].tolist()[0]!r}")
     return values.astype(int, copy=False)
+
+
+def _ring_size(n_sites):
+    """A ring size N as a Python int; anything but an integer (200.0 is one) of at
+    least one site raises :class:`ValidationError`."""
+    n_sites = _whole(n_sites, "the ring size N must be an integer")
+    if n_sites < 1:
+        raise ValidationError(f"a ring needs at least 1 site, got N={n_sites}")
+    return n_sites
 
 
 @dataclass(frozen=True)
@@ -220,7 +255,7 @@ def _spectrum(w, right, left):
 
 
 def _by_modulus(w):
-    """Order of w by (-|w|, -Re w, -Im w); lexsort uses the last key as primary."""
+    """Order of w by (-|w|, -Re w, -Im w), along the last axis; lexsort uses the last key as primary."""
     return np.lexsort((-w.imag, -w.real, -np.abs(w)))
 
 
@@ -234,16 +269,29 @@ def spectral_decompose(m):
     Wilkinson condition above 1/``PAIRING_TOL`` (1e10), or the right
     eigenvector matrix has no inverse, the result is flagged near-defective
     and the pairing is not certified.
+
+    ``m`` may also be a stack (k, n, n): the result is then a list of k
+    spectra, each bit for bit the spectrum of its matrix alone.
     """
-    m = _as_square(m)
-    w, r = np.linalg.eig(m)
+    stack = _square_stack(m)
+    w, r = np.linalg.eig(stack)
     order = _by_modulus(w)
-    w, r = w[order], r[:, order]
+    w = [x[k] for x, k in zip(w, order)]
+    # each matrix's columns picked as one matrix's are, in the same (column-major) layout
+    r = [x[:, k] for x, k in zip(r, order)]
+    spectra = [_spectrum(*pair) for pair in zip(w, r, _inverses(r))]
+    return spectra if np.ndim(m) == 3 else spectra[0]
+
+
+def _inverses(r):
+    """The inverse of each matrix in the list r, as one stacked ``inv``; zeros in
+    its layout for one that has none (no left vectors pair with it)."""
     try:
-        left = np.linalg.inv(r)
-    except np.linalg.LinAlgError:  # R is singular: no left vectors pair with it
-        left = np.zeros_like(r)
-    return _spectrum(w, r, left)
+        return list(np.linalg.inv(_stacked(r)))
+    except np.linalg.LinAlgError:  # some R is singular: invert one at a time
+        if len(r) == 1:
+            return [np.zeros_like(r[0])]
+        return [_inverses([x])[0] for x in r]
 
 
 def _orthogonalize(basis, w):
@@ -373,9 +421,15 @@ def leading_spectrum(m):
     A large map also gets :func:`spectral_decompose` when an Arnoldi run does
     not converge, or when a returned pair misses its eigen-equation by more
     than 1e-12 of the leading modulus.
+
+    A stack (k, n, n) gives a list of k spectra: one stacked
+    :func:`spectral_decompose` up to ``DENSE_MAX_ROWS`` rows, one map at a
+    time above.
     """
-    if np.ndim(m) == 2 and len(m) <= DENSE_MAX_ROWS:
+    if np.ndim(m) in (2, 3) and np.shape(m)[-1] <= DENSE_MAX_ROWS:
         return spectral_decompose(m)  # which validates m
+    if np.ndim(m) == 3:
+        return [leading_spectrum(x) for x in m]
     m = _as_square(m)
     rng = np.random.default_rng(KRYLOV_SEED)
     found = _invariant_subspace(m, rng)
@@ -411,9 +465,26 @@ def leading_eigenpair(m):
     Ritz pair and any tied with it, kept if it meets its eigen-equation to
     100 ``KRYLOV_TOL`` of the leading modulus, else the dense pair. With no
     left vector, a defective top goes unflagged.
+
+    A stack (k, n, n) gives a list of k pairs: one ``eig`` on the whole stack
+    up to ``DENSE_MAX_ROWS`` rows, one map at a time above.
     """
-    m = _as_square(m)
-    found = len(m) > DENSE_MAX_ROWS and _arnoldi_run(m, np.random.default_rng(KRYLOV_SEED), locked=m[:, :0], wanted=1)
+    stack = _square_stack(m)
+    if stack.shape[-1] > DENSE_MAX_ROWS:
+        pairs = [_krylov_eigenpair(x) for x in stack]
+    else:
+        pairs = _dense_eigenpairs(stack)
+    return pairs if np.ndim(m) == 3 else pairs[0]
+
+
+def _dense_eigenpairs(stack):
+    w, r = np.linalg.eig(stack)
+    top = _by_modulus(w)[:, 0].tolist()
+    return [(w[i, k], r[i, :, k]) for i, k in enumerate(top)]
+
+
+def _krylov_eigenpair(m):
+    found = _arnoldi_run(m, np.random.default_rng(KRYLOV_SEED), locked=m[:, :0], wanted=1)
     if found:
         q, _, scale = found
         w, y = np.linalg.eig(q.conj().T @ (m @ q))
@@ -421,9 +492,7 @@ def leading_eigenpair(m):
         right = q @ y[:, k]
         if np.linalg.norm(m @ right - w[k] * right) <= 100 * KRYLOV_TOL * scale * np.linalg.norm(right):
             return w[k], right
-    w, r = np.linalg.eig(m)
-    k = _by_modulus(w)[0]
-    return w[k], r[:, k]
+    return _dense_eigenpairs(m[None])[0]
 
 
 def ldexp(z, exponent):

@@ -32,7 +32,7 @@ is allocated.
 import numpy as np
 
 from .errors import DimensionMismatchError, SizeGuardError, ValidationError
-from .numerics import _insertion
+from .numerics import _insertion, _ring_size
 
 MAX_AMPLITUDES = 2 ** 24
 
@@ -81,8 +81,7 @@ def _ring(lpdo, seam, n_sites):
     """
     a4 = lpdo.tensor
     d, da, dv, _ = a4.shape
-    if n_sites < 1:
-        raise ValidationError(f"need at least one site, got {n_sites}")
+    n_sites = _ring_size(n_sites)
     _guard((d * da) ** n_sites * dv * dv, "ring amplitudes x cut bond pairs (d*da)^N * D^2")
     seam = _insertion(seam, "seam", "D", dv)
     return *_ring_halves(seam, [_site_matrix(a4)] * n_sites), seam

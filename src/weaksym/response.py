@@ -16,8 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import GaplessTransferError, NearDefectiveError, NonCommutingError, ValidationError
-from .numerics import _identity, _whole
+from .errors import GaplessTransferError, NearDefectiveError, NonCommutingError
+from .numerics import _identity, _ring_size
 from .symmetry import cocycle_commutator, extract_virtual_rep
 from .transfer import flux_operator, symmetry_gap, transfer_powers, transfer_spectrum, twisted_spectrum
 
@@ -76,9 +76,7 @@ def finite_response(model, g1, g2, n_sites):
     A ring size that is not an integer (200.0 is one) or below 1 raises
     :class:`ValidationError`.
     """
-    n_sites = _whole(n_sites, "the ring size N must be an integer")
-    if n_sites < 1:
-        raise ValidationError(f"a ring needs at least 1 site, got N={n_sites}")
+    n_sites = _ring_size(n_sites)
     _require_commuting(model, g1, g2)
     rep1, _ = extract_virtual_rep(model.lpdo, model.action(g1))
     u2 = model.action(g2).u

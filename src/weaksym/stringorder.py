@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NearDefectiveError, UndefinedExponentError, ValidationError
-from .numerics import CLUSTER_TOL, _identity, _whole, _zero_exponents, ldexp, rescale
+from .numerics import CLUSTER_TOL, _identity, _ring_size, _whole, _zero_exponents, ldexp, rescale
 from .transfer import build_transfer, transfer_powers, transfer_spectrum, twisted_spectrum
 from .response import _leading_pair
 
@@ -140,18 +140,12 @@ def _string_series(model, g2, endpoints, lengths, n_sites=None):
     rows, and its scaling. Every endpoint is checked before any power or
     spectrum is computed. Each field of each series owns its array.
     """
-    if n_sites is not None:
-        n_sites = _whole(n_sites, "the ring size N must be an integer")
-        if n_sites >= 2**63:
-            raise ValidationError(f"a ring string needs N < 2^63, got N={n_sites}")
-    lengths = _whole(list(lengths), "string length must be an integer")
+    lengths, n_sites = _string_lengths(lengths, n_sites)
     lpdo = model.lpdo
     eye = _identity(lpdo.d)
     u2 = model.action(g2).u
     maps = [(build_transfer(lpdo, chi_l), build_transfer(lpdo, chi_r)) for chi_l, chi_r in endpoints]
     if n_sites is None:
-        if np.any(lengths < 0):
-            raise ValidationError(f"string length must be >= 0, got {lengths.min()}")
         left, right, norm, _ = _leading_pair(lpdo, transfer_spectrum(lpdo, eye), "of T(1)")
         base = float(abs(twisted_spectrum(model, g2).eigenvalues[0]))
         if base == 0.0:
@@ -172,9 +166,6 @@ def _string_series(model, g2, endpoints, lengths, n_sites=None):
                 np.copyto(part, m, where=np.isnan(part) & (m == 0))
             values.append((raw, mantissa, mantissa.copy(), np.zeros(len(lengths), dtype=int)))
     else:
-        bad = (lengths < 0) | (lengths > n_sites - 2)
-        if bad.any():
-            raise ValidationError(f"need 0 <= l <= N-2, got l={lengths[bad][0]}, N={n_sites}")
         powers1, powers2 = transfer_powers(lpdo, eye), transfer_powers(lpdo, u2)
         envelope, envelope_exp = powers2.power(n_sites)
         charge = abs(complex(np.trace(envelope)))
@@ -216,6 +207,28 @@ def _string_series(model, g2, endpoints, lengths, n_sites=None):
         )
         for raw, normalized, mantissa, exponent in values
     ]
+
+
+def _string_lengths(lengths, n_sites):
+    """``(lengths, n_sites)`` as a string series takes them, or :class:`ValidationError`.
+
+    The lengths become int64; each must be an integer >= 0 and, on a ring,
+    at most N - 2. N, if not None, must be a ring size
+    (:func:`~weaksym.numerics._ring_size`) below 2^63.
+    """
+    if n_sites is not None:
+        n_sites = _ring_size(n_sites)
+        if n_sites >= 2**63:
+            raise ValidationError(f"a ring string needs N < 2^63, got N={n_sites}")
+    lengths = _whole(list(lengths), "string length must be an integer")
+    if n_sites is None:
+        if np.any(lengths < 0):
+            raise ValidationError(f"string length must be >= 0, got {lengths.min()}")
+    else:
+        bad = (lengths < 0) | (lengths > n_sites - 2)
+        if bad.any():
+            raise ValidationError(f"need 0 <= l <= N-2, got l={lengths[bad][0]}, N={n_sites}")
+    return lengths, n_sites
 
 
 def _carried_rows(x, step, lengths):

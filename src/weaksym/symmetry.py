@@ -8,9 +8,17 @@ tensor A the combined action pushes through to the virtual legs,
 
 with V_g unitary and defined up to a phase. V_g is generically a projective
 representation; its cocycle data is what the quantized responses measure.
+
+:func:`extract_virtual_reps` extracts V_g of many tensors of one shape as
+one stack: their spectra and leading pairs come from the stacked accessors
+of :mod:`weaksym.transfer`, the polar factors from one stacked SVD, and the
+push-through residuals from one stacked set of products. Each result is bit
+for bit the one its tensor gets alone (:func:`extract_virtual_rep`, the
+stack of one), and a tensor whose extraction fails gets its exception in
+place of a result.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,8 +31,8 @@ from .errors import (
     NotSymmetricError,
     ValidationError,
 )
-from .numerics import _as_square, _identity, _insertion
-from .transfer import _insertions, build_transfer, symmetry_gap, transfer_eigenpair, transfer_spectrum
+from .numerics import _as_square, _identity, _insertion, _stacked
+from .transfer import _insertions, _memoised_one, _memoised_stack, _raised, build_transfers, symmetry_gap, transfer_eigenpairs, transfer_spectra
 
 # Tolerances are scale-free: a tensor times c describes the same state and
 # multiplies the leading modulus |lambda_0| of T(1) by |c|^2, so a residual
@@ -144,15 +152,38 @@ def verify_transformation_law(lpdo, act, rep, theta):
     must match the tensor's d and da, which :func:`extract_virtual_rep`
     checks before it calls this. Both sides are matrix products, O(d da D^3).
     """
-    a4 = lpdo.tensor
     u = _as_square(act.u, "u")
     ua = _as_square(act.ua, "ua")
-    d, da, dv, _ = a4.shape
-    v = _insertion(rep.v, "v", "D", dv)
-    # u and ua rotate the outer legs as in transfer._contract; A V^dag is one GEMM
-    lhs = ua @ (u @ a4.reshape(d, -1)).reshape(d, da, dv * dv)
-    rhs = np.exp(1j * theta) * (v @ (a4.reshape(-1, dv) @ v.conj().T).reshape(a4.shape))
-    return float(np.linalg.norm(lhs.reshape(a4.shape) - rhs))
+    v = _insertion(rep.v, "v", "D", lpdo.bond_dim)
+    return _push_through_residuals(lpdo.tensor[None], u, ua, v[None], [theta])[0]
+
+
+def _push_through_residuals(a4, u, ua, v, thetas):
+    """The push-through residual of each tensor of the stack a4 (k, d, da, D, D)
+    with its V (v, a stack (k, D, D)) and theta."""
+    k, d, da, dv, _ = a4.shape
+    # u and ua rotate the outer legs as in transfer._contract; A V^dag is one GEMM per tensor
+    lhs = ua @ (u @ a4.reshape(k, d, -1)).reshape(k, d, da, dv * dv)
+    flux = v[:, None, None] @ (a4.reshape(k, -1, dv) @ v.conj().transpose(0, 2, 1)).reshape(a4.shape)
+    return [
+        float(np.linalg.norm(left.reshape(flux.shape[1:]) - np.exp(1j * theta) * right))
+        for left, right, theta in zip(lhs, flux, thetas)
+    ]
+
+
+def extract_virtual_reps(lpdos, act):
+    """:func:`extract_virtual_rep` of each of ``lpdos``, the misses of one shape as one stack.
+
+    An entry is the exception a tensor's extraction raises alone when it
+    fails; a failed extraction is not stored.
+    """
+    return _memoised_stack(lpdos, *_virtual_reps(act))
+
+
+def _virtual_reps(act):
+    """The memo key of V_g and its extraction for a stack of tensors."""
+    _, _, insertion = _insertions(act.u, act.ua)
+    return ("rep", act.element) + insertion, lambda stack: _extract_virtual_reps(stack, act)
 
 
 def extract_virtual_rep(lpdo, act):
@@ -179,49 +210,52 @@ def extract_virtual_rep(lpdo, act):
     ua_g; a failed extraction is not stored, but the spectrum and the pair
     it read are, so a retry computes neither again.
     """
-    _, _, insertion = _insertions(act.u, act.ua)
-    key = ("rep", act.element) + insertion
-    return lpdo.memoised(key, lambda: _extract_virtual_rep(lpdo, act))
+    return _memoised_one(lpdo, *_virtual_reps(act))
 
 
-def _extract_virtual_rep(lpdo, act):
-    build_transfer(lpdo, act.u, act.ua)  # checks u and ua against d and da first
-    dv = lpdo.bond_dim
-    ref = transfer_spectrum(lpdo, _identity(lpdo.d))
-    if ref.near_defective:
-        raise NearDefectiveError("untwisted transfer map is near-defective")
-    lam_ref = ref.eigenvalues[0]
-    gap = symmetry_gap(ref)  # inf for D = 1
-    if gap <= REP_TOL * abs(lam_ref):
-        raise DegenerateSpectrumError(f"leading transfer eigenvalue degenerate in modulus (gap {gap:.3e})")
+def _extract_virtual_reps(lpdos, act):
+    """The extraction of each of ``lpdos``, tensors of one shape; raises the first failure."""
+    _raised(build_transfers(lpdos, act.u, act.ua))  # checks u and ua against d and da first
+    u, ua, _ = _insertions(act.u, act.ua)
+    dv = lpdos[0].bond_dim
+    refs = _raised(transfer_spectra(lpdos, _identity(lpdos[0].d), None))
+    for ref in refs:
+        if ref.near_defective:
+            raise NearDefectiveError("untwisted transfer map is near-defective")
+        gap = symmetry_gap(ref)  # inf for D = 1
+        if gap <= REP_TOL * abs(ref.eigenvalues[0]):
+            raise DegenerateSpectrumError(f"leading transfer eigenvalue degenerate in modulus (gap {gap:.3e})")
 
-    lam, right = transfer_eigenpair(lpdo, act.u, act.ua)
-    if abs(abs(lam) - abs(lam_ref)) > REP_TOL * abs(lam_ref):
-        raise NotSymmetricError(
-            f"tensor not symmetric under {act.element!r}: twisted leading modulus "
-            f"{abs(lam):.12f} vs {abs(lam_ref):.12f}"
-        )
+    pairs = _raised(transfer_eigenpairs(lpdos, act.u, act.ua))
+    lams = [ref.eigenvalues[0] for ref in refs]
+    for (lam, _), lam_ref in zip(pairs, lams):
+        if abs(abs(lam) - abs(lam_ref)) > REP_TOL * abs(lam_ref):
+            raise NotSymmetricError(
+                f"tensor not symmetric under {act.element!r}: twisted leading modulus "
+                f"{abs(lam):.12f} vs {abs(lam_ref):.12f}"
+            )
 
-    x = right.reshape(dv, dv).T
-    w, _, vh = np.linalg.svd(x)
-    v = w @ vh  # nearest unitary (polar factor)
-
-    # gauge: largest-modulus entry real positive, first such entry on ties
-    flat = v.ravel()
-    mods = np.abs(flat)
-    pick = int(np.argmax(mods > mods.max() - 1e-12))
-    v = v * (flat[pick].conjugate() / mods[pick])
-    v.flags.writeable = False
-
-    theta = float(np.angle(lam / lam_ref))
-    rep = VirtualRep(element=act.element, v=v)
-    residual = verify_transformation_law(lpdo, act, rep, theta=theta)
-    if residual > REP_TOL * abs(lam_ref) ** 0.5:
-        raise NotSymmetricError(
-            f"extracted representation for {act.element!r} fails the transformation "
-            f"law (residual {residual:.3e})"
-        )
-    return replace(rep, residual=residual), theta
+    w, _, vh = np.linalg.svd(_stacked([right.reshape(dv, dv).T for _, right in pairs]))
+    vs = []
+    for v in w @ vh:  # nearest unitaries (polar factors)
+        # gauge: largest-modulus entry real positive, first such entry on ties
+        flat = v.ravel()
+        mods = np.abs(flat)
+        pick = int(np.argmax(mods > mods.max() - 1e-12))
+        vs.append(v * (flat[pick].conjugate() / mods[pick]))
+    thetas = [float(np.angle(lam / lam_ref)) for (lam, _), lam_ref in zip(pairs, lams)]
+    a4 = _stacked([lpdo.tensor for lpdo in lpdos])
+    residuals = _push_through_residuals(a4, u, ua, _stacked(vs), thetas)
+    reps = []
+    for v, residual, theta, lam_ref in zip(vs, residuals, thetas, lams):
+        if residual > REP_TOL * abs(lam_ref) ** 0.5:
+            raise NotSymmetricError(
+                f"extracted representation for {act.element!r} fails the transformation "
+                f"law (residual {residual:.3e})"
+            )
+        v.flags.writeable = False
+        reps.append((VirtualRep(element=act.element, v=v, residual=residual), theta))
+    return reps
 
 
 def cocycle_commutator(rep1, rep2):

@@ -25,12 +25,27 @@ eigenpairs, which are all any consumer reads.
 
 Every value is memoised on the tensor under its insertions' complex shapes
 and bytes; an insertion is checked when its map is built, not on each lookup.
+
+The maps, spectra and leading pairs also come in stacks:
+:func:`build_transfers`, :func:`transfer_spectra` and
+:func:`transfer_eigenpairs` take a sequence of tensors and compute the memo
+misses among them, tensors of one shape at a time, as one stack: one einsum
+or GEMM per stack, its insertions checked once, and one stacked LAPACK call
+on the dense path. Each result is stored in its own tensor's memo, bit for
+bit the value that tensor gets alone; the one-tensor accessors are the
+stacks of one, and a hit among them is one dict lookup. A stack that
+raises is computed again one tensor at a time, and a tensor that fails
+alone gets its exception in place of its value; nothing is stored for it,
+so reading it alone raises the same error again.
 """
 
 import numpy as np
 
-from .errors import DimensionMismatchError
-from .numerics import ScaledPowers, _as_square, _insertion, leading_eigenpair, leading_spectrum, spectral_decompose
+from .errors import DimensionMismatchError, WeaksymError
+from .numerics import ScaledPowers, _as_square, _insertion, _stacked, leading_eigenpair, leading_spectrum, spectral_decompose
+
+# What a stack may raise because of one of its tensors.
+_STACK_ERRORS = (WeaksymError, np.linalg.LinAlgError)
 
 
 def _insertions(op, op_a):
@@ -43,26 +58,99 @@ def _insertions(op, op_a):
     return op, op_a, key
 
 
+def _memoised_stack(lpdos, key, compute):
+    """The value under ``key`` of each of ``lpdos``, in order, the misses computed as stacks.
+
+    ``compute(stack)`` returns one value per tensor of ``stack``, a list of
+    distinct tensors of one shape. A stack that raises one of
+    ``_STACK_ERRORS`` is computed one tensor at a time; a tensor that raises
+    alone gets the exception in place of its value, and it is not stored.
+    """
+    misses = [lpdo for lpdo in lpdos if key not in lpdo._memo]
+    if not misses:
+        return [lpdo._memo[key] for lpdo in lpdos]
+    stacks = {}
+    for lpdo in misses:
+        stacks.setdefault(lpdo.tensor.shape, {})[lpdo] = None
+    failed = {}
+    for stack in stacks.values():
+        for lpdo, value in zip(stack, _outcomes(compute, list(stack))):
+            if isinstance(value, Exception):
+                failed[lpdo] = value
+            else:
+                lpdo._memo[key] = value
+    return [failed[lpdo] if lpdo in failed else lpdo._memo[key] for lpdo in lpdos]
+
+
+def _memoised_one(lpdo, key, compute):
+    """:func:`_memoised_stack` of one tensor: a hit is one dict lookup, and a
+    tensor that fails raises its error."""
+    return lpdo.memoised(key, lambda: _raised(_memoised_stack([lpdo], key, compute))[0])
+
+
+def _outcomes(compute, stack):
+    """``compute(stack)``, or, if it raises, the value or exception of each tensor alone."""
+    try:
+        return compute(stack)
+    except _STACK_ERRORS as exc:
+        if len(stack) == 1:
+            return [exc]
+        return [_outcomes(compute, [lpdo])[0] for lpdo in stack]
+
+
+def _raised(values):
+    """``values``, or the first exception among them raised."""
+    for value in values:
+        if isinstance(value, Exception):
+            raise value
+    return values
+
+
 def _contract(a4, op, op_a):
-    d, da, dv, _ = a4.shape
+    """T(op, op_a) of each tensor of the stack a4 (k, d, da, D, D), as (k, D^2, D^2), read-only."""
+    k, d, da, dv, _ = a4.shape
     # j, b: bra physical and ancilla; i, a: ket physical and ancilla (b = a
     # when the ancilla is traced through)
     if dv <= 2:
         if op_a is None:
-            t = np.einsum("ji,jamn,iapq->mpnq", op, a4.conj(), a4)
+            t = np.einsum("ji,kjamn,kiapq->kmpnq", op, a4.conj(), a4)
         else:
-            t = np.einsum("ji,ba,jbmn,iapq->mpnq", op, op_a, a4.conj(), a4)
+            t = np.einsum("ji,ba,kjbmn,kiapq->kmpnq", op, op_a, a4.conj(), a4)
     else:
-        # rotate the ket layer, ket[j, b, (p q)], then one GEMM against the
-        # bra layer gives [(m n), (p q)]
-        ket = (op @ a4.reshape(d, -1)).reshape(d, da, dv * dv)
+        # rotate the ket layer, ket[j, b, (p q)], then one GEMM per tensor
+        # against the bra layer gives [(m n), (p q)]
+        ket = (op @ a4.reshape(k, d, -1)).reshape(k, d, da, dv * dv)
         if op_a is not None:
             ket = op_a @ ket
-        t = a4.conj().reshape(d * da, dv * dv).T @ ket.reshape(d * da, dv * dv)
-        t = t.reshape(dv, dv, dv, dv).transpose(0, 2, 1, 3)
-    t = t.reshape(dv * dv, dv * dv)
+        bra = a4.conj().reshape(k, d * da, dv * dv).transpose(0, 2, 1)
+        t = bra @ ket.reshape(k, d * da, dv * dv)
+        t = t.reshape(k, dv, dv, dv, dv).transpose(0, 1, 3, 2, 4)
+    t = t.reshape(k, dv * dv, dv * dv)
     t.flags.writeable = False
     return t
+
+
+def _transfers(op, op_a):
+    """The memo key of T(op, op_a) and its builder for a stack of tensors of one
+    shape: one contraction, the insertions checked once against the stack's d and da."""
+    op, op_a, key = _insertions(op, op_a)
+
+    def build(stack):
+        _insertion(op, "op", "d", stack[0].d)
+        if op_a is not None:
+            _insertion(op_a, "op_a", "da", stack[0].da)
+        return list(_contract(_stacked([lpdo.tensor for lpdo in stack]), op, op_a))
+
+    return ("transfer",) + key, build
+
+
+def build_transfers(lpdos, op, op_a):
+    """:func:`build_transfer` of each of ``lpdos``; the misses of one shape as one contraction.
+
+    An entry is the exception a tensor raises alone when its map cannot be
+    built (see the module docstring).
+    """
+    return _memoised_stack(lpdos, *_transfers(op, op_a))
 
 
 def build_transfer(lpdo, op, op_a=None):
@@ -78,15 +166,23 @@ def build_transfer(lpdo, op, op_a=None):
     finiteness are checked when the map is built, and every value memoised
     per insertion pair comes from the map, so a hit checks nothing again.
     """
+    return _memoised_one(lpdo, *_transfers(op, op_a))
+
+
+def _spectra(op, op_a):
+    """The memo key of T(op, op_a)'s spectrum and its decomposition for a stack of tensors."""
     op, op_a, key = _insertions(op, op_a)
 
-    def build():
-        _insertion(op, "op", "d", lpdo.d)
-        if op_a is not None:
-            _insertion(op_a, "op_a", "da", lpdo.da)
-        return _contract(lpdo.tensor, op, op_a)
+    def decompose(stack):
+        return leading_spectrum(_stacked(_raised(build_transfers(stack, op, op_a))))
 
-    return lpdo.memoised(("transfer",) + key, build)
+    return ("spectrum",) + key, decompose
+
+
+def transfer_spectra(lpdos, op, op_a):
+    """:func:`transfer_spectrum` of each of ``lpdos``; the misses of one shape as one stacked
+    :func:`~weaksym.numerics.leading_spectrum` (one ``eig`` and one ``inv`` on the dense path)."""
+    return _memoised_stack(lpdos, *_spectra(op, op_a))
 
 
 def transfer_spectrum(lpdo, op, op_a=None, complete=False):
@@ -99,25 +195,37 @@ def transfer_spectrum(lpdo, op, op_a=None, complete=False):
     partial spectrum. With :func:`transfer_eigenpair`, this is the only
     route from a transfer map to an eigensolver.
     """
-    op, op_a, key = _insertions(op, op_a)
-    spectrum = lpdo.memoised(("spectrum",) + key, lambda: leading_spectrum(build_transfer(lpdo, op, op_a)))
+    spectrum = _memoised_one(lpdo, *_spectra(op, op_a))
     if complete and not spectrum.complete:
+        op, op_a, key = _insertions(op, op_a)
         spectrum = lpdo.memoised(
             ("complete spectrum",) + key, lambda: spectral_decompose(build_transfer(lpdo, op, op_a))
         )
     return spectrum
 
 
-def transfer_eigenpair(lpdo, op, op_a=None):
-    """:func:`~weaksym.numerics.leading_eigenpair` of T(op, op_a), R0 read-only, once per tensor and insertion pair."""
+def _eigenpairs(op, op_a):
+    """The memo key of T(op, op_a)'s leading pair and its computation for a stack of tensors."""
     op, op_a, key = _insertions(op, op_a)
 
-    def compute():
-        lam, right = leading_eigenpair(build_transfer(lpdo, op, op_a))
-        right.flags.writeable = False
-        return lam, right
+    def compute(stack):
+        pairs = leading_eigenpair(_stacked(_raised(build_transfers(stack, op, op_a))))
+        for _, right in pairs:
+            right.flags.writeable = False
+        return pairs
 
-    return lpdo.memoised(("eigenpair",) + key, compute)
+    return ("eigenpair",) + key, compute
+
+
+def transfer_eigenpairs(lpdos, op, op_a):
+    """:func:`transfer_eigenpair` of each of ``lpdos``; the misses of one shape as one stacked
+    :func:`~weaksym.numerics.leading_eigenpair` (one ``eig`` on the dense path)."""
+    return _memoised_stack(lpdos, *_eigenpairs(op, op_a))
+
+
+def transfer_eigenpair(lpdo, op, op_a=None):
+    """:func:`~weaksym.numerics.leading_eigenpair` of T(op, op_a), R0 read-only, once per tensor and insertion pair."""
+    return _memoised_one(lpdo, *_eigenpairs(op, op_a))
 
 
 def transfer_powers(lpdo, op, op_a=None):

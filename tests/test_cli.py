@@ -14,6 +14,7 @@ from test_generic import generic_model
 from test_response import product_state_model
 from test_stringorder import flip_model
 import weaksym
+from weaksym import cli
 from weaksym.cli import CSV_HEADER, _build_parser, _fmt, _fmt_column, _json_float, _root_label, main
 from weaksym.errors import GaplessTransferError, ValidationError
 from weaksym.model import LpdoTensor, build_aklt_model, load_model, save_model, spin1_operators
@@ -143,10 +144,14 @@ def test_sweep_bad_out_path(capsys):
     "argv, message",
     [
         (("--steps", "0"), "--steps must be at least 1"),
-        (("--sites", "10", "--string-length", "9"), "--string-length must be at most N-2 on a ring"),
+        (("--sites", "10", "--string-length", "9"), "need 0 <= l <= N-2, got l=9, N=10"),
+        (("--string-length", "-1"), "need 0 <= l <= N-2, got l=-1, N=200"),
+        (("--sites", "0"), "a ring needs at least 1 site, got N=0"),
     ],
 )
-def test_sweep_refusals(capsys, argv, message):
+def test_sweep_refusals(capsys, monkeypatch, argv, message):
+    """The string-length and ring-size rules are the library's, applied before any model is built."""
+    monkeypatch.setattr(cli, "build_aklt_model", None)
     code, out, err = run(capsys, "sweep", *argv)
     assert code == 1 and out == ""
     assert err == f"error: {message}\n"
@@ -414,10 +419,28 @@ def test_string_ring_length_guard(capsys):
     assert "N-2" in err
 
 
-def test_string_refuses_l_min_above_l_max(capsys):
+def test_string_refuses_l_min_above_l_max(capsys, monkeypatch):
+    """The one rule the CLI keeps: it is about two of its options."""
+    monkeypatch.setattr(cli, "build_aklt_model", None)
     code, out, err = run(capsys, "string", "--p", "0.3", "--g2", "R_z", "--chi", "sy", "--l-min", "5", "--l-max", "4")
     assert code == 1 and out == ""
-    assert err == "error: need 0 <= l_min <= l_max\n"
+    assert err == "error: --l-min must be at most --l-max\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--l-min", "-1", "--l-max", "4"), "string length must be >= 0, got -1"),
+        (("--sites", "30", "--l-max", "40"), "need 0 <= l <= N-2, got l=40, N=30"),
+        (("--sites", "-3", "--l-max", "4"), "a ring needs at least 1 site, got N=-3"),
+    ],
+)
+def test_string_refuses_lengths_before_building_the_model(capsys, monkeypatch, argv, message):
+    """The CLI keeps its rule on two options; the length and ring-size rules are the library's."""
+    monkeypatch.setattr(cli, "build_aklt_model", None)
+    code, out, err = run(capsys, "string", "--p", "0.3", "--g2", "R_z", "--chi", "sy", *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_string_on_a_two_state_model(tmp_path, capsys):
@@ -962,12 +985,18 @@ def _at_one_and_two_blas_threads(argv):
 
 @pytest.mark.parametrize(
     "argv, lines",
-    [(["sweep", "--steps", "21"], 22), (["verify", "oracle"], 4)],
-    ids=["sweep-21", "verify-oracle"],
+    [
+        (["sweep", "--steps", "21"], 22),
+        (["sweep", "--p-min", "0", "--p-max", "1", "--steps", "5"], 6),
+        (["sweep", "--p-min", "0.0105", "--p-max", "0.9874", "--steps", "96", "--format", "json"], 96 * 13),
+        (["verify", "oracle"], 4),
+    ],
+    ids=["sweep-21", "sweep-5", "sweep-96-json", "verify-oracle"],
 )
 def test_shared_series_bytes_do_not_depend_on_the_blas_thread_count(argv, lines):
     """A sweep row evaluates S_x and S_y, and the oracle check S_0, S_x and S_y,
-    as one series each; their output must not change with the BLAS threads."""
+    as one series each; a sweep's rows share stacked maps, spectra, pairs and
+    representations. Their output must not change with the BLAS threads."""
     one, two = _at_one_and_two_blas_threads(argv)
     assert one == two
     assert one[0] == 0 and one[1].count(b"\n") >= lines

@@ -24,7 +24,7 @@ from weaksym.verify import generic_model_checks
 
 @pytest.fixture
 def eig_calls(monkeypatch):
-    """A list that grows by one entry per ``np.linalg.eig`` call in weaksym.numerics."""
+    """The shape of each ``np.linalg.eig`` call in weaksym.numerics: (n, n), or (k, n, n) for a stack."""
     calls = []
     eig = numerics.np.linalg.eig
 
@@ -41,10 +41,22 @@ def _key(m):
 
 
 def test_sweep_row_decomposes_at_most_four_maps(eig_calls):
-    # T(1), T(R_x, ua_x), T(R_y, ua_y) and T(R_z), each once for the whole row
-    row = cli._sweep_row(0.3, 200, 50)
+    # On a model whose memo no stack has filled, one row decomposes T(1),
+    # T(R_x, ua_x), T(R_y, ua_y) and T(R_z), each once for the whole row
+    row = cli._sweep_row(0.3, build_aklt_model(0.3), 200, 50)
     assert not row["flags"]
     assert len(eig_calls) <= 4
+
+
+@pytest.mark.parametrize("rows", [1, 5, cli.SWEEP_CHUNK, cli.SWEEP_CHUNK + 3])
+def test_a_sweep_makes_four_stacked_eig_calls_per_chunk(eig_calls, rows):
+    """T(1), T(R_x, ua_x), T(R_y, ua_y) and T(R_z), each one eig on the chunk's
+    (k, 4, 4) stack: a row that read a map outside the stacked list would add
+    an eig of its own."""
+    p_values = [0.01 + 0.97 * i / rows for i in range(rows)]  # p = 1/2, gapless, left out
+    assert all(not row["flags"] for row in cli._sweep_rows(p_values, 200, 50))
+    chunks = [min(cli.SWEEP_CHUNK, rows - at) for at in range(0, rows, cli.SWEEP_CHUNK)]
+    assert eig_calls == [(k, 4, 4) for k in chunks for _ in range(4)]
 
 
 @pytest.fixture
@@ -64,9 +76,9 @@ def checked_insertions(monkeypatch):
 def test_sweep_row_checks_each_insertion_once(checked_insertions, eig_calls, power_tables):
     """T(1), T(R_x, ua_x), T(R_y, ua_y), T(R_z), T(S_x) and T(S_y): six physical
     insertions and two ancilla ones, each checked when its map is built and
-    never on the ~30 lookups that hit."""
-    cli._sweep_row(0.3, 200, 50)
+    never on the ~30 lookups that hit, also on a row no stack has filled."""
     model = build_aklt_model(0.3)
+    cli._sweep_row(0.3, model, 200, 50)
     ops = spin1_operators()
     physical = [np.eye(3), *(model.action(g).u for g in ("R_x", "R_y", "R_z")), ops["S_x"], ops["S_y"]]
     ancilla = [model.action(g).ua for g in ("R_x", "R_y")]
@@ -74,6 +86,22 @@ def test_sweep_row_checks_each_insertion_once(checked_insertions, eig_calls, pow
     assert sorted(checked_insertions) == sorted(expected)
     assert len(eig_calls) <= 4
     assert len(power_tables) == 2
+
+
+def test_a_sweep_checks_each_insertion_once_per_chunk(checked_insertions, eig_calls, power_tables):
+    """T(1), T(R_x, ua_x), T(R_y, ua_y), T(R_z), T(S_x) and T(S_y): six physical
+    insertions and two ancilla ones, each checked when its chunk's maps are
+    built and never on the ~30 lookups a row makes that hit."""
+    rows = cli.SWEEP_CHUNK + 1
+    cli._sweep_rows([0.3] * rows, 200, 50)
+    model = build_aklt_model(0.3)
+    ops = spin1_operators()
+    physical = [np.eye(3), *(model.action(g).u for g in ("R_x", "R_y", "R_z")), ops["S_x"], ops["S_y"]]
+    ancilla = [model.action(g).ua for g in ("R_x", "R_y")]
+    expected = [("op", _key(m)) for m in physical] + [("op_a", _key(m)) for m in ancilla]
+    assert sorted(checked_insertions) == sorted(expected * 2)
+    assert len(eig_calls) == 8
+    assert len(power_tables) == 2 * rows
 
 
 def test_a_non_finite_insertion_is_refused_on_every_call_and_never_stored():
@@ -170,7 +198,7 @@ def test_generic_thermo_response_decomposes_three_maps_once(eig_calls, partial_s
     assert cli.main(["response", "--model", str(path), "--g1", "R_x", "--g2", "R_z"]) == 0
     assert "snapped: exp(i*pi)" in capsys.readouterr().out
     assert sorted(partial_spectra) == spectra and eigenpairs == pairs
-    assert eig_calls and (n, n) not in eig_calls
+    assert eig_calls and all(shape[-1] != n for shape in eig_calls)
     # in one process, a second call on the same model computes nothing new
     partial_spectra.clear()
     eigenpairs.clear()
@@ -211,8 +239,8 @@ def power_tables(monkeypatch):
 def test_sweep_row_builds_one_squaring_table_per_map(power_tables):
     # Both ring strings and the envelope Tr T(R_z)^N share the tables of
     # T(1) and T(R_z): squares up to 2^7 for N = 200 and N - l - 2 = 148.
-    cli._sweep_row(0.3, 200, 50)
     model = build_aklt_model(0.3)
+    cli._sweep_row(0.3, model, 200, 50)
     maps = [build_transfer(model.lpdo, op) for op in (np.eye(3), model.action("R_z").u)]
     assert len(power_tables) == 2
     assert {table._squares[0][0].tobytes() for table in power_tables} == {t.tobytes() for t in maps}
@@ -230,7 +258,7 @@ def test_sweep_row_computes_each_ring_power_once(power_tables, monkeypatch):
         return power(self, n)
 
     monkeypatch.setattr(numerics.ScaledPowers, "power", recording)
-    row = cli._sweep_row(0.3, 200, 50)
+    row = cli._sweep_row(0.3, build_aklt_model(0.3), 200, 50)
     assert not row["flags"]
     assert sorted(powers) == [50, 148, 200]
     assert len(power_tables) == 2

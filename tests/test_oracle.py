@@ -237,7 +237,7 @@ def test_state_and_density_refusals():
     """The ring's refusals, met through expectation: no site, and a seam that
     does not fit the bond."""
     model = build_aklt_model(0.3)
-    with pytest.raises(ValidationError, match="need at least one site, got 0"):
+    with pytest.raises(ValidationError, match="^a ring needs at least 1 site, got N=0$"):
         expectation(model.lpdo, np.eye(2), [[]])
     with pytest.raises(DimensionMismatchError, match="seam is 3x3, tensor has D=2"):
         expectation(model.lpdo, np.eye(3), [[np.eye(3)] * 2])
