@@ -34,10 +34,9 @@ from .errors import (
     ValidationError,
 )
 from .model import _decode_array, build_aklt_model, load_model, spin1_operators
-from .response import finite_response, thermo_response
-from .stringorder import _string_lengths, _string_series, decay_channel, string_order_series
-from .symmetry import extract_virtual_reps
-from .transfer import build_transfers, symmetry_gap, transfer_spectra, twisted_spectrum
+from .response import _thermo_responses, finite_response, thermo_response
+from .stringorder import _decay_channels, _ring_series, _string_lengths, decay_channel, string_order_series
+from .transfer import _raised, symmetry_gap, twisted_spectrum
 from . import verify as _verify
 
 EXIT_OK = 0
@@ -51,8 +50,8 @@ CSV_HEADER = "p,reQxz,imQxz,reQyz,imQyz,gap_z,abs_sn_x,abs_sn_y,xi_x,xi_y,flags"
 _NO_EXPONENT = (UndefinedExponentError, NearDefectiveError, GaplessTransferError)
 
 _CHI_BUILTIN = {"s0": "S_0", "sx": "S_x", "sy": "S_y", "sz": "S_z"}
-# A sweep builds the models of this many rows at a time and computes what
-# their rows read as one stack per map kind (_stack_row_values).
+# A sweep builds the models of this many rows at a time and computes each
+# quantity of their rows as one stack (_chunk_rows).
 SWEEP_CHUNK = 32
 
 
@@ -142,75 +141,44 @@ def _resolve_chi(spec, dim):
 
 # --- sweep -------------------------------------------------------------------
 
-def _stack_row_values(models):
-    """Store in each model's memo, as one stack per kind, what its sweep row reads:
-    V_x and V_y (with T(1), its spectrum and the leading pairs of T(R_x, ua_x)
-    and T(R_y, ua_y)), the spectrum of T(R_z), and T(S_x) and T(S_y). The
-    models share their actions. A value that fails is not stored; the row
-    that reads it raises its error."""
-    lpdos = [model.lpdo for model in models]
-    actions = models[0].actions
-    for g in ("R_x", "R_y"):
-        extract_virtual_reps(lpdos, actions[g])
-    transfer_spectra(lpdos, actions["R_z"].u, None)
-    ops = spin1_operators()
-    for tag in ("S_x", "S_y"):
-        build_transfers(lpdos, ops[tag], None)
-
-
-def _sweep_row(p, model, n_sites, length):
-    flags = []
-    nan = float("nan")
-    try:
-        qxz = thermo_response(model, "R_x", "R_z").value
-        qyz = thermo_response(model, "R_y", "R_z").value
-    except GaplessTransferError:
-        qxz = qyz = complex(nan, nan)
-        flags.append("gapless_thermo")
-    gap_z = symmetry_gap(twisted_spectrum(model, "R_z"))
-
-    ops = spin1_operators()
-    chis = {tag: ops[f"S_{tag}"] for tag in ("x", "y")}
-    try:  # the two rings share one envelope: both or neither vanish
-        rings = _string_series(model, "R_z", [(chi, chi) for chi in chis.values()], [length], n_sites=n_sites)
-        sn = {tag: abs(ring.normalized[0]) for tag, ring in zip(chis, rings)}
-    except ZeroDivisionError:
-        sn = dict.fromkeys(chis)
-    xi = {}
-    for tag, chi in chis.items():
-        if sn[tag] is None:
-            sn[tag] = nan
-            flags.append(f"sn_{tag}_undefined")
-        try:
-            xi[tag] = decay_channel(model, "R_z", chi, chi).xi
-        except _NO_EXPONENT:
-            xi[tag] = nan
-            flags.append(f"xi_{tag}_undefined")
-
-    return {
-        "p": p,
-        "reQxz": qxz.real,
-        "imQxz": qxz.imag,
-        "reQyz": qyz.real,
-        "imQyz": qyz.imag,
-        "gap_z": gap_z,
-        "abs_sn_x": sn["x"],
-        "abs_sn_y": sn["y"],
-        "xi_x": xi["x"],
-        "xi_y": xi["y"],
-        "flags": flags,
-    }
-
-
 def _sweep_rows(p_values, n_sites, length):
-    """The row of each p, ``SWEEP_CHUNK`` models at a time, each model released after its row."""
+    """The row of each p, ``SWEEP_CHUNK`` models at a time, each chunk released after its rows."""
     rows = []
     for at in range(0, len(p_values), SWEEP_CHUNK):
         chunk = p_values[at : at + SWEEP_CHUNK]
-        models = [build_aklt_model(p) for p in chunk]
-        _stack_row_values(models)
-        for p in chunk:
-            rows.append(_sweep_row(p, models.pop(0), n_sites, length))
+        rows += _chunk_rows(chunk, [build_aklt_model(p) for p in chunk], n_sites, length)
+    return rows
+
+
+def _chunk_rows(p_values, models, n_sites, length):
+    """The sweep rows of ``models``, one per p: their responses, rings and decay
+    channels each computed as one stack, a failure flagged on its own row."""
+    nan = float("nan")
+    ops = spin1_operators()
+    ends = [(ops[f"S_{tag}"],) * 2 for tag in ("x", "y")]
+    responses = _thermo_responses(models, ("R_x", "R_y"), "R_z")
+    rings = _ring_series(models, "R_z", ends, [length], n_sites)
+    channels = _decay_channels(models, "R_z", ends)
+    rows = []
+    for p, model, response, ring, decay in zip(p_values, models, responses, rings, channels):
+        flags = []
+        try:
+            qxz, qyz = (_raised([q])[0].value for q in response)
+        except GaplessTransferError:
+            qxz = qyz = complex(nan, nan)
+            flags.append("gapless_thermo")
+        gap_z = symmetry_gap(twisted_spectrum(model, "R_z"))
+        vanishes = isinstance(ring, ZeroDivisionError)  # the two rings share one envelope
+        sn = [nan] * 2 if vanishes else [abs(series.normalized[0]) for series in ring]
+        xi = []
+        for tag, channel in zip("xy", decay):
+            if vanishes:
+                flags.append(f"sn_{tag}_undefined")
+            if isinstance(channel, _NO_EXPONENT):
+                flags.append(f"xi_{tag}_undefined")
+            xi.append(nan if isinstance(channel, _NO_EXPONENT) else _raised([channel])[0].xi)
+        values = (p, qxz.real, qxz.imag, qyz.real, qyz.imag, gap_z, *sn, *xi)
+        rows.append({**dict(zip(_SWEEP_COLUMNS, values)), "flags": flags})
     return rows
 
 

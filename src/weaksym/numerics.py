@@ -26,8 +26,9 @@ has no inverse is inverted again one matrix at a time. An ``eig`` that fails
 on a stack raises, and the caller decomposes that stack one map at a time
 (:mod:`weaksym.transfer`). Arnoldi always runs one map at a time.
 
-:class:`ScaledPowers` holds powers m^n as mantissa * 2**exponent, so they
-neither under- nor overflow; many of them come from one GEMM per bit level.
+:class:`ScaledPowers` holds powers m^n, of one matrix or of each of a stack,
+as mantissa * 2**exponent, so they neither under- nor overflow; many of them
+come from one GEMM per bit level.
 
 This module is the only place a non-Hermitian eigenproblem is solved.
 """
@@ -111,8 +112,14 @@ def _insertion(m, name, leg, dim):
 
 
 def _stacked(arrays):
-    """``np.stack(arrays)``; a stack of one is a view, without the copy."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+    """``np.stack(arrays)``, each matrix in the memory order of the first: a column-major
+    one stays column-major, since a product's last bits can depend on the layout. A stack
+    of one is a view, without the copy."""
+    if len(arrays) == 1:
+        return arrays[0][None]
+    if arrays[0].ndim == 2 and not arrays[0].flags.c_contiguous and arrays[0].flags.f_contiguous:
+        return np.stack([a.T for a in arrays]).transpose(0, 2, 1)
+    return np.stack(arrays)
 
 
 def _square_stack(m):
@@ -208,20 +215,22 @@ class Spectrum:
     def clusters(self):
         """[(eigenvalue, members, condition)] per cluster, computed once per spectrum: in
         spectrum order, each takes every eigenvalue not yet taken within ``CLUSTER_TOL``
-        |lambda_0| of its first (``members``, a mask). ``condition`` is the norm
-        ||R_c L_c||_F of its spectral projector: basis-free, and |R_k| |L_k| if simple."""
-        w, out = self.eigenvalues, []
+        |lambda_0| of its first (``members``, a mask; not a transitive closure). The
+        pairwise distances are compared once. ``condition`` is the norm ||R_c L_c||_F of
+        its spectral projector: basis-free, and |R_k| |L_k| if simple."""
+        w = self.eigenvalues
         simple = np.sqrt((abs(self.right_vectors) ** 2).sum(0) * (abs(self.left_vectors) ** 2).sum(1))
-        unassigned = np.ones(len(w), dtype=bool)
-        for i in range(len(w)):
-            if unassigned[i]:
-                members = unassigned & (np.abs(w - w[i]) <= CLUSTER_TOL * abs(w[0]))
-                unassigned &= ~members
+        close = np.abs(w[:, None] - w) <= CLUSTER_TOL * abs(w[0])
+        out, free = [], [True] * len(w)
+        for i, (lam, near) in enumerate(zip(w.tolist(), close.tolist())):
+            if free[i]:
+                members = np.array(near) & free
+                free = [f and not m for f, m in zip(free, near)]
                 condition = simple[i]
                 if np.count_nonzero(members) > 1:  # ||R_c L_c||_F^2 = <L_c L_c^H, R_c^H R_c>: no n x n product
                     r, l = self.right_vectors[:, members], self.left_vectors[members]
                     condition = np.sqrt(np.vdot(l @ l.conj().T, r.conj().T @ r).real)
-                out.append((complex(w[i]), members, float(condition)))
+                out.append((lam, members, float(condition)))
         return out
 
     @property
@@ -515,42 +524,54 @@ def ldexp(z, exponent):
 def rescale(m, exponent):
     """(m, exponent) with m brought into range by an exact power of two.
 
-    m * 2**exponent is unchanged. An m whose squared Frobenius norm lies in
-    [2^-800, 2^800] (or that is zero) is returned as it is; any other is
-    divided by a power of two that puts its largest modulus in [1/2, 1).
-    ``m`` may also be a stack (k, n, n) with an exponent array (k,): one
-    range test and one exponent shift per matrix, all in one pass.
+    m * 2**exponent is unchanged. An m whose squared Frobenius norm
+    |vdot(m, m)| lies in [2^-800, 2^800] (or that is zero) is returned as it
+    is; any other is divided by a power of two that puts its largest modulus
+    in [1/2, 1). ``m`` may also be a stack (..., n, n) with an exponent array
+    (...): one range test and one exponent shift per matrix, all in one pass,
+    and each matrix gets the shift it gets alone (a matrix is the stack of
+    one). A stack's norms are summed by one einsum, in another order than
+    ``np.vdot``; only a norm within the two orders' rounding bound of an end
+    of the range could be decided differently, and it is taken from
+    ``np.vdot``.
 
     ``np.frexp`` returns int32 shifts; they join the exponent as a Python
     int for one matrix and as the stack's exponent array (int64, or Python
     ints in an object array) for a stack, so exponents that pass 2^31
     (powers of a ring of billions of sites) do not wrap.
     """
+    if m.ndim == 2:
+        m, exponent = rescale(m[None], np.array([exponent], dtype=object))
+        return m[0], exponent[0]
     low, high = _SQUARE_NORM_RANGE
     # frexp(0) has exponent 0, so a zero matrix keeps its scale.
-    if m.ndim == 2:  # one matrix: a BLAS dot is the cheapest test
-        if low <= abs(np.vdot(m, m)) <= high:
+    flat = m.reshape(-1, m.shape[-2] * m.shape[-1])
+    if len(flat) == 1:  # one matrix: a BLAS dot is the cheapest test
+        if low <= abs(np.vdot(flat, flat)) <= high:
             return m, exponent
-        shift = int(np.frexp(np.abs(m).max())[1])
-        return ldexp(m, -shift), exponent + shift
-    k, rows, cols = m.shape
-    parts = m.reshape(k, rows * cols).view(float)  # real and imaginary parts
-    square_norm = np.einsum("ki,ki->k", parts, parts)
-    if low <= square_norm.min(initial=high) and square_norm.max(initial=low) <= high:
-        return m, exponent
-    out = (square_norm < low) | (square_norm > high)
+        out = True
+    else:
+        parts = flat.view(float)  # real and imaginary parts
+        square_norm = np.einsum("ki,ki->k", parts, parts)
+        # two orders of a sum of n nonnegative terms differ by at most 2 n eps of it; twice that
+        bound = 4 * parts.shape[1] * np.finfo(float).eps
+        for i in np.flatnonzero((abs(square_norm - low) <= bound * low) | (abs(square_norm - high) <= bound * high)):
+            square_norm[i] = abs(np.vdot(flat[i], flat[i]))
+        out = ((square_norm < low) | (square_norm > high)).reshape(m.shape[:-2])
+        if not out.any():
+            return m, exponent
     shift = np.where(out, np.frexp(np.abs(m).max(axis=(-2, -1)))[1], 0).astype(np.int64)
-    return ldexp(m, -shift[:, None, None]), exponent + shift
+    return ldexp(m, -shift[..., None, None]), exponent + shift
 
 
-def _zero_exponents(count, largest):
-    """Zero exponents for ``count`` powers up to ``largest``: int64 below
+def _zero_exponents(shape, largest):
+    """Zero exponents of the given shape for powers up to ``largest``: int64 below
     ``INT64_POWERS``, else Python ints in an object array."""
-    return np.zeros(count, dtype=int if largest < INT64_POWERS else object)
+    return np.zeros(shape, dtype=int if largest < INT64_POWERS else object)
 
 
 class ScaledPowers:
-    """Powers m^n = mantissa * 2**exponent of one square matrix.
+    """Powers m^n = mantissa * 2**exponent of one square matrix, or of each of a stack.
 
     One table of repeated squarings m, m^2, m^4, ... serves every n, so
     memory is O(log n) matrices however many powers are asked for. Each
@@ -571,13 +592,21 @@ class ScaledPowers:
     way each power is bit-identical to :meth:`power` of the same n, and its
     exponent is exact: a Python int for one power, and for many an int64
     array below n = ``INT64_POWERS``, else an object array of Python ints.
+
+    A stack (k, d, d) gets one table of stacks, each product a stacked
+    ``matmul`` and each rescale one per matrix: :meth:`power` then returns k
+    mantissas and an object array of k exponents, and :meth:`powers`
+    (k, len(ns), d, d) and (k, len(ns)), each matrix's bit for bit its own
+    table's. One matrix is a stack of one.
     """
 
     def __init__(self, m):
-        m = _as_square(m)
+        stack = _square_stack(m)
+        self._one = np.ndim(m) == 2
+        exponent = np.zeros(len(stack), dtype=object)
         # m^(2^k) as its squaring left it, and the same rescaled as a factor.
-        self._squares = [(m, 0)]
-        self._factors = [rescale(m, 0)]
+        self._squares = [(stack, exponent)]
+        self._factors = [rescale(stack, exponent)]
 
     def _extend(self, k):
         while len(self._squares) <= k:
@@ -587,11 +616,26 @@ class ScaledPowers:
 
     def power(self, n):
         """(mantissa, exponent) with m^n = mantissa * 2**exponent, n >= 0."""
+        mantissa, exponent = self._stack_power(n)
+        return (mantissa[0], exponent[0]) if self._one else (mantissa, exponent)
+
+    def powers(self, ns):
+        """(mantissas (len(ns), d, d), exponents (len(ns),)): :meth:`power` of each n in ns.
+
+        The exponents are int64 for n below ``INT64_POWERS`` and Python ints
+        in an object array from there: they never wrap.
+        """
+        mantissa, exponent = self._stack_powers(ns)
+        return (mantissa[0], exponent[0]) if self._one else (mantissa, exponent)
+
+    def _stack_power(self, n):
+        """:meth:`power` as a stack, also of one matrix."""
         n = _whole(n, "power must be a nonnegative integer")
         if n < 0:
             raise ValidationError(f"power must be a nonnegative integer, got {n!r}")
+        stack = self._squares[0][0]
         if n == 0:
-            return np.eye(len(self._squares[0][0]), dtype=complex), 0
+            return np.broadcast_to(_identity(stack.shape[-1]), stack.shape).copy(), np.zeros(len(stack), dtype=object)
         self._extend(n.bit_length() - 1)
         if n == 3:  # matrix_power's shortcut (m @ m) @ m
             (z2, e2), (z, e) = self._factors[1], self._factors[0]
@@ -607,36 +651,30 @@ class ScaledPowers:
                     result = (r @ z, er + e)
         return result
 
-    def powers(self, ns):
-        """(mantissas (k, d, d), exponents (k,)): :meth:`power` of each n in ns.
-
-        The exponents are int64 for n below ``INT64_POWERS`` and Python ints
-        in an object array from there: they never wrap.
-        """
+    def _stack_powers(self, ns):
+        """:meth:`powers` as a stack, also of one matrix."""
         ns = _whole(ns, "power must be a nonnegative integer")
-        dim = len(self._squares[0][0])
-        mantissa = np.empty((len(ns), dim, dim), dtype=complex)
-        if len(ns) < MIN_STACKED_POWERS:
-            values = ns.tolist()
-            exponent = _zero_exponents(len(values), max(values, default=0))
-            for i, n in enumerate(values):
-                mantissa[i], exponent[i] = self.power(n)
-            return mantissa, exponent
-        if ns.min() < 0:
+        if ns.min(initial=0) < 0:
             raise ValidationError(f"power must be a nonnegative integer, got {ns.min()}")
-        mantissa[...] = np.eye(dim)
-        largest = int(ns.max())
+        count, dim = self._squares[0][0].shape[:2]
+        mantissa = np.empty((count, len(ns), dim, dim), dtype=complex)
+        largest = int(ns.max(initial=0))
+        exponent = _zero_exponents((count, len(ns)), largest)
+        if len(ns) < MIN_STACKED_POWERS:
+            for i, n in enumerate(ns.tolist()):
+                mantissa[:, i], exponent[:, i] = self._stack_power(n)
+            return mantissa, exponent
+        mantissa[...] = _identity(dim)
         top = largest.bit_length()
         self._extend(top - 1)
-        exponent = _zero_exponents(len(ns), largest)
         three = ns == 3
         if three.any():  # matrix_power's shortcut (m @ m) @ m
             (z2, e2), (z, e) = self._factors[1], self._factors[0]
-            mantissa[three], exponent[three] = z2 @ z, e2 + e
+            mantissa[:, three], exponent[:, three] = (z2 @ z)[:, None], (e2 + e)[:, None]
             ns = np.where(three, 0, ns)
         # The lowest set bit of n takes its table entry as it is; every
-        # higher one multiplies in a rescaled factor, the whole stack at once
-        # as one (rows * d, d) GEMM: each entry keeps the sum of a d x d
+        # higher one multiplies in a rescaled factor, each matrix's stack at
+        # once as one (rows * d, d) GEMM: each entry keeps the sum of a d x d
         # product, where a stacked matmul would make one BLAS call per matrix.
         lowest, higher = ns & -ns, ns & (ns - 1)
         starts = int(np.bitwise_or.reduce(lowest))
@@ -644,11 +682,12 @@ class ScaledPowers:
         for k in range(top):
             if starts >> k & 1:
                 rows = lowest == 1 << k
-                mantissa[rows], exponent[rows] = self._squares[k]
+                z, e = self._squares[k]
+                mantissa[:, rows], exponent[:, rows] = z[:, None], e.astype(exponent.dtype)[:, None]
             if multiplies >> k & 1:
                 rows = (higher >> k & 1).astype(bool)
-                r, er = rescale(mantissa[rows], exponent[rows])
+                r, er = rescale(mantissa[:, rows], exponent[:, rows])
                 z, e = self._factors[k]
-                mantissa[rows], exponent[rows] = (r.reshape(-1, dim) @ z).reshape(r.shape), er + e
+                mantissa[:, rows] = (r.reshape(count, -1, dim) @ z).reshape(r.shape)
+                exponent[:, rows] = er + e.astype(exponent.dtype)[:, None]
         return mantissa, exponent
-

@@ -17,9 +17,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import GaplessTransferError, NearDefectiveError, NonCommutingError
-from .numerics import _identity, _ring_size
-from .symmetry import cocycle_commutator, extract_virtual_rep
-from .transfer import flux_operator, symmetry_gap, transfer_powers, transfer_spectrum, twisted_spectrum
+from .numerics import _identity, _ring_size, _stacked
+from .symmetry import cocycle_commutator, extract_virtual_rep, extract_virtual_reps
+from .transfer import _caught, _raised, _stack_groups, flux_operator, symmetry_gap, transfer_powers, transfer_spectra, transfer_spectrum, twisted_spectrum
 
 SNAP_TOL = 1e-6
 # A symmetry gap at or below this share of |lambda_0(T(1))| is a transition:
@@ -106,19 +106,37 @@ def _result(model, g1, value, gap, n_sites=None, valid=None):
 
 
 def _leading_pair(lpdo, spectrum, what):
-    """Leading eigenvector pair of a gapped spectrum of ``lpdo``, for (L0·X·R0)/(L0·R0).
+    """:func:`_leading_pairs` of one tensor: its pair, or its error raised."""
+    return _raised(_leading_pairs([lpdo], [spectrum], what))[0]
 
-    Returns ``(left, right, norm, gap)``: the left row L0, the right column
-    R0, their overlap L0·R0 and the symmetry gap. Every thermodynamic value
-    is ``(left @ X @ right) / norm`` for some X. Raises
-    :class:`NearDefectiveError` for an untrustworthy spectrum and
-    :class:`GaplessTransferError` when the gap is at or below ``GAP_TOL``
-    (1e-8) times |lambda_0(T(1))|; ``what`` ("for 'R_z'") names the map in both.
+
+def _leading_pairs(lpdos, spectra, what):
+    """Leading eigenvector pair of each gapped spectrum in ``spectra``, one of each of
+    ``lpdos``, for (L0·X·R0)/(L0·R0): per tensor the exception it raises alone (a
+    spectrum may be one already), or ``(left, right, norm, gap)``.
+
+    That is the left row L0, the right column R0, their overlap L0·R0 and the
+    symmetry gap. Every thermodynamic value is ``(left @ X @ right) / norm``
+    for some X. A spectrum raises :class:`NearDefectiveError` when it is
+    untrustworthy and :class:`GaplessTransferError` when the gap is at or
+    below ``GAP_TOL`` (1e-8) times |lambda_0(T(1))|; ``what`` ("for 'R_z'")
+    names the map in both.
     """
+    refs = transfer_spectra(lpdos, _identity(lpdos[0].d), None)
+    return [_caught(_pair, spectrum, ref, what) for spectrum, ref in zip(spectra, refs)]
+
+
+def _pair(spectrum, ref, what):
+    """The entry of :func:`_leading_pairs` of one spectrum, with ``ref`` that of T(1);
+    either may be the error reading it raised."""
+    if isinstance(spectrum, Exception):
+        raise spectrum
     if spectrum.near_defective:
         raise NearDefectiveError(f"transfer spectrum {what} is near-defective")
     gap = symmetry_gap(spectrum)
-    if gap <= GAP_TOL * abs(transfer_spectrum(lpdo, _identity(lpdo.d)).eigenvalues[0]):
+    if isinstance(ref, Exception):
+        raise ref
+    if gap <= GAP_TOL * abs(ref.eigenvalues[0]):
         raise GaplessTransferError(f"symmetry gap {what} is {gap:.3e}; thermodynamic limit undefined")
     _, left, right = spectrum.leading
     return left, right, left @ right, gap
@@ -126,8 +144,25 @@ def _leading_pair(lpdo, spectrum, what):
 
 def _pair_value(lpdo, spectrum, x, what):
     """(L0·X·R0)/(L0·R0) on the leading pair of ``spectrum``, a spectrum of ``lpdo``, and the gap."""
-    left, right, norm, gap = _leading_pair(lpdo, spectrum, what)
-    return complex((left @ x @ right) / norm), gap
+    return _raised(_pair_values([lpdo], _leading_pairs([lpdo], [spectrum], what), x[None]))[0]
+
+
+def _pair_values(lpdos, pairs, x):
+    """``(value, gap)`` of each of ``lpdos``: (L0·X·R0)/(L0·R0) on its entry of ``pairs``
+    (:func:`_leading_pairs`) with its X of the stack ``x``, or the exception the entry
+    is. The products are stacked over each group of
+    :func:`~weaksym.transfer._stack_groups`."""
+    out = list(pairs)
+    ok = [i for i, pair in enumerate(pairs) if not isinstance(pair, Exception)]
+    for group in _stack_groups([lpdos[i] for i in ok]):
+        members = [ok[j] for j in group]
+        left, right, norm, _ = zip(*(pairs[i] for i in members))
+        left, right, norm = _stacked(left), _stacked(right), np.array(norm)
+        stack = x if len(members) == len(x) else x[members]
+        values = ((left[:, None] @ stack) @ right[:, :, None])[:, 0, 0] / norm
+        for i, value in zip(members, values.tolist()):
+            out[i] = (value, pairs[i][3])
+    return out
 
 
 def flux_response(model, flux, g2):
@@ -149,10 +184,30 @@ def thermo_response(model, g1, g2):
     eigenvector pair of T(g2). Valid results are phases: unit modulus
     within 1e-8. Raises :class:`GaplessTransferError` when the symmetry gap
     of T(g2) is at or below ``GAP_TOL`` (1e-8) times |lambda_0(T(1))|.
+    This is the stack of one of :func:`_thermo_responses`.
     """
-    _require_commuting(model, g1, g2)
-    rep1, _ = extract_virtual_rep(model.lpdo, model.action(g1))
-    return _result(model, g1, *flux_response(model, rep1.v, g2))
+    return _raised(_thermo_responses([model], [g1], g2)[0])[0]
+
+
+def _thermo_responses(models, g1s, g2):
+    """:func:`thermo_response` of each flux element of ``g1s`` with g2, for each of
+    ``models`` (which share their actions) as one stack: per model a list with one
+    entry per element, its result or the exception it raises alone. The leading
+    pairs of T(g2) are read once for every element."""
+    for g1 in g1s:
+        _require_commuting(models[0], g1, g2)
+    lpdos = [model.lpdo for model in models]
+    pairs = _leading_pairs(lpdos, transfer_spectra(lpdos, models[0].action(g2).u, None), f"for {g2!r}")
+    out = [[] for _ in models]
+    for g1 in g1s:
+        reps = extract_virtual_reps(lpdos, models[0].action(g1))
+        ok = [i for i, rep in enumerate(reps) if not isinstance(rep, Exception)]
+        fluxes = flux_operator(_stacked([reps[i][0].v for i in ok])) if ok else None
+        values = dict(zip(ok, _pair_values([lpdos[i] for i in ok], [pairs[i] for i in ok], fluxes)))
+        for i, model in enumerate(models):
+            value = values.get(i, reps[i])
+            out[i].append(value if isinstance(value, Exception) else _result(model, g1, *value))
+    return out
 
 
 def conservation_check(model, g1, g2):

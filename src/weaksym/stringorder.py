@@ -16,16 +16,19 @@ A series over many lengths carries its scale instead of forming values that
 under- or overflow: the thermodynamic series is one running row vector
 x_{l+1} = x_l T(g2)/|lambda_0| across the lengths, each row written in place
 from the one before, and ring series take every power, the envelope
-Tr T(g2)^N included, from the model's one table of repeated squarings per map
-(:func:`~weaksym.transfer.transfer_powers`), all lengths at once
-(:meth:`~weaksym.numerics.ScaledPowers.powers`).
+Tr T(g2)^N included, from one table of repeated squarings per map, all
+lengths at once (:meth:`~weaksym.numerics.ScaledPowers.powers`): the
+model's memoised table (:func:`~weaksym.transfer.transfer_powers`), or, for
+a stack of models such as a sweep's chunk (:func:`_ring_series`), one table
+of the stack of their maps.
 
 The decay exponent is not fitted to a series. Expanding T(g2) in its own
 eigenpairs makes the thermodynamic string a finite sum of geometric channels,
 S(l) = sum_k c_k lambda_k^l, and :func:`decay_channel` reads the slowest
-channel with a nonzero amplitude off the memoised spectra of T(1) and T(g2).
-Whether that channel is lambda_0 itself is the selection rule: the
-normalized string is order one exactly when it is.
+channel with a nonzero amplitude off the memoised spectra of T(1) and T(g2),
+for a stack of models at once (:func:`_decay_channels`). Whether that channel
+is lambda_0 itself is the selection rule (Pollmann & Turner, PRB 86, 125441
+(2012)): the normalized string is order one exactly when it is.
 """
 
 from dataclasses import dataclass
@@ -33,9 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NearDefectiveError, UndefinedExponentError, ValidationError
-from .numerics import CLUSTER_TOL, _identity, _ring_size, _whole, _zero_exponents, ldexp, rescale
-from .transfer import build_transfer, transfer_powers, transfer_spectrum, twisted_spectrum
-from .response import _leading_pair
+from .numerics import CLUSTER_TOL, ScaledPowers, _identity, _ring_size, _stacked, _whole, _zero_exponents, ldexp, rescale
+from .transfer import _caught, _raised, _stack_groups, build_transfer, build_transfers, transfer_powers, transfer_spectra, transfer_spectrum, twisted_spectrum
+from .response import _leading_pair, _leading_pairs
 
 # A channel is live when its amplitude exceeds this share of its scale (see
 # decay_channel). On the AKLT family live channels sit at 0.29 of their
@@ -138,75 +141,91 @@ def _string_series(model, g2, endpoints, lengths, n_sites=None):
     powers, in the thermodynamic limit the leading pair of T(1) and the
     carried step. Each pair costs its endpoint maps, its traces or carried
     rows, and its scaling. Every endpoint is checked before any power or
-    spectrum is computed. Each field of each series owns its array.
+    spectrum is computed. Each field of each series owns its array. A ring
+    is the stack of one of :func:`_ring_series`.
     """
-    lengths, n_sites = _string_lengths(lengths, n_sites)
+    if n_sites is not None:
+        return _raised(_ring_series([model], g2, endpoints, lengths, n_sites))[0]
+    lengths, _ = _string_lengths(lengths, None)
     lpdo = model.lpdo
-    eye = _identity(lpdo.d)
     u2 = model.action(g2).u
     maps = [(build_transfer(lpdo, chi_l), build_transfer(lpdo, chi_r)) for chi_l, chi_r in endpoints]
-    if n_sites is None:
-        left, right, norm, _ = _leading_pair(lpdo, transfer_spectrum(lpdo, eye), "of T(1)")
-        base = float(abs(twisted_spectrum(model, g2).eigenvalues[0]))
-        if base == 0.0:
-            raise ZeroDivisionError("leading twisted eigenvalue vanishes; normalization undefined")
-        step = build_transfer(lpdo, u2) / base
-        distinct, where = np.unique(lengths, return_inverse=True)
-        distinct = distinct.tolist()
-        with np.errstate(over="ignore"):
-            scale = base ** lengths.astype(float)
-        values = []
-        for tl, tr in maps:
-            mantissa = ((_carried_rows(left @ tl, step, distinct) @ (tr @ right)) / norm)[where]
-            with np.errstate(over="ignore", invalid="ignore"):
-                raw = mantissa * scale
-            # past the double range base**l is inf, and a zero part of the mantissa
-            # times inf is nan: that part stays zero, as the ring's ldexp keeps it
-            for part, m in ((raw.real, mantissa.real), (raw.imag, mantissa.imag)):
-                np.copyto(part, m, where=np.isnan(part) & (m == 0))
-            values.append((raw, mantissa, mantissa.copy(), np.zeros(len(lengths), dtype=int)))
+    left, right, norm, _ = _leading_pair(lpdo, transfer_spectrum(lpdo, _identity(lpdo.d)), "of T(1)")
+    base = float(abs(twisted_spectrum(model, g2).eigenvalues[0]))
+    if base == 0.0:
+        raise ZeroDivisionError("leading twisted eigenvalue vanishes; normalization undefined")
+    step = build_transfer(lpdo, u2) / base
+    distinct, where = np.unique(lengths, return_inverse=True)
+    distinct = distinct.tolist()
+    with np.errstate(over="ignore"):
+        scale = base ** lengths.astype(float)
+    values = []
+    for tl, tr in maps:
+        mantissa = ((_carried_rows(left @ tl, step, distinct) @ (tr @ right)) / norm)[where]
+        with np.errstate(over="ignore", invalid="ignore"):
+            raw = mantissa * scale
+        # past the double range base**l is inf, and a zero part of the mantissa
+        # times inf is nan: that part stays zero, as the ring's ldexp keeps it
+        for part, m in ((raw.real, mantissa.real), (raw.imag, mantissa.imag)):
+            np.copyto(part, m, where=np.isnan(part) & (m == 0))
+        values.append((raw, mantissa, mantissa.copy(), np.zeros(len(lengths), dtype=int)))
+    return _series(lengths, None, base, values)
+
+
+def _ring_series(models, g2, endpoints, lengths, n_sites):
+    """The ring :func:`_string_series` of each of ``models`` (tensors of one shape that
+    share the action of g2) as one stack: per model its series, or the
+    ZeroDivisionError of a model whose envelope vanishes. One squaring table of
+    each stack of maps gives every power; a stack of one reads its model's
+    memoised tables (:func:`~weaksym.transfer.transfer_powers`). Each model is
+    scaled and normalized on its own, bit for bit as it is alone.
+    """
+    lengths, n_sites = _string_lengths(lengths, n_sites)
+    lpdos = [model.lpdo for model in models]
+    ops = (_identity(lpdos[0].d), models[0].action(g2).u)
+    maps = [[_stacked(_raised(build_transfers(lpdos, chi, None))) for chi in pair] for pair in endpoints]
+    if len(lpdos) == 1:
+        powers1, powers2 = (transfer_powers(lpdos[0], op) for op in ops)
     else:
-        powers1, powers2 = transfer_powers(lpdo, eye), transfer_powers(lpdo, u2)
-        envelope, envelope_exp = powers2.power(n_sites)
-        charge = abs(complex(np.trace(envelope)))
+        powers1, powers2 = (ScaledPowers(_stacked(_raised(build_transfers(lpdos, op, None)))) for op in ops)
+    envelope, envelope_exp = powers2._stack_power(n_sites)
+    charges = [abs(complex(trace)) for trace in np.trace(envelope, axis1=1, axis2=2)]
+    mantissas = [np.empty((len(lpdos), len(lengths)), dtype=complex) for _ in maps]
+    exponent = _zero_exponents(mantissas[0].shape, n_sites)
+    step = max(1, MAX_STACK_ENTRIES // maps[0][0].size)
+    for at in range(0, len(lengths), step):
+        chunk = slice(at, at + step)
+        m2, e2 = rescale(*powers2._stack_powers(lengths[chunk]))
+        m1, e1 = rescale(*powers1._stack_powers(n_sites - 2 - lengths[chunk]))
+        for mantissa, (tl, tr) in zip(mantissas, maps):
+            mantissa[:, chunk] = _ring_traces(tl, m2, tr, m1)
+        exponent[:, chunk] = e2 + e1
+    # |Tr T^N|^{l/N} = charge^{l/N} 2^{envelope_exp l/N}: the integer part
+    # of the binary exponent is split off exactly and joins the series'.
+    # The product is taken in Python ints: near l = N = 10^10 it passes int64.
+    product = lengths.astype(object) * envelope_exp[:, None]
+    shift, rest = product // n_sites, product % n_sites
+    # |shift| <= |envelope_exp|: like every exponent here, it fits int64
+    # below N = INT64_POWERS (so exponent is int64) and is a Python int above.
+    shifted = exponent - shift.astype(exponent.dtype)
+    out = []
+    for i, charge in enumerate(charges):
         if charge == 0.0:
-            raise ZeroDivisionError("Tr[rho U_g2] vanishes; normalization undefined")
-        mantissas = [np.empty(len(lengths), dtype=complex) for _ in maps]
-        exponent = _zero_exponents(len(lengths), n_sites)
-        step = max(1, MAX_STACK_ENTRIES // maps[0][0].size)
-        for at in range(0, len(lengths), step):
-            chunk = slice(at, at + step)
-            m2, e2 = rescale(*powers2.powers(lengths[chunk]))
-            m1, e1 = rescale(*powers1.powers(n_sites - 2 - lengths[chunk]))
-            for mantissa, (tl, tr) in zip(mantissas, maps):
-                mantissa[chunk] = _ring_traces(tl, m2, tr, m1)
-            exponent[chunk] = e2 + e1
-        base = 1.0
-        # |Tr T^N|^{l/N} = charge^{l/N} 2^{envelope_exp l/N}: the integer part
-        # of the binary exponent is split off exactly and joins the series'.
-        # The product is taken in Python ints: near l = N = 10^10 it passes int64.
-        product = lengths.astype(object) * envelope_exp
-        shift, rest = product // n_sites, product % n_sites
-        factors = charge ** (lengths / n_sites) * 2.0 ** (rest.astype(float) / n_sites)
-        # |shift| <= |envelope_exp|: like every exponent here, it fits int64
-        # below N = INT64_POWERS (so exponent is int64) and is a Python int above.
-        shifted = exponent - shift.astype(exponent.dtype)
+            out.append(ZeroDivisionError("Tr[rho U_g2] vanishes; normalization undefined"))
+            continue
+        factors = charge ** (lengths / n_sites) * 2.0 ** (rest[i].astype(float) / n_sites)
         values = [
-            (ldexp(mantissa, exponent), ldexp(mantissa / factors, shifted), mantissa, exponent.copy())
-            for mantissa in mantissas
+            (ldexp(m[i], exponent[i]), ldexp(m[i] / factors, shifted[i]), m[i], exponent[i].copy())
+            for m in mantissas
         ]
-    return [
-        StringOrderSeries(
-            lengths=lengths.copy(),
-            raw=raw,
-            normalized=normalized,
-            n_sites=n_sites,
-            mantissa=mantissa,
-            base=base,
-            exponent=exponent,
-        )
-        for raw, normalized, mantissa, exponent in values
-    ]
+        out.append(_series(lengths, n_sites, 1.0, values))
+    return out
+
+
+def _series(lengths, n_sites, base, values):
+    """A :class:`StringOrderSeries` of each ``(raw, normalized, mantissa, exponent)`` in ``values``."""
+    return [StringOrderSeries(lengths.copy(), raw, normalized, n_sites, mantissa, base, exponent)
+            for raw, normalized, mantissa, exponent in values]
 
 
 def _string_lengths(lengths, n_sites):
@@ -259,15 +278,16 @@ def _carried_rows(x, step, lengths):
 
 
 def _ring_traces(tl, m2, tr, m1):
-    """Tr[tl m2_i tr m1_i] over two stacks, bit for bit ``(tl @ m2 @ tr @ m1).trace``.
+    """Tr[tl m2_i tr m1_i] over two stacks, bit for bit ``(tl @ m2 @ tr @ m1).trace``;
+    with stacks (k, n, n) of ``tl`` and ``tr``, of each (k, ...) stack's own maps.
 
     The stack times ``tr`` is one (k * n, n) GEMM, which sums each entry as
     the stacked matmul does in one call per matrix. ``tl @`` a stack and a
     stack times a stack stay stacked: the first rounds differently as one
     GEMM (9 x 9 maps), the second has no one-GEMM form.
     """
-    chain = (tl @ m2).reshape(-1, len(tr)) @ tr
-    return (chain.reshape(m2.shape) @ m1).trace(axis1=1, axis2=2)
+    chain = (tl[..., None, :, :] @ m2).reshape(*tr.shape[:-2], -1, tr.shape[-1]) @ tr
+    return (chain.reshape(m2.shape) @ m1).trace(axis1=-2, axis2=-1)
 
 
 def decay_channel(model, g2, chi_l, chi_r):
@@ -297,25 +317,86 @@ def decay_channel(model, g2, chi_l, chi_r):
     string vanishes identically) or the live one is nilpotent, and
     :class:`NearDefectiveError` when T(g2)'s eigenvectors cannot be paired.
     """
-    lpdo = model.lpdo
-    left, right, norm, _ = _leading_pair(lpdo, transfer_spectrum(lpdo, _identity(lpdo.d)), "of T(1)")
-    tl, tr = build_transfer(lpdo, chi_l), build_transfer(lpdo, chi_r)
-    envelope = np.linalg.norm(left) * np.linalg.norm(tl) * np.linalg.norm(tr) * np.linalg.norm(right) / abs(norm)
+    return _raised(_decay_channels([model], g2, [(chi_l, chi_r)])[0])[0]
+
+
+def _decay_channels(models, g2, endpoints):
+    """:func:`decay_channel` of each ``(chi_l, chi_r)`` in ``endpoints`` for each of
+    ``models`` (which share the action of g2) as one stack: per model one entry per
+    pair, its channel or the exception it raises alone. Norms and amplitudes are
+    stacked products over each group of :func:`~weaksym.transfer._stack_groups`;
+    only the choice of the channel runs once per model and pair.
+    """
+    lpdos = [model.lpdo for model in models]
+    u = models[0].action(g2).u
+    pairs = _leading_pairs(lpdos, transfer_spectra(lpdos, _identity(lpdos[0].d), None), "of T(1)")
+    out = [[pair] * len(endpoints) if isinstance(pair, Exception) else [] for pair in pairs]
+    ok = [i for i, pair in enumerate(pairs) if not isinstance(pair, Exception)]
+    stack = [lpdos[i] for i in ok]
+    ends = [[_raised(build_transfers(stack, chi, None)) for chi in pair] for pair in endpoints]
+    spectra = [_caught(_paired, spectrum, g2) for spectrum in transfer_spectra(stack, u, None)]
+    for group in _stack_groups(stack):
+        members = [ok[j] for j in group]
+        left, right, norm, _ = zip(*(pairs[i] for i in members))
+        left, right, norm = _stacked(left), _stacked(right), np.array(norm)
+        outer = _norms(left), _norms(right), np.hypot(norm.real, norm.imag)
+        paired = [row for row, j in enumerate(group) if not isinstance(spectra[j], Exception)]
+        for maps in ends:
+            tl, tr = (_stacked([m[j] for j in group]) for m in maps)
+            envelope = outer[0] * _norms(tl) * _norms(tr) * outer[1] / outer[2]
+            start = left[:, None] @ tl
+            stacks = [a[paired] if len(paired) < len(group) else a for a in (start, tr, right, norm)]
+            found = [spectra[group[row]] for row in paired]
+            amplitudes = dict(zip(paired, _amplitudes(found, *stacks) if paired else []))
+            for row, (i, j) in enumerate(zip(members, group)):
+                terms = (start, tr, right, norm, row)
+                out[i].append(_caught(_channel, lpdos[i], u, g2, spectra[j], amplitudes.get(row), envelope[row], terms))
+    return out
+
+
+def _norms(stack):
+    """``np.linalg.norm`` of each array of the stack, bit for bit: the dot products of
+    its real and imaginary parts, as stacked products."""
+    flat = stack.reshape(len(stack), 1, -1)
+    re, im = flat.real, flat.imag
+    return np.sqrt((re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0, 0])
+
+
+def _paired(spectrum, g2):
+    """``spectrum``, or :class:`NearDefectiveError` if its eigenvectors cannot be paired
+    (or the error reading it raised)."""
+    if _raised([spectrum])[0].near_defective:
+        raise NearDefectiveError(f"transfer spectrum of T({g2}) is near-defective")
+    return spectrum
+
+
+def _amplitudes(spectra, start, tr, right, norm):
+    """c_k = (start R_k)(L_k tr right) / norm on the pairs of each spectrum, over stacks of
+    starts L0 T_chiL (k, 1, n), maps T_chiR, right vectors R0 and overlaps L0 R0."""
+    r, l = (_stacked([getattr(s, side) for s in spectra]) for side in ("right_vectors", "left_vectors"))
+    return (start @ r)[:, 0] * ((l @ tr) @ right[:, :, None])[:, :, 0] / norm[:, None]
+
+
+def _channels(spectrum, amplitudes, envelope):
+    """(channels, live): (eigenvalue, amplitude, scale) of each cluster of ``spectrum``,
+    and (eigenvalue, amplitude) of each live one."""
+    channels = [(lam, complex(amplitudes[members].sum()), envelope * condition)
+                for lam, members, condition in spectrum.clusters]
+    return channels, [(lam, c) for lam, c, scale in channels if abs(c) > LIVE_TOL * scale]
+
+
+def _channel(lpdo, u, g2, spectrum, amplitudes, envelope, terms):
+    """The :class:`DecayChannel` of one model and pair on ``spectrum`` (or its error),
+    or, when a partial spectrum has no live channel, on the complete one: a stack of
+    its own, from the stacks of :func:`_amplitudes` and the model's row, ``terms``."""
     if envelope == 0:
         raise UndefinedExponentError("string vanishes identically: an endpoint map is zero")
-    start = left @ tl
-    u = model.action(g2).u
-    spectrum = transfer_spectrum(lpdo, u)
-    while True:
-        if spectrum.near_defective:
-            raise NearDefectiveError(f"transfer spectrum of T({g2}) is near-defective")
-        amplitudes = (start @ spectrum.right_vectors) * (spectrum.left_vectors @ tr @ right) / norm
-        channels = [(lam, complex(amplitudes[members].sum()), envelope * condition)  # (eigenvalue, amplitude, scale)
-                    for lam, members, condition in spectrum.clusters]
-        live = [(lam, c) for lam, c, scale in channels if abs(c) > LIVE_TOL * scale]
-        if live or spectrum.complete:
-            break
-        spectrum = transfer_spectrum(lpdo, u, complete=True)
+    spectrum = _raised([spectrum])[0]
+    channels, live = _channels(spectrum, amplitudes, envelope)
+    if not live and not spectrum.complete:
+        spectrum = _paired(transfer_spectrum(lpdo, u, complete=True), g2)
+        *stacks, row = terms
+        channels, live = _channels(spectrum, _amplitudes([spectrum], *(a[row : row + 1] for a in stacks))[0], envelope)
     if not live:
         raise UndefinedExponentError("string vanishes identically: no decay channel is live")
     floor = max((abs(c) / scale for _, c, scale in channels if abs(c) <= LIVE_TOL * scale), default=0.0)

@@ -33,7 +33,8 @@ misses among them, tensors of one shape at a time, as one stack: one einsum
 or GEMM per stack, its insertions checked once, and one stacked LAPACK call
 on the dense path. Each result is stored in its own tensor's memo, bit for
 bit the value that tensor gets alone; the one-tensor accessors are the
-stacks of one, and a hit among them is one dict lookup. A stack that
+stacks of one: a hit among them is one dict lookup, and a miss computes the
+stack of one directly. A stack that
 raises is computed again one tensor at a time, and a tensor that fails
 alone gets its exception in place of its value; nothing is stored for it,
 so reading it alone raises the same error again.
@@ -42,7 +43,7 @@ so reading it alone raises the same error again.
 import numpy as np
 
 from .errors import DimensionMismatchError, WeaksymError
-from .numerics import ScaledPowers, _as_square, _insertion, _stacked, leading_eigenpair, leading_spectrum, spectral_decompose
+from .numerics import DENSE_MAX_ROWS, ScaledPowers, _as_square, _insertion, _square_stack, _stacked, leading_eigenpair, leading_spectrum, spectral_decompose
 
 # What a stack may raise because of one of its tensors.
 _STACK_ERRORS = (WeaksymError, np.linalg.LinAlgError)
@@ -69,6 +70,8 @@ def _memoised_stack(lpdos, key, compute):
     misses = [lpdo for lpdo in lpdos if key not in lpdo._memo]
     if not misses:
         return [lpdo._memo[key] for lpdo in lpdos]
+    if len(lpdos) == 1:
+        return [_caught(_memoised_one, lpdos[0], key, compute)]
     stacks = {}
     for lpdo in misses:
         stacks.setdefault(lpdo.tensor.shape, {})[lpdo] = None
@@ -83,9 +86,9 @@ def _memoised_stack(lpdos, key, compute):
 
 
 def _memoised_one(lpdo, key, compute):
-    """:func:`_memoised_stack` of one tensor: a hit is one dict lookup, and a
-    tensor that fails raises its error."""
-    return lpdo.memoised(key, lambda: _raised(_memoised_stack([lpdo], key, compute))[0])
+    """:func:`_memoised_stack` of one tensor: a hit is one dict lookup, a miss
+    computes the stack of one, and a tensor that fails raises its error."""
+    return lpdo.memoised(key, lambda: compute([lpdo])[0])
 
 
 def _outcomes(compute, stack):
@@ -96,6 +99,26 @@ def _outcomes(compute, stack):
         if len(stack) == 1:
             return [exc]
         return [_outcomes(compute, [lpdo])[0] for lpdo in stack]
+
+
+def _stack_groups(lpdos):
+    """Index lists of ``lpdos`` whose spectra can meet in one stacked product: tensors of
+    one shape decomposed densely, and alone each one on the Krylov path, whose vectors
+    keep the layout Arnoldi left (a product's last bits can depend on it)."""
+    if len(lpdos) == 1:
+        return [[0]]
+    groups = {}
+    for i, lpdo in enumerate(lpdos):
+        groups.setdefault(lpdo.tensor.shape if lpdo.bond_dim**2 <= DENSE_MAX_ROWS else i, []).append(i)
+    return list(groups.values())
+
+
+def _caught(compute, *args):
+    """``compute(*args)``, or the exception of ``_STACK_ERRORS`` it raises."""
+    try:
+        return compute(*args)
+    except _STACK_ERRORS as exc:
+        return exc
 
 
 def _raised(values):
@@ -241,10 +264,11 @@ def transfer_powers(lpdo, op, op_a=None):
 
 
 def flux_operator(v):
-    """kron(conj(V), V), as one broadcast product: a finite square flux V threaded through the doubled space."""
-    v = _as_square(v, "flux")
-    dv = v.shape[0]
-    return (v.conj()[:, None, :, None] * v[None, :, None, :]).reshape(dv * dv, dv * dv)
+    """kron(conj(V), V), as one broadcast product: a finite square flux V threaded through
+    the doubled space; of a stack of them (k, D, D), the stack of their operators."""
+    v = _square_stack(v) if np.ndim(v) == 3 else _as_square(v, "flux")
+    dv = v.shape[-1]
+    return (v.conj()[..., :, None, :, None] * v[..., None, :, None, :]).reshape(*v.shape[:-2], dv * dv, dv * dv)
 
 
 def twisted_spectrum(model, g):

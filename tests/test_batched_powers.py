@@ -159,6 +159,35 @@ def test_stacked_rescale_matches_one_matrix_at_a_time():
         assert e == expected_exponent
 
 
+def test_a_stack_at_the_ends_of_the_range_is_rescaled_as_each_matrix_alone():
+    """Matrices scaled to a squared norm of 2^800 or 2^-800, where a sum in another
+    order than np.vdot's (an einsum over the stack) falls on the other side of the end
+    for some of them: each matrix of the stack, and of a stacked table, gets the
+    decision it gets alone."""
+    rng = np.random.default_rng(0)
+    ms = []
+    for end in (2.0**800, 2.0**-800):
+        for _ in range(100):
+            m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+            ms.append(m * np.sqrt(end / abs(np.vdot(m, m))))
+    stack = np.stack(ms)
+    parts = stack.reshape(len(ms), -1).view(float)
+    summed = np.einsum("ki,ki->k", parts, parts)
+    in_range = (2.0**-800 <= summed) & (summed <= 2.0**800)
+    alone = np.array([2.0**-800 <= abs(np.vdot(m, m)) <= 2.0**800 for m in ms])
+    assert np.count_nonzero(in_range != alone) > 5  # the orders decide differently
+    scaled, exponents = rescale(stack, np.zeros(len(ms), dtype=int))
+    table = ScaledPowers(stack)
+    cubes, cube_exponents = table.power(3)
+    for i, m in enumerate(ms):
+        expected, expected_exponent = _rescale_one(m, 0)
+        np.testing.assert_array_equal(scaled[i], expected)
+        assert exponents[i] == expected_exponent
+        cube, cube_exponent = ScaledPowers(m).power(3)
+        np.testing.assert_array_equal(cubes[i], cube)
+        assert cube_exponents[i] == cube_exponent
+
+
 @pytest.mark.parametrize("p", [0.2, 0.3, 0.5, 0.75])
 @pytest.mark.parametrize("n_sites", [1200, 3000])
 def test_aklt_ring_series_match_per_length_loop(p, n_sites):

@@ -41,9 +41,9 @@ def _key(m):
 
 
 def test_sweep_row_decomposes_at_most_four_maps(eig_calls):
-    # On a model whose memo no stack has filled, one row decomposes T(1),
-    # T(R_x, ua_x), T(R_y, ua_y) and T(R_z), each once for the whole row
-    row = cli._sweep_row(0.3, build_aklt_model(0.3), 200, 50)
+    # A chunk of one row decomposes T(1), T(R_x, ua_x), T(R_y, ua_y) and
+    # T(R_z), each once for the whole row
+    (row,) = cli._sweep_rows([0.3], 200, 50)
     assert not row["flags"]
     assert len(eig_calls) <= 4
 
@@ -76,9 +76,9 @@ def checked_insertions(monkeypatch):
 def test_sweep_row_checks_each_insertion_once(checked_insertions, eig_calls, power_tables):
     """T(1), T(R_x, ua_x), T(R_y, ua_y), T(R_z), T(S_x) and T(S_y): six physical
     insertions and two ancilla ones, each checked when its map is built and
-    never on the ~30 lookups that hit, also on a row no stack has filled."""
+    never on the lookups that hit, also in a chunk of one row."""
     model = build_aklt_model(0.3)
-    cli._sweep_row(0.3, model, 200, 50)
+    cli._chunk_rows([0.3], [model], 200, 50)
     ops = spin1_operators()
     physical = [np.eye(3), *(model.action(g).u for g in ("R_x", "R_y", "R_z")), ops["S_x"], ops["S_y"]]
     ancilla = [model.action(g).ua for g in ("R_x", "R_y")]
@@ -91,7 +91,8 @@ def test_sweep_row_checks_each_insertion_once(checked_insertions, eig_calls, pow
 def test_a_sweep_checks_each_insertion_once_per_chunk(checked_insertions, eig_calls, power_tables):
     """T(1), T(R_x, ua_x), T(R_y, ua_y), T(R_z), T(S_x) and T(S_y): six physical
     insertions and two ancilla ones, each checked when its chunk's maps are
-    built and never on the ~30 lookups a row makes that hit."""
+    built and never on the lookups a chunk makes that hit. Each chunk squares
+    one stack of T(1) and one of T(R_z), the stack of one its model's tables."""
     rows = cli.SWEEP_CHUNK + 1
     cli._sweep_rows([0.3] * rows, 200, 50)
     model = build_aklt_model(0.3)
@@ -101,7 +102,7 @@ def test_a_sweep_checks_each_insertion_once_per_chunk(checked_insertions, eig_ca
     expected = [("op", _key(m)) for m in physical] + [("op_a", _key(m)) for m in ancilla]
     assert sorted(checked_insertions) == sorted(expected * 2)
     assert len(eig_calls) == 8
-    assert len(power_tables) == 2 * rows
+    assert len(power_tables) == 4
 
 
 def test_a_non_finite_insertion_is_refused_on_every_call_and_never_stored():
@@ -236,33 +237,51 @@ def power_tables(monkeypatch):
     return tables
 
 
-def test_sweep_row_builds_one_squaring_table_per_map(power_tables):
-    # Both ring strings and the envelope Tr T(R_z)^N share the tables of
-    # T(1) and T(R_z): squares up to 2^7 for N = 200 and N - l - 2 = 148.
-    model = build_aklt_model(0.3)
-    cli._sweep_row(0.3, model, 200, 50)
-    maps = [build_transfer(model.lpdo, op) for op in (np.eye(3), model.action("R_z").u)]
-    assert len(power_tables) == 2
-    assert {table._squares[0][0].tobytes() for table in power_tables} == {t.tobytes() for t in maps}
-    assert sum(len(table._squares) - 1 for table in power_tables) == 14
-
-
-def test_sweep_row_computes_each_ring_power_once(power_tables, monkeypatch):
-    """The S_x and S_y rings share the envelope T(R_z)^200 and the powers
-    T(R_z)^50 and T(1)^148; each is assembled from its table once per row."""
+@pytest.fixture
+def ring_powers(monkeypatch):
+    """Every power n a squaring table assembles, in order."""
     powers = []
-    power = numerics.ScaledPowers.power
+    power = numerics.ScaledPowers._stack_power
 
     def recording(self, n):
         powers.append(n)
         return power(self, n)
 
-    monkeypatch.setattr(numerics.ScaledPowers, "power", recording)
-    row = cli._sweep_row(0.3, build_aklt_model(0.3), 200, 50)
-    assert not row["flags"]
-    assert sorted(powers) == [50, 148, 200]
-    assert len(power_tables) == 2
-    assert sum(len(table._squares) - 1 for table in power_tables) == 14
+    monkeypatch.setattr(numerics.ScaledPowers, "_stack_power", recording)
+    return powers
+
+
+def _p_values(rows):
+    """Rows no quantity refuses: p in [0.3, 0.45)."""
+    return [0.3 + 0.15 * i / rows for i in range(rows)]
+
+
+def test_sweep_row_builds_one_squaring_table_per_map(power_tables):
+    # The rows of a chunk share one stacked table of T(1) and one of T(R_z),
+    # for both rings and the envelope Tr T(R_z)^N: squares up to 2^7 for
+    # N = 200 and N - l - 2 = 148. A chunk of one reads its model's tables.
+    for rows in (1, 3, cli.SWEEP_CHUNK):
+        power_tables.clear()
+        models = [build_aklt_model(p) for p in _p_values(rows)]
+        assert not any(row["flags"] for row in cli._chunk_rows(_p_values(rows), models, 200, 50))
+        assert len(power_tables) == 2
+        for table, op in zip(power_tables, (np.eye(3), models[0].action("R_z").u)):
+            maps = [build_transfer(model.lpdo, op) for model in models]
+            assert table._squares[0][0].tobytes() == np.stack(maps).tobytes()
+        assert sum(len(table._squares) - 1 for table in power_tables) == 14
+
+
+def test_sweep_row_computes_each_ring_power_once(power_tables, ring_powers):
+    """The S_x and S_y rings of a chunk share the envelope T(R_z)^200 and the
+    powers T(R_z)^50 and T(1)^148; each is assembled from its table once per
+    chunk, for every row of the chunk at once."""
+    for rows, chunks in ((1, 1), (5, 1), (cli.SWEEP_CHUNK + 1, 2)):
+        power_tables.clear()
+        ring_powers.clear()
+        assert not any(row["flags"] for row in cli._sweep_rows(_p_values(rows), 200, 50))
+        assert sorted(ring_powers) == sorted([50, 148, 200] * chunks)
+        assert len(power_tables) == 2 * chunks
+        assert sum(len(table._squares) - 1 for table in power_tables) == 14 * chunks
 
 
 def test_transfer_powers_are_memoised_and_bit_equal_to_a_fresh_model():

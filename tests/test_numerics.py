@@ -510,3 +510,66 @@ def test_every_leg_size_refusal_names_the_matrix_and_the_leg(refuse, name, leg, 
     for size in (dim - 1, dim + 1):
         with pytest.raises(DimensionMismatchError, match=f"^{name} is {size}x{size}, tensor has {leg}={dim}$"):
             refuse(model, np.eye(size))
+
+
+# --- clusters ------------------------------------------------------------------
+
+def clusters_one_at_a_time(spectrum):
+    """``Spectrum.clusters`` as the greedy loop computed it, one distance row per
+    cluster: each takes the untaken eigenvalues within CLUSTER_TOL |lambda_0| of its first."""
+    w, out = spectrum.eigenvalues, []
+    simple = np.sqrt((abs(spectrum.right_vectors) ** 2).sum(0) * (abs(spectrum.left_vectors) ** 2).sum(1))
+    unassigned = np.ones(len(w), dtype=bool)
+    for i in range(len(w)):
+        if unassigned[i]:
+            members = unassigned & (np.abs(w - w[i]) <= numerics.CLUSTER_TOL * abs(w[0]))
+            unassigned &= ~members
+            condition = simple[i]
+            if np.count_nonzero(members) > 1:
+                r, l = spectrum.right_vectors[:, members], spectrum.left_vectors[members]
+                condition = np.sqrt(np.vdot(l @ l.conj().T, r.conj().T @ r).real)
+            out.append((complex(w[i]), members, float(condition)))
+    return out
+
+
+def assert_clusters_as_one_at_a_time(spectrum):
+    clusters, expected = spectrum.clusters, clusters_one_at_a_time(spectrum)
+    assert len(clusters) == len(expected)
+    for (lam, members, condition), (lam0, members0, condition0) in zip(clusters, expected):
+        assert type(lam) is complex and np.asarray(lam).tobytes() == np.asarray(lam0).tobytes()
+        assert members.dtype == bool and np.array_equal(members, members0)
+        assert type(condition) is float and np.asarray(condition).tobytes() == np.asarray(condition0).tobytes()
+
+
+def test_clusters_of_the_family_equal_the_greedy_loop():
+    """The 41 twisted spectra T(R_z) from p = 0 to 1: a twofold -1/3 at every p,
+    and the ties of the special points."""
+    for p in np.linspace(0.0, 1.0, 41):
+        model = build_aklt_model(p)
+        assert_clusters_as_one_at_a_time(spectral_decompose(build_transfer(model.lpdo, model.action("R_z").u)))
+
+
+@pytest.mark.parametrize("bond", [3, 6], ids=["D6", "D12"])
+def test_clusters_of_generic_spectra_equal_the_greedy_loop(bond):
+    """Dense D = 6 spectra, with the random factor's ties, and partial Krylov ones at D = 12."""
+    for p in (0.2, 0.5, 0.8):
+        model, _, _ = generic_model(p, bond=bond)
+        for g in ("1", "R_x", "R_z"):
+            assert_clusters_as_one_at_a_time(leading_spectrum(build_transfer(model.lpdo, model.action(g).u)))
+
+
+def test_a_chain_of_close_eigenvalues_is_two_clusters():
+    """w0, w0 + 0.9 tol and w0 + 1.8 tol: the second is within tolerance of both
+    others, but a cluster is measured from its first member, not closed under
+    nearness, so the third starts a cluster of its own."""
+    tol = numerics.CLUSTER_TOL
+    w = np.array([1.0, 1.0 + 0.9 * tol, 1.0 + 1.8 * tol, 0.5], dtype=complex)
+    rng = np.random.default_rng(2)
+    right = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    spectrum = numerics._spectrum(w, right, np.linalg.inv(right))
+    assert_clusters_as_one_at_a_time(spectrum)
+    assert [members.tolist() for _, members, _ in spectrum.clusters] == [
+        [True, True, False, False],
+        [False, False, True, False],
+        [False, False, False, True],
+    ]

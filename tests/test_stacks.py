@@ -1,5 +1,6 @@
-"""Stacked accessors: many tensors' maps, spectra, leading pairs and virtual
-representations computed as one stack, each bit for bit its one-tensor value.
+"""Stacked accessors: many tensors' maps, spectra, leading pairs, virtual
+representations, ring strings, decay channels and responses computed as one
+stack, each bit for bit its one-tensor value.
 
 A stack shares the Python around each LAPACK call, not the arithmetic: every
 value must equal the one its tensor gets alone (a fresh ``LpdoTensor``, so
@@ -7,6 +8,7 @@ nothing is read from the stacked memo), a member that fails must not change
 the others, and a sweep's bytes must not depend on which rows share a stack.
 """
 
+import dataclasses
 import json
 import tracemalloc
 
@@ -15,9 +17,11 @@ import pytest
 
 from test_generic import generic_model
 from weaksym import cli
-from weaksym.errors import NearDefectiveError, NotSymmetricError
-from weaksym.model import LpdoTensor, build_aklt_model
+from weaksym.errors import GaplessTransferError, NearDefectiveError, NotSymmetricError, UndefinedExponentError, WeaksymError
+from weaksym.model import LpdoTensor, Model, build_aklt_model, spin1_operators
 from weaksym.numerics import spectral_decompose
+from weaksym.response import _thermo_responses, thermo_response
+from weaksym.stringorder import _decay_channels, _ring_series, _string_series, decay_channel
 from weaksym.symmetry import SymmetryAction, extract_virtual_rep, extract_virtual_reps
 from weaksym.transfer import (
     build_transfer,
@@ -168,6 +172,91 @@ def test_a_tensor_that_is_not_symmetric_leaves_the_rest_of_its_stack_alone():
     # what the failed extraction read is stored, bit for bit its one-tensor value
     assert _bits(transfer_eigenpair(bogus, act.u, act.ua)) == _bits(transfer_eigenpair(_alone(bogus), act.u, act.ua))
     assert not any(key[0] == "rep" for key in bogus._memo)
+
+
+# --- rings, decay channels and responses ---------------------------------------
+
+OPS = spin1_operators()
+ENDS = [(OPS[a], OPS[b]) for a, b in (("S_x", "S_x"), ("S_y", "S_y"), ("S_z", "S_z"), ("S_0", "S_0"), ("S_x", "S_y"))]
+FLUXES = ("R_x", "R_y")
+
+
+def _fresh(model):
+    """The model on a fresh tensor with the same entries: nothing it reads comes from a stack."""
+    return Model(lpdo=_alone(model.lpdo), group=model.group, actions=model.actions)
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except (WeaksymError, ZeroDivisionError, np.linalg.LinAlgError) as exc:
+        return exc
+
+
+def _fields(value):
+    """A series, channel or response field by field as bits; an exception as its type and text."""
+    if isinstance(value, Exception):
+        return type(value), str(value)
+    if isinstance(value, list):
+        return [_fields(v) for v in value]
+    if dataclasses.is_dataclass(value):
+        return tuple(_fields(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, np.ndarray) and value.dtype == object:
+        return value.shape, value.tolist()
+    if isinstance(value, (np.ndarray, float, complex, np.number)):
+        return _bits(value)
+    return value  # None, bool, int, Fraction
+
+
+def assert_rows_equal_one_model_calls(models, lengths, n_sites):
+    """The stacked rings, decay channels and responses of ``models`` against one
+    call per model and pair (or flux) on a fresh tensor."""
+    rings = _ring_series(models, "R_z", ENDS, lengths, n_sites)
+    channels = _decay_channels(models, "R_z", ENDS)
+    responses = _thermo_responses(models, FLUXES, "R_z")
+    for model, ring, channel, response in zip(models, rings, channels, responses):
+        alone = _fresh(model)
+        assert _fields(ring) == _fields(_outcome(lambda: _string_series(alone, "R_z", ENDS, lengths, n_sites)))
+        assert _fields(channel) == [_fields(_outcome(lambda: decay_channel(alone, "R_z", *pair))) for pair in ENDS]
+        assert _fields(response) == [_fields(_outcome(lambda: thermo_response(alone, g1, "R_z"))) for g1 in FLUXES]
+    return rings, channels, responses
+
+
+@pytest.mark.parametrize(
+    "lengths, n_sites",
+    [([50], 200), (range(0, 40, 3), 200), (range(30), 200), ([0, 1000, 99998], 100000)],
+    ids=["one", "loop", "stacked", "rescaled"],
+)
+def test_stacked_rows_of_the_family_equal_one_model_calls(lengths, n_sites):
+    """41 models from p = 0 to 1, the special points and their refusals included;
+    fewer than MIN_STACKED_POWERS lengths take the per-length loop, more the GEMM
+    per bit level of each model's stack. On 10^5 sites each model's powers carry
+    binary exponents of their own."""
+    models = [build_aklt_model(p) for p in np.linspace(0.0, 1.0, 41)]
+    assert_rows_equal_one_model_calls(models, lengths, n_sites)
+
+
+@pytest.mark.parametrize("bond", [3, 6], ids=["D6", "D12"])
+def test_stacked_rows_of_generic_models_equal_one_model_calls(bond):
+    """D = 6 models share dense stacks; at D = 12 each model takes the per-map
+    Krylov path, S_0 through the complete-spectrum fallback of decay_channel."""
+    models = [generic_model(p, seed=seed, bond=bond)[0] for p, seed in ((0.2, 7), (0.3, 8), (0.8, 9))]
+    _, channels, _ = assert_rows_equal_one_model_calls(models, [0, 1, 7], 40)
+    assert not any(isinstance(c, Exception) for row in channels for c in row[:2])
+    fallbacks = [any(key[0] == "complete spectrum" for key in model.lpdo._memo) for model in models]
+    assert fallbacks == [bond == 6] * 3
+
+
+def test_failing_members_leave_the_rest_of_their_stack_alone():
+    """On a ring of 5 sites, p = 1/2 is gapless and its envelope Tr T(R_z)^5
+    vanishes, and p = 1/4 and 1 have strings with no live channel: each member
+    fails alone, with today's error, and the others are as they are alone."""
+    models = [build_aklt_model(p) for p in (0.1, 0.25, 0.5, 0.75, 1.0, 0.3)]
+    rings, channels, responses = assert_rows_equal_one_model_calls(models, [0, 1, 2, 3], 5)
+    assert [isinstance(ring, ZeroDivisionError) for ring in rings] == [False, False, True, False, False, False]
+    assert [isinstance(r[0], GaplessTransferError) for r in responses] == [False, False, True, False, False, False]
+    undefined = [[isinstance(c, UndefinedExponentError) for c in row[:2]] for row in channels]
+    assert undefined == [[False, False], [False, True], [False, False], [False, False], [True, True], [False, False]]
 
 
 # --- sweeps -------------------------------------------------------------------
