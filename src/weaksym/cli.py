@@ -32,11 +32,12 @@ from .errors import (
     NearDefectiveError,
     UndefinedExponentError,
     ValidationError,
+    WeaksymError,
 )
 from .model import _decode_array, build_aklt_model, load_model, spin1_operators
 from .response import _thermo_responses, finite_response, thermo_response
 from .stringorder import _decay_channels, _ring_series, _string_lengths, decay_channel, string_order_series
-from .transfer import _raised, symmetry_gap, twisted_spectrum
+from .transfer import symmetry_gap, twisted_spectrum
 from . import verify as _verify
 
 EXIT_OK = 0
@@ -48,6 +49,8 @@ CSV_HEADER = "p,reQxz,imQxz,reQyz,imQyz,gap_z,abs_sn_x,abs_sn_y,xi_x,xi_y,flags"
 # A decay exponent that does not exist is flagged, not fatal: the string
 # vanishes, its channel is nilpotent, or no channel can be told apart.
 _NO_EXPONENT = (UndefinedExponentError, NearDefectiveError, GaplessTransferError)
+# What a stacked quantity may raise because of one of its rows.
+_ROW_ERRORS = (WeaksymError, np.linalg.LinAlgError, ZeroDivisionError)
 
 _CHI_BUILTIN = {"s0": "S_0", "sx": "S_x", "sy": "S_y", "sz": "S_z"}
 # A sweep builds the models of this many rows at a time and computes each
@@ -156,30 +159,54 @@ def _chunk_rows(p_values, models, n_sites, length):
     nan = float("nan")
     ops = spin1_operators()
     ends = [(ops[f"S_{tag}"],) * 2 for tag in ("x", "y")]
-    responses = _thermo_responses(models, ("R_x", "R_y"), "R_z")
-    rings = _ring_series(models, "R_z", ends, [length], n_sites)
-    channels = _decay_channels(models, "R_z", ends)
+    responses = _isolated(lambda stack: _thermo_responses(stack, ("R_x", "R_y"), "R_z"), models)
+    rings = _isolated(lambda stack: _ring_series(stack, "R_z", ends, [length], n_sites), models)
+    # one stack per pair: S_x's exponent survives where only S_y's is undefined
+    channels = [_isolated(lambda stack: _decay_channels(stack, "R_z", *pair), models) for pair in ends]
     rows = []
-    for p, model, response, ring, decay in zip(p_values, models, responses, rings, channels):
+    for p, model, response, ring, *decay in zip(p_values, models, responses, rings, *channels):
         flags = []
-        try:
-            qxz, qyz = (_raised([q])[0].value for q in response)
-        except GaplessTransferError:
+        if _flagged(response, GaplessTransferError):
             qxz = qyz = complex(nan, nan)
             flags.append("gapless_thermo")
+        else:
+            qxz, qyz = (q.value for q in response)
         gap_z = symmetry_gap(twisted_spectrum(model, "R_z"))
-        vanishes = isinstance(ring, ZeroDivisionError)  # the two rings share one envelope
+        vanishes = _flagged(ring, ZeroDivisionError)  # the two rings share one envelope
         sn = [nan] * 2 if vanishes else [abs(series.normalized[0]) for series in ring]
         xi = []
         for tag, channel in zip("xy", decay):
             if vanishes:
                 flags.append(f"sn_{tag}_undefined")
-            if isinstance(channel, _NO_EXPONENT):
+            undefined = _flagged(channel, _NO_EXPONENT)
+            if undefined:
                 flags.append(f"xi_{tag}_undefined")
-            xi.append(nan if isinstance(channel, _NO_EXPONENT) else _raised([channel])[0].xi)
+            xi.append(nan if undefined else channel.xi)
         values = (p, qxz.real, qxz.imag, qyz.real, qyz.imag, gap_z, *sn, *xi)
         rows.append({**dict(zip(_SWEEP_COLUMNS, values)), "flags": flags})
     return rows
+
+
+def _isolated(compute, models):
+    """``compute(models)``, one value per model; if that stack raises one of
+    ``_ROW_ERRORS``, each model's value alone, or the error it raises alone.
+
+    This is the only place a stack's error is caught. A model alone gets its
+    stacked value bit for bit, so a chunk with a failing row costs one more
+    pass, row by row, of the one quantity that failed.
+    """
+    try:
+        return compute(models)
+    except _ROW_ERRORS as exc:
+        return [exc] if len(models) == 1 else [_isolated(compute, [model])[0] for model in models]
+
+
+def _flagged(outcome, undefined):
+    """Whether ``outcome``, a row's value from :func:`_isolated`, is an error of ``undefined``;
+    any other error is raised."""
+    if isinstance(outcome, Exception) and not isinstance(outcome, undefined):
+        raise outcome
+    return isinstance(outcome, undefined)
 
 
 _SWEEP_COLUMNS = CSV_HEADER.split(",")[:-1]

@@ -23,8 +23,9 @@ The dense path also takes a stack (k, n, n) of maps and returns a list: one
 matrix, so each result is bit for bit the one its matrix gets alone; only the
 Python around each call is shared. A stack in which some eigenvector matrix
 has no inverse is inverted again one matrix at a time. An ``eig`` that fails
-on a stack raises, and the caller decomposes that stack one map at a time
-(:mod:`weaksym.transfer`). Arnoldi always runs one map at a time.
+on a stack raises for the whole stack; a sweep then computes the rows of that
+stack again one at a time (:func:`weaksym.cli._isolated`). Arnoldi always runs
+one map at a time.
 
 :class:`ScaledPowers` holds powers m^n, of one matrix or of each of a stack,
 as mantissa * 2**exponent, so they neither under- nor overflow; many of them
@@ -509,15 +510,17 @@ def ldexp(z, exponent):
 
     ``exponent`` may hold Python ints of any size (an object array): beyond
     +-``LDEXP_LIMIT`` every finite z * 2**exponent is 0 or +-inf, so they
-    are clipped there before they meet int64.
+    are clipped there before they meet int64. A value past the double range
+    is +-inf, without numpy's overflow warning.
     """
     z = np.asarray(z, dtype=complex)
     exponent = np.asarray(exponent)
     if exponent.dtype == object:
         exponent = np.clip(exponent, -LDEXP_LIMIT, LDEXP_LIMIT).astype(np.int64)
     out = np.empty_like(z)
-    out.real = np.ldexp(z.real, exponent)
-    out.imag = np.ldexp(z.imag, exponent)
+    with np.errstate(over="ignore"):
+        out.real = np.ldexp(z.real, exponent)
+        out.imag = np.ldexp(z.imag, exponent)
     return out
 
 

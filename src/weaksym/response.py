@@ -19,7 +19,7 @@ import numpy as np
 from .errors import GaplessTransferError, NearDefectiveError, NonCommutingError
 from .numerics import _identity, _ring_size, _stacked
 from .symmetry import cocycle_commutator, extract_virtual_rep, extract_virtual_reps
-from .transfer import _caught, _raised, _stack_groups, flux_operator, symmetry_gap, transfer_powers, transfer_spectra, transfer_spectrum, twisted_spectrum
+from .transfer import _stack_groups, flux_operator, symmetry_gap, transfer_powers, transfer_spectra, transfer_spectrum, twisted_spectrum
 
 SNAP_TOL = 1e-6
 # A symmetry gap at or below this share of |lambda_0(T(1))| is a transition:
@@ -106,61 +106,51 @@ def _result(model, g1, value, gap, n_sites=None, valid=None):
 
 
 def _leading_pair(lpdo, spectrum, what):
-    """:func:`_leading_pairs` of one tensor: its pair, or its error raised."""
-    return _raised(_leading_pairs([lpdo], [spectrum], what))[0]
+    """:func:`_leading_pairs` of one tensor."""
+    return _leading_pairs([lpdo], [spectrum], what)[0]
 
 
 def _leading_pairs(lpdos, spectra, what):
     """Leading eigenvector pair of each gapped spectrum in ``spectra``, one of each of
-    ``lpdos``, for (L0·X·R0)/(L0·R0): per tensor the exception it raises alone (a
-    spectrum may be one already), or ``(left, right, norm, gap)``.
+    ``lpdos``, for (L0·X·R0)/(L0·R0): per tensor ``(left, right, norm, gap)``.
 
     That is the left row L0, the right column R0, their overlap L0·R0 and the
     symmetry gap. Every thermodynamic value is ``(left @ X @ right) / norm``
     for some X. A spectrum raises :class:`NearDefectiveError` when it is
     untrustworthy and :class:`GaplessTransferError` when the gap is at or
     below ``GAP_TOL`` (1e-8) times |lambda_0(T(1))|; ``what`` ("for 'R_z'")
-    names the map in both.
+    names the map in both. The first spectrum that fails raises.
     """
+    for spectrum in spectra:  # before T(1) is read: this error comes first, as for one spectrum
+        if spectrum.near_defective:
+            raise NearDefectiveError(f"transfer spectrum {what} is near-defective")
     refs = transfer_spectra(lpdos, _identity(lpdos[0].d), None)
-    return [_caught(_pair, spectrum, ref, what) for spectrum, ref in zip(spectra, refs)]
-
-
-def _pair(spectrum, ref, what):
-    """The entry of :func:`_leading_pairs` of one spectrum, with ``ref`` that of T(1);
-    either may be the error reading it raised."""
-    if isinstance(spectrum, Exception):
-        raise spectrum
-    if spectrum.near_defective:
-        raise NearDefectiveError(f"transfer spectrum {what} is near-defective")
-    gap = symmetry_gap(spectrum)
-    if isinstance(ref, Exception):
-        raise ref
-    if gap <= GAP_TOL * abs(ref.eigenvalues[0]):
-        raise GaplessTransferError(f"symmetry gap {what} is {gap:.3e}; thermodynamic limit undefined")
-    _, left, right = spectrum.leading
-    return left, right, left @ right, gap
+    pairs = []
+    for spectrum, ref in zip(spectra, refs):
+        gap = symmetry_gap(spectrum)
+        if gap <= GAP_TOL * abs(ref.eigenvalues[0]):
+            raise GaplessTransferError(f"symmetry gap {what} is {gap:.3e}; thermodynamic limit undefined")
+        _, left, right = spectrum.leading
+        pairs.append((left, right, left @ right, gap))
+    return pairs
 
 
 def _pair_value(lpdo, spectrum, x, what):
     """(L0·X·R0)/(L0·R0) on the leading pair of ``spectrum``, a spectrum of ``lpdo``, and the gap."""
-    return _raised(_pair_values([lpdo], _leading_pairs([lpdo], [spectrum], what), x[None]))[0]
+    return _pair_values([lpdo], _leading_pairs([lpdo], [spectrum], what), x[None])[0]
 
 
 def _pair_values(lpdos, pairs, x):
     """``(value, gap)`` of each of ``lpdos``: (L0·X·R0)/(L0·R0) on its entry of ``pairs``
-    (:func:`_leading_pairs`) with its X of the stack ``x``, or the exception the entry
-    is. The products are stacked over each group of
-    :func:`~weaksym.transfer._stack_groups`."""
-    out = list(pairs)
-    ok = [i for i, pair in enumerate(pairs) if not isinstance(pair, Exception)]
-    for group in _stack_groups([lpdos[i] for i in ok]):
-        members = [ok[j] for j in group]
-        left, right, norm, _ = zip(*(pairs[i] for i in members))
+    (:func:`_leading_pairs`) with its X of the stack ``x``. The products are stacked
+    over each group of :func:`~weaksym.transfer._stack_groups`."""
+    out = [None] * len(lpdos)
+    for group in _stack_groups(lpdos):
+        left, right, norm, _ = zip(*(pairs[i] for i in group))
         left, right, norm = _stacked(left), _stacked(right), np.array(norm)
-        stack = x if len(members) == len(x) else x[members]
+        stack = x if len(group) == len(x) else x[group]
         values = ((left[:, None] @ stack) @ right[:, :, None])[:, 0, 0] / norm
-        for i, value in zip(members, values.tolist()):
+        for i, value in zip(group, values.tolist()):
             out[i] = (value, pairs[i][3])
     return out
 
@@ -186,28 +176,23 @@ def thermo_response(model, g1, g2):
     of T(g2) is at or below ``GAP_TOL`` (1e-8) times |lambda_0(T(1))|.
     This is the stack of one of :func:`_thermo_responses`.
     """
-    return _raised(_thermo_responses([model], [g1], g2)[0])[0]
+    return _thermo_responses([model], [g1], g2)[0][0]
 
 
 def _thermo_responses(models, g1s, g2):
     """:func:`thermo_response` of each flux element of ``g1s`` with g2, for each of
     ``models`` (which share their actions) as one stack: per model a list with one
-    entry per element, its result or the exception it raises alone. The leading
-    pairs of T(g2) are read once for every element."""
+    result per element. The leading pairs of T(g2) are read once for every
+    element. The first failure raises: an element's representation, then the
+    pairs of T(g2).
+    """
     for g1 in g1s:
         _require_commuting(models[0], g1, g2)
     lpdos = [model.lpdo for model in models]
+    reps = [extract_virtual_reps(lpdos, models[0].action(g1)) for g1 in g1s]
     pairs = _leading_pairs(lpdos, transfer_spectra(lpdos, models[0].action(g2).u, None), f"for {g2!r}")
-    out = [[] for _ in models]
-    for g1 in g1s:
-        reps = extract_virtual_reps(lpdos, models[0].action(g1))
-        ok = [i for i, rep in enumerate(reps) if not isinstance(rep, Exception)]
-        fluxes = flux_operator(_stacked([reps[i][0].v for i in ok])) if ok else None
-        values = dict(zip(ok, _pair_values([lpdos[i] for i in ok], [pairs[i] for i in ok], fluxes)))
-        for i, model in enumerate(models):
-            value = values.get(i, reps[i])
-            out[i].append(value if isinstance(value, Exception) else _result(model, g1, *value))
-    return out
+    values = [_pair_values(lpdos, pairs, flux_operator(_stacked([rep.v for rep, _ in extracted]))) for extracted in reps]
+    return [[_result(model, g1, *value[i]) for g1, value in zip(g1s, values)] for i, model in enumerate(models)]
 
 
 def conservation_check(model, g1, g2):

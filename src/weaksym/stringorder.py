@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import NearDefectiveError, UndefinedExponentError, ValidationError
 from .numerics import CLUSTER_TOL, ScaledPowers, _identity, _ring_size, _stacked, _whole, _zero_exponents, ldexp, rescale
-from .transfer import _caught, _raised, _stack_groups, build_transfer, build_transfers, transfer_powers, transfer_spectra, transfer_spectrum, twisted_spectrum
+from .transfer import _stack_groups, build_transfer, build_transfers, transfer_powers, transfer_spectra, transfer_spectrum, twisted_spectrum
 from .response import _leading_pair, _leading_pairs
 
 # A channel is live when its amplitude exceeds this share of its scale (see
@@ -145,7 +145,7 @@ def _string_series(model, g2, endpoints, lengths, n_sites=None):
     is the stack of one of :func:`_ring_series`.
     """
     if n_sites is not None:
-        return _raised(_ring_series([model], g2, endpoints, lengths, n_sites))[0]
+        return _ring_series([model], g2, endpoints, lengths, n_sites)[0]
     lengths, _ = _string_lengths(lengths, None)
     lpdo = model.lpdo
     u2 = model.action(g2).u
@@ -174,22 +174,24 @@ def _string_series(model, g2, endpoints, lengths, n_sites=None):
 
 def _ring_series(models, g2, endpoints, lengths, n_sites):
     """The ring :func:`_string_series` of each of ``models`` (tensors of one shape that
-    share the action of g2) as one stack: per model its series, or the
-    ZeroDivisionError of a model whose envelope vanishes. One squaring table of
+    share the action of g2) as one stack: per model its series. A model whose
+    envelope vanishes raises ZeroDivisionError for the stack. One squaring table of
     each stack of maps gives every power; a stack of one reads its model's
-    memoised tables (:func:`~weaksym.transfer.transfer_powers`). Each model is
-    scaled and normalized on its own, bit for bit as it is alone.
+    memoised tables (:func:`~weaksym.transfer.transfer_powers`). Each model's
+    values are bit for bit those it gets alone.
     """
     lengths, n_sites = _string_lengths(lengths, n_sites)
     lpdos = [model.lpdo for model in models]
     ops = (_identity(lpdos[0].d), models[0].action(g2).u)
-    maps = [[_stacked(_raised(build_transfers(lpdos, chi, None))) for chi in pair] for pair in endpoints]
+    maps = [[_stacked(build_transfers(lpdos, chi, None)) for chi in pair] for pair in endpoints]
     if len(lpdos) == 1:
         powers1, powers2 = (transfer_powers(lpdos[0], op) for op in ops)
     else:
-        powers1, powers2 = (ScaledPowers(_stacked(_raised(build_transfers(lpdos, op, None)))) for op in ops)
+        powers1, powers2 = (ScaledPowers(_stacked(build_transfers(lpdos, op, None))) for op in ops)
     envelope, envelope_exp = powers2._stack_power(n_sites)
     charges = [abs(complex(trace)) for trace in np.trace(envelope, axis1=1, axis2=2)]
+    if 0.0 in charges:
+        raise ZeroDivisionError("Tr[rho U_g2] vanishes; normalization undefined")
     mantissas = [np.empty((len(lpdos), len(lengths)), dtype=complex) for _ in maps]
     exponent = _zero_exponents(mantissas[0].shape, n_sites)
     step = max(1, MAX_STACK_ENTRIES // maps[0][0].size)
@@ -208,18 +210,14 @@ def _ring_series(models, g2, endpoints, lengths, n_sites):
     # |shift| <= |envelope_exp|: like every exponent here, it fits int64
     # below N = INT64_POWERS (so exponent is int64) and is a Python int above.
     shifted = exponent - shift.astype(exponent.dtype)
-    out = []
-    for i, charge in enumerate(charges):
-        if charge == 0.0:
-            out.append(ZeroDivisionError("Tr[rho U_g2] vanishes; normalization undefined"))
-            continue
-        factors = charge ** (lengths / n_sites) * 2.0 ** (rest[i].astype(float) / n_sites)
-        values = [
-            (ldexp(m[i], exponent[i]), ldexp(m[i] / factors, shifted[i]), m[i], exponent[i].copy())
-            for m in mantissas
-        ]
-        out.append(_series(lengths, n_sites, 1.0, values))
-    return out
+    # the factors model by model, as a model alone computes them; the
+    # divisions and the exact scalings as one stack
+    factors = np.stack([charge ** (lengths / n_sites) * 2.0 ** (r.astype(float) / n_sites) for charge, r in zip(charges, rest)])
+    scaled = [(ldexp(m, exponent), ldexp(m / factors, shifted), m) for m in mantissas]
+    return [
+        _series(lengths, n_sites, 1.0, [(raw[i], normalized[i], m[i], exponent[i].copy()) for raw, normalized, m in scaled])
+        for i in range(len(models))
+    ]
 
 
 def _series(lengths, n_sites, base, values):
@@ -317,40 +315,33 @@ def decay_channel(model, g2, chi_l, chi_r):
     string vanishes identically) or the live one is nilpotent, and
     :class:`NearDefectiveError` when T(g2)'s eigenvectors cannot be paired.
     """
-    return _raised(_decay_channels([model], g2, [(chi_l, chi_r)])[0])[0]
+    return _decay_channels([model], g2, chi_l, chi_r)[0]
 
 
-def _decay_channels(models, g2, endpoints):
-    """:func:`decay_channel` of each ``(chi_l, chi_r)`` in ``endpoints`` for each of
-    ``models`` (which share the action of g2) as one stack: per model one entry per
-    pair, its channel or the exception it raises alone. Norms and amplitudes are
-    stacked products over each group of :func:`~weaksym.transfer._stack_groups`;
-    only the choice of the channel runs once per model and pair.
+def _decay_channels(models, g2, chi_l, chi_r):
+    """:func:`decay_channel` of each of ``models`` (which share the action of g2) as
+    one stack: one channel per model; the first model that fails raises its error.
+    Norms and amplitudes are stacked products over each group of
+    :func:`~weaksym.transfer._stack_groups`; only the choice of the channel runs
+    once per model.
     """
     lpdos = [model.lpdo for model in models]
     u = models[0].action(g2).u
     pairs = _leading_pairs(lpdos, transfer_spectra(lpdos, _identity(lpdos[0].d), None), "of T(1)")
-    out = [[pair] * len(endpoints) if isinstance(pair, Exception) else [] for pair in pairs]
-    ok = [i for i, pair in enumerate(pairs) if not isinstance(pair, Exception)]
-    stack = [lpdos[i] for i in ok]
-    ends = [[_raised(build_transfers(stack, chi, None)) for chi in pair] for pair in endpoints]
-    spectra = [_caught(_paired, spectrum, g2) for spectrum in transfer_spectra(stack, u, None)]
-    for group in _stack_groups(stack):
-        members = [ok[j] for j in group]
-        left, right, norm, _ = zip(*(pairs[i] for i in members))
+    ends = [build_transfers(lpdos, chi, None) for chi in (chi_l, chi_r)]
+    out = [None] * len(lpdos)
+    for group in _stack_groups(lpdos):
+        left, right, norm, _ = zip(*(pairs[i] for i in group))
         left, right, norm = _stacked(left), _stacked(right), np.array(norm)
-        outer = _norms(left), _norms(right), np.hypot(norm.real, norm.imag)
-        paired = [row for row, j in enumerate(group) if not isinstance(spectra[j], Exception)]
-        for maps in ends:
-            tl, tr = (_stacked([m[j] for j in group]) for m in maps)
-            envelope = outer[0] * _norms(tl) * _norms(tr) * outer[1] / outer[2]
-            start = left[:, None] @ tl
-            stacks = [a[paired] if len(paired) < len(group) else a for a in (start, tr, right, norm)]
-            found = [spectra[group[row]] for row in paired]
-            amplitudes = dict(zip(paired, _amplitudes(found, *stacks) if paired else []))
-            for row, (i, j) in enumerate(zip(members, group)):
-                terms = (start, tr, right, norm, row)
-                out[i].append(_caught(_channel, lpdos[i], u, g2, spectra[j], amplitudes.get(row), envelope[row], terms))
+        tl, tr = (_stacked([m[i] for i in group]) for m in ends)
+        envelope = _norms(left) * _norms(tl) * _norms(tr) * _norms(right) / np.hypot(norm.real, norm.imag)
+        if not envelope.all():
+            raise UndefinedExponentError("string vanishes identically: an endpoint map is zero")
+        spectra = [_paired(spectrum, g2) for spectrum in transfer_spectra([lpdos[i] for i in group], u, None)]
+        stacks = (left[:, None] @ tl, tr, right, norm)
+        amplitudes = _amplitudes(spectra, *stacks)
+        for row, i in enumerate(group):
+            out[i] = _channel(lpdos[i], u, g2, spectra[row], amplitudes[row], envelope[row], (*stacks, row))
     return out
 
 
@@ -363,9 +354,8 @@ def _norms(stack):
 
 
 def _paired(spectrum, g2):
-    """``spectrum``, or :class:`NearDefectiveError` if its eigenvectors cannot be paired
-    (or the error reading it raised)."""
-    if _raised([spectrum])[0].near_defective:
+    """``spectrum``, or :class:`NearDefectiveError` if its eigenvectors cannot be paired."""
+    if spectrum.near_defective:
         raise NearDefectiveError(f"transfer spectrum of T({g2}) is near-defective")
     return spectrum
 
@@ -386,12 +376,9 @@ def _channels(spectrum, amplitudes, envelope):
 
 
 def _channel(lpdo, u, g2, spectrum, amplitudes, envelope, terms):
-    """The :class:`DecayChannel` of one model and pair on ``spectrum`` (or its error),
-    or, when a partial spectrum has no live channel, on the complete one: a stack of
-    its own, from the stacks of :func:`_amplitudes` and the model's row, ``terms``."""
-    if envelope == 0:
-        raise UndefinedExponentError("string vanishes identically: an endpoint map is zero")
-    spectrum = _raised([spectrum])[0]
+    """The :class:`DecayChannel` of one model and pair on ``spectrum``, or, when a
+    partial spectrum has no live channel, on the complete one: a stack of its own,
+    from the stacks of :func:`_amplitudes` and the model's row, ``terms``."""
     channels, live = _channels(spectrum, amplitudes, envelope)
     if not live and not spectrum.complete:
         spectrum = _paired(transfer_spectrum(lpdo, u, complete=True), g2)

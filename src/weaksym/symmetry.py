@@ -14,8 +14,8 @@ one stack: their spectra and leading pairs come from the stacked accessors
 of :mod:`weaksym.transfer`, the polar factors from one stacked SVD, and the
 push-through residuals from one stacked set of products. Each result is bit
 for bit the one its tensor gets alone (:func:`extract_virtual_rep`, the
-stack of one), and a tensor whose extraction fails gets its exception in
-place of a result.
+stack of one). A stack in which an extraction fails raises that tensor's
+error, as the tensor does alone.
 """
 
 from dataclasses import dataclass, field
@@ -32,7 +32,7 @@ from .errors import (
     ValidationError,
 )
 from .numerics import _as_square, _identity, _insertion, _stacked
-from .transfer import _insertions, _memoised_one, _memoised_stack, _raised, build_transfers, symmetry_gap, transfer_eigenpairs, transfer_spectra
+from .transfer import _insertions, _memoised_one, _memoised_stack, build_transfers, symmetry_gap, transfer_eigenpairs, transfer_spectra
 
 # Tolerances are scale-free: a tensor times c describes the same state and
 # multiplies the leading modulus |lambda_0| of T(1) by |c|^2, so a residual
@@ -174,8 +174,8 @@ def _push_through_residuals(a4, u, ua, v, thetas):
 def extract_virtual_reps(lpdos, act):
     """:func:`extract_virtual_rep` of each of ``lpdos``, the misses of one shape as one stack.
 
-    An entry is the exception a tensor's extraction raises alone when it
-    fails; a failed extraction is not stored.
+    Raises the error of the first extraction that fails; a stack that fails
+    stores no representation, but the spectra and pairs it read stay stored.
     """
     return _memoised_stack(lpdos, *_virtual_reps(act))
 
@@ -215,10 +215,10 @@ def extract_virtual_rep(lpdo, act):
 
 def _extract_virtual_reps(lpdos, act):
     """The extraction of each of ``lpdos``, tensors of one shape; raises the first failure."""
-    _raised(build_transfers(lpdos, act.u, act.ua))  # checks u and ua against d and da first
+    build_transfers(lpdos, act.u, act.ua)  # checks u and ua against d and da first
     u, ua, _ = _insertions(act.u, act.ua)
     dv = lpdos[0].bond_dim
-    refs = _raised(transfer_spectra(lpdos, _identity(lpdos[0].d), None))
+    refs = transfer_spectra(lpdos, _identity(lpdos[0].d), None)
     for ref in refs:
         if ref.near_defective:
             raise NearDefectiveError("untwisted transfer map is near-defective")
@@ -226,7 +226,7 @@ def _extract_virtual_reps(lpdos, act):
         if gap <= REP_TOL * abs(ref.eigenvalues[0]):
             raise DegenerateSpectrumError(f"leading transfer eigenvalue degenerate in modulus (gap {gap:.3e})")
 
-    pairs = _raised(transfer_eigenpairs(lpdos, act.u, act.ua))
+    pairs = transfer_eigenpairs(lpdos, act.u, act.ua)
     lams = [ref.eigenvalues[0] for ref in refs]
     for (lam, _), lam_ref in zip(pairs, lams):
         if abs(abs(lam) - abs(lam_ref)) > REP_TOL * abs(lam_ref):

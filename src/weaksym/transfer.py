@@ -34,19 +34,16 @@ or GEMM per stack, its insertions checked once, and one stacked LAPACK call
 on the dense path. Each result is stored in its own tensor's memo, bit for
 bit the value that tensor gets alone; the one-tensor accessors are the
 stacks of one: a hit among them is one dict lookup, and a miss computes the
-stack of one directly. A stack that
-raises is computed again one tensor at a time, and a tensor that fails
-alone gets its exception in place of its value; nothing is stored for it,
-so reading it alone raises the same error again.
+stack of one directly. A stack raises the error of its first tensor that
+fails and stores nothing under its key; what it read before stays stored.
+Telling which tensor failed is the caller's business (a sweep computes the
+rows of a failing stack again one at a time, :func:`weaksym.cli._isolated`).
 """
 
 import numpy as np
 
-from .errors import DimensionMismatchError, WeaksymError
+from .errors import DimensionMismatchError
 from .numerics import DENSE_MAX_ROWS, ScaledPowers, _as_square, _insertion, _square_stack, _stacked, leading_eigenpair, leading_spectrum, spectral_decompose
-
-# What a stack may raise because of one of its tensors.
-_STACK_ERRORS = (WeaksymError, np.linalg.LinAlgError)
 
 
 def _insertions(op, op_a):
@@ -63,42 +60,24 @@ def _memoised_stack(lpdos, key, compute):
     """The value under ``key`` of each of ``lpdos``, in order, the misses computed as stacks.
 
     ``compute(stack)`` returns one value per tensor of ``stack``, a list of
-    distinct tensors of one shape. A stack that raises one of
-    ``_STACK_ERRORS`` is computed one tensor at a time; a tensor that raises
-    alone gets the exception in place of its value, and it is not stored.
+    distinct tensors of one shape. A stack that raises stores nothing.
     """
-    misses = [lpdo for lpdo in lpdos if key not in lpdo._memo]
-    if not misses:
-        return [lpdo._memo[key] for lpdo in lpdos]
     if len(lpdos) == 1:
-        return [_caught(_memoised_one, lpdos[0], key, compute)]
+        return [_memoised_one(lpdos[0], key, compute)]
     stacks = {}
-    for lpdo in misses:
-        stacks.setdefault(lpdo.tensor.shape, {})[lpdo] = None
-    failed = {}
+    for lpdo in lpdos:
+        if key not in lpdo._memo:
+            stacks.setdefault(lpdo.tensor.shape, {})[lpdo] = None
     for stack in stacks.values():
-        for lpdo, value in zip(stack, _outcomes(compute, list(stack))):
-            if isinstance(value, Exception):
-                failed[lpdo] = value
-            else:
-                lpdo._memo[key] = value
-    return [failed[lpdo] if lpdo in failed else lpdo._memo[key] for lpdo in lpdos]
+        for lpdo, value in zip(stack, compute(list(stack))):
+            lpdo._memo[key] = value
+    return [lpdo._memo[key] for lpdo in lpdos]
 
 
 def _memoised_one(lpdo, key, compute):
     """:func:`_memoised_stack` of one tensor: a hit is one dict lookup, a miss
-    computes the stack of one, and a tensor that fails raises its error."""
+    computes the stack of one."""
     return lpdo.memoised(key, lambda: compute([lpdo])[0])
-
-
-def _outcomes(compute, stack):
-    """``compute(stack)``, or, if it raises, the value or exception of each tensor alone."""
-    try:
-        return compute(stack)
-    except _STACK_ERRORS as exc:
-        if len(stack) == 1:
-            return [exc]
-        return [_outcomes(compute, [lpdo])[0] for lpdo in stack]
 
 
 def _stack_groups(lpdos):
@@ -111,22 +90,6 @@ def _stack_groups(lpdos):
     for i, lpdo in enumerate(lpdos):
         groups.setdefault(lpdo.tensor.shape if lpdo.bond_dim**2 <= DENSE_MAX_ROWS else i, []).append(i)
     return list(groups.values())
-
-
-def _caught(compute, *args):
-    """``compute(*args)``, or the exception of ``_STACK_ERRORS`` it raises."""
-    try:
-        return compute(*args)
-    except _STACK_ERRORS as exc:
-        return exc
-
-
-def _raised(values):
-    """``values``, or the first exception among them raised."""
-    for value in values:
-        if isinstance(value, Exception):
-            raise value
-    return values
 
 
 def _contract(a4, op, op_a):
@@ -170,8 +133,8 @@ def _transfers(op, op_a):
 def build_transfers(lpdos, op, op_a):
     """:func:`build_transfer` of each of ``lpdos``; the misses of one shape as one contraction.
 
-    An entry is the exception a tensor raises alone when its map cannot be
-    built (see the module docstring).
+    Raises the error of the first map that cannot be built (see the module
+    docstring).
     """
     return _memoised_stack(lpdos, *_transfers(op, op_a))
 
@@ -197,14 +160,15 @@ def _spectra(op, op_a):
     op, op_a, key = _insertions(op, op_a)
 
     def decompose(stack):
-        return leading_spectrum(_stacked(_raised(build_transfers(stack, op, op_a))))
+        return leading_spectrum(_stacked(build_transfers(stack, op, op_a)))
 
     return ("spectrum",) + key, decompose
 
 
 def transfer_spectra(lpdos, op, op_a):
     """:func:`transfer_spectrum` of each of ``lpdos``; the misses of one shape as one stacked
-    :func:`~weaksym.numerics.leading_spectrum` (one ``eig`` and one ``inv`` on the dense path)."""
+    :func:`~weaksym.numerics.leading_spectrum` (one ``eig`` and one ``inv`` on the dense path).
+    Raises the error of the first map that cannot be built or decomposed."""
     return _memoised_stack(lpdos, *_spectra(op, op_a))
 
 
@@ -232,7 +196,7 @@ def _eigenpairs(op, op_a):
     op, op_a, key = _insertions(op, op_a)
 
     def compute(stack):
-        pairs = leading_eigenpair(_stacked(_raised(build_transfers(stack, op, op_a))))
+        pairs = leading_eigenpair(_stacked(build_transfers(stack, op, op_a)))
         for _, right in pairs:
             right.flags.writeable = False
         return pairs
@@ -242,7 +206,8 @@ def _eigenpairs(op, op_a):
 
 def transfer_eigenpairs(lpdos, op, op_a):
     """:func:`transfer_eigenpair` of each of ``lpdos``; the misses of one shape as one stacked
-    :func:`~weaksym.numerics.leading_eigenpair` (one ``eig`` on the dense path)."""
+    :func:`~weaksym.numerics.leading_eigenpair` (one ``eig`` on the dense path).
+    Raises the error of the first map that cannot be built or decomposed."""
     return _memoised_stack(lpdos, *_eigenpairs(op, op_a))
 
 

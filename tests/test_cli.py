@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -917,6 +918,20 @@ def test_ring_strings_past_int64_sites_are_refused(capsys):
     per_state = ldexp(ring.mantissa / np.trace(mantissa), ring.exponent - exponent)
     thermo = string_order_series(model, "R_z", sy, sy, [48, 49, 50])
     np.testing.assert_allclose(per_state, thermo.raw, rtol=1e-12, atol=0)
+
+
+def test_a_sweep_whose_raw_ring_values_overflow_prints_nothing_on_stderr(capsys):
+    """At N = 2^63 - 1 the raw ring values pass the double range, where +-inf is
+    ldexp's documented value; numpy's overflow warning once reached stderr with
+    the module's path and line (under this suite's warning filter it is an
+    error)."""
+    argv = ["sweep", "--p-min", "0.1", "--p-max", "0.9", "--steps", "40",
+            "--sites", str(2**63 - 1), "--string-length", "48"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        _, expected, _ = run(capsys, *argv)
+    assert run(capsys, *argv) == (0, expected, "")
+    assert len(expected.splitlines()) == 41
 
 
 @pytest.mark.parametrize("l_min", [2**63 - 3, 2**63 - 18], ids=["loop", "stacked"])

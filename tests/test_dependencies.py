@@ -6,7 +6,9 @@ second scan finds every use of numpy's non-Hermitian eigensolvers, ``eig``
 and ``eigvals``: only ``numerics.py`` may make one, so every transfer
 spectrum goes through its dense or Krylov path. ``eigvalsh`` (the oracle's
 positivity check) is not one of them. A third scan counts the parameter and
-dataclass-field defaults, each a value a caller may leave out.
+dataclass-field defaults, each a value a caller may leave out. A fourth keeps
+the handling of a stack's errors behind one module: one function catches them,
+and only ``cli.py`` asks whether a value is an exception.
 """
 
 import ast
@@ -77,3 +79,56 @@ def defaults(path):
 def test_defaults_do_not_grow():
     found = [(path.name, *default) for path in sorted(PACKAGE.glob("*.py")) for default in defaults(path)]
     assert len(found) <= MAX_DEFAULTS, found
+
+
+def _caught_names(node, constants):
+    """Last components of the names an exception-type expression refers to, module
+    constants (``_ROW_ERRORS = (...)``) expanded."""
+    if isinstance(node, ast.Name) and node.id in constants:
+        return _caught_names(constants[node.id], constants)
+    if isinstance(node, (ast.Tuple, ast.List)):
+        return set().union(*(_caught_names(e, constants) for e in node.elts))
+    if isinstance(node, ast.Starred):
+        return _caught_names(node.value, constants)
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    return set()
+
+
+def _error_handling(path):
+    """(functions with an ``except`` that catches what a stack raises because of one
+    member, lines of ``isinstance(value, <exception type>)``) of one source file."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    constants = {
+        target.id: node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    catchers, tests = set(), []
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(function):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                if {"WeaksymError", "LinAlgError"} <= _caught_names(node.type, constants):
+                    catchers.add(function.name)
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2:
+                names = _caught_names(node.args[1], constants)
+                if any(name == "Exception" or name.endswith("Error") for name in names):
+                    tests.append(node.lineno)
+    return catchers, sorted(set(tests))
+
+
+def test_one_function_isolates_a_failing_stack_member_and_only_cli_tests_for_errors():
+    """A stacked function raises its first failing member's error; telling the
+    members apart is ``cli._isolated``'s alone."""
+    found = {path.name: _error_handling(path) for path in sorted(PACKAGE.glob("*.py"))}
+    catchers = [(name, function) for name, (functions, _) in found.items() for function in sorted(functions)]
+    assert catchers == [("cli.py", "_isolated")]
+    outside = [(name, line) for name, (_, lines) in found.items() if name != "cli.py" for line in lines]
+    assert outside == []
+    assert found["cli.py"][1]

@@ -205,6 +205,16 @@ def test_scaled_powers_exponents_past_two_to_the_31_do_not_wrap():
     np.testing.assert_array_equal(ldexp(mantissas[:, 0, 0], exponents + ns), 1)
 
 
+def test_ldexp_past_the_double_range_is_inf_without_a_warning():
+    """Beyond the double range z * 2**e is +-inf (a zero part stays zero), for
+    int64 exponents and for Python ints past int64; numpy's overflow warning,
+    an error under this suite's warning filter, is not raised."""
+    z = np.array([1.5 - 2j, 1j, -1e-300 + 0j])
+    expected = [complex(np.inf, -np.inf), complex(0, np.inf), complex(-np.inf, 0)]
+    assert ldexp(z, np.array([1100, 1100, 2100])).tolist() == expected
+    assert ldexp(z, np.array([2**70] * 3, dtype=object)).tolist() == expected
+
+
 def test_scaled_powers_zero_and_rejects_bad_power():
     mantissa, exponent = ScaledPowers(np.zeros((3, 3))).power(5)
     assert exponent == 0 and not mantissa.any()

@@ -4,8 +4,11 @@ stack, each bit for bit its one-tensor value.
 
 A stack shares the Python around each LAPACK call, not the arithmetic: every
 value must equal the one its tensor gets alone (a fresh ``LpdoTensor``, so
-nothing is read from the stacked memo), a member that fails must not change
-the others, and a sweep's bytes must not depend on which rows share a stack.
+nothing is read from the stacked memo), and a sweep's bytes must not depend on
+which rows share a stack. A stack with a member that fails raises that
+member's error; the stacked calls here go through ``cli._isolated``, which
+then computes each member alone, so a failing member must not change the
+others.
 """
 
 import dataclasses
@@ -54,6 +57,11 @@ def _alone(lpdo):
     return LpdoTensor(lpdo.tensor)
 
 
+def _isolated(stacked, stack, *args):
+    """``stacked(stack, *args)`` as a sweep computes it: a member that fails gets its own error."""
+    return cli._isolated(lambda members: stacked(members, *args), stack)
+
+
 def assert_stacked_equals_alone(lpdos, insertions, actions):
     for op, op_a in insertions:
         for stacked, one in (
@@ -61,13 +69,13 @@ def assert_stacked_equals_alone(lpdos, insertions, actions):
             (transfer_spectra, transfer_spectrum),
             (transfer_eigenpairs, transfer_eigenpair),
         ):
-            values = stacked(lpdos, op, op_a)
+            values = _isolated(stacked, lpdos, op, op_a)
             assert [_bits(v) for v in values] == [_bits(one(_alone(lpdo), op, op_a)) for lpdo in lpdos]
             # the values are stored: a second stacked call and the one-tensor calls hit them
-            assert all(a is b for a, b in zip(stacked(lpdos, op, op_a), values))
+            assert all(a is b for a, b in zip(_isolated(stacked, lpdos, op, op_a), values))
             assert all(one(lpdo, op, op_a) is v for lpdo, v in zip(lpdos, values))
     for act in actions:
-        values = extract_virtual_reps(lpdos, act)
+        values = _isolated(extract_virtual_reps, lpdos, act)
         assert [_bits(v) for v in values] == [_bits(extract_virtual_rep(_alone(lpdo), act)) for lpdo in lpdos]
         assert all(extract_virtual_rep(lpdo, act) is v for lpdo, v in zip(lpdos, values))
 
@@ -112,7 +120,7 @@ def test_stacks_of_random_tensors_at_odd_bond_equal_one_tensor_calls():
 
 def test_a_stack_of_tensors_of_several_shapes_is_split_by_shape():
     lpdos = [build_aklt_model(0.3).lpdo, generic_model(0.3)[0].lpdo, build_aklt_model(0.7).lpdo]
-    spectra = transfer_spectra(lpdos, np.eye(3), None)
+    spectra = _isolated(transfer_spectra, lpdos, np.eye(3), None)
     assert [_bits(s) for s in spectra] == [_bits(transfer_spectrum(_alone(lpdo), np.eye(3))) for lpdo in lpdos]
 
 
@@ -143,8 +151,8 @@ def test_a_singular_eigenvector_matrix_leaves_the_rest_of_its_stack_alone():
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.inv(singular)
     act = SymmetryAction(element="e", u=eye, ua=np.eye(1))
-    reps = extract_virtual_reps(lpdos, act)
-    spectra = transfer_spectra(lpdos, eye, None)
+    reps = _isolated(extract_virtual_reps, lpdos, act)
+    spectra = _isolated(transfer_spectra, lpdos, eye, None)
     assert [_bits(s) for s in spectra] == [_bits(transfer_spectrum(_alone(lpdo), eye)) for lpdo in lpdos]
     assert spectra[2].near_defective and not spectra[0].near_defective
     # the failing member is not stored, and raises today's error when it is read
@@ -163,7 +171,7 @@ def test_a_tensor_that_is_not_symmetric_leaves_the_rest_of_its_stack_alone():
     bogus = LpdoTensor(rng.normal(size=shape) + 1j * rng.normal(size=shape))
     lpdos = [models[0].lpdo, bogus] + [m.lpdo for m in models[1:]]
     act = models[0].action("R_x")
-    reps = extract_virtual_reps(lpdos, act)
+    reps = _isolated(extract_virtual_reps, lpdos, act)
     assert isinstance(reps[1], NotSymmetricError)
     with pytest.raises(NotSymmetricError, match="twisted leading modulus"):
         extract_virtual_rep(bogus, act)
@@ -211,14 +219,16 @@ def _fields(value):
 def assert_rows_equal_one_model_calls(models, lengths, n_sites):
     """The stacked rings, decay channels and responses of ``models`` against one
     call per model and pair (or flux) on a fresh tensor."""
-    rings = _ring_series(models, "R_z", ENDS, lengths, n_sites)
-    channels = _decay_channels(models, "R_z", ENDS)
-    responses = _thermo_responses(models, FLUXES, "R_z")
+    rings = _isolated(_ring_series, models, "R_z", ENDS, lengths, n_sites)
+    channels = [list(row) for row in zip(*[_isolated(_decay_channels, models, "R_z", *pair) for pair in ENDS])]
+    responses = _isolated(_thermo_responses, models, FLUXES, "R_z")
     for model, ring, channel, response in zip(models, rings, channels, responses):
         alone = _fresh(model)
         assert _fields(ring) == _fields(_outcome(lambda: _string_series(alone, "R_z", ENDS, lengths, n_sites)))
         assert _fields(channel) == [_fields(_outcome(lambda: decay_channel(alone, "R_z", *pair))) for pair in ENDS]
-        assert _fields(response) == [_fields(_outcome(lambda: thermo_response(alone, g1, "R_z"))) for g1 in FLUXES]
+        fluxes = [_fields(_outcome(lambda: thermo_response(alone, g1, "R_z"))) for g1 in FLUXES]
+        # a row's responses fail together, with the error each flux raises alone
+        assert ([_fields(response)] * len(FLUXES) if isinstance(response, Exception) else _fields(response)) == fluxes
     return rings, channels, responses
 
 
@@ -254,9 +264,53 @@ def test_failing_members_leave_the_rest_of_their_stack_alone():
     models = [build_aklt_model(p) for p in (0.1, 0.25, 0.5, 0.75, 1.0, 0.3)]
     rings, channels, responses = assert_rows_equal_one_model_calls(models, [0, 1, 2, 3], 5)
     assert [isinstance(ring, ZeroDivisionError) for ring in rings] == [False, False, True, False, False, False]
-    assert [isinstance(r[0], GaplessTransferError) for r in responses] == [False, False, True, False, False, False]
+    assert [isinstance(r, GaplessTransferError) for r in responses] == [False, False, True, False, False, False]
     undefined = [[isinstance(c, UndefinedExponentError) for c in row[:2]] for row in channels]
     assert undefined == [[False, False], [False, True], [False, False], [False, False], [True, True], [False, False]]
+
+
+def _error(compute):
+    """The type and text of the error ``compute()`` raises."""
+    error = _outcome(compute)
+    assert isinstance(error, Exception), error
+    return type(error), str(error)
+
+
+SY = (OPS["S_y"], OPS["S_y"])
+ONE_FAILS = {
+    # p = 1/2 on 5 sites: Tr T(R_z)^5 vanishes
+    "ring": (0.5, lambda models: _ring_series(models, "R_z", ENDS, [0, 1, 2, 3], 5),
+             lambda model: _string_series(model, "R_z", ENDS, [0, 1, 2, 3], 5)),
+    # p = 1/2: T(R_z) is gapless
+    "response": (0.5, lambda models: _thermo_responses(models, FLUXES, "R_z"),
+                 lambda model: thermo_response(model, "R_x", "R_z")),
+    # p = 1/4: S_y's string has no live channel
+    "decay": (0.25, lambda models: _decay_channels(models, "R_z", *SY),
+              lambda model: decay_channel(model, "R_z", *SY)),
+}
+
+
+@pytest.mark.parametrize("case", list(ONE_FAILS))
+def test_a_stack_with_one_failing_member_raises_that_members_error(case):
+    """The member that fails sits between two that do not; the stack raises its
+    error, with the type and text the member raises alone."""
+    p, stacked, alone = ONE_FAILS[case]
+    models = [build_aklt_model(q) for q in (0.1, p, 0.3)]
+    assert _error(lambda: stacked(models)) == _error(lambda: alone(_fresh(models[1])))
+    assert len(stacked([models[0], models[2]])) == 2
+
+
+def test_a_stack_with_one_tensor_that_is_not_symmetric_raises_its_error():
+    models = [build_aklt_model(p) for p in (0.1, 0.4)]
+    rng = np.random.default_rng(0)
+    shape = models[0].lpdo.tensor.shape
+    bogus = LpdoTensor(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    act = models[0].action("R_x")
+    stacked = _error(lambda: extract_virtual_reps([models[0].lpdo, bogus, models[1].lpdo], act))
+    assert stacked == _error(lambda: extract_virtual_rep(_alone(bogus), act))
+    assert stacked[0] is NotSymmetricError
+    # the stack stored no representation, not even for the members that pass
+    assert not any(key[0] == "rep" for m in models for key in m.lpdo._memo)
 
 
 # --- sweeps -------------------------------------------------------------------
