@@ -21,7 +21,6 @@ from .errors import DimensionMismatchError, ValidationError
 from .symmetry import GroupTable, SymmetryAction, endpoint_charge
 
 _SQ2 = np.sqrt(2.0)
-_MISSING = object()
 
 
 def spin1_operators():
@@ -56,8 +55,9 @@ class LpdoTensor:
     """Locally purified site tensor, indexed [physical, ancilla, left, right].
 
     The tensor is a read-only copy of the array passed in, so values
-    derived from it can be memoised on the instance (:meth:`memoised`) and
-    never go stale; the memo is freed with the instance.
+    derived from it can be memoised on the instance (``_memo``, read and
+    written by :func:`weaksym.transfer._memoised` alone) and never go stale;
+    the memo is freed with the instance.
     """
 
     tensor: np.ndarray
@@ -71,16 +71,6 @@ class LpdoTensor:
             raise ValidationError("tensor: entries must be finite")
         t.flags.writeable = False
         object.__setattr__(self, "tensor", t)
-
-    def memoised(self, key, compute):
-        """The value of ``compute()`` for ``key``, computed once per tensor.
-
-        A ``compute`` that raises stores nothing. A hit is one dict lookup.
-        """
-        value = self._memo.get(key, _MISSING)
-        if value is _MISSING:
-            value = self._memo[key] = compute()
-        return value
 
     @property
     def d(self):
@@ -177,22 +167,9 @@ def aklt_group():
     Built and validated once per process; the frozen table is shared.
     """
     labels = ("1", "R_x", "R_y", "R_z")
-    prod = {
-        ("1", "1"): "1",
-        ("R_x", "R_x"): "1",
-        ("R_y", "R_y"): "1",
-        ("R_z", "R_z"): "1",
-        ("R_x", "R_y"): "R_z",
-        ("R_y", "R_x"): "R_z",
-        ("R_y", "R_z"): "R_x",
-        ("R_z", "R_y"): "R_x",
-        ("R_z", "R_x"): "R_y",
-        ("R_x", "R_z"): "R_y",
-    }
-    table = [
-        [prod.get((g, h), h if g == "1" else g) for h in labels]
-        for g in labels
-    ]
+    # the indices 0-3 as bits, 1 = 00, R_x = 01, R_y = 10, R_z = 11: a
+    # product of two labels is the XOR of their indices
+    table = [[labels[i ^ j] for j in range(4)] for i in range(4)]
     return GroupTable(labels, table)
 
 

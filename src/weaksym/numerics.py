@@ -24,8 +24,9 @@ matrix, so each result is bit for bit the one its matrix gets alone; only the
 Python around each call is shared. A stack in which some eigenvector matrix
 has no inverse is inverted again one matrix at a time. An ``eig`` that fails
 on a stack raises for the whole stack; a sweep then computes the rows of that
-stack again one at a time (:func:`weaksym.cli._isolated`). Arnoldi always runs
-one map at a time.
+stack again one at a time (:func:`weaksym.cli._isolated`). Arnoldi runs one
+map at a time; under the stack rule of :mod:`weaksym.transfer` the package
+stacks only maps of the dense path, so a Krylov-size map comes alone.
 
 :class:`ScaledPowers` holds powers m^n, of one matrix or of each of a stack,
 as mantissa * 2**exponent, so they neither under- nor overflow; many of them

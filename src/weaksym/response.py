@@ -19,7 +19,7 @@ import numpy as np
 from .errors import GaplessTransferError, NearDefectiveError, NonCommutingError
 from .numerics import _identity, _ring_size, _stacked
 from .symmetry import cocycle_commutator, extract_virtual_rep, extract_virtual_reps
-from .transfer import _stack_groups, flux_operator, symmetry_gap, transfer_powers, transfer_spectra, transfer_spectrum, twisted_spectrum
+from .transfer import flux_operator, symmetry_gap, transfer_powers, transfer_spectra, transfer_spectrum, twisted_spectrum
 
 SNAP_TOL = 1e-6
 # A symmetry gap at or below this share of |lambda_0(T(1))| is a transition:
@@ -137,22 +137,15 @@ def _leading_pairs(lpdos, spectra, what):
 
 def _pair_value(lpdo, spectrum, x, what):
     """(L0·X·R0)/(L0·R0) on the leading pair of ``spectrum``, a spectrum of ``lpdo``, and the gap."""
-    return _pair_values([lpdo], _leading_pairs([lpdo], [spectrum], what), x[None])[0]
+    return _pair_values(_leading_pairs([lpdo], [spectrum], what), x[None])[0]
 
 
-def _pair_values(lpdos, pairs, x):
-    """``(value, gap)`` of each of ``lpdos``: (L0·X·R0)/(L0·R0) on its entry of ``pairs``
-    (:func:`_leading_pairs`) with its X of the stack ``x``. The products are stacked
-    over each group of :func:`~weaksym.transfer._stack_groups`."""
-    out = [None] * len(lpdos)
-    for group in _stack_groups(lpdos):
-        left, right, norm, _ = zip(*(pairs[i] for i in group))
-        left, right, norm = _stacked(left), _stacked(right), np.array(norm)
-        stack = x if len(group) == len(x) else x[group]
-        values = ((left[:, None] @ stack) @ right[:, :, None])[:, 0, 0] / norm
-        for i, value in zip(group, values.tolist()):
-            out[i] = (value, pairs[i][3])
-    return out
+def _pair_values(pairs, x):
+    """``(value, gap)`` of each entry of ``pairs`` (:func:`_leading_pairs` of a stack):
+    (L0·X·R0)/(L0·R0) with its X of the stack ``x``, as stacked products."""
+    left, right, norm, gaps = zip(*pairs)
+    values = ((_stacked(left)[:, None] @ x) @ _stacked(right)[:, :, None])[:, 0, 0] / np.array(norm)
+    return list(zip(values.tolist(), gaps))
 
 
 def flux_response(model, flux, g2):
@@ -181,8 +174,8 @@ def thermo_response(model, g1, g2):
 
 def _thermo_responses(models, g1s, g2):
     """:func:`thermo_response` of each flux element of ``g1s`` with g2, for each of
-    ``models`` (which share their actions) as one stack: per model a list with one
-    result per element. The leading pairs of T(g2) are read once for every
+    ``models``, a stack under the stack rule of :mod:`weaksym.transfer`: per model a
+    list with one result per element. The leading pairs of T(g2) are read once for every
     element. The first failure raises: an element's representation, then the
     pairs of T(g2).
     """
@@ -191,7 +184,7 @@ def _thermo_responses(models, g1s, g2):
     lpdos = [model.lpdo for model in models]
     reps = [extract_virtual_reps(lpdos, models[0].action(g1)) for g1 in g1s]
     pairs = _leading_pairs(lpdos, transfer_spectra(lpdos, models[0].action(g2).u, None), f"for {g2!r}")
-    values = [_pair_values(lpdos, pairs, flux_operator(_stacked([rep.v for rep, _ in extracted]))) for extracted in reps]
+    values = [_pair_values(pairs, flux_operator(_stacked([rep.v for rep, _ in extracted]))) for extracted in reps]
     return [[_result(model, g1, *value[i]) for g1, value in zip(g1s, values)] for i, model in enumerate(models)]
 
 

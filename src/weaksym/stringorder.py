@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import NearDefectiveError, UndefinedExponentError, ValidationError
 from .numerics import CLUSTER_TOL, ScaledPowers, _identity, _ring_size, _stacked, _whole, _zero_exponents, ldexp, rescale
-from .transfer import _stack_groups, build_transfer, build_transfers, transfer_powers, transfer_spectra, transfer_spectrum, twisted_spectrum
+from .transfer import build_transfer, build_transfers, transfer_powers, transfer_spectra, transfer_spectrum, twisted_spectrum
 from .response import _leading_pair, _leading_pairs
 
 # A channel is live when its amplitude exceeds this share of its scale (see
@@ -173,8 +173,8 @@ def _string_series(model, g2, endpoints, lengths, n_sites=None):
 
 
 def _ring_series(models, g2, endpoints, lengths, n_sites):
-    """The ring :func:`_string_series` of each of ``models`` (tensors of one shape that
-    share the action of g2) as one stack: per model its series. A model whose
+    """The ring :func:`_string_series` of each of ``models``, a stack under the stack rule
+    of :mod:`weaksym.transfer`: per model its series. A model whose
     envelope vanishes raises ZeroDivisionError for the stack. One squaring table of
     each stack of maps gives every power; a stack of one reads its model's
     memoised tables (:func:`~weaksym.transfer.transfer_powers`). Each model's
@@ -319,30 +319,25 @@ def decay_channel(model, g2, chi_l, chi_r):
 
 
 def _decay_channels(models, g2, chi_l, chi_r):
-    """:func:`decay_channel` of each of ``models`` (which share the action of g2) as
-    one stack: one channel per model; the first model that fails raises its error.
-    Norms and amplitudes are stacked products over each group of
-    :func:`~weaksym.transfer._stack_groups`; only the choice of the channel runs
-    once per model.
+    """:func:`decay_channel` of each of ``models``, a stack under the stack rule of
+    :mod:`weaksym.transfer`: one channel per model; the first model that fails raises
+    its error. Norms and amplitudes are stacked products; only the choice of the
+    channel runs once per model.
     """
     lpdos = [model.lpdo for model in models]
     u = models[0].action(g2).u
-    pairs = _leading_pairs(lpdos, transfer_spectra(lpdos, _identity(lpdos[0].d), None), "of T(1)")
-    ends = [build_transfers(lpdos, chi, None) for chi in (chi_l, chi_r)]
-    out = [None] * len(lpdos)
-    for group in _stack_groups(lpdos):
-        left, right, norm, _ = zip(*(pairs[i] for i in group))
-        left, right, norm = _stacked(left), _stacked(right), np.array(norm)
-        tl, tr = (_stacked([m[i] for i in group]) for m in ends)
-        envelope = _norms(left) * _norms(tl) * _norms(tr) * _norms(right) / np.hypot(norm.real, norm.imag)
-        if not envelope.all():
-            raise UndefinedExponentError("string vanishes identically: an endpoint map is zero")
-        spectra = [_paired(spectrum, g2) for spectrum in transfer_spectra([lpdos[i] for i in group], u, None)]
-        stacks = (left[:, None] @ tl, tr, right, norm)
-        amplitudes = _amplitudes(spectra, *stacks)
-        for row, i in enumerate(group):
-            out[i] = _channel(lpdos[i], u, g2, spectra[row], amplitudes[row], envelope[row], (*stacks, row))
-    return out
+    left, right, norm, _ = zip(*_leading_pairs(lpdos, transfer_spectra(lpdos, _identity(lpdos[0].d), None), "of T(1)"))
+    left, right, norm = _stacked(left), _stacked(right), np.array(norm)
+    tl, tr = (_stacked(build_transfers(lpdos, chi, None)) for chi in (chi_l, chi_r))
+    envelope = _norms(left) * _norms(tl) * _norms(tr) * _norms(right) / np.hypot(norm.real, norm.imag)
+    if not envelope.all():
+        raise UndefinedExponentError("string vanishes identically: an endpoint map is zero")
+    spectra = [_paired(spectrum, g2) for spectrum in transfer_spectra(lpdos, u, None)]
+    stacks = (left[:, None] @ tl, tr, right, norm)
+    return [
+        _channel(lpdo, u, g2, spectrum, amplitudes, scale, stacks)
+        for lpdo, spectrum, amplitudes, scale in zip(lpdos, spectra, _amplitudes(spectra, *stacks), envelope)
+    ]
 
 
 def _norms(stack):
@@ -375,15 +370,15 @@ def _channels(spectrum, amplitudes, envelope):
     return channels, [(lam, c) for lam, c, scale in channels if abs(c) > LIVE_TOL * scale]
 
 
-def _channel(lpdo, u, g2, spectrum, amplitudes, envelope, terms):
+def _channel(lpdo, u, g2, spectrum, amplitudes, envelope, stacks):
     """The :class:`DecayChannel` of one model and pair on ``spectrum``, or, when a
-    partial spectrum has no live channel, on the complete one: a stack of its own,
-    from the stacks of :func:`_amplitudes` and the model's row, ``terms``."""
+    partial spectrum has no live channel, on the complete one. A partial spectrum is
+    the Krylov path's, so its model is a stack of one, and ``stacks``, those of
+    :func:`_amplitudes`, are its own."""
     channels, live = _channels(spectrum, amplitudes, envelope)
     if not live and not spectrum.complete:
         spectrum = _paired(transfer_spectrum(lpdo, u, complete=True), g2)
-        *stacks, row = terms
-        channels, live = _channels(spectrum, _amplitudes([spectrum], *(a[row : row + 1] for a in stacks))[0], envelope)
+        channels, live = _channels(spectrum, _amplitudes([spectrum], *stacks)[0], envelope)
     if not live:
         raise UndefinedExponentError("string vanishes identically: no decay channel is live")
     floor = max((abs(c) / scale for _, c, scale in channels if abs(c) <= LIVE_TOL * scale), default=0.0)

@@ -9,13 +9,14 @@ tensor A the combined action pushes through to the virtual legs,
 with V_g unitary and defined up to a phase. V_g is generically a projective
 representation; its cocycle data is what the quantized responses measure.
 
-:func:`extract_virtual_reps` extracts V_g of many tensors of one shape as
-one stack: their spectra and leading pairs come from the stacked accessors
-of :mod:`weaksym.transfer`, the polar factors from one stacked SVD, and the
+:func:`extract_virtual_reps` extracts V_g of a stack of tensors, under the
+stack rule of :mod:`weaksym.transfer`: their spectra and leading pairs come
+from its stacked accessors, the polar factors from one stacked SVD, and the
 push-through residuals from one stacked set of products. Each result is bit
 for bit the one its tensor gets alone (:func:`extract_virtual_rep`, the
-stack of one). A stack in which an extraction fails raises that tensor's
-error, as the tensor does alone.
+stack of one) and is memoised through :func:`weaksym.transfer._memoised`. A
+stack in which an extraction fails raises that tensor's error, as the tensor
+does alone.
 """
 
 from dataclasses import dataclass, field
@@ -32,7 +33,7 @@ from .errors import (
     ValidationError,
 )
 from .numerics import _as_square, _identity, _insertion, _stacked
-from .transfer import _insertions, _memoised_one, _memoised_stack, build_transfers, symmetry_gap, transfer_eigenpairs, transfer_spectra
+from .transfer import _insertions, _memoised, build_transfers, symmetry_gap, transfer_eigenpairs, transfer_spectra
 
 # Tolerances are scale-free: a tensor times c describes the same state and
 # multiplies the leading modulus |lambda_0| of T(1) by |c|^2, so a residual
@@ -172,18 +173,14 @@ def _push_through_residuals(a4, u, ua, v, thetas):
 
 
 def extract_virtual_reps(lpdos, act):
-    """:func:`extract_virtual_rep` of each of ``lpdos``, the misses of one shape as one stack.
+    """:func:`extract_virtual_rep` of each of ``lpdos``, a stack under the stack rule of
+    :mod:`weaksym.transfer`.
 
     Raises the error of the first extraction that fails; a stack that fails
     stores no representation, but the spectra and pairs it read stay stored.
     """
-    return _memoised_stack(lpdos, *_virtual_reps(act))
-
-
-def _virtual_reps(act):
-    """The memo key of V_g and its extraction for a stack of tensors."""
     _, _, insertion = _insertions(act.u, act.ua)
-    return ("rep", act.element) + insertion, lambda stack: _extract_virtual_reps(stack, act)
+    return _memoised(lpdos, ("rep", act.element) + insertion, lambda stack: _extract_virtual_reps(stack, act))
 
 
 def extract_virtual_rep(lpdo, act):
@@ -210,11 +207,11 @@ def extract_virtual_rep(lpdo, act):
     ua_g; a failed extraction is not stored, but the spectrum and the pair
     it read are, so a retry computes neither again.
     """
-    return _memoised_one(lpdo, *_virtual_reps(act))
+    return extract_virtual_reps([lpdo], act)[0]
 
 
 def _extract_virtual_reps(lpdos, act):
-    """The extraction of each of ``lpdos``, tensors of one shape; raises the first failure."""
+    """The extraction of each of ``lpdos``, a stack; raises the first failure."""
     build_transfers(lpdos, act.u, act.ua)  # checks u and ua against d and da first
     u, ua, _ = _insertions(act.u, act.ua)
     dv = lpdos[0].bond_dim

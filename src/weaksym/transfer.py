@@ -24,26 +24,33 @@ Krylov iteration on the size of the map; a large map gets only its leading
 eigenpairs, which are all any consumer reads.
 
 Every value is memoised on the tensor under its insertions' complex shapes
-and bytes; an insertion is checked when its map is built, not on each lookup.
+and bytes, through one function, :func:`_memoised`; an insertion is checked
+when its map is built, not on each lookup.
 
 The maps, spectra and leading pairs also come in stacks:
 :func:`build_transfers`, :func:`transfer_spectra` and
 :func:`transfer_eigenpairs` take a sequence of tensors and compute the memo
-misses among them, tensors of one shape at a time, as one stack: one einsum
-or GEMM per stack, its insertions checked once, and one stacked LAPACK call
-on the dense path. Each result is stored in its own tensor's memo, bit for
-bit the value that tensor gets alone; the one-tensor accessors are the
-stacks of one: a hit among them is one dict lookup, and a miss computes the
-stack of one directly. A stack raises the error of its first tensor that
-fails and stores nothing under its key; what it read before stays stored.
-Telling which tensor failed is the caller's business (a sweep computes the
-rows of a failing stack again one at a time, :func:`weaksym.cli._isolated`).
+misses among them as one stack: one einsum or GEMM, its insertions checked
+once, and one stacked LAPACK call.
+
+The stack rule: the tensors of a stack are one model family, of one shape,
+one group and one set of actions, and a stack holds more than one tensor
+only where the maps are decomposed densely (D^2 <= ``numerics.DENSE_MAX_ROWS``).
+A model on the Krylov path is a stack of one: its vectors keep the layout
+Arnoldi left, and a stacked product's last bits can depend on it. Every
+stacked function of the package takes its stacks under this rule and
+checks none of it. Each result is stored in its own tensor's memo, bit
+for bit the value that tensor gets alone; the one-tensor accessors are the
+stacks of one. A stack raises the error of its first tensor that fails and
+stores nothing under its key; what it read before stays stored. Telling
+which tensor failed is the caller's business (a sweep computes the rows of a
+failing stack again one at a time, :func:`weaksym.cli._isolated`).
 """
 
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .numerics import DENSE_MAX_ROWS, ScaledPowers, _as_square, _insertion, _square_stack, _stacked, leading_eigenpair, leading_spectrum, spectral_decompose
+from .numerics import ScaledPowers, _as_square, _insertion, _square_stack, _stacked, leading_eigenpair, leading_spectrum, spectral_decompose
 
 
 def _insertions(op, op_a):
@@ -56,40 +63,17 @@ def _insertions(op, op_a):
     return op, op_a, key
 
 
-def _memoised_stack(lpdos, key, compute):
-    """The value under ``key`` of each of ``lpdos``, in order, the misses computed as stacks.
-
-    ``compute(stack)`` returns one value per tensor of ``stack``, a list of
-    distinct tensors of one shape. A stack that raises stores nothing.
-    """
-    if len(lpdos) == 1:
-        return [_memoised_one(lpdos[0], key, compute)]
-    stacks = {}
-    for lpdo in lpdos:
-        if key not in lpdo._memo:
-            stacks.setdefault(lpdo.tensor.shape, {})[lpdo] = None
-    for stack in stacks.values():
-        for lpdo, value in zip(stack, compute(list(stack))):
-            lpdo._memo[key] = value
+def _memoised(lpdos, key, compute):
+    """The value under ``key`` of each of ``lpdos``, in order; the misses computed as one
+    stack, ``compute(misses)`` giving one value per miss. A hit is one dict lookup per
+    tensor. A stack that raises stores nothing."""
+    try:
+        return [lpdo._memo[key] for lpdo in lpdos]
+    except KeyError:
+        misses = [lpdo for lpdo in lpdos if key not in lpdo._memo]
+    for lpdo, value in zip(misses, compute(misses)):
+        lpdo._memo[key] = value
     return [lpdo._memo[key] for lpdo in lpdos]
-
-
-def _memoised_one(lpdo, key, compute):
-    """:func:`_memoised_stack` of one tensor: a hit is one dict lookup, a miss
-    computes the stack of one."""
-    return lpdo.memoised(key, lambda: compute([lpdo])[0])
-
-
-def _stack_groups(lpdos):
-    """Index lists of ``lpdos`` whose spectra can meet in one stacked product: tensors of
-    one shape decomposed densely, and alone each one on the Krylov path, whose vectors
-    keep the layout Arnoldi left (a product's last bits can depend on it)."""
-    if len(lpdos) == 1:
-        return [[0]]
-    groups = {}
-    for i, lpdo in enumerate(lpdos):
-        groups.setdefault(lpdo.tensor.shape if lpdo.bond_dim**2 <= DENSE_MAX_ROWS else i, []).append(i)
-    return list(groups.values())
 
 
 def _contract(a4, op, op_a):
@@ -116,9 +100,12 @@ def _contract(a4, op, op_a):
     return t
 
 
-def _transfers(op, op_a):
-    """The memo key of T(op, op_a) and its builder for a stack of tensors of one
-    shape: one contraction, the insertions checked once against the stack's d and da."""
+def build_transfers(lpdos, op, op_a):
+    """:func:`build_transfer` of each of ``lpdos``, a stack under the module's stack rule:
+    the misses as one contraction, the insertions checked once against the stack's d and da.
+
+    Raises the error of the first map that cannot be built.
+    """
     op, op_a, key = _insertions(op, op_a)
 
     def build(stack):
@@ -127,16 +114,7 @@ def _transfers(op, op_a):
             _insertion(op_a, "op_a", "da", stack[0].da)
         return list(_contract(_stacked([lpdo.tensor for lpdo in stack]), op, op_a))
 
-    return ("transfer",) + key, build
-
-
-def build_transfers(lpdos, op, op_a):
-    """:func:`build_transfer` of each of ``lpdos``; the misses of one shape as one contraction.
-
-    Raises the error of the first map that cannot be built (see the module
-    docstring).
-    """
-    return _memoised_stack(lpdos, *_transfers(op, op_a))
+    return _memoised(lpdos, ("transfer",) + key, build)
 
 
 def build_transfer(lpdo, op, op_a=None):
@@ -152,24 +130,19 @@ def build_transfer(lpdo, op, op_a=None):
     finiteness are checked when the map is built, and every value memoised
     per insertion pair comes from the map, so a hit checks nothing again.
     """
-    return _memoised_one(lpdo, *_transfers(op, op_a))
+    return build_transfers([lpdo], op, op_a)[0]
 
 
-def _spectra(op, op_a):
-    """The memo key of T(op, op_a)'s spectrum and its decomposition for a stack of tensors."""
+def transfer_spectra(lpdos, op, op_a):
+    """:func:`transfer_spectrum` of each of ``lpdos``, a stack under the module's stack rule:
+    the misses as one stacked :func:`~weaksym.numerics.leading_spectrum` (one ``eig`` and
+    one ``inv``). Raises the error of the first map that cannot be built or decomposed."""
     op, op_a, key = _insertions(op, op_a)
 
     def decompose(stack):
         return leading_spectrum(_stacked(build_transfers(stack, op, op_a)))
 
-    return ("spectrum",) + key, decompose
-
-
-def transfer_spectra(lpdos, op, op_a):
-    """:func:`transfer_spectrum` of each of ``lpdos``; the misses of one shape as one stacked
-    :func:`~weaksym.numerics.leading_spectrum` (one ``eig`` and one ``inv`` on the dense path).
-    Raises the error of the first map that cannot be built or decomposed."""
-    return _memoised_stack(lpdos, *_spectra(op, op_a))
+    return _memoised(lpdos, ("spectrum",) + key, decompose)
 
 
 def transfer_spectrum(lpdo, op, op_a=None, complete=False):
@@ -182,17 +155,19 @@ def transfer_spectrum(lpdo, op, op_a=None, complete=False):
     partial spectrum. With :func:`transfer_eigenpair`, this is the only
     route from a transfer map to an eigensolver.
     """
-    spectrum = _memoised_one(lpdo, *_spectra(op, op_a))
+    spectrum = transfer_spectra([lpdo], op, op_a)[0]
     if complete and not spectrum.complete:
         op, op_a, key = _insertions(op, op_a)
-        spectrum = lpdo.memoised(
-            ("complete spectrum",) + key, lambda: spectral_decompose(build_transfer(lpdo, op, op_a))
-        )
+        spectrum = _memoised(
+            [lpdo], ("complete spectrum",) + key, lambda _: [spectral_decompose(build_transfer(lpdo, op, op_a))]
+        )[0]
     return spectrum
 
 
-def _eigenpairs(op, op_a):
-    """The memo key of T(op, op_a)'s leading pair and its computation for a stack of tensors."""
+def transfer_eigenpairs(lpdos, op, op_a):
+    """:func:`transfer_eigenpair` of each of ``lpdos``, a stack under the module's stack rule:
+    the misses as one stacked :func:`~weaksym.numerics.leading_eigenpair` (one ``eig``).
+    Raises the error of the first map that cannot be built or decomposed."""
     op, op_a, key = _insertions(op, op_a)
 
     def compute(stack):
@@ -201,19 +176,12 @@ def _eigenpairs(op, op_a):
             right.flags.writeable = False
         return pairs
 
-    return ("eigenpair",) + key, compute
-
-
-def transfer_eigenpairs(lpdos, op, op_a):
-    """:func:`transfer_eigenpair` of each of ``lpdos``; the misses of one shape as one stacked
-    :func:`~weaksym.numerics.leading_eigenpair` (one ``eig`` on the dense path).
-    Raises the error of the first map that cannot be built or decomposed."""
-    return _memoised_stack(lpdos, *_eigenpairs(op, op_a))
+    return _memoised(lpdos, ("eigenpair",) + key, compute)
 
 
 def transfer_eigenpair(lpdo, op, op_a=None):
     """:func:`~weaksym.numerics.leading_eigenpair` of T(op, op_a), R0 read-only, once per tensor and insertion pair."""
-    return _memoised_one(lpdo, *_eigenpairs(op, op_a))
+    return transfer_eigenpairs([lpdo], op, op_a)[0]
 
 
 def transfer_powers(lpdo, op, op_a=None):
@@ -225,7 +193,7 @@ def transfer_powers(lpdo, op, op_a=None):
     table is built.
     """
     op, op_a, key = _insertions(op, op_a)
-    return lpdo.memoised(("powers",) + key, lambda: ScaledPowers(build_transfer(lpdo, op, op_a)))
+    return _memoised([lpdo], ("powers",) + key, lambda _: [ScaledPowers(build_transfer(lpdo, op, op_a))])[0]
 
 
 def flux_operator(v):

@@ -8,7 +8,9 @@ spectrum goes through its dense or Krylov path. ``eigvalsh`` (the oracle's
 positivity check) is not one of them. A third scan counts the parameter and
 dataclass-field defaults, each a value a caller may leave out. A fourth keeps
 the handling of a stack's errors behind one module: one function catches them,
-and only ``cli.py`` asks whether a value is an exception.
+and only ``cli.py`` asks whether a value is an exception. A fifth keeps the
+per-tensor memo behind one function: only ``transfer._memoised`` reads or
+writes an ``_memo`` attribute.
 """
 
 import ast
@@ -132,3 +134,26 @@ def test_one_function_isolates_a_failing_stack_member_and_only_cli_tests_for_err
     outside = [(name, line) for name, (_, lines) in found.items() if name != "cli.py" for line in lines]
     assert outside == []
     assert found["cli.py"][1]
+
+
+def _memo_users(path):
+    """The innermost function around each ``._memo`` attribute of one source file
+    (None outside any function); the ``LpdoTensor`` field declaration is a name, not one."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    users = set()
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif isinstance(node, ast.Attribute) and node.attr == "_memo":
+            users.add(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return users
+
+
+def test_one_function_reads_and_writes_the_memo():
+    users = [(path.name, function) for path in sorted(PACKAGE.glob("*.py")) for function in sorted(_memo_users(path), key=str)]
+    assert users == [("transfer.py", "_memoised")]

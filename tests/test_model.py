@@ -191,6 +191,20 @@ def test_group_and_actions_assembled():
         model.action("R_w")
 
 
+def test_aklt_group_multiplies_as_z2_x_z2():
+    """All 16 products: each rotation is its own inverse, and two distinct ones give the third."""
+    table = {
+        "1": ("1", "R_x", "R_y", "R_z"),
+        "R_x": ("R_x", "1", "R_z", "R_y"),
+        "R_y": ("R_y", "R_z", "1", "R_x"),
+        "R_z": ("R_z", "R_y", "R_x", "1"),
+    }
+    group = aklt_group()
+    assert group.labels == ("1", "R_x", "R_y", "R_z")
+    assert group.identity == "1"
+    assert {g: tuple(group.multiply(g, h) for h in group.labels) for g in group.labels} == table
+
+
 # --- JSON interchange -----------------------------------------------------------
 
 def test_save_load_round_trip(tmp_path):

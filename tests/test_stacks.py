@@ -13,16 +13,17 @@ others.
 
 import dataclasses
 import json
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from test_generic import generic_model
-from weaksym import cli
+from weaksym import cli, transfer
 from weaksym.errors import GaplessTransferError, NearDefectiveError, NotSymmetricError, UndefinedExponentError, WeaksymError
-from weaksym.model import LpdoTensor, Model, build_aklt_model, spin1_operators
-from weaksym.numerics import spectral_decompose
+from weaksym.model import LpdoTensor, Model, build_aklt_model, save_model, spin1_operators
+from weaksym.numerics import DENSE_MAX_ROWS, spectral_decompose
 from weaksym.response import _thermo_responses, thermo_response
 from weaksym.stringorder import _decay_channels, _ring_series, _string_series, decay_channel
 from weaksym.symmetry import SymmetryAction, extract_virtual_rep, extract_virtual_reps
@@ -116,12 +117,6 @@ def test_stacks_of_random_tensors_at_odd_bond_equal_one_tensor_calls():
     act = build_aklt_model(0.3).action("R_y")
     insertions = [(np.eye(3), None), (act.u, None), (act.u, act.ua), (rng.normal(size=(3, 3)), rng.normal(size=(4, 4)))]
     assert_stacked_equals_alone(lpdos, insertions, [])
-
-
-def test_a_stack_of_tensors_of_several_shapes_is_split_by_shape():
-    lpdos = [build_aklt_model(0.3).lpdo, generic_model(0.3)[0].lpdo, build_aklt_model(0.7).lpdo]
-    spectra = _isolated(transfer_spectra, lpdos, np.eye(3), None)
-    assert [_bits(s) for s in spectra] == [_bits(transfer_spectrum(_alone(lpdo), np.eye(3))) for lpdo in lpdos]
 
 
 def test_a_stacked_spectrum_keeps_the_layout_of_one_matrix_alone():
@@ -246,15 +241,15 @@ def test_stacked_rows_of_the_family_equal_one_model_calls(lengths, n_sites):
     assert_rows_equal_one_model_calls(models, lengths, n_sites)
 
 
-@pytest.mark.parametrize("bond", [3, 6], ids=["D6", "D12"])
+@pytest.mark.parametrize("bond", [3], ids=["D6"])
 def test_stacked_rows_of_generic_models_equal_one_model_calls(bond):
-    """D = 6 models share dense stacks; at D = 12 each model takes the per-map
-    Krylov path, S_0 through the complete-spectrum fallback of decay_channel."""
+    """D = 6 models share dense stacks. A Krylov-size model (D > 10) is only ever
+    a stack of one (the stack rule of weaksym.transfer); its decay channels, the
+    complete-spectrum fallback included, are pinned in tests/test_generic.py."""
     models = [generic_model(p, seed=seed, bond=bond)[0] for p, seed in ((0.2, 7), (0.3, 8), (0.8, 9))]
     _, channels, _ = assert_rows_equal_one_model_calls(models, [0, 1, 7], 40)
     assert not any(isinstance(c, Exception) for row in channels for c in row[:2])
-    fallbacks = [any(key[0] == "complete spectrum" for key in model.lpdo._memo) for model in models]
-    assert fallbacks == [bond == 6] * 3
+    assert not any(key[0] == "complete spectrum" for model in models for key in model.lpdo._memo)
 
 
 def test_failing_members_leave_the_rest_of_their_stack_alone():
@@ -368,3 +363,46 @@ def test_sweep_working_memory_does_not_grow_with_its_length():
 
     assert working_memory(8) <= 1.1 * working_memory(2)
 
+
+
+# --- the stacks commands form --------------------------------------------------
+
+@pytest.fixture
+def memo_calls(monkeypatch):
+    """The tensors of each call of ``transfer._memoised``, under every name a module imported it as."""
+    calls = []
+    memoised = transfer._memoised
+
+    def recording(lpdos, key, compute):
+        calls.append(list(lpdos))
+        return memoised(lpdos, key, compute)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "weaksym" and getattr(module, "_memoised", None) is memoised:
+            monkeypatch.setattr(module, "_memoised", recording)
+    return calls
+
+
+def test_commands_stack_only_dense_tensors_of_one_shape(memo_calls, capsys, tmp_path):
+    """The stack rule of weaksym.transfer, on the commands that form stacks: the
+    benchmark's seeded sweep and a 5-point one, ``verify all``, and a D = 12 model
+    file, whose maps take the Krylov path. Every stack of more than one tensor
+    holds tensors of one shape whose maps are decomposed densely."""
+    model, _, _ = generic_model(0.3, bond=6)
+    path = str(tmp_path / "D12.json")
+    save_model(model, path)
+    for argv in (
+        ["sweep", *_seeded_grid(1)],
+        ["sweep", "--p-min", "0", "--p-max", "1", "--steps", "5"],
+        ["verify", "all"],
+        ["verify", "all", "--model", path],
+        ["response", "--model", path, "--g1", "R_x", "--g2", "R_z"],
+        ["string", "--model", path, "--g2", "R_z", "--chi", "s0"],
+    ):
+        assert cli.main(argv) == 0, argv
+    capsys.readouterr()
+    stacks = [lpdos for lpdos in memo_calls if len(lpdos) > 1]
+    assert stacks
+    assert all(len({lpdo.tensor.shape for lpdo in lpdos}) == 1 for lpdos in stacks)
+    assert all(lpdos[0].bond_dim**2 <= DENSE_MAX_ROWS for lpdos in stacks)
+    assert any(lpdos[0].bond_dim == 12 for lpdos in memo_calls)
