@@ -37,7 +37,7 @@ from .errors import (
 from .model import _decode_array, build_aklt_model, load_model, spin1_operators
 from .response import _thermo_responses, finite_response, thermo_response
 from .stringorder import _decay_channels, _ring_series, _string_lengths, decay_channel, string_order_series
-from .transfer import symmetry_gap, twisted_spectrum
+from .transfer import symmetry_gaps, transfer_spectra
 from . import verify as _verify
 
 EXIT_OK = 0
@@ -163,15 +163,15 @@ def _chunk_rows(p_values, models, n_sites, length):
     rings = _isolated(lambda stack: _ring_series(stack, "R_z", ends, [length], n_sites), models)
     # one stack per pair: S_x's exponent survives where only S_y's is undefined
     channels = [_isolated(lambda stack: _decay_channels(stack, "R_z", *pair), models) for pair in ends]
+    gaps = symmetry_gaps(transfer_spectra([model.lpdo for model in models], models[0].action("R_z").u, None)).tolist()
     rows = []
-    for p, model, response, ring, *decay in zip(p_values, models, responses, rings, *channels):
+    for p, gap_z, response, ring, *decay in zip(p_values, gaps, responses, rings, *channels):
         flags = []
         if _flagged(response, GaplessTransferError):
             qxz = qyz = complex(nan, nan)
             flags.append("gapless_thermo")
         else:
             qxz, qyz = (q.value for q in response)
-        gap_z = symmetry_gap(twisted_spectrum(model, "R_z"))
         vanishes = _flagged(ring, ZeroDivisionError)  # the two rings share one envelope
         sn = [nan] * 2 if vanishes else [abs(series.normalized[0]) for series in ring]
         xi = []

@@ -117,11 +117,18 @@ class KrausChannel:
 
 
 def aklt_tensor():
-    """Bond-dimension-2 AKLT site tensor A0[m, x, y] (left-canonical normalization)."""
+    """Bond-dimension-2 AKLT site tensor A0[m, x, y] (left-canonical normalization), a new array."""
+    return _aklt_tensor().copy()
+
+
+@functools.cache
+def _aklt_tensor():
+    """:func:`aklt_tensor`, made once per process and read-only."""
     a = np.zeros((3, 2, 2), dtype=complex)
     a[0] = np.sqrt(2.0 / 3.0) * np.array([[0, 1], [0, 0]])   # m = -1
     a[1] = -np.sqrt(1.0 / 3.0) * np.array([[1, 0], [0, -1]])  # m = 0
     a[2] = -np.sqrt(2.0 / 3.0) * np.array([[0, 0], [1, 0]])   # m = +1
+    a.flags.writeable = False
     return a
 
 
@@ -218,7 +225,7 @@ class Model:
 def build_aklt_model(p):
     """Decohered AKLT chain at noise rate p, with its Z2 x Z2 action."""
     channel = aklt_channel(p)
-    lpdo = dilate(aklt_tensor(), channel)
+    lpdo = dilate(_aklt_tensor(), channel)
     return Model(lpdo=lpdo, group=aklt_group(), actions=dict(_aklt_actions()), channel=channel)
 
 

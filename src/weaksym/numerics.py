@@ -19,10 +19,12 @@ full decomposition up to ``DENSE_MAX_ROWS`` rows, Arnoldi above.
 its right vector only: a bare ``eig``, or one Arnoldi run for one pair.
 
 The dense path also takes a stack (k, n, n) of maps and returns a list: one
-``eig`` and one ``inv`` for the whole stack. LAPACK still runs once per
-matrix, so each result is bit for bit the one its matrix gets alone; only the
-Python around each call is shared. A stack in which some eigenvector matrix
-has no inverse is inverted again one matrix at a time. An ``eig`` that fails
+``eig`` and one ``inv`` for the whole stack, and the sort, the pick of the
+right vectors, the pairing residuals and conditions and, once asked for, the
+clusters (:func:`_cluster_table`) as array operations over it. Each result is
+bit for bit the one its matrix gets alone, the memory layout of its vectors
+included. A stack in which some eigenvector matrix has no inverse is
+inverted again one matrix at a time. An ``eig`` that fails
 on a stack raises for the whole stack; a sweep then computes the rows of that
 stack again one at a time (:func:`weaksym.cli._isolated`). Arnoldi runs one
 map at a time; under the stack rule of :mod:`weaksym.transfer` the package
@@ -116,12 +118,25 @@ def _insertion(m, name, leg, dim):
 def _stacked(arrays):
     """``np.stack(arrays)``, each matrix in the memory order of the first: a column-major
     one stays column-major, since a product's last bits can depend on the layout. A stack
-    of one is a view, without the copy."""
+    of one is a view, without the copy. Arrays of several shapes raise
+    :class:`DimensionMismatchError`."""
     if len(arrays) == 1:
         return arrays[0][None]
-    if arrays[0].ndim == 2 and not arrays[0].flags.c_contiguous and arrays[0].flags.f_contiguous:
-        return np.stack([a.T for a in arrays]).transpose(0, 2, 1)
-    return np.stack(arrays)
+    try:
+        if arrays[0].ndim == 2 and not arrays[0].flags.c_contiguous and arrays[0].flags.f_contiguous:
+            return np.stack([a.T for a in arrays]).transpose(0, 2, 1)
+        return np.stack(arrays)
+    except ValueError:  # numpy's, for arrays of several shapes: caught, so one shape pays nothing
+        other = next(a.shape for a in arrays if a.shape != arrays[0].shape)
+        raise DimensionMismatchError(f"a stack needs arrays of one shape, got {arrays[0].shape} and {other}") from None
+
+
+def _norms(stack):
+    """``np.linalg.norm`` of each array of the stack, bit for bit: the dot products of
+    its real and imaginary parts, as stacked products."""
+    flat = stack.reshape(len(stack), 1, -1)
+    re, im = flat.real, flat.imag
+    return np.sqrt((re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0, 0])
 
 
 def _square_stack(m):
@@ -217,30 +232,17 @@ class Spectrum:
     def clusters(self):
         """[(eigenvalue, members, condition)] per cluster, computed once per spectrum: in
         spectrum order, each takes every eigenvalue not yet taken within ``CLUSTER_TOL``
-        |lambda_0| of its first (``members``, a mask; not a transitive closure). The
-        pairwise distances are compared once. ``condition`` is the norm ||R_c L_c||_F of
-        its spectral projector: basis-free, and |R_k| |L_k| if simple."""
-        w = self.eigenvalues
-        simple = np.sqrt((abs(self.right_vectors) ** 2).sum(0) * (abs(self.left_vectors) ** 2).sum(1))
-        close = np.abs(w[:, None] - w) <= CLUSTER_TOL * abs(w[0])
-        out, free = [], [True] * len(w)
-        for i, (lam, near) in enumerate(zip(w.tolist(), close.tolist())):
-            if free[i]:
-                members = np.array(near) & free
-                free = [f and not m for f, m in zip(free, near)]
-                condition = simple[i]
-                if np.count_nonzero(members) > 1:  # ||R_c L_c||_F^2 = <L_c L_c^H, R_c^H R_c>: no n x n product
-                    r, l = self.right_vectors[:, members], self.left_vectors[members]
-                    condition = np.sqrt(np.vdot(l @ l.conj().T, r.conj().T @ r).real)
-                out.append((lam, members, float(condition)))
-        return out
+        |lambda_0| of its first (``members``, a mask; not a transitive closure).
+        ``condition`` is the norm ||R_c L_c||_F of its spectral projector: basis-free, and
+        |R_k| |L_k| if simple. This is the stack of one of :func:`_cluster_table`."""
+        _, _, members, _, leaders = _cluster_table([self])
+        return [(lam, members[0, i].copy(), condition) for i, lam, _, _, condition in leaders[0]]
 
     @property
     def near_defective(self):
         """Whether the condition estimate is not finite or exceeds 1/``PAIRING_TOL``
         (1e10), so the left/right pairing cannot be trusted (Jordan-block-like input)."""
-        condition = self.condition_estimate
-        return not np.isfinite(condition) or condition > 1.0 / PAIRING_TOL
+        return not self.condition_estimate <= 1.0 / PAIRING_TOL  # nan too
 
     @property
     def leading(self):
@@ -254,15 +256,70 @@ class Spectrum:
 
 
 def _spectrum(w, right, left):
-    """Read-only :class:`Spectrum`, with its pairing residual and condition measured."""
-    pairing = left @ right
-    with np.errstate(all="ignore"):  # an unpaired vector, L_k R_k = 0, has no finite condition
-        wilkinson = np.sqrt((abs(left) ** 2).sum(1) * (abs(right) ** 2).sum(0)) / abs(pairing.diagonal())
-    pairing.flat[:: len(w) + 1] -= 1
-    residual = float(np.abs(pairing).max())
+    """Read-only :class:`Spectrum` of one matrix's eigenpairs, the stack of one of :func:`_measured`."""
+    return _measured(w[None], right[None], left[None])[0]
+
+
+def _measured(w, right, left):
+    """Read-only :class:`Spectrum` of each member of the stacks w (k, p), right (k, n, p) and
+    left (k, p, n), their pairing residuals and conditions measured as stacks. ``left`` may
+    be a list of the members instead, when they have layouts of their own; each spectrum
+    gets its own."""
+    members = left
+    if isinstance(left, list):
+        left = np.stack(left)
+        for x in members:
+            x.flags.writeable = False
     for a in (w, right, left):
         a.flags.writeable = False
-    return Spectrum(w, right, left, residual, float(wilkinson.max()))
+    pairing = left @ right
+    with np.errstate(all="ignore"):  # an unpaired vector, L_k R_k = 0, has no finite condition
+        wilkinson = np.sqrt((abs(left) ** 2).sum(-1) * (abs(right) ** 2).sum(-2)) / abs(pairing.diagonal(0, 1, 2))
+    residual = abs(pairing - _identity(w.shape[1])).reshape(len(w), -1).max(1)
+    return [Spectrum(*fields) for fields in zip(w, right, members, residual.tolist(), wilkinson.max(1).tolist())]
+
+
+def _cluster_table(spectra):
+    """``(right, left, members, groups, leaders)`` of ``spectra``, spectra of one size: their
+    vectors as stacks (k, n, p) and (k, p, n); whether the cluster first at i takes
+    eigenvalue j (k, p, p); per cluster size m > 1 the spectra ``s``, first indices ``i``
+    and members ``j`` (P, m) of its clusters; per spectrum ``(i, eigenvalue, modulus,
+    -ln modulus, condition)`` of each cluster as Python numbers, the modulus as ``abs()``
+    takes it of one complex. Computed once per stack of spectra, which each keeps. The
+    clusters of one size are measured as one gather and one product, bit for bit."""
+    kept = [spectrum.__dict__.get("_cluster_table", (None, 0)) for spectrum in spectra]
+    table = kept[0][0]
+    if table and len(table[0]) == len(spectra) and all(t is table and at == i for i, (t, at) in enumerate(kept)):
+        return table
+    w, right, left = (_stacked([getattr(s, side) for s in spectra]) for side in ("eigenvalues", "right_vectors", "left_vectors"))
+    k, p = w.shape
+    moduli = np.hypot(w.real, w.imag)
+    close = np.abs(w[:, :, None] - w[:, None]) <= CLUSTER_TOL * moduli[:, :1, None]
+    later = np.triu(close, 1)
+    owner = np.tile(np.arange(p), (k, 1))
+    for i in np.flatnonzero(later.any((0, 2))):  # a first eigenvalue not yet taken takes the free ones near it
+        owner[later[:, i] & (owner == np.arange(p)) & (owner[:, i : i + 1] == i)] = i
+    members = owner[:, None] == np.arange(p)[:, None]
+    condition = np.sqrt((abs(right) ** 2).sum(-2) * (abs(left) ** 2).sum(-1))
+    size = members.sum(-1)
+    groups = []
+    for m in sorted(set(size[size > 1].tolist())):
+        s, i = np.nonzero(size == m)
+        j = np.nonzero(members[s, i])[1].reshape(-1, m)
+        groups.append((s, i, j))
+        # ||R_c L_c||_F^2 = <L_c L_c^H, R_c^H R_c>, a vdot as a one-row product: no n x n product
+        r = right.transpose(0, 2, 1)[s[:, None], j].transpose(0, 2, 1)  # column-major, as R[:, members]
+        l = left[s[:, None], j]
+        gram = (l @ l.conj().transpose(0, 2, 1)).reshape(-1, 1, m * m).conj()
+        condition[s, i] = np.sqrt((gram @ (r.conj().transpose(0, 2, 1) @ r).reshape(-1, m * m, 1))[:, 0, 0].real)
+    with np.errstate(divide="ignore"):
+        xi = -np.log(moduli)
+    rows = zip((size > 0).tolist(), w.tolist(), moduli.tolist(), xi.tolist(), condition.tolist())
+    leaders = [[(i, *entry) for i, (first, *entry) in enumerate(zip(*row)) if first] for row in rows]
+    table = right, left, members, groups, leaders
+    for at, spectrum in enumerate(spectra):
+        spectrum.__dict__["_cluster_table"] = (table, at)  # as a cached_property keeps its value
+    return table
 
 
 def _by_modulus(w):
@@ -286,23 +343,24 @@ def spectral_decompose(m):
     """
     stack = _square_stack(m)
     w, r = np.linalg.eig(stack)
+    rows = np.arange(len(stack))[:, None]
     order = _by_modulus(w)
-    w = [x[k] for x, k in zip(w, order)]
-    # each matrix's columns picked as one matrix's are, in the same (column-major) layout
-    r = [x[:, k] for x, k in zip(r, order)]
-    spectra = [_spectrum(*pair) for pair in zip(w, r, _inverses(r))]
+    # each matrix's columns picked as rows of its transpose: column-major, as a lone r[:, order]
+    right = r.transpose(0, 2, 1)[rows, order].transpose(0, 2, 1)
+    spectra = _measured(w[rows, order], right, _inverses(right))
     return spectra if np.ndim(m) == 3 else spectra[0]
 
 
 def _inverses(r):
-    """The inverse of each matrix in the list r, as one stacked ``inv``; zeros in
-    its layout for one that has none (no left vectors pair with it)."""
+    """The inverse of each matrix of the stack r, as one stacked ``inv``. A stack in which
+    some matrix has none is inverted one matrix at a time, as a list; that one gets zeros
+    in its own layout (no left vectors pair with it)."""
     try:
-        return list(np.linalg.inv(_stacked(r)))
-    except np.linalg.LinAlgError:  # some R is singular: invert one at a time
+        return np.linalg.inv(r)
+    except np.linalg.LinAlgError:
         if len(r) == 1:
             return [np.zeros_like(r[0])]
-        return [_inverses([x])[0] for x in r]
+        return [_inverses(x[None])[0] for x in r]
 
 
 def _orthogonalize(basis, w):

@@ -11,15 +11,17 @@ T(g2). For commuting g1, g2 the thermodynamic value is a phase, pinned to
 a root of unity away from transitions.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
 from .errors import GaplessTransferError, NearDefectiveError, NonCommutingError
 from .numerics import _identity, _ring_size, _stacked
 from .symmetry import cocycle_commutator, extract_virtual_rep, extract_virtual_reps
-from .transfer import flux_operator, symmetry_gap, transfer_powers, transfer_spectra, transfer_spectrum, twisted_spectrum
+from .transfer import flux_operator, symmetry_gap, symmetry_gaps, transfer_powers, transfer_spectra, transfer_spectrum, twisted_spectrum
 
 SNAP_TOL = 1e-6
 # A symmetry gap at or below this share of |lambda_0(T(1))| is a transition:
@@ -48,15 +50,6 @@ class ResponseResult:
     @property
     def mode(self):
         return "thermo" if self.n_sites is None else "finite"
-
-
-def snap_root_of_unity(value, order):
-    """k/order of the root e^{2 pi i k / order} nearest value if within ``SNAP_TOL``, else None."""
-    if not np.isfinite(value.real) or not np.isfinite(value.imag):
-        return None
-    order = int(order)
-    k = round(float(np.angle(value)) * order / (2 * np.pi)) % order
-    return Fraction(k, order) if abs(value - np.exp(2j * np.pi * k / order)) < SNAP_TOL else None
 
 
 def _require_commuting(model, g1, g2):
@@ -90,32 +83,54 @@ def finite_response(model, g1, g2, n_sites):
     roundoff = n_sites * power.shape[0] * np.finfo(float).eps * np.abs(np.diagonal(power)).sum()
     valid = not abs(denominator) <= roundoff
     value = numerator / denominator if valid else complex(np.nan, np.nan)
-    return _result(model, g1, value, gap, n_sites, valid)
+    return _results(model.group.order(g1), np.array([value]), np.array([gap]), n_sites, [valid])[0]
 
 
-def _result(model, g1, value, gap, n_sites=None, valid=None):
-    """The :class:`ResponseResult` of ``value``, a response to the flux of ``g1``.
-
-    ``valid`` defaults to the thermo test, a modulus of 1 within 1e-8; a
-    valid value is snapped to the roots of unity of the order of ``g1``.
-    """
+def _results(order, values, gaps, n_sites=None, valid=None):
+    """The :class:`ResponseResult` of each of ``values``, a stack of responses to the flux of
+    an element of order ``order``, with its gap. ``valid`` defaults to the thermo test, a
+    modulus of 1 within 1e-8; a valid value is snapped to the roots of unity of that
+    order. The angles are one stack, the rest Python arithmetic on each value."""
+    angles = np.arctan2(values.imag, values.real).tolist()  # np.angle's, which math.atan2 is not
+    values = values.tolist()
     if valid is None:
-        valid = bool(abs(abs(value) - 1.0) <= 1e-8)
-    snapped = snap_root_of_unity(value, model.group.order(g1)) if valid else None
-    return ResponseResult(value=value, snapped=snapped, gap=gap, n_sites=n_sites, valid=valid)
+        valid = [abs(abs(value) - 1.0) <= 1e-8 for value in values]
+    return [
+        ResponseResult(value=value, snapped=_snapped(value, angle, order) if ok else None, gap=gap, n_sites=n_sites, valid=ok)
+        for value, angle, gap, ok in zip(values, angles, gaps.tolist(), valid)
+    ]
+
+
+def snap_root_of_unity(value, order):
+    """k/order of the root e^{2 pi i k / order} nearest value if within ``SNAP_TOL``, else None."""
+    return _snapped(value, float(np.angle(value)), int(order))
+
+
+def _snapped(value, angle, order):
+    """:func:`snap_root_of_unity` of ``value``, given its angle as ``np.angle`` takes it."""
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        return None
+    k = round(angle * order / (2 * np.pi)) % order
+    return Fraction(k, order) if abs(value - _roots(order)[k]) < SNAP_TOL else None
+
+
+@cache
+def _roots(order):
+    """The roots e^{2 pi i k / order} as Python complex numbers, computed once per order."""
+    return [complex(np.exp(2j * np.pi * k / order)) for k in range(order)]
 
 
 def _leading_pair(lpdo, spectrum, what):
-    """:func:`_leading_pairs` of one tensor."""
-    return _leading_pairs([lpdo], [spectrum], what)[0]
+    """:func:`_leading_pairs` of one tensor: ``(left, right, norm, gap)``."""
+    return tuple(x[0] for x in _leading_pairs([lpdo], [spectrum], what))
 
 
 def _leading_pairs(lpdos, spectra, what):
     """Leading eigenvector pair of each gapped spectrum in ``spectra``, one of each of
-    ``lpdos``, for (L0·X·R0)/(L0·R0): per tensor ``(left, right, norm, gap)``.
+    ``lpdos``, for (L0·X·R0)/(L0·R0): as stacks ``(left, right, norm, gap)``.
 
-    That is the left row L0, the right column R0, their overlap L0·R0 and the
-    symmetry gap. Every thermodynamic value is ``(left @ X @ right) / norm``
+    That is the left rows L0, the right columns R0, their overlaps L0·R0 and the
+    symmetry gaps. Every thermodynamic value is ``(left @ X @ right) / norm``
     for some X. A spectrum raises :class:`NearDefectiveError` when it is
     untrustworthy and :class:`GaplessTransferError` when the gap is at or
     below ``GAP_TOL`` (1e-8) times |lambda_0(T(1))|; ``what`` ("for 'R_z'")
@@ -124,28 +139,27 @@ def _leading_pairs(lpdos, spectra, what):
     for spectrum in spectra:  # before T(1) is read: this error comes first, as for one spectrum
         if spectrum.near_defective:
             raise NearDefectiveError(f"transfer spectrum {what} is near-defective")
-    refs = transfer_spectra(lpdos, _identity(lpdos[0].d), None)
-    pairs = []
-    for spectrum, ref in zip(spectra, refs):
-        gap = symmetry_gap(spectrum)
-        if gap <= GAP_TOL * abs(ref.eigenvalues[0]):
+    lam = _stacked([ref.eigenvalues for ref in transfer_spectra(lpdos, _identity(lpdos[0].d), None)])[:, 0]
+    gaps = symmetry_gaps(spectra)
+    for gap, top in zip(gaps.tolist(), lam.tolist()):
+        if gap <= GAP_TOL * abs(top):
             raise GaplessTransferError(f"symmetry gap {what} is {gap:.3e}; thermodynamic limit undefined")
-        _, left, right = spectrum.leading
-        pairs.append((left, right, left @ right, gap))
-    return pairs
+    left = _stacked([spectrum.left_vectors for spectrum in spectra])[:, 0]
+    right = _stacked([spectrum.right_vectors for spectrum in spectra])[:, :, 0]
+    return left, right, (left[:, None] @ right[:, :, None])[:, 0, 0], gaps
 
 
 def _pair_value(lpdo, spectrum, x, what):
-    """(L0·X·R0)/(L0·R0) on the leading pair of ``spectrum``, a spectrum of ``lpdo``, and the gap."""
-    return _pair_values(_leading_pairs([lpdo], [spectrum], what), x[None])[0]
+    """(L0·X·R0)/(L0·R0) on the leading pair of ``spectrum``, a spectrum of ``lpdo``, and the gap: stacks of one."""
+    pairs = _leading_pairs([lpdo], [spectrum], what)
+    return _pair_values(pairs, x[None]), pairs[3]
 
 
 def _pair_values(pairs, x):
-    """``(value, gap)`` of each entry of ``pairs`` (:func:`_leading_pairs` of a stack):
-    (L0·X·R0)/(L0·R0) with its X of the stack ``x``, as stacked products."""
-    left, right, norm, gaps = zip(*pairs)
-    values = ((_stacked(left)[:, None] @ x) @ _stacked(right)[:, :, None])[:, 0, 0] / np.array(norm)
-    return list(zip(values.tolist(), gaps))
+    """(L0·X·R0)/(L0·R0) of each member of ``pairs`` (:func:`_leading_pairs` of a stack)
+    with its X of the stack ``x``, as stacked products."""
+    left, right, norm, _ = pairs
+    return ((left[:, None] @ x) @ right[:, :, None])[:, 0, 0] / norm
 
 
 def flux_response(model, flux, g2):
@@ -157,7 +171,8 @@ def flux_response(model, flux, g2):
     below ``GAP_TOL`` times |lambda_0(T(1))| and :class:`NearDefectiveError`
     for untrustworthy spectra.
     """
-    return _pair_value(model.lpdo, twisted_spectrum(model, g2), flux_operator(flux), f"for {g2!r}")
+    value, gap = _pair_value(model.lpdo, twisted_spectrum(model, g2), flux_operator(flux), f"for {g2!r}")
+    return value.tolist()[0], gap.tolist()[0]
 
 
 def thermo_response(model, g1, g2):
@@ -184,8 +199,9 @@ def _thermo_responses(models, g1s, g2):
     lpdos = [model.lpdo for model in models]
     reps = [extract_virtual_reps(lpdos, models[0].action(g1)) for g1 in g1s]
     pairs = _leading_pairs(lpdos, transfer_spectra(lpdos, models[0].action(g2).u, None), f"for {g2!r}")
-    values = [_pair_values(pairs, flux_operator(_stacked([rep.v for rep, _ in extracted]))) for extracted in reps]
-    return [[_result(model, g1, *value[i]) for g1, value in zip(g1s, values)] for i, model in enumerate(models)]
+    fluxes = [flux_operator(_stacked([rep.v for rep, _ in extracted])) for extracted in reps]
+    results = [_results(models[0].group.order(g1), _pair_values(pairs, x), pairs[3]) for g1, x in zip(g1s, fluxes)]
+    return [list(row) for row in zip(*results)]
 
 
 def conservation_check(model, g1, g2):
@@ -205,6 +221,6 @@ def conservation_check(model, g1, g2):
     physical = thermo_response(model, g1, g2)
     spectrum = transfer_spectrum(model.lpdo, _identity(model.lpdo.d), model.action(g2).ua)
     value, gap = _pair_value(model.lpdo, spectrum, flux_operator(rep1.v), f"for {g2!r} on the ancilla")
-    ancilla = _result(model, g1, value, gap)
+    ancilla = _results(model.group.order(g1), value, gap)[0]
     residual = abs(total - physical.value * ancilla.value)
     return float(residual), total, physical, ancilla

@@ -36,7 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NearDefectiveError, UndefinedExponentError, ValidationError
-from .numerics import CLUSTER_TOL, ScaledPowers, _identity, _ring_size, _stacked, _whole, _zero_exponents, ldexp, rescale
+from .numerics import (
+    CLUSTER_TOL, ScaledPowers, _cluster_table, _identity, _norms, _ring_size, _stacked, _whole, _zero_exponents, ldexp, rescale,
+)
 from .transfer import build_transfer, build_transfers, transfer_powers, transfer_spectra, transfer_spectrum, twisted_spectrum
 from .response import _leading_pair, _leading_pairs
 
@@ -321,31 +323,18 @@ def decay_channel(model, g2, chi_l, chi_r):
 def _decay_channels(models, g2, chi_l, chi_r):
     """:func:`decay_channel` of each of ``models``, a stack under the stack rule of
     :mod:`weaksym.transfer`: one channel per model; the first model that fails raises
-    its error. Norms and amplitudes are stacked products; only the choice of the
-    channel runs once per model.
+    its error. Norms, amplitudes and their sums per cluster are stacked products;
+    only the choice of the channel runs once per model, on Python numbers.
     """
     lpdos = [model.lpdo for model in models]
     u = models[0].action(g2).u
-    left, right, norm, _ = zip(*_leading_pairs(lpdos, transfer_spectra(lpdos, _identity(lpdos[0].d), None), "of T(1)"))
-    left, right, norm = _stacked(left), _stacked(right), np.array(norm)
+    left, right, norm, _ = _leading_pairs(lpdos, transfer_spectra(lpdos, _identity(lpdos[0].d), None), "of T(1)")
     tl, tr = (_stacked(build_transfers(lpdos, chi, None)) for chi in (chi_l, chi_r))
     envelope = _norms(left) * _norms(tl) * _norms(tr) * _norms(right) / np.hypot(norm.real, norm.imag)
     if not envelope.all():
         raise UndefinedExponentError("string vanishes identically: an endpoint map is zero")
     spectra = [_paired(spectrum, g2) for spectrum in transfer_spectra(lpdos, u, None)]
-    stacks = (left[:, None] @ tl, tr, right, norm)
-    return [
-        _channel(lpdo, u, g2, spectrum, amplitudes, scale, stacks)
-        for lpdo, spectrum, amplitudes, scale in zip(lpdos, spectra, _amplitudes(spectra, *stacks), envelope)
-    ]
-
-
-def _norms(stack):
-    """``np.linalg.norm`` of each array of the stack, bit for bit: the dot products of
-    its real and imaginary parts, as stacked products."""
-    flat = stack.reshape(len(stack), 1, -1)
-    re, im = flat.real, flat.imag
-    return np.sqrt((re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0, 0])
+    return _channels(lpdos, u, g2, spectra, envelope, (left[:, None] @ tl, tr, right, norm))
 
 
 def _paired(spectrum, g2):
@@ -355,43 +344,35 @@ def _paired(spectrum, g2):
     return spectrum
 
 
-def _amplitudes(spectra, start, tr, right, norm):
-    """c_k = (start R_k)(L_k tr right) / norm on the pairs of each spectrum, over stacks of
-    starts L0 T_chiL (k, 1, n), maps T_chiR, right vectors R0 and overlaps L0 R0."""
-    r, l = (_stacked([getattr(s, side) for s in spectra]) for side in ("right_vectors", "left_vectors"))
-    return (start @ r)[:, 0] * ((l @ tr) @ right[:, :, None])[:, :, 0] / norm[:, None]
-
-
-def _channels(spectrum, amplitudes, envelope):
-    """(channels, live): (eigenvalue, amplitude, scale) of each cluster of ``spectrum``,
-    and (eigenvalue, amplitude) of each live one."""
-    channels = [(lam, complex(amplitudes[members].sum()), envelope * condition)
-                for lam, members, condition in spectrum.clusters]
-    return channels, [(lam, c) for lam, c, scale in channels if abs(c) > LIVE_TOL * scale]
-
-
-def _channel(lpdo, u, g2, spectrum, amplitudes, envelope, stacks):
-    """The :class:`DecayChannel` of one model and pair on ``spectrum``, or, when a
-    partial spectrum has no live channel, on the complete one. A partial spectrum is
-    the Krylov path's, so its model is a stack of one, and ``stacks``, those of
-    :func:`_amplitudes`, are its own."""
-    channels, live = _channels(spectrum, amplitudes, envelope)
-    if not live and not spectrum.complete:
-        spectrum = _paired(transfer_spectrum(lpdo, u, complete=True), g2)
-        channels, live = _channels(spectrum, _amplitudes([spectrum], *stacks)[0], envelope)
-    if not live:
-        raise UndefinedExponentError("string vanishes identically: no decay channel is live")
-    floor = max((abs(c) / scale for _, c, scale in channels if abs(c) <= LIVE_TOL * scale), default=0.0)
-    lam0 = abs(spectrum.eigenvalues[0])
-    lam, c = max(live, key=lambda channel: abs(channel[0]))
-    if abs(lam) <= NILPOTENT_TOL * lam0:
-        raise UndefinedExponentError(
-            f"string decays faster than any exponential: its live channel is nilpotent ({abs(lam):.1e})"
-        )
-    return DecayChannel(
-        xi=float(-np.log(abs(lam))),
-        eigenvalue=lam,
-        amplitude=c,
-        floor=float(floor),
-        order_one=bool(abs(abs(lam) - lam0) <= CLUSTER_TOL * lam0),
-    )
+def _channels(lpdos, u, g2, spectra, envelope, stacks):
+    """The :class:`DecayChannel` of each member on its spectrum, or, when a partial spectrum
+    has no live channel, on the complete one; the first member that fails raises. The
+    amplitudes c_k = (start R_k)(L_k tr right) / norm, from ``stacks`` (start, tr, right,
+    norm), and their sums per cluster are stacks; only the choice runs per member."""
+    r, l, _, groups, leaders = _cluster_table(spectra)
+    start, tr, right, norm = stacks
+    amplitudes = (start @ r)[:, 0] * ((l @ tr) @ right[:, :, None])[:, :, 0] / norm[:, None]
+    sums = amplitudes + 0.0  # a cluster of one sums as numpy sums one amplitude: 0 + c
+    for s, i, j in groups:  # larger ones as amplitudes[members].sum() sums them
+        sums[s, i] = amplitudes[s[:, None], j].sum(-1)
+    channels = []
+    for at, (clusters, c, envelope_at) in enumerate(zip(leaders, sums.tolist(), envelope.tolist())):
+        # (modulus, -ln modulus, eigenvalue, amplitude, |amplitude|, scale) of each cluster
+        terms = [(mod, x, lam, c[i], abs(c[i]), envelope_at * condition) for i, lam, mod, x, condition in clusters]
+        live = [term for term in terms if term[4] > LIVE_TOL * term[5]]
+        if not live and not spectra[at].complete:
+            complete = _paired(transfer_spectrum(lpdos[at], u, complete=True), g2)
+            channels += _channels(lpdos[at:at + 1], u, g2, [complete], envelope[at:at + 1], [x[at:at + 1] for x in stacks])
+            continue
+        if not live:
+            raise UndefinedExponentError("string vanishes identically: no decay channel is live")
+        mod, x, lam, amplitude, _, _ = max(live, key=lambda term: term[0])
+        top = terms[0][0]
+        if mod <= NILPOTENT_TOL * top:
+            raise UndefinedExponentError(
+                f"string decays faster than any exponential: its live channel is nilpotent ({mod:.1e})"
+            )
+        floor = max((size / scale for *_, size, scale in terms if size <= LIVE_TOL * scale), default=0.0)
+        order_one = abs(mod - top) <= CLUSTER_TOL * top
+        channels.append(DecayChannel(xi=x, eigenvalue=lam, amplitude=amplitude, floor=floor, order_one=order_one))
+    return channels

@@ -12,7 +12,7 @@ representation; its cocycle data is what the quantized responses measure.
 :func:`extract_virtual_reps` extracts V_g of a stack of tensors, under the
 stack rule of :mod:`weaksym.transfer`: their spectra and leading pairs come
 from its stacked accessors, the polar factors from one stacked SVD, and the
-push-through residuals from one stacked set of products. Each result is bit
+gauges, phases and push-through residuals from stacked products. Each result is bit
 for bit the one its tensor gets alone (:func:`extract_virtual_rep`, the
 stack of one) and is memoised through :func:`weaksym.transfer._memoised`. A
 stack in which an extraction fails raises that tensor's error, as the tensor
@@ -32,8 +32,8 @@ from .errors import (
     NotSymmetricError,
     ValidationError,
 )
-from .numerics import _as_square, _identity, _insertion, _stacked
-from .transfer import _insertions, _memoised, build_transfers, symmetry_gap, transfer_eigenpairs, transfer_spectra
+from .numerics import _as_square, _identity, _insertion, _norms, _stacked
+from .transfer import _insertions, _memoised, build_transfers, symmetry_gaps, transfer_eigenpairs, transfer_spectra
 
 # Tolerances are scale-free: a tensor times c describes the same state and
 # multiplies the leading modulus |lambda_0| of T(1) by |c|^2, so a residual
@@ -156,20 +156,17 @@ def verify_transformation_law(lpdo, act, rep, theta):
     u = _as_square(act.u, "u")
     ua = _as_square(act.ua, "ua")
     v = _insertion(rep.v, "v", "D", lpdo.bond_dim)
-    return _push_through_residuals(lpdo.tensor[None], u, ua, v[None], [theta])[0]
+    return float(_push_through_residuals(lpdo.tensor[None], u, ua, v[None], [theta])[0])
 
 
 def _push_through_residuals(a4, u, ua, v, thetas):
     """The push-through residual of each tensor of the stack a4 (k, d, da, D, D)
-    with its V (v, a stack (k, D, D)) and theta."""
+    with its V (v, a stack (k, D, D)) and theta, as an array (k,)."""
     k, d, da, dv, _ = a4.shape
     # u and ua rotate the outer legs as in transfer._contract; A V^dag is one GEMM per tensor
     lhs = ua @ (u @ a4.reshape(k, d, -1)).reshape(k, d, da, dv * dv)
     flux = v[:, None, None] @ (a4.reshape(k, -1, dv) @ v.conj().transpose(0, 2, 1)).reshape(a4.shape)
-    return [
-        float(np.linalg.norm(left.reshape(flux.shape[1:]) - np.exp(1j * theta) * right))
-        for left, right, theta in zip(lhs, flux, thetas)
-    ]
+    return _norms(lhs.reshape(flux.shape) - np.exp(1j * np.asarray(thetas))[:, None, None, None, None] * flux)
 
 
 def extract_virtual_reps(lpdos, act):
@@ -216,43 +213,44 @@ def _extract_virtual_reps(lpdos, act):
     u, ua, _ = _insertions(act.u, act.ua)
     dv = lpdos[0].bond_dim
     refs = transfer_spectra(lpdos, _identity(lpdos[0].d), None)
-    for ref in refs:
+    lam_ref = _stacked([ref.eigenvalues for ref in refs])[:, 0]
+    scale = [abs(lam) for lam in lam_ref.tolist()]  # |lambda_0| of T(1), as abs() of one complex
+    for ref, gap, top in zip(refs, symmetry_gaps(refs).tolist(), scale):  # inf for D = 1
         if ref.near_defective:
             raise NearDefectiveError("untwisted transfer map is near-defective")
-        gap = symmetry_gap(ref)  # inf for D = 1
-        if gap <= REP_TOL * abs(ref.eigenvalues[0]):
+        if gap <= REP_TOL * top:
             raise DegenerateSpectrumError(f"leading transfer eigenvalue degenerate in modulus (gap {gap:.3e})")
 
     pairs = transfer_eigenpairs(lpdos, act.u, act.ua)
-    lams = [ref.eigenvalues[0] for ref in refs]
-    for (lam, _), lam_ref in zip(pairs, lams):
-        if abs(abs(lam) - abs(lam_ref)) > REP_TOL * abs(lam_ref):
+    lam = np.array([twisted for twisted, _ in pairs])
+    for twisted, top in zip(lam.tolist(), scale):
+        modulus = abs(twisted)
+        if abs(modulus - top) > REP_TOL * top:
             raise NotSymmetricError(
-                f"tensor not symmetric under {act.element!r}: twisted leading modulus "
-                f"{abs(lam):.12f} vs {abs(lam_ref):.12f}"
+                f"tensor not symmetric under {act.element!r}: twisted leading modulus {modulus:.12f} vs {top:.12f}"
             )
 
-    w, _, vh = np.linalg.svd(_stacked([right.reshape(dv, dv).T for _, right in pairs]))
-    vs = []
-    for v in w @ vh:  # nearest unitaries (polar factors)
-        # gauge: largest-modulus entry real positive, first such entry on ties
-        flat = v.ravel()
-        mods = np.abs(flat)
-        pick = int(np.argmax(mods > mods.max() - 1e-12))
-        vs.append(v * (flat[pick].conjugate() / mods[pick]))
-    thetas = [float(np.angle(lam / lam_ref)) for (lam, _), lam_ref in zip(pairs, lams)]
-    a4 = _stacked([lpdo.tensor for lpdo in lpdos])
-    residuals = _push_through_residuals(a4, u, ua, _stacked(vs), thetas)
-    reps = []
-    for v, residual, theta, lam_ref in zip(vs, residuals, thetas, lams):
-        if residual > REP_TOL * abs(lam_ref) ** 0.5:
+    w, _, vh = np.linalg.svd(_stacked([right for _, right in pairs]).reshape(-1, dv, dv).transpose(0, 2, 1))
+    v = w @ vh  # nearest unitaries (polar factors)
+    # gauge: largest-modulus entry real positive, first such entry on ties
+    flat = v.reshape(len(v), -1)
+    mods = np.abs(flat)
+    rows, pick = np.arange(len(v)), (mods > mods.max(1, keepdims=True) - 1e-12).argmax(1)
+    v = v * (flat[rows, pick].conj() / mods[rows, pick])[:, None, None]
+    v.flags.writeable = False
+    quotient = lam / lam_ref
+    thetas = np.arctan2(quotient.imag, quotient.real)  # np.angle's, without its checks
+    residuals = _push_through_residuals(_stacked([lpdo.tensor for lpdo in lpdos]), u, ua, v, thetas)
+    for residual, top in zip(residuals.tolist(), scale):
+        if residual > REP_TOL * top**0.5:
             raise NotSymmetricError(
                 f"extracted representation for {act.element!r} fails the transformation "
                 f"law (residual {residual:.3e})"
             )
-        v.flags.writeable = False
-        reps.append((VirtualRep(element=act.element, v=v, residual=residual), theta))
-    return reps
+    return [
+        (VirtualRep(element=act.element, v=x, residual=residual), theta)
+        for x, residual, theta in zip(v, residuals.tolist(), thetas.tolist())
+    ]
 
 
 def cocycle_commutator(rep1, rep2):

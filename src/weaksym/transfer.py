@@ -216,10 +216,13 @@ def symmetry_gap(spectrum):
     single-eigenvalue spectra have an infinite gap by convention. A partial
     spectrum holds both moduli whole (it never splits a tied cluster).
     """
-    mods = np.abs(spectrum.eigenvalues)
-    if len(mods) < 2:
-        return float("inf")
-    return float(mods[0] - mods[1])
+    return float(symmetry_gaps([spectrum])[0])
+
+
+def symmetry_gaps(spectra):
+    """:func:`symmetry_gap` of each of ``spectra``, spectra of one size, as one array."""
+    mods = np.abs(_stacked([spectrum.eigenvalues for spectrum in spectra]))
+    return mods[:, 0] - mods[:, 1] if mods.shape[1] > 1 else np.full(len(mods), np.inf)
 
 
 def commutant_residual(transfer, rep):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from weaksym import model as model_module
 from weaksym.errors import DimensionMismatchError, ValidationError
 from weaksym.model import (
     KrausChannel,
@@ -55,6 +56,16 @@ def test_aklt_tensor_middle_component():
     a = aklt_tensor()
     np.testing.assert_allclose(a[1], -np.diag([1, -1]) / np.sqrt(3), atol=1e-15)
     assert a.shape == (3, 2, 2)
+
+
+def test_aklt_tensor_is_a_new_writable_array_and_the_family_reads_one_cached_copy(monkeypatch):
+    a, b = aklt_tensor(), aklt_tensor()
+    assert a is not b and a.flags.writeable and np.array_equal(a, b)
+    a[:] = 0  # a caller's copy: the next one and the family are unchanged
+    assert np.array_equal(aklt_tensor(), b)
+    monkeypatch.setattr(model_module, "aklt_tensor", lambda: pytest.fail("build_aklt_model rebuilt A0"))
+    lpdo = build_aklt_model(0.3).lpdo
+    assert lpdo.tensor.tobytes() == dilate(b, aklt_channel(0.3)).tensor.tobytes()
 
 
 def test_aklt_tensor_left_canonical():

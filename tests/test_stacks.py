@@ -19,9 +19,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import dense_reference
 from test_generic import generic_model
 from weaksym import cli, transfer
-from weaksym.errors import GaplessTransferError, NearDefectiveError, NotSymmetricError, UndefinedExponentError, WeaksymError
+from weaksym.errors import (
+    DimensionMismatchError,
+    GaplessTransferError,
+    NearDefectiveError,
+    NotSymmetricError,
+    UndefinedExponentError,
+    WeaksymError,
+)
 from weaksym.model import LpdoTensor, Model, build_aklt_model, save_model, spin1_operators
 from weaksym.numerics import DENSE_MAX_ROWS, spectral_decompose
 from weaksym.response import _thermo_responses, thermo_response
@@ -119,6 +127,47 @@ def test_stacks_of_random_tensors_at_odd_bond_equal_one_tensor_calls():
     assert_stacked_equals_alone(lpdos, insertions, [])
 
 
+def _reference_bits(m):
+    """The one-matrix reference spectrum of m (``dense_reference.spectrum``) as bits."""
+    w, right, left, residual, condition, clusters = dense_reference.spectrum(m)
+    return _bits((w, right, left, residual, condition)), _cluster_bits(clusters)
+
+
+def _cluster_bits(clusters):
+    return [(_bits(lam), members.tolist(), _bits(condition)) for lam, members, condition in clusters]
+
+
+def assert_stacked_spectra_equal_the_reference(maps):
+    for m, spectrum in zip(maps, spectral_decompose(np.stack(maps))):
+        fields = (spectrum.eigenvalues, spectrum.right_vectors, spectrum.left_vectors)
+        measured = _bits(fields + (spectrum.pairing_residual, spectrum.condition_estimate))
+        assert (measured, _cluster_bits(spectrum.clusters)) == _reference_bits(m)
+
+
+def test_stacked_spectra_and_clusters_equal_the_one_matrix_reference_on_the_family():
+    """Every map kind of the 41 models, stacked: its eigenpairs with their layout, the
+    pairing residual, the condition and each cluster (the family has clusters of one,
+    two and three eigenvalues) as one matrix alone gets them."""
+    models = [build_aklt_model(p) for p in np.linspace(0.0, 1.0, 41)]
+    for op, op_a in _family_insertions(models[0]):
+        assert_stacked_spectra_equal_the_reference([build_transfer(_alone(m.lpdo), op, op_a) for m in models])
+
+
+@pytest.mark.parametrize("bond", range(2, 11))
+def test_stacked_spectra_and_clusters_equal_the_one_matrix_reference_on_random_maps(bond):
+    """Seeded dense maps of D^2 = 4 to 100 rows: random ones, and ones whose eigenvalues
+    repeat, in clusters of two and of up to nine, which clusters measure per size."""
+    rng = np.random.default_rng(bond)
+    n = bond * bond
+    maps = list(rng.normal(size=(6, n, n)) + 1j * rng.normal(size=(6, n, n)))
+    for _ in range(4):
+        x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        w = rng.normal(size=n) + 1j * rng.normal(size=n)
+        w[: min(n, 12)] = np.repeat(w[:3], [min(n, 12) - 3, 2, 1])[: min(n, 12)]
+        maps.append(x @ np.diag(rng.permutation(w)) @ np.linalg.inv(x))
+    assert_stacked_spectra_equal_the_reference(maps)
+
+
 def test_a_stacked_spectrum_keeps_the_layout_of_one_matrix_alone():
     """Right vectors are eig's columns picked by one fancy index per matrix, which
     leaves them column-major, as a lone ``r[:, order]`` does; a C-ordered copy
@@ -145,6 +194,7 @@ def test_a_singular_eigenvector_matrix_leaves_the_rest_of_its_stack_alone():
     singular = np.linalg.eig(build_transfer(_alone(lpdos[2]), eye))[1]
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.inv(singular)
+    assert_stacked_spectra_equal_the_reference([build_transfer(_alone(lpdo), eye) for lpdo in lpdos])
     act = SymmetryAction(element="e", u=eye, ua=np.eye(1))
     reps = _isolated(extract_virtual_reps, lpdos, act)
     spectra = _isolated(transfer_spectra, lpdos, eye, None)
@@ -262,6 +312,18 @@ def test_failing_members_leave_the_rest_of_their_stack_alone():
     assert [isinstance(r, GaplessTransferError) for r in responses] == [False, False, True, False, False, False]
     undefined = [[isinstance(c, UndefinedExponentError) for c in row[:2]] for row in channels]
     assert undefined == [[False, False], [False, True], [False, False], [False, False], [True, True], [False, False]]
+
+
+def test_a_stack_of_arrays_of_several_shapes_is_computed_one_member_at_a_time():
+    """Three D = 12 models, whose partial spectra hold different numbers of pairs, break
+    the stack rule: the stack raises DimensionMismatchError naming two of the shapes, and
+    _isolated gives each model its channel alone."""
+    models = [generic_model(p, seed=seed, bond=6)[0] for p, seed in ((0.2, 7), (0.3, 8), (0.8, 9))]
+    s0 = OPS["S_0"]
+    with pytest.raises(DimensionMismatchError, match=r"one shape, got \(\d+,.*\) and \(\d+,.*\)"):
+        _decay_channels(models, "R_z", s0, s0)
+    channels = cli._isolated(lambda stack: _decay_channels(stack, "R_z", s0, s0), models)
+    assert _fields(channels) == [_fields(decay_channel(_fresh(model), "R_z", s0, s0)) for model in models]
 
 
 def _error(compute):
