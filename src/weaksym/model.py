@@ -58,9 +58,14 @@ class LpdoTensor:
     derived from it can be memoised on the instance (``_memo``, read and
     written by :func:`weaksym.transfer._memoised` alone) and never go stale;
     the memo is freed with the instance.
+
+    ``pencil``, None on a bare tensor, is ``(weights, family)`` on a member of a
+    family whose maps are T = sum_k weights[k] T(parts[k]) for ancilla insertions
+    zero on ``cross``, with ``(parts, cross) = family()``.
     """
 
     tensor: np.ndarray
+    pencil: tuple | None = field(default=None, repr=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -130,6 +135,18 @@ def _aklt_tensor():
     a[2] = -np.sqrt(2.0 / 3.0) * np.array([[0, 0], [1, 0]])   # m = +1
     a.flags.writeable = False
     return a
+
+
+@functools.cache
+def _aklt_family():
+    """The parts B_0 (A0 in ancilla slot 0) and B_1 (sum_k K_k A0 in slots 1-3), dilations
+    with unit weights, and the ancilla entries that couple them. Made at a member's first
+    map; a member at noise rate p is sqrt(1-p) B_0 + sqrt(p) B_1."""
+    basis, first = _aklt_kraus_basis(), np.arange(4) == 0
+    parts = tuple(dilate(_aklt_tensor(), KrausChannel(np.where(part[:, None, None], basis, 0))) for part in (first, ~first))
+    cross = first[:, None] != first[None, :]
+    cross.flags.writeable = False
+    return parts, cross
 
 
 @functools.cache
@@ -223,9 +240,10 @@ class Model:
 
 
 def build_aklt_model(p):
-    """Decohered AKLT chain at noise rate p, with its Z2 x Z2 action."""
+    """Decohered AKLT chain at noise rate p, with its Z2 x Z2 action; its maps are
+    (1 - p) T(B_0) + p T(B_1) of the family's parts (:func:`_aklt_family`)."""
     channel = aklt_channel(p)
-    lpdo = dilate(_aklt_tensor(), channel)
+    lpdo = replace(dilate(_aklt_tensor(), channel), pencil=((1.0 - channel.p, channel.p), _aklt_family))
     return Model(lpdo=lpdo, group=aklt_group(), actions=dict(_aklt_actions()), channel=channel)
 
 

@@ -63,9 +63,10 @@ class StringOrderSeries:
     The scale the evaluation carried is kept alongside ``raw``:
     ``raw = mantissa * base**lengths * 2**exponent``, where ``base`` is
     |lambda_0(T(g2))| for a thermodynamic series and 1 on a ring, and
-    ``exponent`` is an integer array (zero in the thermodynamic limit; on a
-    ring of N >= ``numerics.INT64_POWERS`` sites, Python ints in an object
-    array).
+    ``exponent`` is an integer array (in the thermodynamic limit the carried
+    row's, zero unless a power of T(g2)/|lambda_0| left the range of doubles;
+    Python ints in an object array past ``numerics.INT64_POWERS`` lengths or
+    ring sites).
     Where only the envelope is below the range of doubles, ``raw``
     underflows but ``mantissa`` and ``normalized`` do not; above it, ``raw``
     is +-inf and a zero part of the mantissa stays zero.
@@ -115,8 +116,9 @@ def string_order_series(model, g2, chi_l, chi_r, lengths, n_sites=None):
 
     The thermodynamic series carries one boundary row vector from the
     shortest length to the longest, one vector-matrix product per length,
-    on T(g2)/|lambda_0| (:func:`_carried_rows`). A ring series takes T(g2)^l
-    and T(1)^(N-l-2) from the memoised squaring tables of the two maps
+    on T(g2)/|lambda_0| (:func:`_carried_rows`), a jump between two lengths
+    from that step's squaring table, with its binary exponent. A ring series
+    takes T(g2)^l and T(1)^(N-l-2) from the memoised squaring tables of the two maps
     (:func:`~weaksym.transfer.transfer_powers`), stacked across lengths in
     chunks of at most ``MAX_STACK_ENTRIES`` entries per stack. Each power is
     bit-identical to ``np.linalg.matrix_power`` in the normal range, and each
@@ -125,7 +127,7 @@ def string_order_series(model, g2, chi_l, chi_r, lengths, n_sites=None):
     set of powers, bit for bit as one call per pair.
 
     ``normalized`` divides out the uniform-charge envelope: |lambda_0(T(g2))|^l
-    in the thermodynamic limit, where the carried mantissa is already the
+    in the thermodynamic limit, where the carried row is already the
     normalized value, and |Tr[rho U_g2]|^{l/N} = |Tr T(g2)^N|^{l/N} on a ring,
     taken from the table the series uses. Both work on the carried scale, not
     on ``raw``, so neither the envelope nor the string underflows. Raises
@@ -157,20 +159,22 @@ def _string_series(model, g2, endpoints, lengths, n_sites=None):
     if base == 0.0:
         raise ZeroDivisionError("leading twisted eigenvalue vanishes; normalization undefined")
     step = build_transfer(lpdo, u2) / base
+    powers = ScaledPowers(step)
     distinct, where = np.unique(lengths, return_inverse=True)
     distinct = distinct.tolist()
     with np.errstate(over="ignore"):
         scale = base ** lengths.astype(float)
     values = []
     for tl, tr in maps:
-        mantissa = ((_carried_rows(left @ tl, step, distinct) @ (tr @ right)) / norm)[where]
+        rows, exponent = _carried_rows(left @ tl, step, powers, distinct)
+        mantissa, exponent = ((rows @ (tr @ right)) / norm)[where], exponent[where]
         with np.errstate(over="ignore", invalid="ignore"):
             raw = mantissa * scale
         # past the double range base**l is inf, and a zero part of the mantissa
         # times inf is nan: that part stays zero, as the ring's ldexp keeps it
         for part, m in ((raw.real, mantissa.real), (raw.imag, mantissa.imag)):
             np.copyto(part, m, where=np.isnan(part) & (m == 0))
-        values.append((raw, mantissa, mantissa.copy(), np.zeros(len(lengths), dtype=int)))
+        values.append((ldexp(raw, exponent), ldexp(mantissa, exponent), mantissa, exponent))
     return _series(lengths, None, base, values)
 
 
@@ -250,17 +254,21 @@ def _string_lengths(lengths, n_sites):
     return lengths, n_sites
 
 
-def _carried_rows(x, step, lengths):
-    """Rows x step^l for increasing lengths l >= 0, each carried from the one
-    before and written in place: bit for bit the rows of ``x = x @ step``.
+def _carried_rows(x, step, powers, lengths):
+    """(rows, exponents): x step^l = row * 2**exponent for increasing lengths l >= 0,
+    each row carried from the one before and written in place, bit for bit the
+    rows of ``x = x @ step`` while their exponents are 0.
 
-    A jump of several lengths multiplies by ``matrix_power(step, jump)``.
+    A jump of several lengths multiplies by the jump's power from ``powers``,
+    the :class:`~weaksym.numerics.ScaledPowers` table of ``step``, and adds its
+    binary exponent to the row's: no product overflows, even where step^l does.
     Once one step leaves a row unchanged bit for bit (a row that has
     underflowed to zeros), every further single step would too, so
     when the remaining lengths are consecutive the rest of the rows are that
     row, and no product is formed.
     """
     rows = np.empty((len(lengths), len(x)), dtype=complex)
+    exponents = _zero_exponents(len(lengths), max(lengths, default=0))
     at = 0
     last = len(lengths) - 1
     for i, (l, row) in enumerate(zip(lengths, rows)):
@@ -270,11 +278,13 @@ def _carried_rows(x, step, lengths):
                 rows[i + 1:] = row
                 break
         elif l > at:
-            x.dot(np.linalg.matrix_power(step, l - at), out=row)
+            mantissa, shift = powers.power(l - at)
+            x.dot(mantissa, out=row)
+            exponents[i:] += shift
         else:  # l = 0
             row[:] = x
         x, at = row, l
-    return rows
+    return rows, exponents
 
 
 def _ring_traces(tl, m2, tr, m1):

@@ -16,8 +16,8 @@ the conservation law.
 For D > 2 the map is one matrix product, O(d da D^4) work: the ket layer is
 rotated by O and O_a, then contracted against conj(A) reshaped to
 (d da) x D^2. For D <= 2 it is the einsum of the formula above, which
-differs from the product in the last bits and so keeps the built-in AKLT
-family's outputs bit-stable.
+differs from the product in the last bits (deleting it turns the exact zeros
+of the built-in family's parts into roundoff).
 
 Spectra and eigenpairs come from :mod:`weaksym.numerics`, dense or by
 Krylov iteration on the size of the map; a large map gets only its leading
@@ -30,8 +30,14 @@ when its map is built, not on each lookup.
 The maps, spectra and leading pairs also come in stacks:
 :func:`build_transfers`, :func:`transfer_spectra` and
 :func:`transfer_eigenpairs` take a sequence of tensors and compute the memo
-misses among them as one stack: one einsum or GEMM, its insertions checked
+misses among them as one stack: one contraction, its insertions checked
 once, and one stacked LAPACK call.
+
+A family member's maps (``LpdoTensor.pencil``: every built-in model) are a
+combination of its family's part maps, (1 - p) T(B_0) + p T(B_1), taken
+entry by entry, the parts contracted once per process and insertion. Only an
+ancilla insertion that couples two parts (cross terms) contracts the member's
+tensor; a bare tensor of the same bytes is contracted, to about 1e-16 the same.
 
 The stack rule: the tensors of a stack are one model family, of one shape,
 one group and one set of actions, and a stack holds more than one tensor
@@ -102,7 +108,8 @@ def _contract(a4, op, op_a):
 
 def build_transfers(lpdos, op, op_a):
     """:func:`build_transfer` of each of ``lpdos``, a stack under the module's stack rule:
-    the misses as one contraction, the insertions checked once against the stack's d and da.
+    the misses as one contraction, or the family members among them as one combination of
+    their parts' maps, the insertions checked once against the stack's d and da.
 
     Raises the error of the first map that cannot be built.
     """
@@ -112,9 +119,29 @@ def build_transfers(lpdos, op, op_a):
         _insertion(op, "op", "d", stack[0].d)
         if op_a is not None:
             _insertion(op_a, "op_a", "da", stack[0].da)
-        return list(_contract(_stacked([lpdo.tensor for lpdo in stack]), op, op_a))
+        # a member's map combines its family's part maps, unless op_a has an entry
+        # between two parts' slots (``family()[1]``), whose cross terms no part map holds
+        members = [lpdo for lpdo in stack if lpdo.pencil is not None]
+        if not members or (op_a is not None and np.any(op_a[members[0].pencil[1]()[1]])):
+            return list(_contract(_stacked([lpdo.tensor for lpdo in stack]), op, op_a))
+        bare = [lpdo.tensor for lpdo in stack if lpdo.pencil is None]
+        combined, contracted = iter(_combined(members, op, op_a)), iter(_contract(_stacked(bare), op, op_a) if bare else ())
+        return [next(contracted if lpdo.pencil is None else combined) for lpdo in stack]
 
     return _memoised(lpdos, ("transfer",) + key, build)
+
+
+def _combined(members, op, op_a):
+    """Family members' maps, sum_k weights[k] T_k of their parts' memoised maps T_k,
+    read-only: real and imaginary parts entry by entry, so no map depends on its stack."""
+    weights = np.array([lpdo.pencil[0] for lpdo in members]).T[:, :, None, None]
+    parts = [part.view(float) for part in build_transfers(members[0].pencil[1]()[0], op, op_a)]
+    maps = weights[0] * parts[0]
+    for weight, part in zip(weights[1:], parts[1:]):
+        maps += weight * part
+    maps = maps.view(complex)
+    maps.flags.writeable = False
+    return list(maps)
 
 
 def build_transfer(lpdo, op, op_a=None):

@@ -8,6 +8,7 @@ batching: one Python-level product per factor, with a range check on one
 matrix at a time.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 from test_generic import generic_model
 from weaksym import numerics, stringorder
 from weaksym.errors import ValidationError
-from weaksym.model import build_aklt_model, spin1_operators
+from weaksym.model import LpdoTensor, build_aklt_model, spin1_operators
 from weaksym.numerics import ScaledPowers, ldexp, rescale
 from weaksym.stringorder import string_order_series
 from weaksym.transfer import build_transfer
@@ -329,8 +330,9 @@ def test_carried_rows_match_the_vector_recurrence(n):
                 x = x @ (step if l == at + 1 else np.linalg.matrix_power(step, l - at))
             at = l
             expected.append(x)
-        rows = stringorder._carried_rows(start, step, lengths)
-        assert rows.shape == (len(lengths), n)
+        rows, exponents = stringorder._carried_rows(start, step, ScaledPowers(step), lengths)
+        assert rows.shape == exponents.shape + (n,) == (len(lengths), n)
+        assert not exponents.any()
         assert np.array_equal(rows, np.reshape(expected, rows.shape))
 
 
@@ -389,14 +391,19 @@ def test_exponents_keep_int64_below_the_bound(count):
 def test_ring_series_past_int64_exponents_match_on_both_paths():
     """A ring of N = 2^63 - 1 sites: T(R_z)^l has a binary exponent near
     -1.0e19 at p = 0.6. One length takes the loop, sixteen the stacked path;
-    both give the normalized value of the same string at N = 10^6."""
-    model = build_aklt_model(0.6)
+    both give the same value, within two ulps of the same string at N = 10^6.
+    On a bare tensor of the member's bytes, whose maps are contracted, all
+    three values are one double."""
+    member = build_aklt_model(0.6)
     sy = OPS["S_y"]
     n_sites = 2**63 - 1
-    one = string_order_series(model, "R_z", sy, sy, [n_sites - 2], n_sites=n_sites)
-    many = string_order_series(model, "R_z", sy, sy, range(n_sites - 17, n_sites - 1), n_sites=n_sites)
-    small = string_order_series(model, "R_z", sy, sy, [10**6 - 2], n_sites=10**6)
-    assert one.exponent.dtype == many.exponent.dtype == object
-    assert one.exponent[0] < -(2**63)
-    assert one.normalized[0] == many.normalized[-1] == small.normalized[0]
-    assert one.raw[0] == 0 and np.all(np.isfinite(many.normalized))
+    for model in (member, dataclasses.replace(member, lpdo=LpdoTensor(member.lpdo.tensor))):
+        one = string_order_series(model, "R_z", sy, sy, [n_sites - 2], n_sites=n_sites)
+        many = string_order_series(model, "R_z", sy, sy, range(n_sites - 17, n_sites - 1), n_sites=n_sites)
+        small = string_order_series(model, "R_z", sy, sy, [10**6 - 2], n_sites=10**6)
+        assert one.exponent.dtype == many.exponent.dtype == object
+        assert one.exponent[0] < -(2**63)
+        assert one.normalized[0] == many.normalized[-1]
+        assert abs(one.normalized[0] - small.normalized[0]) <= 2 * np.spacing(abs(small.normalized[0]))
+        assert one.raw[0] == 0 and np.all(np.isfinite(many.normalized))
+    assert one.normalized[0] == small.normalized[0]

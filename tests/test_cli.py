@@ -761,8 +761,9 @@ def _per_value_csv(series):
     ids=["thermo-underflowed", "ring-1200"],
 )
 def test_string_csv_equals_the_per_value_rendering(capsys, p, l_max, n_sites):
-    """Every row equals _fmt of each value, also from l = 48 on, where S_y's
-    thermodynamic mantissa is mostly underflowed to exact signed zeros."""
+    """Every row equals _fmt of each value, also from l = 50 on, where S_y's
+    thermodynamic mantissa is mostly underflowed to exact signed zeros (from
+    l = 48 on a bare tensor of the same bytes, whose maps are contracted)."""
     ring = [] if n_sites is None else ["--sites", str(n_sites)]
     code, out, err = run(capsys, "string", "--p", p, "--g2", "R_z", "--chi", "sy", "--l-max", str(l_max), *ring)
     assert code == 0 and err == ""
@@ -773,9 +774,13 @@ def test_string_csv_equals_the_per_value_rendering(capsys, p, l_max, n_sites):
     assert lines[1:-1] == _per_value_csv(series)
     assert lines[-1].startswith("# xi=")
     if n_sites is None:
-        zero = series.mantissa[48:] == 0
-        assert series.mantissa[47] != 0 and zero[:4].all() and zero.sum() > 1500
-        assert {"0", "-0"} <= {value for row in lines[49:-1] for value in row.split(",")[1:]}
+        zero = series.mantissa[50:] == 0
+        assert series.mantissa[49] != 0 and zero[:4].all() and zero.sum() > 1500
+        assert {"0", "-0"} <= {value for row in lines[51:-1] for value in row.split(",")[1:]}
+        model = build_aklt_model(float(p))
+        bare = string_order_series(replace(model, lpdo=LpdoTensor(model.lpdo.tensor)), "R_z", sy, sy, range(l_max + 1))
+        zero = bare.mantissa[48:] == 0
+        assert bare.mantissa[47] != 0 and zero[:4].all() and zero.sum() > 1500
 
 
 def test_sweep_csv_equals_the_per_value_rendering(capsys):
@@ -897,6 +902,22 @@ def test_string_lengths_past_int64_are_refused(capsys):
     assert code == 0 and out.splitlines()[1] == f"{2**63 - 1},0,0,0,0"
 
 
+@pytest.mark.parametrize("length", [2**60, 2**63 - 1], ids=["2^60", "2^63-1"])
+def test_thermodynamic_strings_at_huge_lengths_print_no_nan(capsys, length):
+    """T(R_z)/|lambda_0| has spectral radius 1 up to one ulp. Its power for a jump
+    to l once overflowed inside the product, and inf * 0 printed nan with numpy's
+    overflow warning, in 12 of these 164 probes at 2^60 and 100 at 2^63 - 1. The
+    carried row keeps its binary exponent, so none prints nan or warns."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in np.linspace(0.0, 1.0, 41):
+            for chi in ("sx", "sy", "sz", "s0"):
+                argv = ["--p", repr(float(p)), "--g2", "R_z", "--chi", chi, "--l-min", str(length), "--l-max", str(length)]
+                code, out, err = run(capsys, "string", *argv)
+                assert (code, err) == (0, ""), argv
+                assert "nan" not in out.splitlines()[1], argv
+
+
 def test_ring_strings_past_int64_sites_are_refused(capsys):
     """N - 2 - l passes int64 at N = 10^20; it once ended in an OverflowError
     traceback. The largest ring taken, N = 2^63 - 1, prints values that
@@ -938,8 +959,10 @@ def test_a_sweep_whose_raw_ring_values_overflow_prints_nothing_on_stderr(capsys)
 def test_ring_strings_with_exponents_past_int64_print_their_value(capsys, l_min):
     """At N = 2^63 - 1 and p = 0.6, T(R_z)^l has a binary exponent near -1.0e19.
     One length (the per-length loop) ended in an OverflowError traceback, and
-    sixteen (the stacked path) did too. Both print the normalized value of
-    the same string at N = 10^6."""
+    sixteen (the stacked path) did too. Both print the same row, whose
+    normalized value is within two ulps of the string's at N = 10^6 and one of
+    the closed form -16/225 (bit for bit the N = 10^6 value when the maps are
+    contracted, tests/test_batched_powers.py)."""
     n_sites = 2**63 - 1
     argv = ["string", "--p", "0.6", "--g2", "R_z", "--chi", "sy", "--sites", str(n_sites)]
     code, out, err = run(capsys, *argv, "--l-min", str(l_min), "--l-max", str(n_sites - 2))
@@ -947,8 +970,11 @@ def test_ring_strings_with_exponents_past_int64_print_their_value(capsys, l_min)
     rows = out.splitlines()[1:-1]
     assert len(rows) == n_sites - 1 - l_min
     _, small, _ = run(capsys, *argv[:-1], str(10**6), "--l-min", str(10**6 - 2), "--l-max", str(10**6 - 2))
-    assert rows[-1] == f"{n_sites - 2},-0,0,-0.071111111111111083,0"
-    assert rows[-1].split(",")[1:] == small.splitlines()[1].split(",")[1:]
+    assert rows[-1] == f"{n_sites - 2},-0,0,-0.071111111111111125,0"
+    huge, small = rows[-1].split(",")[1:], small.splitlines()[1].split(",")[1:]
+    assert huge[:2] + huge[3:] == small[:2] + small[3:]
+    ulp = np.spacing(16 / 225)
+    assert abs(float(huge[2]) - float(small[2])) <= 2 * ulp and abs(float(huge[2]) + 16 / 225) <= ulp
 
 
 @pytest.mark.parametrize(

@@ -62,7 +62,13 @@ def _bits(value):
 
 
 def _alone(lpdo):
-    """A fresh tensor with the same entries: nothing it reads comes from a stack."""
+    """A fresh tensor with the same entries, a member of the same family if ``lpdo``
+    is one (``LpdoTensor.pencil``): nothing it reads comes from a stack."""
+    return dataclasses.replace(lpdo)
+
+
+def _bare(lpdo):
+    """A fresh tensor with the same entries and no family: its maps are contracted."""
     return LpdoTensor(lpdo.tensor)
 
 
@@ -80,6 +86,9 @@ def assert_stacked_equals_alone(lpdos, insertions, actions):
         ):
             values = _isolated(stacked, lpdos, op, op_a)
             assert [_bits(v) for v in values] == [_bits(one(_alone(lpdo), op, op_a)) for lpdo in lpdos]
+            if stacked is build_transfers:  # a member's map is its family's combination, to 1e-15 the contraction
+                for lpdo, value in zip(lpdos, values):
+                    np.testing.assert_allclose(value, build_transfer(_bare(lpdo), op, op_a), rtol=0, atol=1e-15)
             # the values are stored: a second stacked call and the one-tensor calls hit them
             assert all(a is b for a, b in zip(_isolated(stacked, lpdos, op, op_a), values))
             assert all(one(lpdo, op, op_a) is v for lpdo, v in zip(lpdos, values))

@@ -8,6 +8,7 @@ import pytest
 from test_generic import generic_model
 from weaksym.errors import DimensionMismatchError, UndefinedExponentError, ValidationError
 from weaksym.model import LpdoTensor, Model, build_aklt_model, spin1_operators
+from weaksym.numerics import ScaledPowers
 from weaksym.response import thermo_response
 from weaksym.stringorder import _carried_rows, _string_series, decay_channel, string_order_series
 from weaksym.symmetry import GroupTable, SymmetryAction, endpoint_charge
@@ -466,7 +467,8 @@ def test_carried_rows_fill_the_zero_tail_bit_for_bit(alpha):
     step = build_transfer(lpdo, model.action("R_z").u) / abs(twisted_spectrum(model, "R_z").eigenvalues[0])
     x = left @ build_transfer(lpdo, OPS[alpha])
     lengths = list(range(2001))
-    rows = _carried_rows(x, step, lengths)
+    rows, exponents = _carried_rows(x, step, ScaledPowers(step), lengths)
+    assert exponents.dtype == np.int64 and not exponents.any()
     expected = _carried_reference(x, step, lengths)
     assert rows.tobytes() == expected.tobytes()
     zero = ~expected.view(float).any(axis=1)
@@ -479,7 +481,8 @@ def test_carried_rows_do_not_fill_across_a_gap():
     x = np.array([1.0, 1.0], dtype=complex)
     step = np.array([[1.0, 0.0], [1e-17, 1.0]], dtype=complex)
     lengths = [0, 1, 2, 101, 102, 103]
-    rows = _carried_rows(x, step, lengths)
+    rows, exponents = _carried_rows(x, step, ScaledPowers(step), lengths)
+    assert exponents.dtype == np.int64 and not exponents.any()
     expected = _carried_reference(x, step, lengths)
     assert rows.tobytes() == expected.tobytes()
     assert rows[2].tobytes() == rows[1].tobytes() and rows[3].tobytes() != rows[2].tobytes()
@@ -491,6 +494,7 @@ def test_carried_rows_without_a_repeat_match_the_recurrence():
     step /= abs(np.linalg.eigvals(step)).max()
     x = rng.normal(size=4) + 1j * rng.normal(size=4)
     lengths = [0, *range(3, 300)]
-    rows = _carried_rows(x, step, lengths)
+    rows, exponents = _carried_rows(x, step, ScaledPowers(step), lengths)
+    assert exponents.dtype == np.int64 and not exponents.any()
     assert rows.tobytes() == _carried_reference(x, step, lengths).tobytes()
     assert all(a.tobytes() != b.tobytes() for a, b in zip(rows, rows[1:]))

@@ -4,7 +4,7 @@ import pytest
 from test_numerics import power_trace
 from test_stringorder import flip_model
 from weaksym.errors import DimensionMismatchError, ValidationError
-from weaksym.model import build_aklt_model
+from weaksym.model import LpdoTensor, build_aklt_model
 from weaksym.numerics import PAIRING_TOL, spectral_decompose
 from weaksym.oracle import expectation
 from weaksym.response import flux_response
@@ -38,13 +38,16 @@ def tz_expected(p):
 
 @pytest.mark.parametrize("p", [0.0, 0.2, 0.5, 0.75, 1.0])
 def test_bond_two_transfer_is_the_einsum_bit_for_bit(p):
-    """At D = 2 every AKLT T(u, None), T(u, ua) and T(1, ua) is the einsum's array.
+    """At D = 2 every T(u, None), T(u, ua) and T(1, ua) of a bare tensor with the
+    bytes of an AKLT member is the einsum's array.
 
-    The built-in family's outputs are byte-stable because D <= 2 keeps this
-    contraction; a matrix-product build differs in the last bits.
+    D <= 2 keeps this contraction, which the family's part tensors and D <= 2
+    model files take; a matrix-product build differs in the last bits. (A member
+    itself gets its family's combination, tests/test_stacks.py.)
     """
     model = build_aklt_model(p)
-    a4 = model.lpdo.tensor
+    lpdo = LpdoTensor(model.lpdo.tensor)
+    a4 = lpdo.tensor
     eye = np.eye(3, dtype=complex)
     for g in model.group.labels:
         act = model.action(g)
@@ -53,7 +56,7 @@ def test_bond_two_transfer_is_the_einsum_bit_for_bit(p):
                 t = np.einsum("ji,jamn,iapq->mpnq", op, a4.conj(), a4)
             else:
                 t = np.einsum("ji,ba,jbmn,iapq->mpnq", op, op_a, a4.conj(), a4)
-            assert np.array_equal(build_transfer(model.lpdo, op, op_a), t.reshape(4, 4))
+            assert np.array_equal(build_transfer(lpdo, op, op_a), t.reshape(4, 4))
 
 
 def test_untwisted_matrix_entrywise():
