@@ -54,8 +54,14 @@ _ROW_ERRORS = (WeaksymError, np.linalg.LinAlgError, ZeroDivisionError)
 
 _CHI_BUILTIN = {"s0": "S_0", "sx": "S_x", "sy": "S_y", "sz": "S_z"}
 # A sweep builds the models of this many rows at a time and computes each
-# quantity of their rows as one stack (_chunk_rows).
-SWEEP_CHUNK = 32
+# quantity of their rows as one stack (_chunk_rows). A chunk costs about
+# 1.5 ms plus 0.15 ms a row. A 1,001-row off-grid sweep (2-vCPU x86-64, one
+# BLAS thread, median of 12, tracemalloc peak) by rows per chunk:
+#   32: 223 ms, 1.31 MB; 64: 184 ms, 1.84 MB; 128: 170 ms, 2.84 MB;
+#   256: 159 ms, 4.88 MB; 1024: 159 ms, 17.4 MB.
+# A family with larger maps (sweep --model, ROADMAP item 11) will need a
+# chunk that shrinks with the map size.
+SWEEP_CHUNK = 256
 
 
 class _Parser(argparse.ArgumentParser):
@@ -145,7 +151,9 @@ def _resolve_chi(spec, dim):
 # --- sweep -------------------------------------------------------------------
 
 def _sweep_rows(p_values, n_sites, length):
-    """The row of each p, ``SWEEP_CHUNK`` models at a time, each chunk released after its rows."""
+    """The row of each p, ``SWEEP_CHUNK`` models at a time, each chunk released after its rows:
+    a sweep of up to ``SWEEP_CHUNK`` rows is one stack, and its refused rows are
+    told apart by halving it (:func:`_isolated`)."""
     rows = []
     for at in range(0, len(p_values), SWEEP_CHUNK):
         chunk = p_values[at : at + SWEEP_CHUNK]
@@ -189,16 +197,18 @@ def _chunk_rows(p_values, models, n_sites, length):
 
 def _isolated(compute, models):
     """``compute(models)``, one value per model; if that stack raises one of
-    ``_ROW_ERRORS``, each model's value alone, or the error it raises alone.
+    ``_ROW_ERRORS``, the values of its two halves, each isolated the same way,
+    down to a model alone, whose value is the error it raises.
 
-    This is the only place a stack's error is caught. A model alone gets its
-    stacked value bit for bit, so a chunk with a failing row costs one more
-    pass, row by row, of the one quantity that failed.
+    This is the only place a stack's error is caught. A model gets its value
+    bit for bit in any stack, so halving changes no value; a stack of k rows
+    with one failing row costs 2 ceil(log2 k) + 1 calls of ``compute``.
     """
     try:
         return compute(models)
     except _ROW_ERRORS as exc:
-        return [exc] if len(models) == 1 else [_isolated(compute, [model])[0] for model in models]
+        half = len(models) // 2
+        return _isolated(compute, models[:half]) + _isolated(compute, models[half:]) if half else [exc]
 
 
 def _flagged(outcome, undefined):

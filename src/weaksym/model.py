@@ -243,7 +243,8 @@ def build_aklt_model(p):
     """Decohered AKLT chain at noise rate p, with its Z2 x Z2 action; its maps are
     (1 - p) T(B_0) + p T(B_1) of the family's parts (:func:`_aklt_family`)."""
     channel = aklt_channel(p)
-    lpdo = replace(dilate(_aklt_tensor(), channel), pencil=((1.0 - channel.p, channel.p), _aklt_family))
+    tensor = np.einsum("aij,jxy->iaxy", channel.kraus, _aklt_tensor())
+    lpdo = LpdoTensor(tensor, pencil=((1.0 - channel.p, channel.p), _aklt_family))
     return Model(lpdo=lpdo, group=aklt_group(), actions=dict(_aklt_actions()), channel=channel)
 
 

@@ -25,8 +25,8 @@ clusters (:func:`_cluster_table`) as array operations over it. Each result is
 bit for bit the one its matrix gets alone, the memory layout of its vectors
 included. A stack in which some eigenvector matrix has no inverse is
 inverted again one matrix at a time. An ``eig`` that fails
-on a stack raises for the whole stack; a sweep then computes the rows of that
-stack again one at a time (:func:`weaksym.cli._isolated`). Arnoldi runs one
+on a stack raises for the whole stack; a sweep then halves that stack down
+to its failing rows (:func:`weaksym.cli._isolated`). Arnoldi runs one
 map at a time; under the stack rule of :mod:`weaksym.transfer` the package
 stacks only maps of the dense path, so a Krylov-size map comes alone.
 

@@ -49,8 +49,8 @@ checks none of it. Each result is stored in its own tensor's memo, bit
 for bit the value that tensor gets alone; the one-tensor accessors are the
 stacks of one. A stack raises the error of its first tensor that fails and
 stores nothing under its key; what it read before stays stored. Telling
-which tensor failed is the caller's business (a sweep computes the rows of a
-failing stack again one at a time, :func:`weaksym.cli._isolated`).
+which tensor failed is the caller's business (a sweep halves a failing
+stack down to its failing rows, :func:`weaksym.cli._isolated`).
 """
 
 import numpy as np

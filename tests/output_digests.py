@@ -15,11 +15,13 @@ warning is masked, since paths and line numbers differ between checkouts.
 The calls are the 110 of ``BENCH_27.json`` (``outputs.calls``): sweeps,
 strings, responses and ``verify`` on the built-in family, and on the model
 files ``D6-p0.3.json`` ... ``D12-p0.7.json`` that ``bench/genmodel.py``
-writes. Then ``verify all --model``, ``string --chi s0|sy`` and
-``response --g1 R_x|R_y`` (with and without ``--sites 7``) on models of the
-tests' seeded generator (``test_generic.generic_model`` at p = 0.3) at
-D = 6, 12 and 16. Not collected by pytest: the name does not start with
-``test_``. It takes a few seconds.
+writes; the on-grid CSV sweeps of 257 and 1,001 rows, which cross 256-row
+stacks with refused rows inside them; then ``verify all --model``,
+``string --chi s0|sy`` and ``response --g1 R_x|R_y`` (with and without
+``--sites 7``) on models of the tests' seeded generator
+(``test_generic.generic_model`` at p = 0.3) at D = 6, 12 and 16: 133 calls.
+Not collected by pytest: the name does not start with ``test_``. It takes
+a few seconds.
 """
 
 import contextlib
@@ -57,6 +59,7 @@ SWEEPS = [
 ]
 CALLS = [
     *(f"sweep {sweep} --format {fmt}".replace("  ", " ") for fmt in ("csv", "json") for sweep in SWEEPS),
+    *(f"sweep --p-min 0 --p-max 1 --steps {steps} --format csv" for steps in (257, 1001)),
     "sweep --p 0.5 --sites 3 --string-length 1",
     "sweep --p 0.25",
     "sweep --p 1",

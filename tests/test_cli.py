@@ -1031,15 +1031,17 @@ def _at_one_and_two_blas_threads(argv):
         (["sweep", "--p-min", "0", "--p-max", "1", "--steps", "5"], 6),
         (["sweep", "--p-min", "0.0105", "--p-max", "0.9874", "--steps", "96", "--format", "json"], 96 * 13),
         (["sweep", "--p-min", "0", "--p-max", "1", "--steps", "33"], 34),
+        (["sweep", "--p-min", "0", "--p-max", "1", "--steps", str(cli.SWEEP_CHUNK + 1)], cli.SWEEP_CHUNK + 2),
         (["verify", "oracle"], 4),
     ],
-    ids=["sweep-21", "sweep-5", "sweep-96-json", "sweep-33", "verify-oracle"],
+    ids=["sweep-21", "sweep-5", "sweep-96-json", "sweep-33", "sweep-chunk-plus-one", "verify-oracle"],
 )
 def test_shared_series_bytes_do_not_depend_on_the_blas_thread_count(argv, lines):
     """A sweep row evaluates S_x and S_y, and the oracle check S_0, S_x and S_y,
     as one series each; a sweep's rows share stacked maps, spectra, pairs,
-    representations, rings, decay channels and responses (sweep-33 ends in a
-    stack of one). Their output must not change with the BLAS threads."""
+    representations, rings, decay channels and responses (sweep-chunk-plus-one
+    has refused rows inside a full chunk and ends in a stack of one). Their
+    output must not change with the BLAS threads."""
     one, two = _at_one_and_two_blas_threads(argv)
     assert one == two
     assert one[0] == 0 and one[1].count(b"\n") >= lines

@@ -7,8 +7,8 @@ value must equal the one its tensor gets alone (a fresh ``LpdoTensor``, so
 nothing is read from the stacked memo), and a sweep's bytes must not depend on
 which rows share a stack. A stack with a member that fails raises that
 member's error; the stacked calls here go through ``cli._isolated``, which
-then computes each member alone, so a failing member must not change the
-others.
+then halves the stack down to each failing member alone, so a failing member
+must not change the others.
 """
 
 import dataclasses
@@ -377,6 +377,51 @@ def test_a_stack_with_one_tensor_that_is_not_symmetric_raises_its_error():
     assert stacked[0] is NotSymmetricError
     # the stack stored no representation, not even for the members that pass
     assert not any(key[0] == "rep" for m in models for key in m.lpdo._memo)
+
+
+def _counted(compute):
+    """``compute`` and the sizes of the stacks it is called with, one per call."""
+    sizes = []
+
+    def counting(stack, *args):
+        sizes.append(len(stack))
+        return compute(stack, *args)
+
+    return counting, sizes
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 33, 101, 256])
+def test_isolating_one_failing_row_halves_its_stack(k):
+    """Wherever the failing row sits, a stack of k rows costs at most
+    2 ceil(log2 k) + 1 calls, each row gets its own value and the failing row its
+    own error; a stack with no failing row costs one call."""
+    bound = 2 * (k - 1).bit_length() + 1
+    for bad in [*range(k), None]:
+        error = ZeroDivisionError(bad)
+
+        def values(stack):
+            if bad in stack:
+                raise error
+            return [row + 0.5 for row in stack]
+
+        compute, sizes = _counted(values)
+        outcome = cli._isolated(compute, list(range(k)))
+        assert outcome == [error if row == bad else row + 0.5 for row in range(k)]
+        assert (sizes == [k]) if bad is None else (len(sizes) <= bound)
+
+
+def test_a_sweep_isolates_its_gapless_row_in_logarithmically_many_stacks(monkeypatch):
+    """The 101 rows of ``sweep --steps 101`` are one stack, and only p = 1/2 refuses
+    its responses: at most 2 ceil(log2 101) + 1 = 15 stacks of responses. Without
+    that row they are one stack."""
+    compute, sizes = _counted(cli._thermo_responses)
+    monkeypatch.setattr(cli, "_thermo_responses", compute)
+    rows = cli._sweep_rows([i / 100 for i in range(101)], 200, 50)
+    assert [row["p"] for row in rows if "gapless_thermo" in row["flags"]] == [0.5]
+    assert sizes[0] == 101 and len(sizes) <= 15
+    sizes.clear()
+    cli._sweep_rows([i / 100 for i in range(101) if i != 50], 200, 50)
+    assert sizes == [100]
 
 
 # --- sweeps -------------------------------------------------------------------
