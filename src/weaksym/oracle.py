@@ -23,10 +23,11 @@ cut the same way, and the overlap with |psi> over every physical and
 ancilla index traces the ancillas. :func:`expectation` sums that overlap at
 the two cuts or through the state, whichever costs less (Pfeifer, Haegeman &
 Verstraete, PRE 90, 033315 (2014)): the cuts on every built-in ring, the
-state for a wide bond on a short ring. Neither the density matrix nor the
-Kronecker-product operator is formed. Every dense array is bounded by
-``MAX_AMPLITUDES`` entries and refused with :class:`SizeGuardError` before it
-is allocated.
+state for a wide bond on a short ring. At the cuts, each distinct half of
+the lists' rings is contracted and overlapped with psi's once per call.
+Neither the density matrix nor the Kronecker-product operator is formed.
+Every dense array is bounded by ``MAX_AMPLITUDES`` entries and refused with
+:class:`SizeGuardError` before it is allocated.
 """
 
 import numpy as np
@@ -65,11 +66,19 @@ def _ring_halves(seam, sites):
     (a, b) at the two cuts. L starts from the seam and holds the first
     ceil(N/2) sites.
     """
-    dv = seam.shape[0]
     half = (len(sites) + 1) // 2
-    left = _half_ring(seam, sites[:half])  # [a, s_left, b]
-    right = _half_ring(np.eye(dv), sites[half:])  # [b, s_right, a]
-    return left.transpose(1, 0, 2).reshape(-1, dv * dv), right.transpose(2, 0, 1).reshape(dv * dv, -1)
+    return _left_half(seam, sites[:half]), _right_half(seam.shape[0], sites[half:])
+
+
+def _left_half(seam, sites):
+    """L[s_left, (a b)] of :func:`_ring_halves`, from the seam across ``sites``."""
+    dv = seam.shape[0]
+    return _half_ring(seam, sites).transpose(1, 0, 2).reshape(-1, dv * dv)  # from [a, s_left, b]
+
+
+def _right_half(dv, sites):
+    """R[(a b), s_right] of :func:`_ring_halves`, across ``sites`` back to the seam."""
+    return _half_ring(np.eye(dv), sites).transpose(2, 0, 1).reshape(dv * dv, -1)  # from [b, s_right, a]
 
 
 def _ring(lpdo, seam, n_sites):
@@ -101,7 +110,9 @@ def expectation(lpdo, seam, op_lists):
 
     Lists tend to repeat a few operator objects, so each distinct object is
     checked once and, after the size guard, folded into its site matrix once
-    per call.
+    per call. At the cuts, lists tend to share halves too: each distinct half,
+    told by its operator objects, is contracted and overlapped with psi's half
+    once per call.
     """
     a4 = lpdo.tensor
     d = a4.shape[0]
@@ -125,17 +136,24 @@ def expectation(lpdo, seam, op_lists):
     flat = a4.reshape(d, -1)
     (s_left, bonds), s_right = left0.shape, right0.shape[1]
     at_cuts = (s_left + s_right) * bonds < s_left * s_right
-    if at_cuts:
-        bra_left, bra_right = left0.conj().T, right0.conj()
-    else:
-        ket = (left0 @ right0).T  # psi as [s_right, s_left], the cut of every folded ring
     sites = {id(op): _site_matrix((op @ flat).reshape(a4.shape)) for _, op in checked.values()}
     values = []
-    for ops in op_lists:
-        left, right = _ring_halves(seam, [sites[id(op)] for op in ops])
-        if at_cuts:
-            values.append(np.sum((bra_left @ left) * (bra_right @ right.T)))
-        else:
+    if not at_cuts:
+        ket = (left0 @ right0).T  # psi as [s_right, s_left], the cut of every folded ring
+        for ops in op_lists:
+            left, right = _ring_halves(seam, [sites[id(op)] for op in ops])
             # sum_st conj(psi_st) left_sk right_kt without writing phi, the conjugate on the smaller factor
             values.append(np.vdot(ket @ left.conj(), right.T))
+        return np.array(values)
+    bra_left, bra_right = left0.conj().T, right0.conj()
+    half, dv = (n_sites + 1) // 2, seam.shape[0]
+    # the overlap of each distinct half with psi's, keyed by the ids of its operators
+    lefts, rights = {}, {}
+    for ops in op_lists:
+        left, right = tuple(map(id, ops[:half])), tuple(map(id, ops[half:]))
+        if left not in lefts:
+            lefts[left] = bra_left @ _left_half(seam, [sites[key] for key in left])
+        if right not in rights:
+            rights[right] = bra_right @ _right_half(dv, [sites[key] for key in right]).T
+        values.append(np.sum(lefts[left] * rights[right]))
     return np.array(values)

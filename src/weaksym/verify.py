@@ -8,9 +8,15 @@ command line and the test report can never drift apart.
 Each section takes ``build``, the function that makes the built-in model at a
 noise rate p. :func:`run_level` passes one that makes each model once for the
 whole run, so the per-model memo serves every section that uses the same p.
+A section that loops over a fixed grid of p makes the grid's models once and
+reads each quantity of them as one stack, under the stack rule of
+:mod:`weaksym.transfer`; its per-model reads use the same models. Only the
+exponent crossing, whose next p depends on the last, takes one model at a
+time.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,15 +25,18 @@ from .errors import GaplessTransferError, SizeGuardError, UndefinedExponentError
 from .model import build_aklt_model, spin1_operators
 from .numerics import _identity, ldexp
 from .oracle import expectation
-from .response import conservation_check, finite_response, flux_response, thermo_response
-from .stringorder import _string_series, string_order_series
-from .symmetry import REP_TOL, cocycle_commutator, extract_virtual_rep
+from .response import _thermo_responses, conservation_check, finite_response, flux_response, thermo_response
+from .stringorder import _ring_series, _string_series, string_order_series
+from .symmetry import REP_TOL, cocycle_commutator, extract_virtual_rep, extract_virtual_reps
 from .transfer import (
     build_transfer,
+    build_transfers,
     commutant_residual,
     flux_operator,
     symmetry_gap,
+    symmetry_gaps,
     transfer_powers,
+    transfer_spectra,
     transfer_spectrum,
     twisted_spectrum,
 )
@@ -88,6 +97,13 @@ def _ring_trace(lpdo, op, n_sites, x=None):
     return complex(ldexp(np.trace(mantissa), exponent))
 
 
+def _grid(build, p_values):
+    """``build``'s model at each of ``p_values``, and their tensors: a criterion reads each
+    quantity of its grid as one stack, and its per-model reads from these same models."""
+    models = [build(p) for p in p_values]
+    return models, [model.lpdo for model in models]
+
+
 def _multiset_distance(computed, expected):
     """Largest pairing distance between two eigenvalue multisets.
 
@@ -109,16 +125,15 @@ def transfer_table_checks(build):
     results = []
     worst_s1 = worst_sz = worst_m1 = worst_mz = 0.0
     expected_t1 = [1, -1 / 3, -1 / 3, -1 / 3]
-    for p in P_GRID:
-        model = build(p)
-        spec1 = twisted_spectrum(model, "1")
-        specz = twisted_spectrum(model, "R_z")
+    models, lpdos = _grid(build, P_GRID)
+    u1, uz = (models[0].action(g).u for g in ("1", "R_z"))
+    spectra = zip(transfer_spectra(lpdos, u1, None), transfer_spectra(lpdos, uz, None))
+    maps = zip(build_transfers(lpdos, np.eye(3), None), build_transfers(lpdos, uz, None))
+    for p, (spec1, specz), (t1, tz) in zip(P_GRID, spectra, maps):
         worst_s1 = max(worst_s1, _multiset_distance(spec1.eigenvalues, expected_t1))
         worst_sz = max(
             worst_sz, _multiset_distance(specz.eigenvalues, aklt_tz_eigenvalues(p))
         )
-        t1 = build_transfer(model.lpdo, np.eye(3))
-        tz = build_transfer(model.lpdo, model.action("R_z").u)
         worst_m1 = max(worst_m1, np.abs(t1 - aklt_t1_matrix()).max())
         worst_mz = max(worst_mz, np.abs(tz - aklt_tz_matrix(p)).max())
     results.append(_check("untwisted spectrum {1, -1/3 x3} on the p-grid", worst_s1, 1e-12))
@@ -132,10 +147,9 @@ def transfer_table_checks(build):
 
 def gap_checks(build):
     worst_z = worst_1 = 0.0
-    for p in P_GRID:
-        model = build(p)
-        gz = symmetry_gap(twisted_spectrum(model, "R_z"))
-        g1 = symmetry_gap(twisted_spectrum(model, "1"))
+    models, lpdos = _grid(build, P_GRID)
+    gaps = [symmetry_gaps(transfer_spectra(lpdos, models[0].action(g).u, None)).tolist() for g in ("R_z", "1")]
+    for p, gz, g1 in zip(P_GRID, *gaps):
         worst_z = max(worst_z, abs(gz - aklt_gap_z(p)))
         worst_1 = max(worst_1, abs(g1 - 2 / 3))
     return [
@@ -149,19 +163,19 @@ def gap_checks(build):
 def response_checks(build):
     results = []
     worst_thermo = worst_agree = 0.0
-    for p_values, target_y in ((P_BELOW, -1.0), (P_ABOVE, 1.0)):
-        for p in p_values:
-            model = build(p)
-            rx = thermo_response(model, "R_x", "R_z")
-            ry = thermo_response(model, "R_y", "R_z")
-            worst_thermo = max(
-                worst_thermo, abs(rx.value - (-1.0)), abs(ry.value - target_y)
-            )
-            fx = finite_response(model, "R_x", "R_z", 200)
-            fy = finite_response(model, "R_y", "R_z", 200)
-            worst_agree = max(
-                worst_agree, abs(fx.value - rx.value), abs(fy.value - ry.value)
-            )
+    p_values = P_BELOW + P_ABOVE
+    models = [build(p) for p in p_values]
+    responses = _thermo_responses(models, ("R_x", "R_y"), "R_z")
+    for p, model, (rx, ry) in zip(p_values, models, responses):
+        target_y = -1.0 if p in P_BELOW else 1.0
+        worst_thermo = max(
+            worst_thermo, abs(rx.value - (-1.0)), abs(ry.value - target_y)
+        )
+        fx = finite_response(model, "R_x", "R_z", 200)
+        fy = finite_response(model, "R_y", "R_z", 200)
+        worst_agree = max(
+            worst_agree, abs(fx.value - rx.value), abs(fy.value - ry.value)
+        )
     results.append(
         _check("thermodynamic responses (-1,-1) below and (-1,+1) above p=1/2", worst_thermo, 1e-8)
     )
@@ -193,8 +207,9 @@ def string_order_checks(build):
     ops = spin1_operators()
     ends = [(ops[chi], ops[chi]) for chi in ("S_y", "S_x")]
     worst_plateau = worst_below = worst_x = 0.0
-    for p in P_BELOW + P_ABOVE:
-        sn_y, sn_x = (abs(s.normalized[0]) for s in _string_series(build(p), "R_z", ends, [50], n_sites=200))
+    p_values = P_BELOW + P_ABOVE
+    for p, series in zip(p_values, _ring_series([build(p) for p in p_values], "R_z", ends, [50], 200)):
+        sn_y, sn_x = (abs(s.normalized[0]) for s in series)
         if p in P_ABOVE:
             worst_plateau = max(worst_plateau, abs(sn_y - aklt_string_amplitude(p)))
         else:
@@ -271,16 +286,65 @@ def decay_exponent(series, window):
         residual=residual,
     )
 
+def _thermo_grid(build, p_values):
+    """The models of :func:`_grid`, their T(1) and T(R_z) spectra computed as one stack each:
+    the thermodynamic series has no stacked form, so the fits read them model by model."""
+    models, lpdos = _grid(build, p_values)
+    for u in (_identity(lpdos[0].d), models[0].action("R_z").u):
+        transfer_spectra(lpdos, u, None)
+    return models
+
+
 def _thermo_fits(model, chis, window):
     """Fits of the thermodynamic strings chi ... chi over ``window``, one per chi, from one evaluation."""
     series = _string_series(model, "R_z", [(chi, chi) for chi in chis], range(window[0], window[1] + 1))
     return [decay_exponent(s, window=window) for s in series]
 
 
+def _regula_falsi(f, lo, hi, width):
+    """A bracket (lo, hi) of a sign change of ``f``, f(lo) > 0 >= f(hi), narrowed to ``width``.
+
+    Each point is Illinois regula falsi's (Dowell & Jarratt, BIT 11, 168
+    (1971)): the root of the chord between the bracket's ends, where an end
+    kept for a second step in a row has its value halved, so that neither end
+    stays put. The point is the midpoint instead where the chord's root is not
+    inside the bracket, and once chord steps have failed to halve the bracket
+    as many times as bisection needs steps, so the search takes at most twice
+    bisection's steps. (A midpoint after each chord step that fails to halve
+    would undo the halved values on a convex ``f``, whose chord roots fall just
+    past its root and move one end only: 19 steps instead of 7 on the crossing.)
+    """
+    f_lo, f_hi = f(lo), f(hi)
+    if not (f_lo > 0 >= f_hi):
+        raise ValueError(f"bracket ({lo}, {hi}) does not straddle the crossing")
+    slack = math.ceil(math.log2((hi - lo) / width))
+    kept = 0  # the end a step kept: -1 lo, 1 hi
+    while hi - lo > width:
+        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        chord = slack > 0 and lo < x < hi
+        if not chord:
+            x = 0.5 * (lo + hi)
+        before, f_x = hi - lo, f(x)
+        if f_x > 0:
+            lo, f_lo = x, f_x
+            if kept == 1:
+                f_hi *= 0.5
+            kept = 1
+        else:
+            hi, f_hi = x, f_x
+            if kept == -1:
+                f_lo *= 0.5
+            kept = -1
+        if chord and hi - lo > 0.5 * before:
+            slack -= 1
+    return lo, hi
+
+
 def exponent_crossing(build):
     """Noise rate where the S_y decay exponent drops to the S_x one.
 
-    Bisects xi_y(p) - xi_x(p) on [0.4, 0.6] down to a bracket of 1e-7; both
+    The midpoint of a bracket of the sign change of xi_y(p) - xi_x(p),
+    narrowed from (0.4, 0.6) to 1e-7 by :func:`_regula_falsi`; both
     exponents come from thermodynamic-limit fits over ``DEFAULT_WINDOW``,
     so the only structure used is the string order itself.
     """
@@ -291,16 +355,7 @@ def exponent_crossing(build):
         fit_y, fit_x = _thermo_fits(build(p), [sy, sx], DEFAULT_WINDOW)
         return fit_y.xi - fit_x.xi
 
-    lo, hi = 0.4, 0.6
-    f_lo, f_hi = difference(lo), difference(hi)
-    if not (f_lo > 0 >= f_hi):
-        raise ValueError("bracket (0.4, 0.6) does not straddle the crossing")
-    while hi - lo > 1e-7:
-        mid = 0.5 * (lo + hi)
-        if difference(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _regula_falsi(difference, 0.4, 0.6, 1e-7)
     return 0.5 * (lo + hi)
 
 
@@ -308,8 +363,9 @@ def exponent_checks(build):
     ops = spin1_operators()
     sx, sy = ops["S_x"], ops["S_y"]
     worst_x = 0.0
-    for p in [i / 10 for i in range(10)]:
-        (fit,) = _thermo_fits(build(p), [sx], EARLY_WINDOW)
+    p_values = [i / 10 for i in range(10)]
+    for p, model in zip(p_values, _thermo_grid(build, p_values)):
+        (fit,) = _thermo_fits(model, [sx], EARLY_WINDOW)
         worst_x = max(worst_x, abs(fit.xi - np.log(3.0)))
     # At p = 1 the S_x string vanishes identically, so its exponent does
     # not exist; check the vanishing instead of fitting roundoff.
@@ -318,15 +374,16 @@ def exponent_checks(build):
     )
     worst_p1 = max(abs(v) for v in series_p1.raw)
     worst_y = 0.0
-    for p in (0.6, 0.75, 0.9):
-        (fit,) = _thermo_fits(build(p), [sy], DEFAULT_WINDOW)
+    p_values = (0.6, 0.75, 0.9)
+    for p, model in zip(p_values, _thermo_grid(build, p_values)):
+        (fit,) = _thermo_fits(model, [sy], DEFAULT_WINDOW)
         worst_y = max(worst_y, abs(fit.xi - (-np.log((4 * p - 1) / 3))))
     crossing = exponent_crossing(build)
     return [
         _check("S_x decay exponent ln(3) for p in [0, 0.9]", worst_x, 1e-6),
         _check("S_x string vanishes identically at p=1", worst_p1, 1e-12),
         _check("S_y decay exponent -ln((4p-1)/3) above p=1/2", worst_y, 1e-6),
-        _check("exponent crossing at p=1/2 via bisection", abs(crossing - 0.5), 1e-6),
+        _check("exponent crossing at p=1/2 via Illinois regula falsi", abs(crossing - 0.5), 1e-6),
     ]
 
 
@@ -336,17 +393,18 @@ def oracle_checks(build):
     """Dense-oracle cross-checks on rings of 3, 4 and 5 sites."""
     ops = spin1_operators()
     eye2, eye3 = np.eye(2), np.eye(3)
+    chis = [ops[alpha] for alpha in ("S_0", "S_x", "S_y")]
     worst_charge = worst_flux = worst_string = 0.0
-    for p in (0.0, 0.3, 0.7, 1.0):
-        model = build(p)
+    models, lpdos = _grid(build, (0.0, 0.3, 0.7, 1.0))
+    extracted = zip(*(extract_virtual_reps(lpdos, models[0].action(g1)) for g1 in ("R_x", "R_y")))
+    ring_series = {n: _ring_series(models, "R_z", [(chi, chi) for chi in chis], range(n - 1), n) for n in (3, 4, 5)}
+    for i, (model, pairs) in enumerate(zip(models, extracted)):
         lpdo = model.lpdo
         uz = model.action("R_z").u
-        reps = [extract_virtual_rep(lpdo, model.action(g1))[0] for g1 in ("R_x", "R_y")]
+        reps = [rep for rep, _ in pairs]
         for n in (3, 4, 5):
             strings, rings = [], []
-            chis = [ops[alpha] for alpha in ("S_0", "S_x", "S_y")]
-            all_series = _string_series(model, "R_z", [(chi, chi) for chi in chis], range(n - 1), n_sites=n)
-            for chi, series in zip(chis, all_series):
+            for chi, series in zip(chis, ring_series[n][i]):
                 for length, ring in zip(series.lengths.tolist(), series.raw):
                     strings.append([chi] + [uz] * length + [chi] + [eye3] * (n - length - 2))
                     rings.append(ring)

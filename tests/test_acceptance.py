@@ -51,8 +51,8 @@ def test_criterion_4_normalized_string_order():
 def test_criterion_5_decay_exponents_and_crossing():
     """xi_x = ln 3 within 1e-6 wherever the S_x string exists (it
     vanishes identically at p=1); xi_y = -ln((4p-1)/3) within 1e-6 at
-    p in {0.6, 0.75, 0.9}; bisection locates the crossing at 0.5
-    within 1e-6."""
+    p in {0.6, 0.75, 0.9}; Illinois regula falsi, safeguarded by
+    midpoints, locates the crossing at 0.5 within 1e-6."""
     _report("criterion 5", verify.exponent_checks(build_aklt_model))
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from test_generic import generic_model
-from weaksym import cli, numerics, transfer
+from weaksym import cli, numerics, transfer, verify
 from weaksym.errors import DimensionMismatchError, NotSymmetricError, ValidationError
 from weaksym.model import LpdoTensor, aklt_group, build_aklt_model, save_model, spin1_operators
 from weaksym.response import thermo_response
@@ -57,6 +57,30 @@ def test_a_sweep_makes_four_stacked_eig_calls_per_chunk(eig_calls, rows):
     assert all(not row["flags"] for row in cli._sweep_rows(p_values, 200, 50))
     chunks = [min(cli.SWEEP_CHUNK, rows - at) for at in range(0, rows, cli.SWEEP_CHUNK)]
     assert eig_calls == [(k, 4, 4) for k in chunks for _ in range(4)]
+
+
+@pytest.mark.parametrize("checks", [verify.transfer_table_checks, verify.gap_checks], ids=["criterion-1", "criterion-3"])
+def test_criteria_1_and_3_make_one_stacked_eig_per_insertion(eig_calls, checks):
+    """On an uncached ``build_aklt_model``, as the acceptance tests run them: T(1)
+    and T(R_z) of the 11-point grid, each one eig on the (11, 4, 4) stack. A
+    spectrum read model by model, or from a second model at one p, would add
+    an eig of its own."""
+    assert all(result.passed for result in checks(build_aklt_model))
+    assert eig_calls == [(len(verify.P_GRID), 4, 4)] * 2
+
+
+def test_criterion_6_makes_one_ring_stack_per_ring_size(monkeypatch):
+    """The S_0, S_x and S_y rings of the four models, one stack per N = 3, 4, 5."""
+    calls = []
+    ring_series = verify._ring_series
+
+    def recording(models, g2, endpoints, lengths, n_sites):
+        calls.append((len(models), n_sites))
+        return ring_series(models, g2, endpoints, lengths, n_sites)
+
+    monkeypatch.setattr(verify, "_ring_series", recording)
+    assert all(result.passed for result in verify.oracle_checks(build_aklt_model))
+    assert calls == [(4, 3), (4, 4), (4, 5)]
 
 
 @pytest.fixture

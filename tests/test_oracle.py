@@ -347,3 +347,53 @@ def test_operators_are_checked_in_order_before_the_guard(site_matrices):
     with pytest.raises(SizeGuardError):
         expectation(lpdo, np.eye(2), [[eye3] * 7, [OPS["S_y"]] * 7])
     assert site_matrices == []
+
+
+@pytest.fixture
+def half_rings(monkeypatch):
+    """A list that grows by one entry per ``oracle._half_ring`` call."""
+    calls = []
+    half_ring = oracle._half_ring
+
+    def counting(start, sites):
+        calls.append(len(sites))
+        return half_ring(start, sites)
+
+    monkeypatch.setattr(oracle, "_half_ring", counting)
+    return calls
+
+
+def _distinct_halves(op_lists):
+    """The number of distinct left and right halves of ``op_lists``, told by their operator objects."""
+    half = (len(op_lists[0]) + 1) // 2
+    return sum(len({tuple(map(id, ops[cut])) for ops in op_lists}) for cut in (slice(half), slice(half, None)))
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.7, 1.0])
+@pytest.mark.parametrize("n_sites", [3, 4, 5])
+def test_shared_halves_equal_one_call_per_list(half_rings, p, n_sites):
+    """Criterion 6's charge and string lists share most of their halves: each
+    distinct half is contracted once, plus the two of psi, and every value is
+    bit for bit that of its list alone."""
+    model = build_aklt_model(p)
+    uz, eye3 = model.action("R_z").u, np.eye(3)
+    chis = [OPS[alpha] for alpha in ("S_0", "S_x", "S_y")]
+    lists = [[uz] * n_sites]
+    lists += [[chi] + [uz] * length + [chi] + [eye3] * (n_sites - length - 2) for chi in chis for length in range(n_sites - 1)]
+    values = expectation(model.lpdo, np.eye(2), lists)
+    assert len(half_rings) == 2 + _distinct_halves(lists) < 2 + 2 * len(lists)
+    alone = np.concatenate([expectation(model.lpdo, np.eye(2), [ops]) for ops in lists])
+    assert values.tobytes() == alone.tobytes()
+
+
+def test_lists_that_share_no_half_contract_each_half_once(half_rings):
+    """Every list has operators of its own at both ends: two halves per list, plus the two of psi."""
+    rng = np.random.default_rng(33)
+    lpdo = build_aklt_model(0.3).lpdo
+    eye3 = np.eye(3)
+    lists = [[random_matrix(rng, 3), eye3, eye3, eye3, random_matrix(rng, 3)] for _ in range(6)]
+    values = expectation(lpdo, np.eye(2), lists)
+    assert _distinct_halves(lists) == 2 * len(lists)
+    assert len(half_rings) == 2 + 2 * len(lists)
+    alone = np.concatenate([expectation(lpdo, np.eye(2), [ops]) for ops in lists])
+    assert values.tobytes() == alone.tobytes()

@@ -503,7 +503,8 @@ def test_commands_stack_only_dense_tensors_of_one_shape(memo_calls, capsys, tmp_
     """The stack rule of weaksym.transfer, on the commands that form stacks: the
     benchmark's seeded sweep and a 5-point one, ``verify all``, and a D = 12 model
     file, whose maps take the Krylov path. Every stack of more than one tensor
-    holds tensors of one shape whose maps are decomposed densely."""
+    holds tensors of one shape whose maps are decomposed densely; ``verify all``
+    forms such stacks of its own, one per quantity of a fixed grid of p."""
     model, _, _ = generic_model(0.3, bond=6)
     path = str(tmp_path / "D12.json")
     save_model(model, path)
@@ -515,7 +516,10 @@ def test_commands_stack_only_dense_tensors_of_one_shape(memo_calls, capsys, tmp_
         ["response", "--model", path, "--g1", "R_x", "--g2", "R_z"],
         ["string", "--model", path, "--g2", "R_z", "--chi", "s0"],
     ):
+        start = len(memo_calls)
         assert cli.main(argv) == 0, argv
+        if argv == ["verify", "all"]:
+            assert any(len(lpdos) > 1 for lpdos in memo_calls[start:])
     capsys.readouterr()
     stacks = [lpdos for lpdos in memo_calls if len(lpdos) > 1]
     assert stacks

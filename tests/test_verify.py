@@ -62,3 +62,69 @@ def test_criterion_4_worst_values_equal_one_series_per_endpoint():
         max(sn(p, "S_x") for p in verify.P_BELOW + verify.P_ABOVE),
     ]
     assert [result.worst for result in verify.string_order_checks(build_aklt_model)] == expected
+
+
+def test_the_crossing_takes_at_most_twelve_models(monkeypatch):
+    """Bisection took 23 models to narrow (0.4, 0.6) to 1e-7; the search ends on a
+    bracket at most 1e-7 wide that straddles 1/2 after at most 12, and the crossing
+    is its midpoint."""
+    built, brackets = [], []
+    regula_falsi = verify._regula_falsi
+
+    def build(p):
+        built.append(p)
+        return build_aklt_model(p)
+
+    def recording(f, lo, hi, width):
+        brackets.append(regula_falsi(f, lo, hi, width))
+        return brackets[-1]
+
+    monkeypatch.setattr(verify, "_regula_falsi", recording)
+    crossing = verify.exponent_crossing(build)
+    ((lo, hi),) = brackets
+    assert len(built) <= 12
+    assert hi - lo <= 1e-7 and lo <= 0.5 <= hi
+    assert crossing == 0.5 * (lo + hi)
+
+
+ROOT = 0.47231
+# Functions on which plain regula falsi keeps one end of (0.4, 0.6) in place.
+STALLING = {
+    "flat-below": lambda x: 1e-9 * (ROOT - x) if x < ROOT else ROOT - x,
+    "flat-above": lambda x: ROOT - x if x < ROOT else 1e-9 * (ROOT - x),
+    "triple-root": lambda x: (ROOT - x) ** 3,
+    "kink": lambda x: ROOT - x if x < ROOT else 1e3 * (ROOT - x),
+}
+
+
+def _plain_regula_falsi_width(f, lo, hi, steps):
+    f_lo, f_hi = f(lo), f(hi)
+    for _ in range(steps):
+        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        f_x = f(x)
+        if f_x > 0:
+            lo, f_lo = x, f_x
+        else:
+            hi, f_hi = x, f_x
+    return hi - lo
+
+
+@pytest.mark.parametrize("f", STALLING.values(), ids=STALLING)
+def test_a_stalling_function_is_narrowed_within_twice_bisections_steps(f):
+    """Bisection narrows (0.4, 0.6) to 1e-7 in 21 steps; the search takes at most
+    42 where plain regula falsi is still wider than 1e-3, and keeps the sign change."""
+    assert _plain_regula_falsi_width(f, 0.4, 0.6, 42) > 1e-3
+    points = []
+
+    def counting(x):
+        points.append(x)
+        return f(x)
+
+    lo, hi = verify._regula_falsi(counting, 0.4, 0.6, 1e-7)
+    assert len(points) <= 2 + 2 * 21
+    assert hi - lo <= 1e-7 and f(lo) > 0 >= f(hi) and lo <= ROOT <= hi
+
+
+def test_a_bracket_without_a_sign_change_is_refused():
+    with pytest.raises(ValueError, match=r"^bracket \(0.4, 0.6\) does not straddle the crossing$"):
+        verify._regula_falsi(lambda x: 1.0, 0.4, 0.6, 1e-7)
