@@ -255,11 +255,6 @@ class Spectrum:
         return len(self.eigenvalues) == len(self.right_vectors)
 
 
-def _spectrum(w, right, left):
-    """Read-only :class:`Spectrum` of one matrix's eigenpairs, the stack of one of :func:`_measured`."""
-    return _measured(w[None], right[None], left[None])[0]
-
-
 def _measured(w, right, left):
     """Read-only :class:`Spectrum` of each member of the stacks w (k, p), right (k, n, p) and
     left (k, p, n), their pairing residuals and conditions measured as stacks. ``left`` may
@@ -523,7 +518,7 @@ def leading_spectrum(m):
     )
     if not miss <= 100 * KRYLOV_TOL * scale:
         return spectral_decompose(m)
-    return _spectrum(w, right, left)
+    return _measured(w[None], right[None], left[None])[0]
 
 
 def leading_eigenpair(m):
@@ -584,27 +579,22 @@ def ldexp(z, exponent):
 
 
 def rescale(m, exponent):
-    """(m, exponent) with m brought into range by an exact power of two.
+    """(m, exponent) of a stack (..., n, n) of matrices and its exponent array (...),
+    each matrix brought into range by an exact power of two.
 
-    m * 2**exponent is unchanged. An m whose squared Frobenius norm
-    |vdot(m, m)| lies in [2^-800, 2^800] (or that is zero) is returned as it
-    is; any other is divided by a power of two that puts its largest modulus
-    in [1/2, 1). ``m`` may also be a stack (..., n, n) with an exponent array
-    (...): one range test and one exponent shift per matrix, all in one pass,
-    and each matrix gets the shift it gets alone (a matrix is the stack of
-    one). A stack's norms are summed by one einsum, in another order than
-    ``np.vdot``; only a norm within the two orders' rounding bound of an end
-    of the range could be decided differently, and it is taken from
-    ``np.vdot``.
+    m * 2**exponent is unchanged. A matrix whose squared Frobenius norm
+    |vdot(m, m)| lies in [2^-800, 2^800] (or that is zero) is kept as it is;
+    any other is divided by a power of two that puts its largest modulus in
+    [1/2, 1). One range test and one exponent shift per matrix, all in one
+    pass, and each matrix gets the shift it gets in a stack of one. A stack's
+    norms are summed by one einsum, in another order than ``np.vdot``; only a
+    norm within the two orders' rounding bound of an end of the range could
+    be decided differently, and it is taken from ``np.vdot``.
 
-    ``np.frexp`` returns int32 shifts; they join the exponent as a Python
-    int for one matrix and as the stack's exponent array (int64, or Python
-    ints in an object array) for a stack, so exponents that pass 2^31
+    ``np.frexp`` returns int32 shifts; they join the stack's exponent array
+    (int64, or Python ints in an object array), so exponents that pass 2^31
     (powers of a ring of billions of sites) do not wrap.
     """
-    if m.ndim == 2:
-        m, exponent = rescale(m[None], np.array([exponent], dtype=object))
-        return m[0], exponent[0]
     low, high = _SQUARE_NORM_RANGE
     # frexp(0) has exponent 0, so a zero matrix keeps its scale.
     flat = m.reshape(-1, m.shape[-2] * m.shape[-1])

@@ -58,16 +58,16 @@ def _half_ring(start, sites):
     return block.reshape(dv, -1, dv)
 
 
-def _ring_halves(seam, sites):
+def _ring_halves(seam, sites, eye):
     """A ring of site matrices cut in two, L[s_left, (a b)] and R[(a b), s_right].
 
     L @ R is the flat, site-major array of amplitudes
     tr[seam A_1[s_1] ... A_N[s_N]]: the product sums over the bond pair
     (a, b) at the two cuts. L starts from the seam and holds the first
-    ceil(N/2) sites.
+    ceil(N/2) sites; R starts from ``eye``, the bond's identity.
     """
     half = (len(sites) + 1) // 2
-    return _left_half(seam, sites[:half]), _right_half(seam.shape[0], sites[half:])
+    return _left_half(seam, sites[:half]), _right_half(eye, sites[half:])
 
 
 def _left_half(seam, sites):
@@ -76,14 +76,14 @@ def _left_half(seam, sites):
     return _half_ring(seam, sites).transpose(1, 0, 2).reshape(-1, dv * dv)  # from [a, s_left, b]
 
 
-def _right_half(dv, sites):
-    """R[(a b), s_right] of :func:`_ring_halves`, across ``sites`` back to the seam."""
-    return _half_ring(np.eye(dv), sites).transpose(2, 0, 1).reshape(dv * dv, -1)  # from [b, s_right, a]
+def _right_half(eye, sites):
+    """R[(a b), s_right] of :func:`_ring_halves`, from ``eye`` across ``sites`` back to the seam."""
+    return _half_ring(eye, sites).transpose(2, 0, 1).reshape(eye.size, -1)  # from [b, s_right, a]
 
 
 def _ring(lpdo, seam, n_sites):
-    """(L0, R0, seam): the ring of ``lpdo`` cut in two by :func:`_ring_halves`,
-    and the seam as the square array it was checked as.
+    """(L0, R0, seam, eye): the ring of ``lpdo`` cut in two by :func:`_ring_halves`, the
+    seam as the square array it was checked as, and the identity every right half starts from.
 
     Refuses N < 1, a seam that does not fit the bond, and (d*da)^N * D^2, the
     amplitudes times the cut bond pairs, above ``MAX_AMPLITUDES``.
@@ -93,7 +93,8 @@ def _ring(lpdo, seam, n_sites):
     n_sites = _ring_size(n_sites)
     _guard((d * da) ** n_sites * dv * dv, "ring amplitudes x cut bond pairs (d*da)^N * D^2")
     seam = _insertion(seam, "seam", "D", dv)
-    return *_ring_halves(seam, [_site_matrix(a4)] * n_sites), seam
+    eye = np.eye(dv)
+    return *_ring_halves(seam, [_site_matrix(a4)] * n_sites, eye), seam, eye
 
 
 def expectation(lpdo, seam, op_lists):
@@ -132,7 +133,7 @@ def expectation(lpdo, seam, op_lists):
     for ops in op_lists:
         if len(ops) != n_sites:
             raise DimensionMismatchError(f"got {len(ops)} operators for {n_sites} sites")
-    left0, right0, seam = _ring(lpdo, seam, n_sites)
+    left0, right0, seam, eye = _ring(lpdo, seam, n_sites)
     flat = a4.reshape(d, -1)
     (s_left, bonds), s_right = left0.shape, right0.shape[1]
     at_cuts = (s_left + s_right) * bonds < s_left * s_right
@@ -141,12 +142,12 @@ def expectation(lpdo, seam, op_lists):
     if not at_cuts:
         ket = (left0 @ right0).T  # psi as [s_right, s_left], the cut of every folded ring
         for ops in op_lists:
-            left, right = _ring_halves(seam, [sites[id(op)] for op in ops])
+            left, right = _ring_halves(seam, [sites[id(op)] for op in ops], eye)
             # sum_st conj(psi_st) left_sk right_kt without writing phi, the conjugate on the smaller factor
             values.append(np.vdot(ket @ left.conj(), right.T))
         return np.array(values)
     bra_left, bra_right = left0.conj().T, right0.conj()
-    half, dv = (n_sites + 1) // 2, seam.shape[0]
+    half = (n_sites + 1) // 2
     # the overlap of each distinct half with psi's, keyed by the ids of its operators
     lefts, rights = {}, {}
     for ops in op_lists:
@@ -154,6 +155,6 @@ def expectation(lpdo, seam, op_lists):
         if left not in lefts:
             lefts[left] = bra_left @ _left_half(seam, [sites[key] for key in left])
         if right not in rights:
-            rights[right] = bra_right @ _right_half(dv, [sites[key] for key in right]).T
+            rights[right] = bra_right @ _right_half(eye, [sites[key] for key in right]).T
         values.append(np.sum(lefts[left] * rights[right]))
     return np.array(values)

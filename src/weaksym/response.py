@@ -101,13 +101,9 @@ def _results(order, values, gaps, n_sites=None, valid=None):
     ]
 
 
-def snap_root_of_unity(value, order):
-    """k/order of the root e^{2 pi i k / order} nearest value if within ``SNAP_TOL``, else None."""
-    return _snapped(value, float(np.angle(value)), int(order))
-
-
 def _snapped(value, angle, order):
-    """:func:`snap_root_of_unity` of ``value``, given its angle as ``np.angle`` takes it."""
+    """k/order of the root e^{2 pi i k / order} nearest the complex ``value`` if within
+    ``SNAP_TOL``, else None; ``angle`` is the value's angle as ``np.angle`` takes it."""
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         return None
     k = round(angle * order / (2 * np.pi)) % order
@@ -118,11 +114,6 @@ def _snapped(value, angle, order):
 def _roots(order):
     """The roots e^{2 pi i k / order} as Python complex numbers, computed once per order."""
     return [complex(np.exp(2j * np.pi * k / order)) for k in range(order)]
-
-
-def _leading_pair(lpdo, spectrum, what):
-    """:func:`_leading_pairs` of one tensor: ``(left, right, norm, gap)``."""
-    return tuple(x[0] for x in _leading_pairs([lpdo], [spectrum], what))
 
 
 def _leading_pairs(lpdos, spectra, what):
@@ -149,12 +140,6 @@ def _leading_pairs(lpdos, spectra, what):
     return left, right, (left[:, None] @ right[:, :, None])[:, 0, 0], gaps
 
 
-def _pair_value(lpdo, spectrum, x, what):
-    """(L0·X·R0)/(L0·R0) on the leading pair of ``spectrum``, a spectrum of ``lpdo``, and the gap: stacks of one."""
-    pairs = _leading_pairs([lpdo], [spectrum], what)
-    return _pair_values(pairs, x[None]), pairs[3]
-
-
 def _pair_values(pairs, x):
     """(L0·X·R0)/(L0·R0) of each member of ``pairs`` (:func:`_leading_pairs` of a stack)
     with its X of the stack ``x``, as stacked products."""
@@ -171,8 +156,8 @@ def flux_response(model, flux, g2):
     below ``GAP_TOL`` times |lambda_0(T(1))| and :class:`NearDefectiveError`
     for untrustworthy spectra.
     """
-    value, gap = _pair_value(model.lpdo, twisted_spectrum(model, g2), flux_operator(flux), f"for {g2!r}")
-    return value.tolist()[0], gap.tolist()[0]
+    pairs = _leading_pairs([model.lpdo], [twisted_spectrum(model, g2)], f"for {g2!r}")
+    return _pair_values(pairs, flux_operator(flux)[None]).tolist()[0], pairs[3].tolist()[0]
 
 
 def thermo_response(model, g1, g2):
@@ -219,8 +204,8 @@ def conservation_check(model, g1, g2):
     rep2, _ = extract_virtual_rep(model.lpdo, model.action(g2))
     total = cocycle_commutator(rep1, rep2)
     physical = thermo_response(model, g1, g2)
-    spectrum = transfer_spectrum(model.lpdo, _identity(model.lpdo.d), model.action(g2).ua)
-    value, gap = _pair_value(model.lpdo, spectrum, flux_operator(rep1.v), f"for {g2!r} on the ancilla")
-    ancilla = _results(model.group.order(g1), value, gap)[0]
+    spectra = transfer_spectra([model.lpdo], _identity(model.lpdo.d), model.action(g2).ua)
+    pairs = _leading_pairs([model.lpdo], spectra, f"for {g2!r} on the ancilla")
+    ancilla = _results(model.group.order(g1), _pair_values(pairs, flux_operator(rep1.v)[None]), pairs[3])[0]
     residual = abs(total - physical.value * ancilla.value)
     return float(residual), total, physical, ancilla

@@ -16,11 +16,10 @@ A series over many lengths carries its scale instead of forming values that
 under- or overflow: the thermodynamic series is one running row vector
 x_{l+1} = x_l T(g2)/|lambda_0| across the lengths, each row written in place
 from the one before, and ring series take every power, the envelope
-Tr T(g2)^N included, from one table of repeated squarings per map, all
-lengths at once (:meth:`~weaksym.numerics.ScaledPowers.powers`): the
-model's memoised table (:func:`~weaksym.transfer.transfer_powers`), or, for
-a stack of models such as a sweep's chunk (:func:`_ring_series`), one table
-of the stack of their maps.
+Tr T(g2)^N included, from one table of repeated squarings per stack of maps,
+all lengths at once (:meth:`~weaksym.numerics.ScaledPowers.powers`): a ring
+series of one model is the stack of one of :func:`_ring_series`, and its
+tables are built for the series, not memoised on the model.
 
 The decay exponent is not fitted to a series. Expanding T(g2) in its own
 eigenpairs makes the thermodynamic string a finite sum of geometric channels,
@@ -39,8 +38,8 @@ from .errors import NearDefectiveError, UndefinedExponentError, ValidationError
 from .numerics import (
     CLUSTER_TOL, ScaledPowers, _cluster_table, _identity, _norms, _ring_size, _stacked, _whole, _zero_exponents, ldexp, rescale,
 )
-from .transfer import build_transfer, build_transfers, transfer_powers, transfer_spectra, transfer_spectrum, twisted_spectrum
-from .response import _leading_pair, _leading_pairs
+from .transfer import build_transfer, build_transfers, transfer_spectra, transfer_spectrum, twisted_spectrum
+from .response import _leading_pairs
 
 # A channel is live when its amplitude exceeds this share of its scale (see
 # decay_channel). On the AKLT family live channels sit at 0.29 of their
@@ -118,9 +117,9 @@ def string_order_series(model, g2, chi_l, chi_r, lengths, n_sites=None):
     shortest length to the longest, one vector-matrix product per length,
     on T(g2)/|lambda_0| (:func:`_carried_rows`), a jump between two lengths
     from that step's squaring table, with its binary exponent. A ring series
-    takes T(g2)^l and T(1)^(N-l-2) from the memoised squaring tables of the two maps
-    (:func:`~weaksym.transfer.transfer_powers`), stacked across lengths in
-    chunks of at most ``MAX_STACK_ENTRIES`` entries per stack. Each power is
+    takes T(g2)^l and T(1)^(N-l-2) from one squaring table of each map
+    (:func:`_ring_series`), stacked across lengths in chunks of at most
+    ``MAX_STACK_ENTRIES`` entries per stack. Each power is
     bit-identical to ``np.linalg.matrix_power`` in the normal range, and each
     value depends only on (l, N). This is the one-pair case of
     :func:`_string_series`, which evaluates several endpoint pairs over one
@@ -154,7 +153,8 @@ def _string_series(model, g2, endpoints, lengths, n_sites=None):
     lpdo = model.lpdo
     u2 = model.action(g2).u
     maps = [(build_transfer(lpdo, chi_l), build_transfer(lpdo, chi_r)) for chi_l, chi_r in endpoints]
-    left, right, norm, _ = _leading_pair(lpdo, transfer_spectrum(lpdo, _identity(lpdo.d)), "of T(1)")
+    pairs = _leading_pairs([lpdo], transfer_spectra([lpdo], _identity(lpdo.d), None), "of T(1)")
+    left, right, norm = (x[0] for x in pairs[:3])
     base = float(abs(twisted_spectrum(model, g2).eigenvalues[0]))
     if base == 0.0:
         raise ZeroDivisionError("leading twisted eigenvalue vanishes; normalization undefined")
@@ -182,18 +182,14 @@ def _ring_series(models, g2, endpoints, lengths, n_sites):
     """The ring :func:`_string_series` of each of ``models``, a stack under the stack rule
     of :mod:`weaksym.transfer`: per model its series. A model whose
     envelope vanishes raises ZeroDivisionError for the stack. One squaring table of
-    each stack of maps gives every power; a stack of one reads its model's
-    memoised tables (:func:`~weaksym.transfer.transfer_powers`). Each model's
-    values are bit for bit those it gets alone.
+    each stack of maps, built for the call, gives every power, a stack of one too.
+    Each model's values are bit for bit those it gets in any stack.
     """
     lengths, n_sites = _string_lengths(lengths, n_sites)
     lpdos = [model.lpdo for model in models]
     ops = (_identity(lpdos[0].d), models[0].action(g2).u)
     maps = [[_stacked(build_transfers(lpdos, chi, None)) for chi in pair] for pair in endpoints]
-    if len(lpdos) == 1:
-        powers1, powers2 = (transfer_powers(lpdos[0], op) for op in ops)
-    else:
-        powers1, powers2 = (ScaledPowers(_stacked(build_transfers(lpdos, op, None))) for op in ops)
+    powers1, powers2 = (ScaledPowers(_stacked(build_transfers(lpdos, op, None))) for op in ops)
     envelope, envelope_exp = powers2._stack_power(n_sites)
     charges = [abs(complex(trace)) for trace in np.trace(envelope, axis1=1, axis2=2)]
     if 0.0 in charges:

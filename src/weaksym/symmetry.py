@@ -32,7 +32,7 @@ from .errors import (
     NotSymmetricError,
     ValidationError,
 )
-from .numerics import _as_square, _identity, _insertion, _norms, _stacked
+from .numerics import _as_square, _identity, _norms, _stacked
 from .transfer import _insertions, _memoised, build_transfers, symmetry_gaps, transfer_eigenpairs, transfer_spectra
 
 # Tolerances are scale-free: a tensor times c describes the same state and
@@ -142,26 +142,11 @@ class VirtualRep:
     residual: float | None = None
 
 
-def verify_transformation_law(lpdo, act, rep, theta):
-    """Residual of the virtual-leg push-through relation.
-
-    Returns the Frobenius norm, over all physical/ancilla indices, of
-
-        sum_{i',a'} u[i,i'] ua[a,a'] A[i',a'] - e^{i theta} V A[i,a] V^dag,
-
-    with ``theta`` the phase :func:`extract_virtual_rep` returns. u and ua
-    must match the tensor's d and da, which :func:`extract_virtual_rep`
-    checks before it calls this. Both sides are matrix products, O(d da D^3).
-    """
-    u = _as_square(act.u, "u")
-    ua = _as_square(act.ua, "ua")
-    v = _insertion(rep.v, "v", "D", lpdo.bond_dim)
-    return float(_push_through_residuals(lpdo.tensor[None], u, ua, v[None], [theta])[0])
-
-
 def _push_through_residuals(a4, u, ua, v, thetas):
-    """The push-through residual of each tensor of the stack a4 (k, d, da, D, D)
-    with its V (v, a stack (k, D, D)) and theta, as an array (k,)."""
+    """The push-through residual of each tensor of the stack a4 (k, d, da, D, D) with its
+    V (v, a stack (k, D, D)) and theta, as an array (k,): the Frobenius norm of the two
+    sides of the module's law, as matrix products, O(d da D^3) per tensor. u and ua are
+    unchecked; :func:`extract_virtual_reps` checks them against d and da first."""
     k, d, da, dv, _ = a4.shape
     # u and ua rotate the outer legs as in transfer._contract; A V^dag is one GEMM per tensor
     lhs = ua @ (u @ a4.reshape(k, d, -1)).reshape(k, d, da, dv * dv)

@@ -215,9 +215,9 @@ def transfer_powers(lpdo, op, op_a=None):
     """Squaring table of T(op, op_a), built once per tensor and insertion pair.
 
     The :class:`~weaksym.numerics.ScaledPowers` table is memoised next to the
-    map and its spectrum, so every ring trace Tr[X T^N] on one model, at any
-    N, squares the map at most once per bit level. This is the only place a
-    table is built.
+    map and its spectrum, so the single powers T^N of one model (a finite-N
+    response, ``verify``'s ring traces), at any N, square the map at most once
+    per bit level. A string series builds tables of its own, not memoised.
     """
     op, op_a, key = _insertions(op, op_a)
     return _memoised([lpdo], ("powers",) + key, lambda _: [ScaledPowers(build_transfer(lpdo, op, op_a))])[0]

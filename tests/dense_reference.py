@@ -22,7 +22,7 @@ from weaksym.numerics import CLUSTER_TOL
 
 def purified_state(lpdo, seam, n_sites):
     """Amplitudes tr[seam A[i1, a1] ... A[iN, aN]] as an array of shape (d, da) * N, site-major."""
-    left, right, _ = oracle._ring(lpdo, seam, n_sites)
+    left, right, _, _ = oracle._ring(lpdo, seam, n_sites)
     return (left @ right).reshape(lpdo.tensor.shape[:2] * n_sites)
 
 

@@ -10,7 +10,9 @@ dataclass-field defaults, each a value a caller may leave out. A fourth keeps
 the handling of a stack's errors behind one module: one function catches them,
 and only ``cli.py`` asks whether a value is an exception. A fifth keeps the
 per-tensor memo behind one function: only ``transfer._memoised`` reads or
-writes an ``_memo`` attribute.
+writes an ``_memo`` attribute. A sixth keeps one path per value: every
+function and method defined in the package is named somewhere else in it,
+save the documented entry points of ``ENTRY_POINTS``.
 """
 
 import ast
@@ -157,3 +159,40 @@ def _memo_users(path):
 def test_one_function_reads_and_writes_the_memo():
     users = [(path.name, function) for path in sorted(PACKAGE.glob("*.py")) for function in sorted(_memo_users(path), key=str)]
     assert users == [("transfer.py", "_memoised")]
+
+
+# Functions and methods that nothing in the package names: the documented
+# entry points of the library (README) and the hook argparse calls.
+ENTRY_POINTS = ["Spectrum.leading", "_Parser.error", "aklt_tensor", "save_model", "transfer_eigenpair"]
+
+
+def unnamed_functions(package):
+    """Qualified names of the functions and methods defined in ``package`` that no
+    ``Name`` or ``Attribute`` node outside their own definition names, dunder
+    methods left out (Python calls them)."""
+    definitions, named = [], {}
+
+    def visit(node, owner, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            definitions.append((node, f"{owner}.{node.name}" if owner else node.name))
+            owner, enclosing = None, enclosing | {node}
+        elif isinstance(node, ast.ClassDef):
+            owner = node.name
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            named.setdefault(node.id if isinstance(node, ast.Name) else node.attr, []).append(enclosing)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner, enclosing)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), None, frozenset())
+    return sorted(
+        name
+        for node, name in definitions
+        if not (node.name.startswith("__") and node.name.endswith("__"))
+        and all(node in enclosing for enclosing in named.get(node.name, []))
+    )
+
+
+def test_every_function_is_named_elsewhere_in_the_package_or_is_an_entry_point():
+    """A function only tests call is a second path to a value the package computes another way."""
+    assert unnamed_functions(PACKAGE) == ENTRY_POINTS

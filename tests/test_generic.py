@@ -31,14 +31,14 @@ from weaksym import numerics
 from weaksym.errors import NearDefectiveError, UndefinedExponentError
 from weaksym.model import LpdoTensor, Model, build_aklt_model, spin1_operators
 from weaksym.response import (
-    _leading_pair,
+    _leading_pairs,
     conservation_check,
     finite_response,
     flux_response,
     thermo_response,
 )
 from weaksym.stringorder import CLUSTER_TOL, LIVE_TOL, decay_channel
-from weaksym.symmetry import GroupTable, SymmetryAction, extract_virtual_rep, verify_transformation_law
+from weaksym.symmetry import GroupTable, SymmetryAction, _push_through_residuals, extract_virtual_rep
 from weaksym.transfer import build_transfer, symmetry_gap, transfer_spectrum, twisted_spectrum
 from weaksym.verify import aklt_tz_eigenvalues
 
@@ -159,7 +159,7 @@ def test_extracted_reps_satisfy_push_through(p, bond):
     for g in model.group.labels:
         act = model.action(g)
         rep, theta = extract_virtual_rep(model.lpdo, act)
-        residual = verify_transformation_law(model.lpdo, act, rep, theta=theta)
+        residual = float(_push_through_residuals(model.lpdo.tensor[None], act.u, act.ua, rep.v[None], [theta])[0])
         assert residual < 1e-8
         assert rep.residual == pytest.approx(residual, abs=1e-14)
         # V_g = W (V_g^AKLT (x) 1) W^dag up to a phase: the symmetry does not touch B
@@ -362,7 +362,7 @@ def tuned_endpoints(model, factor):
     rng = np.random.default_rng(3)
     eye, b, chi_r = np.eye(lpdo.d), random_matrix(rng, lpdo.d), random_matrix(rng, lpdo.d)
     spectrum = transfer_spectrum(lpdo, eye)
-    left, right, norm, _ = _leading_pair(lpdo, spectrum, "of T(1)")
+    left, right, norm = (x[0] for x in _leading_pairs([lpdo], [spectrum], "of T(1)")[:3])
     tr = build_transfer(lpdo, chi_r)
 
     def leading_amplitude(chi):  # linear in chi

@@ -17,6 +17,7 @@ from weaksym import cli, numerics, transfer, verify
 from weaksym.errors import DimensionMismatchError, NotSymmetricError, ValidationError
 from weaksym.model import LpdoTensor, aklt_group, build_aklt_model, save_model, spin1_operators
 from weaksym.response import thermo_response
+from weaksym.stringorder import _ring_series, string_order_series
 from weaksym.symmetry import SymmetryAction, extract_virtual_rep
 from weaksym.transfer import build_transfer, transfer_powers, transfer_spectrum
 from weaksym.verify import generic_model_checks
@@ -283,7 +284,7 @@ def _p_values(rows):
 def test_sweep_row_builds_one_squaring_table_per_map(power_tables):
     # The rows of a chunk share one stacked table of T(1) and one of T(R_z),
     # for both rings and the envelope Tr T(R_z)^N: squares up to 2^7 for
-    # N = 200 and N - l - 2 = 148. A chunk of one reads its model's tables.
+    # N = 200 and N - l - 2 = 148. A chunk of one builds its two tables too.
     for rows in (1, 3, cli.SWEEP_CHUNK):
         power_tables.clear()
         models = [build_aklt_model(p) for p in _p_values(rows)]
@@ -321,6 +322,26 @@ def test_transfer_powers_are_memoised_and_bit_equal_to_a_fresh_model():
         for n in ns:
             (m, e), (m0, e0) = table.power(n), fresh.power(n)
             assert m.tobytes() == m0.tobytes() and e == e0
+
+
+@pytest.mark.parametrize(
+    "lengths, n_sites", [(range(0, 99), 100), ([0, 7, 2998], 3000), (range(0, 3000, 7), 10**6)], ids=["N100", "N3000", "N1e6"]
+)
+def test_a_ring_series_of_one_model_is_its_row_of_a_stack(power_tables, lengths, n_sites):
+    """A ring series has one source of squaring tables, a stack of one included: it builds
+    the tables of T(1) and T(R_z) for the call and leaves no ("powers", ...) entry in its
+    tensor's memo, and each field of its series is bit for bit its model's row in a
+    stack of three."""
+    sx = spin1_operators()["S_x"]
+    alone = build_aklt_model(0.3)
+    series = string_order_series(alone, "R_z", sx, sx, lengths, n_sites=n_sites)
+    assert len(power_tables) == 2
+    assert [key for key in alone.lpdo._memo if key[0] == "powers"] == []
+    row = _ring_series([build_aklt_model(p) for p in (0.2, 0.3, 0.7)], "R_z", [(sx, sx)], lengths, n_sites)[1][0]
+    for field in ("lengths", "raw", "normalized", "mantissa"):
+        assert getattr(series, field).tobytes() == getattr(row, field).tobytes(), field
+    assert series.exponent.tolist() == row.exponent.tolist() and series.exponent.dtype == row.exponent.dtype
+    assert (series.n_sites, series.base) == (row.n_sites, row.base)
 
 
 def test_generic_checks_decompose_each_insertion_once(eig_calls):

@@ -173,12 +173,12 @@ def _folded(lpdo, seam, op_lists):
     """(L0, R0) of the ring and the (L, R) of each operator-folded ring, cut alike."""
     a4 = lpdo.tensor
     flat = a4.reshape(lpdo.d, -1)
-    site = oracle._site_matrix(a4)
+    site, eye = oracle._site_matrix(a4), np.eye(len(seam))
     folded = [
-        oracle._ring_halves(seam, [oracle._site_matrix((op @ flat).reshape(a4.shape)) for op in ops])
+        oracle._ring_halves(seam, [oracle._site_matrix((op @ flat).reshape(a4.shape)) for op in ops], eye)
         for ops in op_lists
     ]
-    return oracle._ring_halves(seam, [site] * len(op_lists[0])), folded
+    return oracle._ring_halves(seam, [site] * len(op_lists[0]), eye), folded
 
 
 def overlaps_through_the_state(lpdo, seam, op_lists):
@@ -351,12 +351,12 @@ def test_operators_are_checked_in_order_before_the_guard(site_matrices):
 
 @pytest.fixture
 def half_rings(monkeypatch):
-    """A list that grows by one entry per ``oracle._half_ring`` call."""
+    """A list that grows by one entry per ``oracle._half_ring`` call: the array it starts from."""
     calls = []
     half_ring = oracle._half_ring
 
     def counting(start, sites):
-        calls.append(len(sites))
+        calls.append(start)
         return half_ring(start, sites)
 
     monkeypatch.setattr(oracle, "_half_ring", counting)
@@ -397,3 +397,20 @@ def test_lists_that_share_no_half_contract_each_half_once(half_rings):
     assert len(half_rings) == 2 + 2 * len(lists)
     alone = np.concatenate([expectation(lpdo, np.eye(2), [ops]) for ops in lists])
     assert values.tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("bond, n_sites", [(2, 5), (6, 3)], ids=["at-the-cuts", "through-psi"])
+def test_every_right_half_of_a_call_starts_from_one_identity(half_rings, bond, n_sites):
+    """psi's right half and every list's start from one float identity of the bond, made
+    once per call: on the AKLT ring, which sums at the cuts, and on a D = 6 ring, which
+    sums through psi. Each left half starts from the seam."""
+    rng = np.random.default_rng(bond)
+    lpdo = build_aklt_model(0.3).lpdo if bond == 2 else generic_model(0.3, bond=bond // 2)[0].lpdo
+    lists = [[random_matrix(rng, lpdo.d) for _ in range(n_sites)] for _ in range(3)]
+    for _ in range(2):
+        half_rings.clear()
+        expectation(lpdo, random_matrix(rng, bond), lists)
+        identities = [start for start in half_rings if start.dtype == float]
+        assert len(identities) == len(half_rings) // 2 == 1 + len(lists)
+        assert all(start is identities[0] for start in identities)
+        assert np.array_equal(identities[0], np.eye(bond))

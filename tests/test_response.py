@@ -8,25 +8,30 @@ from weaksym.errors import GaplessTransferError, NonCommutingError, ValidationEr
 from weaksym.model import LpdoTensor, Model, build_aklt_model
 from weaksym.response import (
     SNAP_TOL,
+    _snapped,
     conservation_check,
     finite_response,
     flux_response,
-    snap_root_of_unity,
     thermo_response,
 )
 from weaksym.symmetry import GroupTable, SymmetryAction, extract_virtual_rep
 
 
+def snap(value, order):
+    """``_snapped`` of ``value`` with its angle as ``np.angle`` takes it, as ``_results`` calls it."""
+    return _snapped(complex(value), float(np.angle(value)), order)
+
+
 def test_snap_exact_roots():
-    assert snap_root_of_unity(-1.0, 2) == Fraction(1, 2)
-    assert snap_root_of_unity(1.0, 2) == Fraction(0, 1)
-    assert snap_root_of_unity(np.exp(2j * np.pi / 3), 3) == Fraction(1, 3)
+    assert snap(-1.0, 2) == Fraction(1, 2)
+    assert snap(1.0, 2) == Fraction(0, 1)
+    assert snap(np.exp(2j * np.pi / 3), 3) == Fraction(1, 3)
 
 
 def test_snap_tolerance():
-    assert snap_root_of_unity(-1.0 + 1e-9, 2) == Fraction(1, 2)
-    assert snap_root_of_unity(-0.99, 2) is None
-    assert snap_root_of_unity(np.exp(2j * np.pi / 3), 4) is None
+    assert snap(-1.0 + 1e-9, 2) == Fraction(1, 2)
+    assert snap(-0.99, 2) is None
+    assert snap(np.exp(2j * np.pi / 3), 4) is None
 
 
 def snap_by_loop(value, order):
@@ -52,7 +57,7 @@ def test_snap_matches_the_loop_over_all_roots():
         values = np.concatenate([(roots[:, None] + offsets).ravel(), rng.normal(size=200) + 1j * rng.normal(size=200)])
         values = [*values.tolist(), complex(-1.0, 0.0), complex(-1.0, -0.0), -1.0]
         for value in values:
-            assert snap_root_of_unity(value, order) == snap_by_loop(value, order), (value, order)
+            assert snap(value, order) == snap_by_loop(value, order), (value, order)
 
 
 def product_state_model():
@@ -117,7 +122,7 @@ def test_finite_response_identity_flux_is_one():
 
 def test_snap_refuses_non_finite_values():
     for value in (complex(np.nan, 0.0), complex(0.0, np.nan), complex(np.inf, 0.0)):
-        assert snap_root_of_unity(value, 2) is None
+        assert snap(value, 2) is None
 
 
 def test_finite_response_vanishing_denominator_flagged():

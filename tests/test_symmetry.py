@@ -19,11 +19,12 @@ from weaksym.symmetry import (
     GroupTable,
     SymmetryAction,
     VirtualRep,
+    _push_through_residuals,
     cocycle_commutator,
     endpoint_charge,
     extract_virtual_rep,
-    verify_transformation_law,
 )
+from weaksym.transfer import build_transfer, commutant_residual
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
@@ -83,18 +84,23 @@ def test_group_table_unknown_label():
 
 # --- transformation law --------------------------------------------------------
 
+def law(lpdo, act, rep, theta):
+    """The push-through residual of ``rep`` and ``theta`` on ``lpdo``: stacks of one."""
+    return float(_push_through_residuals(lpdo.tensor[None], act.u, act.ua, np.asarray(rep.v)[None], [theta])[0])
+
+
 def test_law_residual_small_for_extracted_rep():
     model = build_aklt_model(0.3)
     act = model.action("R_z")
     rep, theta = extract_virtual_rep(model.lpdo, act)
-    assert verify_transformation_law(model.lpdo, act, rep, theta=theta) < 1e-10
+    assert law(model.lpdo, act, rep, theta=theta) < 1e-10
 
 
 def test_law_identity_is_exact():
     model = build_aklt_model(0.3)
     act = model.action("1")
     rep = VirtualRep("1", np.eye(2))
-    assert verify_transformation_law(model.lpdo, act, rep, theta=0.0) < 1e-14
+    assert law(model.lpdo, act, rep, theta=0.0) < 1e-14
 
 
 def test_law_rejects_wrong_representative():
@@ -102,7 +108,7 @@ def test_law_rejects_wrong_representative():
     model = build_aklt_model(0.3)
     act = model.action("R_z")
     rep = VirtualRep("R_z", SX)
-    assert verify_transformation_law(model.lpdo, act, rep, theta=0.0) > 0.1
+    assert law(model.lpdo, act, rep, theta=0.0) > 0.1
 
 
 # --- extraction ---------------------------------------------------------------
@@ -149,7 +155,7 @@ def test_extract_succeeds_at_critical_point():
     """Extraction runs on T(1), which stays gapped at p = 1/2."""
     model = build_aklt_model(0.5)
     rep, theta = extract_virtual_rep(model.lpdo, model.action("R_x"))
-    assert verify_transformation_law(model.lpdo, model.action("R_x"), rep, theta=theta) < 1e-8
+    assert law(model.lpdo, model.action("R_x"), rep, theta=theta) < 1e-8
 
 
 def test_extract_rejects_non_symmetry():
@@ -180,29 +186,28 @@ def test_law_matches_the_six_index_einsum(dv):
     for _ in range(3):
         a4, u, ua, v = gaussian(d, da, dv, dv), gaussian(d, d), gaussian(da, da), gaussian(dv, dv)
         theta = rng.uniform(-np.pi, np.pi)
-        got = verify_transformation_law(LpdoTensor(a4), SymmetryAction("g", u, ua), VirtualRep("g", v), theta)
+        got = law(LpdoTensor(a4), SymmetryAction("g", u, ua), VirtualRep("g", v), theta)
         expected = law_by_einsum(a4, u, ua, v, theta)
         assert abs(got - expected) <= 1e-13 * expected
 
 
 def test_law_refusals_keep_their_text():
+    """A malformed action is refused before the law is evaluated, by the extraction that
+    checks u and ua as the insertions of T(u, ua); a malformed V by every function that
+    takes a representation."""
     model = build_aklt_model(0.3)
     act = model.action("R_z")
-    rep = VirtualRep("R_z", np.eye(2))
     for bad, text in (
-        (replace(act, u=np.eye(3)[:2]), r"u: expected square, got shape \(2, 3\)"),
-        (replace(act, ua=np.ones(4)), r"ua: expected a 2D array, got shape \(4,\)"),
+        (replace(act, u=np.eye(3)[:2]), r"op: expected square, got shape \(2, 3\)"),
+        (replace(act, ua=np.ones(4)), r"op_a: expected a 2D array, got shape \(4,\)"),
     ):
         with pytest.raises(DimensionMismatchError, match=f"^{text}$"):
-            verify_transformation_law(model.lpdo, bad, rep, theta=0.0)
-    with pytest.raises(DimensionMismatchError, match=r"^v: expected square, got shape \(1, 4\)$"):
-        verify_transformation_law(model.lpdo, act, VirtualRep("R_z", np.ones((1, 4))), theta=0.0)
-
-
-def test_law_rejects_a_representation_of_the_wrong_size():
-    model = build_aklt_model(0.3)
-    with pytest.raises(DimensionMismatchError, match="v is 3x3, tensor has D=2"):
-        verify_transformation_law(model.lpdo, model.action("R_z"), VirtualRep("R_z", np.eye(3)), theta=0.0)
+            extract_virtual_rep(model.lpdo, bad)
+    bad = VirtualRep("R_z", np.ones((1, 4)))
+    with pytest.raises(DimensionMismatchError, match=r"^flux: expected square, got shape \(1, 4\)$"):
+        commutant_residual(build_transfer(model.lpdo, act.u), bad)
+    with pytest.raises(DimensionMismatchError, match=r"^rep1.v: expected square, got shape \(1, 4\)$"):
+        cocycle_commutator(bad, VirtualRep("R_z", np.eye(2)))
 
 
 def test_extract_refuses_a_near_defective_untwisted_map():
