@@ -198,14 +198,26 @@ def conservation_check(model, g1, g2):
     commutator phase of the extracted virtual representations, ``physical``
     the :func:`thermo_response`, and ``ancilla`` the same contraction on
     T(1, ua_g2), with ua_g2 on the ancilla leg (1 for a trivial ua_g2).
+    This is the stack of one of :func:`_conservation_checks`.
     """
-    _require_commuting(model, g1, g2)
-    rep1, _ = extract_virtual_rep(model.lpdo, model.action(g1))
-    rep2, _ = extract_virtual_rep(model.lpdo, model.action(g2))
-    total = cocycle_commutator(rep1, rep2)
-    physical = thermo_response(model, g1, g2)
-    spectra = transfer_spectra([model.lpdo], _identity(model.lpdo.d), model.action(g2).ua)
-    pairs = _leading_pairs([model.lpdo], spectra, f"for {g2!r} on the ancilla")
-    ancilla = _results(model.group.order(g1), _pair_values(pairs, flux_operator(rep1.v)[None]), pairs[3])[0]
-    residual = abs(total - physical.value * ancilla.value)
-    return float(residual), total, physical, ancilla
+    return _conservation_checks([model], [g1], g2)[0][0]
+
+
+def _conservation_checks(models, g1s, g2):
+    """:func:`conservation_check` of each element of ``g1s`` with g2, for each of ``models``,
+    a stack under the stack rule of :mod:`weaksym.transfer`: per model one tuple per element,
+    the responses read from the leading pairs of T(g2) and of T(1, ua_g2) once for all."""
+    for g1 in g1s:
+        _require_commuting(models[0], g1, g2)
+    lpdos = [model.lpdo for model in models]
+    reps = [extract_virtual_reps(lpdos, models[0].action(g)) for g in (*g1s, g2)]
+    totals = [[cocycle_commutator(rep1, rep2) for (rep1, _), (rep2, _) in zip(extracted, reps[-1])] for extracted in reps[:-1]]
+    physical = _thermo_responses(models, g1s, g2)
+    spectra = transfer_spectra(lpdos, _identity(lpdos[0].d), models[0].action(g2).ua)
+    pairs = _leading_pairs(lpdos, spectra, f"for {g2!r} on the ancilla")
+    fluxes = [flux_operator(_stacked([rep.v for rep, _ in extracted])) for extracted in reps[:-1]]
+    ancilla = [_results(models[0].group.order(g1), _pair_values(pairs, x), pairs[3]) for g1, x in zip(g1s, fluxes)]
+    return [
+        [(float(abs(total - phys.value * anc.value)), total, phys, anc) for total, phys, anc in zip(*row)]
+        for row in zip(zip(*totals), physical, zip(*ancilla))
+    ]

@@ -17,9 +17,9 @@ under- or overflow: the thermodynamic series is one running row vector
 x_{l+1} = x_l T(g2)/|lambda_0| across the lengths, each row written in place
 from the one before, and ring series take every power, the envelope
 Tr T(g2)^N included, from one table of repeated squarings per stack of maps,
-all lengths at once (:meth:`~weaksym.numerics.ScaledPowers.powers`): a ring
-series of one model is the stack of one of :func:`_ring_series`, and its
-tables are built for the series, not memoised on the model.
+all lengths at once (:meth:`~weaksym.numerics.ScaledPowers.powers`). Both
+take stacks of models (:func:`_string_series`), one model as the stack of
+one, and build their tables for the series, not memoised on the model.
 
 The decay exponent is not fitted to a series. Expanding T(g2) in its own
 eigenpairs makes the thermodynamic string a finite sum of geometric channels,
@@ -38,7 +38,7 @@ from .errors import NearDefectiveError, UndefinedExponentError, ValidationError
 from .numerics import (
     CLUSTER_TOL, ScaledPowers, _cluster_table, _identity, _norms, _ring_size, _stacked, _whole, _zero_exponents, ldexp, rescale,
 )
-from .transfer import build_transfer, build_transfers, transfer_spectra, transfer_spectrum, twisted_spectrum
+from .transfer import build_transfers, transfer_spectra, transfer_spectrum
 from .response import _leading_pairs
 
 # A channel is live when its amplitude exceeds this share of its scale (see
@@ -133,49 +133,56 @@ def string_order_series(model, g2, chi_l, chi_r, lengths, n_sites=None):
     ZeroDivisionError when the envelope vanishes: an exactly zero leading
     eigenvalue or trace.
     """
-    return _string_series(model, g2, [(chi_l, chi_r)], lengths, n_sites)[0]
+    return _string_series([model], g2, [(chi_l, chi_r)], lengths, n_sites)[0][0]
 
 
-def _string_series(model, g2, endpoints, lengths, n_sites=None):
-    """:func:`string_order_series` of each ``(chi_l, chi_r)`` in ``endpoints``, in order.
+def _string_series(models, g2, endpoints, lengths, n_sites=None):
+    """:func:`string_order_series` of each ``(chi_l, chi_r)`` in ``endpoints``, in order, for
+    each of ``models``, a stack under the stack rule of :mod:`weaksym.transfer`: per model
+    its series, bit for bit those it gets in any stack.
 
     Everything that does not depend on the endpoints is computed once: the
     argument checks, on a ring the envelope and each chunk's stacks of
-    powers, in the thermodynamic limit the leading pair of T(1) and the
-    carried step. Each pair costs its endpoint maps, its traces or carried
-    rows, and its scaling. Every endpoint is checked before any power or
-    spectrum is computed. Each field of each series owns its array. A ring
-    is the stack of one of :func:`_ring_series`.
+    powers, in the thermodynamic limit the leading pairs of T(1), the bases
+    |lambda_0(T(g2))|, the steps, their squaring table and the scaling base^l,
+    each one stack. Each pair costs its endpoint maps, its traces or carried
+    rows, and its scaling. Each model carries its own rows: a stacked product
+    per length would cost a stack of one about twice as much. Every endpoint
+    is checked before any power or spectrum is computed. Each field of each
+    series owns its array. A ring is :func:`_ring_series`.
     """
     if n_sites is not None:
-        return _ring_series([model], g2, endpoints, lengths, n_sites)[0]
+        return _ring_series(models, g2, endpoints, lengths, n_sites)
     lengths, _ = _string_lengths(lengths, None)
-    lpdo = model.lpdo
-    u2 = model.action(g2).u
-    maps = [(build_transfer(lpdo, chi_l), build_transfer(lpdo, chi_r)) for chi_l, chi_r in endpoints]
-    pairs = _leading_pairs([lpdo], transfer_spectra([lpdo], _identity(lpdo.d), None), "of T(1)")
-    left, right, norm = (x[0] for x in pairs[:3])
-    base = float(abs(twisted_spectrum(model, g2).eigenvalues[0]))
-    if base == 0.0:
+    lpdos = [model.lpdo for model in models]
+    u2 = models[0].action(g2).u
+    maps = [[build_transfers(lpdos, chi, None) for chi in pair] for pair in endpoints]
+    left, right, norm, _ = _leading_pairs(lpdos, transfer_spectra(lpdos, _identity(lpdos[0].d), None), "of T(1)")
+    bases = np.array([abs(lam) for lam in _stacked([s.eigenvalues for s in transfer_spectra(lpdos, u2, None)])[:, 0].tolist()])
+    if not bases.all():
         raise ZeroDivisionError("leading twisted eigenvalue vanishes; normalization undefined")
-    step = build_transfer(lpdo, u2) / base
-    powers = ScaledPowers(step)
+    steps = _stacked(build_transfers(lpdos, u2, None)) / bases[:, None, None]
     distinct, where = np.unique(lengths, return_inverse=True)
+    gaps, table = distinct.copy(), ScaledPowers(steps)
+    gaps[1:] -= distinct[:-1]
+    jumps = {n: table._stack_power(n) for n in set(gaps[gaps > 1].tolist())}  # per jump one power of the stack
     distinct = distinct.tolist()
     with np.errstate(over="ignore"):
-        scale = base ** lengths.astype(float)
+        scale = bases[:, None] ** lengths.astype(float)
+    power = [lambda n, i=i: (jumps[n][0][i], jumps[n][1][i]) for i in range(len(lpdos))]  # each model's
     values = []
     for tl, tr in maps:
-        rows, exponent = _carried_rows(left @ tl, step, powers, distinct)
-        mantissa, exponent = ((rows @ (tr @ right)) / norm)[where], exponent[where]
+        carried = [_carried_rows(left[i] @ tl[i], steps[i], power[i], distinct) for i in range(len(lpdos))]
+        mantissa = _stacked([((rows @ (tr[i] @ right[i])) / norm[i])[where] for i, (rows, _) in enumerate(carried)])
+        exponent = _stacked([exponent[where] for _, exponent in carried])
         with np.errstate(over="ignore", invalid="ignore"):
             raw = mantissa * scale
         # past the double range base**l is inf, and a zero part of the mantissa
         # times inf is nan: that part stays zero, as the ring's ldexp keeps it
         for part, m in ((raw.real, mantissa.real), (raw.imag, mantissa.imag)):
             np.copyto(part, m, where=np.isnan(part) & (m == 0))
-        values.append((ldexp(raw, exponent), ldexp(mantissa, exponent), mantissa, exponent))
-    return _series(lengths, None, base, values)
+        values.append(list(zip(ldexp(raw, exponent), ldexp(mantissa, exponent), mantissa, exponent)))  # per model
+    return [_series(lengths, None, base, [value[i] for value in values]) for i, base in enumerate(bases.tolist())]
 
 
 def _ring_series(models, g2, endpoints, lengths, n_sites):
@@ -250,16 +257,16 @@ def _string_lengths(lengths, n_sites):
     return lengths, n_sites
 
 
-def _carried_rows(x, step, powers, lengths):
+def _carried_rows(x, step, power, lengths):
     """(rows, exponents): x step^l = row * 2**exponent for increasing lengths l >= 0,
     each row carried from the one before and written in place, bit for bit the
     rows of ``x = x @ step`` while their exponents are 0.
 
-    A jump of several lengths multiplies by the jump's power from ``powers``,
-    the :class:`~weaksym.numerics.ScaledPowers` table of ``step``, and adds its
-    binary exponent to the row's: no product overflows, even where step^l does.
-    Once one step leaves a row unchanged bit for bit (a row that has
-    underflowed to zeros), every further single step would too, so
+    A jump of n > 1 lengths multiplies by ``power(n)``, the (mantissa, binary
+    exponent) of step^n from a :class:`~weaksym.numerics.ScaledPowers` table of
+    ``step``, and adds its exponent to the row's: no product overflows, even
+    where step^l does. Once one step leaves a row unchanged bit for bit (a row
+    that has underflowed to zeros), every further single step would too, so
     when the remaining lengths are consecutive the rest of the rows are that
     row, and no product is formed.
     """
@@ -274,7 +281,7 @@ def _carried_rows(x, step, powers, lengths):
                 rows[i + 1:] = row
                 break
         elif l > at:
-            mantissa, shift = powers.power(l - at)
+            mantissa, shift = power(l - at)
             x.dot(mantissa, out=row)
             exponents[i:] += shift
         else:  # l = 0

@@ -44,9 +44,10 @@ from .transfer import _insertions, _memoised, build_transfers, symmetry_gaps, tr
 REP_TOL = 1e-8
 
 
-def unitarity_defect(m):
-    """Frobenius norm of m m^dag - 1."""
-    m = _as_square(m)
+def unitarity_defect(m, name):
+    """Frobenius norm of m m^dag - 1; a matrix that is not square and finite is refused
+    under ``name``."""
+    m = _as_square(m, name)
     return float(np.linalg.norm(m @ m.conj().T - np.eye(m.shape[0])))
 
 
@@ -123,7 +124,7 @@ class SymmetryAction:
 
     def validate(self, path="action"):
         for name, m in (("u", self.u), ("ua", self.ua)):
-            defect = unitarity_defect(m)
+            defect = unitarity_defect(m, f"{path}.{name}")
             if defect > 1e-10:
                 raise ValidationError(f"{path}.{name}: not unitary (defect {defect:.3e})")
 

@@ -10,9 +10,14 @@ noise rate p. :func:`run_level` passes one that makes each model once for the
 whole run, so the per-model memo serves every section that uses the same p.
 A section that loops over a fixed grid of p makes the grid's models once and
 reads each quantity of them as one stack, under the stack rule of
-:mod:`weaksym.transfer`; its per-model reads use the same models. Only the
-exponent crossing, whose next p depends on the last, takes one model at a
-time.
+:mod:`weaksym.transfer`: the tables and gaps, the responses and plateaus,
+criterion 5's two grids of thermodynamic strings, the dense oracle (one call
+per ring size for all four models and their seams 1, V_x and V_y, with the
+transfer-side traces from one squaring table per insertion and ring size),
+and the structural identities of p = 0.2 and 0.8, which ``verify --model``
+computes as the stack of its one model. Only the exponent crossing, whose
+next p depends on the last, takes one model at a time: it is the one
+sequential part of the suite.
 """
 
 import functools
@@ -23,19 +28,17 @@ import numpy as np
 
 from .errors import GaplessTransferError, SizeGuardError, UndefinedExponentError, WeaksymError
 from .model import build_aklt_model, spin1_operators
-from .numerics import _identity, ldexp
-from .oracle import expectation
-from .response import _thermo_responses, conservation_check, finite_response, flux_response, thermo_response
+from .numerics import ScaledPowers, _identity, _stacked, ldexp
+from .oracle import _expectations, expectation
+from .response import _conservation_checks, _leading_pairs, _pair_values, _thermo_responses, finite_response, thermo_response
 from .stringorder import _ring_series, _string_series, string_order_series
 from .symmetry import REP_TOL, cocycle_commutator, extract_virtual_rep, extract_virtual_reps
 from .transfer import (
-    build_transfer,
     build_transfers,
     commutant_residual,
     flux_operator,
     symmetry_gap,
     symmetry_gaps,
-    transfer_powers,
     transfer_spectra,
     transfer_spectrum,
     twisted_spectrum,
@@ -89,12 +92,13 @@ def aklt_string_amplitude(p):
     return (2 * (1 - p) / 3) ** 2
 
 
-def _ring_trace(lpdo, op, n_sites, x=None):
-    """Tr[X T(op)^N] from the model's squaring table, the one finite responses use."""
-    mantissa, exponent = transfer_powers(lpdo, op).power(n_sites)
-    if x is not None:
-        mantissa = x @ mantissa
-    return complex(ldexp(np.trace(mantissa), exponent))
+def _transfer_traces(lpdos, op, n_sites, xs):
+    """Tr[X T(op)^N] of each of ``lpdos``, for each stack X (one per tensor; None for 1) of
+    ``xs``: per X a list of one value per tensor, from one squaring table of the stack of
+    maps, each power bit for bit its tensor's own table's, the one finite responses use."""
+    mantissa, exponent = ScaledPowers(_stacked(build_transfers(lpdos, op, None)))._stack_power(n_sites)
+    traces = [np.trace(mantissa if x is None else x @ mantissa, axis1=1, axis2=2) for x in xs]
+    return [ldexp(trace, exponent).tolist() for trace in traces]
 
 
 def _grid(build, p_values):
@@ -286,19 +290,11 @@ def decay_exponent(series, window):
         residual=residual,
     )
 
-def _thermo_grid(build, p_values):
-    """The models of :func:`_grid`, their T(1) and T(R_z) spectra computed as one stack each:
-    the thermodynamic series has no stacked form, so the fits read them model by model."""
-    models, lpdos = _grid(build, p_values)
-    for u in (_identity(lpdos[0].d), models[0].action("R_z").u):
-        transfer_spectra(lpdos, u, None)
-    return models
-
-
-def _thermo_fits(model, chis, window):
-    """Fits of the thermodynamic strings chi ... chi over ``window``, one per chi, from one evaluation."""
-    series = _string_series(model, "R_z", [(chi, chi) for chi in chis], range(window[0], window[1] + 1))
-    return [decay_exponent(s, window=window) for s in series]
+def _thermo_fits(models, chis, window):
+    """Fits of the thermodynamic strings chi ... chi over ``window``, per model one per chi, from
+    one evaluation of the stack ``models``."""
+    series = _string_series(models, "R_z", [(chi, chi) for chi in chis], range(window[0], window[1] + 1))
+    return [[decay_exponent(s, window=window) for s in row] for row in series]
 
 
 def _regula_falsi(f, lo, hi, width):
@@ -352,7 +348,7 @@ def exponent_crossing(build):
     sx, sy = ops["S_x"], ops["S_y"]
 
     def difference(p):
-        fit_y, fit_x = _thermo_fits(build(p), [sy, sx], DEFAULT_WINDOW)
+        ((fit_y, fit_x),) = _thermo_fits([build(p)], [sy, sx], DEFAULT_WINDOW)
         return fit_y.xi - fit_x.xi
 
     lo, hi = _regula_falsi(difference, 0.4, 0.6, 1e-7)
@@ -363,9 +359,7 @@ def exponent_checks(build):
     ops = spin1_operators()
     sx, sy = ops["S_x"], ops["S_y"]
     worst_x = 0.0
-    p_values = [i / 10 for i in range(10)]
-    for p, model in zip(p_values, _thermo_grid(build, p_values)):
-        (fit,) = _thermo_fits(model, [sx], EARLY_WINDOW)
+    for (fit,) in _thermo_fits([build(i / 10) for i in range(10)], [sx], EARLY_WINDOW):
         worst_x = max(worst_x, abs(fit.xi - np.log(3.0)))
     # At p = 1 the S_x string vanishes identically, so its exponent does
     # not exist; check the vanishing instead of fitting roundoff.
@@ -375,8 +369,7 @@ def exponent_checks(build):
     worst_p1 = max(abs(v) for v in series_p1.raw)
     worst_y = 0.0
     p_values = (0.6, 0.75, 0.9)
-    for p, model in zip(p_values, _thermo_grid(build, p_values)):
-        (fit,) = _thermo_fits(model, [sy], DEFAULT_WINDOW)
+    for p, (fit,) in zip(p_values, _thermo_fits([build(p) for p in p_values], [sy], DEFAULT_WINDOW)):
         worst_y = max(worst_y, abs(fit.xi - (-np.log((4 * p - 1) / 3))))
     crossing = exponent_crossing(build)
     return [
@@ -390,32 +383,30 @@ def exponent_checks(build):
 # --- criterion 6: dense-oracle equivalence -----------------------------------
 
 def oracle_checks(build):
-    """Dense-oracle cross-checks on rings of 3, 4 and 5 sites."""
+    """Dense-oracle cross-checks on rings of 3, 4 and 5 sites, one oracle call per ring size
+    for the four models, at the seams 1, V_x and V_y."""
     ops = spin1_operators()
     eye2, eye3 = np.eye(2), np.eye(3)
     chis = [ops[alpha] for alpha in ("S_0", "S_x", "S_y")]
     worst_charge = worst_flux = worst_string = 0.0
     models, lpdos = _grid(build, (0.0, 0.3, 0.7, 1.0))
-    extracted = zip(*(extract_virtual_reps(lpdos, models[0].action(g1)) for g1 in ("R_x", "R_y")))
-    ring_series = {n: _ring_series(models, "R_z", [(chi, chi) for chi in chis], range(n - 1), n) for n in (3, 4, 5)}
-    for i, (model, pairs) in enumerate(zip(models, extracted)):
-        lpdo = model.lpdo
-        uz = model.action("R_z").u
-        reps = [rep for rep, _ in pairs]
-        for n in (3, 4, 5):
-            strings, rings = [], []
-            for chi, series in zip(chis, ring_series[n][i]):
-                for length, ring in zip(series.lengths.tolist(), series.raw):
-                    strings.append([chi] + [uz] * length + [chi] + [eye3] * (n - length - 2))
-                    rings.append(ring)
-            charge, *dense = expectation(lpdo, eye2, [[uz] * n] + strings)
-            worst_charge = max(worst_charge, abs(charge - _ring_trace(lpdo, uz, n)))
-            worst_string = max(worst_string, *(abs(value - ring) for value, ring in zip(dense, rings)))
-
-            for rep in reps:
-                flux = flux_operator(rep.v)
-                for u, dense in zip((uz, eye3), expectation(lpdo, rep.v, [[uz] * n, [eye3] * n])):
-                    worst_flux = max(worst_flux, abs(dense - _ring_trace(lpdo, u, n, flux)))
+    uz = models[0].action("R_z").u
+    reps = [_stacked([rep.v for rep, _ in extract_virtual_reps(lpdos, models[0].action(g1))]) for g1 in ("R_x", "R_y")]
+    fluxes = [flux_operator(v) for v in reps]
+    for n in (3, 4, 5):
+        strings = [[chi] + [uz] * length + [chi] + [eye3] * (n - length - 2) for chi in chis for length in range(n - 1)]
+        numerator_lists = [[uz] * n, [eye3] * n]
+        dense, *numerators = _expectations(lpdos, [[eye2] * len(lpdos), *reps], [[[uz] * n] + strings, numerator_lists, numerator_lists])
+        series = _ring_series(models, "R_z", [(chi, chi) for chi in chis], range(n - 1), n)
+        charges, *at_uz = _transfer_traces(lpdos, uz, n, [None, *fluxes])
+        at_eye = _transfer_traces(lpdos, eye3, n, fluxes)
+        for i, row in enumerate(series):
+            charge, *values = dense[i].tolist()
+            rings = [ring for s in row for ring in s.raw.tolist()]
+            worst_charge = max(worst_charge, abs(charge - charges[i]))
+            worst_string = max(worst_string, *(abs(value - ring) for value, ring in zip(values, rings)))
+            for numerator, x_uz, x_eye in zip(numerators, at_uz, at_eye):
+                worst_flux = max(worst_flux, *(abs(value - x[i]) for value, x in zip(numerator[i].tolist(), (x_uz, x_eye))))
     return [
         _check("uniform charge Tr[rho U] matches the dense oracle", worst_charge, 1e-10),
         _check("flux-inserted numerators match the dense oracle", worst_flux, 1e-10),
@@ -426,20 +417,22 @@ def oracle_checks(build):
 # --- criterion 7: structural identities --------------------------------------
 
 def structural_checks(build):
-    """Worst of each kind of :func:`_structural_lines` (a failed or skipped line is inf), and group orbits."""
+    """Worst of each kind of :func:`_structural_lines` (a failed or skipped line is inf) over the
+    stack of p = 0.2 and 0.8, and their group orbits."""
     worst = {"actions": 0.0, "commutants": 0.0, "conservation": 0.0}
     worst_flux2 = 0.0
-    for p in (0.2, 0.8):
-        model = build(p)
-        for section, result in _structural_lines(model):
+    models, lpdos = _grid(build, (0.2, 0.8))
+    for lines in _structural_lines(models):
+        for section, result in lines:
             value = result.worst if result.passed and not result.detail else np.inf
             worst[section] = max(worst[section], value)
-        for g1 in model.group.labels:
-            if g1 != model.group.identity:
-                rep, _ = extract_virtual_rep(model.lpdo, model.action(g1))
-                squared = np.linalg.matrix_power(rep.v, model.group.order(g1))
-                value, _ = flux_response(model, squared, "R_z")
-                worst_flux2 = max(worst_flux2, abs(value - 1.0))
+    group = models[0].group
+    pairs = _leading_pairs(lpdos, transfer_spectra(lpdos, models[0].action("R_z").u, None), "for 'R_z'")
+    for g1 in group.labels:
+        if g1 != group.identity:
+            v = _stacked([rep.v for rep, _ in extract_virtual_reps(lpdos, models[0].action(g1))])
+            values = _pair_values(pairs, flux_operator(np.linalg.matrix_power(v, group.order(g1))))
+            worst_flux2 = max(worst_flux2, *(abs(value - 1.0) for value in values.tolist()))
     return [
         _check("flux operators commute with twisted transfers", worst["commutants"], 1e-12),
         _check("extracted representations satisfy the push-through law", worst["actions"], 1e-8),
@@ -498,45 +491,57 @@ def run_level(level):
     return out
 
 
-def _structural_lines(model):
-    """Push-through, commutant and conservation lines of one model, as (section, CheckResult).
+def _structural_lines(models):
+    """Push-through, commutant and conservation lines of each of ``models``, a stack under
+    the stack rule of :mod:`weaksym.transfer`: per model a list of (section, CheckResult).
 
     "actions": action unitarity and the push-through law per element. Then per
     commuting pair of extracted elements, "commutants", and "conservation" for g2
     not the identity (skipped with a note where a twisted transfer is gapless).
     Tolerances: push-through ``REP_TOL`` |lambda_0(T(1))|^(1/2) and commutants
-    1e-10 |lambda_0(T(1))|; conservation compares phases.
+    1e-10 |lambda_0(T(1))|; conservation compares phases. Each element is
+    extracted once for the stack, and each g2's conservation is read once for
+    all its commuting g1; a stack that fails or skips a line, on the error of
+    its first model that fails, fails or skips it for every model.
     """
-    out = []
-    lpdo, group = model.lpdo, model.group
-    scale = float(abs(transfer_spectrum(lpdo, _identity(lpdo.d)).eigenvalues[0]))
-    push_tol, commutant_tol = REP_TOL * scale**0.5, 1e-10 * scale
+    out = [[] for _ in models]
+    lpdos, model, group = [model.lpdo for model in models], models[0], models[0].group
+    refs = transfer_spectra(lpdos, _identity(lpdos[0].d), None)
+    scales = [abs(lam) for lam in _stacked([ref.eigenvalues for ref in refs])[:, 0].tolist()]
+    push_tols, commutant_tols = [REP_TOL * scale**0.5 for scale in scales], [1e-10 * scale for scale in scales]
     reps = {}
     for g in group.labels:
         act = model.action(g)
         name = f"push-through law for {g}"
         try:
             act.validate()
-            reps[g] = extract_virtual_rep(lpdo, act)[0]
-            out.append(("actions", _check(name, reps[g].residual, push_tol)))
+            reps[g] = [rep for rep, _ in extract_virtual_reps(lpdos, act)]
+            lines = [_check(name, rep.residual, tol) for rep, tol in zip(reps[g], push_tols)]
         except WeaksymError as exc:
-            out.append(("actions", CheckResult(name, False, float("nan"), push_tol, str(exc))))
+            lines = [CheckResult(name, False, float("nan"), tol, str(exc)) for tol in push_tols]
+        for lines_of, line in zip(out, lines):
+            lines_of.append(("actions", line))
     for g2 in group.labels:
-        t = build_transfer(lpdo, model.action(g2).u)
+        maps = build_transfers(lpdos, model.action(g2).u, None)
         for g1 in group.labels:
             if g1 in reps and group.commutes(g1, g2):
-                residual = commutant_residual(t, reps[g1])
-                out.append(("commutants", _check(f"flux {g1} commutes with T({g2})", residual, commutant_tol)))
+                for lines_of, t, rep, tol in zip(out, maps, reps[g1], commutant_tols):
+                    lines_of.append(("commutants", _check(f"flux {g1} commutes with T({g2})", commutant_residual(t, rep), tol)))
+    conserved = {}  # (g1, g2) -> one line per model
+    for g2 in reps:
+        if g2 == group.identity:
+            continue
+        g1s = [g1 for g1 in reps if group.commutes(g1, g2)]
+        try:
+            for g1, column in zip(g1s, zip(*_conservation_checks(models, g1s, g2))):
+                conserved[g1, g2] = [_check(f"conservation for ({g1}, {g2})", residual, 1e-8) for residual, *_ in column]
+        except GaplessTransferError as exc:
+            for g1 in g1s:
+                conserved[g1, g2] = [CheckResult(f"conservation for ({g1}, {g2})", True, 0.0, 1e-8, f"skipped: {exc}")] * len(models)
     for g1 in reps:
         for g2 in reps:
-            if g2 == group.identity or not group.commutes(g1, g2):
-                continue
-            name = f"conservation for ({g1}, {g2})"
-            try:
-                residual, *_ = conservation_check(model, g1, g2)
-                out.append(("conservation", _check(name, residual, 1e-8)))
-            except GaplessTransferError as exc:
-                out.append(("conservation", CheckResult(name, True, 0.0, 1e-8, f"skipped: {exc}")))
+            for lines_of, line in zip(out, conserved.get((g1, g2), ())):
+                lines_of.append(("conservation", line))
     return out
 
 
@@ -548,7 +553,7 @@ def generic_model_checks(model):
     sites (skipped with a note when the ring exceeds the oracle's size guard),
     to 1e-10 |lambda_0(T(1))|^3.
     """
-    out = _structural_lines(model)
+    (out,) = _structural_lines([model])
     lpdo = model.lpdo
     n = 3
     name = f"uniform charges match the dense oracle at N={n}"
@@ -559,6 +564,6 @@ def generic_model_checks(model):
     except SizeGuardError as exc:
         out.append(("oracle", CheckResult(name, True, 0.0, tol, f"skipped: {exc}")))
         return out
-    worst = max(abs(value - _ring_trace(lpdo, u, n)) for u, value in zip(charges, dense))
+    worst = max(abs(value - _transfer_traces([lpdo], u, n, [None])[0][0]) for u, value in zip(charges, dense.tolist()))
     out.append(("oracle", _check(name, worst, tol)))
     return out

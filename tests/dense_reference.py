@@ -22,8 +22,17 @@ from weaksym.numerics import CLUSTER_TOL
 
 def purified_state(lpdo, seam, n_sites):
     """Amplitudes tr[seam A[i1, a1] ... A[iN, aN]] as an array of shape (d, da) * N, site-major."""
-    left, right, _, _ = oracle._ring(lpdo, seam, n_sites)
+    left, right = ring_halves(lpdo, seam, [None] * n_sites)
     return (left @ right).reshape(lpdo.tensor.shape[:2] * n_sites)
+
+
+def ring_halves(lpdo, seam, ops):
+    """The oracle's (L, R) of the ring of ``lpdo`` with ``ops[k]`` folded into site k (None:
+    the bare site), cut as :func:`weaksym.oracle._expectations` cuts it, of its stack of one."""
+    (a4, (seams,), eye), half = oracle._ring([lpdo], [[seam]], len(ops)), (len(ops) + 1) // 2
+    flat = a4.reshape(*a4.shape[:2], -1)
+    sites = [oracle._site_matrix(a4 if op is None else (op @ flat).reshape(a4.shape)) for op in ops]
+    return oracle._left_half(seams, sites[:half])[0], oracle._right_half(eye, sites[half:])[0]
 
 
 def density(state, n_sites):

@@ -330,7 +330,7 @@ def test_carried_rows_match_the_vector_recurrence(n):
                 x = x @ (step if l == at + 1 else np.linalg.matrix_power(step, l - at))
             at = l
             expected.append(x)
-        rows, exponents = stringorder._carried_rows(start, step, ScaledPowers(step), lengths)
+        rows, exponents = stringorder._carried_rows(start, step, ScaledPowers(step).power, lengths)
         assert rows.shape == exponents.shape + (n,) == (len(lengths), n)
         assert not exponents.any()
         assert np.array_equal(rows, np.reshape(expected, rows.shape))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from test_generic import generic_model
-from weaksym import cli, numerics, transfer, verify
+from weaksym import cli, numerics, symmetry, transfer, verify
 from weaksym.errors import DimensionMismatchError, NotSymmetricError, ValidationError
 from weaksym.model import LpdoTensor, aklt_group, build_aklt_model, save_model, spin1_operators
 from weaksym.response import thermo_response
@@ -82,6 +82,51 @@ def test_criterion_6_makes_one_ring_stack_per_ring_size(monkeypatch):
     monkeypatch.setattr(verify, "_ring_series", recording)
     assert all(result.passed for result in verify.oracle_checks(build_aklt_model))
     assert calls == [(4, 3), (4, 4), (4, 5)]
+
+
+def _recording(monkeypatch, module, name, record):
+    """Calls of ``module.name`` as ``record(*args)`` sees them, in a list."""
+    calls = []
+    function = getattr(module, name)
+
+    def recording(*args):
+        calls.append(record(*args))
+        return function(*args)
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
+
+
+def test_verify_all_makes_three_oracle_calls(monkeypatch):
+    """One oracle call per ring size N = 3, 4, 5, for the four models of criterion 6 at the
+    seams 1, V_x and V_y: the charge and strings at the identity, two numerators at each V."""
+    calls = _recording(
+        monkeypatch, verify, "_expectations", lambda lpdos, seams, op_lists: (len(lpdos), [len(lists) for lists in op_lists])
+    )
+    assert all(result.passed for _, result in verify.run_level("all"))
+    assert calls == [(4, [1 + 3 * (n - 1), 2, 2]) for n in (3, 4, 5)]
+
+
+def test_criterion_7_extracts_each_element_once_for_its_stack(monkeypatch):
+    """On an uncached ``build_aklt_model``: each element's representation is one extraction of
+    the stack of p = 0.2 and 0.8, and each g2's conservation one stacked read for its g1."""
+    extractions = _recording(monkeypatch, symmetry, "_extract_virtual_reps", lambda lpdos, act: (len(lpdos), act.element))
+    conservation = _recording(
+        monkeypatch, verify, "_conservation_checks", lambda models, g1s, g2: (len(models), tuple(g1s), g2)
+    )
+    assert all(result.passed for result in verify.structural_checks(build_aklt_model))
+    labels = build_aklt_model(0.2).group.labels
+    assert extractions == [(2, g) for g in labels]
+    assert conservation == [(2, labels, g2) for g2 in labels[1:]]
+
+
+def test_criterion_5_reads_each_grid_as_one_thermodynamic_stack(monkeypatch):
+    """The S_x grid of ten p and the S_y grid of three are one series each; only the
+    crossing, whose next p depends on the last, reads one model at a time."""
+    calls = _recording(monkeypatch, verify, "_string_series", lambda models, g2, endpoints, lengths: len(models))
+    assert all(result.passed for result in verify.exponent_checks(build_aklt_model))
+    assert calls[:2] == [10, 3]
+    assert calls[2:] == [1] * len(calls[2:]) and 2 <= len(calls[2:]) <= 12
 
 
 @pytest.fixture

@@ -4,7 +4,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from dense_reference import apply_channel, density, purified_state
+from dense_reference import apply_channel, density, purified_state, ring_halves
 from test_generic import generic_model
 from weaksym import oracle
 from weaksym.errors import DimensionMismatchError, SizeGuardError, ValidationError
@@ -171,14 +171,8 @@ def test_expectation_against_definition():
 
 def _folded(lpdo, seam, op_lists):
     """(L0, R0) of the ring and the (L, R) of each operator-folded ring, cut alike."""
-    a4 = lpdo.tensor
-    flat = a4.reshape(lpdo.d, -1)
-    site, eye = oracle._site_matrix(a4), np.eye(len(seam))
-    folded = [
-        oracle._ring_halves(seam, [oracle._site_matrix((op @ flat).reshape(a4.shape)) for op in ops], eye)
-        for ops in op_lists
-    ]
-    return oracle._ring_halves(seam, [site] * len(op_lists[0]), eye), folded
+    folded = [ring_halves(lpdo, seam, ops) for ops in op_lists]
+    return ring_halves(lpdo, seam, [None] * len(op_lists[0])), folded
 
 
 def overlaps_through_the_state(lpdo, seam, op_lists):
@@ -402,8 +396,9 @@ def test_lists_that_share_no_half_contract_each_half_once(half_rings):
 @pytest.mark.parametrize("bond, n_sites", [(2, 5), (6, 3)], ids=["at-the-cuts", "through-psi"])
 def test_every_right_half_of_a_call_starts_from_one_identity(half_rings, bond, n_sites):
     """psi's right half and every list's start from one float identity of the bond, made
-    once per call: on the AKLT ring, which sums at the cuts, and on a D = 6 ring, which
-    sums through psi. Each left half starts from the seam."""
+    once per call as the stack (1, D, D) of a stack of one tensor: on the AKLT ring, which
+    sums at the cuts, and on a D = 6 ring, which sums through psi. Each left half starts
+    from the seam."""
     rng = np.random.default_rng(bond)
     lpdo = build_aklt_model(0.3).lpdo if bond == 2 else generic_model(0.3, bond=bond // 2)[0].lpdo
     lists = [[random_matrix(rng, lpdo.d) for _ in range(n_sites)] for _ in range(3)]
@@ -413,4 +408,72 @@ def test_every_right_half_of_a_call_starts_from_one_identity(half_rings, bond, n
         identities = [start for start in half_rings if start.dtype == float]
         assert len(identities) == len(half_rings) // 2 == 1 + len(lists)
         assert all(start is identities[0] for start in identities)
-        assert np.array_equal(identities[0], np.eye(bond))
+        assert np.array_equal(identities[0], np.eye(bond)[None])
+
+
+def _criterion_6_lists(uz, n_sites):
+    """The lists criterion 6 reads at each seam: the charge and the S_0, S_x, S_y strings at
+    the identity, the flux numerators [u_z]^N and [1]^N at V_x and V_y."""
+    eye3 = np.eye(3)
+    strings = [
+        [OPS[alpha]] + [uz] * length + [OPS[alpha]] + [eye3] * (n_sites - length - 2)
+        for alpha in ("S_0", "S_x", "S_y")
+        for length in range(n_sites - 1)
+    ]
+    numerators = [[uz] * n_sites, [eye3] * n_sites]
+    return [[[uz] * n_sites] + strings, numerators, numerators]
+
+
+def _stacked_against_alone(lpdos, seams, op_lists):
+    """Every value of one stacked call against :func:`expectation` on a fresh tensor, per seam, bit for bit."""
+    values = oracle._expectations(lpdos, seams, op_lists)
+    assert [v.shape for v in values] == [(len(lpdos), len(lists)) for lists in op_lists]
+    for j, (seam, lists) in enumerate(zip(seams, op_lists)):
+        for i, lpdo in enumerate(lpdos):
+            alone = expectation(LpdoTensor(lpdo.tensor), seam[i], lists)
+            assert values[j][i].tobytes() == alone.tobytes(), (i, j)
+    return values
+
+
+@pytest.mark.parametrize("n_sites", [3, 4, 5])
+def test_a_stack_at_several_seams_equals_stacks_of_one_at_the_cuts(n_sites):
+    """Criterion 6's call: the four built-in models at the seams 1, V_x and V_y, every
+    list and seam bit for bit one tensor's call at that seam alone."""
+    models = [build_aklt_model(p) for p in (0.0, 0.3, 0.7, 1.0)]
+    lpdos = [model.lpdo for model in models]
+    uz = models[0].action("R_z").u
+    reps = [[extract_virtual_rep(lpdo, models[0].action(g))[0].v for lpdo in lpdos] for g in ("R_x", "R_y")]
+    _stacked_against_alone(lpdos, [[np.eye(2)] * 4, *reps], _criterion_6_lists(uz, n_sites))
+
+
+def test_a_stack_at_several_seams_equals_stacks_of_one_through_psi():
+    """Three D = 6 generic models on 3 sites, which sum through psi, at the identity and at
+    a random complex seam per tensor, on criterion 6's lists and random ones."""
+    rng = np.random.default_rng(36)
+    models = [generic_model(p)[0] for p in (0.3, 0.6, 0.8)]
+    lpdos = [model.lpdo for model in models]
+    uz = models[0].action("R_z").u
+    random_lists = [[random_matrix(rng, 3) for _ in range(3)] for _ in range(4)]
+    seams = [[np.eye(6)] * 3, [random_matrix(rng, 6) for _ in lpdos]]
+    _stacked_against_alone(lpdos, seams, [_criterion_6_lists(uz, 3)[0], random_lists])
+
+
+@pytest.mark.parametrize(
+    "bond, n_sites, chunks", [(2, 4, 1), (2, 5, 2), (6, 3, 2)], ids=["at-the-cuts", "at-the-cuts-per-tensor", "through-psi"]
+)
+def test_right_halves_are_contracted_once_for_every_seam(half_rings, bond, n_sites, chunks):
+    """A right half does not depend on the seam: psi's and each distinct list's start from
+    the identity once per call, however many seams read them, and each seam contracts
+    psi's left half and each distinct left half of its own lists. A stack whose tensors'
+    halves pass ``STACK_ENTRIES`` entries is contracted one tensor at a time."""
+    rng = np.random.default_rng(bond)
+    lpdos = [
+        (build_aklt_model(p).lpdo if bond == 2 else generic_model(p, bond=bond // 2)[0].lpdo) for p in (0.3, 0.7)
+    ]
+    lists = [[random_matrix(rng, 3) for _ in range(n_sites)] for _ in range(3)]
+    seams = [[random_matrix(rng, bond) for _ in lpdos] for _ in range(3)]
+    oracle._expectations(lpdos, seams, [lists, lists[:2], lists[1:]])
+    identities = [start for start in half_rings if start.dtype == float]
+    assert len(identities) == chunks * (1 + len(lists))
+    assert len(half_rings) - len(identities) == chunks * (3 + len(lists) + 2 + 2)
+    assert {len(start) for start in half_rings} == {len(lpdos) // chunks}

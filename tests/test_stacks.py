@@ -21,7 +21,7 @@ import pytest
 
 import dense_reference
 from test_generic import generic_model
-from weaksym import cli, transfer
+from weaksym import cli, oracle, transfer
 from weaksym.errors import (
     DimensionMismatchError,
     GaplessTransferError,
@@ -278,7 +278,7 @@ def assert_rows_equal_one_model_calls(models, lengths, n_sites):
     responses = _isolated(_thermo_responses, models, FLUXES, "R_z")
     for model, ring, channel, response in zip(models, rings, channels, responses):
         alone = _fresh(model)
-        assert _fields(ring) == _fields(_outcome(lambda: _string_series(alone, "R_z", ENDS, lengths, n_sites)))
+        assert _fields(ring) == _fields(_outcome(lambda: _string_series([alone], "R_z", ENDS, lengths, n_sites)[0]))
         assert _fields(channel) == [_fields(_outcome(lambda: decay_channel(alone, "R_z", *pair))) for pair in ENDS]
         fluxes = [_fields(_outcome(lambda: thermo_response(alone, g1, "R_z"))) for g1 in FLUXES]
         # a row's responses fail together, with the error each flux raises alone
@@ -346,7 +346,7 @@ SY = (OPS["S_y"], OPS["S_y"])
 ONE_FAILS = {
     # p = 1/2 on 5 sites: Tr T(R_z)^5 vanishes
     "ring": (0.5, lambda models: _ring_series(models, "R_z", ENDS, [0, 1, 2, 3], 5),
-             lambda model: _string_series(model, "R_z", ENDS, [0, 1, 2, 3], 5)),
+             lambda model: _string_series([model], "R_z", ENDS, [0, 1, 2, 3], 5)[0]),
     # p = 1/2: T(R_z) is gapless
     "response": (0.5, lambda models: _thermo_responses(models, FLUXES, "R_z"),
                  lambda model: thermo_response(model, "R_x", "R_z")),
@@ -485,26 +485,28 @@ def test_sweep_working_memory_does_not_grow_with_its_length():
 
 @pytest.fixture
 def memo_calls(monkeypatch):
-    """The tensors of each call of ``transfer._memoised``, under every name a module imported it as."""
+    """(function name, tensors) of each call of ``transfer._memoised`` and of the oracle's
+    ``oracle._expectations``, under every name a module imported them as."""
     calls = []
-    memoised = transfer._memoised
+    for function in (transfer._memoised, oracle._expectations):
 
-    def recording(lpdos, key, compute):
-        calls.append(list(lpdos))
-        return memoised(lpdos, key, compute)
+        def recording(lpdos, *args, function=function):
+            calls.append((function.__name__, list(lpdos)))
+            return function(lpdos, *args)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "weaksym" and getattr(module, "_memoised", None) is memoised:
-            monkeypatch.setattr(module, "_memoised", recording)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "weaksym" and getattr(module, function.__name__, None) is function:
+                monkeypatch.setattr(module, function.__name__, recording)
     return calls
 
 
 def test_commands_stack_only_dense_tensors_of_one_shape(memo_calls, capsys, tmp_path):
     """The stack rule of weaksym.transfer, on the commands that form stacks: the
     benchmark's seeded sweep and a 5-point one, ``verify all``, and a D = 12 model
-    file, whose maps take the Krylov path. Every stack of more than one tensor
-    holds tensors of one shape whose maps are decomposed densely; ``verify all``
-    forms such stacks of its own, one per quantity of a fixed grid of p."""
+    file, whose maps take the Krylov path. Every stack of more than one tensor, of
+    the memo or of the dense oracle, holds tensors of one shape whose maps are
+    decomposed densely; ``verify all`` forms such stacks of its own, one per
+    quantity of a fixed grid of p, and one oracle stack per ring size."""
     model, _, _ = generic_model(0.3, bond=6)
     path = str(tmp_path / "D12.json")
     save_model(model, path)
@@ -519,10 +521,11 @@ def test_commands_stack_only_dense_tensors_of_one_shape(memo_calls, capsys, tmp_
         start = len(memo_calls)
         assert cli.main(argv) == 0, argv
         if argv == ["verify", "all"]:
-            assert any(len(lpdos) > 1 for lpdos in memo_calls[start:])
+            assert any(len(lpdos) > 1 for name, lpdos in memo_calls[start:] if name == "_memoised")
+            assert [len(lpdos) for name, lpdos in memo_calls[start:] if name == "_expectations"] == [4, 4, 4]
     capsys.readouterr()
-    stacks = [lpdos for lpdos in memo_calls if len(lpdos) > 1]
+    stacks = [lpdos for _, lpdos in memo_calls if len(lpdos) > 1]
     assert stacks
     assert all(len({lpdo.tensor.shape for lpdo in lpdos}) == 1 for lpdos in stacks)
     assert all(lpdos[0].bond_dim**2 <= DENSE_MAX_ROWS for lpdos in stacks)
-    assert any(lpdos[0].bond_dim == 12 for lpdos in memo_calls)
+    assert any(lpdos[0].bond_dim == 12 for _, lpdos in memo_calls)

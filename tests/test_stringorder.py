@@ -424,7 +424,7 @@ def test_shared_series_equal_one_call_per_pair(fresh, lengths, n_sites):
     per-length powers, 1,001 lengths at D = 6 cross the 809-length chunk, and
     N = 2^50 keeps its exponents as Python ints."""
     endpoints = [(OPS[a], OPS[b]) for a, b in PAIRS]
-    shared = _string_series(fresh(), "R_z", endpoints, lengths, n_sites)
+    (shared,) = _string_series([fresh()], "R_z", endpoints, lengths, n_sites)
     assert len(shared) == len(endpoints)
     for (chi_l, chi_r), series in zip(endpoints, shared):
         alone = string_order_series(fresh(), "R_z", chi_l, chi_r, lengths, n_sites)
@@ -441,7 +441,7 @@ def test_a_shared_series_checks_every_endpoint_before_any_power():
     endpoints = [(OPS["S_x"], OPS["S_x"]), (OPS["S_y"], np.eye(2))]
     for n_sites in (None, 200):
         with pytest.raises(DimensionMismatchError, match="op is 2x2, tensor has d=3"):
-            _string_series(model, "R_z", endpoints, [50], n_sites)
+            _string_series([model], "R_z", endpoints, [50], n_sites)
     assert {key[0] for key in model.lpdo._memo.keys() - entries.keys()} == {"transfer"}
 
 
@@ -467,7 +467,7 @@ def test_carried_rows_fill_the_zero_tail_bit_for_bit(alpha):
     step = build_transfer(lpdo, model.action("R_z").u) / abs(twisted_spectrum(model, "R_z").eigenvalues[0])
     x = left @ build_transfer(lpdo, OPS[alpha])
     lengths = list(range(2001))
-    rows, exponents = _carried_rows(x, step, ScaledPowers(step), lengths)
+    rows, exponents = _carried_rows(x, step, ScaledPowers(step).power, lengths)
     assert exponents.dtype == np.int64 and not exponents.any()
     expected = _carried_reference(x, step, lengths)
     assert rows.tobytes() == expected.tobytes()
@@ -481,7 +481,7 @@ def test_carried_rows_do_not_fill_across_a_gap():
     x = np.array([1.0, 1.0], dtype=complex)
     step = np.array([[1.0, 0.0], [1e-17, 1.0]], dtype=complex)
     lengths = [0, 1, 2, 101, 102, 103]
-    rows, exponents = _carried_rows(x, step, ScaledPowers(step), lengths)
+    rows, exponents = _carried_rows(x, step, ScaledPowers(step).power, lengths)
     assert exponents.dtype == np.int64 and not exponents.any()
     expected = _carried_reference(x, step, lengths)
     assert rows.tobytes() == expected.tobytes()
@@ -494,7 +494,7 @@ def test_carried_rows_without_a_repeat_match_the_recurrence():
     step /= abs(np.linalg.eigvals(step)).max()
     x = rng.normal(size=4) + 1j * rng.normal(size=4)
     lengths = [0, *range(3, 300)]
-    rows, exponents = _carried_rows(x, step, ScaledPowers(step), lengths)
+    rows, exponents = _carried_rows(x, step, ScaledPowers(step).power, lengths)
     assert exponents.dtype == np.int64 and not exponents.any()
     assert rows.tobytes() == _carried_reference(x, step, lengths).tobytes()
     assert all(a.tobytes() != b.tobytes() for a, b in zip(rows, rows[1:]))

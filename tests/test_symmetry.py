@@ -210,6 +210,21 @@ def test_law_refusals_keep_their_text():
         cocycle_commutator(bad, VirtualRep("R_z", np.eye(2)))
 
 
+def test_validate_names_the_malformed_matrix():
+    """A non-square or non-finite physical or ancilla matrix is refused under its own name
+    in the action's path, as the unitarity test of each leg reads it."""
+    for action, text, error in (
+        (SymmetryAction("g", np.eye(3)[:2], np.eye(4)), r"action.u: expected square, got shape \(2, 3\)", DimensionMismatchError),
+        (SymmetryAction("g", np.eye(3), np.eye(4)[:, :3]), r"action.ua: expected square, got shape \(4, 3\)", DimensionMismatchError),
+        (SymmetryAction("g", np.eye(3), np.ones(4)), r"action.ua: expected a 2D array, got shape \(4,\)", DimensionMismatchError),
+        (SymmetryAction("g", np.full((3, 3), np.nan), np.eye(4)), r"action.u: entries must be finite", ValidationError),
+    ):
+        with pytest.raises(error, match=f"^{text}$"):
+            action.validate()
+    with pytest.raises(DimensionMismatchError, match=r"^actions.R_x.ua: expected square, got shape \(4, 3\)$"):
+        SymmetryAction("R_x", np.eye(3), np.eye(4)[:, :3]).validate("actions.R_x")
+
+
 def test_extract_refuses_a_near_defective_untwisted_map():
     """Tensor (1, N) with N nilpotent: T(1) = 1 + N (x) N is a Jordan block at 1."""
     n = np.array([[0, 1], [0, 0]], dtype=complex)

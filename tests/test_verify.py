@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from test_generic import generic_model
 from weaksym import verify
 from weaksym.model import build_aklt_model, spin1_operators
-from weaksym.stringorder import string_order_series
+from weaksym.stringorder import _string_series, string_order_series
 from weaksym.verify import CheckResult, generic_model_checks, run_level, structural_checks
 
 KINDS = {
@@ -34,7 +35,7 @@ def test_criterion_7_is_the_worst_generic_line_of_each_kind():
 def test_criterion_7_counts_a_failed_or_skipped_line_as_inf(monkeypatch, section, bad):
     """max(0.0, nan) is 0.0: without the inf a failed extraction would pass criterion 7."""
     lines = verify._structural_lines
-    monkeypatch.setattr(verify, "_structural_lines", lambda model: lines(model) + [(section, bad)])
+    monkeypatch.setattr(verify, "_structural_lines", lambda models: [model_lines + [(section, bad)] for model_lines in lines(models)])
     results = {result.name: result for result in structural_checks(build_aklt_model)}
     for kind, name in KINDS.items():
         if kind == section:
@@ -128,3 +129,46 @@ def test_a_stalling_function_is_narrowed_within_twice_bisections_steps(f):
 def test_a_bracket_without_a_sign_change_is_refused():
     with pytest.raises(ValueError, match=r"^bracket \(0.4, 0.6\) does not straddle the crossing$"):
         verify._regula_falsi(lambda x: 1.0, 0.4, 0.6, 1e-7)
+
+
+def _line_bits(line):
+    section, result = line
+    return section, result.name, result.passed, np.float64(result.worst).tobytes(), result.tol, result.detail
+
+
+@pytest.mark.parametrize(
+    "fresh", [build_aklt_model, lambda p: generic_model(p)[0]], ids=["family", "generic-D6"]
+)
+def test_structural_lines_of_a_stack_equal_each_model_alone(fresh):
+    """Criterion 7's stack of p = 0.2 and 0.8, line for line and bit for bit the lines of
+    each model as ``verify --model`` computes them, a stack of one on a fresh model."""
+    stacked = verify._structural_lines([fresh(0.2), fresh(0.8)])
+    alone = [verify._structural_lines([fresh(p)])[0] for p in (0.2, 0.8)]
+    assert [list(map(_line_bits, lines)) for lines in stacked] == [list(map(_line_bits, lines)) for lines in alone]
+    assert len(stacked[0]) == 4 + 16 + 12
+
+
+def _series_bits(series):
+    return [
+        (s.lengths.tobytes(), s.raw.tobytes(), s.normalized.tobytes(), s.mantissa.tobytes(), s.exponent.tolist(), s.base, s.n_sites)
+        for s in series
+    ]
+
+
+@pytest.mark.parametrize(
+    "p_values, chi, window",
+    [([i / 10 for i in range(10)], "S_x", verify.EARLY_WINDOW), ([0.6, 0.75, 0.9], "S_y", verify.DEFAULT_WINDOW)],
+    ids=["S_x-grid", "S_y-grid"],
+)
+def test_criterion_5_grids_equal_their_stacks_of_one(p_values, chi, window):
+    """Each grid's thermodynamic series is one stack; each model's series, and so its fit,
+    is bit for bit that of a stack of one on a fresh model."""
+    ops = spin1_operators()
+    lengths = range(window[0], window[1] + 1)
+    endpoints = [(ops[chi], ops[chi]), (ops["S_z"], ops["S_0"])]
+    stacked = _string_series([build_aklt_model(p) for p in p_values], "R_z", endpoints, lengths)
+    for p, series in zip(p_values, stacked):
+        (alone,) = _string_series([build_aklt_model(p)], "R_z", endpoints, lengths)
+        assert _series_bits(series) == _series_bits(alone)
+    fits = verify._thermo_fits([build_aklt_model(p) for p in p_values], [ops[chi]], window)
+    assert fits == [verify._thermo_fits([build_aklt_model(p)], [ops[chi]], window)[0] for p in p_values]
