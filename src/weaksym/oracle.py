@@ -24,12 +24,10 @@ ancilla index traces the ancillas. :func:`expectation` sums that overlap at
 the two cuts or through the state, whichever costs less (Pfeifer, Haegeman &
 Verstraete, PRE 90, 033315 (2014)): the cuts on every built-in ring, the
 state for a wide bond on a short ring. :func:`_expectations` evaluates a
-stack of tensors (``verify all``'s four models) at several seams (1, V_x and
-V_y) in one call, each half as products of stacks, one matrix product per
-tensor, so each value is bit for bit its tensor's alone. Neither the density
-matrix nor the Kronecker-product operator is formed.
-Every dense array of one ring is bounded by ``MAX_AMPLITUDES`` entries and
-refused with :class:`SizeGuardError` before it is allocated.
+stack of tensors at several seams in one call, each value bit for bit its
+tensor's alone. Neither the density matrix nor the Kronecker-product operator
+is formed. Every dense array of one ring is bounded by ``MAX_AMPLITUDES``
+entries and refused with :class:`SizeGuardError` before it is allocated.
 """
 
 import numpy as np
@@ -38,11 +36,12 @@ from .errors import DimensionMismatchError, SizeGuardError, ValidationError
 from .numerics import _insertion, _ring_size
 
 MAX_AMPLITUDES = 2 ** 24
-# A stack's left halves are contracted a few tensors at a time, within this
-# many entries (128 KB, from which malloc maps each block afresh). One BLAS
-# thread, the four built-in models on 5 sites (6,912 entries each): 4.7 ms one
-# at a time, 7.4 two, 8.9 four; on 3 and 4 sites, one chunk: 0.55 and 0.68 ms
-# against 1.4 and 1.8 for one call per tensor and seam.
+# A stack's left halves are contracted a few tensors at a time, within this many complex
+# entries: 128 KiB, glibc's default mmap threshold, above which each block is mapped afresh.
+# Products over the bond D do too little arithmetic per byte to hide those page faults, where
+# the D^2 x D^2 products of stringorder.MAX_STACK_ENTRIES do. One BLAS thread of a 2-core Xeon,
+# the four built-in models on 5 sites: 4.6 ms a call one at a time, 8.5 ms (2,716 page faults)
+# four at once; on 3 and 4 sites, one chunk: 0.63 and 0.76 ms, 1.44 and 1.61 without the tensor axis.
 STACK_ENTRIES = 2 ** 13
 
 
@@ -81,10 +80,9 @@ def _right_half(eye, sites):
 
 
 def _ring(lpdos, seams, n_sites):
-    """(a4, seams, eye): the stack of the tensors, each seam checked as a stack (k, D, D), and
-    the identity (k, D, D) every right half starts from. Refuses N < 1, a seam that does not fit the bond, and (d*da)^N * D^2, one ring's
-    amplitudes times the cut bond pairs, above ``MAX_AMPLITUDES``.
-    """
+    """(a4, seams, eye): the stack of the tensors, each seam checked as a stack (k, D, D), and the
+    identity (k, D, D) every right half starts from. Refuses N < 1, a seam that does not fit the
+    bond, and (d*da)^N * D^2, one ring's amplitudes times the cut bond pairs, above ``MAX_AMPLITUDES``."""
     a4 = np.stack([lpdo.tensor for lpdo in lpdos])
     k, d, da, dv, _ = a4.shape
     n_sites = _ring_size(n_sites)

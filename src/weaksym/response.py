@@ -21,7 +21,7 @@ import numpy as np
 from .errors import GaplessTransferError, NearDefectiveError, NonCommutingError
 from .numerics import _identity, _ring_size, _stacked
 from .symmetry import cocycle_commutator, extract_virtual_rep, extract_virtual_reps
-from .transfer import flux_operator, symmetry_gap, symmetry_gaps, transfer_powers, transfer_spectra, transfer_spectrum, twisted_spectrum
+from .transfer import flux_operator, symmetry_gap, symmetry_gaps, transfer_powers, transfer_spectra, transfer_spectrum
 
 SNAP_TOL = 1e-6
 # A symmetry gap at or below this share of |lambda_0(T(1))| is a transition:
@@ -154,10 +154,19 @@ def flux_response(model, flux, g2):
     pair of T(g2). Returns ``(value, gap)``. Raises
     :class:`GaplessTransferError` when the symmetry gap of T(g2) is at or
     below ``GAP_TOL`` times |lambda_0(T(1))| and :class:`NearDefectiveError`
-    for untrustworthy spectra.
+    for untrustworthy spectra. This is the stack of one of :func:`_flux_responses`.
     """
-    pairs = _leading_pairs([model.lpdo], [twisted_spectrum(model, g2)], f"for {g2!r}")
-    return _pair_values(pairs, flux_operator(flux)[None]).tolist()[0], pairs[3].tolist()[0]
+    (values,), gaps = _flux_responses([model], [flux], g2)
+    return values.tolist()[0], gaps.tolist()[0]
+
+
+def _flux_responses(models, fluxes, g2):
+    """:func:`flux_response` of each of ``fluxes`` (a seam matrix, or a stack of one per model) for
+    each of ``models``, a stack under the stack rule of :mod:`weaksym.transfer`: ``(values, gaps)``,
+    per flux one value per model, from the leading pairs of T(g2) read once for every flux."""
+    lpdos = [model.lpdo for model in models]
+    pairs = _leading_pairs(lpdos, transfer_spectra(lpdos, models[0].action(g2).u, None), f"for {g2!r}")
+    return [_pair_values(pairs, flux_operator(flux)) for flux in fluxes], pairs[3]
 
 
 def thermo_response(model, g1, g2):
@@ -182,10 +191,9 @@ def _thermo_responses(models, g1s, g2):
     for g1 in g1s:
         _require_commuting(models[0], g1, g2)
     lpdos = [model.lpdo for model in models]
-    reps = [extract_virtual_reps(lpdos, models[0].action(g1)) for g1 in g1s]
-    pairs = _leading_pairs(lpdos, transfer_spectra(lpdos, models[0].action(g2).u, None), f"for {g2!r}")
-    fluxes = [flux_operator(_stacked([rep.v for rep, _ in extracted])) for extracted in reps]
-    results = [_results(models[0].group.order(g1), _pair_values(pairs, x), pairs[3]) for g1, x in zip(g1s, fluxes)]
+    reps = [_stacked([rep.v for rep, _ in extract_virtual_reps(lpdos, models[0].action(g1))]) for g1 in g1s]
+    values, gaps = _flux_responses(models, reps, g2)
+    results = [_results(models[0].group.order(g1), value, gaps) for g1, value in zip(g1s, values)]
     return [list(row) for row in zip(*results)]
 
 

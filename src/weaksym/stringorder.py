@@ -162,14 +162,12 @@ def _string_series(models, g2, endpoints, lengths, n_sites=None):
     if not bases.all():
         raise ZeroDivisionError("leading twisted eigenvalue vanishes; normalization undefined")
     steps = _stacked(build_transfers(lpdos, u2, None)) / bases[:, None, None]
+    table = ScaledPowers(steps)
     distinct, where = np.unique(lengths, return_inverse=True)
-    gaps, table = distinct.copy(), ScaledPowers(steps)
-    gaps[1:] -= distinct[:-1]
-    jumps = {n: table._stack_power(n) for n in set(gaps[gaps > 1].tolist())}  # per jump one power of the stack
     distinct = distinct.tolist()
     with np.errstate(over="ignore"):
         scale = bases[:, None] ** lengths.astype(float)
-    power = [lambda n, i=i: (jumps[n][0][i], jumps[n][1][i]) for i in range(len(lpdos))]  # each model's
+    power = [lambda n, i=i: tuple(x[i] for x in table._stack_power(n)) for i in range(len(lpdos))]  # model i's, when a jump needs it
     values = []
     for tl, tr in maps:
         carried = [_carried_rows(left[i] @ tl[i], steps[i], power[i], distinct) for i in range(len(lpdos))]

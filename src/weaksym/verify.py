@@ -10,13 +10,11 @@ noise rate p. :func:`run_level` passes one that makes each model once for the
 whole run, so the per-model memo serves every section that uses the same p.
 A section that loops over a fixed grid of p makes the grid's models once and
 reads each quantity of them as one stack, under the stack rule of
-:mod:`weaksym.transfer`: the tables and gaps, the responses and plateaus,
-criterion 5's two grids of thermodynamic strings, the dense oracle (one call
-per ring size for all four models and their seams 1, V_x and V_y, with the
-transfer-side traces from one squaring table per insertion and ring size),
-and the structural identities of p = 0.2 and 0.8, which ``verify --model``
-computes as the stack of its one model. Only the exponent crossing, whose
-next p depends on the last, takes one model at a time: it is the one
+:mod:`weaksym.transfer`: the tables, gaps, responses, plateaus and exponent
+grids, the dense oracle (one call per ring size for four models at the seams
+1, V_x and V_y) and the structural identities of p = 0.2 and 0.8, which
+``verify --model`` computes as a stack of one. Only the exponent crossing,
+whose next p depends on the last, takes one model at a time: it is the one
 sequential part of the suite.
 """
 
@@ -30,7 +28,7 @@ from .errors import GaplessTransferError, SizeGuardError, UndefinedExponentError
 from .model import build_aklt_model, spin1_operators
 from .numerics import ScaledPowers, _identity, _stacked, ldexp
 from .oracle import _expectations, expectation
-from .response import _conservation_checks, _leading_pairs, _pair_values, _thermo_responses, finite_response, thermo_response
+from .response import _conservation_checks, _flux_responses, _thermo_responses, finite_response, thermo_response
 from .stringorder import _ring_series, _string_series, string_order_series
 from .symmetry import REP_TOL, cocycle_commutator, extract_virtual_rep, extract_virtual_reps
 from .transfer import (
@@ -39,6 +37,7 @@ from .transfer import (
     flux_operator,
     symmetry_gap,
     symmetry_gaps,
+    transfer_powers,
     transfer_spectra,
     transfer_spectrum,
     twisted_spectrum,
@@ -95,7 +94,7 @@ def aklt_string_amplitude(p):
 def _transfer_traces(lpdos, op, n_sites, xs):
     """Tr[X T(op)^N] of each of ``lpdos``, for each stack X (one per tensor; None for 1) of
     ``xs``: per X a list of one value per tensor, from one squaring table of the stack of
-    maps, each power bit for bit its tensor's own table's, the one finite responses use."""
+    maps, each power bit for bit its tensor's memoised table's, the one finite responses use."""
     mantissa, exponent = ScaledPowers(_stacked(build_transfers(lpdos, op, None)))._stack_power(n_sites)
     traces = [np.trace(mantissa if x is None else x @ mantissa, axis1=1, axis2=2) for x in xs]
     return [ldexp(trace, exponent).tolist() for trace in traces]
@@ -420,19 +419,16 @@ def structural_checks(build):
     """Worst of each kind of :func:`_structural_lines` (a failed or skipped line is inf) over the
     stack of p = 0.2 and 0.8, and their group orbits."""
     worst = {"actions": 0.0, "commutants": 0.0, "conservation": 0.0}
-    worst_flux2 = 0.0
     models, lpdos = _grid(build, (0.2, 0.8))
     for lines in _structural_lines(models):
         for section, result in lines:
             value = result.worst if result.passed and not result.detail else np.inf
             worst[section] = max(worst[section], value)
     group = models[0].group
-    pairs = _leading_pairs(lpdos, transfer_spectra(lpdos, models[0].action("R_z").u, None), "for 'R_z'")
-    for g1 in group.labels:
-        if g1 != group.identity:
-            v = _stacked([rep.v for rep, _ in extract_virtual_reps(lpdos, models[0].action(g1))])
-            values = _pair_values(pairs, flux_operator(np.linalg.matrix_power(v, group.order(g1))))
-            worst_flux2 = max(worst_flux2, *(abs(value - 1.0) for value in values.tolist()))
+    orbit = [g1 for g1 in group.labels if g1 != group.identity]
+    reps = [_stacked([rep.v for rep, _ in extract_virtual_reps(lpdos, models[0].action(g1))]) for g1 in orbit]
+    values, _ = _flux_responses(models, [np.linalg.matrix_power(v, group.order(g1)) for g1, v in zip(orbit, reps)], "R_z")
+    worst_flux2 = max(0.0, *(abs(value - 1.0) for row in values for value in row.tolist()))
     return [
         _check("flux operators commute with twisted transfers", worst["commutants"], 1e-12),
         _check("extracted representations satisfy the push-through law", worst["actions"], 1e-8),
@@ -564,6 +560,7 @@ def generic_model_checks(model):
     except SizeGuardError as exc:
         out.append(("oracle", CheckResult(name, True, 0.0, tol, f"skipped: {exc}")))
         return out
-    worst = max(abs(value - _transfer_traces([lpdo], u, n, [None])[0][0]) for u, value in zip(charges, dense.tolist()))
+    scaled = [transfer_powers(lpdo, u).power(n) for u in charges]  # the tables finite responses use
+    worst = max(abs(value - complex(ldexp(np.trace(m), e))) for (m, e), value in zip(scaled, dense.tolist()))
     out.append(("oracle", _check(name, worst, tol)))
     return out

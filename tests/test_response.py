@@ -4,10 +4,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from weaksym.errors import GaplessTransferError, NonCommutingError, ValidationError
+from weaksym.errors import DimensionMismatchError, GaplessTransferError, NonCommutingError, ValidationError
 from weaksym.model import LpdoTensor, Model, build_aklt_model
 from weaksym.response import (
     SNAP_TOL,
+    _flux_responses,
     _snapped,
     conservation_check,
     finite_response,
@@ -162,6 +163,22 @@ def test_flux_response_matches_element_route():
     value, gap = flux_response(model, rep.v, "R_z")
     assert abs(value - thermo_response(model, "R_x", "R_z").value) < 1e-14
     assert abs(gap - (2 - 4 * 0.3) / 3) < 1e-12
+
+
+def test_flux_responses_of_a_stack_equal_each_model_alone():
+    """One seam matrix for every model and a stack of one per model, each value and gap
+    bit for bit :func:`flux_response` on a fresh model; a 2 x 3 flux is refused."""
+    rng = np.random.default_rng(36)
+    p_values = (0.2, 0.3, 0.8)
+    models = [build_aklt_model(p) for p in p_values]
+    stack = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+    values, gaps = _flux_responses(models, [np.eye(2), stack], "R_z")
+    for i, p in enumerate(p_values):
+        for flux, value in ((np.eye(2), values[0][i]), (stack[i], values[1][i])):
+            alone, gap = flux_response(build_aklt_model(p), flux, "R_z")
+            assert (value.item(), gaps[i].item()) == (alone, gap)
+    with pytest.raises(DimensionMismatchError, match="flux"):
+        _flux_responses(models, [np.ones((2, 3))], "R_z")
 
 
 def test_ancilla_response_signs():

@@ -435,6 +435,18 @@ def test_shared_series_equal_one_call_per_pair(fresh, lengths, n_sites):
             assert not np.shares_memory(a, b) or not (a.flags.writeable or b.flags.writeable)
 
 
+def test_a_thermodynamic_stack_across_gaps_equals_stacks_of_one():
+    """A stack of three models over lengths with jumps of 2 to 3,000, in any order and
+    repeated, on two endpoint pairs: each model's series bit for bit its stack of one's."""
+    p_values = (0.2, 0.6, 0.9)
+    lengths = [4000, 0, 3, 5, 5, 9, 40, 41, 1000, 3, 4000]
+    endpoints = [(OPS["S_x"], OPS["S_x"]), (OPS["S_y"], OPS["S_y"])]
+    stacked = _string_series([build_aklt_model(p) for p in p_values], "R_z", endpoints, lengths)
+    for p, series in zip(p_values, stacked):
+        (alone,) = _string_series([build_aklt_model(p)], "R_z", endpoints, lengths)
+        assert [_bits(s) for s in series] == [_bits(s) for s in alone]
+
+
 def test_a_shared_series_checks_every_endpoint_before_any_power():
     model = build_aklt_model(0.3)
     entries = dict(model.lpdo._memo)
