@@ -153,7 +153,7 @@ def _resolve_chi(spec, dim):
 def _sweep_rows(p_values, n_sites, length):
     """The row of each p, ``SWEEP_CHUNK`` models at a time, each chunk released after its rows:
     a sweep of up to ``SWEEP_CHUNK`` rows is one stack, and its refused rows are
-    told apart by halving it (:func:`_isolated`)."""
+    told apart by the tensor each error names (:func:`_isolated`)."""
     rows = []
     for at in range(0, len(p_values), SWEEP_CHUNK):
         chunk = p_values[at : at + SWEEP_CHUNK]
@@ -196,17 +196,29 @@ def _chunk_rows(p_values, models, n_sites, length):
 
 
 def _isolated(compute, models):
-    """``compute(models)``, one value per model; if that stack raises one of
-    ``_ROW_ERRORS``, the values of its two halves, each isolated the same way,
-    down to a model alone, whose value is the error it raises.
+    """``compute(models)``, one value per model (or tensor); if that stack raises one of
+    ``_ROW_ERRORS``, each row's value, a refused row's the error it raises alone.
+
+    An error that names its tensor (:func:`weaksym.errors._named`) is the value of
+    every row of that tensor, told by identity, and the rest of the stack is
+    isolated the same way, so f refused rows cost f + 1 calls of ``compute``. An
+    error that names none, or a tensor of no row (a stacked ``eig`` that fails as a
+    whole), is isolated by halving: the values of the stack's two halves, each
+    isolated the same way, down to a row alone, whose value is its error; one
+    such row in k costs 2 ceil(log2 k) + 1 calls.
 
     This is the only place a stack's error is caught. A model gets its value
-    bit for bit in any stack, so halving changes no value; a stack of k rows
-    with one failing row costs 2 ceil(log2 k) + 1 calls of ``compute``.
+    bit for bit in any stack, so isolating changes no value.
     """
     try:
         return compute(models)
     except _ROW_ERRORS as exc:
+        tensor = getattr(exc, "lpdo", None)
+        refused = [getattr(model, "lpdo", model) is tensor for model in models]
+        if any(refused):
+            kept = [model for model, out in zip(models, refused) if not out]
+            rest = iter(_isolated(compute, kept) if kept else ())
+            return [exc if out else next(rest) for out in refused]
         half = len(models) // 2
         return _isolated(compute, models[:half]) + _isolated(compute, models[half:]) if half else [exc]
 

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the helper that names the stack member
+an error refuses."""
 
 
 class WeaksymError(Exception):
@@ -48,3 +49,12 @@ class SizeGuardError(WeaksymError, ValueError):
 
 class IndefiniteChargeError(WeaksymError, ValueError):
     """Endpoint operator is not an eigenoperator of the symmetry conjugation."""
+
+
+def _named(exc, lpdo):
+    """``exc``, raised by a stack for its member ``lpdo`` alone, with that ``LpdoTensor``
+    attached as ``exc.lpdo``: the caller that isolates a stack's rows
+    (:func:`weaksym.cli._isolated`) then knows which rows to give it by identity, not
+    by a position that a stack of memo misses or a retried member would shift."""
+    exc.lpdo = lpdo
+    return exc

@@ -116,19 +116,22 @@ def _insertion(m, name, leg, dim):
 
 
 def _stacked(arrays):
-    """``np.stack(arrays)``, each matrix in the memory order of the first: a column-major
-    one stays column-major, since a product's last bits can depend on the layout. A stack
-    of one is a view, without the copy. Arrays of several shapes raise
-    :class:`DimensionMismatchError`."""
+    """``np.stack(arrays)`` as one ``np.concatenate``, so no array costs a view of its own;
+    each matrix in the memory order of the first: a column-major one stays column-major,
+    since a product's last bits can depend on the layout. A stack of one is a view,
+    without the copy. Arrays of several shapes raise :class:`DimensionMismatchError`,
+    checked here: ``concatenate`` takes arrays whose first dimensions differ."""
+    first = arrays[0]
     if len(arrays) == 1:
-        return arrays[0][None]
-    try:
-        if arrays[0].ndim == 2 and not arrays[0].flags.c_contiguous and arrays[0].flags.f_contiguous:
-            return np.stack([a.T for a in arrays]).transpose(0, 2, 1)
-        return np.stack(arrays)
-    except ValueError:  # numpy's, for arrays of several shapes: caught, so one shape pays nothing
-        other = next(a.shape for a in arrays if a.shape != arrays[0].shape)
-        raise DimensionMismatchError(f"a stack needs arrays of one shape, got {arrays[0].shape} and {other}") from None
+        return first[None]
+    for a in arrays:
+        if a.shape != first.shape:
+            raise DimensionMismatchError(f"a stack needs arrays of one shape, got {first.shape} and {a.shape}")
+    if first.ndim == 2 and not first.flags.c_contiguous and first.flags.f_contiguous:
+        return np.concatenate([a.T for a in arrays]).reshape(len(arrays), *first.shape[::-1]).transpose(0, 2, 1)
+    if first.ndim == 0:  # which concatenate refuses
+        return np.array(arrays)
+    return np.concatenate(arrays).reshape(len(arrays), *first.shape)
 
 
 def _norms(stack):

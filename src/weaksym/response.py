@@ -18,7 +18,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import GaplessTransferError, NearDefectiveError, NonCommutingError
+from .errors import GaplessTransferError, NearDefectiveError, NonCommutingError, _named
 from .numerics import _identity, _ring_size, _stacked
 from .symmetry import cocycle_commutator, extract_virtual_rep, extract_virtual_reps
 from .transfer import flux_operator, symmetry_gap, symmetry_gaps, transfer_powers, transfer_spectra, transfer_spectrum
@@ -125,16 +125,17 @@ def _leading_pairs(lpdos, spectra, what):
     for some X. A spectrum raises :class:`NearDefectiveError` when it is
     untrustworthy and :class:`GaplessTransferError` when the gap is at or
     below ``GAP_TOL`` (1e-8) times |lambda_0(T(1))|; ``what`` ("for 'R_z'")
-    names the map in both. The first spectrum that fails raises.
+    names the map in both. The first spectrum that fails raises, naming its tensor
+    (:func:`~weaksym.errors._named`).
     """
-    for spectrum in spectra:  # before T(1) is read: this error comes first, as for one spectrum
+    for lpdo, spectrum in zip(lpdos, spectra):  # before T(1) is read: this error comes first, as for one spectrum
         if spectrum.near_defective:
-            raise NearDefectiveError(f"transfer spectrum {what} is near-defective")
+            raise _named(NearDefectiveError(f"transfer spectrum {what} is near-defective"), lpdo)
     lam = _stacked([ref.eigenvalues for ref in transfer_spectra(lpdos, _identity(lpdos[0].d), None)])[:, 0]
     gaps = symmetry_gaps(spectra)
-    for gap, top in zip(gaps.tolist(), lam.tolist()):
+    for lpdo, gap, top in zip(lpdos, gaps.tolist(), lam.tolist()):
         if gap <= GAP_TOL * abs(top):
-            raise GaplessTransferError(f"symmetry gap {what} is {gap:.3e}; thermodynamic limit undefined")
+            raise _named(GaplessTransferError(f"symmetry gap {what} is {gap:.3e}; thermodynamic limit undefined"), lpdo)
     left = _stacked([spectrum.left_vectors for spectrum in spectra])[:, 0]
     right = _stacked([spectrum.right_vectors for spectrum in spectra])[:, :, 0]
     return left, right, (left[:, None] @ right[:, :, None])[:, 0, 0], gaps

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NearDefectiveError, UndefinedExponentError, ValidationError
+from .errors import NearDefectiveError, UndefinedExponentError, ValidationError, _named
 from .numerics import (
     CLUSTER_TOL, ScaledPowers, _cluster_table, _identity, _norms, _ring_size, _stacked, _whole, _zero_exponents, ldexp, rescale,
 )
@@ -160,7 +160,7 @@ def _string_series(models, g2, endpoints, lengths, n_sites=None):
     left, right, norm, _ = _leading_pairs(lpdos, transfer_spectra(lpdos, _identity(lpdos[0].d), None), "of T(1)")
     bases = np.array([abs(lam) for lam in _stacked([s.eigenvalues for s in transfer_spectra(lpdos, u2, None)])[:, 0].tolist()])
     if not bases.all():
-        raise ZeroDivisionError("leading twisted eigenvalue vanishes; normalization undefined")
+        raise _named(ZeroDivisionError("leading twisted eigenvalue vanishes; normalization undefined"), lpdos[bases.tolist().index(0.0)])
     steps = _stacked(build_transfers(lpdos, u2, None)) / bases[:, None, None]
     table = ScaledPowers(steps)
     distinct, where = np.unique(lengths, return_inverse=True)
@@ -198,7 +198,7 @@ def _ring_series(models, g2, endpoints, lengths, n_sites):
     envelope, envelope_exp = powers2._stack_power(n_sites)
     charges = [abs(complex(trace)) for trace in np.trace(envelope, axis1=1, axis2=2)]
     if 0.0 in charges:
-        raise ZeroDivisionError("Tr[rho U_g2] vanishes; normalization undefined")
+        raise _named(ZeroDivisionError("Tr[rho U_g2] vanishes; normalization undefined"), lpdos[charges.index(0.0)])
     mantissas = [np.empty((len(lpdos), len(lengths)), dtype=complex) for _ in maps]
     exponent = _zero_exponents(mantissas[0].shape, n_sites)
     step = max(1, MAX_STACK_ENTRIES // maps[0][0].size)
@@ -272,19 +272,21 @@ def _carried_rows(x, step, power, lengths):
     exponents = _zero_exponents(len(lengths), max(lengths, default=0))
     at = 0
     last = len(lengths) - 1
+    before = x.tobytes()  # the bytes of x, each row's read once
     for i, (l, row) in enumerate(zip(lengths, rows)):
         if l == at + 1:
             x.dot(step, out=row)
-            if row.tobytes() == x.tobytes() and lengths[last] - l == last - i:
-                rows[i + 1:] = row
-                break
         elif l > at:
             mantissa, shift = power(l - at)
             x.dot(mantissa, out=row)
             exponents[i:] += shift
         else:  # l = 0
             row[:] = x
-        x, at = row, l
+        now = row.tobytes()
+        if l == at + 1 and now == before and lengths[last] - l == last - i:
+            rows[i + 1:] = row
+            break
+        x, at, before = row, l, now
     return rows, exponents
 
 
@@ -343,15 +345,16 @@ def _decay_channels(models, g2, chi_l, chi_r):
     tl, tr = (_stacked(build_transfers(lpdos, chi, None)) for chi in (chi_l, chi_r))
     envelope = _norms(left) * _norms(tl) * _norms(tr) * _norms(right) / np.hypot(norm.real, norm.imag)
     if not envelope.all():
-        raise UndefinedExponentError("string vanishes identically: an endpoint map is zero")
-    spectra = [_paired(spectrum, g2) for spectrum in transfer_spectra(lpdos, u, None)]
+        raise _named(UndefinedExponentError("string vanishes identically: an endpoint map is zero"), lpdos[envelope.tolist().index(0.0)])
+    spectra = [_paired(lpdo, spectrum, g2) for lpdo, spectrum in zip(lpdos, transfer_spectra(lpdos, u, None))]
     return _channels(lpdos, u, g2, spectra, envelope, (left[:, None] @ tl, tr, right, norm))
 
 
-def _paired(spectrum, g2):
-    """``spectrum``, or :class:`NearDefectiveError` if its eigenvectors cannot be paired."""
+def _paired(lpdo, spectrum, g2):
+    """``spectrum``, a spectrum of ``lpdo``, or :class:`NearDefectiveError` naming ``lpdo``
+    if its eigenvectors cannot be paired."""
     if spectrum.near_defective:
-        raise NearDefectiveError(f"transfer spectrum of T({g2}) is near-defective")
+        raise _named(NearDefectiveError(f"transfer spectrum of T({g2}) is near-defective"), lpdo)
     return spectrum
 
 
@@ -359,7 +362,9 @@ def _channels(lpdos, u, g2, spectra, envelope, stacks):
     """The :class:`DecayChannel` of each member on its spectrum, or, when a partial spectrum
     has no live channel, on the complete one; the first member that fails raises. The
     amplitudes c_k = (start R_k)(L_k tr right) / norm, from ``stacks`` (start, tr, right,
-    norm), and their sums per cluster are stacks; only the choice runs per member."""
+    norm), and their sums per cluster are stacks; only the choice runs per member. An error
+    names its tensor (:func:`~weaksym.errors._named`): a member retried on its complete
+    spectrum is a stack of its own."""
     r, l, _, groups, leaders = _cluster_table(spectra)
     start, tr, right, norm = stacks
     amplitudes = (start @ r)[:, 0] * ((l @ tr) @ right[:, :, None])[:, :, 0] / norm[:, None]
@@ -372,17 +377,17 @@ def _channels(lpdos, u, g2, spectra, envelope, stacks):
         terms = [(mod, x, lam, c[i], abs(c[i]), envelope_at * condition) for i, lam, mod, x, condition in clusters]
         live = [term for term in terms if term[4] > LIVE_TOL * term[5]]
         if not live and not spectra[at].complete:
-            complete = _paired(transfer_spectrum(lpdos[at], u, complete=True), g2)
+            complete = _paired(lpdos[at], transfer_spectrum(lpdos[at], u, complete=True), g2)
             channels += _channels(lpdos[at:at + 1], u, g2, [complete], envelope[at:at + 1], [x[at:at + 1] for x in stacks])
             continue
         if not live:
-            raise UndefinedExponentError("string vanishes identically: no decay channel is live")
+            raise _named(UndefinedExponentError("string vanishes identically: no decay channel is live"), lpdos[at])
         mod, x, lam, amplitude, _, _ = max(live, key=lambda term: term[0])
         top = terms[0][0]
         if mod <= NILPOTENT_TOL * top:
-            raise UndefinedExponentError(
+            raise _named(UndefinedExponentError(
                 f"string decays faster than any exponential: its live channel is nilpotent ({mod:.1e})"
-            )
+            ), lpdos[at])
         floor = max((size / scale for *_, size, scale in terms if size <= LIVE_TOL * scale), default=0.0)
         order_one = abs(mod - top) <= CLUSTER_TOL * top
         channels.append(DecayChannel(xi=x, eigenvalue=lam, amplitude=amplitude, floor=floor, order_one=order_one))

@@ -48,9 +48,10 @@ stacked function of the package takes its stacks under this rule and
 checks none of it. Each result is stored in its own tensor's memo, bit
 for bit the value that tensor gets alone; the one-tensor accessors are the
 stacks of one. A stack raises the error of its first tensor that fails and
-stores nothing under its key; what it read before stays stored. Telling
-which tensor failed is the caller's business (a sweep halves a failing
-stack down to its failing rows, :func:`weaksym.cli._isolated`).
+stores nothing under its key; what it read before stays stored. An error
+that one tensor raises names it (:func:`weaksym.errors._named`), so the
+caller can tell which rows failed: a sweep gives the error to that tensor's
+rows and computes the rest once more (:func:`weaksym.cli._isolated`).
 """
 
 import numpy as np

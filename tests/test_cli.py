@@ -1028,6 +1028,7 @@ def _at_one_and_two_blas_threads(argv):
     "argv, lines",
     [
         (["sweep", "--steps", "21"], 22),
+        (["sweep", "--steps", "101"], 102),
         (["sweep", "--p-min", "0", "--p-max", "1", "--steps", "5"], 6),
         (["sweep", "--p-min", "0.0105", "--p-max", "0.9874", "--steps", "96", "--format", "json"], 96 * 13),
         (["sweep", "--p-min", "0", "--p-max", "1", "--steps", "33"], 34),
@@ -1035,13 +1036,15 @@ def _at_one_and_two_blas_threads(argv):
         (["verify", "oracle"], 4),
         (["verify", "all"], 25),
     ],
-    ids=["sweep-21", "sweep-5", "sweep-96-json", "sweep-33", "sweep-chunk-plus-one", "verify-oracle", "verify-all"],
+    ids=["sweep-21", "sweep-101", "sweep-5", "sweep-96-json", "sweep-33", "sweep-chunk-plus-one", "verify-oracle", "verify-all"],
 )
 def test_shared_series_bytes_do_not_depend_on_the_blas_thread_count(argv, lines):
     """A sweep row evaluates S_x and S_y, and the oracle check S_0, S_x and S_y,
     as one series each; a sweep's rows share stacked maps, spectra, pairs,
-    representations, rings, decay channels and responses (sweep-chunk-plus-one
-    has refused rows inside a full chunk and ends in a stack of one); ``verify all``
+    representations, rings, decay channels and responses (sweep-101 has three
+    refused rows in one stack, each taken out by the tensor its error names;
+    sweep-chunk-plus-one has refused rows inside a full chunk and ends in a
+    stack of one); ``verify all``
     reads its fixed grids, oracle and structural identities as stacks. Their
     output must not change with the BLAS threads."""
     one, two = _at_one_and_two_blas_threads(argv)

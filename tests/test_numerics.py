@@ -581,3 +581,51 @@ def test_a_chain_of_close_eigenvalues_is_two_clusters():
         [False, False, True, False],
         [False, False, False, True],
     ]
+
+
+# --- stacks -------------------------------------------------------------------
+
+def _members(kind, rng):
+    """Five complex members of one kind for ``_stacked``."""
+    shape = {"0d": (), "1d": (4,), "2d": (4, 4), "3d": (2, 3, 4), "4d": (3, 2, 2, 2)}.get(kind, (4, 4))
+    members = [np.asarray(rng.normal(size=shape) + 1j * rng.normal(size=shape)) for _ in range(5)]
+    if kind == "fortran":
+        members = [np.asfortranarray(m) for m in members]
+    elif kind == "column":  # strided 1-d views, as a spectrum's leading column
+        members = [m[:, 0] for m in members]
+    elif kind == "read-only":
+        for m in members:
+            m.flags.writeable = False
+    return members
+
+
+@pytest.mark.parametrize("kind", ["0d", "1d", "2d", "3d", "4d", "fortran", "column", "read-only"])
+def test_a_stack_is_np_stack_bit_for_bit(kind):
+    """Values, dtype, shape and strides of np.stack; a column-major member keeps its
+    layout, so its stack is np.stack's of the transposes, transposed back. Every
+    member is a stack of one as a view."""
+    members = _members(kind, np.random.default_rng(3))
+    stack = numerics._stacked(members)
+    reference = np.stack(members)
+    if kind == "fortran":
+        reference = np.stack([m.T for m in members]).transpose(0, 2, 1)
+        assert all(x.strides == m.strides for x, m in zip(stack, members))
+    assert (stack.dtype, stack.shape, stack.strides) == (reference.dtype, reference.shape, reference.strides)
+    assert stack.tobytes() == reference.tobytes() and stack.flags.writeable
+    one = numerics._stacked(members[:1])
+    assert one.base is members[0] or one.base is members[0].base
+    assert one.tobytes() == members[0].tobytes() and one.shape == (1, *members[0].shape)
+
+
+@pytest.mark.parametrize(
+    "shapes",
+    [[(4,), (4,), (5,)], [(2, 3), (3, 3)], [(2, 3), (2, 4)], [(4,), (2, 2)], [(3, 2, 2), (3, 2, 2), (2, 2, 2)]],
+    ids=["1d-length", "2d-rows", "2d-columns", "ndim", "3d-first"],
+)
+def test_a_stack_of_several_shapes_names_the_first_and_the_first_other(shapes):
+    """np.concatenate takes arrays whose first dimensions differ; a stack does not."""
+    members = [np.zeros(shape, dtype=complex) for shape in shapes]
+    other = next(shape for shape in shapes if shape != shapes[0])
+    message = f"a stack needs arrays of one shape, got {shapes[0]} and {other}"
+    with pytest.raises(DimensionMismatchError, match=f"^{re.escape(message)}$"):
+        numerics._stacked(members)

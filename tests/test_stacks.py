@@ -6,9 +6,11 @@ A stack shares the Python around each LAPACK call, not the arithmetic: every
 value must equal the one its tensor gets alone (a fresh ``LpdoTensor``, so
 nothing is read from the stacked memo), and a sweep's bytes must not depend on
 which rows share a stack. A stack with a member that fails raises that
-member's error; the stacked calls here go through ``cli._isolated``, which
-then halves the stack down to each failing member alone, so a failing member
-must not change the others.
+member's error, naming its tensor; the stacked calls here go through
+``cli._isolated``, which then gives that error to the member's rows and
+computes the rest once more (or, for an error that names no tensor, halves the
+stack down to each failing member alone), so a failing member must not change
+the others.
 """
 
 import dataclasses
@@ -21,7 +23,7 @@ import pytest
 
 import dense_reference
 from test_generic import generic_model
-from weaksym import cli, oracle, transfer
+from weaksym import cli, numerics, oracle, symmetry, transfer
 from weaksym.errors import (
     DimensionMismatchError,
     GaplessTransferError,
@@ -422,6 +424,108 @@ def test_a_sweep_isolates_its_gapless_row_in_logarithmically_many_stacks(monkeyp
     sizes.clear()
     cli._sweep_rows([i / 100 for i in range(101) if i != 50], 200, 50)
     assert sizes == [100]
+
+
+
+def test_a_sweep_computes_each_refused_quantity_once_per_refused_row_and_once_more(monkeypatch):
+    """``sweep --steps 101`` is one stack with three refusing rows: p = 1/2 its
+    responses, p = 1/4 S_y's exponent, p = 1 both exponents. An error names its
+    tensor, so a quantity with f refused rows costs f + 1 stacks, each one row
+    smaller, and the ring, which none refuses, one; the rows are those of
+    sweeping each p alone."""
+    sizes = {}
+
+    def counted(name, compute):
+        def counting(stack, g2, *args):
+            key = name
+            if name == "_decay_channels":  # one quantity per endpoint pair, told by chi_l
+                key += next(f" {tag}" for tag in "xy" if np.array_equal(args[0], OPS[f"S_{tag}"]))
+            sizes.setdefault(key, []).append(len(stack))
+            return compute(stack, g2, *args)
+        return counting
+
+    for name in ("_thermo_responses", "_ring_series", "_decay_channels"):
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    p_values = [i / 100 for i in range(101)]
+    rows = cli._sweep_rows(p_values, 200, 50)
+    assert sizes == {
+        "_thermo_responses": [101, 100],
+        "_ring_series": [101],
+        "_decay_channels x": [101, 100],
+        "_decay_channels y": [101, 100, 99],
+    }
+    assert [(row["p"], row["flags"]) for row in rows if row["flags"]] == [
+        (0.25, ["xi_y_undefined"]), (0.5, ["gapless_thermo"]), (1.0, ["xi_x_undefined", "xi_y_undefined"])
+    ]
+    alone = [row for p in p_values for row in cli._sweep_rows([p], 200, 50)]
+    assert cli._sweep_text(rows, "csv") == cli._sweep_text(alone, "csv")
+
+
+def test_a_refused_member_of_a_stack_of_memo_misses_flags_its_own_row(monkeypatch):
+    """Two of five tensors have their representation stored, so the extraction
+    computes the three misses as a stack in which the tensor that is not symmetric
+    comes first, not third as its row does. Its error names the tensor itself, so
+    its row gets that error, the rest one more stack, and every row is its
+    tensor's value alone."""
+    models = [build_aklt_model(p) for p in (0.1, 0.4, 0.6, 0.9)]
+    rng = np.random.default_rng(0)
+    shape = models[0].lpdo.tensor.shape
+    bogus = LpdoTensor(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    lpdos = [models[0].lpdo, models[1].lpdo, bogus, models[2].lpdo, models[3].lpdo]
+    act = models[0].action("R_x")
+    extract_virtual_reps(lpdos[:2], act)
+    misses, extract = [], symmetry._extract_virtual_reps
+
+    def recording(stack, act):
+        misses.append(list(stack))
+        return extract(stack, act)
+
+    monkeypatch.setattr(symmetry, "_extract_virtual_reps", recording)
+    compute, sizes = _counted(lambda stack: extract_virtual_reps(stack, act))
+    reps = cli._isolated(compute, lpdos)
+    assert misses[0] == [bogus, *lpdos[3:]] and sizes == [5, 4]
+    assert isinstance(reps[2], NotSymmetricError) and reps[2].lpdo is bogus
+    assert _fields(reps[2]) == _fields(_outcome(lambda: extract_virtual_rep(_alone(bogus), act)))
+    others = [0, 1, 3, 4]
+    assert [_bits(reps[i]) for i in others] == [_bits(extract_virtual_rep(_alone(lpdos[i]), act)) for i in others]
+
+
+def test_an_error_that_names_no_member_still_halves_its_stack(monkeypatch):
+    """A stacked eig that fails as a whole names no tensor: with the map of one
+    of 8 tensors refused, the stack is halved down to that row, 2 log2 8 + 1 = 7
+    stacks, and the others get their spectra alone."""
+    lpdos = [build_aklt_model(p).lpdo for p in np.linspace(0.05, 0.95, 8)]
+    eye = np.eye(3)
+    refused = build_transfer(_alone(lpdos[5]), eye).tobytes()
+    eig = np.linalg.eig
+
+    def failing(m):
+        if any(x.tobytes() == refused for x in np.reshape(m, (-1, *np.shape(m)[-2:]))):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eig(m)
+
+    monkeypatch.setattr(numerics.np.linalg, "eig", failing)
+    compute, sizes = _counted(lambda stack: transfer_spectra(stack, eye, None))
+    spectra = cli._isolated(compute, lpdos)
+    assert sizes == [8, 4, 4, 2, 1, 1, 2]
+    assert isinstance(spectra[5], np.linalg.LinAlgError) and not hasattr(spectra[5], "lpdo")
+    others = [0, 1, 2, 3, 4, 6, 7]
+    assert [_bits(spectra[i]) for i in others] == [_bits(transfer_spectrum(_alone(lpdos[i]), eye)) for i in others]
+
+
+def test_the_same_tensor_twice_in_a_stack_refuses_both_its_rows_at_once():
+    """p = 1/2, gapless, is the second and the fourth row of one stack: both rows get
+    the error that names its tensor, and the other two one more stack."""
+    models = [build_aklt_model(p) for p in (0.1, 0.5, 0.3)]
+    stack = [models[0], models[1], models[2], models[1]]
+    compute, sizes = _counted(lambda stack: _thermo_responses(stack, FLUXES, "R_z"))
+    responses = cli._isolated(compute, stack)
+    assert sizes == [4, 2]
+    assert responses[1] is responses[3] and isinstance(responses[1], GaplessTransferError)
+    assert responses[1].lpdo is models[1].lpdo
+    assert [_fields(responses[i]) for i in (0, 1, 2)] == [
+        _fields(_outcome(lambda: _thermo_responses([_fresh(model)], FLUXES, "R_z")[0])) for model in models
+    ]
 
 
 # --- sweeps -------------------------------------------------------------------
