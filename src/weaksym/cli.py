@@ -34,7 +34,7 @@ from .errors import (
     ValidationError,
     WeaksymError,
 )
-from .model import _decode_array, build_aklt_model, load_model, spin1_operators
+from .model import _aklt_models, _decode_array, build_aklt_model, load_model, spin1_operators
 from .response import _thermo_responses, finite_response, thermo_response
 from .stringorder import _decay_channels, _ring_series, _string_lengths, decay_channel, string_order_series
 from .transfer import symmetry_gaps, transfer_spectra
@@ -55,10 +55,12 @@ _ROW_ERRORS = (WeaksymError, np.linalg.LinAlgError, ZeroDivisionError)
 _CHI_BUILTIN = {"s0": "S_0", "sx": "S_x", "sy": "S_y", "sz": "S_z"}
 # A sweep builds the models of this many rows at a time and computes each
 # quantity of their rows as one stack (_chunk_rows). A chunk costs about
-# 1.5 ms plus 0.15 ms a row. A 1,001-row off-grid sweep (2-vCPU x86-64, one
-# BLAS thread, median of 12, tracemalloc peak) by rows per chunk:
-#   32: 223 ms, 1.31 MB; 64: 184 ms, 1.84 MB; 128: 170 ms, 2.84 MB;
-#   256: 159 ms, 4.88 MB; 1024: 159 ms, 17.4 MB.
+# 1.4 ms plus 0.12 ms a row. A 1,001-row off-grid sweep (2-vCPU x86-64, one
+# BLAS thread, median of 12 rounds with the chunk sizes interleaved,
+# tracemalloc peak) by rows per chunk:
+#   32: 192 ms, 1.26 MB; 64: 158 ms, 1.77 MB; 128: 134 ms, 2.78 MB;
+#   256: 139 ms, 4.82 MB; 1024: 141 ms, 17.4 MB.
+# From 128 rows on the times are within the host's drift of each other.
 # A family with larger maps (sweep --model, ROADMAP item 11) will need a
 # chunk that shrinks with the map size.
 SWEEP_CHUNK = 256
@@ -151,13 +153,13 @@ def _resolve_chi(spec, dim):
 # --- sweep -------------------------------------------------------------------
 
 def _sweep_rows(p_values, n_sites, length):
-    """The row of each p, ``SWEEP_CHUNK`` models at a time, each chunk released after its rows:
-    a sweep of up to ``SWEEP_CHUNK`` rows is one stack, and its refused rows are
+    """The row of each p, ``SWEEP_CHUNK`` models at a time, built in one call and released after
+    their rows: a sweep of up to ``SWEEP_CHUNK`` rows is one stack, and its refused rows are
     told apart by the tensor each error names (:func:`_isolated`)."""
     rows = []
     for at in range(0, len(p_values), SWEEP_CHUNK):
         chunk = p_values[at : at + SWEEP_CHUNK]
-        rows += _chunk_rows(chunk, [build_aklt_model(p) for p in chunk], n_sites, length)
+        rows += _chunk_rows(chunk, _aklt_models(chunk), n_sites, length)
     return rows
 
 
@@ -258,6 +260,9 @@ def cmd_sweep(args):
     else:
         span = args.p_max - args.p_min
         p_values = [args.p_min + i * span / (args.steps - 1) for i in range(args.steps)]
+        if 0.0 <= min(args.p_min, args.p_max) and max(args.p_min, args.p_max) <= 1.0:
+            # every point lies between the ends, so one past 0 or 1 is the formula's rounding
+            p_values = [min(max(p, 0.0), 1.0) for p in p_values]
     _string_lengths([args.string_length], args.sites)
     rows = _sweep_rows(p_values, args.sites, args.string_length)
     _write_text(args.out, _sweep_text(rows, args.format))

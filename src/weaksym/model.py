@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DimensionMismatchError, ValidationError
+from .numerics import _split
 from .symmetry import GroupTable, SymmetryAction, endpoint_charge
 
 _SQ2 = np.sqrt(2.0)
@@ -76,6 +77,18 @@ class LpdoTensor:
             raise ValidationError("tensor: entries must be finite")
         t.flags.writeable = False
         object.__setattr__(self, "tensor", t)
+
+    @classmethod
+    def _of_rows(cls, stack, pencils):
+        """``LpdoTensor(row, pencil)`` of each row of ``stack`` (k, d, da, D, D), a read-only stack
+        its caller made and holds no other reference to, and each of ``pencils``, checked as one
+        stack: each tensor is its row, a view laid out as the row's copy. Sets every field."""
+        if not np.isfinite(stack).all():
+            raise ValidationError("tensor: entries must be finite")
+        rows = [object.__new__(cls) for _ in pencils]
+        for lpdo, tensor, pencil in zip(rows, stack, pencils):
+            lpdo.__dict__.update(tensor=tensor, pencil=pencil, _memo={})
+        return rows
 
     @property
     def d(self):
@@ -159,15 +172,6 @@ def _aklt_kraus_basis():
     return basis
 
 
-def aklt_channel(p):
-    """Decoherence channel of the AKLT family at noise rate p in [0, 1]."""
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError(f"channel.p: expected 0 <= p <= 1, got {p}")
-    weights = np.sqrt([1.0 - p, p, p, p])
-    return KrausChannel(weights[:, None, None] * _aklt_kraus_basis(), p=p)
-
-
 def dilate(pure, channel):
     """Stinespring dilation of a channel applied to every site of a pure MPS A0[j, x, y].
 
@@ -202,7 +206,7 @@ def _aklt_actions():
     """Physical and ancilla action of each element of :func:`aklt_group`.
 
     u_g is the pi rotation R_g (1 for the identity). Each Kraus operator K
-    of :func:`aklt_channel` is a charge eigenoperator, u_g K u_g^dag = c K,
+    of the family's channel is a charge eigenoperator, u_g K u_g^dag = c K,
     so the Stinespring environment picks up ua_g = diag(conj(c)) in the
     Kraus basis, the same for every p. Built once per process; the arrays
     are read-only and shared, and each model gets its own dict.
@@ -241,11 +245,26 @@ class Model:
 
 def build_aklt_model(p):
     """Decohered AKLT chain at noise rate p, with its Z2 x Z2 action; its maps are
-    (1 - p) T(B_0) + p T(B_1) of the family's parts (:func:`_aklt_family`)."""
-    channel = aklt_channel(p)
-    tensor = np.einsum("aij,jxy->iaxy", channel.kraus, _aklt_tensor())
-    lpdo = LpdoTensor(tensor, pencil=((1.0 - channel.p, channel.p), _aklt_family))
-    return Model(lpdo=lpdo, group=aklt_group(), actions=dict(_aklt_actions()), channel=channel)
+    (1 - p) T(B_0) + p T(B_1) of the family's parts (:func:`_aklt_family`). This is the
+    stack of one of :func:`_aklt_models`."""
+    return _aklt_models([p])[0]
+
+
+def _aklt_models(p_values):
+    """:func:`build_aklt_model` at each of ``p_values``: the Kraus weights as one broadcast and the
+    tensors as one einsum, each bit for bit the same in any stack, which the tensors keep
+    (:func:`~weaksym.numerics._split`). The first p outside [0, 1] raises."""
+    p = list(map(float, p_values))
+    for x in p:
+        if not 0.0 <= x <= 1.0:
+            raise ValidationError(f"channel.p: expected 0 <= p <= 1, got {x}")
+    kraus = np.sqrt([(1.0 - x, x, x, x) for x in p])[:, :, None, None] * _aklt_kraus_basis()
+    tensors = np.einsum("kaij,jxy->kiaxy", kraus, _aklt_tensor())  # each row laid out as a tensor alone
+    stack = np.ascontiguousarray(tensors.transpose(2, 0, 1, 3, 4)).transpose(1, 2, 0, 3, 4)  # as _stacked lays rows
+    tensors.flags.writeable = stack.flags.writeable = False
+    lpdos = _split({"tensor": stack}, LpdoTensor._of_rows(tensors, [((1.0 - x, x), _aklt_family) for x in p]))
+    group, actions = aklt_group(), _aklt_actions()
+    return [Model(lpdo, group, dict(actions), KrausChannel(k, p=x)) for lpdo, k, x in zip(lpdos, kraus, p)]
 
 
 # --- serialization ---------------------------------------------------------

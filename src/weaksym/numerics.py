@@ -23,7 +23,9 @@ The dense path also takes a stack (k, n, n) of maps and returns a list: one
 right vectors, the pairing residuals and conditions and, once asked for, the
 clusters (:func:`_cluster_table`) as array operations over it. Each result is
 bit for bit the one its matrix gets alone, the memory layout of its vectors
-included. A stack in which some eigenvector matrix has no inverse is
+included, and keeps the stacks it was split from (:func:`_split`), so a field
+of all of them is read back as its stack, not gathered (:func:`_restacked`).
+A stack in which some eigenvector matrix has no inverse is
 inverted again one matrix at a time. An ``eig`` that fails
 on a stack raises for the whole stack; a sweep then halves that stack down
 to its failing rows (:func:`weaksym.cli._isolated`). Arnoldi runs one
@@ -39,6 +41,7 @@ This module is the only place a non-Hermitian eigenproblem is solved.
 
 from dataclasses import dataclass
 from functools import cache, cached_property
+from operator import attrgetter
 
 import numpy as np
 
@@ -93,6 +96,7 @@ TIE_TOL = 1e-9
 MAX_RESTARTS = 50
 # Seed of the start vectors: a fixed seed makes every rerun byte-identical.
 KRYLOV_SEED = 0
+_ROW = attrgetter("_row")  # the row token of a member of a _split
 
 
 def _as_square(m, name="matrix"):
@@ -132,6 +136,33 @@ def _stacked(arrays):
     if first.ndim == 0:  # which concatenate refuses
         return np.array(arrays)
     return np.concatenate(arrays).reshape(len(arrays), *first.shape)
+
+
+def _split(stacks, members):
+    """``members``, made one from each row of ``stacks`` ({name: stack}): each keeps ``stacks`` and
+    a token of its row, listed in ``stacks["rows"]`` (no token refers back to its member, so no
+    cycle keeps a stack alive). A member alone keeps none."""
+    if len(members) > 1:
+        rows = stacks["rows"] = [object() for _ in range(len(members))]
+        for member, row in zip(members, rows):
+            kept = member.__dict__
+            kept["_split"], kept["_row"] = stacks, row
+    return members
+
+
+def _restacked(members, name):
+    """``_stacked`` of each member's field ``name``, values and layout, read without a gather
+    when the members are all the rows of one :func:`_split`, in order; a sub-stack, such as
+    the rows a sweep isolates, a prefix or a mix, is gathered."""
+    if len(members) == 1:
+        return getattr(members[0], name)[None]
+    stacks = members[0].__dict__.get("_split")
+    try:
+        if stacks is not None and name in stacks and list(map(_ROW, members)) == stacks["rows"]:
+            return stacks[name]
+    except AttributeError:  # a member that no stack made
+        pass
+    return _stacked([getattr(member, name) for member in members])
 
 
 def _norms(stack):
@@ -263,8 +294,9 @@ def _measured(w, right, left):
     left (k, p, n), their pairing residuals and conditions measured as stacks. ``left`` may
     be a list of the members instead, when they have layouts of their own; each spectrum
     gets its own."""
-    members = left
+    members, stacks = left, {"eigenvalues": w, "right_vectors": right, "left_vectors": left}
     if isinstance(left, list):
+        del stacks["left_vectors"]  # rows of layouts of their own are read as their gather
         left = np.stack(left)
         for x in members:
             x.flags.writeable = False
@@ -274,7 +306,7 @@ def _measured(w, right, left):
     with np.errstate(all="ignore"):  # an unpaired vector, L_k R_k = 0, has no finite condition
         wilkinson = np.sqrt((abs(left) ** 2).sum(-1) * (abs(right) ** 2).sum(-2)) / abs(pairing.diagonal(0, 1, 2))
     residual = abs(pairing - _identity(w.shape[1])).reshape(len(w), -1).max(1)
-    return [Spectrum(*fields) for fields in zip(w, right, members, residual.tolist(), wilkinson.max(1).tolist())]
+    return _split(stacks, [Spectrum(*fields) for fields in zip(w, right, members, residual.tolist(), wilkinson.max(1).tolist())])
 
 
 def _cluster_table(spectra):
@@ -289,7 +321,7 @@ def _cluster_table(spectra):
     table = kept[0][0]
     if table and len(table[0]) == len(spectra) and all(t is table and at == i for i, (t, at) in enumerate(kept)):
         return table
-    w, right, left = (_stacked([getattr(s, side) for s in spectra]) for side in ("eigenvalues", "right_vectors", "left_vectors"))
+    w, right, left = (_restacked(spectra, side) for side in ("eigenvalues", "right_vectors", "left_vectors"))
     k, p = w.shape
     moduli = np.hypot(w.real, w.imag)
     close = np.abs(w[:, :, None] - w[:, None]) <= CLUSTER_TOL * moduli[:, :1, None]
@@ -533,21 +565,23 @@ def leading_eigenpair(m):
     100 ``KRYLOV_TOL`` of the leading modulus, else the dense pair. With no
     left vector, a defective top goes unflagged.
 
-    A stack (k, n, n) gives a list of k pairs: one ``eig`` on the whole stack
-    up to ``DENSE_MAX_ROWS`` rows, one map at a time above.
+    A stack (k, n, n) gives the stacks (k,) of the eigenvalues and (k, n) of the
+    right vectors: one ``eig`` on the whole stack up to ``DENSE_MAX_ROWS`` rows,
+    one map at a time above.
     """
     stack = _square_stack(m)
     if stack.shape[-1] > DENSE_MAX_ROWS:
         pairs = [_krylov_eigenpair(x) for x in stack]
+        lams, rights = np.array([lam for lam, _ in pairs]), _stacked([right for _, right in pairs])
     else:
-        pairs = _dense_eigenpairs(stack)
-    return pairs if np.ndim(m) == 3 else pairs[0]
+        lams, rights = _dense_eigenpairs(stack)
+    return (lams, rights) if np.ndim(m) == 3 else (lams[0], rights[0])
 
 
 def _dense_eigenpairs(stack):
     w, r = np.linalg.eig(stack)
-    top = _by_modulus(w)[:, 0].tolist()
-    return [(w[i, k], r[i, :, k]) for i, k in enumerate(top)]
+    rows, top = np.arange(len(stack)), _by_modulus(w)[:, 0]
+    return w[rows, top], r[rows, :, top]
 
 
 def _krylov_eigenpair(m):
@@ -559,7 +593,8 @@ def _krylov_eigenpair(m):
         right = q @ y[:, k]
         if np.linalg.norm(m @ right - w[k] * right) <= 100 * KRYLOV_TOL * scale * np.linalg.norm(right):
             return w[k], right
-    return _dense_eigenpairs(m[None])[0]
+    lams, rights = _dense_eigenpairs(m[None])
+    return lams[0], rights[0]
 
 
 def ldexp(z, exponent):

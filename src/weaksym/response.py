@@ -19,7 +19,7 @@ from functools import cache
 import numpy as np
 
 from .errors import GaplessTransferError, NearDefectiveError, NonCommutingError, _named
-from .numerics import _identity, _ring_size, _stacked
+from .numerics import _identity, _restacked, _ring_size
 from .symmetry import cocycle_commutator, extract_virtual_rep, extract_virtual_reps
 from .transfer import flux_operator, symmetry_gap, symmetry_gaps, transfer_powers, transfer_spectra, transfer_spectrum
 
@@ -107,13 +107,14 @@ def _snapped(value, angle, order):
     if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         return None
     k = round(angle * order / (2 * np.pi)) % order
-    return Fraction(k, order) if abs(value - _roots(order)[k]) < SNAP_TOL else None
+    root, fraction = _roots(order)[k]
+    return fraction if abs(value - root) < SNAP_TOL else None
 
 
 @cache
 def _roots(order):
-    """The roots e^{2 pi i k / order} as Python complex numbers, computed once per order."""
-    return [complex(np.exp(2j * np.pi * k / order)) for k in range(order)]
+    """The roots e^{2 pi i k / order} as Python complex numbers, each with k/order, made once per order."""
+    return [(complex(np.exp(2j * np.pi * k / order)), Fraction(k, order)) for k in range(order)]
 
 
 def _leading_pairs(lpdos, spectra, what):
@@ -131,13 +132,13 @@ def _leading_pairs(lpdos, spectra, what):
     for lpdo, spectrum in zip(lpdos, spectra):  # before T(1) is read: this error comes first, as for one spectrum
         if spectrum.near_defective:
             raise _named(NearDefectiveError(f"transfer spectrum {what} is near-defective"), lpdo)
-    lam = _stacked([ref.eigenvalues for ref in transfer_spectra(lpdos, _identity(lpdos[0].d), None)])[:, 0]
+    lam = _restacked(transfer_spectra(lpdos, _identity(lpdos[0].d), None), "eigenvalues")[:, 0]
     gaps = symmetry_gaps(spectra)
     for lpdo, gap, top in zip(lpdos, gaps.tolist(), lam.tolist()):
         if gap <= GAP_TOL * abs(top):
             raise _named(GaplessTransferError(f"symmetry gap {what} is {gap:.3e}; thermodynamic limit undefined"), lpdo)
-    left = _stacked([spectrum.left_vectors for spectrum in spectra])[:, 0]
-    right = _stacked([spectrum.right_vectors for spectrum in spectra])[:, :, 0]
+    left = _restacked(spectra, "left_vectors")[:, 0]
+    right = _restacked(spectra, "right_vectors")[:, :, 0]
     return left, right, (left[:, None] @ right[:, :, None])[:, 0, 0], gaps
 
 
@@ -192,7 +193,7 @@ def _thermo_responses(models, g1s, g2):
     for g1 in g1s:
         _require_commuting(models[0], g1, g2)
     lpdos = [model.lpdo for model in models]
-    reps = [_stacked([rep.v for rep, _ in extract_virtual_reps(lpdos, models[0].action(g1))]) for g1 in g1s]
+    reps = [_restacked([rep for rep, _ in extract_virtual_reps(lpdos, models[0].action(g1))], "v") for g1 in g1s]
     values, gaps = _flux_responses(models, reps, g2)
     results = [_results(models[0].group.order(g1), value, gaps) for g1, value in zip(g1s, values)]
     return [list(row) for row in zip(*results)]
@@ -224,7 +225,7 @@ def _conservation_checks(models, g1s, g2):
     physical = _thermo_responses(models, g1s, g2)
     spectra = transfer_spectra(lpdos, _identity(lpdos[0].d), models[0].action(g2).ua)
     pairs = _leading_pairs(lpdos, spectra, f"for {g2!r} on the ancilla")
-    fluxes = [flux_operator(_stacked([rep.v for rep, _ in extracted])) for extracted in reps[:-1]]
+    fluxes = [flux_operator(_restacked([rep for rep, _ in extracted], "v")) for extracted in reps[:-1]]
     ancilla = [_results(models[0].group.order(g1), _pair_values(pairs, x), pairs[3]) for g1, x in zip(g1s, fluxes)]
     return [
         [(float(abs(total - phys.value * anc.value)), total, phys, anc) for total, phys, anc in zip(*row)]

@@ -33,8 +33,8 @@ from .errors import (
     ValidationError,
     _named,
 )
-from .numerics import _as_square, _identity, _norms, _stacked
-from .transfer import _insertions, _memoised, build_transfers, symmetry_gaps, transfer_eigenpairs, transfer_spectra
+from .numerics import _as_square, _identity, _norms, _restacked, _split
+from .transfer import _eigenpair_stacks, _insertions, _memoised, _transfers, symmetry_gaps, transfer_spectra
 
 # Tolerances are scale-free: a tensor times c describes the same state and
 # multiplies the leading modulus |lambda_0| of T(1) by |c|^2, so a residual
@@ -206,11 +206,11 @@ def extract_virtual_rep(lpdo, act):
 def _extract_virtual_reps(lpdos, act):
     """The extraction of each of ``lpdos``, a stack; raises the first failure, naming its
     tensor (:func:`~weaksym.errors._named`)."""
-    build_transfers(lpdos, act.u, act.ua)  # checks u and ua against d and da first
+    _transfers(lpdos, act.u, act.ua)  # checks u and ua against d and da first
     u, ua, _ = _insertions(act.u, act.ua)
     dv = lpdos[0].bond_dim
     refs = transfer_spectra(lpdos, _identity(lpdos[0].d), None)
-    lam_ref = _stacked([ref.eigenvalues for ref in refs])[:, 0]
+    lam_ref = _restacked(refs, "eigenvalues")[:, 0]
     scale = [abs(lam) for lam in lam_ref.tolist()]  # |lambda_0| of T(1), as abs() of one complex
     for lpdo, ref, gap, top in zip(lpdos, refs, symmetry_gaps(refs).tolist(), scale):  # inf for D = 1
         if ref.near_defective:
@@ -218,8 +218,7 @@ def _extract_virtual_reps(lpdos, act):
         if gap <= REP_TOL * top:
             raise _named(DegenerateSpectrumError(f"leading transfer eigenvalue degenerate in modulus (gap {gap:.3e})"), lpdo)
 
-    pairs = transfer_eigenpairs(lpdos, act.u, act.ua)
-    lam = np.array([twisted for twisted, _ in pairs])
+    lam, rights = _eigenpair_stacks(lpdos, act.u, act.ua)
     for lpdo, twisted, top in zip(lpdos, lam.tolist(), scale):
         modulus = abs(twisted)
         if abs(modulus - top) > REP_TOL * top:
@@ -227,7 +226,7 @@ def _extract_virtual_reps(lpdos, act):
                 f"tensor not symmetric under {act.element!r}: twisted leading modulus {modulus:.12f} vs {top:.12f}"
             ), lpdo)
 
-    w, _, vh = np.linalg.svd(_stacked([right for _, right in pairs]).reshape(-1, dv, dv).transpose(0, 2, 1))
+    w, _, vh = np.linalg.svd(rights.reshape(-1, dv, dv).transpose(0, 2, 1))
     v = w @ vh  # nearest unitaries (polar factors)
     # gauge: largest-modulus entry real positive, first such entry on ties
     flat = v.reshape(len(v), -1)
@@ -237,17 +236,15 @@ def _extract_virtual_reps(lpdos, act):
     v.flags.writeable = False
     quotient = lam / lam_ref
     thetas = np.arctan2(quotient.imag, quotient.real)  # np.angle's, without its checks
-    residuals = _push_through_residuals(_stacked([lpdo.tensor for lpdo in lpdos]), u, ua, v, thetas)
+    residuals = _push_through_residuals(_restacked(lpdos, "tensor"), u, ua, v, thetas)
     for lpdo, residual, top in zip(lpdos, residuals.tolist(), scale):
         if residual > REP_TOL * top**0.5:
             raise _named(NotSymmetricError(
                 f"extracted representation for {act.element!r} fails the transformation "
                 f"law (residual {residual:.3e})"
             ), lpdo)
-    return [
-        (VirtualRep(element=act.element, v=x, residual=residual), theta)
-        for x, residual, theta in zip(v, residuals.tolist(), thetas.tolist())
-    ]
+    reps = _split({"v": v}, [VirtualRep(element=act.element, v=x, residual=residual) for x, residual in zip(v, residuals.tolist())])
+    return list(zip(reps, thetas.tolist()))
 
 
 def cocycle_commutator(rep1, rep2):

@@ -31,7 +31,10 @@ The maps, spectra and leading pairs also come in stacks:
 :func:`build_transfers`, :func:`transfer_spectra` and
 :func:`transfer_eigenpairs` take a sequence of tensors and compute the memo
 misses among them as one stack: one contraction, its insertions checked
-once, and one stacked LAPACK call.
+once, and one stacked LAPACK call. Each value keeps the stack it was computed
+in, so the values of one such stack, all of them in order, are read back as
+that stack (:func:`_transfer_stack`, :func:`~weaksym.numerics._restacked`);
+any other list of values is gathered.
 
 A family member's maps (``LpdoTensor.pencil``: every built-in model) are a
 combination of its family's part maps, (1 - p) T(B_0) + p T(B_1), taken
@@ -54,10 +57,18 @@ caller can tell which rows failed: a sweep gives the error to that tensor's
 rows and computes the rest once more (:func:`weaksym.cli._isolated`).
 """
 
+from itertools import repeat
+from operator import itemgetter
+
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .numerics import ScaledPowers, _as_square, _insertion, _square_stack, _stacked, leading_eigenpair, leading_spectrum, spectral_decompose
+from .numerics import (
+    ScaledPowers, _as_square, _insertion, _restacked, _square_stack, _stacked, leading_eigenpair, leading_spectrum,
+    spectral_decompose,
+)
+
+_VALUE, _ROW = itemgetter(0), itemgetter(2)  # of a memo entry (:func:`_rows`)
 
 
 def _insertions(op, op_a):
@@ -107,13 +118,27 @@ def _contract(a4, op, op_a):
     return t
 
 
-def build_transfers(lpdos, op, op_a):
-    """:func:`build_transfer` of each of ``lpdos``, a stack under the module's stack rule:
-    the misses as one contraction, or the family members among them as one combination of
-    their parts' maps, the insertions checked once against the stack's d and da.
+def _rows(stacks, values):
+    """Memo entries ``(value, stacks, row)`` of ``values``, the rows of ``stacks`` in order, with
+    tokens ``row`` listed in ``stacks["rows"]`` as :func:`~weaksym.numerics._split` keeps them."""
+    if len(values) == 1:
+        return [(values[0], None, None)]
+    rows = stacks["rows"] = [object() for _ in range(len(values))]
+    return list(zip(values, repeat(stacks), rows))
 
-    Raises the error of the first map that cannot be built.
-    """
+
+def _whole(entries):
+    """The stacks that ``entries`` (:func:`_rows`) were computed as if they are all of its rows, in
+    order, else None: a sub-stack, a prefix or a mix, which the caller gathers."""
+    stacks = entries[0][1]
+    return stacks if stacks is not None and list(map(_ROW, entries)) == stacks["rows"] else None
+
+
+def _transfers(lpdos, op, op_a):
+    """The memo entries (:func:`_rows`) of T(op, op_a) of ``lpdos``, a stack under the module's
+    stack rule: the misses as one contraction, or the family members among them as one
+    combination of their parts' maps, the insertions checked once against the stack's d and
+    da. Raises the error of the first map that cannot be built."""
     op, op_a, key = _insertions(op, op_a)
 
     def build(stack):
@@ -124,25 +149,40 @@ def build_transfers(lpdos, op, op_a):
         # between two parts' slots (``family()[1]``), whose cross terms no part map holds
         members = [lpdo for lpdo in stack if lpdo.pencil is not None]
         if not members or (op_a is not None and np.any(op_a[members[0].pencil[1]()[1]])):
-            return list(_contract(_stacked([lpdo.tensor for lpdo in stack]), op, op_a))
-        bare = [lpdo.tensor for lpdo in stack if lpdo.pencil is None]
-        combined, contracted = iter(_combined(members, op, op_a)), iter(_contract(_stacked(bare), op, op_a) if bare else ())
-        return [next(contracted if lpdo.pencil is None else combined) for lpdo in stack]
+            maps = _contract(_restacked(stack, "tensor"), op, op_a)
+            return _rows({"map": maps}, maps)
+        bare = [lpdo for lpdo in stack if lpdo.pencil is None]
+        stacks = _combined(members, op, op_a), _contract(_restacked(bare, "tensor"), op, op_a) if bare else []
+        rows = [iter(_rows({"map": maps}, maps) if len(maps) else ()) for maps in stacks]
+        return [next(rows[lpdo.pencil is None]) for lpdo in stack]
 
     return _memoised(lpdos, ("transfer",) + key, build)
 
 
+def build_transfers(lpdos, op, op_a):
+    """:func:`build_transfer` of each of ``lpdos``, a stack under the module's stack rule
+    (:func:`_transfers`)."""
+    return list(map(_VALUE, _transfers(lpdos, op, op_a)))
+
+
+def _transfer_stack(lpdos, op, op_a):
+    """:func:`build_transfers` as one stack (k, n, n), read back when it can be (:func:`_whole`)."""
+    entries = _transfers(lpdos, op, op_a)
+    stacks = _whole(entries)
+    return _stacked(list(map(_VALUE, entries))) if stacks is None else stacks["map"]
+
+
 def _combined(members, op, op_a):
-    """Family members' maps, sum_k weights[k] T_k of their parts' memoised maps T_k,
-    read-only: real and imaginary parts entry by entry, so no map depends on its stack."""
+    """Family members' maps, sum_k weights[k] T_k of their parts' memoised maps T_k, as one
+    read-only stack: real and imaginary parts entry by entry, so no map depends on its stack."""
     weights = np.array([lpdo.pencil[0] for lpdo in members]).T[:, :, None, None]
-    parts = [part.view(float) for part in build_transfers(members[0].pencil[1]()[0], op, op_a)]
+    parts = _transfer_stack(members[0].pencil[1]()[0], op, op_a).view(float)
     maps = weights[0] * parts[0]
     for weight, part in zip(weights[1:], parts[1:]):
         maps += weight * part
     maps = maps.view(complex)
     maps.flags.writeable = False
-    return list(maps)
+    return maps
 
 
 def build_transfer(lpdo, op, op_a=None):
@@ -168,7 +208,7 @@ def transfer_spectra(lpdos, op, op_a):
     op, op_a, key = _insertions(op, op_a)
 
     def decompose(stack):
-        return leading_spectrum(_stacked(build_transfers(stack, op, op_a)))
+        return leading_spectrum(_transfer_stack(stack, op, op_a))
 
     return _memoised(lpdos, ("spectrum",) + key, decompose)
 
@@ -192,19 +232,35 @@ def transfer_spectrum(lpdo, op, op_a=None, complete=False):
     return spectrum
 
 
-def transfer_eigenpairs(lpdos, op, op_a):
-    """:func:`transfer_eigenpair` of each of ``lpdos``, a stack under the module's stack rule:
-    the misses as one stacked :func:`~weaksym.numerics.leading_eigenpair` (one ``eig``).
-    Raises the error of the first map that cannot be built or decomposed."""
+def _eigenpairs(lpdos, op, op_a):
+    """The memo entries (:func:`_rows`) of the leading pairs of T(op, op_a) of ``lpdos``, a stack
+    under the module's stack rule: the misses as one stacked ``leading_eigenpair`` (one
+    ``eig``). Raises the error of the first map that cannot be built or decomposed."""
     op, op_a, key = _insertions(op, op_a)
 
     def compute(stack):
-        pairs = leading_eigenpair(_stacked(build_transfers(stack, op, op_a)))
-        for _, right in pairs:
-            right.flags.writeable = False
-        return pairs
+        lams, rights = leading_eigenpair(_transfer_stack(stack, op, op_a))
+        rights.flags.writeable = False
+        return _rows({"pairs": (lams, rights)}, list(zip(lams, rights)))
 
     return _memoised(lpdos, ("eigenpair",) + key, compute)
+
+
+def transfer_eigenpairs(lpdos, op, op_a):
+    """:func:`transfer_eigenpair` of each of ``lpdos``, a stack under the module's stack rule
+    (:func:`_eigenpairs`)."""
+    return list(map(_VALUE, _eigenpairs(lpdos, op, op_a)))
+
+
+def _eigenpair_stacks(lpdos, op, op_a):
+    """:func:`transfer_eigenpairs` as the stacks (k,) of lambda0 and (k, n) of R0, read back
+    when they can be (:func:`_whole`)."""
+    entries = _eigenpairs(lpdos, op, op_a)
+    stacks = _whole(entries)
+    if stacks is None:
+        lams, rights = zip(*map(_VALUE, entries))
+        return np.array(lams), _stacked(rights)
+    return stacks["pairs"]
 
 
 def transfer_eigenpair(lpdo, op, op_a=None):
@@ -249,7 +305,7 @@ def symmetry_gap(spectrum):
 
 def symmetry_gaps(spectra):
     """:func:`symmetry_gap` of each of ``spectra``, spectra of one size, as one array."""
-    mods = np.abs(_stacked([spectrum.eigenvalues for spectrum in spectra]))
+    mods = np.abs(_restacked(spectra, "eigenvalues"))
     return mods[:, 0] - mods[:, 1] if mods.shape[1] > 1 else np.full(len(mods), np.inf)
 
 

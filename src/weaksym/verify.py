@@ -26,12 +26,13 @@ import numpy as np
 
 from .errors import GaplessTransferError, SizeGuardError, UndefinedExponentError, WeaksymError
 from .model import build_aklt_model, spin1_operators
-from .numerics import ScaledPowers, _identity, _stacked, ldexp
+from .numerics import ScaledPowers, _identity, _restacked, ldexp
 from .oracle import _expectations, expectation
 from .response import _conservation_checks, _flux_responses, _thermo_responses, finite_response, thermo_response
 from .stringorder import _ring_series, _string_series, string_order_series
 from .symmetry import REP_TOL, cocycle_commutator, extract_virtual_rep, extract_virtual_reps
 from .transfer import (
+    _transfer_stack,
     build_transfers,
     commutant_residual,
     flux_operator,
@@ -95,7 +96,7 @@ def _transfer_traces(lpdos, op, n_sites, xs):
     """Tr[X T(op)^N] of each of ``lpdos``, for each stack X (one per tensor; None for 1) of
     ``xs``: per X a list of one value per tensor, from one squaring table of the stack of
     maps, each power bit for bit its tensor's memoised table's, the one finite responses use."""
-    mantissa, exponent = ScaledPowers(_stacked(build_transfers(lpdos, op, None)))._stack_power(n_sites)
+    mantissa, exponent = ScaledPowers(_transfer_stack(lpdos, op, None))._stack_power(n_sites)
     traces = [np.trace(mantissa if x is None else x @ mantissa, axis1=1, axis2=2) for x in xs]
     return [ldexp(trace, exponent).tolist() for trace in traces]
 
@@ -390,7 +391,7 @@ def oracle_checks(build):
     worst_charge = worst_flux = worst_string = 0.0
     models, lpdos = _grid(build, (0.0, 0.3, 0.7, 1.0))
     uz = models[0].action("R_z").u
-    reps = [_stacked([rep.v for rep, _ in extract_virtual_reps(lpdos, models[0].action(g1))]) for g1 in ("R_x", "R_y")]
+    reps = [_restacked([rep for rep, _ in extract_virtual_reps(lpdos, models[0].action(g1))], "v") for g1 in ("R_x", "R_y")]
     fluxes = [flux_operator(v) for v in reps]
     for n in (3, 4, 5):
         strings = [[chi] + [uz] * length + [chi] + [eye3] * (n - length - 2) for chi in chis for length in range(n - 1)]
@@ -426,7 +427,7 @@ def structural_checks(build):
             worst[section] = max(worst[section], value)
     group = models[0].group
     orbit = [g1 for g1 in group.labels if g1 != group.identity]
-    reps = [_stacked([rep.v for rep, _ in extract_virtual_reps(lpdos, models[0].action(g1))]) for g1 in orbit]
+    reps = [_restacked([rep for rep, _ in extract_virtual_reps(lpdos, models[0].action(g1))], "v") for g1 in orbit]
     values, _ = _flux_responses(models, [np.linalg.matrix_power(v, group.order(g1)) for g1, v in zip(orbit, reps)], "R_z")
     worst_flux2 = max(0.0, *(abs(value - 1.0) for row in values for value in row.tolist()))
     return [
@@ -503,7 +504,7 @@ def _structural_lines(models):
     out = [[] for _ in models]
     lpdos, model, group = [model.lpdo for model in models], models[0], models[0].group
     refs = transfer_spectra(lpdos, _identity(lpdos[0].d), None)
-    scales = [abs(lam) for lam in _stacked([ref.eigenvalues for ref in refs])[:, 0].tolist()]
+    scales = [abs(lam) for lam in _restacked(refs, "eigenvalues")[:, 0].tolist()]
     push_tols, commutant_tols = [REP_TOL * scale**0.5 for scale in scales], [1e-10 * scale for scale in scales]
     reps = {}
     for g in group.labels:

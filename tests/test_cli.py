@@ -153,9 +153,46 @@ def test_sweep_bad_out_path(capsys):
 def test_sweep_refusals(capsys, monkeypatch, argv, message):
     """The string-length and ring-size rules are the library's, applied before any model is built."""
     monkeypatch.setattr(cli, "build_aklt_model", None)
+    monkeypatch.setattr(cli, "_aklt_models", None)
     code, out, err = run(capsys, "sweep", *argv)
     assert code == 1 and out == ""
     assert err == f"error: {message}\n"
+
+
+# Of the 700 grids --p-min 0, 0.01, ..., 0.99 by these step counts that end at --p-max 1,
+# the six of ROUNDED_PAST_ONE put their last point at 1.0000000000000002 by the grid formula.
+GRID_STEPS = (2, 3, 7, 11, 21, 96, 101)
+ROUNDED_PAST_ONE = [("0.08", 11), ("0.08", 21), ("0.19", 11), ("0.19", 21), ("0.2", 7), ("0.22", 96)]
+
+
+@pytest.mark.parametrize("p_min, steps", ROUNDED_PAST_ONE)
+def test_a_grid_that_rounds_past_one_ends_at_one(capsys, p_min, steps):
+    """A point the grid formula rounds past 1 is 1 (it exited 1, refusing p = 1.0000000000000002)."""
+    code, out, err = run(capsys, "sweep", "--p-min", p_min, "--p-max", "1", "--steps", str(steps))
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == steps + 1
+    _, one, _ = run(capsys, "sweep", "--p", "1")
+    assert out.splitlines()[-1] == one.splitlines()[1]
+
+
+def test_the_grid_moves_no_point_inside_the_unit_interval(monkeypatch):
+    """Every grid point in [0, 1] is the formula's p_min + i (p_max - p_min) / (steps - 1)
+    bit for bit, as the benchmark's checks recompute it; only the six that it rounds
+    past 1 move, to 1. A grid with an end outside [0, 1] is left as it is, for the model
+    builder to refuse."""
+    grids = []
+    monkeypatch.setattr(cli, "_sweep_rows", lambda p_values, n_sites, length: grids.append(p_values) or [])
+    moved = []
+    for p_min in (f"{i / 100}" for i in range(100)):
+        for steps in GRID_STEPS:
+            assert main(["sweep", "--p-min", p_min, "--p-max", "1", "--steps", str(steps), "--out", os.devnull]) == 0
+            formula = [float(p_min) + i * (1.0 - float(p_min)) / (steps - 1) for i in range(steps)]
+            assert grids[-1] == [p if p <= 1.0 else 1.0 for p in formula]
+            if grids[-1] != formula:
+                moved.append((p_min, steps))
+    assert moved == ROUNDED_PAST_ONE
+    assert main(["sweep", "--p-min", "0.5", "--p-max", "1.5", "--steps", "3", "--out", os.devnull]) == 0
+    assert grids[-1] == [0.5, 1.0, 1.5]
 
 
 # --- response ----------------------------------------------------------------

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from test_generic import generic_model
-from weaksym import cli, numerics, symmetry, transfer, verify
+from weaksym import cli, numerics, stringorder, symmetry, transfer, verify
 from weaksym.errors import DimensionMismatchError, NotSymmetricError, ValidationError
 from weaksym.model import LpdoTensor, aklt_group, build_aklt_model, save_model, spin1_operators
 from weaksym.response import thermo_response
@@ -58,6 +58,44 @@ def test_a_sweep_makes_four_stacked_eig_calls_per_chunk(eig_calls, rows):
     assert all(not row["flags"] for row in cli._sweep_rows(p_values, 200, 50))
     chunks = [min(cli.SWEEP_CHUNK, rows - at) for at in range(0, rows, cli.SWEEP_CHUNK)]
     assert eig_calls == [(k, 4, 4) for k in chunks for _ in range(4)]
+
+
+@pytest.mark.parametrize("rows", [96, cli.SWEEP_CHUNK + 3])
+def test_a_sweep_builds_each_chunk_of_models_in_one_call(monkeypatch, rows):
+    """One ``model._aklt_models`` call per chunk, no model built one p at a time."""
+    calls, build = [], cli._aklt_models
+    monkeypatch.setattr(cli, "_aklt_models", lambda p_values: calls.append(len(p_values)) or build(p_values))
+    monkeypatch.setattr(cli, "build_aklt_model", None)
+    assert len(cli._sweep_rows([0.01 + 0.97 * i / rows for i in range(rows)], 200, 50)) == rows
+    assert calls == [min(cli.SWEEP_CHUNK, rows - at) for at in range(0, rows, cli.SWEEP_CHUNK)]
+
+
+@pytest.fixture
+def gathers(monkeypatch):
+    """The member count of each ``numerics._stacked`` call of more than one member, in
+    every module that calls it."""
+    counts, stacked = [], numerics._stacked
+
+    def counting(arrays):
+        if len(arrays) > 1:
+            counts.append(len(arrays))
+        return stacked(arrays)
+
+    for module in (numerics, transfer, stringorder):
+        monkeypatch.setattr(module, "_stacked", counting)
+    return counts
+
+
+def test_a_sweep_chunk_reads_its_stacks_back_with_no_gather(gathers):
+    """A 96-row chunk's spectra, maps, leading pairs, representations and tensors are
+    each read as the stack one call computed them as: no member-by-member gather (a
+    96-row chunk made 40 from 14 call sites when every read gathered). The first sweep
+    of a process also contracts the family's two part tensors per new insertion."""
+    p_values = [0.012 + 0.97 * i / 95 for i in range(96)]
+    cli._sweep_rows(p_values, 200, 50)
+    gathers.clear()
+    assert len(cli._sweep_rows(p_values, 200, 50)) == 96
+    assert gathers == []
 
 
 @pytest.mark.parametrize("checks", [verify.transfer_table_checks, verify.gap_checks], ids=["criterion-1", "criterion-3"])

@@ -8,7 +8,6 @@ from weaksym.errors import DimensionMismatchError, ValidationError
 from weaksym.model import (
     KrausChannel,
     LpdoTensor,
-    aklt_channel,
     aklt_group,
     aklt_tensor,
     build_aklt_model,
@@ -17,6 +16,11 @@ from weaksym.model import (
     save_model,
     spin1_operators,
 )
+
+
+def aklt_channel(p):
+    """The family's channel at noise rate p, as the built model carries it."""
+    return build_aklt_model(p).channel
 
 
 # --- spin-1 operator algebra ----------------------------------------------------

@@ -1,6 +1,7 @@
 """Stacked accessors: many tensors' maps, spectra, leading pairs, virtual
 representations, ring strings, decay channels and responses computed as one
-stack, each bit for bit its one-tensor value.
+stack, each bit for bit its one-tensor value, and a stack's values read back
+as the stack they were computed as, values and layout, without a gather.
 
 A stack shares the Python around each LAPACK call, not the arithmetic: every
 value must equal the one its tensor gets alone (a fresh ``LpdoTensor``, so
@@ -24,6 +25,7 @@ import pytest
 import dense_reference
 from test_generic import generic_model
 from weaksym import cli, numerics, oracle, symmetry, transfer
+from weaksym import model as model_module
 from weaksym.errors import (
     DimensionMismatchError,
     GaplessTransferError,
@@ -33,7 +35,7 @@ from weaksym.errors import (
     WeaksymError,
 )
 from weaksym.model import LpdoTensor, Model, build_aklt_model, save_model, spin1_operators
-from weaksym.numerics import DENSE_MAX_ROWS, spectral_decompose
+from weaksym.numerics import DENSE_MAX_ROWS, ScaledPowers, ldexp, spectral_decompose
 from weaksym.response import _thermo_responses, thermo_response
 from weaksym.stringorder import _decay_channels, _ring_series, _string_series, decay_channel
 from weaksym.symmetry import SymmetryAction, extract_virtual_rep, extract_virtual_reps
@@ -583,6 +585,140 @@ def test_sweep_working_memory_does_not_grow_with_its_length():
 
     assert working_memory(8) <= 1.1 * working_memory(2)
 
+
+
+
+# --- one stack from construction to rows -----------------------------------------
+
+def test_the_chunk_builder_equals_the_one_model_construction_bit_for_bit():
+    """A 256-row seeded off-grid chunk and p = 0, 1/2, 1: each member's tensor (its
+    layout too), Kraus stack and pencil weights are the model's alone and the dilation
+    sum_j K_a[i, j] A0[j] of sqrt(1-p) 1, sqrt(p) Sx Sy, ... computed one p at a time."""
+    rng = np.random.default_rng(38)
+    p_values = [float(p) for p in 0.02 + 0.96 * rng.random(256)] + [0.0, 0.5, 1.0]
+    ops = spin1_operators()
+    basis = np.stack([ops["S_0"], ops["S_x"] @ ops["S_y"], ops["S_y"] @ ops["S_z"], ops["S_z"] @ ops["S_x"]])
+    for p, member in zip(p_values, model_module._aklt_models(p_values)):
+        alone = build_aklt_model(p)
+        kraus = np.sqrt([1.0 - p, p, p, p])[:, None, None] * basis
+        tensor = np.einsum("aij,jxy->iaxy", kraus, model_module.aklt_tensor())
+        for built in (member, alone):
+            assert _bits(built.lpdo.tensor) == _bits(np.array(tensor))
+            assert _bits(built.channel.kraus) == _bits(kraus) and built.channel.p == p
+            assert built.lpdo.pencil[0] == (1.0 - p, p) and built.lpdo.pencil[1] is alone.lpdo.pencil[1]
+
+
+
+def _loop_normalized(model, chi, lengths, n_sites):
+    """A ring's normalized string from its series' mantissa and exponent, the envelope
+    |Tr T(R_z)^N|^(l/N) divided out one model at a time: the loop the ring series keeps."""
+    series = _ring_series([model], "R_z", [(chi, chi)], lengths, n_sites)[0][0]
+    envelope, envelope_exp = ScaledPowers(build_transfer(model.lpdo, model.action("R_z").u)).power(n_sites)
+    product = np.array(lengths, dtype=object) * envelope_exp
+    shift, rest = product // n_sites, product % n_sites
+    factors = abs(complex(np.trace(envelope))) ** (np.array(lengths) / n_sites) * 2.0 ** (rest.astype(float) / n_sites)
+    return ldexp(series.mantissa / factors, series.exponent - shift.astype(series.exponent.dtype))
+
+
+@pytest.mark.parametrize("n_sites", [200, 3000, 10**10, 2**63 - 1], ids=["200", "3000", "1e10", "2^63-1"])
+def test_a_ring_stack_normalizes_each_row_as_its_stack_of_one(n_sites):
+    """Each row's ``normalized`` is bit for bit its stack of one's, in stacks of 1, 3 and 257
+    rings up to the huge-ring sweep's N = 2^63 - 1, for a sweep's one length and for several,
+    and the one the envelope's factors give model by model: a power with the exponents
+    broadcast moves the last bit of some rows of one length l = N/2."""
+    rng = np.random.default_rng(n_sites % 1000)
+    p_values = [float(p) for p in 0.01 + 0.98 * rng.random(257)]
+    ends = [(OPS["S_x"],) * 2, (OPS["S_y"],) * 2]
+    several = sorted({0, 1, 2, 48, 198} | {int(x) for x in rng.integers(0, min(n_sites - 2, 10**9), 7)})
+    for lengths in ([n_sites // 2], several):
+        alone = [_ring_series(model_module._aklt_models([p]), "R_z", ends, lengths, n_sites)[0] for p in p_values]
+        for size in (1, 3, 257):
+            rows = _ring_series(model_module._aklt_models(p_values[:size]), "R_z", ends, lengths, n_sites)
+            assert [[_bits(s.normalized) for s in row] for row in rows] == [[_bits(s.normalized) for s in row] for row in alone[:size]]
+        loop = [_loop_normalized(build_aklt_model(p), OPS["S_x"], lengths, n_sites) for p in p_values]
+        assert [_bits(row[0].normalized) for row in alone] == [_bits(x) for x in loop]
+
+def _chunk(rows):
+    """The models of a seeded off-grid chunk and their tensors, every stacked quantity of a
+    sweep row computed for them as one stack."""
+    rng = np.random.default_rng(rows)
+    models = model_module._aklt_models([float(p) for p in 0.02 + 0.47 * rng.random(rows)])
+    cli._chunk_rows([0.0] * rows, models, 200, 50)
+    return models, [model.lpdo for model in models]
+
+
+def _read_backs(models, lpdos):
+    """Each stack a sweep row reads back, with the gather of its members that ``_stacked``
+    would make: the spectra's fields, the maps, the leading pairs, the representations and
+    the tensors."""
+    model = models[0]
+    eye, uz = np.eye(3), model.action("R_z").u
+    spectra = [transfer_spectra(lpdos, op, None) for op in (eye, uz)]
+    reps = [[rep for rep, _ in extract_virtual_reps(lpdos, model.action(g))] for g in ("R_x", "R_y")]
+    acts = [model.action(g) for g in ("R_x", "R_y")]
+    out = [(numerics._restacked(s, side), numerics._stacked([getattr(x, side) for x in s]))
+           for s in spectra for side in ("eigenvalues", "right_vectors", "left_vectors")]
+    out += [(numerics._restacked(r, "v"), numerics._stacked([rep.v for rep in r])) for r in reps]
+    out += [(numerics._restacked(lpdos, "tensor"), numerics._stacked([lpdo.tensor for lpdo in lpdos]))]
+    ops = [(eye, None), (uz, None), (OPS["S_x"], None), (OPS["S_y"], None)] + [(act.u, act.ua) for act in acts]
+    out += [(transfer._transfer_stack(lpdos, *op), numerics._stacked(build_transfers(lpdos, *op))) for op in ops]
+    for act in acts:
+        pairs = transfer_eigenpairs(lpdos, act.u, act.ua)
+        lams, rights = transfer._eigenpair_stacks(lpdos, act.u, act.ua)
+        out += [(lams, np.array([lam for lam, _ in pairs])), (rights, numerics._stacked([right for _, right in pairs]))]
+    return out
+
+
+@pytest.mark.parametrize("rows", [2, 5, 96])
+def test_an_intact_stack_is_read_back_as_the_stack_it_was_computed_as(rows):
+    """Every stack a sweep chunk reads equals the gather of its members in values and
+    layout (a column-major member's stack stays column-major), and it is the same array
+    on every read: no member is gathered."""
+    models, lpdos = _chunk(rows)
+    first, again = _read_backs(models, lpdos), _read_backs(models, lpdos)
+    assert len(first) == 19
+    for (read, gathered), (read_again, _) in zip(first, again):
+        assert _bits(read) == _bits(gathered)
+        assert read is read_again and read is not gathered
+
+
+def test_a_sub_stack_or_a_mix_of_stacks_is_gathered_member_by_member():
+    """The rows a sweep isolates, a stack in another order, a prefix of a stack, and a
+    stack that mixes memo hits with misses computed as a stack of their own: each is read
+    as the gather of its members, never as the stack its first member came from."""
+    models, lpdos = _chunk(6)
+    eye = np.eye(3)
+    spectra = transfer_spectra(lpdos, eye, None)
+    whole = numerics._restacked(spectra, "right_vectors")
+    for members in (spectra[1:4], spectra[::-1], spectra[:5], [spectra[0], spectra[2]]):
+        read = numerics._restacked(members, "right_vectors")
+        assert _bits(read) == _bits(numerics._stacked([s.right_vectors for s in members])) and read is not whole
+    fresh = [_alone(lpdo) for lpdo in lpdos]
+    transfer_spectra(fresh[1:3], OPS["S_z"], None)  # hits; the other four are misses, computed as one stack
+    mixed = transfer_spectra(fresh, OPS["S_z"], None)
+    for side in ("eigenvalues", "right_vectors", "left_vectors"):
+        read = numerics._restacked(mixed, side)
+        assert _bits(read) == _bits(numerics._stacked([getattr(s, side) for s in mixed]))
+        assert _bits(read) == _bits(numerics._stacked([getattr(transfer_spectrum(_alone(l), OPS["S_z"]), side) for l in lpdos]))
+    assert _bits(transfer._transfer_stack(fresh, OPS["S_z"], None)) == _bits(np.stack(build_transfers(fresh, OPS["S_z"], None)))
+
+
+def test_the_special_sweep_reads_its_refused_rows_sub_stacks_member_by_member(capsys, monkeypatch):
+    """p = 0, 1/4, 1/2, 3/4, 1: three refused rows make ``cli._isolated`` compute
+    sub-stacks, which are gathered; the rows are the one-row sweeps joined."""
+    gathered, stacked = [], numerics._stacked
+
+    def counting(arrays):
+        gathered.append(len(arrays))
+        return stacked(arrays)
+
+    for module in (numerics, transfer):
+        monkeypatch.setattr(module, "_stacked", counting)
+    rows = _sweep(capsys, ["--p-min", "0", "--p-max", "1", "--steps", "5"]).splitlines()
+    assert any(size > 1 for size in gathered)
+    monkeypatch.undo()
+    ones = [_sweep(capsys, ["--p", p]).splitlines()[1] for p in ("0", "0.25", "0.5", "0.75", "1")]
+    assert rows[1:] == ones
 
 
 # --- the stacks commands form --------------------------------------------------
